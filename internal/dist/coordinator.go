@@ -764,7 +764,11 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			if e.AfterReduceDone > 0 {
 				trigger, threshold = donePartCount, e.AfterReduceDone
 			}
-			if trigger < threshold {
+			// A fired kill lands asynchronously. Hold later events until its
+			// death is observed (death re-runs fireEvents), or a drain that
+			// starts in between is aborted by that death and the schedule's
+			// outcome depends on goroutine timing.
+			if trigger < threshold || len(pendingKills) > 0 {
 				return
 			}
 			// A drain or kill may target a joiner from an earlier event in the
@@ -1096,6 +1100,11 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			Dead: w, Homes: homes, Epoch: epoch,
 			Settled: append([]bool(nil), donePart...),
 		}.encode()})
+		// Events held behind this kill can fire now. And the death may have
+		// aborted the active transition: promote the next queued one, or
+		// nothing ever will and dispatch stays paused.
+		fireEvents()
+		startNextTransition()
 		fill()
 		tryAdvance()
 		maybeReduce()
@@ -1275,8 +1284,13 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
 				continue
 			}
-			if phase == phaseReduce && m.Attempt == reduceAttempt[m.Partition] {
+			// Count a partition against the wave once: a reduce task the
+			// crashed coordinator dispatched can report to its resumed
+			// successor, under the same attempt number as the re-dispatch.
+			if end := reduceSpans[m.Partition]; end != nil && m.Attempt == reduceAttempt[m.Partition] {
 				reduceOutstanding--
+				end()
+				delete(reduceSpans, m.Partition)
 			}
 			if !donePart[m.Partition] {
 				pairs, err := kv.Unmarshal(m.Output)
@@ -1303,10 +1317,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				led.reduceGroupsIn.Add(m.GroupsIn)
 				led.outputPairs.Add(int64(len(pairs)))
 				fireEvents()
-			}
-			if end := reduceSpans[m.Partition]; end != nil {
-				end()
-				delete(reduceSpans, m.Partition)
 			}
 			// A fired kill whose death has not yet been observed blocks
 			// completion: the scheduled churn must land (and be recovered

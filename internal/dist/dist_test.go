@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,6 +149,42 @@ func TestMapFaultRetry(t *testing.T) {
 	// retry cells stay byte-exact with zero loss.
 	if _, _, lost, _, _, blost := netCounters(tel.Metrics); lost != 0 || blost != 0 {
 		t.Fatalf("retry run lost data: %d records, %d bytes", lost, blost)
+	}
+}
+
+// TestMapFaultReleasesChunk: an attempt failed between kernel and partition
+// must hand its pooled chunk back. Only Release resets the batch a kernel
+// wrote into, so a batch still holding pairs after the job is a leaked chunk.
+func TestMapFaultReleasesChunk(t *testing.T) {
+	o, want := wcOptions(3, nil)
+	var mu sync.Mutex
+	seen := make(map[*kv.Batch]bool)
+	o.NewApp = testResolver(func() *core.App {
+		app := apps.WordCount()
+		kernel := app.MapBatch
+		app.MapBatch = func(recs []kv.Pair, out *kv.Batch) {
+			mu.Lock()
+			seen[out] = true
+			mu.Unlock()
+			kernel(recs, out)
+		}
+		return app
+	}, nil)
+	o.MapFault = func(task, attempt int) bool { return attempt == 0 }
+	res, err := RunLoopback(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	if res.MapRetries == 0 || len(seen) == 0 {
+		t.Fatalf("test exercised nothing: %d retries, %d batches", res.MapRetries, len(seen))
+	}
+	for b := range seen {
+		if b.Len() != 0 {
+			t.Fatalf("a kernel batch still holds %d pairs: its chunk was never released", b.Len())
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package dist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -30,29 +30,21 @@ type committedRun struct {
 }
 
 // load returns the run, reading a spilled one back off disk (handoff is
-// the one consumer that needs a whole run materialized again).
+// the one consumer that needs a whole run again): the file is the run's
+// blob minus its record count, so prepending the count restores it.
 func (cr *committedRun) load() (*kv.Run, error) {
 	if cr.run != nil {
 		return cr.run, nil
 	}
-	f, err := os.Open(cr.file)
+	stream, err := os.ReadFile(cr.file)
 	if err != nil {
 		return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
 	}
-	defer f.Close()
-	r := kv.NewReader(bufio.NewReaderSize(f, 64<<10))
-	pairs := make([]kv.Pair, 0, cr.records)
-	for {
-		p, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
-		}
-		pairs = append(pairs, p)
+	if int64(len(stream)) != cr.stored {
+		return nil, fmt.Errorf("dist: reloading spilled run: %s holds %d bytes, want %d", cr.file, len(stream), cr.stored)
 	}
-	return kv.NewRun(pairs, false), nil
+	blob := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(stream)), uint64(cr.records))
+	return kv.RunFromBlob(append(blob, stream...), cr.records, cr.rawBytes, false), nil
 }
 
 // stagedRun is one uncommitted arrival plus the membership epoch the sender
@@ -225,11 +217,17 @@ func (s *shuffleStore) spillPartition(part int) bool {
 		t0 := time.Now()
 		path := filepath.Join(dir, fmt.Sprintf("spill-%06d.run", s.spillSeq))
 		s.spillSeq++
-		stored, err := writeRunFile(path, cr.run)
-		if err != nil {
+		// Every run in the store is uncompressed, and the kv stream format
+		// is the Marshal layout without its leading count: the blob past
+		// that varint is the file, byte for byte.
+		blob := cr.run.Blob()
+		_, n := binary.Uvarint(blob)
+		if n <= 0 || os.WriteFile(path, blob[n:], 0o666) != nil {
+			os.Remove(path)
 			s.spillLimit = 0
 			return moved
 		}
+		stored := int64(len(blob) - n)
 		s.resident -= cr.stored
 		s.residentPart[part] -= cr.stored
 		if s.spillLed != nil {
@@ -250,38 +248,6 @@ func (s *shuffleStore) spillPartition(part int) bool {
 	return moved
 }
 
-// writeRunFile streams one sorted run into the kv stream format (the same
-// spill framing the native runtime uses), returning the encoded size.
-func writeRunFile(path string, run *kv.Run) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := kv.NewWriter(f)
-	it := run.Iter()
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(p); err != nil {
-			f.Close()
-			os.Remove(path)
-			return 0, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return 0, err
-	}
-	return w.Bytes(), nil
-}
-
 // spillFileIter streams a spilled run back for the reduce merge, surfacing
 // stream errors through the Iterator's exhaustion plus the err method.
 type spillFileIter struct {
@@ -292,16 +258,15 @@ type spillFileIter struct {
 func (si *spillFileIter) Next() (kv.Pair, bool) { return si.it.Next() }
 
 // partitionIters returns one sorted iterator per committed run of part —
-// resident runs iterate in memory, spilled runs stream off disk — plus the
-// partition's record total. close releases the open spill files; err (from
-// any iterator's underlying stream) must be checked after the merge drains.
-func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, records int64, close func(), errf func() error) {
+// resident runs iterate in memory, spilled runs stream off disk. close
+// releases the open spill files; err (from any iterator's underlying
+// stream) must be checked after the merge drains.
+func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, close func(), errf func() error) {
 	crs := s.partitions[part]
 	var files []*spillFileIter
 	var openErr error
 	for i := range crs {
 		cr := &crs[i]
-		records += int64(cr.records)
 		if cr.run != nil {
 			iters = append(iters, cr.run.Iter())
 			continue
@@ -331,7 +296,7 @@ func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, records in
 		}
 		return nil
 	}
-	return iters, records, close, errf
+	return iters, close, errf
 }
 
 // takePartition removes a partition this node is handing to a new home,

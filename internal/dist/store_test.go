@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"glasswing/internal/kv"
@@ -47,10 +49,10 @@ func TestStoreEpochFenceAfterHandoff(t *testing.T) {
 	if acc != 0 || dup != 3 {
 		t.Fatalf("stale commit: accepted %d dupped %d, want 0/3", acc, dup)
 	}
-	iters, records, closeIters, _ := s.partitionIters(part)
+	iters, closeIters, _ := s.partitionIters(part)
 	closeIters()
-	if got := len(iters); got != 1 || records != 3 {
-		t.Fatalf("partition holds %d runs / %d records, want exactly the adopted one (1/3)", got, records)
+	if runs, records := len(iters), len(kv.Drain(kv.Merge(iters...))); runs != 1 || records != 3 {
+		t.Fatalf("partition holds %d runs / %d records, want exactly the adopted one (1/3)", runs, records)
 	}
 }
 
@@ -64,7 +66,7 @@ func TestStoreHandoffEpochFence(t *testing.T) {
 	if adopted, dupped := s.adoptHandoff(4, 1); adopted != 0 || dupped != 5 {
 		t.Fatalf("stale handoff: adopted %d dupped %d, want 0/5", adopted, dupped)
 	}
-	iters, _, closeIters, _ := s.partitionIters(4)
+	iters, closeIters, _ := s.partitionIters(4)
 	closeIters()
 	if iters != nil {
 		t.Fatal("stale handoff runs became visible to reduce")
@@ -87,5 +89,48 @@ func TestStoreDedupAcrossAttempts(t *testing.T) {
 	acc, dup := s.commit(3, 1)
 	if acc != 4 || dup != 2 {
 		t.Fatalf("re-execution commit: accepted %d dupped %d, want 4/2", acc, dup)
+	}
+}
+
+// TestStoreSpillMovesBytes: spilling a partition writes each run's encoded
+// bytes to disk as they are — the booked stored size is the file size, the
+// handoff reload restores the very blob that was spilled, and the reduce
+// path still streams the file.
+func TestStoreSpillMovesBytes(t *testing.T) {
+	s := newShuffleStore()
+	led := newLedger(nil)
+	dir := t.TempDir()
+	s.enableSpill(1, func() (string, error) { return dir, nil }, led, nil)
+
+	run := storeRun(t, 20)
+	want := append([]byte(nil), run.Blob()...)
+	s.stage(0, 0, 3, run, 0)
+	s.commit(0, 0) // 1-byte limit: the commit spills partition 3
+
+	cr := &s.partitions[3][0]
+	if cr.run != nil || cr.file == "" {
+		t.Fatalf("run not spilled: %+v", cr)
+	}
+	st, err := os.Stat(cr.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.stored != st.Size() || led.spillStoredBytes.Load() != st.Size() {
+		t.Fatalf("stored %d, ledger %d, file holds %d bytes", cr.stored, led.spillStoredBytes.Load(), st.Size())
+	}
+	if raw := led.spillRawBytes.Load(); st.Size() < raw || st.Size() > raw+10*led.spillRecords.Load() {
+		t.Fatalf("file size %d outside the framing bound of %d raw bytes", st.Size(), raw)
+	}
+	back, err := cr.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Blob(), want) || back.Records != run.Records || back.RawBytes != run.RawBytes {
+		t.Fatalf("reloaded run differs from the spilled one")
+	}
+	iters, closeIters, errf := s.partitionIters(3)
+	defer closeIters()
+	if got := kv.Marshal(kv.Drain(kv.Merge(iters...))); !bytes.Equal(got, want) || errf() != nil {
+		t.Fatalf("streamed spill differs from the spilled run (err %v)", errf())
 	}
 }

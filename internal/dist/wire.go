@@ -10,6 +10,7 @@ import (
 
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -347,14 +348,7 @@ func decodeMapTask(p []byte) (mapTaskMsg, error) {
 
 // attemptStats is the map-side conservation slice of one successful
 // attempt, flushed into the shared ledger only when the attempt wins.
-type attemptStats struct {
-	RecordsIn   int64
-	PairsOut    int64
-	PartRecords int64
-	PartRuns    int64
-	PartRaw     int64
-	PartStored  int64
-}
+type attemptStats = native.MapStats
 
 type mapDoneMsg struct {
 	Task    int

@@ -10,6 +10,7 @@ import (
 	"glasswing/internal/blockstore"
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -641,70 +642,6 @@ func (w *worker) executor() {
 	}
 }
 
-// execMapKernel runs the map kernel over one block through the configured
-// collector: the hash table groups values per key (enabling the combiner),
-// the buffer pool appends pairs directly. Either way the emitted multiset
-// is identical (the combiner is the only semantic difference), matching
-// the native pipeline's collector behavior.
-func execMapKernel(app *core.App, job Job, recs []kv.Pair) []kv.Pair {
-	var out []kv.Pair
-	emitCopy := func(k, v []byte) {
-		out = append(out, kv.Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-	}
-	// With a batch kernel, run it once over the whole block and replay its
-	// output into the collector: the emit sequence matches the per-record
-	// path by construction, without paying the per-record shim's Batch setup
-	// for every record.
-	feed := func(emit func(k, v []byte)) {
-		for _, rec := range recs {
-			app.Map(rec, emit)
-		}
-	}
-	if app.MapBatch != nil {
-		var b kv.Batch
-		app.MapBatch(recs, &b)
-		feed = func(emit func(k, v []byte)) {
-			for i := 0; i < b.Len(); i++ {
-				p := b.Pair(i)
-				emit(p.Key, p.Value)
-			}
-		}
-	}
-	if job.Collector == core.HashTable {
-		idx := make(map[string]int)
-		var keys [][]byte
-		var vals [][][]byte
-		emit := func(k, v []byte) {
-			i, ok := idx[string(k)]
-			if !ok {
-				i = len(keys)
-				idx[string(k)] = i
-				keys = append(keys, append([]byte(nil), k...))
-				vals = append(vals, nil)
-			}
-			vals[i] = append(vals[i], append([]byte(nil), v...))
-		}
-		feed(emit)
-		if job.UseCombiner && app.Combine != nil {
-			for i := range keys {
-				app.Combine(keys[i], vals[i], emitCopy)
-			}
-		} else {
-			for i := range keys {
-				for _, v := range vals[i] {
-					out = append(out, kv.Pair{Key: keys[i], Value: v})
-				}
-			}
-		}
-		return out
-	}
-	feed(emitCopy)
-	return out
-}
-
 // runMap executes one map attempt: kernel, partition, push runs to their
 // home workers, then mark every live peer. The attempt reports done to the
 // coordinator only when every live peer has acked its marker — at which
@@ -720,12 +657,6 @@ func (w *worker) runMap(m mapTaskMsg) {
 		return
 	}
 	w.mu.Unlock()
-
-	// Batch kernels skip the per-record emit path: pairs land in a columnar
-	// batch whose index entries are scattered and sorted without moving
-	// payload, mirroring internal/native's fast path. The combiner needs
-	// per-key grouping, so combiner jobs stay on the per-record collector.
-	useBatch := w.app.MapBatch != nil && !w.job.UseCombiner
 
 	// Resolve the task's input first: embedded bytes for classic jobs, the
 	// block store (own disk, or streamed from a holder) for Ref tasks. The
@@ -751,19 +682,13 @@ func (w *worker) runMap(m mapTaskMsg) {
 	// parents on the kernel, forming the causal chain the merged trace
 	// draws as flow arrows.
 	kernelID, end := w.tr.span(stageMapKernel, m.SpanID)
-	recs := w.app.Parse(block)
-	var batch kv.Batch
-	var pairs []kv.Pair
-	if useBatch {
-		w.app.MapBatch(recs, &batch)
-	} else {
-		pairs = execMapKernel(w.app, w.job, recs)
-	}
+	chunk := native.MapBlock(w.app, block, w.job.Collector, w.job.UseCombiner)
 	end()
 
 	if w.cfg.mapFault != nil && w.cfg.mapFault(m.Task, m.Attempt) {
 		// Fail before partitioning: like the sim core, a failed attempt has
 		// produced nothing durable and nothing has touched the wire.
+		chunk.Release()
 		w.coordSend(frame{typ: mMapFailed, payload: taskFailMsg{
 			Task: m.Task, Attempt: m.Attempt, Reason: "injected fault",
 		}.encode()})
@@ -772,43 +697,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 
 	P := w.job.Partitions
 	_, end = w.tr.span(stageMapPartition, kernelID)
-	runs := make([]*kv.Run, P)
-	stats := attemptStats{RecordsIn: int64(len(recs))}
-	if useBatch {
-		stats.PairsOut = int64(batch.Len())
-		bounds := batch.PartitionRanges(w.prt, P)
-		for p := 0; p < P; p++ {
-			lo, hi := bounds[p], bounds[p+1]
-			if lo == hi {
-				continue
-			}
-			batch.SortRange(lo, hi)
-			runs[p] = batch.RunRange(lo, hi, false)
-		}
-	} else {
-		stats.PairsOut = int64(len(pairs))
-		buckets := make([][]kv.Pair, P)
-		for _, pr := range pairs {
-			p := w.prt(pr.Key, P)
-			buckets[p] = append(buckets[p], pr)
-		}
-		for p, b := range buckets {
-			if len(b) == 0 {
-				continue
-			}
-			kv.SortPairs(b)
-			runs[p] = kv.NewRun(b, false)
-		}
-	}
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		stats.PartRecords += int64(r.Records)
-		stats.PartRuns++
-		stats.PartRaw += r.RawBytes
-		stats.PartStored += r.StoredBytes()
-	}
+	runs, stats := chunk.Partition(w.prt, P, false)
 	end()
 
 	// Register the ack barrier and commit our own partitions under one
@@ -894,31 +783,10 @@ func (w *worker) runReduce(rt reduceTaskMsg) {
 	// once committed, and a concurrent spill of this partition only drops the
 	// store's reference — the blob an iterator already holds stays valid.
 	w.mu.Lock()
-	iters, recordsIn, closeSpills, spillErr := w.store.partitionIters(rt.Partition)
+	iters, closeSpills, spillErr := w.store.partitionIters(rt.Partition)
 	w.mu.Unlock()
 	defer closeSpills()
-	merged := kv.Merge(iters...)
-	var out []kv.Pair
-	var groups int64
-	if w.app.Reduce != nil {
-		emit := func(k, v []byte) {
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		}
-		gi := kv.NewGroupIter(merged)
-		for {
-			g, ok := gi.Next()
-			if !ok {
-				break
-			}
-			groups++
-			w.app.Reduce(g.Key, g.Values, emit)
-		}
-	} else {
-		out = kv.Drain(merged)
-	}
+	out, recordsIn, groups := native.ReducePartition(w.app, iters)
 	end()
 
 	if err := spillErr(); err != nil {

@@ -16,6 +16,16 @@ func cellF(t *testing.T, tab *Table, row int, col string) float64 {
 	return v
 }
 
+// shape marks a test that runs whole simulated experiments and checks the
+// shape of their tables: 80 s of the tier-1 run, so skipped under -short
+// (CI runs without -short, so it still runs them all).
+func shape(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs simulated experiments; skipped under -short")
+	}
+}
+
 func TestTableFormatting(t *testing.T) {
 	tab := &Table{ID: "x", Paper: "p", Title: "t", Columns: []string{"a", "b"}}
 	tab.AddRow(1, 2.5)
@@ -55,6 +65,7 @@ func TestRegistryComplete(t *testing.T) {
 // TestPipelineStallsShape: the traced stall analysis reports every map
 // pipeline stage and its notes carry the overlap-factor comparison.
 func TestPipelineStallsShape(t *testing.T) {
+	shape(t)
 	tab := PipelineStalls(Quick())
 	stages := map[string]bool{}
 	for _, row := range tab.Rows {
@@ -103,6 +114,7 @@ func TestTableIComplete(t *testing.T) {
 }
 
 func TestFig2WCShape(t *testing.T) {
+	shape(t)
 	tab := Fig2WC(Quick())
 	for r := range tab.Rows {
 		h := cellF(t, tab, r, "hadoop(s)")
@@ -126,6 +138,7 @@ func TestFig2WCShape(t *testing.T) {
 // TestFig3KMShape asserts the compute-bound relationships: GPU beats CPU
 // beats Hadoop, and Glasswing GPU is competitive with GPMR.
 func TestFig3KMShape(t *testing.T) {
+	shape(t)
 	tab := Fig3KMGPU(Quick())
 	for r := range tab.Rows {
 		h := cellF(t, tab, r, "hadoop(s)")
@@ -150,6 +163,7 @@ func TestFig3KMShape(t *testing.T) {
 // dataset to rise above contention noise; the experiment is single-node
 // and still fast.
 func TestTableIIShape(t *testing.T) {
+	shape(t)
 	s := Quick()
 	s.WCBytes = Default().WCBytes
 	tab := TableII(s)
@@ -189,6 +203,7 @@ func TestTableIIShape(t *testing.T) {
 
 // TestTableIIIShape asserts the CPU/GPU contrast of Table III.
 func TestTableIIIShape(t *testing.T) {
+	shape(t)
 	tab := TableIII(Quick())
 	col := map[string]int{}
 	for i, c := range tab.Columns {
@@ -222,6 +237,7 @@ func TestTableIIIShape(t *testing.T) {
 
 // TestFig4aShape: partitioning parallelizes with N.
 func TestFig4aShape(t *testing.T) {
+	shape(t)
 	tab := Fig4a(Quick())
 	p1 := cellF(t, tab, 0, "partitioning(s)")
 	p8 := cellF(t, tab, 3, "partitioning(s)")
@@ -235,6 +251,7 @@ func TestFig4aShape(t *testing.T) {
 
 // TestFig5Shape: kernel-launch amortization.
 func TestFig5Shape(t *testing.T) {
+	shape(t)
 	tab := Fig5(Quick())
 	e1 := cellF(t, tab, 0, "reduce-elapsed(s)")
 	e4096 := cellF(t, tab, 3, "reduce-elapsed(s)")
@@ -256,6 +273,7 @@ func TestFig5Shape(t *testing.T) {
 
 // TestVerticalShape: every accelerator beats the CPU for compute-bound KM.
 func TestVerticalShape(t *testing.T) {
+	shape(t)
 	tab := Vertical(Quick())
 	cpu := cellF(t, tab, 0, "KM(s)")
 	for r := 1; r < len(tab.Rows); r++ {
@@ -273,6 +291,7 @@ func TestVerticalShape(t *testing.T) {
 }
 
 func TestK20mScalingShape(t *testing.T) {
+	shape(t)
 	tab := VerticalK20mScaling(Quick())
 	last := len(tab.Rows) - 1
 	sp := cellF(t, tab, last, "speedup")
@@ -285,6 +304,7 @@ func TestK20mScalingShape(t *testing.T) {
 
 // TestExtHadoopCLShape: HadoopCL lands between Hadoop and Glasswing GPU.
 func TestExtHadoopCLShape(t *testing.T) {
+	shape(t)
 	tab := ExtHadoopCL(Quick())
 	for r := range tab.Rows {
 		h := cellF(t, tab, r, "hadoop(s)")
@@ -304,6 +324,7 @@ func TestExtHadoopCLShape(t *testing.T) {
 
 // TestExtHeterogeneousShape: mixed beats all-CPU; weighted beats even.
 func TestExtHeterogeneousShape(t *testing.T) {
+	shape(t)
 	tab := ExtHeterogeneous(Quick())
 	allCPU := cellF(t, tab, 0, "job(s)")
 	staticEven := cellF(t, tab, 1, "job(s)")
@@ -324,6 +345,7 @@ func TestExtHeterogeneousShape(t *testing.T) {
 
 // TestExtStragglerShape: speculation recovers part of the straggler's cost.
 func TestExtStragglerShape(t *testing.T) {
+	shape(t)
 	tab := ExtStraggler(Quick())
 	plain := cellF(t, tab, 0, "map-phase(s)")
 	spec := cellF(t, tab, 1, "map-phase(s)")
@@ -338,6 +360,7 @@ func TestExtStragglerShape(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
+	shape(t)
 	s := Quick()
 	ol := AblationOverlap(s)
 	for r := range ol.Rows {

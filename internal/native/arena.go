@@ -22,7 +22,7 @@ const arenaBlockSize = 64 << 10
 
 // copyBytes copies b into the arena and returns the stable copy. The copy
 // is valid until reset; callers hand these slices to kv.NewRun (which
-// serializes them) before the owning chunk state is released.
+// serializes them) before the owning chunk is released.
 func (a *arena) copyBytes(b []byte) []byte {
 	n := len(b)
 	if n == 0 {
@@ -59,31 +59,35 @@ type hashEntry struct {
 	vals [][]byte
 }
 
-// chunkState is the pooled per-chunk collector: the arena backing all
-// emitted bytes, the hash-collector table, and the output pair buffer. A
-// map worker acquires one per chunk, the partition worker releases it after
-// the chunk's pairs are serialized into runs — so steady-state map output
-// costs zero heap allocations beyond first-use pool warm-up.
-type chunkState struct {
+// Chunk is one block's collected map output on pooled state: the arena
+// backing all emitted bytes, the hash-collector table, and the output pair
+// buffer. MapBlock acquires one per block and Partition releases it after
+// the pairs are serialized into runs — so steady-state map output costs zero
+// heap allocations beyond first-use pool warm-up.
+type Chunk struct {
 	ar      arena
 	idx     map[string]int // key -> entries index
 	entries []hashEntry
 	out     []kv.Pair
 	// batch is the columnar collector for batch-kernel chunks: the kernel
-	// appends straight into its slab and the partition worker scatters,
-	// sorts and serializes index ranges without ever materializing []Pair.
+	// appends straight into its slab and Partition scatters, sorts and
+	// serializes index ranges without ever materializing []Pair.
 	batch kv.Batch
+	// columnar marks a chunk whose output is batch rather than out.
+	columnar bool
+	records  int         // parsed input records the kernel consumed
+	buckets  [][]kv.Pair // Partition's per-partition scratch, reused across chunks
 }
 
 var chunkPool = sync.Pool{
-	New: func() any { return &chunkState{idx: make(map[string]int, 256)} },
+	New: func() any { return &Chunk{idx: make(map[string]int, 256)} },
 }
 
-func getChunkState() *chunkState { return chunkPool.Get().(*chunkState) }
+func getChunk() *Chunk { return chunkPool.Get().(*Chunk) }
 
-// release resets the state and returns it to the pool. The pairs returned
-// by execChunk are dead after this call.
-func (c *chunkState) release() {
+// Release resets the chunk and returns it to the pool. Its pairs are dead
+// after this call.
+func (c *Chunk) Release() {
 	c.ar.reset()
 	clear(c.idx)
 	// Truncate entries without zeroing so each slot's vals slice keeps its
@@ -91,12 +95,13 @@ func (c *chunkState) release() {
 	c.entries = c.entries[:0]
 	c.out = c.out[:0]
 	c.batch.Reset()
+	c.columnar = false
 	chunkPool.Put(c)
 }
 
 // addKey claims the next entry slot for key, reusing the slot's previous
 // vals capacity when the backing array is still there.
-func (c *chunkState) addKey(key []byte) int {
+func (c *Chunk) addKey(key []byte) int {
 	if len(c.entries) < cap(c.entries) {
 		c.entries = c.entries[:len(c.entries)+1]
 		e := &c.entries[len(c.entries)-1]
@@ -111,7 +116,7 @@ func (c *chunkState) addKey(key []byte) int {
 // hashEmit is the hash-table collector: one slot per distinct key, values
 // chained in arena memory. The only per-key heap cost is the map key
 // string; per-value cost is an arena copy.
-func (c *chunkState) hashEmit(k, v []byte) {
+func (c *Chunk) hashEmit(k, v []byte) {
 	i, ok := c.idx[string(k)] // no alloc: map lookup with converted key
 	if !ok {
 		key := c.ar.copyBytes(k)
@@ -124,6 +129,6 @@ func (c *chunkState) hashEmit(k, v []byte) {
 
 // poolEmit is the buffer-pool collector (and the combiner's output sink):
 // pairs appended directly, bytes in the arena.
-func (c *chunkState) poolEmit(k, v []byte) {
+func (c *Chunk) poolEmit(k, v []byte) {
 	c.out = append(c.out, kv.Pair{Key: c.ar.copyBytes(k), Value: c.ar.copyBytes(v)})
 }

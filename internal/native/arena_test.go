@@ -46,7 +46,7 @@ func TestArenaCopyAndReset(t *testing.T) {
 func TestChunkStateReuse(t *testing.T) {
 	// Two generations through the pool must not bleed state into each other.
 	for gen := 0; gen < 3; gen++ {
-		st := getChunkState()
+		st := getChunk()
 		if len(st.entries) != 0 || len(st.out) != 0 || len(st.idx) != 0 {
 			t.Fatalf("gen %d: dirty state from pool", gen)
 		}
@@ -63,6 +63,6 @@ func TestChunkStateReuse(t *testing.T) {
 				t.Fatalf("gen %d: key %q chained %d values, want 10", gen, e.key, len(e.vals))
 			}
 		}
-		st.release()
+		st.Release()
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"glasswing/internal/core"
@@ -147,17 +146,10 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	defer store.cleanup()
 
 	// ---- Map phase: chunk pipeline with bounded in-flight buffers. ----
-	// A chunk's output travels with its pooled state; the partition worker
-	// releases the state once the output is serialized into runs. Batch
-	// kernels fill the state's columnar batch; per-record kernels fill the
-	// arena-backed pair slice.
-	useBatch := app.MapBatch != nil && !cfg.UseCombiner
-	type chunkOut struct {
-		pairs []kv.Pair
-		state *chunkState
-	}
+	// A chunk's output travels on pooled state from the kernel worker that
+	// collected it to the partition worker that serializes it into runs.
 	chunkCh := make(chan []byte, cfg.Buffering)
-	partCh := make(chan chunkOut, cfg.Buffering)
+	partCh := make(chan *Chunk, cfg.Buffering)
 
 	var mapWG sync.WaitGroup
 	for w := 0; w < cfg.KernelWorkers; w++ {
@@ -166,97 +158,39 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 			defer mapWG.Done()
 			for block := range chunkCh {
 				end := rec.start(stageMapKernel)
-				recs := app.Parse(block)
-				var pairs []kv.Pair
-				var state *chunkState
-				var emitted int
-				if useBatch {
-					state = getChunkState()
-					app.MapBatch(recs, &state.batch)
-					emitted = state.batch.Len()
-				} else {
-					pairs, state = execChunk(app, cfg, recs)
-					emitted = len(pairs)
-				}
+				c := MapBlock(app, block, cfg.Collector, cfg.UseCombiner)
 				end()
-				rec.mapRecordsIn.Add(int64(len(recs)))
-				rec.mapPairsOut.Add(int64(emitted))
-				partCh <- chunkOut{pairs: pairs, state: state}
+				partCh <- c
 			}
 		}()
 	}
 
 	var partWG sync.WaitGroup
-	var interPairs atomic.Int64
 	for w := 0; w < cfg.PartitionThreads; w++ {
 		partWG.Add(1)
 		go func() {
 			defer partWG.Done()
-			// Per-worker bucket buffers, reused across chunks (runs are
-			// serialized before the next chunk overwrites them).
-			buckets := make([][]kv.Pair, cfg.Partitions)
-			for co := range partCh {
+			for c := range partCh {
 				// After a failure, keep draining partCh so map workers
 				// blocked on send can finish; otherwise the pipeline
 				// deadlocks and the error never surfaces.
 				if store.err() != nil {
-					co.state.release()
+					c.Release()
 					continue
 				}
 				end := rec.start(stageMapPartition)
-				var emitted int
-				if useBatch {
-					// Columnar path: counting-scatter the 12-byte index
-					// entries by partition, sort each range in place, and
-					// serialize it straight into a run — no []Pair
-					// materialization, no sortedness re-verification.
-					b := &co.state.batch
-					emitted = b.Len()
-					bounds := b.PartitionRanges(cfg.Partitioner, cfg.Partitions)
-					for g := 0; g < cfg.Partitions; g++ {
-						lo, hi := bounds[g], bounds[g+1]
-						if lo == hi {
-							continue
-						}
-						b.SortRange(lo, hi)
-						run := b.RunRange(lo, hi, cfg.Compress)
-						rec.partRecords.Add(int64(run.Records))
-						rec.partRuns.Add(1)
-						rec.partRawBytes.Add(run.RawBytes)
-						rec.partStoredBytes.Add(run.StoredBytes())
-						if err := store.add(g, run); err != nil {
-							store.fail(err)
-							break
-						}
+				runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
+				for g, run := range runs {
+					if run == nil {
+						continue
 					}
-				} else {
-					emitted = len(co.pairs)
-					for i := range buckets {
-						buckets[i] = buckets[i][:0]
-					}
-					for _, pr := range co.pairs {
-						g := cfg.Partitioner(pr.Key, cfg.Partitions)
-						buckets[g] = append(buckets[g], pr)
-					}
-					for g, bucket := range buckets {
-						if len(bucket) == 0 {
-							continue
-						}
-						kv.SortPairs(bucket)
-						run := kv.NewRun(bucket, cfg.Compress)
-						rec.partRecords.Add(int64(run.Records))
-						rec.partRuns.Add(1)
-						rec.partRawBytes.Add(run.RawBytes)
-						rec.partStoredBytes.Add(run.StoredBytes())
-						if err := store.add(g, run); err != nil {
-							store.fail(err)
-							break
-						}
+					if err := store.add(g, run); err != nil {
+						store.fail(err)
+						break
 					}
 				}
 				end()
-				interPairs.Add(int64(emitted))
-				co.state.release()
+				rec.mapStats(st)
 			}
 		}()
 	}
@@ -272,7 +206,7 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.MapElapsed = time.Since(start)
-	res.IntermediatePairs = int(interPairs.Load())
+	res.IntermediatePairs = int(rec.mapPairsOut.Load())
 
 	// ---- Merge phase: compact every partition for cheap reduce fan-in. ----
 	mergeStart := time.Now()
@@ -297,12 +231,16 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			end := rec.start(stageReduce)
-			out, err := reducePartition(app, store, g)
-			end()
+			defer end()
+			iters, err := store.iterators(g)
 			if err != nil {
 				redErr <- err
 				return
 			}
+			out, records, groups := ReducePartition(app, iters)
+			rec.reduceRecordsIn.Add(records)
+			rec.reduceGroupsIn.Add(groups)
+			rec.outputPairs.Add(int64(len(out)))
 			res.outputs[g] = out
 		}()
 	}
@@ -320,109 +258,4 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	res.Stages = rec.stages()
 	rec.publish(res)
 	return res, nil
-}
-
-// execChunk runs the map kernel over one chunk through the configured
-// collector and returns the chunk's intermediate pairs. The pairs live in
-// the returned pooled state's arena: the caller must release() the state
-// once the pairs are consumed, and not touch them after.
-//
-// When the app has a batch kernel it runs once over the whole chunk and its
-// output replays into the collector: the emit sequence is identical to the
-// per-record path by construction (batch kernels process records in order),
-// so collector and combiner behavior are byte-for-byte unchanged — but the
-// per-record kernel shim's Batch setup cost is paid once per chunk, not
-// once per record.
-func execChunk(app *core.App, cfg Config, recs []kv.Pair) ([]kv.Pair, *chunkState) {
-	st := getChunkState()
-	feed := func(emit func(k, v []byte)) {
-		for _, rec := range recs {
-			app.Map(rec, emit)
-		}
-	}
-	if app.MapBatch != nil {
-		app.MapBatch(recs, &st.batch)
-		feed = func(emit func(k, v []byte)) {
-			for i := 0; i < st.batch.Len(); i++ {
-				p := st.batch.Pair(i)
-				emit(p.Key, p.Value)
-			}
-		}
-	}
-	if cfg.Collector == core.HashTable {
-		feed(st.hashEmit)
-		if cfg.UseCombiner {
-			sink := st.poolEmit
-			for i := range st.entries {
-				e := &st.entries[i]
-				app.Combine(e.key, e.vals, sink)
-			}
-		} else {
-			for i := range st.entries {
-				e := &st.entries[i]
-				for _, v := range e.vals {
-					st.out = append(st.out, kv.Pair{Key: e.key, Value: v})
-				}
-			}
-		}
-		return st.out, st
-	}
-	feed(st.poolEmit)
-	return st.out, st
-}
-
-// reducePartition merges one partition's runs and applies the reduce kernel
-// (or passes merged pairs through for reduce-less apps like TeraSort).
-func reducePartition(app *core.App, store *partitionStore, g int) ([]kv.Pair, error) {
-	rec := store.rec
-	if rec == nil {
-		rec = new(recorder) // store built without a recorder (tests): count into a discard
-	}
-	iters, err := store.iterators(g)
-	if err != nil {
-		return nil, err
-	}
-	merged := kv.Merge(iters...)
-	if app.Reduce == nil && app.ReduceBatch == nil {
-		out := kv.Drain(merged)
-		rec.reduceRecordsIn.Add(int64(len(out)))
-		rec.outputPairs.Add(int64(len(out)))
-		return out, nil
-	}
-	if app.ReduceBatch != nil {
-		// Batch path: the kernel appends output into one partition-owned
-		// slab; the returned pairs are views into it (the slab outlives
-		// them via the slice references), so there is no per-pair copy-out.
-		batch := new(kv.Batch)
-		gi := kv.NewGroupIter(merged)
-		for {
-			grp, ok := gi.Next()
-			if !ok {
-				break
-			}
-			rec.reduceRecordsIn.Add(int64(len(grp.Values)))
-			rec.reduceGroupsIn.Add(1)
-			app.ReduceBatch(grp.Key, grp.Values, batch)
-		}
-		out := batch.Pairs(nil)
-		rec.outputPairs.Add(int64(len(out)))
-		return out, nil
-	}
-	var out []kv.Pair
-	gi := kv.NewGroupIter(merged)
-	for {
-		grp, ok := gi.Next()
-		if !ok {
-			rec.outputPairs.Add(int64(len(out)))
-			return out, nil
-		}
-		rec.reduceRecordsIn.Add(int64(len(grp.Values)))
-		rec.reduceGroupsIn.Add(1)
-		app.Reduce(grp.Key, grp.Values, func(k, v []byte) {
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
-	}
 }

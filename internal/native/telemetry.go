@@ -72,6 +72,16 @@ func newRecorder(tel *obs.Telemetry) *recorder {
 	return r
 }
 
+// mapStats books one partitioned chunk into the map-side ledger.
+func (r *recorder) mapStats(s MapStats) {
+	r.mapRecordsIn.Add(s.RecordsIn)
+	r.mapPairsOut.Add(s.PairsOut)
+	r.partRecords.Add(s.PartRecords)
+	r.partRuns.Add(s.PartRuns)
+	r.partRawBytes.Add(s.PartRaw)
+	r.partStoredBytes.Add(s.PartStored)
+}
+
 func (r *recorder) acc(stage string) *atomic.Int64 {
 	switch stage {
 	case stageMapKernel:
