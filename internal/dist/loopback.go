@@ -35,18 +35,31 @@ func (lc *loopCluster) fail(err error) {
 // kill finds the registered worker with this cluster id and murders it.
 // Registration happens at welcome time, strictly before any map task
 // resolves, so a kill (which only fires after AfterMapDone resolutions)
-// always finds the worker; the poll is a safety margin, not a
-// synchronization mechanism.
+// always finds the worker; the poll is a safety margin for that. What the
+// poll does wait for is cluster formation: a fast worker can resolve its
+// first tasks while a slow one is still waiting for the victim to dial in,
+// and a worker in that wait reads no death notice — it would sit out the
+// mesh timeout and fail the job. A kill models a death mid-job, so it
+// lands once every registered worker has its mesh.
 func (lc *loopCluster) kill(id int) {
+	var victim *worker
 	for i := 0; i < 500; i++ {
 		lc.regMu.Lock()
-		w := lc.registered[id]
+		victim = lc.registered[id]
+		formed := victim != nil
+		for _, w := range lc.registered {
+			w.mu.Lock()
+			formed = formed && (w.meshed || w.killed)
+			w.mu.Unlock()
+		}
 		lc.regMu.Unlock()
-		if w != nil {
-			w.kill()
-			return
+		if formed {
+			break
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if victim != nil {
+		victim.kill()
 	}
 }
 
@@ -140,6 +153,7 @@ func RunLoopback(o Options) (*Result, error) {
 				led:        lc.led,
 				resolve:    resolve,
 				mapFault:   o.MapFault,
+				journal:    o.Journal,
 				onWelcome: func(w *worker) {
 					lc.regMu.Lock()
 					lc.registered[w.id] = w

@@ -1,9 +1,8 @@
 package dist
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -16,35 +15,11 @@ type attemptKey struct{ task, attempt int }
 
 // committedRun is one run the store has accepted, tagged with the task that
 // produced it so a re-homed partition can be handed to its new owner with
-// enough identity for destination-side dedup. A run is either resident
-// (run != nil) or spilled to a sorted on-disk stream file (file != "") —
-// the out-of-core path; records/rawBytes are kept here so accounting never
-// needs the evicted blob back.
+// enough identity for destination-side dedup. Whether its bytes are resident
+// or filed (the out-of-core path) is the run's own business.
 type committedRun struct {
-	task     int
-	run      *kv.Run
-	file     string
-	records  int
-	rawBytes int64
-	stored   int64 // encoded bytes: blob size resident, stream size spilled
-}
-
-// load returns the run, reading a spilled one back off disk (handoff is
-// the one consumer that needs a whole run again): the file is the run's
-// blob minus its record count, so prepending the count restores it.
-func (cr *committedRun) load() (*kv.Run, error) {
-	if cr.run != nil {
-		return cr.run, nil
-	}
-	stream, err := os.ReadFile(cr.file)
-	if err != nil {
-		return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
-	}
-	if int64(len(stream)) != cr.stored {
-		return nil, fmt.Errorf("dist: reloading spilled run: %s holds %d bytes, want %d", cr.file, len(stream), cr.stored)
-	}
-	blob := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(stream)), uint64(cr.records))
-	return kv.RunFromBlob(append(blob, stream...), cr.records, cr.rawBytes, false), nil
+	task int
+	run  *kv.Run
 }
 
 // stagedRun is one uncommitted arrival plus the membership epoch the sender
@@ -87,14 +62,15 @@ type shuffleStore struct {
 	handoff    map[int]map[int][]stagedHandoff   // partition → epoch → staged handoff runs
 
 	// Out-of-core spill state: once resident committed bytes exceed
-	// spillLimit (> 0), the biggest partition's runs are evicted to sorted
-	// on-disk stream files; the reduce path k-way merges resident and
-	// spilled runs together. The dir provider creates the worker's scratch
-	// directory lazily so jobs that never spill never touch the disk.
+	// spillLimit (> 0), the biggest partition's runs are filed (kv.Run.Spill);
+	// the reduce path k-way merges resident and filed runs together. The
+	// dir provider creates the worker's scratch directory lazily so jobs
+	// that never spill never touch the disk.
 	spillLimit   int64
 	spillDir     func() (string, error)
 	spillLed     *ledger
 	spillTr      *tracer
+	journal      *slog.Logger
 	spillSeq     int
 	resident     int64
 	residentPart map[int]int64
@@ -117,13 +93,15 @@ func newShuffleStore() *shuffleStore {
 }
 
 // enableSpill arms the out-of-core path: resident committed runs beyond
-// limit bytes are evicted to stream files under dir(). led and tr (both
-// optional) receive the conserv_spill_* accounting and spill spans.
-func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *tracer) {
+// limit bytes are evicted to run files under dir(). led, tr and journal (all
+// optional) receive the conserv_spill_* accounting, the spill spans, and
+// the one line written if a disk error disarms spilling.
+func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *tracer, journal *slog.Logger) {
 	s.spillLimit = limit
 	s.spillDir = dir
 	s.spillLed = led
 	s.spillTr = tr
+	s.journal = journal
 }
 
 // setEpoch advances the store's membership epoch; staged runs from older
@@ -162,23 +140,19 @@ func (s *shuffleStore) commit(task, attempt int) (accepted, dupped int64) {
 			s.have[task] = make(map[int]bool)
 		}
 		s.have[task][part] = true
-		s.addCommitted(part, committedRun{
-			task: task, run: sr.run,
-			records: sr.run.Records, rawBytes: sr.run.RawBytes, stored: sr.run.StoredBytes(),
-		})
+		s.addCommitted(part, committedRun{task: task, run: sr.run})
 		accepted += int64(sr.run.Records)
 	}
 	s.maybeSpill()
 	return accepted, dupped
 }
 
-// addCommitted appends one committed run and books its resident bytes.
+// addCommitted appends one committed run (always resident on arrival) and
+// books its bytes.
 func (s *shuffleStore) addCommitted(part int, cr committedRun) {
 	s.partitions[part] = append(s.partitions[part], cr)
-	if cr.run != nil {
-		s.resident += cr.stored
-		s.residentPart[part] += cr.stored
-	}
+	s.resident += cr.run.StoredBytes()
+	s.residentPart[part] += cr.run.StoredBytes()
 }
 
 // maybeSpill evicts whole partitions — largest resident first — until the
@@ -193,105 +167,89 @@ func (s *shuffleStore) maybeSpill() {
 				best, bestBytes = p, b
 			}
 		}
-		if best < 0 || !s.spillPartition(best) {
+		if best < 0 {
+			return
+		}
+		if err := s.spillPartition(best); err != nil {
+			s.spillLimit = 0
+			if s.spillLed != nil {
+				s.spillLed.spillDisarmed.Add(1)
+			}
+			if s.journal != nil {
+				s.journal.Warn("spill-disarmed", "partition", best, "resident_bytes", s.resident, "error", err.Error())
+			}
 			return
 		}
 	}
 }
 
-// spillPartition evicts every resident run of one partition to sorted
-// on-disk stream files. Reports whether any bytes moved.
-func (s *shuffleStore) spillPartition(part int) bool {
+// spillPartition files every resident run of one partition, one file per
+// run: handoff and dedup key on task identity, so runs are never merged.
+// On error the runs filed so far stay filed and the rest stay resident.
+func (s *shuffleStore) spillPartition(part int) error {
 	dir, err := s.spillDir()
 	if err != nil {
-		s.spillLimit = 0
-		return false
+		return err
 	}
-	crs := s.partitions[part]
-	moved := false
-	for i := range crs {
-		cr := &crs[i]
-		if cr.run == nil {
+	for _, cr := range s.partitions[part] {
+		if cr.run.Path() != "" {
 			continue
 		}
 		t0 := time.Now()
 		path := filepath.Join(dir, fmt.Sprintf("spill-%06d.run", s.spillSeq))
 		s.spillSeq++
-		// Every run in the store is uncompressed, and the kv stream format
-		// is the Marshal layout without its leading count: the blob past
-		// that varint is the file, byte for byte.
-		blob := cr.run.Blob()
-		_, n := binary.Uvarint(blob)
-		if n <= 0 || os.WriteFile(path, blob[n:], 0o666) != nil {
-			os.Remove(path)
-			s.spillLimit = 0
-			return moved
+		resident := cr.run.StoredBytes()
+		if err := cr.run.Spill(path); err != nil {
+			return err
 		}
-		stored := int64(len(blob) - n)
-		s.resident -= cr.stored
-		s.residentPart[part] -= cr.stored
+		s.resident -= resident
+		s.residentPart[part] -= resident
 		if s.spillLed != nil {
-			s.spillLed.spillRecords.Add(int64(cr.records))
-			s.spillLed.spillRawBytes.Add(cr.rawBytes)
-			s.spillLed.spillStoredBytes.Add(stored)
+			s.spillLed.spillRecords.Add(int64(cr.run.Records))
+			s.spillLed.spillRawBytes.Add(cr.run.RawBytes)
+			s.spillLed.spillStoredBytes.Add(cr.run.StoredBytes())
 			s.spillLed.spillFiles.Add(1)
 		}
 		if s.spillTr != nil {
 			s.spillTr.record(stageSpill, t0, time.Now(), 0)
 		}
-		cr.run, cr.file, cr.stored = nil, path, stored
-		moved = true
 	}
-	if s.residentPart[part] <= 0 {
-		delete(s.residentPart, part)
-	}
-	return moved
+	delete(s.residentPart, part)
+	return nil
 }
-
-// spillFileIter streams a spilled run back for the reduce merge, surfacing
-// stream errors through the Iterator's exhaustion plus the err method.
-type spillFileIter struct {
-	f  *os.File
-	it *kv.StreamIter
-}
-
-func (si *spillFileIter) Next() (kv.Pair, bool) { return si.it.Next() }
 
 // partitionIters returns one sorted iterator per committed run of part —
-// resident runs iterate in memory, spilled runs stream off disk. close
-// releases the open spill files; err (from any iterator's underlying
-// stream) must be checked after the merge drains.
+// resident runs iterate in memory, filed runs stream off disk. close
+// releases the open spill files; err (a file that would not open, or any
+// stream that ended early) must be checked after the merge drains.
 func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, close func(), errf func() error) {
-	crs := s.partitions[part]
-	var files []*spillFileIter
+	var files []*kv.FileIter
 	var openErr error
-	for i := range crs {
-		cr := &crs[i]
-		if cr.run != nil {
+	for _, cr := range s.partitions[part] {
+		if cr.run.Path() == "" {
 			iters = append(iters, cr.run.Iter())
 			continue
 		}
-		f, err := os.Open(cr.file)
+		it, err := cr.run.Open()
 		if err != nil {
-			openErr = fmt.Errorf("dist: opening spilled run: %w", err)
+			openErr = err
 			continue
 		}
-		si := &spillFileIter{f: f, it: kv.NewStreamIter(kv.NewReader(bufio.NewReaderSize(f, 64<<10)))}
-		files = append(files, si)
-		iters = append(iters, si)
+		files = append(files, it)
+		iters = append(iters, it)
 	}
 	close = func() {
-		for _, si := range files {
-			si.f.Close()
+		for _, it := range files {
+			it.Close()
 		}
 	}
 	errf = func() error {
 		if openErr != nil {
 			return openErr
 		}
-		for _, si := range files {
-			if err := si.it.Err(); err != nil {
-				return fmt.Errorf("dist: streaming spilled run: %w", err)
+		for _, it := range files {
+			if err := it.Err(); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -308,7 +266,7 @@ func (s *shuffleStore) takePartition(part int) (runs []committedRun, records int
 	s.resident -= s.residentPart[part]
 	delete(s.residentPart, part)
 	for _, cr := range runs {
-		records += int64(cr.records)
+		records += int64(cr.run.Records)
 		delete(s.have[cr.task], part)
 	}
 	return runs, records
@@ -342,10 +300,7 @@ func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 			s.have[sh.task] = make(map[int]bool)
 		}
 		s.have[sh.task][part] = true
-		s.addCommitted(part, committedRun{
-			task: sh.task, run: sh.run,
-			records: sh.run.Records, rawBytes: sh.run.RawBytes, stored: sh.run.StoredBytes(),
-		})
+		s.addCommitted(part, committedRun{task: sh.task, run: sh.run})
 		adopted += int64(sh.run.Records)
 	}
 	s.maybeSpill()
@@ -358,9 +313,9 @@ func (s *shuffleStore) lostAll() int64 {
 	var lost int64
 	for _, crs := range s.partitions {
 		for _, cr := range crs {
-			lost += int64(cr.records)
-			if cr.file != "" {
-				os.Remove(cr.file)
+			lost += int64(cr.run.Records)
+			if path := cr.run.Path(); path != "" {
+				os.Remove(path)
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"log/slog"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"glasswing/internal/kv"
@@ -92,45 +95,99 @@ func TestStoreDedupAcrossAttempts(t *testing.T) {
 	}
 }
 
-// TestStoreSpillMovesBytes: spilling a partition writes each run's encoded
-// bytes to disk as they are — the booked stored size is the file size, the
-// handoff reload restores the very blob that was spilled, and the reduce
-// path still streams the file.
-func TestStoreSpillMovesBytes(t *testing.T) {
+// spillingStore returns a store armed to spill past 1 resident byte into
+// dir, with its ledger and a journal that writes into the returned buffer.
+func spillingStore(dir string) (*shuffleStore, *ledger, *bytes.Buffer) {
 	s := newShuffleStore()
 	led := newLedger(nil)
-	dir := t.TempDir()
-	s.enableSpill(1, func() (string, error) { return dir, nil }, led, nil)
+	var journal bytes.Buffer
+	s.enableSpill(1, func() (string, error) { return dir, nil }, led, nil,
+		slog.New(slog.NewJSONHandler(&journal, nil)))
+	return s, led, &journal
+}
 
+// TestStoreSpillMovesBytes: spilling a partition files each run on its own
+// (task identity survives), the booked stored size is the file's size and
+// sits inside conformance's framing bound, handoff's reload gives back the
+// blob that was spilled, and the reduce path streams the file. (The file's
+// layout is kv's to assert: TestRunFileRoundTrip.)
+func TestStoreSpillMovesBytes(t *testing.T) {
+	s, led, _ := spillingStore(t.TempDir())
 	run := storeRun(t, 20)
 	want := append([]byte(nil), run.Blob()...)
 	s.stage(0, 0, 3, run, 0)
 	s.commit(0, 0) // 1-byte limit: the commit spills partition 3
 
-	cr := &s.partitions[3][0]
-	if cr.run != nil || cr.file == "" {
-		t.Fatalf("run not spilled: %+v", cr)
+	cr := s.partitions[3][0]
+	if cr.run.Path() == "" || s.resident != 0 {
+		t.Fatalf("run not spilled: path %q, %d bytes resident", cr.run.Path(), s.resident)
 	}
-	st, err := os.Stat(cr.file)
+	st, err := os.Stat(cr.run.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.stored != st.Size() || led.spillStoredBytes.Load() != st.Size() {
-		t.Fatalf("stored %d, ledger %d, file holds %d bytes", cr.stored, led.spillStoredBytes.Load(), st.Size())
+	if cr.run.StoredBytes() != st.Size() || led.spillStoredBytes.Load() != st.Size() || led.spillFiles.Load() != 1 {
+		t.Fatalf("stored %d, ledger %d in %d files, file holds %d bytes",
+			cr.run.StoredBytes(), led.spillStoredBytes.Load(), led.spillFiles.Load(), st.Size())
 	}
 	if raw := led.spillRawBytes.Load(); st.Size() < raw || st.Size() > raw+10*led.spillRecords.Load() {
 		t.Fatalf("file size %d outside the framing bound of %d raw bytes", st.Size(), raw)
 	}
-	back, err := cr.load()
+	back, err := cr.run.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back.Blob(), want) || back.Records != run.Records || back.RawBytes != run.RawBytes {
+	if !bytes.Equal(back.Blob(), want) || back.Records != 20 {
 		t.Fatalf("reloaded run differs from the spilled one")
 	}
 	iters, closeIters, errf := s.partitionIters(3)
 	defer closeIters()
 	if got := kv.Marshal(kv.Drain(kv.Merge(iters...))); !bytes.Equal(got, want) || errf() != nil {
 		t.Fatalf("streamed spill differs from the spilled run (err %v)", errf())
+	}
+}
+
+// TestStoreReadBackErrorSurfaces: a spill file that lost its last byte is
+// only noticed once the merge has drained it; the store's deferred error
+// must report it so runReduce fails the attempt.
+func TestStoreReadBackErrorSurfaces(t *testing.T) {
+	s, _, _ := spillingStore(t.TempDir())
+	s.stage(0, 0, 3, storeRun(t, 20), 0)
+	s.commit(0, 0)
+	run := s.partitions[3][0].run
+	if err := os.Truncate(run.Path(), run.StoredBytes()-1); err != nil {
+		t.Fatal(err)
+	}
+	iters, closeIters, errf := s.partitionIters(3)
+	defer closeIters()
+	got := kv.Drain(kv.Merge(iters...))
+	if errf() == nil {
+		t.Fatalf("truncated spill file drained to %d pairs with no error", len(got))
+	}
+}
+
+// TestStoreSpillDisarmIsReported: a disk error stops the store spilling —
+// the data stays resident and correct — and says so: one ledger count and
+// one journal line carrying the error.
+func TestStoreSpillDisarmIsReported(t *testing.T) {
+	s, led, journal := spillingStore(filepath.Join(t.TempDir(), "missing"))
+	s.stage(0, 0, 3, storeRun(t, 20), 0)
+	if acc, _ := s.commit(0, 0); acc != 20 {
+		t.Fatalf("accepted %d records, want 20", acc)
+	}
+	s.stage(1, 0, 3, storeRun(t, 5), 0)
+	s.commit(1, 0) // disarmed already: must not count or log a second time
+
+	if s.spillLimit != 0 || led.spillDisarmed.Load() != 1 || led.spillFiles.Load() != 0 {
+		t.Fatalf("limit %d, disarmed %d, files %d; want 0, 1, 0", s.spillLimit, led.spillDisarmed.Load(), led.spillFiles.Load())
+	}
+	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"msg":"spill-disarmed"`) || !strings.Contains(lines[0], "no such file or directory") {
+		t.Fatalf("journal: want one spill-disarmed line with the error, got %q", journal.String())
+	}
+	iters, closeIters, errf := s.partitionIters(3)
+	defer closeIters()
+	if n := len(kv.Drain(kv.Merge(iters...))); n != 25 || errf() != nil {
+		t.Fatalf("resident data after disarm: %d pairs, err %v; want 25", n, errf())
 	}
 }

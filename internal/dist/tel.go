@@ -61,6 +61,7 @@ type ledger struct {
 	spillRawBytes    atomic.Int64
 	spillStoredBytes atomic.Int64
 	spillFiles       atomic.Int64
+	spillDisarmed    atomic.Int64 // stores that stopped spilling after a disk error
 
 	mapKernelNs    atomic.Int64
 	mapInputNs     atomic.Int64
@@ -340,6 +341,7 @@ func (l *ledger) publish() {
 		{"conserv_spill_raw_bytes_total", l.spillRawBytes.Load()},
 		{"conserv_spill_stored_bytes_total", l.spillStoredBytes.Load()},
 		{"conserv_spill_files_total", l.spillFiles.Load()},
+		{"conserv_spill_disarmed_total", l.spillDisarmed.Load()},
 	} {
 		if c.v != 0 {
 			reg.Counter(c.name).Add(c.v)

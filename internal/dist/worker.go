@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"sync"
@@ -28,6 +29,7 @@ func Join(coordAddr, listenAddr string, tun Tuning, tel *obs.Telemetry) error {
 		led:        led,
 		resolve:    RegistryResolver,
 		localSpans: true,
+		journal:    slog.Default(),
 	})
 	led.publish()
 	return err
@@ -59,6 +61,9 @@ type workerConfig struct {
 	// coordinator's merged, clock-aligned trace is the only copy, so spans
 	// are never duplicated into the shared buffer.
 	localSpans bool
+	// journal, if set, receives this worker's structured events (today:
+	// spilling disarmed by a disk error).
+	journal *slog.Logger
 }
 
 // pendingDone tracks the commit barrier of one finished map attempt: the
@@ -108,6 +113,7 @@ type worker struct {
 	homes     []int
 	alive     []bool
 	settled   []bool // partitions with a settled final output: stage nothing for them
+	meshed    bool   // setupPeers returned: every live peer is linked
 	killed    bool
 	draining  bool
 	drained   bool
@@ -192,7 +198,11 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	if tun.SpillThreshold > 0 {
 		// Armed only now: the tracer the spill spans book into is minted
 		// during join, and nothing commits to the store before job start.
-		w.store.enableSpill(tun.SpillThreshold, w.workDir, led, w.tr)
+		journal := cfg.journal
+		if journal != nil {
+			journal = journal.With("worker", w.id)
+		}
+		w.store.enableSpill(tun.SpillThreshold, w.workDir, led, w.tr, journal)
 	}
 	if cfg.onWelcome != nil {
 		cfg.onWelcome(w)
@@ -200,6 +210,9 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	if err := w.setupPeers(ln); err != nil {
 		return false, err
 	}
+	w.mu.Lock()
+	w.meshed = true
+	w.mu.Unlock()
 	if w.live {
 		// Mesh is up: tell the coordinator we are ready to own partitions.
 		w.coord.send(frame{typ: mJoinReady})
@@ -343,10 +356,15 @@ func (w *worker) setupPeers(ln net.Listener) error {
 	w.mu.Lock()
 	w.peers = make([]*conn, w.n)
 	w.coal = make([]*coalescer, w.n)
-	want := 0
+	// need is who this worker must be linked to before it may run tasks:
+	// the peers alive at job start, by id. Counting links instead would let
+	// a live joiner — who dials everyone, possibly while we still wait here —
+	// stand in for a formation peer that has not dialed yet, and every mark
+	// owed to that peer would go nowhere: its ack barrier never clears.
+	need := make(map[int]bool)
 	for i := 0; i < w.n; i++ {
 		if i != w.id && w.alive[i] {
-			want++
+			need[i] = true
 		}
 	}
 	w.mu.Unlock()
@@ -378,7 +396,7 @@ func (w *worker) setupPeers(ln net.Listener) error {
 			// were meshing. Skip it — the coordinator's death broadcast will
 			// mark it dead and prune any barrier that still counts it, and
 			// death re-execution recovers whatever its store held.
-			want--
+			delete(need, j)
 			continue
 		}
 		cc := newConn(c, fmt.Sprintf("peer%d", j), w.tun, w.onDrop)
@@ -396,17 +414,17 @@ func (w *worker) setupPeers(ln net.Listener) error {
 	for {
 		w.mu.Lock()
 		got := 0
-		for j, pc := range w.peers {
-			if j != w.id && pc != nil {
+		for j := range need {
+			if w.peers[j] != nil {
 				got++
 			}
 		}
 		w.mu.Unlock()
-		if got >= want {
+		if got == len(need) {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: peer mesh incomplete: %d/%d connected", got, want)
+			return fmt.Errorf("dist: peer mesh incomplete: %d/%d connected", got, len(need))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1095,13 +1113,13 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 		msg.Entries, bodyBytes, recs = nil, 0, 0
 	}
 	for _, cr := range runs {
-		run, err := cr.load() // spilled runs rematerialize for the wire
+		run, err := cr.run.Load() // filed runs rematerialize for the wire
 		if err != nil {
 			// The spill file is unreadable: its records are lost to the
 			// handoff, exactly like a disk dying under a classic worker.
 			// Re-book them as lost so the handoff ledger still balances.
-			w.led.handoffOut.Add(-int64(cr.records))
-			w.led.storeLost.Add(int64(cr.records))
+			w.led.handoffOut.Add(-int64(cr.run.Records))
+			w.led.storeLost.Add(int64(cr.run.Records))
 			continue
 		}
 		blob := run.Blob()
@@ -1113,8 +1131,8 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 		if bodyBytes >= w.tun.CoalesceBytes {
 			flush()
 		}
-		if cr.file != "" {
-			os.Remove(cr.file) // the partition left this node; scratch goes too
+		if path := cr.run.Path(); path != "" {
+			os.Remove(path) // the partition left this node; scratch goes too
 		}
 	}
 	if len(msg.Entries) > 0 {

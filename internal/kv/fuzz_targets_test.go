@@ -2,6 +2,8 @@ package kv
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 )
 
@@ -66,38 +68,33 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzStreamDecode feeds arbitrary bytes to the streaming frame reader (the
-// spill-file format): it must reject corruption with an error, never panic,
-// and pairs written by Writer must read back identically.
+// layout of a run file past its count): it must reject corruption with an
+// error, never panic, and framed pairs must read back identically.
 func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte("\x03\x05hello world this is a stream of words"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes through the decoder: error or clean EOF only.
-		it := NewStreamIter(NewReader(bytes.NewReader(data)))
-		Drain(it)
-		_ = it.Err()
-
-		// Structured round trip: derived pairs through Writer then Reader.
-		pairs := pairsFromBytes(data)
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		var raw int64
-		for _, p := range pairs {
-			if err := w.Write(p); err != nil {
-				t.Fatalf("write: %v", err)
+		r := NewReader(bytes.NewReader(data))
+		for {
+			if _, err := r.Read(); err != nil {
+				break
 			}
-			raw += p.Size()
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if w.Count() != len(pairs) || w.Bytes() != raw {
-			t.Fatalf("writer accounting: count %d/%d bytes %d/%d", w.Count(), len(pairs), w.Bytes(), raw)
-		}
-		rt := NewStreamIter(NewReader(&buf))
-		got := Drain(rt)
-		if err := rt.Err(); err != nil {
-			t.Fatalf("stream decode: %v", err)
+
+		// Structured round trip: derived pairs framed, then read back.
+		pairs := pairsFromBytes(data)
+		r = NewReader(bytes.NewReader(frames(pairs)))
+		var got []Pair
+		for {
+			p, err := r.Read()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("stream decode: %v", err)
+			}
+			got = append(got, p)
 		}
 		if !pairsEqual(pairs, got) {
 			t.Fatalf("stream round trip changed pairs: %d vs %d", len(pairs), len(got))

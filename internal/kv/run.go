@@ -12,7 +12,9 @@ import (
 // partition cache, on disk, and on the wire (the paper stores all
 // intermediate Partitions "in a serialized and compressed form", §III-B).
 type Run struct {
-	blob       []byte
+	blob       []byte // nil once Spill has moved the bytes to a file
+	path       string // that file; "" while resident
+	filed      int64  // its size
 	Records    int
 	RawBytes   int64 // payload volume before encoding
 	Compressed bool
@@ -71,10 +73,16 @@ func NewRun(pairs []Pair, compress bool) *Run {
 
 // StoredBytes returns the encoded size: what the run costs on disk and on
 // the network.
-func (r *Run) StoredBytes() int64 { return int64(len(r.blob)) }
+func (r *Run) StoredBytes() int64 {
+	if r.path != "" {
+		return r.filed
+	}
+	return int64(len(r.blob))
+}
 
-// Blob exposes the encoded bytes for transport. Callers must not mutate
-// the returned slice — it is the run's backing store.
+// Blob exposes the encoded bytes for transport (nil for a filed run; Load
+// brings them back). Callers must not mutate the returned slice — it is
+// the run's backing store.
 func (r *Run) Blob() []byte { return r.blob }
 
 // RunFromBlob reconstructs a run received over the wire from its encoded
@@ -134,11 +142,18 @@ func (r *Run) Iter() Iterator {
 	return NewSliceIter(pairs)
 }
 
-// MergeRuns merges several runs into one.
+// MergeRuns merges several resident runs into one.
 func MergeRuns(runs []*Run, compress bool) *Run {
 	iters := make([]Iterator, len(runs))
+	records := 0
 	for i, r := range runs {
 		iters[i] = r.Iter()
+		records += r.Records
 	}
-	return NewRun(Drain(Merge(iters...)), compress)
+	pairs := make([]Pair, 0, records)
+	m := Merge(iters...)
+	for p, ok := m.Next(); ok; p, ok = m.Next() {
+		pairs = append(pairs, p)
+	}
+	return NewRun(pairs, compress)
 }

@@ -8,58 +8,13 @@ import (
 	"io"
 )
 
-// Writer streams pairs to an io.Writer as varint-length-prefixed frames
-// (the same frame layout as Marshal, without the leading count — streams
-// end at EOF). Use it for spill files and network channels where the pair
-// count is not known up front.
-type Writer struct {
-	w     *bufio.Writer
-	count int
-	bytes int64
-}
-
-// NewWriter returns a streaming pair writer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// Write appends one pair to the stream.
-func (w *Writer) Write(p Pair) error {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(p.Key)))
-	if _, err := w.w.Write(tmp[:n]); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(tmp[:], uint64(len(p.Value)))
-	if _, err := w.w.Write(tmp[:n]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(p.Key); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(p.Value); err != nil {
-		return err
-	}
-	w.count++
-	w.bytes += p.Size()
-	return nil
-}
-
-// Count returns the number of pairs written.
-func (w *Writer) Count() int { return w.count }
-
-// Bytes returns the payload volume written.
-func (w *Writer) Bytes() int64 { return w.bytes }
-
-// Flush commits buffered frames to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
 // maxFrameLen guards against decoding absurd lengths from corrupt streams.
 const maxFrameLen = 1 << 30
 
-// Reader streams pairs from an io.Reader written by Writer. Read returns
-// io.EOF at a clean end of stream and io.ErrUnexpectedEOF (or a framing
-// error) on truncation.
+// Reader streams pairs from an io.Reader holding varint-length-prefixed
+// frames (the Marshal layout past its leading count). Read returns io.EOF
+// at a clean end of stream and io.ErrUnexpectedEOF (or a framing error) on
+// truncation.
 type Reader struct {
 	r *bufio.Reader
 }
@@ -136,31 +91,3 @@ func unexpected(err error) error {
 	}
 	return err
 }
-
-// StreamIter adapts a Reader into an Iterator. Decode errors after the
-// first pair surface via Err.
-type StreamIter struct {
-	r   *Reader
-	err error
-}
-
-// NewStreamIter wraps a streaming reader.
-func NewStreamIter(r *Reader) *StreamIter { return &StreamIter{r: r} }
-
-// Next implements Iterator.
-func (s *StreamIter) Next() (Pair, bool) {
-	if s.err != nil {
-		return Pair{}, false
-	}
-	p, err := s.r.Read()
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			s.err = err
-		}
-		return Pair{}, false
-	}
-	return p, true
-}
-
-// Err reports a decode error encountered mid-stream (nil on clean EOF).
-func (s *StreamIter) Err() error { return s.err }

@@ -2,15 +2,20 @@ package kv
 
 import (
 	"bytes"
-	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"io"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
+
+// frames encodes pairs in the layout Reader decodes: Marshal's, past its
+// leading count.
+func frames(pairs []Pair) []byte {
+	blob := Marshal(pairs)
+	_, n := binary.Uvarint(blob)
+	return blob[n:]
+}
 
 func TestStreamRoundTrip(t *testing.T) {
 	pairs := []Pair{
@@ -19,20 +24,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		{Key: []byte("c"), Value: nil},
 		{Key: bytes.Repeat([]byte("k"), 300), Value: bytes.Repeat([]byte("v"), 4000)},
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, p := range pairs {
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != len(pairs) {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(frames(pairs)))
 	for i, want := range pairs {
 		got, err := r.Read()
 		if err != nil {
@@ -48,15 +40,7 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestStreamTruncationDetected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(Pair{Key: []byte("abcdef"), Value: []byte("ghijkl")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
+	blob := frames([]Pair{{Key: []byte("abcdef"), Value: []byte("ghijkl")}})
 	for cut := 1; cut < len(blob); cut++ {
 		r := NewReader(bytes.NewReader(blob[:cut]))
 		_, err := r.Read()
@@ -102,17 +86,7 @@ func TestStreamPartialReads(t *testing.T) {
 		{Key: nil, Value: nil},
 		{Key: []byte("tail"), Value: []byte("end")},
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, p := range pairs {
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&jaggedReader{data: buf.Bytes()})
+	r := NewReader(&jaggedReader{data: frames(pairs)})
 	for i, want := range pairs {
 		got, err := r.Read()
 		if err != nil {
@@ -134,16 +108,14 @@ func TestStreamPartialReads(t *testing.T) {
 func TestStreamSocketSplit(t *testing.T) {
 	// The same segment as testdata/fuzz/FuzzStreamDecode/seed-socket-split:
 	// six 18-byte records with the last one cut after its key.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var pairs []Pair
 	for i := 0; i < 6; i++ {
-		w.Write(Pair{
+		pairs = append(pairs, Pair{
 			Key:   []byte{'w', 'o', 'r', 'd', '-', '0', '0', byte('0' + i)},
 			Value: []byte{1, 0, 0, 0, 0, 0, 0, 0},
 		})
 	}
-	w.Flush()
-	segment := buf.Bytes()[:100]
+	segment := frames(pairs)[:100]
 
 	r := NewReader(bytes.NewReader(segment))
 	var got int
@@ -165,102 +137,14 @@ func TestStreamSocketSplit(t *testing.T) {
 	}
 }
 
-func TestStreamThroughFlateFile(t *testing.T) {
-	// The native runtime's spill path: stream pairs through DEFLATE into a
-	// real file and back.
-	rng := rand.New(rand.NewSource(5))
-	pairs := randomSorted(rng, 500)
-	path := filepath.Join(t.TempDir(), "spill.run")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := flate.NewWriter(f, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWriter(fw)
-	for _, p := range pairs {
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	it := NewStreamIter(NewReader(flate.NewReader(rf)))
-	got := Drain(it)
-	if it.Err() != nil {
-		t.Fatal(it.Err())
-	}
-	if len(got) != len(pairs) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(pairs))
-	}
-	for i := range got {
-		if got[i].Compare(pairs[i]) != 0 {
-			t.Fatalf("pair %d mismatch", i)
-		}
-	}
-}
-
-func TestStreamIterMergeCompat(t *testing.T) {
-	// Stream iterators feed the same k-way merge as slice iterators.
-	rng := rand.New(rand.NewSource(9))
-	a := randomSorted(rng, 80)
-	b := randomSorted(rng, 120)
-	encode := func(ps []Pair) io.Reader {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, p := range ps {
-			if err := w.Write(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	merged := Drain(Merge(
-		NewStreamIter(NewReader(encode(a))),
-		NewStreamIter(NewReader(encode(b))),
-	))
-	if len(merged) != len(a)+len(b) {
-		t.Fatalf("merged %d, want %d", len(merged), len(a)+len(b))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i-1].Compare(merged[i]) > 0 {
-			t.Fatal("merge output unsorted")
-		}
-	}
-}
-
 func TestQuickStreamRoundTrip(t *testing.T) {
 	f := func(keys, vals [][]byte) bool {
 		n := min(len(keys), len(vals))
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for i := 0; i < n; i++ {
-			if err := w.Write(Pair{Key: keys[i], Value: vals[i]}); err != nil {
-				return false
-			}
+		pairs := make([]Pair, n)
+		for i := range pairs {
+			pairs[i] = Pair{Key: keys[i], Value: vals[i]}
 		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r := NewReader(&buf)
+		r := NewReader(bytes.NewReader(frames(pairs)))
 		for i := 0; i < n; i++ {
 			p, err := r.Read()
 			if err != nil || !bytes.Equal(p.Key, keys[i]) || !bytes.Equal(p.Value, vals[i]) {

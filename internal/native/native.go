@@ -44,20 +44,12 @@ type Config struct {
 	// CacheThreshold is the in-memory intermediate cache bound in bytes;
 	// above it, partitions spill to temporary files (0 = never spill).
 	CacheThreshold int64
-	// MergeFanIn is the most cached runs a partition may hand directly to
-	// its reducer; only partitions holding more are compacted in the merge
-	// phase. The reducer's k-way merge visits each record once regardless
-	// of fan-in, so compacting small run counts is pure extra work — a full
-	// serialize/deserialize pass the reduce merge repeats anyway. 0 means
-	// the default (32); 1 restores the historical compact-everything
-	// behavior.
-	MergeFanIn int
 	// SpillDir receives spill files (default os.TempDir()).
 	SpillDir string
 	// Partitioner overrides hash partitioning.
 	Partitioner func(key []byte, n int) int
 	// Telemetry, if set, receives wall-clock stage spans (map/kernel,
-	// map/partition, spill, merge, reduce) plus allocation and spill
+	// map/partition, spill, reduce) plus allocation and spill
 	// counters. Nil keeps the hot path free of span and memory-stat
 	// overhead; the cheap per-stage busy totals in Result.Stages are
 	// collected either way.
@@ -83,16 +75,16 @@ func (c Config) withDefaults() Config {
 	if c.Partitioner == nil {
 		c.Partitioner = kv.Partition
 	}
-	if c.MergeFanIn <= 0 {
-		c.MergeFanIn = 32
-	}
 	return c
 }
 
 // Result reports a native run with wall-clock phase times.
 type Result struct {
-	App           string
-	MapElapsed    time.Duration
+	App        string
+	MapElapsed time.Duration
+	// MergeDelay is the gap between the end of the map phase and the start
+	// of reduce. Nothing runs in it — each partition's only merge is its
+	// reducer's — so it is ~0; callers that sum the three phases keep it.
 	MergeDelay    time.Duration
 	ReduceElapsed time.Duration
 	Total         time.Duration
@@ -208,17 +200,13 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	res.MapElapsed = time.Since(start)
 	res.IntermediatePairs = int(rec.mapPairsOut.Load())
 
-	// ---- Merge phase: compact every partition for cheap reduce fan-in. ----
-	mergeStart := time.Now()
-	if err := store.compactAll(cfg.PartitionThreads); err != nil {
-		return nil, err
-	}
-	res.MergeDelay = time.Since(mergeStart)
 	res.SpillFiles = store.spillCount()
 	res.SpillBytes = rec.spillBytes.Load()
 
-	// ---- Reduce phase: partitions in parallel. ----
+	// ---- Reduce phase: partitions in parallel, each k-way merging its
+	// resident and filed runs — the only merge a partition gets. ----
 	reduceStart := time.Now()
+	res.MergeDelay = reduceStart.Sub(start) - res.MapElapsed
 	res.outputs = make([][]kv.Pair, cfg.Partitions)
 	var redWG sync.WaitGroup
 	redErr := make(chan error, cfg.Partitions)
@@ -232,12 +220,18 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 			defer func() { <-sem }()
 			end := rec.start(stageReduce)
 			defer end()
-			iters, err := store.iterators(g)
+			iters, files, err := store.iterators(g)
 			if err != nil {
 				redErr <- err
 				return
 			}
 			out, records, groups := ReducePartition(app, iters)
+			if err := closeFiles(files); err != nil {
+				// A spill file failed mid-stream: the merge ended early, so
+				// out is short. Fail the job rather than return it.
+				redErr <- err
+				return
+			}
 			rec.reduceRecordsIn.Add(records)
 			rec.reduceGroupsIn.Add(groups)
 			rec.outputPairs.Add(int64(len(out)))

@@ -1,9 +1,7 @@
 package native
 
 import (
-	"compress/flate"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,14 +10,14 @@ import (
 	"glasswing/internal/kv"
 )
 
-// storeShard is one partition's slice of the store: its own lock, run list,
-// spill-file list, and a cached-byte tally readable without the lock (the
-// spill-victim scan reads P atomics instead of walking every run).
+// storeShard is one partition's slice of the store: its own lock, resident
+// and filed run lists, and a resident-byte tally readable without the lock
+// (the spill-victim scan reads P atomics instead of walking every run).
 type storeShard struct {
-	mu     sync.Mutex
-	runs   []*kv.Run
-	spills []string
-	bytes  atomic.Int64
+	mu    sync.Mutex
+	runs  []*kv.Run
+	filed []*kv.Run
+	bytes atomic.Int64
 }
 
 // partitionStore is the native intermediate-data manager: per-partition run
@@ -30,7 +28,7 @@ type storeShard struct {
 // methods are safe for concurrent use.
 type partitionStore struct {
 	cfg Config
-	// rec, when set, times spill and merge work and counts spill bytes.
+	// rec, when set, times spill work and counts spill bytes.
 	rec *recorder
 
 	shards      []storeShard
@@ -84,8 +82,8 @@ func (s *partitionStore) add(g int, run *kv.Run) error {
 }
 
 // spillLargest picks the partition with the largest cached-byte tally (a
-// lock-free scan of the per-shard counters), detaches its runs, and streams
-// them into one spill file. Concurrent callers may race to the same victim;
+// lock-free scan of the per-shard counters), detaches its runs, and files
+// them as one run. Concurrent callers may race to the same victim;
 // the loser finds it empty and simply returns.
 func (s *partitionStore) spillLargest() error {
 	big, bigBytes := -1, int64(0)
@@ -128,8 +126,8 @@ func (s *partitionStore) spillDir() (string, error) {
 	return s.dir, nil
 }
 
-// spill merges runs and streams them into one spill file for partition g,
-// DEFLATE-compressed when the job compresses intermediate data.
+// spill merges a victim partition's resident runs into one run and files
+// it, so a partition has one open file at reduce per spill, not per chunk.
 func (s *partitionStore) spill(g int, runs []*kv.Run) error {
 	dir, err := s.spillDir()
 	if err != nil {
@@ -139,154 +137,62 @@ func (s *partitionStore) spill(g int, runs []*kv.Run) error {
 	end := s.rec.start(stageSpill)
 	defer end()
 
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("native: creating spill: %w", err)
+	run := runs[0]
+	if len(runs) > 1 {
+		run = kv.MergeRuns(runs, s.cfg.Compress)
 	}
-	var out io.Writer = f
-	if s.rec != nil {
-		out = &countingWriter{w: f, n: &s.rec.spillBytes}
-	}
-	var sink = struct {
-		write *kv.Writer
-		close func() error
-	}{}
-	if s.cfg.Compress {
-		fw, err := flate.NewWriter(out, flate.BestSpeed)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		sink.write = kv.NewWriter(fw)
-		sink.close = func() error {
-			if err := fw.Close(); err != nil {
-				return err
-			}
-			return f.Close()
-		}
-	} else {
-		sink.write = kv.NewWriter(out)
-		sink.close = f.Close
-	}
-	iters := make([]kv.Iterator, len(runs))
-	for i, r := range runs {
-		iters[i] = r.Iter()
-	}
-	merged := kv.Merge(iters...)
-	for {
-		p, ok := merged.Next()
-		if !ok {
-			break
-		}
-		if err := sink.write.Write(p); err != nil {
-			sink.close()
-			return fmt.Errorf("native: writing spill: %w", err)
-		}
-	}
-	if err := sink.write.Flush(); err != nil {
-		sink.close()
-		return err
-	}
-	if err := sink.close(); err != nil {
-		return fmt.Errorf("native: closing spill: %w", err)
+	if err := run.Spill(path); err != nil {
+		return fmt.Errorf("native: %w", err)
 	}
 	if s.rec != nil {
-		s.rec.spillRecords.Add(int64(sink.write.Count()))
-		s.rec.spillRawBytes.Add(sink.write.Bytes())
+		s.rec.spillRecords.Add(int64(run.Records))
+		s.rec.spillRawBytes.Add(run.RawBytes)
+		s.rec.spillBytes.Add(run.StoredBytes())
 	}
 	sh := &s.shards[g]
 	sh.mu.Lock()
-	sh.spills = append(sh.spills, path)
+	sh.filed = append(sh.filed, run)
 	sh.mu.Unlock()
 	return nil
 }
 
-// compactAll merges cached runs down to one, in parallel, for every
-// partition holding more than the configured merge fan-in (a store built
-// without defaults compacts anything with at least two runs).
-func (s *partitionStore) compactAll(workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	fanIn := s.cfg.MergeFanIn
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for g := range s.shards {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sh := &s.shards[g]
-			sh.mu.Lock()
-			runs := sh.runs
-			sh.mu.Unlock()
-			if len(runs) < 2 || len(runs) <= fanIn {
-				return
-			}
-			end := s.rec.start(stageMerge)
-			defer end()
-			merged := kv.MergeRuns(runs, s.cfg.Compress)
-			var before int64
-			var beforeRecs int
-			for _, r := range runs {
-				before += r.StoredBytes()
-				beforeRecs += r.Records
-			}
-			if s.rec != nil {
-				s.rec.mergeIn.Add(int64(beforeRecs))
-				s.rec.mergeOut.Add(int64(merged.Records))
-			}
-			delta := merged.StoredBytes() - before
-			sh.mu.Lock()
-			sh.runs = []*kv.Run{merged}
-			sh.bytes.Add(delta)
-			sh.mu.Unlock()
-			s.cachedBytes.Add(delta)
-		}()
-	}
-	wg.Wait()
-	return s.err()
-}
-
-// iterators returns sorted iterators over all of partition g's data
-// (cached runs plus spill files read back from disk).
-func (s *partitionStore) iterators(g int) ([]kv.Iterator, error) {
+// iterators returns sorted iterators over all of partition g's data:
+// resident runs decode in memory, filed runs stream off disk. The caller
+// closes the returned files and, once the merge has drained, checks each
+// one's Err — a bad spill file only shows then.
+func (s *partitionStore) iterators(g int) ([]kv.Iterator, []*kv.FileIter, error) {
 	sh := &s.shards[g]
 	sh.mu.Lock()
-	runs := sh.runs
-	paths := sh.spills
+	runs, filed := sh.runs, sh.filed
 	sh.mu.Unlock()
-	var iters []kv.Iterator
+	iters := make([]kv.Iterator, 0, len(runs)+len(filed))
 	for _, r := range runs {
 		iters = append(iters, r.Iter())
 	}
-	for _, path := range paths {
-		f, err := os.Open(path)
+	files := make([]*kv.FileIter, 0, len(filed))
+	for _, r := range filed {
+		it, err := r.Open()
 		if err != nil {
-			return nil, fmt.Errorf("native: reading spill %s: %w", path, err)
+			closeFiles(files)
+			return nil, nil, fmt.Errorf("native: %w", err)
 		}
-		var src = func() *kv.Reader {
-			if s.cfg.Compress {
-				return kv.NewReader(flate.NewReader(f))
-			}
-			return kv.NewReader(f)
-		}()
-		it := kv.NewStreamIter(src)
-		// Spill files are modest; drain eagerly so the descriptor closes
-		// before the merge begins.
-		pairs := kv.Drain(it)
-		f.Close()
-		if err := it.Err(); err != nil {
-			return nil, fmt.Errorf("native: decoding spill %s: %w", path, err)
-		}
-		iters = append(iters, kv.NewSliceIter(pairs))
+		files = append(files, it)
+		iters = append(iters, it)
 	}
-	return iters, nil
+	return iters, files, nil
+}
+
+// closeFiles closes the spill files behind a partition's iterators and
+// returns the first error any of them hit while streaming.
+func closeFiles(files []*kv.FileIter) error {
+	var first error
+	for _, it := range files {
+		it.Close()
+		if err := it.Err(); err != nil && first == nil {
+			first = fmt.Errorf("native: %w", err)
+		}
+	}
+	return first
 }
 
 func (s *partitionStore) spillCount() int {

@@ -1,8 +1,11 @@
 package native
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +46,7 @@ func TestStoreAddSpillError(t *testing.T) {
 
 // TestStoreShardedConcurrentAdds hammers every partition from many
 // goroutines with a tiny threshold (run under -race): all pairs must
-// survive the spill/readback/compact machinery.
+// survive the spill and streamed read-back.
 func TestStoreShardedConcurrentAdds(t *testing.T) {
 	const parts, workers, perWorker = 16, 8, 50
 	cfg := Config{
@@ -77,19 +80,134 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 	if store.spillCount() == 0 {
 		t.Fatal("expected spills under a 256-byte threshold")
 	}
-	if err := store.compactAll(4); err != nil {
-		t.Fatal(err)
-	}
 	total := 0
 	for g := 0; g < parts; g++ {
-		iters, err := store.iterators(g)
+		iters, files, err := store.iterators(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += len(kv.Drain(kv.Merge(iters...)))
+		if err := closeFiles(files); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if want := workers * perWorker; total != want {
 		t.Fatalf("drained %d pairs, want %d", total, want)
+	}
+}
+
+// TestStoreSpillAccounting: a spill files the victim partition's runs as
+// one run whose booked stored size is the file's size, inside the framing
+// bound conformance holds every spilling run to. (The file's layout is
+// kv's to assert: TestRunFileRoundTrip.)
+func TestStoreSpillAccounting(t *testing.T) {
+	cfg := Config{Partitions: 1, CacheThreshold: 64, SpillDir: t.TempDir()}.withDefaults()
+	store := newPartitionStore(cfg)
+	store.rec = newRecorder(nil)
+	defer store.cleanup()
+	for i := 0; i < 8; i++ {
+		if err := store.add(0, testRun(fmt.Sprintf("key-%02d", i), "some value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var onDisk int64
+	for _, r := range store.shards[0].filed {
+		st, err := os.Stat(r.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != r.StoredBytes() {
+			t.Fatalf("%s holds %d bytes, run says %d", r.Path(), st.Size(), r.StoredBytes())
+		}
+		onDisk += st.Size()
+	}
+	rec := store.rec
+	if onDisk == 0 || rec.spillBytes.Load() != onDisk || int(rec.spillRecords.Load()) == 0 {
+		t.Fatalf("stored bytes booked %d, files hold %d, records %d", rec.spillBytes.Load(), onDisk, rec.spillRecords.Load())
+	}
+	if raw, n := rec.spillRawBytes.Load(), rec.spillRecords.Load(); onDisk < raw || onDisk > raw+10*n {
+		t.Fatalf("spilled %d bytes, outside [%d, %d] for %d records", onDisk, raw, raw+10*n, n)
+	}
+}
+
+// TestStoreReadBackErrorSurfaces: a spill file that lost its last byte is
+// only noticed once the merge has drained it; closeFiles must report it so
+// the reducer fails the job instead of returning short output.
+func TestStoreReadBackErrorSurfaces(t *testing.T) {
+	cfg := Config{Partitions: 1, CacheThreshold: 1, SpillDir: t.TempDir()}.withDefaults()
+	store := newPartitionStore(cfg)
+	defer store.cleanup()
+	if err := store.add(0, testRun("key", "value")); err != nil {
+		t.Fatal(err)
+	}
+	filed := store.shards[0].filed
+	if len(filed) != 1 {
+		t.Fatalf("%d filed runs, want 1", len(filed))
+	}
+	if err := os.Truncate(filed[0].Path(), filed[0].StoredBytes()-1); err != nil {
+		t.Fatal(err)
+	}
+	iters, files, err := store.iterators(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := kv.Drain(kv.Merge(iters...))
+	if err := closeFiles(files); err == nil {
+		t.Fatalf("truncated spill file drained to %d pairs with no error", len(got))
+	}
+}
+
+// TestStoreReadBackIsOutOfCore: draining a partition whose filed runs hold
+// 8 MiB keeps the live heap far below that — each filed run costs its
+// bounded read buffer plus the pair in flight, never a decoded []kv.Pair.
+func TestStoreReadBackIsOutOfCore(t *testing.T) {
+	const filedBytes, runBytes, liveBound = 8 << 20, 512 << 10, 2 << 20
+	cfg := Config{Partitions: 1, CacheThreshold: 1, SpillDir: t.TempDir()}.withDefaults()
+	store := newPartitionStore(cfg)
+	defer store.cleanup()
+	value := bytes.Repeat([]byte("v"), 100)
+	pairs := 0
+	for r := 0; r < filedBytes/runBytes; r++ {
+		var run []kv.Pair
+		for i := 0; i < runBytes/128; i++ {
+			run = append(run, kv.Pair{Key: []byte(fmt.Sprintf("r%02d-%08d", r, i)), Value: value})
+		}
+		pairs += len(run)
+		if err := store.add(0, kv.NewRun(run, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := store.cachedBytes.Load(); got != 0 {
+		t.Fatalf("%d bytes still resident; the test wants everything filed", got)
+	}
+
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := liveHeap()
+	iters, files, err := store.iterators(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := kv.Merge(iters...)
+	var peak uint64
+	n := 0
+	for _, ok := merged.Next(); ok; _, ok = merged.Next() {
+		if n++; n%10000 == 0 {
+			peak = max(peak, liveHeap())
+		}
+	}
+	if err := closeFiles(files); err != nil {
+		t.Fatal(err)
+	}
+	if n != pairs {
+		t.Fatalf("drained %d pairs, want %d", n, pairs)
+	}
+	if peak > base+liveBound {
+		t.Fatalf("live heap grew %d bytes draining %d filed bytes; bound %d", peak-base, filedBytes, liveBound)
 	}
 }
 
@@ -124,7 +242,7 @@ func TestRunSurfacesStoreErrorWithoutDeadlock(t *testing.T) {
 }
 
 // TestSpillStressManyPartitions runs a full job under heavy spill pressure
-// with wide fan-out (run under -race in CI): spill + readback + compact
+// with wide fan-out (run under -race in CI): spill + streamed read-back
 // under concurrency must preserve every count.
 func TestSpillStressManyPartitions(t *testing.T) {
 	data, want := apps.WCData(10, 512<<10, 1500)

@@ -1,7 +1,6 @@
 package native
 
 import (
-	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ const (
 	stageMapKernel    = "map/kernel"
 	stageMapPartition = "map/partition"
 	stageSpill        = "spill"
-	stageMerge        = "merge"
 	stageReduce       = "reduce"
 )
 
@@ -32,7 +30,6 @@ type recorder struct {
 	mapKernelNs    atomic.Int64
 	mapPartitionNs atomic.Int64
 	spillNs        atomic.Int64
-	mergeNs        atomic.Int64
 	reduceNs       atomic.Int64
 
 	chunks     atomic.Int64
@@ -51,8 +48,6 @@ type recorder struct {
 	storeAccepted   atomic.Int64 // records accepted by the partition store
 	spillRecords    atomic.Int64 // records written to spill files
 	spillRawBytes   atomic.Int64 // payload bytes written to spill files
-	mergeIn         atomic.Int64 // records entering compaction merges
-	mergeOut        atomic.Int64 // records leaving compaction merges
 	reduceRecordsIn atomic.Int64 // records fed into reduce-side merges
 	reduceGroupsIn  atomic.Int64 // key groups consumed by reduce kernels
 	outputPairs     atomic.Int64 // final pairs produced
@@ -90,8 +85,6 @@ func (r *recorder) acc(stage string) *atomic.Int64 {
 		return &r.mapPartitionNs
 	case stageSpill:
 		return &r.spillNs
-	case stageMerge:
-		return &r.mergeNs
 	default:
 		return &r.reduceNs
 	}
@@ -131,7 +124,6 @@ func (r *recorder) stages() map[string]time.Duration {
 		{stageMapKernel, &r.mapKernelNs},
 		{stageMapPartition, &r.mapPartitionNs},
 		{stageSpill, &r.spillNs},
-		{stageMerge, &r.mergeNs},
 		{stageReduce, &r.reduceNs},
 	} {
 		if v := s.ns.Load(); v > 0 {
@@ -165,14 +157,12 @@ func (r *recorder) publish(res *Result) {
 	reg.Counter("conserv_spill_records_total").Add(r.spillRecords.Load())
 	reg.Counter("conserv_spill_raw_bytes_total").Add(r.spillRawBytes.Load())
 	reg.Counter("conserv_spill_stored_bytes_total").Add(r.spillBytes.Load())
-	reg.Counter("conserv_merge_records_in_total").Add(r.mergeIn.Load())
-	reg.Counter("conserv_merge_records_out_total").Add(r.mergeOut.Load())
+	reg.Counter("conserv_spill_files_total").Add(int64(res.SpillFiles))
 	reg.Counter("conserv_reduce_records_in_total").Add(r.reduceRecordsIn.Load())
 	reg.Counter("conserv_reduce_groups_in_total").Add(r.reduceGroupsIn.Load())
 	reg.Counter("conserv_output_pairs_total").Add(r.outputPairs.Load())
 
 	reg.Gauge("native_map_seconds").Set(res.MapElapsed.Seconds())
-	reg.Gauge("native_merge_seconds").Set(res.MergeDelay.Seconds())
 	reg.Gauge("native_reduce_seconds").Set(res.ReduceElapsed.Seconds())
 	reg.Gauge("native_total_seconds").Set(res.Total.Seconds())
 
@@ -182,17 +172,4 @@ func (r *recorder) publish(res *Result) {
 	runtime.ReadMemStats(&m)
 	reg.Gauge("native_mallocs_delta").Set(float64(m.Mallocs - r.memStart.Mallocs))
 	reg.Gauge("native_heap_bytes_delta").Set(float64(m.TotalAlloc - r.memStart.TotalAlloc))
-}
-
-// countingWriter tallies bytes written through it into an atomic (spill
-// volume as stored on disk, after any compression).
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
 }

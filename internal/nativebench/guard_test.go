@@ -7,9 +7,9 @@ func guardBase() []Result {
 		{
 			Name:        "wc-hash",
 			AllocsPerOp: 100000,
-			StageNs:     map[string]int64{"map/kernel": 100e6, "merge": 50e6, "reduce": 1e6},
+			StageNs:     map[string]int64{"map/kernel": 100e6, "map/partition": 50e6, "reduce": 1e6},
 		},
-		{Name: "terasort", AllocsPerOp: 500, StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "terasort", AllocsPerOp: 500, StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 }
 
@@ -18,11 +18,11 @@ func TestGuardPassesWithinBudget(t *testing.T) {
 		{
 			Name:        "wc-hash",
 			AllocsPerOp: 120000, // +20%, inside the 25% alloc budget
-			// merge +40%: past the alloc budget but inside the wider 50%
+			// map/partition +40%: past the alloc budget but inside the wider 50%
 			// stage budget — stage time gets noise headroom, allocs don't.
-			StageNs: map[string]int64{"map/kernel": 110e6, "merge": 70e6, "reduce": 9e6},
+			StageNs: map[string]int64{"map/kernel": 110e6, "map/partition": 70e6, "reduce": 9e6},
 		},
-		{Name: "terasort", AllocsPerOp: 5000, StageNs: map[string]int64{"merge": 12e6}},
+		{Name: "terasort", AllocsPerOp: 5000, StageNs: map[string]int64{"map/partition": 12e6}},
 	}
 	if regs := CompareResults(guardBase(), fresh, GuardOpts{}); len(regs) != 0 {
 		t.Fatalf("expected no regressions, got %v", regs)
@@ -31,8 +31,8 @@ func TestGuardPassesWithinBudget(t *testing.T) {
 
 func TestGuardFlagsAllocRegression(t *testing.T) {
 	fresh := []Result{
-		{Name: "wc-hash", AllocsPerOp: 130000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}},
-		{Name: "terasort", StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "wc-hash", AllocsPerOp: 130000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}},
+		{Name: "terasort", StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 	regs := CompareResults(guardBase(), fresh, GuardOpts{})
 	if len(regs) != 1 || regs[0].Metric != "allocs_per_op" || regs[0].Scenario != "wc-hash" {
@@ -45,15 +45,15 @@ func TestGuardFlagsStageRegression(t *testing.T) {
 		{
 			Name:        "wc-hash",
 			AllocsPerOp: 100000,
-			// merge blew up 2x; reduce also "blew up" but its 1ms baseline is
+			// map/partition blew up 2x; reduce also "blew up" but its 1ms baseline is
 			// under the noise floor and must be ignored.
-			StageNs: map[string]int64{"map/kernel": 100e6, "merge": 100e6, "reduce": 10e6},
+			StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 100e6, "reduce": 10e6},
 		},
-		{Name: "terasort", StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "terasort", StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 	regs := CompareResults(guardBase(), fresh, GuardOpts{})
-	if len(regs) != 1 || regs[0].Metric != "stage_ns/merge" {
-		t.Fatalf("expected one stage_ns/merge regression, got %v", regs)
+	if len(regs) != 1 || regs[0].Metric != "stage_ns/map/partition" {
+		t.Fatalf("expected one stage_ns/map/partition regression, got %v", regs)
 	}
 	if regs[0].Ratio < 1.9 || regs[0].Ratio > 2.1 {
 		t.Fatalf("ratio = %.2f, want ~2.0", regs[0].Ratio)
@@ -62,7 +62,7 @@ func TestGuardFlagsStageRegression(t *testing.T) {
 
 func TestGuardFlagsMissingScenario(t *testing.T) {
 	fresh := []Result{
-		{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}},
+		{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}},
 	}
 	regs := CompareResults(guardBase(), fresh, GuardOpts{})
 	if len(regs) != 1 || regs[0].Metric != "missing" || regs[0].Scenario != "terasort" {
@@ -74,8 +74,8 @@ func TestGuardIgnoresTinyAllocBase(t *testing.T) {
 	// terasort's 500-alloc baseline is under MinAllocs: even a 10x jump must
 	// not trip the guard (relative noise on tiny counts).
 	fresh := []Result{
-		{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}},
-		{Name: "terasort", AllocsPerOp: 5000, StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}},
+		{Name: "terasort", AllocsPerOp: 5000, StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 	if regs := CompareResults(guardBase(), fresh, GuardOpts{}); len(regs) != 0 {
 		t.Fatalf("expected no regressions, got %v", regs)
@@ -84,8 +84,8 @@ func TestGuardIgnoresTinyAllocBase(t *testing.T) {
 
 func TestGuardCustomRatio(t *testing.T) {
 	fresh := []Result{
-		{Name: "wc-hash", AllocsPerOp: 110000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}},
-		{Name: "terasort", StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "wc-hash", AllocsPerOp: 110000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}},
+		{Name: "terasort", StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 	if regs := CompareResults(guardBase(), fresh, GuardOpts{MaxRatio: 1.05}); len(regs) != 1 {
 		t.Fatalf("expected the tighter 5%% budget to flag +10%% allocs, got %v", regs)
@@ -96,8 +96,8 @@ func TestGuardAllocOverride(t *testing.T) {
 	// +20% allocs on wc-hash: inside the default 25% budget, outside a
 	// per-scenario 10% override. terasort keeps the default.
 	fresh := []Result{
-		{Name: "wc-hash", AllocsPerOp: 120000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}},
-		{Name: "terasort", StageNs: map[string]int64{"merge": 10e6}},
+		{Name: "wc-hash", AllocsPerOp: 120000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}},
+		{Name: "terasort", StageNs: map[string]int64{"map/partition": 10e6}},
 	}
 	opts := GuardOpts{AllocOverride: map[string]float64{"wc-hash": 1.10}}
 	regs := CompareResults(guardBase(), fresh, opts)
@@ -119,7 +119,7 @@ func TestGuardFlagsShuffleBytes(t *testing.T) {
 	}
 	// A scenario with no baseline shuffle volume (native rows) is never
 	// gated on it.
-	nonDist := []Result{{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}, ShuffleBytes: 999999}}
+	nonDist := []Result{{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}, ShuffleBytes: 999999}}
 	if regs := CompareResults(guardBase()[:1], nonDist, GuardOpts{}); len(regs) != 0 {
 		t.Fatalf("native row gated on shuffle_bytes: %v", regs)
 	}
@@ -149,7 +149,7 @@ func TestGuardFlagsLocalityAndSpill(t *testing.T) {
 	}
 	// Rows without baseline block-store reads (plain dist, native) are never
 	// gated on locality.
-	plain := []Result{{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "merge": 50e6}, ReadLocalBytes: 0, ReadRemoteBytes: 999}}
+	plain := []Result{{Name: "wc-hash", AllocsPerOp: 100000, StageNs: map[string]int64{"map/kernel": 100e6, "map/partition": 50e6}, ReadLocalBytes: 0, ReadRemoteBytes: 999}}
 	if regs := CompareResults(guardBase()[:1], plain, GuardOpts{}); len(regs) != 0 {
 		t.Fatalf("non-blockstore row gated on locality: %v", regs)
 	}
