@@ -8,6 +8,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -67,20 +68,22 @@ func sumCounts(key []byte, values [][]byte, emit func(k, v []byte)) {
 	emit(key, u32(total))
 }
 
-// parseLines splits a text block into one record per non-empty line.
+// parseLines splits a text block into one record per non-empty line. The
+// record slice is sized once from the newline count (an upper bound, exact
+// when no line is empty), so parsing allocates once per block.
 func parseLines(block []byte) []kv.Pair {
-	var recs []kv.Pair
-	start := 0
-	for i := 0; i <= len(block); i++ {
-		if i == len(block) || block[i] == '\n' {
-			if i > start {
-				recs = append(recs, kv.Pair{Value: block[start:i]})
-			}
-			start = i + 1
+	recs := make([]kv.Pair, 0, bytes.Count(block, newline)+1)
+	for len(block) > 0 {
+		var line []byte
+		line, block, _ = bytes.Cut(block, newline)
+		if len(line) > 0 {
+			recs = append(recs, kv.Pair{Value: line})
 		}
 	}
 	return recs
 }
+
+var newline = []byte{'\n'}
 
 // parseFixed splits a block into fixed-size records.
 func parseFixed(size int) func(block []byte) []kv.Pair {

@@ -94,6 +94,21 @@ type App struct {
 	// Combine, if non-nil, is the application-specific combiner: a local
 	// reduce over the results of one map chunk. Only supported with the
 	// HashTable collector (§III-F).
+	//
+	// The contract is the one reduce has always held it to, since reduce
+	// consumes combiner output from many chunks: Combine may be applied to
+	// its own output, any number of times. A runtime may combine part of a
+	// key's values, and later combine that result with more of them; the
+	// values arrive in emission order, and an earlier result stands first
+	// among them. A left-to-right combiner therefore adds in the order it
+	// would over the whole list — KMeans' float sums come out bit-identical
+	// however the native collector windows them. (KM still runs combiner-off
+	// in the conformance matrix: reduce then adds per-chunk partial sums,
+	// which associates differently from the reference's one pass over every
+	// value and differently again under another runtime's chunking — not
+	// because any runtime reorders the sums inside a chunk.) Combine
+	// normally emits one pair under the key it was given; other keys, no
+	// pair or several pairs are legal and are passed on as they are.
 	Combine     ReduceFunc
 	CombineCost CostModel
 
@@ -157,7 +172,8 @@ type Config struct {
 
 	// Collector picks the kernel output mechanism.
 	Collector CollectorKind
-	// UseCombiner runs App.Combine over each chunk's hash table.
+	// UseCombiner runs App.Combine over each chunk's hash table (see
+	// App.Combine for what the runtimes rely on).
 	UseCombiner bool
 	// Compress stores intermediate runs DEFLATE-compressed (§III-B).
 	Compress bool

@@ -1,134 +1,248 @@
 package native
 
 import (
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+	"slices"
 	"sync"
 
+	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
 
-// arena is a chunk-scoped bump allocator for emitted key/value bytes. One
-// emit costs a copy into the current block instead of a heap allocation;
-// reset rewinds the cursor so pooled blocks are reused by the next chunk
-// (the paper's per-emit buffer management done once per chunk, §IV-B1).
-type arena struct {
-	blocks [][]byte
-	cur    int // block being filled
-	off    int // write offset within blocks[cur]
+// chainMax bounds a key's value chain: the emit that fills it folds the
+// chain through App.Combine into one value.
+const chainMax = 32
+
+// frameHdr is the length prefix of one value in a chain buffer.
+const frameHdr = 4
+
+// slot is one cell of the open-addressed index. tag is the key's hash with
+// the top bit set, so zero means empty.
+type slot struct {
+	tag uint32
+	idx uint32 // into entries
 }
 
-// arenaBlockSize is the allocation granularity. Oversized values get a
-// dedicated block; everything else packs into 64KiB slabs.
-const arenaBlockSize = 64 << 10
+// entry is one distinct key: its bytes in the arena, and its chain — a
+// buffer in the arena holding the values as length-prefixed frames, oldest
+// first. A buffer that fills moves to one twice the size; a fold empties it
+// in place, so a hot key keeps writing the same few cache lines. Entries
+// are appended in first-emission order, which is the order flush walks them
+// in — a chunk's output never depends on the hash.
+type entry struct {
+	key, klen uint32
+	buf, cap  uint32
+	used      uint32 // bytes of buf filled
+	n         uint32 // values in buf, < chainMax between emits
+}
 
-// copyBytes copies b into the arena and returns the stable copy. The copy
-// is valid until reset; callers hand these slices to kv.NewRun (which
-// serializes them) before the owning chunk is released.
-func (a *arena) copyBytes(b []byte) []byte {
-	n := len(b)
-	if n == 0 {
-		return nil
+// combiner is the combining collector (§III-F): an open-addressed hash
+// table whose value chains are reduced as they are emitted rather than
+// stored. A chain that fills is folded by App.Combine and its result put
+// back at the chain's head, so a combiner sees a key's values in emission
+// order with its own earlier result first, and a chunk never holds more
+// than chainMax values of one key.
+type combiner struct {
+	// arena is a chunk-scoped bump allocator for keys and chains, named by
+	// 32-bit offsets so entries hold no pointers for the collector to
+	// trace. One emit costs a copy into it instead of a heap allocation,
+	// and a pooled chunk reuses it (the paper's per-emit buffer management
+	// done once per chunk, §IV-B1).
+	arena   []byte
+	slots   []slot // power-of-two length, at most half full
+	entries []entry
+	chain   [][]byte // fold's view of one chain
+
+	combine core.ReduceFunc
+	out     func(k, v []byte) // the chunk's output
+
+	// The fold in progress: its key, how many pairs Combine has emitted,
+	// and a copy of the first while it may still become the chain's head.
+	foldKey  []byte
+	emitted  int
+	held     []byte
+	holding  bool
+	refoldFn func(k, v []byte) // c.refold, bound once
+}
+
+// alloc reserves n bytes of arena and returns their offset. Growing the
+// arena moves it; bytes handed out earlier stay readable where they were.
+func (c *combiner) alloc(n int) uint32 {
+	off := len(c.arena)
+	if off+n > math.MaxUint32 {
+		panic("native: chunk collector arena exceeds 4GiB")
 	}
+	c.arena = slices.Grow(c.arena, n)[:off+n]
+	return uint32(off)
+}
+
+var hashSeed = maphash.MakeSeed()
+
+// emit adds one pair to the table.
+func (c *combiner) emit(k, v []byte) {
+	h := maphash.Bytes(hashSeed, k)
+	c.add(uint32(h>>32)|1<<31, k, v)
+}
+
+// add is emit with the key's tag given, which lets a test force collisions.
+func (c *combiner) add(tag uint32, k, v []byte) {
+	mask := uint32(len(c.slots) - 1)
+	i := tag & mask
 	for {
-		if a.cur < len(a.blocks) {
-			blk := a.blocks[a.cur]
-			if a.off+n <= len(blk) {
-				dst := blk[a.off : a.off+n : a.off+n]
-				copy(dst, b)
-				a.off += n
-				return dst
+		s := c.slots[i]
+		if s.tag == 0 {
+			break
+		}
+		if s.tag == tag {
+			e := &c.entries[s.idx]
+			if string(c.arena[e.key:e.key+e.klen]) == string(k) {
+				c.push(e, v)
+				if e.n == chainMax {
+					c.fold(e, c.refoldFn)
+				}
+				return
 			}
-			a.cur++
-			a.off = 0
-			continue
 		}
-		size := arenaBlockSize
-		if n > size {
-			size = n
+		i = (i + 1) & mask
+	}
+	if 2*(len(c.entries)+1) > len(c.slots) {
+		c.grow()
+		i = c.free(tag)
+	}
+	key := c.alloc(len(k))
+	copy(c.arena[key:], k)
+	c.slots[i] = slot{tag: tag, idx: uint32(len(c.entries))}
+	c.entries = append(c.entries, entry{key: key, klen: uint32(len(k))})
+	c.push(&c.entries[len(c.entries)-1], v)
+}
+
+// free returns the first empty slot on tag's probe path.
+func (c *combiner) free(tag uint32) uint32 {
+	mask := uint32(len(c.slots) - 1)
+	i := tag & mask
+	for c.slots[i].tag != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the index. Tags carry every bit a larger mask needs, so
+// re-placing them never touches a key.
+func (c *combiner) grow() {
+	old := c.slots
+	c.slots = make([]slot, 2*len(old))
+	for _, s := range old {
+		if s.tag != 0 {
+			c.slots[c.free(s.tag)] = s
 		}
-		a.blocks = append(a.blocks, make([]byte, size))
 	}
 }
 
-// reset rewinds the arena, keeping every block for reuse.
-func (a *arena) reset() { a.cur, a.off = 0, 0 }
-
-// hashEntry is one key's slot in the chunk hash collector: the arena-backed
-// key and its chained values, in emission order.
-type hashEntry struct {
-	key  []byte
-	vals [][]byte
+// push appends a copy of v to e's chain.
+func (c *combiner) push(e *entry, v []byte) {
+	need := uint32(frameHdr + len(v))
+	if e.used+need > e.cap {
+		// First value: an exact fit, which is all a key seen once needs.
+		size := max(2*e.cap, e.used+need)
+		buf := c.alloc(int(size))
+		copy(c.arena[buf:], c.arena[e.buf:e.buf+e.used])
+		e.buf, e.cap = buf, size
+	}
+	b := c.arena[e.buf+e.used : e.buf+e.used+need]
+	binary.LittleEndian.PutUint32(b, uint32(len(v)))
+	copy(b[frameHdr:], v)
+	e.used += need
+	e.n++
 }
 
-// Chunk is one block's collected map output on pooled state: the arena
-// backing all emitted bytes, the hash-collector table, and the output pair
-// buffer. MapBlock acquires one per block and Partition releases it after
-// the pairs are serialized into runs — so steady-state map output costs zero
-// heap allocations beyond first-use pool warm-up.
+// fold runs App.Combine over e's chain and empties it.
+func (c *combiner) fold(e *entry, sink func(k, v []byte)) {
+	vals := c.chain[:0]
+	for b := c.arena[e.buf : e.buf+e.used]; len(b) > 0; {
+		end := frameHdr + binary.LittleEndian.Uint32(b)
+		vals = append(vals, b[frameHdr:end:end])
+		b = b[end:]
+	}
+	c.foldKey = c.arena[e.key : e.key+e.klen : e.key+e.klen]
+	c.emitted = 0
+	c.combine(c.foldKey, vals, sink)
+	e.used, e.n = 0, 0
+	if c.holding {
+		c.holding = false
+		c.push(e, c.held)
+	}
+}
+
+// refold receives what Combine emits when a chain fills mid-block. A sole
+// pair under the chain's own key becomes the chain's new head — once
+// Combine has returned, since it may still be reading the chain; anything
+// else — another key, several pairs — is combiner output like any other
+// and goes to the chunk's output as it stands.
+func (c *combiner) refold(k, v []byte) {
+	c.emitted++
+	if c.emitted == 1 && string(k) == string(c.foldKey) {
+		c.held = append(c.held[:0], v...)
+		c.holding = true
+		return
+	}
+	if c.holding {
+		c.holding = false
+		c.out(c.foldKey, c.held)
+	}
+	c.out(k, v)
+}
+
+// flush combines what is left of every chain into the chunk's output, in
+// first-emission order.
+func (c *combiner) flush() {
+	for i := range c.entries {
+		if e := &c.entries[i]; e.n > 0 {
+			c.fold(e, c.out)
+		}
+	}
+}
+
+func (c *combiner) reset() {
+	c.arena = c.arena[:0]
+	clear(c.slots)
+	c.entries = c.entries[:0]
+}
+
+// Chunk is one block's collected map output on pooled state. Whatever the
+// collector, the output is the columnar batch: the kernel (or the combining
+// table, when the job combines) appends into its slab, and Partition
+// scatters, sorts and serializes index ranges of it without materializing
+// a []Pair. MapBlock acquires a chunk per block and Partition releases it
+// once the runs own their bytes, so a warm pool serves a block from
+// retained capacity; the pool is emptied by the garbage collector, and the
+// first blocks after that grow their slabs again.
 type Chunk struct {
-	ar      arena
-	idx     map[string]int // key -> entries index
-	entries []hashEntry
-	out     []kv.Pair
-	// batch is the columnar collector for batch-kernel chunks: the kernel
-	// appends straight into its slab and Partition scatters, sorts and
-	// serializes index ranges without ever materializing []Pair.
-	batch kv.Batch
-	// columnar marks a chunk whose output is batch rather than out.
-	columnar bool
-	records  int         // parsed input records the kernel consumed
-	buckets  [][]kv.Pair // Partition's per-partition scratch, reused across chunks
+	batch   kv.Batch // the chunk's output
+	tab     combiner
+	window  kv.Batch // batch-kernel output on its way into tab
+	records int      // parsed input records the kernel consumed
 }
 
-var chunkPool = sync.Pool{
-	New: func() any { return &Chunk{idx: make(map[string]int, 256)} },
+func newChunk() *Chunk {
+	c := &Chunk{}
+	c.tab.slots = make([]slot, 1024)
+	c.tab.chain = make([][]byte, chainMax)
+	c.tab.out = c.batch.AppendKV
+	c.tab.refoldFn = c.tab.refold
+	return c
 }
+
+var chunkPool = sync.Pool{New: func() any { return newChunk() }}
 
 func getChunk() *Chunk { return chunkPool.Get().(*Chunk) }
 
 // Release resets the chunk and returns it to the pool. Its pairs are dead
 // after this call.
 func (c *Chunk) Release() {
-	c.ar.reset()
-	clear(c.idx)
-	// Truncate entries without zeroing so each slot's vals slice keeps its
-	// capacity for the next chunk (see addKey).
-	c.entries = c.entries[:0]
-	c.out = c.out[:0]
+	c.tab.reset()
+	c.window.Reset()
 	c.batch.Reset()
-	c.columnar = false
 	chunkPool.Put(c)
-}
-
-// addKey claims the next entry slot for key, reusing the slot's previous
-// vals capacity when the backing array is still there.
-func (c *Chunk) addKey(key []byte) int {
-	if len(c.entries) < cap(c.entries) {
-		c.entries = c.entries[:len(c.entries)+1]
-		e := &c.entries[len(c.entries)-1]
-		e.key = key
-		e.vals = e.vals[:0]
-	} else {
-		c.entries = append(c.entries, hashEntry{key: key})
-	}
-	return len(c.entries) - 1
-}
-
-// hashEmit is the hash-table collector: one slot per distinct key, values
-// chained in arena memory. The only per-key heap cost is the map key
-// string; per-value cost is an arena copy.
-func (c *Chunk) hashEmit(k, v []byte) {
-	i, ok := c.idx[string(k)] // no alloc: map lookup with converted key
-	if !ok {
-		key := c.ar.copyBytes(k)
-		i = c.addKey(key)
-		c.idx[string(key)] = i
-	}
-	e := &c.entries[i]
-	e.vals = append(e.vals, c.ar.copyBytes(v))
-}
-
-// poolEmit is the buffer-pool collector (and the combiner's output sink):
-// pairs appended directly, bytes in the arena.
-func (c *Chunk) poolEmit(k, v []byte) {
-	c.out = append(c.out, kv.Pair{Key: c.ar.copyBytes(k), Value: c.ar.copyBytes(v)})
 }

@@ -21,108 +21,81 @@ type MapStats struct {
 	PartStored  int64 // encoded run bytes (post-compression)
 }
 
-// MapBlock parses one input block and runs the map kernel over it through
-// the given collector, returning the collected output on pooled state. The
-// caller must hand the chunk to Partition, or Release it, exactly once.
+// MapBlock parses one input block and runs the map kernel over it,
+// returning the collected output on pooled state. The caller must hand the
+// chunk to Partition, or Release it, exactly once.
 //
-// The combiner needs per-key grouping, so it runs only with the hash-table
-// collector and an App.Combine. Without it a batch kernel's columnar output
-// is kept as is: both collectors emit the same pair multiset, and the
-// columnar form partitions without ever materializing a []Pair.
+// The collector matters only to the combiner, which needs per-key grouping:
+// it runs with the hash-table collector and an App.Combine, and then every
+// emitted pair goes through the chunk's combining table. Otherwise both
+// collectors emit the same pair multiset, and the kernel writes straight
+// into the chunk's output.
 func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
 	combine := useCombiner && collector == core.HashTable && app.Combine != nil
-	if app.MapBatch != nil && !combine {
-		app.MapBatch(recs, &c.batch)
-		c.columnar = true
-		return c
+	emit := c.batch.AppendKV
+	if combine {
+		c.tab.combine = app.Combine
+		emit = c.tab.emit
 	}
-	// With a batch kernel, run it once over the whole block and replay its
-	// output into the collector: the emit sequence is identical to the
-	// per-record path by construction (batch kernels process records in
-	// order), but the per-record shim's Batch setup is paid once per block.
-	feed := func(emit func(k, v []byte)) {
+	switch {
+	case app.MapBatch == nil:
 		for _, rec := range recs {
 			app.Map(rec, emit)
 		}
-	}
-	if app.MapBatch != nil {
+	case !combine:
 		app.MapBatch(recs, &c.batch)
-		feed = func(emit func(k, v []byte)) {
-			for i := 0; i < c.batch.Len(); i++ {
-				p := c.batch.Pair(i)
-				emit(p.Key, p.Value)
+	default:
+		// The batch kernel runs over a window of records at a time, so the
+		// pairs it hands the table are still in cache when they are folded
+		// and the scratch batch stays a few tens of KiB whatever the block.
+		for len(recs) > 0 {
+			n := min(len(recs), windowRecords)
+			app.MapBatch(recs[:n], &c.window)
+			for i := 0; i < c.window.Len(); i++ {
+				p := c.window.Pair(i)
+				c.tab.emit(p.Key, p.Value)
 			}
+			c.window.Reset()
+			recs = recs[n:]
 		}
 	}
-	if collector != core.HashTable {
-		feed(c.poolEmit)
-		return c
-	}
-	feed(c.hashEmit)
-	sink := c.poolEmit // bound once: a method value allocates per evaluation
-	for i := range c.entries {
-		e := &c.entries[i]
-		if combine {
-			app.Combine(e.key, e.vals, sink)
-			continue
-		}
-		for _, v := range e.vals {
-			c.out = append(c.out, kv.Pair{Key: e.key, Value: v})
-		}
+	if combine {
+		c.tab.flush()
 	}
 	return c
 }
 
+// windowRecords is how many records the batch kernel maps between two
+// drains of its output into the combining table.
+const windowRecords = 256
+
 // Partition splits the chunk's pairs n ways with part, sorts each partition
 // and serializes it into a run (runs[g] is nil for an empty partition), then
-// releases the chunk: the runs own their bytes.
+// releases the chunk: the runs own their bytes. It counting-scatters the
+// 12-byte index entries by partition, sorts each range in place and
+// serializes it straight into a run — no payload movement, no sortedness
+// re-verification.
 func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool) ([]*kv.Run, MapStats) {
 	defer c.Release()
 	runs := make([]*kv.Run, n)
-	st := MapStats{RecordsIn: int64(c.records)}
-	if c.columnar {
-		// Counting-scatter the 12-byte index entries by partition, sort each
-		// range in place, and serialize it straight into a run — no payload
-		// movement, no sortedness re-verification.
-		b := &c.batch
-		st.PairsOut = int64(b.Len())
-		bounds := b.PartitionRanges(part, n)
-		for g := range runs {
-			if lo, hi := bounds[g], bounds[g+1]; lo < hi {
-				b.SortRange(lo, hi)
-				runs[g] = b.RunRange(lo, hi, compress)
-			}
+	b := &c.batch
+	st := MapStats{RecordsIn: int64(c.records), PairsOut: int64(b.Len())}
+	bounds := b.PartitionRanges(part, n)
+	for g := range runs {
+		lo, hi := bounds[g], bounds[g+1]
+		if lo == hi {
+			continue
 		}
-	} else {
-		st.PairsOut = int64(len(c.out))
-		if cap(c.buckets) < n {
-			c.buckets = make([][]kv.Pair, n)
-		}
-		buckets := c.buckets[:n]
-		for g := range buckets {
-			buckets[g] = buckets[g][:0]
-		}
-		for _, pr := range c.out {
-			g := part(pr.Key, n)
-			buckets[g] = append(buckets[g], pr)
-		}
-		for g, bucket := range buckets {
-			if len(bucket) > 0 {
-				kv.SortPairs(bucket)
-				runs[g] = kv.NewRun(bucket, compress)
-			}
-		}
-	}
-	for _, r := range runs {
-		if r != nil {
-			st.PartRecords += int64(r.Records)
-			st.PartRuns++
-			st.PartRaw += r.RawBytes
-			st.PartStored += r.StoredBytes()
-		}
+		b.SortRange(lo, hi)
+		r := b.RunRange(lo, hi, compress)
+		runs[g] = r
+		st.PartRecords += int64(r.Records)
+		st.PartRuns++
+		st.PartRaw += r.RawBytes
+		st.PartStored += r.StoredBytes()
 	}
 	return runs, st
 }

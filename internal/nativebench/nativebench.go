@@ -43,9 +43,11 @@ func pinnedCfg() native.Config {
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
-			// The allocation-critical path: every emit goes through the
-			// hash collector, no combiner, so value chains survive to the
-			// partitioner.
+			// The allocation-critical path: no combiner, so the batch kernel
+			// writes every occurrence into the chunk's columnar output and
+			// all of them reach the partitioner. No table is involved — the
+			// collector shows only under a combiner — so this row and
+			// wc-pool run the same code.
 			Name: "wc-hash",
 			Build: func() (*core.App, [][]byte, native.Config) {
 				data, _ := apps.WCData(11, 1<<20, 5000)
@@ -55,6 +57,8 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
+			// The combining table: every emit is hashed, and a key's values
+			// are folded through App.Combine as they arrive.
 			Name: "wc-hash-combine",
 			Build: func() (*core.App, [][]byte, native.Config) {
 				data, _ := apps.WCData(11, 1<<20, 5000)
