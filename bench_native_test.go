@@ -12,9 +12,7 @@ package glasswing
 
 import (
 	"testing"
-	"time"
 
-	"glasswing/internal/native"
 	"glasswing/internal/nativebench"
 )
 
@@ -22,45 +20,6 @@ func BenchmarkNative(b *testing.B) {
 	for _, s := range nativebench.Scenarios() {
 		b.Run(s.Name, func(b *testing.B) { nativebench.Bench(b, s) })
 	}
-}
-
-// TestNativeBenchSmokeWCHash is the batch-kernel throughput floor: the
-// allocation-critical wc-hash scenario must clear the pre-batch baseline's
-// 1,049,340 pairs/s. The floor sits ~2.5x below what the batch path
-// measures on a single pinned core, so it only trips if the vectorized map
-// path stops being taken (e.g. the batch kernel silently falls back to the
-// per-record shim) — ordinary host noise cannot close a 2.5x gap. Skipped
-// under the race detector, whose slowdown swamps any throughput signal.
-func TestNativeBenchSmokeWCHash(t *testing.T) {
-	if nativebench.RaceEnabled {
-		t.Skip("throughput floor is meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("skipping throughput smoke in -short mode")
-	}
-	const floorPairsPerSec = 1049340
-	for _, s := range nativebench.Scenarios() {
-		if s.Name != "wc-hash" {
-			continue
-		}
-		app, blocks, cfg := s.Build()
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			res, err := native.Run(app, blocks, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pps := float64(res.IntermediatePairs) / time.Since(t0).Seconds(); pps > best {
-				best = pps
-			}
-		}
-		if best < floorPairsPerSec {
-			t.Fatalf("wc-hash best of 3: %.0f pairs/s, floor %d — batch map path regressed", best, floorPairsPerSec)
-		}
-		return
-	}
-	t.Fatal("wc-hash scenario missing from the pinned table")
 }
 
 // BenchmarkNativeDist times the distributed runtime's pinned loopback

@@ -10,16 +10,14 @@ import (
 	"glasswing/internal/obs"
 )
 
-// distJobConfig selects how the distributed runtime runs a job: loopback
-// (workers > 0, serveAddr empty) spawns the whole cluster in-process over
-// real TCP; serveAddr set makes this process the coordinator and waits for
-// remote -worker / distnode processes to join.
+// distJobConfig describes a -dist run: the whole cluster, coordinator and
+// workers, spawned in this process over real loopback TCP. A cluster split
+// across processes or machines is cmd/distnode's job.
 type distJobConfig struct {
 	app            string
 	size           int
 	partitions     int
 	workers        int
-	serveAddr      string
 	elastic        string
 	journal        string
 	verify         bool
@@ -54,9 +52,6 @@ func runDistJob(c distJobConfig) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if c.workers <= 0 {
-		c.workers = 3
-	}
 	tel := obs.NewTelemetry()
 	o := dist.Options{
 		Job:         job,
@@ -79,13 +74,7 @@ func runDistJob(c distJobConfig) {
 			log.Fatal("glasswing: -elastic restart events need -journal to resume from")
 		}
 	}
-	var res *dist.Result
-	if c.serveAddr != "" {
-		o.NewApp = dist.RegistryResolver
-		res, err = dist.Serve(c.serveAddr, o)
-	} else {
-		res, err = dist.RunLoopback(o)
-	}
+	res, err := dist.RunLoopback(o)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -176,12 +165,4 @@ func printWireReport(reg *glasswing.MetricsRegistry) {
 			reg.Counter("conserv_spill_raw_bytes_total").Value(),
 			reg.Counter("conserv_spill_stored_bytes_total").Value())
 	}
-}
-
-// runDistWorker joins a remote coordinator and blocks until the job ends.
-func runDistWorker(coordAddr, listenAddr string) {
-	if err := dist.Join(coordAddr, listenAddr, dist.Tuning{}, obs.NewTelemetry()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("worker done")
 }

@@ -11,8 +11,6 @@
 //	          [-speculate FACTOR] [-max-attempts N] [-verify]
 //	          [-trace-out FILE] [-metrics-out FILE] [-report]
 //	glasswing -dist N -app wc|ts|km ...       (N-worker TCP cluster in one process)
-//	glasswing -coordinator ADDR -dist N ...   (serve a job to N remote workers)
-//	glasswing -worker ADDR                    (join a remote coordinator)
 //	glasswing -serve ADDR [-fleet N]          (resident multi-tenant job service, HTTP API)
 //
 // Every run processes real generated data; -verify checks the output
@@ -23,9 +21,8 @@
 // The -dist family runs the genuinely distributed runtime (internal/dist):
 // -dist N alone spins up a coordinator plus N workers inside this process,
 // connected over real loopback TCP with the shuffle streamed
-// worker-to-worker during the map phase. -coordinator/-worker split the
-// same cluster across processes or machines (cmd/distnode is the
-// standalone equivalent).
+// worker-to-worker during the map phase. cmd/distnode runs the same
+// cluster split across processes or machines.
 //
 // The observability flags work on both runtimes: -trace-out writes Chrome
 // trace_event JSON (open in chrome://tracing or ui.perfetto.dev),
@@ -75,9 +72,6 @@ func main() {
 		distWorkers = flag.Int("dist", 0, "run on the distributed runtime with N TCP workers (0 disables)")
 		elastic     = flag.String("elastic", "", "membership schedule for -dist runs: kind[:worker]@threshold[,...] — join, drain:W, kill:W, restart; threshold N fires after N map tasks resolve, rN after N reduce outputs accept")
 		journalPath = flag.String("journal", "", "coordinator checkpoint journal path for -dist runs (restart events resume from it)")
-		coordAddr   = flag.String("coordinator", "", "serve the job as a distributed coordinator at this address (workers join with -worker)")
-		workerJoin  = flag.String("worker", "", "join a distributed coordinator at this address as a worker")
-		workerAddr  = flag.String("worker-listen", "127.0.0.1:0", "shuffle listen address for -worker (use a reachable host:port across machines)")
 		distInput   = flag.String("input", "", "-dist runs: read the input from this file (wc or ts) instead of generating it")
 		bstore      = flag.String("blockstore", "", "-dist runs: ingest input into worker block stores — 'local' (locality-preferred) or 'remote' (forced-remote baseline)")
 		replication = flag.Int("replication", 0, "-dist runs: block replicas per block (0 = 3, capped at cluster width)")
@@ -97,17 +91,12 @@ func main() {
 		runServe(*serveAddr, *fleetSlots, *serveFaults)
 		return
 	}
-	if *workerJoin != "" {
-		runDistWorker(*workerJoin, *workerAddr)
-		return
-	}
-	if *distWorkers > 0 || *coordAddr != "" {
+	if *distWorkers > 0 {
 		runDistJob(distJobConfig{
 			app:            *appName,
 			size:           *size,
 			partitions:     *parts,
 			workers:        *distWorkers,
-			serveAddr:      *coordAddr,
 			elastic:        *elastic,
 			journal:        *journalPath,
 			verify:         *verify,

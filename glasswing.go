@@ -50,10 +50,6 @@ type (
 	Config = core.Config
 	// CostModel expresses kernel work in device ops.
 	CostModel = core.CostModel
-	// MapFunc is an application map kernel.
-	MapFunc = core.MapFunc
-	// ReduceFunc is an application reduce or combine kernel.
-	ReduceFunc = core.ReduceFunc
 	// Result reports a finished job.
 	Result = core.Result
 	// StageTimes is a per-stage pipeline busy-time breakdown.

@@ -32,14 +32,14 @@ func decodeU32(b []byte) (uint32, error) {
 }
 
 // oneU32 is the shared count literal every counting app emits. It is
-// read-only by contract: batch kernels hand it to Batch.AppendKV, which
-// copies it into the slab.
+// read-only by contract: kernels hand it to a kv.Sink, which copies it.
 var oneU32 = u32(1)
 
-// sumCountsBatch is the shared count-summing reduce kernel in batch form:
-// the total is encoded into stack scratch and copied into the output slab,
-// so a reduction over a million keys allocates nothing per key.
-func sumCountsBatch(key []byte, values [][]byte, out *kv.Batch) {
+// sumCounts is the count-summing kernel the counting apps use as both
+// combiner and reducer: the total is encoded into stack scratch and copied
+// into the output slab, so a reduction over a million keys — or a fold of
+// every full chain in a block — allocates nothing per key.
+func sumCounts(key []byte, values [][]byte, out *kv.Batch) {
 	var total uint32
 	for _, v := range values {
 		n, err := decodeU32(v)
@@ -51,21 +51,6 @@ func sumCountsBatch(key []byte, values [][]byte, out *kv.Batch) {
 	var enc [4]byte
 	binary.LittleEndian.PutUint32(enc[:], total)
 	out.AppendKV(key, enc[:])
-}
-
-// sumCounts is the per-record form of sumCountsBatch, kept handwritten
-// (not shimmed) because it doubles as the combiner kernel, which runs once
-// per distinct key per chunk inside the hash collector's hot loop.
-func sumCounts(key []byte, values [][]byte, emit func(k, v []byte)) {
-	var total uint32
-	for _, v := range values {
-		n, err := decodeU32(v)
-		if err != nil {
-			panic(err)
-		}
-		total += n
-	}
-	emit(key, u32(total))
 }
 
 // parseLines splits a text block into one record per non-empty line. The

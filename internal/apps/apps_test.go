@@ -255,7 +255,8 @@ func sortBytes(b [][]byte) {
 
 func TestKMValueRoundTrip(t *testing.T) {
 	sum := []float64{1.5, -2.25, 3.125}
-	b := encodeKMValue(sum, 42)
+	b := make([]byte, 3*8+8)
+	encodeKMValueInto(b, sum, 42)
 	got, count, err := decodeKMValue(b, 3)
 	if err != nil || count != 42 {
 		t.Fatalf("decode: %v count=%d", err, count)

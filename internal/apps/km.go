@@ -63,22 +63,21 @@ func KMeans(spec KMeansSpec) *core.App {
 	dim := spec.Dim
 	recSize := dim * 4
 	perPoint := float64(spec.CostK()*dim*3 + 8)
-	agg := func(key []byte, values [][]byte, emit func(k, v []byte)) {
-		sum := make([]float64, dim)
-		count, err := kmAccumulate(values, dim, sum)
-		if err != nil {
-			panic(err)
-		}
-		emit(key, encodeKMValue(sum, count))
+	// Combine and reduce add in the encoded form: one scratch value per
+	// call, no decode or encode pass.
+	agg := func(key []byte, values [][]byte, out *kv.Batch) {
+		acc := make([]byte, dim*8+8)
+		kmAccumulate(acc, values)
+		out.AppendKV(key, acc)
 	}
-	return core.FinishBatchApp(&core.App{
+	return &core.App{
 		Name:             "KM",
 		Parse:            parseFixed(recSize),
 		ParseCostPerByte: 0.3,
-		// Batch kernel: the point, sum and value-encoding scratch buffers
-		// are allocated once per chunk and reused across every record in
-		// it — the per-record form allocated all three per point.
-		MapBatch: func(recs []kv.Pair, out *kv.Batch) {
+		// The point, sum and value-encoding scratch buffers are allocated
+		// once per call and reused across every record in it: the sink
+		// copies each pair before the next overwrites them.
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
 			point := make([]float32, dim)
 			sum := make([]float64, dim)
 			val := make([]byte, dim*8+8)
@@ -108,43 +107,43 @@ func KMeans(spec KMeansSpec) *core.App {
 		Combine:     agg,
 		CombineCost: core.CostModel{OpsPerRecord: 20, OpsPerValue: float64(dim + 4), OpsPerEmit: 15},
 		ReduceBatch: func(key []byte, values [][]byte, out *kv.Batch) {
-			sum := make([]float64, dim)
-			count, err := kmAccumulate(values, dim, sum)
-			if err != nil {
-				panic(err)
-			}
-			// Same arithmetic as the historical agg-then-divide chain: the
-			// intermediate encode/decode round trip was bit-exact, so
-			// dividing the accumulated sums directly is too.
-			center := make([]float64, dim)
-			if count > 0 {
-				for d := 0; d < dim; d++ {
-					center[d] = sum[d] / float64(count)
+			acc := make([]byte, dim*8+8)
+			kmAccumulate(acc, values)
+			count := binary.LittleEndian.Uint64(acc[dim*8:])
+			for off := 0; off < dim*8; off += 8 {
+				var center float64
+				if count > 0 {
+					center = getF64(acc[off:]) / float64(count)
 				}
+				putF64(acc[off:], center)
 			}
-			out.AppendKV(key, encodeKMValue(center, count))
+			out.AppendKV(key, acc)
 		},
 		ReduceCost: core.CostModel{OpsPerRecord: float64(2 * dim), OpsPerValue: float64(dim + 4), OpsPerEmit: 15},
-	})
+	}
 }
 
-// kmAccumulate folds encoded (sum, count) values into sum (which the
-// caller zeroes), decoding in place — no per-value allocation. Addition
-// order matches the historical per-value decode loop exactly, keeping the
-// float64 results bit-identical across engines.
-func kmAccumulate(values [][]byte, dim int, sum []float64) (uint64, error) {
-	var count uint64
+// kmAccumulate adds encoded (sum, count) values into acc, which holds the
+// same encoding and starts zeroed (zero bytes are +0.0 sums and a zero
+// count). Each coordinate is added left to right over values, the order a
+// decode-then-add loop has, keeping the float64 results bit-identical
+// across engines.
+func kmAccumulate(acc []byte, values [][]byte) {
+	sums := len(acc) - 8
 	for _, v := range values {
-		if len(v) != dim*8+8 {
-			return 0, fmt.Errorf("apps: bad KM value length %d for dim %d", len(v), dim)
+		if len(v) != len(acc) {
+			panic(fmt.Errorf("apps: bad KM value length %d for dim %d", len(v), sums/8))
 		}
-		for d := 0; d < dim; d++ {
-			sum[d] += math.Float64frombits(binary.LittleEndian.Uint64(v[d*8:]))
+		for off := 0; off < sums; off += 8 {
+			putF64(acc[off:], getF64(acc[off:])+getF64(v[off:]))
 		}
-		count += binary.LittleEndian.Uint64(v[dim*8:])
+		binary.LittleEndian.PutUint64(acc[sums:], binary.LittleEndian.Uint64(acc[sums:])+binary.LittleEndian.Uint64(v[sums:]))
 	}
-	return count, nil
 }
+
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 
 func decodePoint(b []byte, dim int) []float32 {
 	p := make([]float32, dim)
@@ -158,16 +157,11 @@ func decodePointInto(p []float32, b []byte) {
 	}
 }
 
-// encodeKMValue packs a float64 coordinate sum vector and a count.
-func encodeKMValue(sum []float64, count uint64) []byte {
-	out := make([]byte, len(sum)*8+8)
-	encodeKMValueInto(out, sum, count)
-	return out
-}
-
+// encodeKMValueInto packs a float64 coordinate sum vector and a count into
+// out, which holds len(sum)*8+8 bytes.
 func encodeKMValueInto(out []byte, sum []float64, count uint64) {
 	for d, v := range sum {
-		binary.LittleEndian.PutUint64(out[d*8:], math.Float64bits(v))
+		putF64(out[d*8:], v)
 	}
 	binary.LittleEndian.PutUint64(out[len(sum)*8:], count)
 }
@@ -178,7 +172,7 @@ func decodeKMValue(b []byte, dim int) ([]float64, uint64, error) {
 	}
 	sum := make([]float64, dim)
 	for d := 0; d < dim; d++ {
-		sum[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[d*8:]))
+		sum[d] = getF64(b[d*8:])
 	}
 	return sum, binary.LittleEndian.Uint64(b[dim*8:]), nil
 }

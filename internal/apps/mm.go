@@ -52,14 +52,14 @@ func (s MMSpec) RecordSize() int { return 12 + 2*s.Tile*s.Tile*4 }
 func MatMul(spec MMSpec) *core.App {
 	t := spec.Tile
 	tileBytes := t * t * 4
-	return core.FinishBatchApp(&core.App{
+	return &core.App{
 		Name:             "MM",
 		Parse:            parseFixed(spec.RecordSize()),
 		ParseCostPerByte: 0.25,
-		// Batch kernel: the A/B/C tile buffers and the key/value encoding
-		// scratch are allocated once per chunk and reused for every record
-		// — the per-record form decoded and encoded fresh tiles per pair.
-		MapBatch: func(recs []kv.Pair, out *kv.Batch) {
+		// The A/B/C tile buffers and the key/value encoding scratch are
+		// allocated once per call and reused for every record: the sink
+		// copies each pair before the next overwrites them.
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
 			a := make([]float32, t*t)
 			b := make([]float32, t*t)
 			c := make([]float32, t*t)
@@ -115,7 +115,7 @@ func MatMul(spec MMSpec) *core.App {
 			OpsPerValue:  spec.CostTile() * spec.CostTile(),
 			OpsPerEmit:   30,
 		},
-	})
+	}
 }
 
 func encodeTile(t []float32) []byte {

@@ -14,11 +14,11 @@ import (
 // are rare, so the volume of intermediate data is large, with a massive
 // number of keys" (§IV-A1).
 func PageviewCount() *core.App {
-	return core.FinishBatchApp(&core.App{
+	return &core.App{
 		Name:             "PVC",
 		Parse:            parseLines,
 		ParseCostPerByte: 1.2,
-		MapBatch: func(recs []kv.Pair, out *kv.Batch) {
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
 			for _, rec := range recs {
 				if url := logURL(rec.Value); url != nil {
 					out.AppendKV(url, oneU32)
@@ -29,9 +29,9 @@ func PageviewCount() *core.App {
 		MapCost:     core.CostModel{OpsPerRecord: 40, OpsPerByte: 3, OpsPerEmit: 20},
 		Combine:     sumCounts,
 		CombineCost: core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
-		ReduceBatch: sumCountsBatch,
+		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
-	})
+	}
 }
 
 // logURL extracts the URL field (second whitespace-separated token) of a

@@ -15,11 +15,11 @@ import (
 // intermediate-data shuffle; the framework's per-partition merge produces
 // the sorted runs.
 func TeraSort() *core.App {
-	return core.FinishBatchApp(&core.App{
+	return &core.App{
 		Name:             "TS",
 		Parse:            parseFixed(workload.TeraRecordSize),
 		ParseCostPerByte: 0.4,
-		MapBatch: func(recs []kv.Pair, out *kv.Batch) {
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
 			for _, rec := range recs {
 				out.AppendKV(rec.Value[:10], rec.Value[10:])
 			}
@@ -27,8 +27,7 @@ func TeraSort() *core.App {
 		// The map kernel only slices the record and looks up the sampled
 		// range partition.
 		MapCost: core.CostModel{OpsPerRecord: 25, OpsPerByte: 0.5, OpsPerEmit: 40},
-		Reduce:  nil,
-	})
+	}
 }
 
 // TeraPartitioner builds a total-order range partitioner from a sample of

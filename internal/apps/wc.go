@@ -11,15 +11,15 @@ import (
 // a large number of sparse words" (§IV-A1), which is what makes the hash
 // table contended and the combiner effective (Table II).
 func WordCount() *core.App {
-	return core.FinishBatchApp(&core.App{
+	return &core.App{
 		Name:             "WC",
 		Parse:            parseLines,
 		ParseCostPerByte: 1.5,
-		// The batch kernel is the primary form: one invocation tokenizes a
-		// whole chunk of lines into the output slab with no per-record
-		// closure dispatch and no per-emit value allocation (the count
-		// literal is a shared read-only constant copied into the slab).
-		MapBatch: func(recs []kv.Pair, out *kv.Batch) {
+		// One invocation tokenizes a whole chunk of lines into the sink —
+		// the chunk's slab, or the combining table when the job combines —
+		// with no per-record dispatch and no per-emit value allocation (the
+		// count literal is a shared read-only constant the sink copies).
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
 			for _, rec := range recs {
 				line := rec.Value
 				start := -1
@@ -43,9 +43,9 @@ func WordCount() *core.App {
 		MapCost:     core.CostModel{OpsPerRecord: 60, OpsPerByte: 10, OpsPerEmit: 25, OpsPerBatch: 400},
 		Combine:     sumCounts,
 		CombineCost: core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
-		ReduceBatch: sumCountsBatch,
+		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
-	})
+	}
 }
 
 // WCData builds a WC dataset of roughly size bytes and its reference word

@@ -154,22 +154,14 @@ func Reference(j Job) Expected {
 			Value: append([]byte(nil), v...),
 		})
 	}
-	for _, rec := range recs {
-		app.Map(rec, emit)
-	}
+	app.MapBatch(recs, kv.EmitFunc(emit))
 	exp := Expected{Records: int64(len(recs)), InterPairs: int64(len(inter))}
 	for _, pr := range inter {
 		exp.InterBytes += pr.Size()
 	}
 	kv.SortPairs(inter)
 
-	var out []kv.Pair
-	oemit := func(k, v []byte) {
-		out = append(out, kv.Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-	}
+	var red kv.Batch
 	gi := kv.NewGroupIter(kv.NewSliceIter(inter))
 	for {
 		g, ok := gi.Next()
@@ -177,15 +169,16 @@ func Reference(j Job) Expected {
 			break
 		}
 		exp.DistinctKeys++
-		if app.Reduce == nil {
+		if app.ReduceBatch == nil {
 			// Reduce-less apps (TS): merged intermediate data is final.
 			for _, v := range g.Values {
-				out = append(out, kv.Pair{Key: g.Key, Value: v})
+				red.AppendKV(g.Key, v)
 			}
 			continue
 		}
-		app.Reduce(g.Key, g.Values, oemit)
+		app.ReduceBatch(g.Key, g.Values, &red)
 	}
+	out := red.Pairs(nil)
 	exp.OutputPairs = int64(len(out))
 	exp.Digest = Digest(out)
 	return exp

@@ -251,7 +251,7 @@ func runSimApp(j Job, exp Expected, opt Options, add func(Cell)) {
 			Faulty:    v.faulty,
 			Combiner:  cfg.UseCombiner,
 			Compress:  cfg.Compress,
-			HasReduce: j.New().Reduce != nil,
+			HasReduce: j.New().ReduceBatch != nil,
 		}))
 		add(cell)
 	}
@@ -392,7 +392,7 @@ func runNativeApp(j Job, exp Expected, opt Options, add func(Cell)) {
 		cell.Err = verdict(j, exp, cell.Digest, out, led.Check(exp, CheckOpts{
 			Combiner:  cfg.UseCombiner,
 			Compress:  cfg.Compress,
-			HasReduce: app.Reduce != nil,
+			HasReduce: app.ReduceBatch != nil,
 			WantSpill: v.wantSpill,
 		}))
 		add(cell)
@@ -672,7 +672,7 @@ func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
 			Elastic:    wantResume,
 			Combiner:   v.combiner,
 			Compress:   v.compress,
-			HasReduce:  j.New().Reduce != nil,
+			HasReduce:  j.New().ReduceBatch != nil,
 			Blockstore: v.blockstore,
 			InputBytes: res.InputBytes,
 			WantSpill:  v.spill,

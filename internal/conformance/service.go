@@ -168,7 +168,7 @@ func runServiceApp(j Job, exp Expected, opt Options, add func(Cell)) {
 			Elastic:   wantResume,
 			Combiner:  v.combiner,
 			Compress:  v.compress,
-			HasReduce: j.New().Reduce != nil,
+			HasReduce: j.New().ReduceBatch != nil,
 		}))
 		if cell.Err == nil && v.elastic != "" {
 			switch {

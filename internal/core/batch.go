@@ -2,61 +2,16 @@ package core
 
 import "glasswing/internal/kv"
 
-// MapBatchFunc is the batch-oriented map kernel contract: one invocation
-// consumes a slab of records and appends every emitted pair into out. The
-// callee may keep per-batch scratch on its own stack — amortized over the
-// whole batch — but must not retain state across invocations: a batch
+// MapBatchFunc is the map kernel: one call consumes a slab of records and
+// appends every pair it emits to out, which copies (see kv.Sink) — so the
+// kernel keeps its scratch on its own stack, amortized over the slab, and
+// reuses it from pair to pair. It must not retain state across calls: a
 // kernel is called concurrently from multiple workers.
-type MapBatchFunc func(recs []kv.Pair, out *kv.Batch)
+type MapBatchFunc func(recs []kv.Pair, out kv.Sink)
 
-// ReduceBatchFunc is the batch-oriented reduce kernel contract: one key
-// group in, output pairs appended to out. Appended bytes are copied into
-// the batch slab, so the kernel may emit views into key/values or stack
-// scratch.
+// ReduceBatchFunc is the reduce and the combine kernel: one key group in,
+// output pairs appended to out, which copies, so the kernel may emit views
+// into key and values or stack scratch. out is the concrete batch, not a
+// kv.Sink: a value encoded into stack scratch would escape to the heap
+// through an interface call, one allocation per group.
 type ReduceBatchFunc func(key []byte, values [][]byte, out *kv.Batch)
-
-// MapFromBatch adapts a batch map kernel to the per-record MapFunc
-// contract. The wrapper exists for the runtimes without a batch fast path
-// (sim, hadoop, gpmr): they keep their per-record call sites, and because
-// the wrapper runs the same batch kernel body, the emitted pair sequence
-// is identical by construction. It trades a small per-record Batch for
-// that fidelity — fine off the hot path, which is the point of having a
-// batch fast path elsewhere.
-func MapFromBatch(mb MapBatchFunc) MapFunc {
-	return func(rec kv.Pair, emit func(key, value []byte)) {
-		var out kv.Batch
-		recs := [1]kv.Pair{rec}
-		mb(recs[:], &out)
-		for i := 0; i < out.Len(); i++ {
-			p := out.Pair(i)
-			emit(p.Key, p.Value)
-		}
-	}
-}
-
-// ReduceFromBatch adapts a batch reduce kernel to the per-group ReduceFunc
-// contract, mirroring MapFromBatch.
-func ReduceFromBatch(rb ReduceBatchFunc) ReduceFunc {
-	return func(key []byte, values [][]byte, emit func(key, value []byte)) {
-		var out kv.Batch
-		rb(key, values, &out)
-		for i := 0; i < out.Len(); i++ {
-			p := out.Pair(i)
-			emit(p.Key, p.Value)
-		}
-	}
-}
-
-// FinishBatchApp derives the per-record kernels of an App from its batch
-// kernels where only the batch form was provided. Apps define the batch
-// form once and call this, so the per-record compatibility surface can
-// never drift from the batch implementation.
-func FinishBatchApp(app *App) *App {
-	if app.Map == nil && app.MapBatch != nil {
-		app.Map = MapFromBatch(app.MapBatch)
-	}
-	if app.Reduce == nil && app.ReduceBatch != nil {
-		app.Reduce = ReduceFromBatch(app.ReduceBatch)
-	}
-	return app
-}

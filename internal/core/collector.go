@@ -13,7 +13,9 @@ import (
 // kernel stage folds into its launch stats.
 type collector interface {
 	reset()
-	emit(key, value []byte)
+	// AppendKV collects one emitted pair: the map kernel writes into the
+	// collector as its kv.Sink.
+	kv.Sink
 	// emits returns the number of pairs collected since reset.
 	emits() int
 	// kernelStats is the atomic/traffic cost accumulated by emits so far.
@@ -27,7 +29,7 @@ type collector interface {
 // newCollector builds the collector selected by cfg for app.
 func newCollector(app *App, cfg Config) collector {
 	if cfg.Collector == HashTable {
-		var comb ReduceFunc
+		var comb ReduceBatchFunc
 		if cfg.UseCombiner {
 			comb = app.Combine
 			if comb == nil {
@@ -52,7 +54,7 @@ type hashCollector struct {
 	nemits  int
 	stats   cl.Stats
 
-	combine     ReduceFunc
+	combine     ReduceBatchFunc
 	combineCost CostModel
 }
 
@@ -70,7 +72,7 @@ func (h *hashCollector) reset() {
 	h.stats = cl.Stats{}
 }
 
-func (h *hashCollector) emit(key, value []byte) {
+func (h *hashCollector) AppendKV(key, value []byte) {
 	k := string(key)
 	vals, ok := h.entries[k]
 	if !ok {
@@ -95,6 +97,7 @@ func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
 	if h.combine != nil {
 		// The combiner runs as a device kernel over the hash table,
 		// aggregating each key's values in place.
+		var out kv.Batch
 		for _, k := range h.order {
 			vals := h.entries[k]
 			extra.Ops += h.combineCost.OpsPerRecord +
@@ -102,14 +105,11 @@ func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
 			for _, v := range vals {
 				extra.Bytes += float64(len(v))
 			}
-			h.combine([]byte(k), vals, func(key, value []byte) {
-				extra.Ops += h.combineCost.OpsPerEmit
-				pairs = append(pairs, kv.Pair{
-					Key:   append([]byte(nil), key...),
-					Value: append([]byte(nil), value...),
-				})
-			})
+			before := out.Len()
+			h.combine([]byte(k), vals, &out)
+			extra.Ops += h.combineCost.OpsPerEmit * float64(out.Len()-before)
 		}
+		pairs = out.Pairs(nil)
 	} else {
 		// Without a combiner Glasswing still runs a compacting kernel
 		// after map() to place values of the same key in contiguous
@@ -141,7 +141,7 @@ func (b *poolCollector) reset() {
 	b.stats = cl.Stats{}
 }
 
-func (b *poolCollector) emit(key, value []byte) {
+func (b *poolCollector) AppendKV(key, value []byte) {
 	b.pairs = append(b.pairs, kv.Pair{
 		Key:   append([]byte(nil), key...),
 		Value: append([]byte(nil), value...),

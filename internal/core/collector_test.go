@@ -8,21 +8,21 @@ import (
 	"glasswing/internal/kv"
 )
 
-func sumU32(key []byte, values [][]byte, emit func(k, v []byte)) {
+func sumU32(key []byte, values [][]byte, out *kv.Batch) {
 	var total uint32
 	for _, v := range values {
 		total += uint32(v[0])
 	}
-	emit(key, []byte{byte(total)})
+	out.AppendKV(key, []byte{byte(total)})
 }
 
 func TestHashCollectorStoresKeysOnce(t *testing.T) {
 	c := &hashCollector{}
 	c.reset()
 	for i := 0; i < 10; i++ {
-		c.emit([]byte("hot"), []byte{1})
+		c.AppendKV([]byte("hot"), []byte{1})
 	}
-	c.emit([]byte("cold"), []byte{1})
+	c.AppendKV([]byte("cold"), []byte{1})
 	if c.emits() != 11 {
 		t.Fatalf("emits = %d", c.emits())
 	}
@@ -54,7 +54,7 @@ func TestHashCollectorContentionGrowsWithRepetition(t *testing.T) {
 		c := &hashCollector{}
 		c.reset()
 		for i := 0; i < repeats; i++ {
-			c.emit([]byte("k"), []byte{1})
+			c.AppendKV([]byte("k"), []byte{1})
 		}
 		return c.kernelStats().AtomicOps
 	}
@@ -70,9 +70,9 @@ func TestHashCollectorContentionGrowsWithRepetition(t *testing.T) {
 func TestHashCollectorCombinerAggregates(t *testing.T) {
 	c := &hashCollector{combine: sumU32, combineCost: CostModel{OpsPerValue: 5}}
 	c.reset()
-	c.emit([]byte("a"), []byte{1})
-	c.emit([]byte("a"), []byte{2})
-	c.emit([]byte("b"), []byte{7})
+	c.AppendKV([]byte("a"), []byte{1})
+	c.AppendKV([]byte("a"), []byte{2})
+	c.AppendKV([]byte("b"), []byte{7})
 	pairs, extra, _ := c.finish()
 	if len(pairs) != 2 {
 		t.Fatalf("combined pairs = %d, want 2", len(pairs))
@@ -93,7 +93,7 @@ func TestPoolCollectorFlatCost(t *testing.T) {
 	c := &poolCollector{}
 	c.reset()
 	for i := 0; i < 100; i++ {
-		c.emit([]byte("same"), []byte{1})
+		c.AppendKV([]byte("same"), []byte{1})
 	}
 	st := c.kernelStats()
 	if st.AtomicOps != 100 {
@@ -113,7 +113,7 @@ func TestCollectorsCopyEmittedBytes(t *testing.T) {
 	for _, coll := range []collector{&hashCollector{}, &poolCollector{}} {
 		coll.reset()
 		buf := []byte("x")
-		coll.emit([]byte("k"), buf)
+		coll.AppendKV([]byte("k"), buf)
 		buf[0] = 'y'
 		pairs, _, _ := coll.finish()
 		if !bytes.Equal(pairs[0].Value, []byte("x")) {
@@ -143,13 +143,15 @@ func TestThreadsPerKeySpeedsUpReduce(t *testing.T) {
 		Name:             "heavy-reduce",
 		Parse:            func(b []byte) []kv.Pair { return []kv.Pair{{Value: b}} },
 		ParseCostPerByte: 0.1,
-		Map: func(rec kv.Pair, emit func(k, v []byte)) {
-			for i := 0; i < 64; i++ {
-				emit([]byte{byte('a' + i%4)}, []byte{1})
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
+			for range recs {
+				for i := 0; i < 64; i++ {
+					out.AppendKV([]byte{byte('a' + i%4)}, []byte{1})
+				}
 			}
 		},
-		MapCost: CostModel{OpsPerRecord: 100, OpsPerEmit: 10},
-		Reduce:  sumU32,
+		MapCost:     CostModel{OpsPerRecord: 100, OpsPerEmit: 10},
+		ReduceBatch: sumU32,
 		// Very expensive per key.
 		ReduceCost: CostModel{OpsPerRecord: 5e8, OpsPerValue: 1000},
 	}

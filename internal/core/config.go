@@ -60,14 +60,6 @@ type CostModel struct {
 	OpsPerBatch float64
 }
 
-// MapFunc is an application map kernel: it consumes one record and emits
-// key/value pairs, exactly the shape of the paper's OpenCL map functions.
-type MapFunc func(rec kv.Pair, emit func(key, value []byte))
-
-// ReduceFunc is an application reduce (or combine) kernel: it consumes one
-// key with its values and emits output pairs.
-type ReduceFunc func(key []byte, values [][]byte, emit func(key, value []byte))
-
 // App is a Glasswing application: the map/reduce/combine kernels plus their
 // cost models and the input record format. The paper's Glasswing OpenCL API
 // corresponds to the kernel functions; its Configuration API corresponds to
@@ -81,15 +73,13 @@ type App struct {
 	// charged in the pipeline's Input stage.
 	ParseCostPerByte float64
 
-	Map     MapFunc
-	MapCost CostModel
-	// MapBatch, if non-nil, is the batch form of the map kernel: one call
-	// consumes a whole chunk of records and appends output into a columnar
-	// kv.Batch, with no per-record closure dispatch or per-emit allocation.
-	// Runtimes with a batch fast path (native, dist) prefer it; the others
-	// keep calling Map. Apps built with NewBatchApp derive Map from
-	// MapBatch, so the two can never emit different pairs.
+	// MapBatch is the map kernel: one call consumes a slab of records — a
+	// whole chunk, or one simulated thread's range of it — and appends
+	// what it emits to a kv.Sink: the chunk's columnar batch, the native
+	// combining table, or a simulated collector. No per-record dispatch,
+	// no per-emit allocation.
 	MapBatch MapBatchFunc
+	MapCost  CostModel
 
 	// Combine, if non-nil, is the application-specific combiner: a local
 	// reduce over the results of one map chunk. Only supported with the
@@ -109,17 +99,15 @@ type App struct {
 	// because any runtime reorders the sums inside a chunk.) Combine
 	// normally emits one pair under the key it was given; other keys, no
 	// pair or several pairs are legal and are passed on as they are.
-	Combine     ReduceFunc
+	Combine     ReduceBatchFunc
 	CombineCost CostModel
 
-	// Reduce, if nil, skips reduction entirely: the framework writes each
-	// merged, sorted partition directly (TeraSort, §IV-A1).
-	Reduce     ReduceFunc
-	ReduceCost CostModel
-	// ReduceBatch, if non-nil, is the batch form of the reduce kernel: it
-	// appends output pairs for one key group into a kv.Batch instead of
-	// passing them through an emit closure that must copy them out.
+	// ReduceBatch is the reduce kernel: it appends the output pairs of one
+	// key group to a batch. If nil, reduction is skipped entirely: the
+	// framework writes each merged, sorted partition directly (TeraSort,
+	// §IV-A1).
 	ReduceBatch ReduceBatchFunc
+	ReduceCost  CostModel
 }
 
 // Config carries the job parameters of the paper's Configuration API.

@@ -16,13 +16,13 @@ import (
 
 // toyWordCount is a minimal word-count App used throughout the core tests.
 func toyWordCount() *App {
-	sum := func(key []byte, values [][]byte, emit func(k, v []byte)) {
+	sum := func(key []byte, values [][]byte, out *kv.Batch) {
 		total := 0
 		for _, v := range values {
 			n, _ := strconv.Atoi(string(v))
 			total += n
 		}
-		emit(key, []byte(strconv.Itoa(total)))
+		out.AppendKV(key, []byte(strconv.Itoa(total)))
 	}
 	return &App{
 		Name: "toy-wc",
@@ -36,15 +36,17 @@ func toyWordCount() *App {
 			return recs
 		},
 		ParseCostPerByte: 1,
-		Map: func(rec kv.Pair, emit func(k, v []byte)) {
-			for _, w := range strings.Fields(string(rec.Value)) {
-				emit([]byte(w), []byte("1"))
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
+			for _, rec := range recs {
+				for _, w := range strings.Fields(string(rec.Value)) {
+					out.AppendKV([]byte(w), []byte("1"))
+				}
 			}
 		},
 		MapCost:     CostModel{OpsPerRecord: 50, OpsPerByte: 8, OpsPerEmit: 20},
 		Combine:     sum,
 		CombineCost: CostModel{OpsPerRecord: 20, OpsPerValue: 10, OpsPerEmit: 20},
-		Reduce:      sum,
+		ReduceBatch: sum,
 		ReduceCost:  CostModel{OpsPerRecord: 20, OpsPerValue: 10, OpsPerEmit: 20},
 	}
 }
@@ -283,8 +285,12 @@ func TestIdentityJobNoReduceKeepsOrder(t *testing.T) {
 			return recs
 		},
 		ParseCostPerByte: 1,
-		Map:              func(rec kv.Pair, emit func(k, v []byte)) { emit(rec.Key, rec.Value) },
-		MapCost:          CostModel{OpsPerRecord: 10, OpsPerByte: 2, OpsPerEmit: 10},
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
+			for _, rec := range recs {
+				out.AppendKV(rec.Key, rec.Value)
+			}
+		},
+		MapCost: CostModel{OpsPerRecord: 10, OpsPerByte: 2, OpsPerEmit: 10},
 	}
 	var data []byte
 	rng := uint32(12345)

@@ -339,8 +339,8 @@ func validateFaultConfig(cfg Config, nodes int) error {
 // already be running.
 func Run(rt *Runtime, app *App, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if app.Map == nil || app.Parse == nil {
-		return nil, fmt.Errorf("core: app %q needs Parse and Map", app.Name)
+	if app.MapBatch == nil || app.Parse == nil {
+		return nil, fmt.Errorf("core: app %q needs Parse and MapBatch", app.Name)
 	}
 	if len(cfg.Input) == 0 {
 		return nil, fmt.Errorf("core: no input files")

@@ -304,11 +304,8 @@ func (j *job) execMapKernel(p *sim.Proc, ctx *cl.Context, coll collector, c mapC
 		threads = ctx.Device.Profile.HWThreads
 	}
 	coll.reset()
-	emit := func(k, v []byte) { coll.emit(k, v) }
 	cl.Range(len(c.records), threads, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j.app.Map(c.records[i], emit)
-		}
+		j.app.MapBatch(c.records[lo:hi], coll)
 	})
 	st := coll.kernelStats()
 	st.Ops += j.app.MapCost.OpsPerBatch +

@@ -260,7 +260,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 // MaxValuesPerLaunch pay extra launches with scratch-buffer state (§III-C).
 func (j *job) execReduceKernel(p *sim.Proc, ctx *cl.Context, c reduceChunk) reduceOut {
 	cfg := j.cfg
-	if j.app.Reduce == nil {
+	if j.app.ReduceBatch == nil {
 		// No reduce function (TeraSort): intermediate data is final once
 		// merged; pass pairs through untouched at zero device cost.
 		var pairs []kv.Pair
@@ -280,16 +280,7 @@ func (j *job) execReduceKernel(p *sim.Proc, ctx *cl.Context, c reduceChunk) redu
 
 	var st cl.Stats
 	st.Ops += j.app.ReduceCost.OpsPerBatch
-	var pairs []kv.Pair
-	var vol int64
-	emit := func(k, v []byte) {
-		st.Ops += j.app.ReduceCost.OpsPerEmit
-		st.AtomicOps++
-		pr := kv.Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)}
-		pairs = append(pairs, pr)
-		vol += pr.Size()
-		st.Bytes += float64(pr.Size())
-	}
+	var out kv.Batch
 	extraLaunches := 0
 	for _, g := range c.groups {
 		st.Ops += j.app.ReduceCost.OpsPerRecord +
@@ -299,7 +290,12 @@ func (j *job) execReduceKernel(p *sim.Proc, ctx *cl.Context, c reduceChunk) redu
 		if len(g.Values) > cfg.MaxValuesPerLaunch {
 			extraLaunches += (len(g.Values)-1)/cfg.MaxValuesPerLaunch + 1 - 1
 		}
-		j.app.Reduce(g.Key, g.Values, emit)
+		before, vol := out.Len(), out.Bytes()
+		j.app.ReduceBatch(g.Key, g.Values, &out)
+		emitted := float64(out.Len() - before)
+		st.Ops += j.app.ReduceCost.OpsPerEmit * emitted
+		st.AtomicOps += emitted
+		st.Bytes += float64(out.Bytes() - vol)
 	}
 	threads := cfg.ReduceThreads
 	if threads <= 0 {
@@ -312,5 +308,5 @@ func (j *job) execReduceKernel(p *sim.Proc, ctx *cl.Context, c reduceChunk) redu
 		ctx.EnqueueWrite(p, int64(extraLaunches)*scratchStateBytes)
 		ctx.EnqueueRead(p, int64(extraLaunches)*scratchStateBytes)
 	}
-	return reduceOut{task: c.task, pairs: pairs, volume: vol, last: c.last}
+	return reduceOut{task: c.task, pairs: out.Pairs(nil), volume: out.Bytes(), last: c.last}
 }

@@ -147,6 +147,33 @@ func TestBlockstoreKillRecovers(t *testing.T) {
 	checkWire(t, tel.Metrics, true)
 }
 
+// TestBlockstoreSoleHolderKilled: with one replica per block, a killed
+// worker takes the only copy of every block it was dealt with it. Its
+// unresolved tasks, and the resolved ones whose map output died with it,
+// can be served by no holder: the coordinator embeds the bytes in the
+// re-dispatched task frame, and the read books as remote.
+func TestBlockstoreSoleHolderKilled(t *testing.T) {
+	tel := obs.NewTelemetry()
+	o, want := bsWC(tel, "local")
+	o.Replication = 1
+	o.KillWorker = 1
+	o.KillAfterMapDone = 2
+	res, err := RunLoopback(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	if res.WorkersLost != 1 {
+		t.Fatalf("WorkersLost = %d, want 1", res.WorkersLost)
+	}
+	if remote := tel.Metrics.Counter("dist_read_remote_bytes_total").Value(); remote == 0 {
+		t.Fatal("no remote read: the dead worker's blocks reached no survivor over the wire")
+	}
+	checkWire(t, tel.Metrics, true)
+}
+
 // TestBlockstoreRestartResume: a coordinator crash and journal resume must
 // reconstruct the namespace (jrNamespace) instead of re-ingesting — the
 // workers' disks still hold their replicas — and finish byte-identical.

@@ -12,10 +12,9 @@
 //     connected through real 127.0.0.1 TCP sockets (RunLoopback). This is
 //     what tests, conformance and CI drive — the bytes genuinely cross the
 //     kernel's TCP stack.
-//   - multi-process: `cmd/glasswing -coordinator` serves a job and
-//     `cmd/distnode` (or `cmd/glasswing -worker`) joins from other
-//     processes or hosts; the application is resolved by name through the
-//     registry in registry.go.
+//   - multi-process: `cmd/distnode -serve` serves a job and `cmd/distnode
+//     -join` joins it from other processes or hosts (Serve, Join); the
+//     application is resolved by name through the registry in registry.go.
 //
 // Architecture (one job):
 //

@@ -162,9 +162,9 @@ func TestMapFaultReleasesChunk(t *testing.T) {
 	o.NewApp = testResolver(func() *core.App {
 		app := apps.WordCount()
 		kernel := app.MapBatch
-		app.MapBatch = func(recs []kv.Pair, out *kv.Batch) {
+		app.MapBatch = func(recs []kv.Pair, out kv.Sink) {
 			mu.Lock()
-			seen[out] = true
+			seen[out.(*kv.Batch)] = true // no combiner: the sink is the chunk's batch
 			mu.Unlock()
 			kernel(recs, out)
 		}

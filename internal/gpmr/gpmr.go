@@ -92,8 +92,8 @@ func (r *Result) Output() []kv.Pair {
 
 // Run executes app under GPMR's model and returns the result.
 func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
-	if app.Map == nil || app.Parse == nil {
-		return nil, fmt.Errorf("gpmr: app %q needs Parse and Map", app.Name)
+	if app.MapBatch == nil || app.Parse == nil {
+		return nil, fmt.Errorf("gpmr: app %q needs Parse and MapBatch", app.Name)
 	}
 	if len(cfg.Input) == 0 {
 		return nil, fmt.Errorf("gpmr: no input files")
@@ -259,32 +259,23 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 // execMap runs the map kernel over records, returning pairs and the launch
 // stats.
 func execMap(app *core.App, recs []kv.Pair, bytes int64, cfg Config, ctx *cl.Context) ([]kv.Pair, cl.Stats) {
-	var pairs []kv.Pair
-	emits := 0
-	emit := func(k, v []byte) {
-		pairs = append(pairs, kv.Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		emits++
-	}
+	var out kv.Batch
 	threads := cfg.KernelThreads
 	if threads <= 0 {
 		threads = 4 * ctx.Device.Profile.HWThreads
 	}
 	cl.Range(len(recs), threads, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			app.Map(recs[i], emit)
-		}
+		app.MapBatch(recs[lo:hi], &out)
 	})
+	emits := float64(out.Len())
 	st := cl.Stats{
 		Ops: app.MapCost.OpsPerRecord*float64(len(recs)) +
 			app.MapCost.OpsPerByte*float64(bytes) +
-			app.MapCost.OpsPerEmit*float64(emits),
-		AtomicOps: float64(emits),
+			app.MapCost.OpsPerEmit*emits,
+		AtomicOps: emits,
 		Bytes:     float64(bytes),
 	}
-	return pairs, st
+	return out.Pairs(nil), st
 }
 
 // partialReduce runs the combiner on-device over one chunk's pairs.
@@ -294,7 +285,7 @@ func partialReduce(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc)
 		buf.Add(pr)
 	}
 	buf.Sort()
-	var out []kv.Pair
+	var out kv.Batch
 	var ops float64
 	gi := kv.NewGroupIter(kv.NewSliceIter(buf.Pairs))
 	for {
@@ -303,28 +294,24 @@ func partialReduce(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc)
 			break
 		}
 		ops += app.CombineCost.OpsPerRecord + app.CombineCost.OpsPerValue*float64(len(g.Values))
-		app.Combine(g.Key, g.Values, func(k, v []byte) {
-			ops += app.CombineCost.OpsPerEmit
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		before := out.Len()
+		app.Combine(g.Key, g.Values, &out)
+		ops += app.CombineCost.OpsPerEmit * float64(out.Len()-before)
 	}
 	ctx.Launch(q, 4*ctx.Device.Profile.HWThreads, cl.Stats{
 		Ops:   ops + sortOpsGPU(buf.Len()),
 		Bytes: 2 * float64(buf.Bytes()),
 	})
-	return out
+	return out.Pairs(nil)
 }
 
 // reduceAll runs the reduce kernel over sorted pairs (identity when the app
 // has no reduce, like MM).
 func reduceAll(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc) []kv.Pair {
-	if app.Reduce == nil {
+	if app.ReduceBatch == nil {
 		return pairs
 	}
-	var out []kv.Pair
+	var out kv.Batch
 	var ops float64
 	var bytes float64
 	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
@@ -337,16 +324,12 @@ func reduceAll(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc) []k
 			app.ReduceCost.OpsPerValue*float64(len(g.Values)) +
 			app.ReduceCost.OpsPerByte*float64(g.Bytes())
 		bytes += float64(g.Bytes())
-		app.Reduce(g.Key, g.Values, func(k, v []byte) {
-			ops += app.ReduceCost.OpsPerEmit
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		before := out.Len()
+		app.ReduceBatch(g.Key, g.Values, &out)
+		ops += app.ReduceCost.OpsPerEmit * float64(out.Len()-before)
 	}
 	ctx.Launch(q, 4*ctx.Device.Profile.HWThreads, cl.Stats{Ops: ops, Bytes: bytes})
-	return out
+	return out.Pairs(nil)
 }
 
 // sortOpsGPU approximates a device sort of n pairs.

@@ -13,13 +13,13 @@ import (
 )
 
 func wcApp() *core.App {
-	sum := func(key []byte, values [][]byte, emit func(k, v []byte)) {
+	sum := func(key []byte, values [][]byte, out *kv.Batch) {
 		total := 0
 		for _, v := range values {
 			n, _ := strconv.Atoi(string(v))
 			total += n
 		}
-		emit(key, []byte(strconv.Itoa(total)))
+		out.AppendKV(key, []byte(strconv.Itoa(total)))
 	}
 	return &core.App{
 		Name: "wc",
@@ -33,15 +33,17 @@ func wcApp() *core.App {
 			return recs
 		},
 		ParseCostPerByte: 1,
-		Map: func(rec kv.Pair, emit func(k, v []byte)) {
-			for _, w := range strings.Fields(string(rec.Value)) {
-				emit([]byte(w), []byte("1"))
+		MapBatch: func(recs []kv.Pair, out kv.Sink) {
+			for _, rec := range recs {
+				for _, w := range strings.Fields(string(rec.Value)) {
+					out.AppendKV([]byte(w), []byte("1"))
+				}
 			}
 		},
 		MapCost:     core.CostModel{OpsPerRecord: 50, OpsPerByte: 8, OpsPerEmit: 20},
 		Combine:     sum,
 		CombineCost: core.CostModel{OpsPerRecord: 20, OpsPerValue: 10, OpsPerEmit: 20},
-		Reduce:      sum,
+		ReduceBatch: sum,
 		ReduceCost:  core.CostModel{OpsPerRecord: 20, OpsPerValue: 10, OpsPerEmit: 20},
 	}
 }

@@ -187,8 +187,8 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 	if cfg.Reducers == 0 {
 		cfg.Reducers = 4 * len(rt.Cluster.Nodes)
 	}
-	if app.Map == nil || app.Parse == nil {
-		return nil, fmt.Errorf("hadoop: app %q needs Parse and Map", app.Name)
+	if app.MapBatch == nil || app.Parse == nil {
+		return nil, fmt.Errorf("hadoop: app %q needs Parse and MapBatch", app.Name)
 	}
 	if len(cfg.Input) == 0 {
 		return nil, fmt.Errorf("hadoop: no input files")
@@ -396,14 +396,9 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 	node.HostWork(p, app.ParseCostPerByte*javaComputeFactor*float64(len(block)), 1)
 
 	// Map over all records into the sort buffer.
-	var buf kv.Buffer
-	emits := 0
-	for _, rec := range recs {
-		app.Map(rec, func(k, v []byte) {
-			buf.Add(kv.Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			emits++
-		})
-	}
+	var buf kv.Batch
+	app.MapBatch(recs, &buf)
+	emits := buf.Len()
 	mapOps := app.MapCost.OpsPerRecord*float64(len(recs)) +
 		app.MapCost.OpsPerByte*float64(len(block)) +
 		app.MapCost.OpsPerEmit*float64(emits)
@@ -415,7 +410,7 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 	spills := int(buf.Bytes()/cfg.SortBuffer) + 1
 	out := &mapOutput{node: node, runs: make(map[int]*kv.Run)}
 	perReducer := make(map[int]*kv.Buffer)
-	for _, pr := range buf.Pairs {
+	for _, pr := range buf.Pairs(nil) {
 		r := cfg.Partitioner(pr.Key, cfg.Reducers)
 		b := perReducer[r]
 		if b == nil {
@@ -455,18 +450,13 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 // combinePairs applies the app combiner over sorted pairs.
 func combinePairs(app *core.App, pairs []kv.Pair) []kv.Pair {
 	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
-	var out []kv.Pair
+	var out kv.Batch
 	for {
 		g, ok := gi.Next()
 		if !ok {
-			return out
+			return out.Pairs(nil)
 		}
-		app.Combine(g.Key, g.Values, func(k, v []byte) {
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		app.Combine(g.Key, g.Values, &out)
 	}
 }
 
@@ -518,7 +508,7 @@ func (j *job) reducerTask(p *sim.Proc, node *hw.Node, r int, slots *sim.Resource
 	}
 	computeStart := p.Now()
 	gi := kv.NewGroupIter(kv.Merge(iters...))
-	var out []kv.Pair
+	var red kv.Batch
 	var ops float64
 	var nvals int
 	for {
@@ -530,20 +520,17 @@ func (j *job) reducerTask(p *sim.Proc, node *hw.Node, r int, slots *sim.Resource
 		ops += j.app.ReduceCost.OpsPerRecord +
 			j.app.ReduceCost.OpsPerValue*float64(len(g.Values)) +
 			j.app.ReduceCost.OpsPerByte*float64(g.Bytes())
-		if j.app.Reduce == nil {
+		if j.app.ReduceBatch == nil {
 			for _, v := range g.Values {
-				out = append(out, kv.Pair{Key: g.Key, Value: v})
+				red.AppendKV(g.Key, v)
 			}
 			continue
 		}
-		j.app.Reduce(g.Key, g.Values, func(k, v []byte) {
-			ops += j.app.ReduceCost.OpsPerEmit
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		before := red.Len()
+		j.app.ReduceBatch(g.Key, g.Values, &red)
+		ops += j.app.ReduceCost.OpsPerEmit * float64(red.Len()-before)
 	}
+	out := red.Pairs(nil)
 	node.HostWork(p, ops*javaComputeFactor+javaPerRecordOps*float64(nvals+len(out)), 1)
 	blob := kv.Marshal(out)
 	node.HostWork(p, costSerializeJava*float64(len(blob)), 1)

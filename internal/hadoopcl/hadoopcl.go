@@ -128,8 +128,8 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 	if cfg.Reducers == 0 {
 		cfg.Reducers = 4 * len(rt.Cluster.Nodes)
 	}
-	if app.Map == nil || app.Parse == nil {
-		return nil, fmt.Errorf("hadoopcl: app %q needs Parse and Map", app.Name)
+	if app.MapBatch == nil || app.Parse == nil {
+		return nil, fmt.Errorf("hadoopcl: app %q needs Parse and MapBatch", app.Name)
 	}
 	if len(cfg.Input) == 0 {
 		return nil, fmt.Errorf("hadoopcl: no input files")
@@ -230,21 +230,12 @@ func mapTask(p *sim.Proc, rt *Runtime, ctx *cl.Context, app *core.App, cfg Confi
 	p.Delay(aparapiLaunchSecs)
 
 	// One kernel launch over the whole split.
-	var pairs []kv.Pair
-	var emitted int64
-	emit := func(k, v []byte) {
-		pairs = append(pairs, kv.Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		emitted += int64(len(k) + len(v))
-	}
+	var mapped kv.Batch
 	threads := ctx.Device.Profile.HWThreads
 	cl.Range(len(recs), threads, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			app.Map(recs[i], emit)
-		}
+		app.MapBatch(recs[lo:hi], &mapped)
 	})
+	pairs, emitted := mapped.Pairs(nil), mapped.Bytes()
 	ctx.EnqueueWrite(p, int64(len(block)))
 	ctx.Launch(p, threads, cl.Stats{
 		Ops: app.MapCost.OpsPerRecord*float64(len(recs)) +
@@ -294,18 +285,13 @@ func mapTask(p *sim.Proc, rt *Runtime, ctx *cl.Context, app *core.App, cfg Confi
 
 func combine(app *core.App, pairs []kv.Pair) []kv.Pair {
 	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
-	var out []kv.Pair
+	var out kv.Batch
 	for {
 		g, ok := gi.Next()
 		if !ok {
-			return out
+			return out.Pairs(nil)
 		}
-		app.Combine(g.Key, g.Values, func(k, v []byte) {
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		app.Combine(g.Key, g.Values, &out)
 	}
 }
 
@@ -331,7 +317,7 @@ func reduceTask(p *sim.Proc, rt *Runtime, app *core.App, cfg Config, node *hw.No
 		iters[i] = run.Iter()
 	}
 	gi := kv.NewGroupIter(kv.Merge(iters...))
-	var out []kv.Pair
+	var red kv.Batch
 	var ops float64
 	for {
 		g, ok := gi.Next()
@@ -339,19 +325,15 @@ func reduceTask(p *sim.Proc, rt *Runtime, app *core.App, cfg Config, node *hw.No
 			break
 		}
 		ops += app.ReduceCost.OpsPerRecord + app.ReduceCost.OpsPerValue*float64(len(g.Values))
-		if app.Reduce == nil {
+		if app.ReduceBatch == nil {
 			for _, v := range g.Values {
-				out = append(out, kv.Pair{Key: g.Key, Value: v})
+				red.AppendKV(g.Key, v)
 			}
 			continue
 		}
-		app.Reduce(g.Key, g.Values, func(k, v []byte) {
-			out = append(out, kv.Pair{
-				Key:   append([]byte(nil), k...),
-				Value: append([]byte(nil), v...),
-			})
-		})
+		app.ReduceBatch(g.Key, g.Values, &red)
 	}
+	out := red.Pairs(nil)
 	node.HostWork(p, ops*javaComputeFactor+javaPerRecordOps*float64(pairsN+len(out)), 1)
 	blob := kv.Marshal(out)
 	if _, err := rt.FS.Write(p, node, fmt.Sprintf("%s-%05d", cfg.OutputPath, r), blob, cfg.OutputReplication); err != nil {

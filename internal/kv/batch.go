@@ -7,6 +7,22 @@ import (
 	"slices"
 )
 
+// Sink is where a map kernel puts the pairs it emits. AppendKV copies key
+// and value before it returns — it never retains either slice — so a kernel
+// may emit views into its input or encode every pair into one scratch
+// buffer it overwrites for the next. A Sink is used by one kernel call at a
+// time.
+type Sink interface {
+	AppendKV(key, value []byte)
+}
+
+// EmitFunc adapts a function to a Sink, for a consumer that takes pairs one
+// at a time. The function holds the Sink contract: it copies what it keeps.
+type EmitFunc func(key, value []byte)
+
+// AppendKV calls f.
+func (f EmitFunc) AppendKV(key, value []byte) { f(key, value) }
+
 // pairIdx locates one pair inside a Batch slab: the key starts at off, the
 // value follows it immediately. Twelve bytes per record keeps sort swaps and
 // partition scatter cheap — moving an index entry never moves payload.

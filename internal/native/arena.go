@@ -26,7 +26,7 @@ type slot struct {
 }
 
 // entry is one distinct key: its bytes in the arena, and its chain — a
-// buffer in the arena holding the values as length-prefixed frames, oldest
+// buffer in the arena with the values as length-prefixed frames, oldest
 // first. A buffer that fills moves to one twice the size; a fold empties it
 // in place, so a hot key keeps writing the same few cache lines. Entries
 // are appended in first-emission order, which is the order flush walks them
@@ -53,18 +53,11 @@ type combiner struct {
 	arena   []byte
 	slots   []slot // power-of-two length, at most half full
 	entries []entry
-	chain   [][]byte // fold's view of one chain
+	chain   [][]byte // take's view of one chain
 
-	combine core.ReduceFunc
-	out     func(k, v []byte) // the chunk's output
-
-	// The fold in progress: its key, how many pairs Combine has emitted,
-	// and a copy of the first while it may still become the chain's head.
-	foldKey  []byte
-	emitted  int
-	held     []byte
-	holding  bool
-	refoldFn func(k, v []byte) // c.refold, bound once
+	combine core.ReduceBatchFunc
+	out     *kv.Batch // the chunk's output
+	folded  kv.Batch  // what one mid-block Combine call emitted
 }
 
 // alloc reserves n bytes of arena and returns their offset. Growing the
@@ -80,13 +73,15 @@ func (c *combiner) alloc(n int) uint32 {
 
 var hashSeed = maphash.MakeSeed()
 
-// emit adds one pair to the table.
-func (c *combiner) emit(k, v []byte) {
+// AppendKV adds one pair to the table: it is the map kernel's kv.Sink when
+// the job combines.
+func (c *combiner) AppendKV(k, v []byte) {
 	h := maphash.Bytes(hashSeed, k)
 	c.add(uint32(h>>32)|1<<31, k, v)
 }
 
-// add is emit with the key's tag given, which lets a test force collisions.
+// add is AppendKV with the key's tag given, which lets a test force
+// collisions.
 func (c *combiner) add(tag uint32, k, v []byte) {
 	mask := uint32(len(c.slots) - 1)
 	i := tag & mask
@@ -100,7 +95,7 @@ func (c *combiner) add(tag uint32, k, v []byte) {
 			if string(c.arena[e.key:e.key+e.klen]) == string(k) {
 				c.push(e, v)
 				if e.n == chainMax {
-					c.fold(e, c.refoldFn)
+					c.fold(e)
 				}
 				return
 			}
@@ -157,41 +152,35 @@ func (c *combiner) push(e *entry, v []byte) {
 	e.n++
 }
 
-// fold runs App.Combine over e's chain and empties it.
-func (c *combiner) fold(e *entry, sink func(k, v []byte)) {
-	vals := c.chain[:0]
+// take empties e's chain and returns its key and values, oldest first, as
+// views into the arena that the next push may overwrite.
+func (c *combiner) take(e *entry) (key []byte, vals [][]byte) {
+	vals = c.chain[:0]
 	for b := c.arena[e.buf : e.buf+e.used]; len(b) > 0; {
 		end := frameHdr + binary.LittleEndian.Uint32(b)
 		vals = append(vals, b[frameHdr:end:end])
 		b = b[end:]
 	}
-	c.foldKey = c.arena[e.key : e.key+e.klen : e.key+e.klen]
-	c.emitted = 0
-	c.combine(c.foldKey, vals, sink)
 	e.used, e.n = 0, 0
-	if c.holding {
-		c.holding = false
-		c.push(e, c.held)
-	}
+	return c.arena[e.key : e.key+e.klen : e.key+e.klen], vals
 }
 
-// refold receives what Combine emits when a chain fills mid-block. A sole
-// pair under the chain's own key becomes the chain's new head — once
-// Combine has returned, since it may still be reading the chain; anything
-// else — another key, several pairs — is combiner output like any other
-// and goes to the chunk's output as it stands.
-func (c *combiner) refold(k, v []byte) {
-	c.emitted++
-	if c.emitted == 1 && string(k) == string(c.foldKey) {
-		c.held = append(c.held[:0], v...)
-		c.holding = true
-		return
+// fold combines a chain that filled mid-block. A sole pair under the
+// chain's own key becomes the chain's new head; anything else — another
+// key, no pair, several pairs — is combiner output like any other and goes
+// to the chunk's output as it stands.
+func (c *combiner) fold(e *entry) {
+	key, vals := c.take(e)
+	c.combine(key, vals, &c.folded)
+	if c.folded.Len() == 1 && string(c.folded.Pair(0).Key) == string(key) {
+		c.push(e, c.folded.Pair(0).Value)
+	} else {
+		for i := 0; i < c.folded.Len(); i++ {
+			p := c.folded.Pair(i)
+			c.out.AppendKV(p.Key, p.Value)
+		}
 	}
-	if c.holding {
-		c.holding = false
-		c.out(c.foldKey, c.held)
-	}
-	c.out(k, v)
+	c.folded.Reset()
 }
 
 // flush combines what is left of every chain into the chunk's output, in
@@ -199,7 +188,8 @@ func (c *combiner) refold(k, v []byte) {
 func (c *combiner) flush() {
 	for i := range c.entries {
 		if e := &c.entries[i]; e.n > 0 {
-			c.fold(e, c.out)
+			key, vals := c.take(e)
+			c.combine(key, vals, c.out)
 		}
 	}
 }
@@ -221,16 +211,14 @@ func (c *combiner) reset() {
 type Chunk struct {
 	batch   kv.Batch // the chunk's output
 	tab     combiner
-	window  kv.Batch // batch-kernel output on its way into tab
-	records int      // parsed input records the kernel consumed
+	records int // parsed input records the kernel consumed
 }
 
 func newChunk() *Chunk {
 	c := &Chunk{}
 	c.tab.slots = make([]slot, 1024)
 	c.tab.chain = make([][]byte, chainMax)
-	c.tab.out = c.batch.AppendKV
-	c.tab.refoldFn = c.tab.refold
+	c.tab.out = &c.batch
 	return c
 }
 
@@ -242,7 +230,6 @@ func getChunk() *Chunk { return chunkPool.Get().(*Chunk) }
 // after this call.
 func (c *Chunk) Release() {
 	c.tab.reset()
-	c.window.Reset()
 	c.batch.Reset()
 	chunkPool.Put(c)
 }

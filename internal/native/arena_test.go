@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"glasswing/internal/apps"
+	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
 
 // concat is an order-sensitive, associative combiner: folding a chain in
 // any head-replacing windows must give the concatenation of the key's
 // values in emission order, or a value was lost, repeated or reordered.
-func concat(key []byte, values [][]byte, emit func(k, v []byte)) {
-	emit(key, bytes.Join(values, nil))
+func concat(key []byte, values [][]byte, out *kv.Batch) {
+	out.AppendKV(key, bytes.Join(values, nil))
 }
 
 // resetChunk is Release without the pool, so a test keeps the same state
@@ -62,7 +63,7 @@ func TestCombinerMatchesModel(t *testing.T) {
 			if len(k) > 0 && k[len(k)-1]%3 == 0 {
 				c.tab.add(1<<31|7, k, v)
 			} else {
-				c.tab.emit(k, v)
+				c.tab.AppendKV(k, v)
 			}
 		}
 		c.tab.flush()
@@ -99,16 +100,16 @@ func TestCombinerChainLengths(t *testing.T) {
 	} {
 		c := newChunk()
 		var calls []int
-		c.tab.combine = func(key []byte, values [][]byte, emit func(k, v []byte)) {
+		c.tab.combine = func(key []byte, values [][]byte, out *kv.Batch) {
 			calls = append(calls, len(values))
 			if len(calls) > 1 && !bytes.HasPrefix(values[0], []byte{0}) {
 				t.Fatalf("n=%d: call %d does not start with the earlier result: %x", n, len(calls), values[0])
 			}
-			concat(key, values, emit)
+			concat(key, values, out)
 		}
 		var all []byte
 		for i := 0; i < n; i++ {
-			c.tab.emit([]byte("k"), []byte{byte(i)})
+			c.tab.AppendKV([]byte("k"), []byte{byte(i)})
 			all = append(all, byte(i))
 		}
 		c.tab.flush()
@@ -141,7 +142,7 @@ func TestCombinerStateReuse(t *testing.T) {
 		// past — or worse, into — the new generation's entries.
 		keys := 3000 >> gen
 		for i := 0; i < 4*keys; i++ {
-			c.tab.emit([]byte(fmt.Sprintf("gen%d-key%d", gen, i%keys)), []byte{byte(gen), byte(i / keys)})
+			c.tab.AppendKV([]byte(fmt.Sprintf("gen%d-key%d", gen, i%keys)), []byte{byte(gen), byte(i / keys)})
 		}
 		c.tab.flush()
 		if c.batch.Len() != keys {
@@ -166,12 +167,12 @@ func TestCombinerOddOutput(t *testing.T) {
 	const n = 3*chainMax + 5
 	emitAll := func(c *Chunk) (all []byte) {
 		for i := 0; i < n; i++ {
-			c.tab.emit([]byte("a"), []byte{byte(i)})
-			c.tab.emit([]byte("b"), []byte{byte(i)})
+			c.tab.AppendKV([]byte("a"), []byte{byte(i)})
+			c.tab.AppendKV([]byte("b"), []byte{byte(i)})
 			if i < chainMax {
 				// Exactly one full chain: empty when the block ends unless
 				// the combiner handed back a head.
-				c.tab.emit([]byte("c"), []byte{byte(i)})
+				c.tab.AppendKV([]byte("c"), []byte{byte(i)})
 			}
 			all = append(all, byte(i))
 		}
@@ -196,9 +197,9 @@ func TestCombinerOddOutput(t *testing.T) {
 
 	t.Run("renames", func(t *testing.T) {
 		c := newChunk()
-		c.tab.combine = func(key []byte, values [][]byte, emit func(k, v []byte)) {
+		c.tab.combine = func(key []byte, values [][]byte, out *kv.Batch) {
 			nonEmpty(values)
-			emit(append([]byte("x-"), key...), bytes.Join(values, nil))
+			out.AppendKV(append([]byte("x-"), key...), bytes.Join(values, nil))
 		}
 		all := emitAll(c)
 		for _, k := range []string{"x-a", "x-b"} {
@@ -212,7 +213,7 @@ func TestCombinerOddOutput(t *testing.T) {
 	})
 	t.Run("emits nothing", func(t *testing.T) {
 		c := newChunk()
-		c.tab.combine = func(key []byte, values [][]byte, emit func(k, v []byte)) { nonEmpty(values) }
+		c.tab.combine = func(key []byte, values [][]byte, out *kv.Batch) { nonEmpty(values) }
 		emitAll(c)
 		if c.batch.Len() != 0 {
 			t.Fatalf("%d pairs from a combiner that emits none", c.batch.Len())
@@ -220,10 +221,10 @@ func TestCombinerOddOutput(t *testing.T) {
 	})
 	t.Run("emits two", func(t *testing.T) {
 		c := newChunk()
-		c.tab.combine = func(key []byte, values [][]byte, emit func(k, v []byte)) {
+		c.tab.combine = func(key []byte, values [][]byte, out *kv.Batch) {
 			nonEmpty(values)
-			emit(key, bytes.Join(values[:len(values)/2], nil))
-			emit(key, bytes.Join(values[len(values)/2:], nil))
+			out.AppendKV(key, bytes.Join(values[:len(values)/2], nil))
+			out.AppendKV(key, bytes.Join(values[len(values)/2:], nil))
 		}
 		all := emitAll(c)
 		for _, k := range []string{"a", "b"} {
@@ -234,11 +235,12 @@ func TestCombinerOddOutput(t *testing.T) {
 		}
 	})
 	t.Run("same key then another", func(t *testing.T) {
-		// The first pair looks like a chain head until the second arrives.
+		// The first pair alone would be a chain head; the second makes both
+		// plain output.
 		c := newChunk()
-		c.tab.combine = func(key []byte, values [][]byte, emit func(k, v []byte)) {
-			emit(key, bytes.Join(values, nil))
-			emit([]byte("other"), []byte{byte(len(values))})
+		c.tab.combine = func(key []byte, values [][]byte, out *kv.Batch) {
+			out.AppendKV(key, bytes.Join(values, nil))
+			out.AppendKV([]byte("other"), []byte{byte(len(values))})
 		}
 		all := emitAll(c)
 		if got, _ := joined(c, "a"); !bytes.Equal(got, all) {
@@ -275,7 +277,7 @@ func TestFoldIsBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		vals [][]byte
-		comb func(key []byte, values [][]byte, emit func(k, v []byte))
+		comb core.ReduceBatchFunc
 	}{
 		{"KMeans agg", kmVals, km.Combine},
 		{"sumCounts", wcVals, wc.Combine},
@@ -283,12 +285,13 @@ func TestFoldIsBitIdentical(t *testing.T) {
 		for _, n := range []int{1, chainMax - 1, chainMax, chainMax + 1, 2*chainMax + 1, 1000, len(tc.vals)} {
 			vals := tc.vals[:n]
 			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-			var want []byte
-			tc.comb([]byte("key"), vals, func(k, v []byte) { want = append([]byte(nil), v...) })
+			var whole kv.Batch
+			tc.comb([]byte("key"), vals, &whole)
+			want := whole.Pair(0).Value
 			c := newChunk()
 			c.tab.combine = tc.comb
 			for _, v := range vals {
-				c.tab.emit([]byte("key"), v)
+				c.tab.AppendKV([]byte("key"), v)
 			}
 			c.tab.flush()
 			if c.batch.Len() != 1 || !bytes.Equal(c.batch.Pair(0).Value, want) {

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkMapBlock is the map kernel and collector alone — parse, map,
 // collect, release — over one 1 MiB block of Zipf text shaped like the
-// benchmark's wc-zipf input. With the combiner every word goes through the
-// combining table; without it the batch kernel writes the chunk's output
+// benchmark's wc-zipf input. With the combiner the kernel's sink is the
+// combining table; without it the kernel writes the chunk's output
 // directly, which is the cost the table adds to.
 func BenchmarkMapBlock(b *testing.B) {
 	block := workload.WikiText(7, 1<<20, 41943)

@@ -120,8 +120,8 @@ func (r *Result) Output() []kv.Pair {
 // package dfs's SplitLines/SplitFixed do this for text and fixed records).
 func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if app.Map == nil || app.Parse == nil {
-		return nil, fmt.Errorf("native: app %q needs Parse and Map", app.Name)
+	if app.MapBatch == nil || app.Parse == nil {
+		return nil, fmt.Errorf("native: app %q needs Parse and MapBatch", app.Name)
 	}
 	if cfg.UseCombiner && (app.Combine == nil || cfg.Collector != core.HashTable) {
 		return nil, fmt.Errorf("native: combiner requires App.Combine and the hash-table collector")

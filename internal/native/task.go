@@ -26,51 +26,26 @@ type MapStats struct {
 // chunk to Partition, or Release it, exactly once.
 //
 // The collector matters only to the combiner, which needs per-key grouping:
-// it runs with the hash-table collector and an App.Combine, and then every
-// emitted pair goes through the chunk's combining table. Otherwise both
-// collectors emit the same pair multiset, and the kernel writes straight
-// into the chunk's output.
+// it runs with the hash-table collector and an App.Combine, and then the
+// kernel's sink is the chunk's combining table. Otherwise both collectors
+// emit the same pair multiset, and the kernel writes straight into the
+// chunk's output.
 func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
+	var sink kv.Sink = &c.batch
 	combine := useCombiner && collector == core.HashTable && app.Combine != nil
-	emit := c.batch.AppendKV
 	if combine {
 		c.tab.combine = app.Combine
-		emit = c.tab.emit
+		sink = &c.tab
 	}
-	switch {
-	case app.MapBatch == nil:
-		for _, rec := range recs {
-			app.Map(rec, emit)
-		}
-	case !combine:
-		app.MapBatch(recs, &c.batch)
-	default:
-		// The batch kernel runs over a window of records at a time, so the
-		// pairs it hands the table are still in cache when they are folded
-		// and the scratch batch stays a few tens of KiB whatever the block.
-		for len(recs) > 0 {
-			n := min(len(recs), windowRecords)
-			app.MapBatch(recs[:n], &c.window)
-			for i := 0; i < c.window.Len(); i++ {
-				p := c.window.Pair(i)
-				c.tab.emit(p.Key, p.Value)
-			}
-			c.window.Reset()
-			recs = recs[n:]
-		}
-	}
+	app.MapBatch(recs, sink)
 	if combine {
 		c.tab.flush()
 	}
 	return c
 }
-
-// windowRecords is how many records the batch kernel maps between two
-// drains of its output into the combining table.
-const windowRecords = 256
 
 // Partition splits the chunk's pairs n ways with part, sorts each partition
 // and serializes it into a run (runs[g] is nil for an empty partition), then
@@ -106,19 +81,13 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 // kernel consumed (groups is 0 on the reduce-less path, which never groups).
 func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
 	merged := kv.Merge(iters...)
-	if app.Reduce == nil && app.ReduceBatch == nil {
+	if app.ReduceBatch == nil {
 		out = kv.Drain(merged)
 		return out, int64(len(out)), 0
 	}
-	// A batch kernel appends its output into one partition-owned slab; the
+	// The kernel appends its output into one partition-owned slab; the
 	// returned pairs are views into it, so there is no per-pair copy-out.
 	var slab kv.Batch
-	emit := func(k, v []byte) {
-		out = append(out, kv.Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-	}
 	gi := kv.NewGroupIter(merged)
 	for {
 		grp, ok := gi.Next()
@@ -127,14 +96,7 @@ func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records
 		}
 		records += int64(len(grp.Values))
 		groups++
-		if app.ReduceBatch != nil {
-			app.ReduceBatch(grp.Key, grp.Values, &slab)
-		} else {
-			app.Reduce(grp.Key, grp.Values, emit)
-		}
+		app.ReduceBatch(grp.Key, grp.Values, &slab)
 	}
-	if app.ReduceBatch != nil {
-		out = slab.Pairs(nil)
-	}
-	return out, records, groups
+	return slab.Pairs(nil), records, groups
 }

@@ -43,7 +43,7 @@ func pinnedCfg() native.Config {
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
-			// The allocation-critical path: no combiner, so the batch kernel
+			// The allocation-critical path: no combiner, so the map kernel
 			// writes every occurrence into the chunk's columnar output and
 			// all of them reach the partitioner. No table is involved — the
 			// collector shows only under a combiner — so this row and
