@@ -82,7 +82,6 @@ func TestWordCountEdgeCases(t *testing.T) {
 			}
 			cfg := tc.cfg
 			cfg.KernelWorkers = 4
-			cfg.PartitionThreads = 2
 			cfg.Partitions = 3
 			if cfg.CacheThreshold > 0 {
 				cfg.SpillDir = t.TempDir()
@@ -104,27 +103,26 @@ func TestWordCountEdgeCases(t *testing.T) {
 
 // TestNativeWorkerCountStability asserts the worker-count property the
 // conformance matrix samples, directly at the native API: the same job run
-// with 1 vs 8 kernel workers (and 1 vs 4 partition threads) must produce
-// pairwise-identical output — parallelism is pure execution geometry.
+// with 1 vs 8 map workers must produce pairwise-identical output —
+// parallelism is pure execution geometry.
 func TestNativeWorkerCountStability(t *testing.T) {
 	data, want := WCData(11, 48<<10, 900)
 	blocks := dfs.SplitLines(data, 6<<10)
-	run := func(kw, pt int) []kv.Pair {
+	run := func(kw int) []kv.Pair {
 		res, err := native.Run(WordCount(), blocks, native.Config{
-			KernelWorkers:    kw,
-			PartitionThreads: pt,
-			Partitions:       5,
+			KernelWorkers: kw,
+			Partitions:    5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Output()
 	}
-	serial := run(1, 1)
+	serial := run(1)
 	if err := VerifyCounts(serial, want); err != nil {
 		t.Fatal(err)
 	}
-	wide := run(8, 4)
+	wide := run(8)
 	if len(serial) != len(wide) {
 		t.Fatalf("output size changed with worker count: %d vs %d pairs", len(serial), len(wide))
 	}
@@ -158,11 +156,10 @@ func TestTeraSortEdgeCases(t *testing.T) {
 				blocks = dfs.SplitFixed(tc.data, 512, workload.TeraRecordSize)
 			}
 			res, err := native.Run(TeraSort(), blocks, native.Config{
-				KernelWorkers:    2,
-				PartitionThreads: 1,
-				Partitions:       4,
-				Collector:        core.BufferPool,
-				Partitioner:      TeraPartitioner(tc.data, 4),
+				KernelWorkers: 2,
+				Partitions:    4,
+				Collector:     core.BufferPool,
+				Partitioner:   TeraPartitioner(tc.data, 4),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -331,11 +331,11 @@ type nativeVariant struct {
 // the spill/read-back path is genuinely exercised.
 func nativeVariants(j Job) []nativeVariant {
 	vs := []nativeVariant{
-		{axis: "baseline", name: "kw4-pt2"},
+		{axis: "baseline", name: "kw4"},
 		{axis: "chunk", name: "half-block", blockMul: 0.5},
 		{axis: "chunk", name: "double-block", blockMul: 2},
-		{axis: "workers", name: "kw1-pt1", mutate: func(c *native.Config) { c.KernelWorkers, c.PartitionThreads = 1, 1 }},
-		{axis: "workers", name: "kw8-pt4", mutate: func(c *native.Config) { c.KernelWorkers, c.PartitionThreads = 8, 4 }},
+		{axis: "workers", name: "kw1", mutate: func(c *native.Config) { c.KernelWorkers = 1 }},
+		{axis: "workers", name: "kw8", mutate: func(c *native.Config) { c.KernelWorkers = 8 }},
 		{axis: "partitions", name: "p2", mutate: func(c *native.Config) { c.Partitions = 2 }},
 		{axis: "partitions", name: "p13", mutate: func(c *native.Config) { c.Partitions = 13 }},
 		{axis: "compress", name: "deflate", mutate: func(c *native.Config) { c.Compress = true }},
@@ -344,8 +344,6 @@ func nativeVariants(j Job) []nativeVariant {
 			c.Compress = true
 			c.CacheThreshold = 4 << 10
 		}},
-		{axis: "overlap", name: "single-buffer", mutate: func(c *native.Config) { c.Buffering = 1 }},
-		{axis: "overlap", name: "triple-buffer", mutate: func(c *native.Config) { c.Buffering = 3 }},
 	}
 	if j.Collector == core.HashTable {
 		vs = append(vs, nativeVariant{axis: "collector", name: "buffer-pool",
@@ -368,13 +366,11 @@ func runNativeApp(j Job, exp Expected, opt Options, add func(Cell)) {
 		}
 		cell := Cell{Runtime: "native", App: j.Name, Axis: v.axis, Variant: v.name}
 		cfg := native.Config{
-			KernelWorkers:    4,
-			PartitionThreads: 2,
-			Partitions:       4,
-			Buffering:        2,
-			Collector:        j.Collector,
-			Partitioner:      j.Partitioner,
-			Telemetry:        obs.NewTelemetry(),
+			KernelWorkers: 4,
+			Partitions:    4,
+			Collector:     j.Collector,
+			Partitioner:   j.Partitioner,
+			Telemetry:     obs.NewTelemetry(),
 		}
 		if v.mutate != nil {
 			v.mutate(&cfg)

@@ -15,3 +15,17 @@ type MapBatchFunc func(recs []kv.Pair, out kv.Sink)
 // kv.Sink: a value encoded into stack scratch would escape to the heap
 // through an interface call, one allocation per group.
 type ReduceBatchFunc func(key []byte, values [][]byte, out *kv.Batch)
+
+// CombineSorted applies the app's combiner to each key group of sorted
+// pairs: the map-side combine of the engines that sort before they combine.
+func CombineSorted(app *App, pairs []kv.Pair) []kv.Pair {
+	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
+	var out kv.Batch
+	for {
+		g, ok := gi.Next()
+		if !ok {
+			return out.Pairs(nil)
+		}
+		app.Combine(g.Key, g.Values, &out)
+	}
+}

@@ -1,10 +1,7 @@
 package dist
 
 import (
-	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"time"
 
 	"glasswing/internal/kv"
@@ -13,10 +10,8 @@ import (
 // attemptKey identifies one execution of one map task.
 type attemptKey struct{ task, attempt int }
 
-// committedRun is one run the store has accepted, tagged with the task that
-// produced it so a re-homed partition can be handed to its new owner with
-// enough identity for destination-side dedup. Whether its bytes are resident
-// or filed (the out-of-core path) is the run's own business.
+// committedRun is a run and the map task that produced it: kv.TaskRun as
+// takePartition's caller reads it, and a handed-off run awaiting its mark.
 type committedRun struct {
 	task int
 	run  *kv.Run
@@ -53,55 +48,58 @@ type stagedRun struct {
 // delivery commit alongside the handed-off copy at the partition's next
 // home. Duplicates and stale-epoch runs are dropped and accounted.
 //
-// Not self-locking: callers hold the owning worker's mutex.
+// What is committed lives in a kv.RunStore, the run lists and spill policy
+// the native runtime uses too; this type keeps what is protocol — staging,
+// the dedup set, the epoch fence, handoff — and that is not self-locking:
+// callers hold the owning worker's mutex.
 type shuffleStore struct {
-	epoch      int
-	partitions map[int][]committedRun            // committed runs per home partition
-	have       map[int]map[int]bool              // task → partitions committed here
-	staged     map[attemptKey]map[int]stagedRun  // uncommitted shuffle arrivals
-	handoff    map[int]map[int][]stagedHandoff   // partition → epoch → staged handoff runs
+	epoch   int
+	runs    *kv.RunStore                     // committed runs per home partition
+	have    map[int]map[int]bool             // task → partitions committed here
+	staged  map[attemptKey]map[int]stagedRun // uncommitted shuffle arrivals
+	handoff map[int]map[int][]committedRun   // partition → epoch → staged handoff runs
 
-	// Out-of-core spill state: once resident committed bytes exceed
-	// spillLimit (> 0), the biggest partition's runs are filed (kv.Run.Spill);
-	// the reduce path k-way merges resident and filed runs together. The
-	// dir provider creates the worker's scratch directory lazily so jobs
-	// that never spill never touch the disk.
-	spillLimit   int64
-	spillDir     func() (string, error)
-	spillLed     *ledger
-	spillTr      *tracer
-	journal      *slog.Logger
-	spillSeq     int
-	resident     int64
-	residentPart map[int]int64
-}
-
-// stagedHandoff is one handed-off committed run awaiting its handoff mark.
-type stagedHandoff struct {
-	task int
-	run  *kv.Run
+	// Set by enableSpill: where spill files go (the worker's scratch dir,
+	// created lazily so jobs that never spill never touch the disk) and who
+	// hears about them.
+	spillDir func() (string, error)
+	spillLed *ledger
+	spillTr  *tracer
+	journal  *slog.Logger
 }
 
 func newShuffleStore() *shuffleStore {
-	return &shuffleStore{
-		partitions:   make(map[int][]committedRun),
-		have:         make(map[int]map[int]bool),
-		staged:       make(map[attemptKey]map[int]stagedRun),
-		handoff:      make(map[int]map[int][]stagedHandoff),
-		residentPart: make(map[int]int64),
+	s := &shuffleStore{
+		have:    make(map[int]map[int]bool),
+		staged:  make(map[attemptKey]map[int]stagedRun),
+		handoff: make(map[int]map[int][]committedRun),
 	}
+	// Limit 0: the store never asks for a directory until enableSpill.
+	s.runs = kv.NewRunStore(0, func() (string, error) { return s.spillDir() }, s.spilled)
+	return s
 }
 
 // enableSpill arms the out-of-core path: resident committed runs beyond
-// limit bytes are evicted to run files under dir(). led, tr and journal (all
-// optional) receive the conserv_spill_* accounting, the spill spans, and
-// the one line written if a disk error disarms spilling.
+// limit bytes are evicted to run files under dir(). led receives the
+// conserv_spill_* accounting; tr and journal (both optional) the spill
+// spans and the one line written if a disk error disarms spilling.
 func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *tracer, journal *slog.Logger) {
-	s.spillLimit = limit
 	s.spillDir = dir
 	s.spillLed = led
 	s.spillTr = tr
 	s.journal = journal
+	s.runs.SetLimit(limit)
+}
+
+// spilled is the run store's hook: one run was filed, its write begun at t0.
+func (s *shuffleStore) spilled(run *kv.Run, t0 time.Time) {
+	s.spillLed.spillRecords.Add(int64(run.Records))
+	s.spillLed.spillRawBytes.Add(run.RawBytes)
+	s.spillLed.spillStoredBytes.Add(run.StoredBytes())
+	s.spillLed.spillFiles.Add(1)
+	if s.spillTr != nil {
+		s.spillTr.record(stageSpill, t0, time.Now(), 0)
+	}
 }
 
 // setEpoch advances the store's membership epoch; staged runs from older
@@ -136,138 +134,45 @@ func (s *shuffleStore) commit(task, attempt int) (accepted, dupped int64) {
 			dupped += int64(sr.run.Records)
 			continue
 		}
-		if s.have[task] == nil {
-			s.have[task] = make(map[int]bool)
-		}
-		s.have[task][part] = true
-		s.addCommitted(part, committedRun{task: task, run: sr.run})
+		s.addCommitted(part, task, sr.run)
 		accepted += int64(sr.run.Records)
 	}
-	s.maybeSpill()
 	return accepted, dupped
 }
 
-// addCommitted appends one committed run (always resident on arrival) and
-// books its bytes.
-func (s *shuffleStore) addCommitted(part int, cr committedRun) {
-	s.partitions[part] = append(s.partitions[part], cr)
-	s.resident += cr.run.StoredBytes()
-	s.residentPart[part] += cr.run.StoredBytes()
-}
-
-// maybeSpill evicts whole partitions — largest resident first — until the
-// store is back under its limit. A disk failure disarms spilling rather
-// than failing the job: the data is still resident and correct, just no
-// longer bounded.
-func (s *shuffleStore) maybeSpill() {
-	for s.spillLimit > 0 && s.resident > s.spillLimit {
-		best, bestBytes := -1, int64(0)
-		for p, b := range s.residentPart {
-			if b > bestBytes {
-				best, bestBytes = p, b
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if err := s.spillPartition(best); err != nil {
-			s.spillLimit = 0
-			if s.spillLed != nil {
-				s.spillLed.spillDisarmed.Add(1)
-			}
-			if s.journal != nil {
-				s.journal.Warn("spill-disarmed", "partition", best, "resident_bytes", s.resident, "error", err.Error())
-			}
-			return
-		}
+// addCommitted marks (task, part) as held and commits its run. The reaction
+// to a failed spill is the one thing the two runtimes do not share: a disk
+// failure here disarms spilling rather than failing the job — the run is
+// committed and correct either way, just no longer bounded.
+func (s *shuffleStore) addCommitted(part, task int, run *kv.Run) {
+	if s.have[task] == nil {
+		s.have[task] = make(map[int]bool)
+	}
+	s.have[task][part] = true
+	err := s.runs.Add(part, task, run)
+	if err == nil {
+		return
+	}
+	s.runs.SetLimit(0)
+	s.spillLed.spillDisarmed.Add(1)
+	if s.journal != nil {
+		s.journal.Warn("spill-disarmed", "partition", part, "resident_bytes", s.runs.Resident(), "error", err.Error())
 	}
 }
 
-// spillPartition files every resident run of one partition, one file per
-// run: handoff and dedup key on task identity, so runs are never merged.
-// On error the runs filed so far stay filed and the rest stay resident.
-func (s *shuffleStore) spillPartition(part int) error {
-	dir, err := s.spillDir()
-	if err != nil {
-		return err
-	}
-	for _, cr := range s.partitions[part] {
-		if cr.run.Path() != "" {
-			continue
-		}
-		t0 := time.Now()
-		path := filepath.Join(dir, fmt.Sprintf("spill-%06d.run", s.spillSeq))
-		s.spillSeq++
-		resident := cr.run.StoredBytes()
-		if err := cr.run.Spill(path); err != nil {
-			return err
-		}
-		s.resident -= resident
-		s.residentPart[part] -= resident
-		if s.spillLed != nil {
-			s.spillLed.spillRecords.Add(int64(cr.run.Records))
-			s.spillLed.spillRawBytes.Add(cr.run.RawBytes)
-			s.spillLed.spillStoredBytes.Add(cr.run.StoredBytes())
-			s.spillLed.spillFiles.Add(1)
-		}
-		if s.spillTr != nil {
-			s.spillTr.record(stageSpill, t0, time.Now(), 0)
-		}
-	}
-	delete(s.residentPart, part)
-	return nil
-}
-
-// partitionIters returns one sorted iterator per committed run of part —
-// resident runs iterate in memory, filed runs stream off disk. close
-// releases the open spill files; err (a file that would not open, or any
-// stream that ended early) must be checked after the merge drains.
+// partitionIters is kv.RunStore.Iters over this node's committed runs.
 func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, close func(), errf func() error) {
-	var files []*kv.FileIter
-	var openErr error
-	for _, cr := range s.partitions[part] {
-		if cr.run.Path() == "" {
-			iters = append(iters, cr.run.Iter())
-			continue
-		}
-		it, err := cr.run.Open()
-		if err != nil {
-			openErr = err
-			continue
-		}
-		files = append(files, it)
-		iters = append(iters, it)
-	}
-	close = func() {
-		for _, it := range files {
-			it.Close()
-		}
-	}
-	errf = func() error {
-		if openErr != nil {
-			return openErr
-		}
-		for _, it := range files {
-			if err := it.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return iters, close, errf
+	return s.runs.Iters(part)
 }
 
 // takePartition removes a partition this node is handing to a new home,
 // clearing its dedup entries, and returns the committed runs (with task
 // identity) plus their record count for the handoff-out ledger.
 func (s *shuffleStore) takePartition(part int) (runs []committedRun, records int64) {
-	runs = s.partitions[part]
-	delete(s.partitions, part)
-	s.resident -= s.residentPart[part]
-	delete(s.residentPart, part)
-	for _, cr := range runs {
-		records += int64(cr.run.Records)
-		delete(s.have[cr.task], part)
+	for _, tr := range s.runs.Take(part) {
+		runs = append(runs, committedRun{task: tr.Task, run: tr.Run})
+		records += int64(tr.Run.Records)
+		delete(s.have[tr.Task], part)
 	}
 	return runs, records
 }
@@ -277,10 +182,10 @@ func (s *shuffleStore) takePartition(part int) (runs []committedRun, records int
 func (s *shuffleStore) stageHandoff(part, epoch, task int, run *kv.Run) {
 	m := s.handoff[part]
 	if m == nil {
-		m = make(map[int][]stagedHandoff)
+		m = make(map[int][]committedRun)
 		s.handoff[part] = m
 	}
-	m[epoch] = append(m[epoch], stagedHandoff{task: task, run: run})
+	m[epoch] = append(m[epoch], committedRun{task: task, run: run})
 }
 
 // adoptHandoff commits a partition's staged handoff runs at their new home.
@@ -296,34 +201,17 @@ func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 			dupped += int64(sh.run.Records)
 			continue
 		}
-		if s.have[sh.task] == nil {
-			s.have[sh.task] = make(map[int]bool)
-		}
-		s.have[sh.task][part] = true
-		s.addCommitted(part, committedRun{task: sh.task, run: sh.run})
+		s.addCommitted(part, sh.task, sh.run)
 		adopted += int64(sh.run.Records)
 	}
-	s.maybeSpill()
 	return adopted, dupped
 }
 
 // lostAll empties the store, returning the committed record count — the
 // data that dies with this worker.
 func (s *shuffleStore) lostAll() int64 {
-	var lost int64
-	for _, crs := range s.partitions {
-		for _, cr := range crs {
-			lost += int64(cr.run.Records)
-			if path := cr.run.Path(); path != "" {
-				os.Remove(path)
-			}
-		}
-	}
-	s.partitions = make(map[int][]committedRun)
 	s.have = make(map[int]map[int]bool)
 	s.staged = make(map[attemptKey]map[int]stagedRun)
-	s.handoff = make(map[int]map[int][]stagedHandoff)
-	s.resident = 0
-	s.residentPart = make(map[int]int64)
-	return lost
+	s.handoff = make(map[int]map[int][]committedRun)
+	return s.runs.Drop()
 }

@@ -118,9 +118,9 @@ func TestStoreSpillMovesBytes(t *testing.T) {
 	s.stage(0, 0, 3, run, 0)
 	s.commit(0, 0) // 1-byte limit: the commit spills partition 3
 
-	cr := s.partitions[3][0]
-	if cr.run.Path() == "" || s.resident != 0 {
-		t.Fatalf("run not spilled: path %q, %d bytes resident", cr.run.Path(), s.resident)
+	cr := committedRun{run: s.runs.Runs(3)[0].Run}
+	if cr.run.Path() == "" || s.runs.Resident() != 0 {
+		t.Fatalf("run not spilled: path %q, %d bytes resident", cr.run.Path(), s.runs.Resident())
 	}
 	st, err := os.Stat(cr.run.Path())
 	if err != nil {
@@ -154,7 +154,7 @@ func TestStoreReadBackErrorSurfaces(t *testing.T) {
 	s, _, _ := spillingStore(t.TempDir())
 	s.stage(0, 0, 3, storeRun(t, 20), 0)
 	s.commit(0, 0)
-	run := s.partitions[3][0].run
+	run := s.runs.Runs(3)[0].Run
 	if err := os.Truncate(run.Path(), run.StoredBytes()-1); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func TestStoreSpillDisarmIsReported(t *testing.T) {
 	s.stage(1, 0, 3, storeRun(t, 5), 0)
 	s.commit(1, 0) // disarmed already: must not count or log a second time
 
-	if s.spillLimit != 0 || led.spillDisarmed.Load() != 1 || led.spillFiles.Load() != 0 {
-		t.Fatalf("limit %d, disarmed %d, files %d; want 0, 1, 0", s.spillLimit, led.spillDisarmed.Load(), led.spillFiles.Load())
+	if s.runs.Limit() != 0 || led.spillDisarmed.Load() != 1 || led.spillFiles.Load() != 0 {
+		t.Fatalf("limit %d, disarmed %d, files %d; want 0, 1, 0", s.runs.Limit(), led.spillDisarmed.Load(), led.spillFiles.Load())
 	}
 	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
 	if len(lines) != 1 || !strings.Contains(lines[0], `"msg":"spill-disarmed"`) || !strings.Contains(lines[0], "no such file or directory") {

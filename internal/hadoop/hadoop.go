@@ -430,7 +430,7 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 		b.Sort()
 		pairs := b.Pairs
 		if cfg.UseCombiner && j.app.Combine != nil {
-			pairs = combinePairs(j.app, pairs)
+			pairs = core.CombineSorted(j.app, pairs)
 			node.HostWork(p, float64(b.Len())*javaPerRecordOps/4, 1)
 		}
 		run := kv.NewRun(pairs, false)
@@ -445,19 +445,6 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 		node.Disk.Write(p, spillBytes)
 	}
 	return out
-}
-
-// combinePairs applies the app combiner over sorted pairs.
-func combinePairs(app *core.App, pairs []kv.Pair) []kv.Pair {
-	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
-	var out kv.Batch
-	for {
-		g, ok := gi.Next()
-		if !ok {
-			return out.Pairs(nil)
-		}
-		app.Combine(g.Key, g.Values, &out)
-	}
 }
 
 // reducerTask pulls its partition of every map output, merges, reduces and

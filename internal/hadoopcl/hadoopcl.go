@@ -271,7 +271,7 @@ func mapTask(p *sim.Proc, rt *Runtime, ctx *cl.Context, app *core.App, cfg Confi
 		b.Sort()
 		ps := b.Pairs
 		if cfg.UseCombiner && app.Combine != nil {
-			ps = combine(app, ps)
+			ps = core.CombineSorted(app, ps)
 		}
 		run := kv.NewRun(ps, false)
 		out.runs[r] = run
@@ -281,18 +281,6 @@ func mapTask(p *sim.Proc, rt *Runtime, ctx *cl.Context, app *core.App, cfg Confi
 	node.HostWork(p, sortOps, 1)
 	node.Disk.Write(p, spill)
 	return out
-}
-
-func combine(app *core.App, pairs []kv.Pair) []kv.Pair {
-	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
-	var out kv.Batch
-	for {
-		g, ok := gi.Next()
-		if !ok {
-			return out.Pairs(nil)
-		}
-		app.Combine(g.Key, g.Values, &out)
-	}
 }
 
 // reduceTask pulls this reducer's portions, merges, reduces in Java, and

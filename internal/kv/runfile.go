@@ -14,7 +14,7 @@ import (
 // blob byte for byte — the Marshal layout, DEFLATEd when Run.Compressed —
 // so a run goes to disk and comes back without a pair being decoded, and
 // this file is the only code that knows the layout. Which runs are filed,
-// when, and under what names is the calling store's policy.
+// when, and under what names is RunStore's business (runstore.go).
 
 // Spill writes the run's encoded bytes to path and drops them from memory;
 // the run stays usable through Open and Load. On error nothing is left at

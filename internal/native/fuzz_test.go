@@ -24,7 +24,7 @@ func fuzzPairs(data []byte) []kv.Pair {
 	return pairs
 }
 
-// FuzzSpillMerge drives the native partitionStore through its full
+// FuzzSpillMerge drives the run store, as Run builds it, through its full
 // intermediate-data lifecycle — add runs, force disk spills with a tiny cache
 // threshold, stream them back through the k-way merge — and asserts the
 // store neither loses, invents, nor reorders records: per partition the
@@ -47,8 +47,8 @@ func FuzzSpillMerge(f *testing.F) {
 			CacheThreshold: 64, // tiny: nearly every add triggers a spill
 			SpillDir:       t.TempDir(),
 		}
-		st := newPartitionStore(cfg)
-		defer st.cleanup()
+		st, cleanup := newRunStore(cfg, newRecorder(nil))
+		defer cleanup()
 
 		// Route pairs to partitions and feed them in as small sorted runs,
 		// exercising multi-run accumulation per partition.
@@ -65,18 +65,16 @@ func FuzzSpillMerge(f *testing.F) {
 				}
 				chunk := append([]kv.Pair(nil), wp[i:end]...)
 				kv.SortPairs(chunk)
-				if err := st.add(g, kv.NewRun(chunk, compress)); err != nil {
+				if err := st.Add(g, i, kv.NewRun(chunk, compress)); err != nil {
 					t.Fatalf("add partition %d: %v", g, err)
 				}
 			}
 		}
 		for g := 0; g < parts; g++ {
-			iters, files, err := st.iterators(g)
-			if err != nil {
-				t.Fatalf("iterators(%d): %v", g, err)
-			}
+			iters, closeSpills, spillErr := st.Iters(g)
 			got := kv.Drain(kv.Merge(iters...))
-			if err := closeFiles(files); err != nil {
+			closeSpills()
+			if err := spillErr(); err != nil {
 				t.Fatalf("partition %d read-back: %v", g, err)
 			}
 			if !kv.PairsSorted(got) {

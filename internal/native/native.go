@@ -1,20 +1,29 @@
 // Package native executes Glasswing applications on the real host: the same
-// 5-stage pipeline structure and the same App/collector semantics as the
-// simulated engine in internal/core, but built from goroutines and channels,
-// processing data with genuine parallelism and measuring wall-clock time.
+// App/collector semantics and the same stages as the simulated engine in
+// internal/core, processing data with genuine parallelism and measuring
+// wall-clock time.
 //
 // internal/core exists to reproduce the paper's cluster/GPU evaluation on
 // simulated hardware; this package is the runtime a downstream user points
 // at real bytes. The "compute device" is the host CPU (the paper's CPU
 // driver with unified memory — Stage and Retrieve are no-ops), the "cluster"
-// is one process, and the intermediate-data manager spills to real temporary
-// files when the cache threshold is exceeded.
+// is one process, and the intermediate-data manager (kv.RunStore) spills to
+// real temporary files when the cache threshold is exceeded.
+//
+// The paper splits its map pipeline into a kernel stage and a partition
+// stage because the kernel runs on a device while host threads partition
+// (§III-A). Here both run on the same cores, where a static split only
+// idles whichever pool is the smaller, so a map task is one goroutine that
+// takes a block through kernel, partition and store, cache-warm, and the
+// map phase is KernelWorkers of those. The stages survive as spans.
 package native
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"glasswing/internal/core"
@@ -25,16 +34,14 @@ import (
 // Config tunes the native pipeline. The names mirror the paper's
 // Configuration API where they apply to a single-host run.
 type Config struct {
-	// KernelWorkers is the map kernel worker pool size (0 = GOMAXPROCS),
-	// the analog of the OpenCL global size on the CPU device.
+	// KernelWorkers is the number of map workers (0 = GOMAXPROCS), each
+	// taking one block at a time through kernel, partition and store — so
+	// also the bound on chunks in flight — and the number of partitions
+	// reduced at once. The analog of the OpenCL global size on the CPU
+	// device.
 	KernelWorkers int
-	// PartitionThreads is N: concurrent partitioner workers.
-	PartitionThreads int
 	// Partitions is P: intermediate partitions (reduce parallelism).
 	Partitions int
-	// Buffering bounds how many chunks may be in flight between stages
-	// (1-3, the paper's buffering levels; default 2).
-	Buffering int
 	// Collector picks the kernel output mechanism.
 	Collector core.CollectorKind
 	// UseCombiner aggregates each chunk's hash table with App.Combine.
@@ -60,17 +67,8 @@ func (c Config) withDefaults() Config {
 	if c.KernelWorkers <= 0 {
 		c.KernelWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.PartitionThreads <= 0 {
-		c.PartitionThreads = max(1, runtime.GOMAXPROCS(0)/2)
-	}
 	if c.Partitions <= 0 {
 		c.Partitions = max(1, runtime.GOMAXPROCS(0))
-	}
-	if c.Buffering <= 0 {
-		c.Buffering = 2
-	}
-	if c.Buffering > 3 {
-		c.Buffering = 3
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = kv.Partition
@@ -84,7 +82,8 @@ type Result struct {
 	MapElapsed time.Duration
 	// MergeDelay is the gap between the end of the map phase and the start
 	// of reduce. Nothing runs in it — each partition's only merge is its
-	// reducer's — so it is ~0; callers that sum the three phases keep it.
+	// reducer's — so it is ~0. It survives because bench/gwbench reads it
+	// for the native.merge_* rows; it goes when a benchmark PR drops them.
 	MergeDelay    time.Duration
 	ReduceElapsed time.Duration
 	Total         time.Duration
@@ -115,6 +114,54 @@ func (r *Result) Output() []kv.Pair {
 	return out
 }
 
+// newRunStore returns a job's intermediate-data store: past
+// cfg.CacheThreshold resident bytes it files runs in a temporary directory
+// under cfg.SpillDir, made at the first spill and removed by cleanup.
+func newRunStore(cfg Config, rec *recorder) (store *kv.RunStore, cleanup func()) {
+	var dir string
+	store = kv.NewRunStore(cfg.CacheThreshold, func() (string, error) {
+		if dir == "" {
+			d, err := os.MkdirTemp(cfg.SpillDir, "glasswing-spill-")
+			if err != nil {
+				return "", fmt.Errorf("creating spill dir: %w", err)
+			}
+			dir = d
+		}
+		return dir, nil
+	}, rec.spilled)
+	return store, func() {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
+	}
+}
+
+// forEach calls fn(i) for every i in [0, n) from workers goroutines, each
+// claiming the next index when it has finished its last, so every worker is
+// busy until the indices run out. After the first error no further index is
+// claimed; forEach waits for the calls in flight and returns that error.
+func forEach(n, workers int, fn func(i int) error) error {
+	var next atomic.Int64
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := fn(i); err != nil {
+					next.Store(int64(n))
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs // the first error sent; nil from the closed channel if none was
+}
+
 // Run executes app over the input blocks and returns the result. Blocks
 // are the unit of map-chunk parallelism (split files on record boundaries;
 // package dfs's SplitLines/SplitFixed do this for text and fixed records).
@@ -133,74 +180,36 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	start := time.Now()
 	rec := newRecorder(cfg.Telemetry)
 
-	store := newPartitionStore(cfg)
-	store.rec = rec
-	defer store.cleanup()
+	store, cleanup := newRunStore(cfg, rec)
+	defer cleanup()
 
-	// ---- Map phase: chunk pipeline with bounded in-flight buffers. ----
-	// A chunk's output travels on pooled state from the kernel worker that
-	// collected it to the partition worker that serializes it into runs.
-	chunkCh := make(chan []byte, cfg.Buffering)
-	partCh := make(chan *Chunk, cfg.Buffering)
-
-	var mapWG sync.WaitGroup
-	for w := 0; w < cfg.KernelWorkers; w++ {
-		mapWG.Add(1)
-		go func() {
-			defer mapWG.Done()
-			for block := range chunkCh {
-				end := rec.start(stageMapKernel)
-				c := MapBlock(app, block, cfg.Collector, cfg.UseCombiner)
-				end()
-				partCh <- c
+	// ---- Map phase: each worker takes a block through kernel, partition
+	// and store. A failed spill fails the job. ----
+	err := forEach(len(blocks), cfg.KernelWorkers, func(i int) error {
+		t0 := time.Now()
+		c := MapBlock(app, blocks[i], cfg.Collector, cfg.UseCombiner)
+		rec.end(stageMapKernel, t0)
+		defer rec.end(stageMapPartition, time.Now())
+		runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
+		rec.mapStats(st)
+		for g, run := range runs {
+			if run == nil {
+				continue
 			}
-		}()
-	}
-
-	var partWG sync.WaitGroup
-	for w := 0; w < cfg.PartitionThreads; w++ {
-		partWG.Add(1)
-		go func() {
-			defer partWG.Done()
-			for c := range partCh {
-				// After a failure, keep draining partCh so map workers
-				// blocked on send can finish; otherwise the pipeline
-				// deadlocks and the error never surfaces.
-				if store.err() != nil {
-					c.Release()
-					continue
-				}
-				end := rec.start(stageMapPartition)
-				runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
-				for g, run := range runs {
-					if run == nil {
-						continue
-					}
-					if err := store.add(g, run); err != nil {
-						store.fail(err)
-						break
-					}
-				}
-				end()
-				rec.mapStats(st)
+			rec.storeAccepted.Add(int64(run.Records))
+			if err := store.Add(g, i, run); err != nil {
+				return fmt.Errorf("native: %w", err)
 			}
-		}()
-	}
-
-	for _, b := range blocks {
-		chunkCh <- b
-	}
-	close(chunkCh)
-	mapWG.Wait()
-	close(partCh)
-	partWG.Wait()
-	if err := store.err(); err != nil {
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	res.MapElapsed = time.Since(start)
 	res.IntermediatePairs = int(rec.mapPairsOut.Load())
 
-	res.SpillFiles = store.spillCount()
+	res.SpillFiles = int(rec.spillFiles.Load())
 	res.SpillBytes = rec.spillBytes.Load()
 
 	// ---- Reduce phase: partitions in parallel, each k-way merging its
@@ -208,41 +217,25 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	reduceStart := time.Now()
 	res.MergeDelay = reduceStart.Sub(start) - res.MapElapsed
 	res.outputs = make([][]kv.Pair, cfg.Partitions)
-	var redWG sync.WaitGroup
-	redErr := make(chan error, cfg.Partitions)
-	sem := make(chan struct{}, cfg.KernelWorkers)
-	for g := 0; g < cfg.Partitions; g++ {
-		g := g
-		redWG.Add(1)
-		go func() {
-			defer redWG.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			end := rec.start(stageReduce)
-			defer end()
-			iters, files, err := store.iterators(g)
-			if err != nil {
-				redErr <- err
-				return
-			}
-			out, records, groups := ReducePartition(app, iters)
-			if err := closeFiles(files); err != nil {
-				// A spill file failed mid-stream: the merge ended early, so
-				// out is short. Fail the job rather than return it.
-				redErr <- err
-				return
-			}
-			rec.reduceRecordsIn.Add(records)
-			rec.reduceGroupsIn.Add(groups)
-			rec.outputPairs.Add(int64(len(out)))
-			res.outputs[g] = out
-		}()
-	}
-	redWG.Wait()
-	select {
-	case err := <-redErr:
+	err = forEach(cfg.Partitions, cfg.KernelWorkers, func(g int) error {
+		defer rec.end(stageReduce, time.Now())
+		iters, closeSpills, spillErr := store.Iters(g)
+		out, records, groups := ReducePartition(app, iters)
+		closeSpills()
+		if err := spillErr(); err != nil {
+			// A spill file would not open or failed mid-stream: the merge
+			// ended early, so out is short. Fail the job rather than
+			// return it.
+			return fmt.Errorf("native: %w", err)
+		}
+		rec.reduceRecordsIn.Add(records)
+		rec.reduceGroupsIn.Add(groups)
+		rec.outputPairs.Add(int64(len(out)))
+		res.outputs[g] = out
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	res.ReduceElapsed = time.Since(reduceStart)
 	res.Total = time.Since(start)

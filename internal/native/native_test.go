@@ -20,7 +20,7 @@ func TestWordCountMatchesReference(t *testing.T) {
 		{Collector: core.HashTable},
 		{Collector: core.BufferPool},
 		{Collector: core.HashTable, UseCombiner: true, Compress: true},
-		{Collector: core.HashTable, UseCombiner: true, Buffering: 1, KernelWorkers: 1, PartitionThreads: 1, Partitions: 1},
+		{Collector: core.HashTable, UseCombiner: true, KernelWorkers: 1, Partitions: 1},
 	} {
 		res, err := Run(apps.WordCount(), blocks, cfg)
 		if err != nil {
@@ -126,11 +126,9 @@ func TestQuickRandomNativeConfig(t *testing.T) {
 			return int(r>>8) % n
 		}
 		cfg := Config{
-			KernelWorkers:    1 + next(8),
-			PartitionThreads: 1 + next(8),
-			Partitions:       1 + next(12),
-			Buffering:        1 + next(3),
-			Compress:         next(2) == 0,
+			KernelWorkers: 1 + next(8),
+			Partitions:    1 + next(12),
+			Compress:      next(2) == 0,
 		}
 		if next(2) == 0 {
 			cfg.Collector = core.HashTable

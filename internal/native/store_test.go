@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,27 +22,29 @@ func testRun(key, val string) *kv.Run {
 	return kv.NewRun([]kv.Pair{{Key: []byte(key), Value: []byte(val)}}, false)
 }
 
-// TestStoreAddSpillError drives add into the spill path with an unwritable
-// spill directory: the error must come back to the caller and via err().
+// The store tests below drive kv.RunStore the way Run does: through
+// newRunStore, so the temporary-directory provider and the recorder hook
+// are under test with it.
+
+// TestStoreAddSpillError drives Add into the spill path with an unwritable
+// spill directory: the error must come back to the caller, with the run
+// still committed.
 func TestStoreAddSpillError(t *testing.T) {
 	cfg := Config{
 		Partitions:     4,
 		CacheThreshold: 1, // every add over-budgets the cache
 		SpillDir:       filepath.Join(t.TempDir(), "missing", "nested"),
 	}.withDefaults()
-	store := newPartitionStore(cfg)
-	defer store.cleanup()
+	store, cleanup := newRunStore(cfg, newRecorder(nil))
+	defer cleanup()
 
-	var got error
-	for i := 0; i < cfg.Partitions && got == nil; i++ {
-		got = store.add(i, testRun(fmt.Sprintf("k%d", i), "v"))
-	}
-	if got == nil {
+	if err := store.Add(0, 0, testRun("k0", "v")); err == nil {
 		t.Fatal("expected a spill error from an unwritable SpillDir")
 	}
-	store.fail(got)
-	if store.err() == nil {
-		t.Fatal("err() should surface the recorded failure")
+	iters, closeSpills, spillErr := store.Iters(0)
+	defer closeSpills()
+	if n := len(kv.Drain(kv.Merge(iters...))); n != 1 || spillErr() != nil {
+		t.Fatalf("after the failed spill: %d pairs, err %v; want the added pair, still resident", n, spillErr())
 	}
 }
 
@@ -54,9 +58,11 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 		CacheThreshold: 256, // force constant spilling
 		SpillDir:       t.TempDir(),
 	}.withDefaults()
-	store := newPartitionStore(cfg)
-	defer store.cleanup()
+	rec := newRecorder(nil)
+	store, cleanup := newRunStore(cfg, rec)
+	defer cleanup()
 
+	errs := make(chan error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -66,28 +72,28 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				g := (w*perWorker + i) % parts
 				key := fmt.Sprintf("w%02d-i%03d", w, i)
-				if err := store.add(g, testRun(key, "x")); err != nil {
-					store.fail(err)
+				if err := store.Add(g, w, testRun(key, "x")); err != nil {
+					errs <- err
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := store.err(); err != nil {
+	select {
+	case err := <-errs:
 		t.Fatal(err)
+	default:
 	}
-	if store.spillCount() == 0 {
+	if rec.spillFiles.Load() == 0 {
 		t.Fatal("expected spills under a 256-byte threshold")
 	}
 	total := 0
 	for g := 0; g < parts; g++ {
-		iters, files, err := store.iterators(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		iters, closeSpills, spillErr := store.Iters(g)
 		total += len(kv.Drain(kv.Merge(iters...)))
-		if err := closeFiles(files); err != nil {
+		closeSpills()
+		if err := spillErr(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,22 +102,28 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 	}
 }
 
-// TestStoreSpillAccounting: a spill files the victim partition's runs as
-// one run whose booked stored size is the file's size, inside the framing
-// bound conformance holds every spilling run to. (The file's layout is
-// kv's to assert: TestRunFileRoundTrip.)
+// TestStoreSpillAccounting: a spill files each of the victim partition's
+// runs on its own; the booked stored size is the files' size, inside the
+// framing bound conformance holds every spilling run to, the file count is
+// the number of filed runs, and cleanup leaves nothing behind. (The file's
+// layout is kv's to assert: TestRunFileRoundTrip.)
 func TestStoreSpillAccounting(t *testing.T) {
-	cfg := Config{Partitions: 1, CacheThreshold: 64, SpillDir: t.TempDir()}.withDefaults()
-	store := newPartitionStore(cfg)
-	store.rec = newRecorder(nil)
-	defer store.cleanup()
+	spillDir := t.TempDir()
+	cfg := Config{Partitions: 1, CacheThreshold: 64, SpillDir: spillDir}.withDefaults()
+	rec := newRecorder(nil)
+	store, cleanup := newRunStore(cfg, rec)
 	for i := 0; i < 8; i++ {
-		if err := store.add(0, testRun(fmt.Sprintf("key-%02d", i), "some value")); err != nil {
+		if err := store.Add(0, i, testRun(fmt.Sprintf("key-%02d", i), "some value")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var onDisk int64
-	for _, r := range store.shards[0].filed {
+	var onDisk, files int64
+	for _, tr := range store.Runs(0) {
+		r := tr.Run
+		if r.Path() == "" {
+			continue
+		}
+		files++
 		st, err := os.Stat(r.Path())
 		if err != nil {
 			t.Fatal(err)
@@ -121,38 +133,44 @@ func TestStoreSpillAccounting(t *testing.T) {
 		}
 		onDisk += st.Size()
 	}
-	rec := store.rec
-	if onDisk == 0 || rec.spillBytes.Load() != onDisk || int(rec.spillRecords.Load()) == 0 {
-		t.Fatalf("stored bytes booked %d, files hold %d, records %d", rec.spillBytes.Load(), onDisk, rec.spillRecords.Load())
+	if onDisk == 0 || rec.spillBytes.Load() != onDisk || rec.spillRecords.Load() != files || rec.spillFiles.Load() != files {
+		t.Fatalf("stored bytes booked %d in %d files of %d records; %d files hold %d",
+			rec.spillBytes.Load(), rec.spillFiles.Load(), rec.spillRecords.Load(), files, onDisk)
 	}
 	if raw, n := rec.spillRawBytes.Load(), rec.spillRecords.Load(); onDisk < raw || onDisk > raw+10*n {
 		t.Fatalf("spilled %d bytes, outside [%d, %d] for %d records", onDisk, raw, raw+10*n, n)
 	}
+	if rec.stages()[stageSpill] <= 0 {
+		t.Fatal("no spill time booked")
+	}
+	cleanup()
+	if left, err := os.ReadDir(spillDir); err != nil || len(left) != 0 {
+		t.Fatalf("cleanup left %d entries under SpillDir (err %v)", len(left), err)
+	}
 }
 
 // TestStoreReadBackErrorSurfaces: a spill file that lost its last byte is
-// only noticed once the merge has drained it; closeFiles must report it so
-// the reducer fails the job instead of returning short output.
+// only noticed once the merge has drained it; the store's deferred error
+// must report it so the reducer fails the job instead of returning short
+// output.
 func TestStoreReadBackErrorSurfaces(t *testing.T) {
 	cfg := Config{Partitions: 1, CacheThreshold: 1, SpillDir: t.TempDir()}.withDefaults()
-	store := newPartitionStore(cfg)
-	defer store.cleanup()
-	if err := store.add(0, testRun("key", "value")); err != nil {
+	store, cleanup := newRunStore(cfg, newRecorder(nil))
+	defer cleanup()
+	if err := store.Add(0, 0, testRun("key", "value")); err != nil {
 		t.Fatal(err)
 	}
-	filed := store.shards[0].filed
-	if len(filed) != 1 {
-		t.Fatalf("%d filed runs, want 1", len(filed))
+	runs := store.Runs(0)
+	if len(runs) != 1 || runs[0].Run.Path() == "" {
+		t.Fatalf("%d runs, want 1, filed", len(runs))
 	}
-	if err := os.Truncate(filed[0].Path(), filed[0].StoredBytes()-1); err != nil {
+	if err := os.Truncate(runs[0].Run.Path(), runs[0].Run.StoredBytes()-1); err != nil {
 		t.Fatal(err)
 	}
-	iters, files, err := store.iterators(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	iters, closeSpills, spillErr := store.Iters(0)
+	defer closeSpills()
 	got := kv.Drain(kv.Merge(iters...))
-	if err := closeFiles(files); err == nil {
+	if spillErr() == nil {
 		t.Fatalf("truncated spill file drained to %d pairs with no error", len(got))
 	}
 }
@@ -163,8 +181,8 @@ func TestStoreReadBackErrorSurfaces(t *testing.T) {
 func TestStoreReadBackIsOutOfCore(t *testing.T) {
 	const filedBytes, runBytes, liveBound = 8 << 20, 512 << 10, 2 << 20
 	cfg := Config{Partitions: 1, CacheThreshold: 1, SpillDir: t.TempDir()}.withDefaults()
-	store := newPartitionStore(cfg)
-	defer store.cleanup()
+	store, cleanup := newRunStore(cfg, newRecorder(nil))
+	defer cleanup()
 	value := bytes.Repeat([]byte("v"), 100)
 	pairs := 0
 	for r := 0; r < filedBytes/runBytes; r++ {
@@ -173,11 +191,11 @@ func TestStoreReadBackIsOutOfCore(t *testing.T) {
 			run = append(run, kv.Pair{Key: []byte(fmt.Sprintf("r%02d-%08d", r, i)), Value: value})
 		}
 		pairs += len(run)
-		if err := store.add(0, kv.NewRun(run, false)); err != nil {
+		if err := store.Add(0, r, kv.NewRun(run, false)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := store.cachedBytes.Load(); got != 0 {
+	if got := store.Resident(); got != 0 {
 		t.Fatalf("%d bytes still resident; the test wants everything filed", got)
 	}
 
@@ -188,10 +206,7 @@ func TestStoreReadBackIsOutOfCore(t *testing.T) {
 		return m.HeapAlloc
 	}
 	base := liveHeap()
-	iters, files, err := store.iterators(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	iters, closeSpills, spillErr := store.Iters(0)
 	merged := kv.Merge(iters...)
 	var peak uint64
 	n := 0
@@ -200,7 +215,8 @@ func TestStoreReadBackIsOutOfCore(t *testing.T) {
 			peak = max(peak, liveHeap())
 		}
 	}
-	if err := closeFiles(files); err != nil {
+	closeSpills()
+	if err := spillErr(); err != nil {
 		t.Fatal(err)
 	}
 	if n != pairs {
@@ -211,33 +227,92 @@ func TestStoreReadBackIsOutOfCore(t *testing.T) {
 	}
 }
 
-// TestRunSurfacesStoreErrorWithoutDeadlock is the regression test for the
-// pipeline deadlock: a partition worker that hits a store.add error used to
-// return without draining partCh, wedging the map workers forever. The run
-// must instead finish and surface the error.
+// TestRunSurfacesStoreErrorWithoutDeadlock: a spill that fails must end the
+// job promptly with the spill error. A map worker runs kernel, partition and
+// store on one goroutine and there is no channel between workers to wedge
+// on, so the worker that sees the error reports it, the others stop
+// claiming blocks, and Run leaves no goroutine behind.
 func TestRunSurfacesStoreErrorWithoutDeadlock(t *testing.T) {
 	data, _ := apps.WCData(9, 256<<10, 2000)
-	blocks := dfs.SplitLines(data, 4<<10) // many chunks in flight
+	blocks := dfs.SplitLines(data, 4<<10) // many more blocks than workers
 	spillDir := filepath.Join(t.TempDir(), "does-not-exist")
+	app := apps.WordCount()
+	var mapCalls atomic.Int64
+	mapBatch := app.MapBatch
+	app.MapBatch = func(recs []kv.Pair, out kv.Sink) {
+		mapCalls.Add(1)
+		mapBatch(recs, out)
+	}
+	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(apps.WordCount(), blocks, Config{
-			Collector:        core.HashTable,
-			CacheThreshold:   1 << 10,
-			SpillDir:         spillDir,
-			Buffering:        1,
-			PartitionThreads: 1,
-			KernelWorkers:    4,
+		_, err := Run(app, blocks, Config{
+			Collector:      core.HashTable,
+			CacheThreshold: 1 << 10,
+			SpillDir:       spillDir,
+			KernelWorkers:  4,
 		})
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("expected a spill error, got success")
+		if err == nil || !strings.Contains(err.Error(), "creating spill dir") {
+			t.Fatalf("expected the spill error, got %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run deadlocked after a store error")
+		t.Fatal("Run did not return after a store error")
+	}
+	if n := mapCalls.Load(); n >= int64(len(blocks)) {
+		t.Fatalf("workers kept claiming blocks after the error: %d MapBatch calls for %d blocks", n, len(blocks))
+	}
+	// Run waits for its workers, so they are gone when it returns; the
+	// goroutine that called it exits right after its send.
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before Run, %d after", before, after)
+	}
+}
+
+// TestMapPhaseIsWorkConserving: every map worker partitions its own chunk,
+// so with KernelWorkers 3 three Partition calls are in flight at once
+// whatever GOMAXPROCS is — a partition stage sized from the core count
+// would cap it below that. The partitioner rendezvouses three callers.
+func TestMapPhaseIsWorkConserving(t *testing.T) {
+	const workers = 3
+	data, want := apps.WCData(11, 64<<10, 500)
+	blocks := dfs.SplitLines(data, 8<<10)
+	if len(blocks) < 2*workers {
+		t.Fatalf("%d blocks, want at least %d", len(blocks), 2*workers)
+	}
+	var arrived atomic.Int64
+	met := make(chan struct{})
+	var timedOut atomic.Bool
+	part := func(key []byte, n int) int {
+		switch a := arrived.Add(1); {
+		case a == workers:
+			close(met)
+		case a < workers:
+			select {
+			case <-met:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+		}
+		return kv.Partition(key, n)
+	}
+	res, err := Run(apps.WordCount(), blocks, Config{
+		Collector: core.HashTable, KernelWorkers: workers, Partitions: 4, Partitioner: part,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatalf("fewer than %d Partition calls were ever in flight together", workers)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -249,14 +324,12 @@ func TestSpillStressManyPartitions(t *testing.T) {
 	blocks := dfs.SplitLines(data, 2<<10)
 	for _, compress := range []bool{false, true} {
 		res, err := Run(apps.WordCount(), blocks, Config{
-			Collector:        core.HashTable,
-			KernelWorkers:    8,
-			PartitionThreads: 8,
-			Partitions:       32,
-			Buffering:        3,
-			CacheThreshold:   4 << 10,
-			SpillDir:         t.TempDir(),
-			Compress:         compress,
+			Collector:      core.HashTable,
+			KernelWorkers:  8,
+			Partitions:     32,
+			CacheThreshold: 4 << 10,
+			SpillDir:       t.TempDir(),
+			Compress:       compress,
 		})
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)

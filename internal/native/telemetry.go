@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"glasswing/internal/kv"
 	"glasswing/internal/obs"
 )
 
@@ -22,7 +23,7 @@ const (
 // per-stage busy accumulators are plain atomics and always on (a handful of
 // Add calls per chunk); spans, metrics and memory-stat deltas are recorded
 // only when the caller supplied a Telemetry bundle, so benchmark runs stay
-// undistorted. A nil recorder is inert.
+// undistorted.
 type recorder struct {
 	epoch time.Time
 	tel   *obs.Telemetry
@@ -33,6 +34,7 @@ type recorder struct {
 	reduceNs       atomic.Int64
 
 	chunks     atomic.Int64
+	spillFiles atomic.Int64
 	spillBytes atomic.Int64
 
 	// Conservation ledger (the same conserv_* vocabulary as the sim core's
@@ -45,7 +47,7 @@ type recorder struct {
 	partRuns        atomic.Int64 // runs produced by partition workers
 	partRawBytes    atomic.Int64 // payload bytes entering runs
 	partStoredBytes atomic.Int64 // encoded run bytes (post-compression)
-	storeAccepted   atomic.Int64 // records accepted by the partition store
+	storeAccepted   atomic.Int64 // records handed to the run store
 	spillRecords    atomic.Int64 // records written to spill files
 	spillRawBytes   atomic.Int64 // payload bytes written to spill files
 	reduceRecordsIn atomic.Int64 // records fed into reduce-side merges
@@ -90,44 +92,39 @@ func (r *recorder) acc(stage string) *atomic.Int64 {
 	}
 }
 
-// start begins one unit of stage work; the returned func ends it, adding the
-// elapsed time to the stage accumulator and emitting a span when enabled.
-func (r *recorder) start(stage string) func() {
-	if r == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() {
-		d := time.Since(t0)
-		r.acc(stage).Add(int64(d))
-		if stage == stageMapKernel {
-			r.chunks.Add(1)
-			if r.chunkHist != nil {
-				r.chunkHist.Observe(d.Seconds())
-			}
-		}
-		if r.tel != nil && r.tel.Spans != nil {
-			begin := t0.Sub(r.epoch).Seconds()
-			r.tel.Spans.Span(obs.Span{Node: 0, Stage: stage, Start: begin, End: begin + d.Seconds()})
+// end books one unit of stage work begun at t0: the elapsed time goes to
+// the stage accumulator and, when enabled, out as a span.
+func (r *recorder) end(stage string, t0 time.Time) {
+	d := time.Since(t0)
+	r.acc(stage).Add(int64(d))
+	if stage == stageMapKernel {
+		r.chunks.Add(1)
+		if r.chunkHist != nil {
+			r.chunkHist.Observe(d.Seconds())
 		}
 	}
+	if r.tel != nil && r.tel.Spans != nil {
+		begin := t0.Sub(r.epoch).Seconds()
+		r.tel.Spans.Span(obs.Span{Node: 0, Stage: stage, Start: begin, End: begin + d.Seconds()})
+	}
+}
+
+// spilled is the run store's hook: one run was filed, its write begun at t0.
+func (r *recorder) spilled(run *kv.Run, t0 time.Time) {
+	r.end(stageSpill, t0)
+	r.spillFiles.Add(1)
+	r.spillRecords.Add(int64(run.Records))
+	r.spillRawBytes.Add(run.RawBytes)
+	r.spillBytes.Add(run.StoredBytes())
 }
 
 // stages snapshots the per-stage busy totals (stages that never ran are
 // omitted).
 func (r *recorder) stages() map[string]time.Duration {
 	out := make(map[string]time.Duration)
-	for _, s := range []struct {
-		name string
-		ns   *atomic.Int64
-	}{
-		{stageMapKernel, &r.mapKernelNs},
-		{stageMapPartition, &r.mapPartitionNs},
-		{stageSpill, &r.spillNs},
-		{stageReduce, &r.reduceNs},
-	} {
-		if v := s.ns.Load(); v > 0 {
-			out[s.name] = time.Duration(v)
+	for _, stage := range []string{stageMapKernel, stageMapPartition, stageSpill, stageReduce} {
+		if v := r.acc(stage).Load(); v > 0 {
+			out[stage] = time.Duration(v)
 		}
 	}
 	return out

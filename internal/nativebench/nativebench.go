@@ -31,10 +31,8 @@ type Scenario struct {
 // pinned worker geometry, deliberately independent of GOMAXPROCS.
 func pinnedCfg() native.Config {
 	return native.Config{
-		KernelWorkers:    4,
-		PartitionThreads: 2,
-		Partitions:       8,
-		Buffering:        2,
+		KernelWorkers: 4,
+		Partitions:    8,
 	}
 }
 
@@ -168,8 +166,8 @@ type Result struct {
 // outcome into a Result, then does extra instrumented runs for the
 // stage/spill telemetry columns.
 //
-// The probe runs serialize the pipeline (one kernel worker, one partition
-// thread, buffering 1): with concurrent stages, a span's wall time absorbs
+// The probe runs serialize the pipeline (one map worker, which is also one
+// reducer at a time): with concurrent workers, a span's wall time absorbs
 // whatever other goroutines the scheduler interleaves into it — on a
 // GOMAXPROCS-capped host the same stage swings several-fold between
 // processes, useless for a regression gate. Serialized, a span covers only
@@ -192,8 +190,6 @@ func Measure(s Scenario) Result {
 	}
 	app, blocks, cfg := s.Build()
 	cfg.KernelWorkers = 1
-	cfg.PartitionThreads = 1
-	cfg.Buffering = 1
 	for probe := 0; probe < 5; probe++ {
 		cfg.Telemetry = obs.NewTelemetry()
 		run, err := native.Run(app, blocks, cfg)
