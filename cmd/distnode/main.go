@@ -48,6 +48,20 @@ import (
 	"glasswing/internal/obs"
 )
 
+// resumeHint is the command that resumes this coordinator's job: every flag
+// the crashed run was given (the resumed coordinator refuses a job whose
+// partitions, combiner, blocks or block-store mode differ from the
+// journal's), minus the -elastic schedule that crashed it, plus -resume.
+func resumeHint(fs *flag.FlagSet) string {
+	hint := "distnode"
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "elastic" && f.Name != "resume" {
+			hint += fmt.Sprintf(" -%s=%s", f.Name, f.Value) // -name=value suits bool flags too
+		}
+	})
+	return hint + " -resume"
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("distnode: ")
@@ -159,8 +173,7 @@ func main() {
 		if err != nil {
 			if dist.CoordinatorRestarted(err) {
 				log.Printf("coordinator crashed on schedule; the job is journaled, not failed")
-				log.Fatalf("resume it: distnode -serve %s -workers %d -app %s -size %d -journal %s -resume",
-					*serve, *workers, *appName, *size, *journal)
+				log.Fatalf("resume it: %s", resumeHint(flag.CommandLine))
 			}
 			log.Fatal(err)
 		}

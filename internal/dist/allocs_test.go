@@ -1,0 +1,63 @@
+//go:build !race
+
+package dist
+
+import (
+	"testing"
+
+	"glasswing/internal/obs"
+)
+
+// TestLoopbackVolumeAndAllocs pins what a whole loopback job puts on the
+// wire, on disk and on the heap, for three 1 MiB, 3-worker demo jobs. Wire
+// and spill volume are functions of the dataset, the run encoding and the
+// frame coalescing, so their budgets are tight (1.10× and 1.25× the figures
+// measured when the rows were pinned, PR 23): a fatter encoding, coalescing
+// that stopped batching or a store that stopped spilling fails here. The
+// race detector's instrumentation allocates, so the file is built without it.
+func TestLoopbackVolumeAndAllocs(t *testing.T) {
+	for _, sc := range []struct {
+		app     string
+		ooc     bool    // combiner off, block-store input, 64 KiB spill threshold
+		allocs  float64 // measured per job; budget 1.25×
+		shuffle int64   // measured dist_shuffle_bytes_total; budget 1.10×
+		spill   int64   // measured conserv_spill_stored_bytes_total; budget 1.25×, must engage
+	}{
+		{"wc", false, 21600, 283500, 0},
+		{"ts", false, 12950, 721000, 0},
+		{"wc", true, 600000, 1702000, 2415000},
+	} {
+		job, blocks, _, err := DemoJob(sc.app, 1<<20, 8, 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{Job: job, Workers: 3, Blocks: blocks, KillWorker: -1}
+		name := sc.app
+		if sc.ooc {
+			name += "-ooc"
+			o.Job.UseCombiner = false
+			o.Blockstore = "local"
+			o.Replication = 2
+			o.Tuning.SpillThreshold = 64 << 10
+			o.Tuning.WorkDir = t.TempDir()
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			o.Telemetry = obs.NewTelemetry()
+			if _, err := RunLoopback(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		shuffle := o.Telemetry.Metrics.Counter("dist_shuffle_bytes_total").Value()
+		spill := o.Telemetry.Metrics.Counter("conserv_spill_stored_bytes_total").Value()
+		t.Logf("%s: %.0f allocations, %d bytes shuffled, %d bytes spilled", name, allocs, shuffle, spill)
+		if lim := sc.allocs * 1.25; allocs > lim {
+			t.Errorf("%s: %.0f allocations per job, want at most %.0f", name, allocs, lim)
+		}
+		if lim := sc.shuffle * 11 / 10; shuffle > lim {
+			t.Errorf("%s: %d bytes shuffled, want at most %d", name, shuffle, lim)
+		}
+		if lim := sc.spill * 5 / 4; lim > 0 && (spill == 0 || spill > lim) {
+			t.Errorf("%s: %d bytes spilled, want 0 < n <= %d", name, spill, lim)
+		}
+	}
+}

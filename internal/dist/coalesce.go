@@ -16,8 +16,8 @@ import (
 //
 // A buffered batch flushes on three triggers:
 //
-//   - size: the body crosses the CoalesceBytes budget (checked on add);
-//   - time: the oldest buffered entry has waited CoalesceDelay (the
+//   - size: the body crosses the coalesceBytes budget (checked on add);
+//   - time: the oldest buffered entry has waited coalesceDelay (the
 //     worker's flusher goroutine, so a batch never idles while peers
 //     starve for data);
 //   - barrier: the sender is about to emit the attempt's end-of-attempt
@@ -35,7 +35,6 @@ type coalescer struct {
 	led      *ledger
 	tr       *tracer
 	traceID  uint64
-	limit    int64
 	compress bool
 
 	mu      sync.Mutex
@@ -46,8 +45,17 @@ type coalescer struct {
 	closed  bool
 }
 
-func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64, limit int64, compress bool) *coalescer {
-	return &coalescer{cc: cc, led: led, tr: tr, traceID: traceID, limit: limit, compress: compress}
+const (
+	// coalesceBytes flushes a peer's coalescer (and a handoff message)
+	// once this many bytes of run entries are buffered.
+	coalesceBytes = 256 << 10
+	// coalesceDelay bounds how long a buffered run waits for more
+	// passengers before its frame ships anyway.
+	coalesceDelay = 2 * time.Millisecond
+)
+
+func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64, compress bool) *coalescer {
+	return &coalescer{cc: cc, led: led, tr: tr, traceID: traceID, compress: compress}
 }
 
 // add buffers one run for shipment, flushing when the body crosses the
@@ -72,7 +80,7 @@ func (co *coalescer) add(task, attempt, part int, r *kv.Run, parent uint64, epoc
 		Records: r.Records, RawBytes: r.RawBytes, Epoch: epoch, Blob: r.Blob(),
 	})
 	co.records += int64(r.Records)
-	if int64(len(co.body.buf)) >= co.limit {
+	if len(co.body.buf) >= coalesceBytes {
 		co.flushLocked()
 	}
 }
@@ -86,11 +94,11 @@ func (co *coalescer) flush() {
 }
 
 // flushIfStale ships the buffer only when its oldest entry has waited at
-// least maxAge — the flusher goroutine's time trigger.
-func (co *coalescer) flushIfStale(maxAge time.Duration) {
+// least coalesceDelay — the flusher goroutine's time trigger.
+func (co *coalescer) flushIfStale() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if len(co.body.buf) > 0 && time.Since(co.oldest) >= maxAge {
+	if len(co.body.buf) > 0 && time.Since(co.oldest) >= coalesceDelay {
 		co.flushLocked()
 	}
 }

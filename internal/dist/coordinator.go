@@ -199,12 +199,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	if led == nil {
 		led = newLedger(o.Telemetry)
 	}
-	elastic := o.Elastic
-	if hooks.kill != nil && o.KillWorker >= 0 && o.KillWorker < n {
-		elastic = append(append([]ElasticEvent(nil), elastic...), ElasticEvent{
-			Kind: "kill", Worker: o.KillWorker, AfterMapDone: o.KillAfterMapDone,
-		})
-	}
 
 	start := time.Now()
 	traceID := o.TraceID
@@ -664,7 +658,12 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 	}
 
-	// fill tops every active worker up to its MapSlots quota. Dispatch
+	// mapSlots is how many map tasks a worker may hold at once; the wire
+	// shuffle of task k overlaps the kernel of task k+1 even at 1 because
+	// sends are asynchronous.
+	const mapSlots = 2
+
+	// fill tops every active worker up to its mapSlots quota. Dispatch
 	// pauses while a membership transition is queued or in flight: the
 	// transition needs the cluster quiesced, and new attempts would stage
 	// shuffle output across a partition map about to move.
@@ -677,7 +676,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			if cw == nil || !cw.alive || cw.state != wActive {
 				continue
 			}
-			for cw.outstanding < tun.MapSlots {
+			for cw.outstanding < mapSlots {
 				t, ok := sched.next(w, sa)
 				if !ok {
 					break
@@ -758,8 +757,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	// fireEvents consumes elastic events whose progress threshold has been
 	// met, strictly in order.
 	fireEvents = func() {
-		for jobErr == nil && eventIdx < len(elastic) {
-			e := elastic[eventIdx]
+		for jobErr == nil && eventIdx < len(o.Elastic) {
+			e := o.Elastic[eventIdx]
 			trigger, threshold := sched.resolvedCount, e.AfterMapDone
 			if e.AfterReduceDone > 0 {
 				trigger, threshold = donePartCount, e.AfterReduceDone

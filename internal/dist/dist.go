@@ -97,16 +97,6 @@ type Tuning struct {
 	// HeartbeatTimeout declares a peer dead after this long without any
 	// inbound frame (0 = default 10s).
 	HeartbeatTimeout time.Duration
-	// MapSlots is how many map tasks a worker may hold at once; the wire
-	// shuffle of task k overlaps the kernel of task k+1 even at 1 because
-	// sends are asynchronous (0 = default 2).
-	MapSlots int
-	// CoalesceBytes flushes a peer's outbound run coalescer once this many
-	// bytes of run entries are buffered (0 = default 256 KiB).
-	CoalesceBytes int64
-	// CoalesceDelay bounds how long a buffered run waits for more
-	// passengers before its frame ships anyway (0 = default 2ms).
-	CoalesceDelay time.Duration
 	// RejoinGrace is how long a worker that loses its coordinator link
 	// keeps redialing before declaring the job lost (0 = don't redial).
 	// With a grace window, a coordinator that restarts and resumes from
@@ -135,15 +125,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.HeartbeatTimeout <= 0 {
 		t.HeartbeatTimeout = 10 * time.Second
-	}
-	if t.MapSlots <= 0 {
-		t.MapSlots = 2
-	}
-	if t.CoalesceBytes <= 0 {
-		t.CoalesceBytes = 256 << 10
-	}
-	if t.CoalesceDelay <= 0 {
-		t.CoalesceDelay = 2 * time.Millisecond
 	}
 	return t
 }

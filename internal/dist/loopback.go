@@ -186,7 +186,6 @@ func RunLoopback(o Options) (*Result, error) {
 				so.Elastic = nil
 			}
 			so.Resume = true
-			so.KillWorker = -1
 			ln, err = retryListen(addr)
 			if err != nil {
 				break

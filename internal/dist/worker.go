@@ -474,7 +474,7 @@ func (w *worker) registerPeer(id int, cc *conn) bool {
 		return false
 	}
 	w.peers[id] = cc
-	w.coal[id] = newCoalescer(cc, w.led, w.tr, w.traceID, w.tun.CoalesceBytes, w.job.Compress)
+	w.coal[id] = newCoalescer(cc, w.led, w.tr, w.traceID, w.job.Compress)
 	w.alive[id] = true
 	w.mu.Unlock()
 	w.wg.Add(1)
@@ -503,11 +503,11 @@ func (w *worker) growLocked(n int) {
 }
 
 // coalesceFlusher is the coalescers' time trigger: a buffered run batch
-// whose oldest entry has waited CoalesceDelay ships even if no size or
+// whose oldest entry has waited coalesceDelay ships even if no size or
 // marker trigger arrives — bounded latency without sacrificing batching.
 func (w *worker) coalesceFlusher() {
 	defer w.wg.Done()
-	t := time.NewTicker(w.tun.CoalesceDelay)
+	t := time.NewTicker(coalesceDelay)
 	defer t.Stop()
 	for {
 		select {
@@ -519,7 +519,7 @@ func (w *worker) coalesceFlusher() {
 			w.mu.Unlock()
 			for _, co := range coal {
 				if co != nil {
-					co.flushIfStale(w.tun.CoalesceDelay)
+					co.flushIfStale()
 				}
 			}
 		}
@@ -1128,7 +1128,7 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 		})
 		bodyBytes += int64(len(blob))
 		recs += int64(run.Records)
-		if bodyBytes >= w.tun.CoalesceBytes {
+		if bodyBytes >= coalesceBytes {
 			flush()
 		}
 		if path := cr.run.Path(); path != "" {
