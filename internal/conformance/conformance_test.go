@@ -2,6 +2,12 @@ package conformance
 
 import (
 	"testing"
+
+	"glasswing"
+	"glasswing/internal/core"
+	"glasswing/internal/dist"
+	"glasswing/internal/native"
+	"glasswing/internal/obs"
 )
 
 // TestReference sanity-checks the sequential reference engine itself: jobs
@@ -145,4 +151,143 @@ func TestCrossRuntimeDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// counterNames lists the counters a registry holds.
+func counterNames(reg *obs.Registry) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range reg.Snapshot() {
+		if m.Type == "counter" {
+			names[m.Name] = true
+		}
+	}
+	return names
+}
+
+// wcDist is a 3-worker loopback WordCount over j's data, counting into tel.
+func wcDist(j Job, tel *obs.Telemetry) dist.Options {
+	return dist.Options{
+		Job:       dist.Job{App: dist.AppSpec{Name: j.Name}, Partitions: 4, Collector: j.Collector},
+		Workers:   3,
+		Blocks:    splitBlocks(j, j.baseBlock()),
+		Telemetry: tel,
+		NewApp: func(dist.AppSpec) (*core.App, func(key []byte, n int) int, error) {
+			return j.New(), j.Partitioner, nil
+		},
+		KillWorker: -1,
+	}
+}
+
+// TestConservVocabularyIsShared: the three runtimes count into one ledger
+// type, so after one WC cell each registry holds every name core.NewConserv
+// registers — and the reader asks for no counter that no runtime writes.
+func TestConservVocabularyIsShared(t *testing.T) {
+	j := Jobs()[0]
+	table := obs.NewRegistry()
+	core.NewConserv(table)
+	shared := counterNames(table)
+	if len(shared) == 0 {
+		t.Fatal("core.NewConserv registered no counters")
+	}
+
+	sim := obs.NewRegistry()
+	cluster := glasswing.NewCluster(glasswing.ClusterConfig{Nodes: 3, BlockSize: j.baseBlock()})
+	cluster.LoadText("in", j.Data)
+	cfg := simConfig(j, simVariant{})
+	cfg.Metrics = sim
+	if _, err := cluster.Run(j.New(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	nat := obs.NewTelemetry()
+	if _, err := native.Run(j.New(), splitBlocks(j, j.baseBlock()),
+		native.Config{Partitions: 4, Collector: j.Collector, Telemetry: nat}); err != nil {
+		t.Fatal(err)
+	}
+	dst := obs.NewTelemetry()
+	if _, err := dist.RunLoopback(wcDist(j, dst)); err != nil {
+		t.Fatal(err)
+	}
+
+	for runtime, reg := range map[string]*obs.Registry{"sim": sim, "native": nat.Metrics, "dist": dst.Metrics} {
+		have := counterNames(reg)
+		for name := range shared {
+			if !have[name] {
+				t.Errorf("%s registry lacks shared ledger counter %s", runtime, name)
+			}
+		}
+		if got := ReadLedger(reg).MapRecordsIn; got != Reference(j).Records {
+			t.Errorf("%s: ledger read back %d map records in, want %d", runtime, got, Reference(j).Records)
+		}
+	}
+	written := counterNames(dst.Metrics) // the shared table plus the dist-only names
+	LedgerFromCounters(func(name string) int64 {
+		if !written[name] {
+			t.Errorf("LedgerFromCounters reads %s, which no runtime writes", name)
+		}
+		return 0
+	})
+}
+
+// TestResultIsPerRunOnSharedRegistry: the ledger counts straight into the
+// caller's registry, which may outlive a run. Two spilling WordCount runs on
+// one Telemetry must report the same per-run Result while the registry holds
+// their sum. (A 1-byte threshold files every run, so the spill volume does
+// not depend on scheduling; full replication makes every block read local.)
+func TestResultIsPerRunOnSharedRegistry(t *testing.T) {
+	j := Jobs()[0]
+	t.Run("native", func(t *testing.T) {
+		tel := obs.NewTelemetry()
+		run := func() *native.Result {
+			res, err := native.Run(j.New(), splitBlocks(j, j.baseBlock()), native.Config{
+				Partitions: 4, Collector: j.Collector, CacheThreshold: 1, SpillDir: t.TempDir(), Telemetry: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		a, b := run(), run()
+		if a.SpillFiles == 0 || a.IntermediatePairs == 0 {
+			t.Fatalf("first run spilled %d files of %d pairs; the test needs both", a.SpillFiles, a.IntermediatePairs)
+		}
+		if b.IntermediatePairs != a.IntermediatePairs || b.SpillFiles != a.SpillFiles || b.SpillBytes != a.SpillBytes {
+			t.Errorf("second run reports %d pairs, %d files, %d bytes; first %d, %d, %d",
+				b.IntermediatePairs, b.SpillFiles, b.SpillBytes, a.IntermediatePairs, a.SpillFiles, a.SpillBytes)
+		}
+		led := ReadLedger(tel.Metrics)
+		if led.MapPairsOut != 2*int64(a.IntermediatePairs) || led.SpillStoredBytes != 2*a.SpillBytes ||
+			tel.Metrics.Counter("conserv_spill_files_total").Value() != 2*int64(a.SpillFiles) {
+			t.Errorf("registry after two runs: %+v; want twice %d pairs, %d spill bytes, %d files",
+				led, a.IntermediatePairs, a.SpillBytes, a.SpillFiles)
+		}
+	})
+	t.Run("dist", func(t *testing.T) {
+		tel := obs.NewTelemetry()
+		run := func() *dist.Result {
+			o := wcDist(j, tel)
+			o.Blockstore, o.Replication = "local", 3
+			o.Tuning.SpillThreshold, o.Tuning.WorkDir = 1, t.TempDir()
+			res, err := dist.RunLoopback(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		a, b := run(), run()
+		if a.SpillRecords == 0 || a.ReadLocalBytes == 0 {
+			t.Fatalf("first run spilled %d records and read %d bytes locally; the test needs both", a.SpillRecords, a.ReadLocalBytes)
+		}
+		if b.IntermediatePairs != a.IntermediatePairs || b.SpillRecords != a.SpillRecords ||
+			b.SpillBytes != a.SpillBytes || b.ReadLocalBytes != a.ReadLocalBytes || b.ReadRemoteBytes != a.ReadRemoteBytes {
+			t.Errorf("second run reports %d pairs, %d spill records, %d spill bytes, %d local and %d remote bytes; first %d, %d, %d, %d, %d",
+				b.IntermediatePairs, b.SpillRecords, b.SpillBytes, b.ReadLocalBytes, b.ReadRemoteBytes,
+				a.IntermediatePairs, a.SpillRecords, a.SpillBytes, a.ReadLocalBytes, a.ReadRemoteBytes)
+		}
+		led := ReadLedger(tel.Metrics)
+		if led.MapPairsOut != 2*a.IntermediatePairs || led.SpillRecords != 2*a.SpillRecords ||
+			led.SpillStoredBytes != 2*a.SpillBytes || led.ReadLocalBytes != 2*a.ReadLocalBytes {
+			t.Errorf("registry after two runs: %+v; want twice %d pairs, %d spill records, %d spill bytes, %d local bytes",
+				led, a.IntermediatePairs, a.SpillRecords, a.SpillBytes, a.ReadLocalBytes)
+		}
+	})
 }

@@ -7,10 +7,10 @@ import (
 	"glasswing/internal/obs"
 )
 
-// Ledger is one run's conservation account, read back from the conserv_*
-// counters both instrumented runtimes publish into their obs registry
-// (internal/core's jobCounters and internal/native's recorder use the same
-// metric vocabulary, so one reader serves both).
+// Ledger is one run's conservation account, read back by name from the
+// conserv_* counters the runtimes count into their obs registry: the sim
+// core, internal/native and internal/dist all book through core.Conserv (dist
+// adds its wire and handoff counters in newLedger), so one reader serves all.
 type Ledger struct {
 	MapRecordsIn int64 // parsed records consumed by map kernels
 	MapPairsOut  int64 // pairs leaving map kernels (post-combine if any)
@@ -26,9 +26,9 @@ type Ledger struct {
 	StoreLost        int64 // records lost with a dying store (sim node death)
 	StoreSettled     int64 // lost records a final accepted reduce had already consumed (dist)
 
-	SpillRecords     int64 // records written to spill files (native)
-	SpillRawBytes    int64 // spill payload volume before framing (native)
-	SpillStoredBytes int64 // on-disk spill volume after compression (native)
+	SpillRecords     int64 // records written to spill files (native, dist)
+	SpillRawBytes    int64 // spill payload volume before framing (native, dist)
+	SpillStoredBytes int64 // on-disk spill volume after compression (native, dist)
 
 	MergeIn  int64 // records entering compaction merges
 	MergeOut int64 // records leaving compaction merges

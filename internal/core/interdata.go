@@ -56,7 +56,7 @@ type interManager struct {
 	cfg     Config
 	// conserv is the job's conservation ledger (set by Run; nil-field-safe
 	// because counters are only touched when non-nil).
-	conserv *conservCounters
+	conserv *Conserv
 	parts   []*partStore
 
 	wake       []*sim.Queue[struct{}]
@@ -97,7 +97,7 @@ func newInterManager(env *sim.Env, node *hw.Node, cfg Config, firstGlobal int) *
 func (m *interManager) addRun(idx int, task taskID, run *kv.Run) {
 	if m.dead {
 		if m.conserv != nil {
-			m.conserv.storeDeadDropped.Add(int64(run.Records))
+			m.conserv.StoreDeadDropped.Add(int64(run.Records))
 		}
 		return
 	}
@@ -107,7 +107,7 @@ func (m *interManager) addRun(idx int, task taskID, run *kv.Run) {
 	ps := m.parts[idx]
 	if ps.seen[task] {
 		if m.conserv != nil {
-			m.conserv.storeDupDropped.Add(int64(run.Records))
+			m.conserv.StoreDupDropped.Add(int64(run.Records))
 		}
 		return
 	}
@@ -115,7 +115,7 @@ func (m *interManager) addRun(idx int, task taskID, run *kv.Run) {
 	ps.cached = append(ps.cached, run)
 	ps.cachedBytes += run.StoredBytes()
 	if m.conserv != nil {
-		m.conserv.storeAccepted.Add(int64(run.Records))
+		m.conserv.StoreAccepted.Add(int64(run.Records))
 	}
 	if m.aggregateCache() > m.cfg.CacheThreshold {
 		for i := range m.parts {
@@ -191,7 +191,7 @@ func (m *interManager) markDead() {
 			for _, r := range ps.runs() {
 				lost += int64(r.Records)
 			}
-			m.conserv.storeLost.Add(lost)
+			m.conserv.StoreLost.Add(lost)
 		}
 		ps.cached, ps.cachedBytes, ps.onDisk = nil, 0, nil
 		m.wake[i].Close()
@@ -265,14 +265,14 @@ func (m *interManager) flush(p *sim.Proc, ps *partStore) {
 		// The node died mid-flush: the detached runs were not in the store
 		// when markDead counted its loss, so account for them here.
 		if m.conserv != nil {
-			m.conserv.storeLost.Add(int64(pairsN))
+			m.conserv.StoreLost.Add(int64(pairsN))
 		}
 		return
 	}
 	merged := kv.MergeRuns(runs, m.cfg.Compress)
 	if m.conserv != nil {
-		m.conserv.mergeRecordsIn.Add(int64(pairsN))
-		m.conserv.mergeRecordsOut.Add(int64(merged.Records))
+		m.conserv.MergeRecordsIn.Add(int64(pairsN))
+		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
 	}
 	m.node.Disk.Write(p, merged.StoredBytes())
 	ps.onDisk = append(ps.onDisk, merged)
@@ -305,14 +305,14 @@ func (m *interManager) compactCache(p *sim.Proc, ps *partStore) {
 	m.node.HostWork(p, ops, 1)
 	if m.dead {
 		if m.conserv != nil {
-			m.conserv.storeLost.Add(int64(pairsN))
+			m.conserv.StoreLost.Add(int64(pairsN))
 		}
 		return
 	}
 	merged := kv.MergeRuns(runs, m.cfg.Compress)
 	if m.conserv != nil {
-		m.conserv.mergeRecordsIn.Add(int64(pairsN))
-		m.conserv.mergeRecordsOut.Add(int64(merged.Records))
+		m.conserv.MergeRecordsIn.Add(int64(pairsN))
+		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
 	}
 	ps.cached = append(ps.cached, merged)
 	ps.cachedBytes += merged.StoredBytes()
@@ -346,14 +346,14 @@ func (m *interManager) compactDisk(p *sim.Proc, ps *partStore) {
 	m.node.HostWork(p, ops, 1)
 	if m.dead {
 		if m.conserv != nil {
-			m.conserv.storeLost.Add(int64(pairsN))
+			m.conserv.StoreLost.Add(int64(pairsN))
 		}
 		return
 	}
 	merged := kv.MergeRuns(runs, m.cfg.Compress)
 	if m.conserv != nil {
-		m.conserv.mergeRecordsIn.Add(int64(pairsN))
-		m.conserv.mergeRecordsOut.Add(int64(merged.Records))
+		m.conserv.MergeRecordsIn.Add(int64(pairsN))
+		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
 	}
 	m.node.Disk.Write(p, merged.StoredBytes())
 	ps.onDisk = append(ps.onDisk, merged)

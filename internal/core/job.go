@@ -173,14 +173,14 @@ func (j *job) senderLoop(p *sim.Proc, nodeIdx int) {
 			return
 		}
 		if j.deadNodes[nodeIdx] || j.deadNodes[m.dest] {
-			j.counters.conserv.storeDeadDropped.Add(int64(m.run.Records))
+			j.counters.conserv.StoreDeadDropped.Add(int64(m.run.Records))
 			continue
 		}
 		j.sending[nodeIdx], j.sendingDest[nodeIdx], j.sendingActive[nodeIdx] = m.task, m.dest, true
 		j.cluster.Transfer(p, j.cluster.Nodes[nodeIdx], j.cluster.Nodes[m.dest], m.run.StoredBytes())
 		j.sendingActive[nodeIdx] = false
 		if j.deadNodes[nodeIdx] || j.deadNodes[m.dest] {
-			j.counters.conserv.storeDeadDropped.Add(int64(m.run.Records))
+			j.counters.conserv.StoreDeadDropped.Add(int64(m.run.Records))
 			continue
 		}
 		j.managers[m.dest].addRun(m.local, m.task, m.run)
@@ -270,7 +270,7 @@ func (j *job) killNode(d int) {
 	// The dead node's queued outbound traffic and in-flight transfer die
 	// with it.
 	for _, m := range j.senders[d].Filter(func(pushMsg) bool { return false }) {
-		j.counters.conserv.storeDeadDropped.Add(int64(m.run.Records))
+		j.counters.conserv.StoreDeadDropped.Add(int64(m.run.Records))
 		addRex(m.task)
 	}
 	if j.sendingActive[d] {
@@ -282,7 +282,7 @@ func (j *job) killNode(d int) {
 			continue
 		}
 		for _, m := range j.senders[s].Filter(func(m pushMsg) bool { return m.dest != d }) {
-			j.counters.conserv.storeDeadDropped.Add(int64(m.run.Records))
+			j.counters.conserv.StoreDeadDropped.Add(int64(m.run.Records))
 			addRex(m.task)
 		}
 		if j.sendingActive[s] && j.sendingDest[s] == d {

@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"glasswing/internal/kv"
 	"glasswing/internal/obs"
 )
 
@@ -19,78 +20,75 @@ type jobCounters struct {
 	speculativeWins *obs.Counter
 	base            JobStats
 
-	conserv conservCounters
+	conserv Conserv
 }
 
-// conservCounters is the job's record/byte conservation ledger (the
-// ConservationMetricNames vocabulary): every stage boundary counts what it
-// consumed and produced, so a metrics snapshot can prove the pipeline
-// neither lost nor duplicated data. All sites count winning attempts only —
-// a resolved task whose twin lost the race contributes nothing — except the
-// explicit drop/loss counters, which account for data that legitimately
-// vanished (dead stores, dedup of re-executed tasks).
-type conservCounters struct {
-	mapRecordsIn    *obs.Counter // input records consumed by resolved map tasks
-	mapPairsOut     *obs.Counter // pairs emitted by resolved map tasks
-	partRecords     *obs.Counter // pairs serialized into partition runs
-	partRuns        *obs.Counter // runs produced by the partitioning stage
-	partRawBytes    *obs.Counter // payload bytes entering runs
-	partStoredBytes *obs.Counter // encoded bytes leaving runs (post-compression)
+// Conserv is the record/byte conservation ledger of all three runtimes:
+// this simulator, internal/native and internal/dist count into the same
+// registry counters through it, and NewConserv is the one copy of the names
+// (DESIGN.md's ledger table is read off it). Every stage boundary counts what
+// it consumed and produced, so a metrics snapshot can prove the pipeline
+// neither lost nor duplicated data. All sites count winning attempts only,
+// except the explicit drop/loss counters, which account for data that
+// legitimately vanished (dead stores, dedup of re-executed tasks). A runtime
+// without a boundary leaves its counter at zero.
+type Conserv struct {
+	MapRecordsIn    *obs.Counter // input records consumed by resolved map tasks
+	MapPairsOut     *obs.Counter // pairs emitted by resolved map tasks
+	PartRecords     *obs.Counter // pairs serialized into partition runs
+	PartRuns        *obs.Counter // runs produced by the partitioning stage
+	PartRawBytes    *obs.Counter // payload bytes entering runs
+	PartStoredBytes *obs.Counter // encoded bytes leaving runs (post-compression)
 
-	storeAccepted    *obs.Counter // records accepted into intermediate stores
-	storeDupDropped  *obs.Counter // records dropped as re-delivery duplicates
-	storeDeadDropped *obs.Counter // records dropped en route to / at a dead node
-	storeLost        *obs.Counter // accepted records lost with a dead store
+	StoreAccepted    *obs.Counter // records accepted into intermediate stores
+	StoreDupDropped  *obs.Counter // records dropped as re-delivery duplicates
+	StoreDeadDropped *obs.Counter // records dropped en route to / at a dead node
+	StoreLost        *obs.Counter // accepted records lost with a dead store
 
-	mergeRecordsIn  *obs.Counter // records entering intermediate merges
-	mergeRecordsOut *obs.Counter // records leaving intermediate merges
+	SpillRecords     *obs.Counter // records of runs filed to disk
+	SpillRawBytes    *obs.Counter // payload bytes of runs filed to disk
+	SpillStoredBytes *obs.Counter // on-disk bytes of filed runs (post-compression)
+	SpillFiles       *obs.Counter // run files written
 
-	reduceRecordsIn *obs.Counter // records read by winning reduce attempts
-	reduceGroupsIn  *obs.Counter // key groups read by winning reduce attempts
-	outputPairs     *obs.Counter // pairs persisted by winning reduce attempts
+	MergeRecordsIn  *obs.Counter // records entering intermediate merges
+	MergeRecordsOut *obs.Counter // records leaving intermediate merges
+
+	ReduceRecordsIn *obs.Counter // records read by winning reduce attempts
+	ReduceGroupsIn  *obs.Counter // key groups read by winning reduce attempts
+	OutputPairs     *obs.Counter // pairs persisted by winning reduce attempts
 }
 
-// ConservationMetricNames lists the ledger counters both runtimes publish
-// (internal/conformance reads them back to check records in == records out
-// per stage).
-func ConservationMetricNames() []string {
-	return []string{
-		"conserv_map_records_in_total",
-		"conserv_map_pairs_out_total",
-		"conserv_partition_records_total",
-		"conserv_partition_runs_total",
-		"conserv_partition_raw_bytes_total",
-		"conserv_partition_stored_bytes_total",
-		"conserv_store_accepted_records_total",
-		"conserv_store_dup_dropped_records_total",
-		"conserv_store_dead_dropped_records_total",
-		"conserv_store_lost_records_total",
-		"conserv_merge_records_in_total",
-		"conserv_merge_records_out_total",
-		"conserv_reduce_records_in_total",
-		"conserv_reduce_groups_in_total",
-		"conserv_output_pairs_total",
+// NewConserv returns the ledger counting into reg.
+func NewConserv(reg *obs.Registry) Conserv {
+	return Conserv{
+		MapRecordsIn:     reg.Counter("conserv_map_records_in_total"),
+		MapPairsOut:      reg.Counter("conserv_map_pairs_out_total"),
+		PartRecords:      reg.Counter("conserv_partition_records_total"),
+		PartRuns:         reg.Counter("conserv_partition_runs_total"),
+		PartRawBytes:     reg.Counter("conserv_partition_raw_bytes_total"),
+		PartStoredBytes:  reg.Counter("conserv_partition_stored_bytes_total"),
+		StoreAccepted:    reg.Counter("conserv_store_accepted_records_total"),
+		StoreDupDropped:  reg.Counter("conserv_store_dup_dropped_records_total"),
+		StoreDeadDropped: reg.Counter("conserv_store_dead_dropped_records_total"),
+		StoreLost:        reg.Counter("conserv_store_lost_records_total"),
+		SpillRecords:     reg.Counter("conserv_spill_records_total"),
+		SpillRawBytes:    reg.Counter("conserv_spill_raw_bytes_total"),
+		SpillStoredBytes: reg.Counter("conserv_spill_stored_bytes_total"),
+		SpillFiles:       reg.Counter("conserv_spill_files_total"),
+		MergeRecordsIn:   reg.Counter("conserv_merge_records_in_total"),
+		MergeRecordsOut:  reg.Counter("conserv_merge_records_out_total"),
+		ReduceRecordsIn:  reg.Counter("conserv_reduce_records_in_total"),
+		ReduceGroupsIn:   reg.Counter("conserv_reduce_groups_in_total"),
+		OutputPairs:      reg.Counter("conserv_output_pairs_total"),
 	}
 }
 
-func newConservCounters(reg *obs.Registry) conservCounters {
-	return conservCounters{
-		mapRecordsIn:     reg.Counter("conserv_map_records_in_total"),
-		mapPairsOut:      reg.Counter("conserv_map_pairs_out_total"),
-		partRecords:      reg.Counter("conserv_partition_records_total"),
-		partRuns:         reg.Counter("conserv_partition_runs_total"),
-		partRawBytes:     reg.Counter("conserv_partition_raw_bytes_total"),
-		partStoredBytes:  reg.Counter("conserv_partition_stored_bytes_total"),
-		storeAccepted:    reg.Counter("conserv_store_accepted_records_total"),
-		storeDupDropped:  reg.Counter("conserv_store_dup_dropped_records_total"),
-		storeDeadDropped: reg.Counter("conserv_store_dead_dropped_records_total"),
-		storeLost:        reg.Counter("conserv_store_lost_records_total"),
-		mergeRecordsIn:   reg.Counter("conserv_merge_records_in_total"),
-		mergeRecordsOut:  reg.Counter("conserv_merge_records_out_total"),
-		reduceRecordsIn:  reg.Counter("conserv_reduce_records_in_total"),
-		reduceGroupsIn:   reg.Counter("conserv_reduce_groups_in_total"),
-		outputPairs:      reg.Counter("conserv_output_pairs_total"),
-	}
+// Spilled books one run the intermediate store filed to disk.
+func (c *Conserv) Spilled(run *kv.Run) {
+	c.SpillRecords.Add(int64(run.Records))
+	c.SpillRawBytes.Add(run.RawBytes)
+	c.SpillStoredBytes.Add(run.StoredBytes())
+	c.SpillFiles.Inc()
 }
 
 func newJobCounters(reg *obs.Registry) *jobCounters {
@@ -100,7 +98,7 @@ func newJobCounters(reg *obs.Registry) *jobCounters {
 		nodesLost:       reg.Counter("nodes_lost_total"),
 		mapRecoveries:   reg.Counter("map_recoveries_total"),
 		speculativeWins: reg.Counter("speculative_wins_total"),
-		conserv:         newConservCounters(reg),
+		conserv:         NewConserv(reg),
 	}
 	c.base = c.totals()
 	return c

@@ -394,14 +394,14 @@ func (j *job) partitionChunk(p *sim.Proc, nodeIdx int, oc outChunk) {
 	// failures these map-side totals exceed the dataset; the store-side
 	// ledger stays exact through the dup/dead/lost counters.)
 	cons := &j.counters.conserv
-	cons.mapRecordsIn.Add(int64(oc.records))
-	cons.mapPairsOut.Add(int64(len(oc.pairs)))
+	cons.MapRecordsIn.Add(int64(oc.records))
+	cons.MapPairsOut.Add(int64(len(oc.pairs)))
 	for _, r := range runs {
-		cons.partRecords.Add(int64(r.run.Records))
-		cons.partRawBytes.Add(r.run.RawBytes)
-		cons.partStoredBytes.Add(r.run.StoredBytes())
+		cons.PartRecords.Add(int64(r.run.Records))
+		cons.PartRawBytes.Add(r.run.RawBytes)
+		cons.PartStoredBytes.Add(r.run.StoredBytes())
 	}
-	cons.partRuns.Add(int64(len(runs)))
+	cons.PartRuns.Add(int64(len(runs)))
 
 	// Durability: the node's map output is persisted locally in addition
 	// to the copy that feeds intermediate-data processing (§III-E). The

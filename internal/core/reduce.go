@@ -183,8 +183,8 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 					}
 					// Ledger: the winning attempt's input is what the
 					// reduce phase consumed for this partition.
-					j.counters.conserv.reduceRecordsIn.Add(int64(c.pairsIn))
-					j.counters.conserv.reduceGroupsIn.Add(int64(c.groupsIn))
+					j.counters.conserv.ReduceRecordsIn.Add(int64(c.pairsIn))
+					j.counters.conserv.ReduceGroupsIn.Add(int64(c.groupsIn))
 				} else {
 					ro.drop = true // a twin attempt won the race
 				}
@@ -228,7 +228,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 					if _, err := j.fs.Write(p, node, name, blob, cfg.OutputReplication); err != nil {
 						panic(err)
 					}
-					j.counters.conserv.outputPairs.Add(int64(len(partPairs)))
+					j.counters.conserv.OutputPairs.Add(int64(len(partPairs)))
 					j.outputs[ro.task.payload.global] = partPairs
 					partPairs = nil
 				}

@@ -27,13 +27,13 @@ type frame struct {
 //     the socket's write side, so shuffle transfers overlap the caller's
 //     compute and no two goroutines interleave frames.
 //   - a bounded send window: bulk (mRun) frames block the sender while
-//     more than Tuning.SendWindow bytes are queued or in flight —
+//     more than Tuning.sendWindow bytes are queued or in flight —
 //     backpressure from a slow receiver propagates to the map executor.
 //     Control frames bypass the window: acks and death notices must flow
 //     even when a window is wedged, or two workers shuffling into each
 //     other could deadlock.
-//   - heartbeats: a keep-alive frame every Tuning.HeartbeatEvery, and a
-//     read deadline of Tuning.HeartbeatTimeout — a peer that goes silent
+//   - heartbeats: a keep-alive frame every Tuning.heartbeatEvery, and a
+//     read deadline of Tuning.heartbeatTimeout — a peer that goes silent
 //     past the timeout surfaces as a recv error, which callers treat as
 //     death.
 //
@@ -93,14 +93,14 @@ func newConn(c net.Conn, name string, t Tuning, onDrop func(records, acct int64)
 		c:         c,
 		br:        bufio.NewReader(c),
 		name:      name,
-		hbTimeout: t.HeartbeatTimeout,
-		window:    t.SendWindow,
+		hbTimeout: t.heartbeatTimeout,
+		window:    t.sendWindow,
 		onDrop:    onDrop,
 		done:      make(chan struct{}),
 	}
 	cc.cond = sync.NewCond(&cc.mu)
 	go cc.pump()
-	go cc.heartbeat(t.HeartbeatEvery)
+	go cc.heartbeat(t.heartbeatEvery)
 	return cc
 }
 
@@ -258,7 +258,7 @@ func (cc *conn) probeClock(every time.Duration) {
 // a clock probe is answered with a reply carrying our receive/send stamps,
 // a reply feeds the link's clock estimator, and a plain (or malformed —
 // it's only a keepalive) payload is skipped. Any error — including a read
-// deadline expiring after HeartbeatTimeout of silence — means the peer is
+// deadline expiring after heartbeatTimeout of silence — means the peer is
 // gone as far as this link is concerned.
 func (cc *conn) recv() (byte, []byte, error) {
 	for {

@@ -39,9 +39,9 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 func TestHeartbeatTimeoutDeclaresPeerDead(t *testing.T) {
 	a, b := tcpPair(t)
 	// Side A heartbeats so rarely the peer's timeout always fires first.
-	ca := newConn(a, "a", Tuning{HeartbeatEvery: time.Hour, HeartbeatTimeout: time.Hour}, nil)
+	ca := newConn(a, "a", Tuning{heartbeatEvery: time.Hour, heartbeatTimeout: time.Hour}, nil)
 	defer ca.close()
-	cb := newConn(b, "b", Tuning{HeartbeatEvery: time.Hour, HeartbeatTimeout: 100 * time.Millisecond}, nil)
+	cb := newConn(b, "b", Tuning{heartbeatEvery: time.Hour, heartbeatTimeout: 100 * time.Millisecond}, nil)
 	defer cb.close()
 
 	done := make(chan error, 1)
@@ -63,7 +63,7 @@ func TestSendWindowBackpressure(t *testing.T) {
 	a, b := tcpPair(t)
 	// Tiny window, receiver not reading: after the window fills (plus
 	// whatever the kernel socket buffers swallow), bulk sends must block.
-	tun := Tuning{SendWindow: 4 << 10, HeartbeatEvery: time.Hour, HeartbeatTimeout: time.Hour}
+	tun := Tuning{sendWindow: 4 << 10, heartbeatEvery: time.Hour, heartbeatTimeout: time.Hour}
 	ca := newConn(a, "a", tun, nil)
 	defer ca.close()
 	cb := newConn(b, "b", tun, nil)
@@ -126,7 +126,7 @@ func TestSendWindowBackpressure(t *testing.T) {
 
 func TestSealAccountsQueuedFramesAsLost(t *testing.T) {
 	a, b := tcpPair(t)
-	tun := Tuning{SendWindow: 1 << 30, HeartbeatEvery: time.Hour, HeartbeatTimeout: time.Hour}
+	tun := Tuning{sendWindow: 1 << 30, heartbeatEvery: time.Hour, heartbeatTimeout: time.Hour}
 	var lostRecords, lostBytes atomic.Int64
 	onDrop := func(records, acct int64) {
 		lostRecords.Add(records)
@@ -196,7 +196,7 @@ func TestSendAfterCloseDropsWithAccounting(t *testing.T) {
 
 func TestShutdownFlushesQueuedFrames(t *testing.T) {
 	a, b := tcpPair(t)
-	tun := Tuning{HeartbeatEvery: time.Hour, HeartbeatTimeout: time.Hour}
+	tun := Tuning{heartbeatEvery: time.Hour, heartbeatTimeout: time.Hour}
 	ca := newConn(a, "a", tun, nil)
 	cb := newConn(b, "b", tun, nil)
 	defer cb.close()

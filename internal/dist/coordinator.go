@@ -208,7 +208,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	// The coordinator records its own scheduling spans as node -1 — the
 	// merged trace's "coordinator" process — and its epoch is the timeline
 	// every worker batch is rebased onto.
-	ctr := newTracer(nil, -1)
+	ctr := newTracer(-1)
 	nTasks := len(o.Blocks)
 
 	res := &Result{App: o.Job.App.Name, Workers: n}
@@ -333,7 +333,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			case m.WorkerID >= 0 && m.WorkerID < len(ws) && need[m.WorkerID]:
 				cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
 				ws[m.WorkerID] = cw
-				cc.enableClock(cw.clock, tun.HeartbeatEvery)
+				cc.enableClock(cw.clock, tun.heartbeatEvery)
 				delete(need, m.WorkerID)
 			case m.WorkerID >= len(ws):
 				// Admitted after the journal's last membership record (a join
@@ -347,7 +347,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
 				ws = append(ws, cw)
 				alive = append(alive, true)
-				cc.enableClock(cw.clock, tun.HeartbeatEvery)
+				cc.enableClock(cw.clock, tun.heartbeatEvery)
 			default:
 				// The journal says this worker already left (drained or its
 				// rejoin slot is already filled): let it exit cleanly.
@@ -406,7 +406,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 			cc := newConn(c, fmt.Sprintf("worker%d", i), tun, nil)
 			typ, p, err := cc.recv()
-			if err != nil || (typ != mJoin && typ != mHello) {
+			if err != nil || typ != mJoin {
 				cc.close()
 				return nil, fmt.Errorf("dist: bad join from worker %d (%s): %v", i, typeName(typ), err)
 			}
@@ -419,7 +419,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			// Only the coordinator probes; the worker side just echoes. The
 			// initial probe burst lands during formation, before shuffle
 			// traffic can queue behind it.
-			ws[i].cc.enableClock(ws[i].clock, tun.HeartbeatEvery)
+			ws[i].cc.enableClock(ws[i].clock, tun.heartbeatEvery)
 		}
 		alive = make([]bool, n)
 		for i := range alive {
@@ -1123,7 +1123,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				continue
 			}
 			switch ev.typ {
-			case mJoin, mHello:
+			case mJoin:
 				// Joiners are admitted in either phase: a mid-reduce joiner
 				// meshes, idles (its transition waits for a map phase that may
 				// never come back) and exits at job end — refusing it would
@@ -1138,7 +1138,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				ws = append(ws, cw)
 				alive = append(alive, true)
 				sched.join(id)
-				cc.enableClock(cw.clock, tun.HeartbeatEvery)
+				cc.enableClock(cw.clock, tun.heartbeatEvery)
 				ps := make([]string, len(ws))
 				for i, w2 := range ws {
 					if w2 != nil && w2.alive && w2.cc != nil {
@@ -1172,7 +1172,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				ws = append(ws, cw)
 				alive = append(alive, true)
 				sched.join(m.WorkerID)
-				cc.enableClock(cw.clock, tun.HeartbeatEvery)
+				cc.enableClock(cw.clock, tun.heartbeatEvery)
 				cc.send(frame{typ: mRehome, payload: rehomeMsg{
 					Epoch: epoch, Homes: homes, Alive: alive, Joined: -1, Left: -1,
 				}.encode()})
@@ -1312,9 +1312,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				// the coordinator: recoveries and restarts can run a
 				// partition's kernel more than once, but only one report may
 				// count or the ledger double-books.
-				led.reduceRecordsIn.Add(m.RecordsIn)
-				led.reduceGroupsIn.Add(m.GroupsIn)
-				led.outputPairs.Add(int64(len(pairs)))
+				led.ReduceRecordsIn.Add(m.RecordsIn)
+				led.ReduceGroupsIn.Add(m.GroupsIn)
+				led.OutputPairs.Add(int64(len(pairs)))
 				fireEvents()
 			}
 			// A fired kill whose death has not yet been observed blocks
@@ -1397,8 +1397,5 @@ func Serve(addr string, o Options) (*Result, error) {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)
 	}
 	defer ln.Close()
-	led := newLedger(o.Telemetry)
-	res, err := serve(ln, o, led, loopHooks{})
-	led.publish()
-	return res, err
+	return serve(ln, o, nil, loopHooks{})
 }

@@ -38,7 +38,9 @@
 // Every transfer is instrumented through internal/obs (net/send and
 // net/recv spans on the worker's node track, conserv_net_* counters), so
 // Chrome traces show the wire stage and internal/conformance can prove
-// records sent == received + lost even across a worker kill.
+// records sent == received + lost even across a worker kill. The pipeline
+// boundaries count into core.Conserv, the conservation ledger the simulator
+// and internal/native use too; tel.go adds the counters only this runtime has.
 package dist
 
 import (
@@ -61,9 +63,9 @@ type AppSpec struct {
 // Job is the wire-level job description the coordinator broadcasts in
 // JobStart.
 type Job struct {
-	App        AppSpec
-	Partitions int // total reduce partitions across the cluster
-	Collector  core.CollectorKind
+	App         AppSpec
+	Partitions  int // total reduce partitions across the cluster
+	Collector   core.CollectorKind
 	UseCombiner bool
 	// Compress DEFLATEs each coalesced shuffle frame once on the wire.
 	// Runs themselves stay uncompressed at both ends — cheap to build, and
@@ -85,18 +87,21 @@ func (j Job) withDefaults() Job {
 	return j
 }
 
-// Tuning holds the transport knobs shared by coordinator and workers.
+// Tuning holds the knobs shared by coordinator and workers. The transport
+// ones are unexported: nothing outside this package's tests has needed a
+// value other than the default.
 type Tuning struct {
-	// SendWindow bounds the bytes of shuffle data queued on one
+	// sendWindow bounds the bytes of shuffle data queued on one
 	// connection's write pump; a sender whose window is full blocks until
 	// the pump drains — backpressure from a slow receiver propagates to
 	// the map executor (0 = default 4 MiB).
-	SendWindow int64
-	// HeartbeatEvery is the keep-alive send interval (0 = default 1s).
-	HeartbeatEvery time.Duration
-	// HeartbeatTimeout declares a peer dead after this long without any
+	sendWindow int64
+	// heartbeatEvery is the keep-alive send interval (0 = default 1s).
+	heartbeatEvery time.Duration
+	// heartbeatTimeout declares a peer dead after this long without any
 	// inbound frame (0 = default 10s).
-	HeartbeatTimeout time.Duration
+	heartbeatTimeout time.Duration
+
 	// RejoinGrace is how long a worker that loses its coordinator link
 	// keeps redialing before declaring the job lost (0 = don't redial).
 	// With a grace window, a coordinator that restarts and resumes from
@@ -117,14 +122,14 @@ type Tuning struct {
 }
 
 func (t Tuning) withDefaults() Tuning {
-	if t.SendWindow <= 0 {
-		t.SendWindow = 4 << 20
+	if t.sendWindow <= 0 {
+		t.sendWindow = 4 << 20
 	}
-	if t.HeartbeatEvery <= 0 {
-		t.HeartbeatEvery = time.Second
+	if t.heartbeatEvery <= 0 {
+		t.heartbeatEvery = time.Second
 	}
-	if t.HeartbeatTimeout <= 0 {
-		t.HeartbeatTimeout = 10 * time.Second
+	if t.heartbeatTimeout <= 0 {
+		t.heartbeatTimeout = 10 * time.Second
 	}
 	return t
 }
@@ -207,4 +212,3 @@ const (
 	stageSchedAssign = "sched/assign"
 	stageSchedReduce = "sched/reduce"
 )
-

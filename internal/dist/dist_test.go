@@ -25,11 +25,11 @@ func testResolver(app func() *core.App, prt func([]byte, int) int) Resolver {
 func wcOptions(workers int, tel *obs.Telemetry) (Options, map[string]uint64) {
 	data, want := apps.WCData(21, 96<<10, 1200)
 	return Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 4, Collector: core.HashTable},
-		Workers:   workers,
-		Blocks:    SplitBlocks(data, 16<<10, 0),
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:        Job{App: AppSpec{Name: "WC"}, Partitions: 4, Collector: core.HashTable},
+		Workers:    workers,
+		Blocks:     SplitBlocks(data, 16<<10, 0),
+		Telemetry:  tel,
+		NewApp:     testResolver(apps.WordCount, nil),
 		KillWorker: -1,
 	}, want
 }
@@ -201,11 +201,11 @@ func TestWorkerKill(t *testing.T) {
 	tel := obs.NewTelemetry()
 	data, want := apps.WCData(21, 96<<10, 1200)
 	o := Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 5, Collector: core.HashTable},
-		Workers:   3,
-		Blocks:    SplitBlocks(data, 8<<10, 0), // ~12 tasks: plenty left at kill time
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:              Job{App: AppSpec{Name: "WC"}, Partitions: 5, Collector: core.HashTable},
+		Workers:          3,
+		Blocks:           SplitBlocks(data, 8<<10, 0), // ~12 tasks: plenty left at kill time
+		Telemetry:        tel,
+		NewApp:           testResolver(apps.WordCount, nil),
 		KillWorker:       1,
 		KillAfterMapDone: 2,
 	}
@@ -317,11 +317,11 @@ func TestOverlap(t *testing.T) {
 	tel := obs.NewTelemetry()
 	data, _ := apps.WCData(21, 256<<10, 1200)
 	o := Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 6, Collector: core.HashTable},
-		Workers:   3,
-		Blocks:    SplitBlocks(data, 8<<10, 0),
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:        Job{App: AppSpec{Name: "WC"}, Partitions: 6, Collector: core.HashTable},
+		Workers:    3,
+		Blocks:     SplitBlocks(data, 8<<10, 0),
+		Telemetry:  tel,
+		NewApp:     testResolver(apps.WordCount, nil),
 		KillWorker: -1,
 	}
 	if _, err := RunLoopback(o); err != nil {
@@ -367,10 +367,10 @@ func TestGeometryInvariance(t *testing.T) {
 	data, want := apps.WCData(21, 64<<10, 800)
 	ref := ""
 	for _, g := range []struct {
-		name             string
-		workers, parts   int
-		chunk            int
-		compress         bool
+		name           string
+		workers, parts int
+		chunk          int
+		compress       bool
 	}{
 		{"w3-p4", 3, 4, 16 << 10, false},
 		{"w2-p7", 2, 7, 16 << 10, false},
@@ -541,7 +541,7 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	// A link with a short read timeout but regular heartbeats must survive
 	// an idle period several timeouts long.
 	a, b := tcpPair(t)
-	tun := Tuning{HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 120 * time.Millisecond}
+	tun := Tuning{heartbeatEvery: 20 * time.Millisecond, heartbeatTimeout: 120 * time.Millisecond}
 	ca := newConn(a, "a", tun, nil)
 	defer ca.close()
 	cb := newConn(b, "b", tun, nil)

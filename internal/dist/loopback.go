@@ -84,8 +84,8 @@ func retryListen(addr string) (net.Listener, error) {
 // 127.0.0.1 TCP sockets, so every shuffle byte crosses the kernel's TCP
 // stack and every transport policy (framing, windows, heartbeats, death
 // detection) is exercised exactly as in a multi-process deployment. All
-// nodes share one conservation ledger, published into o.Telemetry after the
-// whole cluster has quiesced.
+// nodes share one conservation ledger, counting straight into o.Telemetry's
+// registry (complete once the whole cluster has quiesced).
 //
 // Elasticity is fully wired: o.Elastic join events spawn fresh worker
 // goroutines mid-job, drains hand partitions off and release their worker,
@@ -200,7 +200,6 @@ func RunLoopback(o Options) (*Result, error) {
 	// of hanging.
 	ln.Close()
 	lc.wg.Wait()
-	lc.led.publish()
 
 	if err != nil {
 		return nil, err
@@ -212,12 +211,6 @@ func RunLoopback(o Options) (*Result, error) {
 			return nil, fmt.Errorf("dist: worker goroutine: %w", werr)
 		}
 	}
-	// Loopback shares one ledger across the cluster, so the job's locality
-	// and spill totals are readable directly (multi-process workers report
-	// theirs in their own metrics snapshots instead).
-	res.ReadLocalBytes = lc.led.readLocalBytes.Load()
-	res.ReadRemoteBytes = lc.led.readRemoteBytes.Load()
-	res.SpillRecords = lc.led.spillRecords.Load()
-	res.SpillBytes = lc.led.spillStoredBytes.Load()
+	lc.led.fill(res)
 	return res, nil
 }

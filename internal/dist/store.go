@@ -93,10 +93,7 @@ func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led 
 
 // spilled is the run store's hook: one run was filed, its write begun at t0.
 func (s *shuffleStore) spilled(run *kv.Run, t0 time.Time) {
-	s.spillLed.spillRecords.Add(int64(run.Records))
-	s.spillLed.spillRawBytes.Add(run.RawBytes)
-	s.spillLed.spillStoredBytes.Add(run.StoredBytes())
-	s.spillLed.spillFiles.Add(1)
+	s.spillLed.Spilled(run)
 	if s.spillTr != nil {
 		s.spillTr.record(stageSpill, t0, time.Now(), 0)
 	}
@@ -154,7 +151,7 @@ func (s *shuffleStore) addCommitted(part, task int, run *kv.Run) {
 		return
 	}
 	s.runs.SetLimit(0)
-	s.spillLed.spillDisarmed.Add(1)
+	s.spillLed.spillDisarmed.Inc()
 	if s.journal != nil {
 		s.journal.Warn("spill-disarmed", "partition", part, "resident_bytes", s.runs.Resident(), "error", err.Error())
 	}

@@ -126,11 +126,11 @@ func TestStoreSpillMovesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.run.StoredBytes() != st.Size() || led.spillStoredBytes.Load() != st.Size() || led.spillFiles.Load() != 1 {
+	if cr.run.StoredBytes() != st.Size() || led.SpillStoredBytes.Value() != st.Size() || led.SpillFiles.Value() != 1 {
 		t.Fatalf("stored %d, ledger %d in %d files, file holds %d bytes",
-			cr.run.StoredBytes(), led.spillStoredBytes.Load(), led.spillFiles.Load(), st.Size())
+			cr.run.StoredBytes(), led.SpillStoredBytes.Value(), led.SpillFiles.Value(), st.Size())
 	}
-	if raw := led.spillRawBytes.Load(); st.Size() < raw || st.Size() > raw+10*led.spillRecords.Load() {
+	if raw := led.SpillRawBytes.Value(); st.Size() < raw || st.Size() > raw+10*led.SpillRecords.Value() {
 		t.Fatalf("file size %d outside the framing bound of %d raw bytes", st.Size(), raw)
 	}
 	back, err := cr.run.Load()
@@ -166,6 +166,55 @@ func TestStoreReadBackErrorSurfaces(t *testing.T) {
 	}
 }
 
+// TestHandoffOfDamagedSpillFile is the same damage met by a drain instead
+// of a reduce: the source's re-homed partition holds two filed runs and one
+// has lost its last byte. The readable run is handed off and adopted, the
+// damaged run's records are booked lost — never first out and then back —
+// and the handoff ledger balances: out == in + dup.
+func TestHandoffOfDamagedSpillFile(t *testing.T) {
+	store, led, _ := spillingStore(t.TempDir())
+	store.stage(0, 0, 3, storeRun(t, 20), 0)
+	store.commit(0, 0)
+	store.stage(1, 0, 3, storeRun(t, 5), 0)
+	store.commit(1, 0)
+	damaged := store.runs.Runs(3)[1].Run
+	if err := os.Truncate(damaged.Path(), damaged.StoredBytes()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Source (worker 0) and destination (worker 1) share the ledger, as a
+	// loopback cluster does; the test plays the destination's coordinator.
+	a, b := tcpPair(t)
+	src := &worker{id: 0, n: 2, led: led, store: store, peers: []*conn{nil, newConn(a, "peer1", Tuning{}, nil)}}
+	coordEnd, dstEnd := tcpPair(t)
+	coord := newConn(coordEnd, "worker1", Tuning{}, nil)
+	dst := &worker{
+		id: 1, n: 2, led: led, store: newShuffleStore(),
+		coord: newConn(dstEnd, "coord", Tuning{}, nil), fetches: make(map[uint64]*blockFetchWait),
+	}
+	dst.wg.Add(1)
+	go dst.peerReader(0, newConn(b, "peer0", Tuning{}, nil))
+
+	src.sendHandoff(3, 1, 1)
+	if typ, _, err := coord.recv(); err != nil || typ != mHandoffDone {
+		t.Fatalf("destination reported %s, err %v; want handoff-done", typeName(typ), err)
+	}
+	src.peers[1].close()
+	dst.wg.Wait()
+	dst.coord.close()
+	coord.close()
+
+	out, in, dup, lost := led.handoffOut.Value(), led.handoffIn.Value(), led.StoreDupDropped.Value(), led.StoreLost.Value()
+	if out != 20 || out != in+dup || lost != 5 {
+		t.Fatalf("handoff out %d, in %d, dup %d, store lost %d; want 20 out == in + dup and 5 lost", out, in, dup, lost)
+	}
+	iters, closeIters, errf := dst.store.partitionIters(3)
+	defer closeIters()
+	if n := len(kv.Drain(kv.Merge(iters...))); n != 20 || errf() != nil {
+		t.Fatalf("adopted partition holds %d pairs, err %v; want 20", n, errf())
+	}
+}
+
 // TestStoreSpillDisarmIsReported: a disk error stops the store spilling —
 // the data stays resident and correct — and says so: one ledger count and
 // one journal line carrying the error.
@@ -178,8 +227,8 @@ func TestStoreSpillDisarmIsReported(t *testing.T) {
 	s.stage(1, 0, 3, storeRun(t, 5), 0)
 	s.commit(1, 0) // disarmed already: must not count or log a second time
 
-	if s.runs.Limit() != 0 || led.spillDisarmed.Load() != 1 || led.spillFiles.Load() != 0 {
-		t.Fatalf("limit %d, disarmed %d, files %d; want 0, 1, 0", s.runs.Limit(), led.spillDisarmed.Load(), led.spillFiles.Load())
+	if s.runs.Limit() != 0 || led.spillDisarmed.Value() != 1 || led.SpillFiles.Value() != 0 {
+		t.Fatalf("limit %d, disarmed %d, files %d; want 0, 1, 0", s.runs.Limit(), led.spillDisarmed.Value(), led.SpillFiles.Value())
 	}
 	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
 	if len(lines) != 1 || !strings.Contains(lines[0], `"msg":"spill-disarmed"`) || !strings.Contains(lines[0], "no such file or directory") {

@@ -5,77 +5,103 @@ import (
 	"sync/atomic"
 	"time"
 
+	"glasswing/internal/core"
 	"glasswing/internal/obs"
 )
 
-// ledger is the dist runtime's conservation and stage-time account, using
-// the same conserv_* vocabulary as internal/core's jobCounters and
-// internal/native's recorder plus the wire counters this runtime adds. In
-// loopback mode one ledger is shared by every node in the process (the
-// counters are atomics), matching how conformance reads a single registry;
-// a multi-process worker owns a private one.
+// ledger is the dist runtime's conservation account: the ledger all three
+// runtimes share (core.Conserv) plus the counters only this runtime has,
+// named once, in newLedger. All of them live in the job's registry (a
+// private one when the job has no Telemetry) and are counted where the
+// event happens. In loopback mode one ledger is shared by every node in the
+// process, matching how conformance reads a single registry; a
+// multi-process worker owns a private one.
 type ledger struct {
-	tel   *obs.Telemetry
-	epoch time.Time
+	tel *obs.Telemetry
+	reg *obs.Registry
 
-	mapRecordsIn atomic.Int64
-	mapPairsOut  atomic.Int64
-	partRecords  atomic.Int64
-	partRuns     atomic.Int64
-	partRaw      atomic.Int64
-	partStored   atomic.Int64
+	core.Conserv
 
-	storeAccepted   atomic.Int64
-	storeDupDropped atomic.Int64
-	storeLost       atomic.Int64
-	storeSettled    atomic.Int64 // records a final accepted reduce consumed before their store died
-	handoffOut      atomic.Int64 // committed records shipped off a re-homed partition
-	handoffIn       atomic.Int64 // committed records adopted at a partition's new home
+	storeSettled  *obs.Counter // records a final accepted reduce consumed before their store died
+	handoffOut    *obs.Counter // committed records shipped off a re-homed partition
+	handoffIn     *obs.Counter // committed records adopted at a partition's new home
+	spillDisarmed *obs.Counter // stores that stopped spilling after a disk error
 
-	reduceRecordsIn atomic.Int64
-	reduceGroupsIn  atomic.Int64
-	outputPairs     atomic.Int64
-
-	netRecordsSent atomic.Int64
-	netBytesSent   atomic.Int64
-	netRecordsRecv atomic.Int64
-	netBytesRecv   atomic.Int64
-	netRecordsLost atomic.Int64
-	netBytesLost   atomic.Int64
+	netRecordsSent *obs.Counter
+	netBytesSent   *obs.Counter
+	netRecordsRecv *obs.Counter
+	netBytesRecv   *obs.Counter
+	netRecordsLost *obs.Counter
+	netBytesLost   *obs.Counter
+	shuffleBytes   *obs.Counter // netBytesSent under the name -report and the bench read
 
 	// Block-store locality: bytes of map input read from the mapper's own
 	// store versus streamed from a remote holder (or shipped embedded by
 	// the coordinator as a last resort). Their sum is the input volume, so
 	// local/(local+remote) is the Fig 3(d) locality hit ratio.
-	readLocalBytes  atomic.Int64
-	readRemoteBytes atomic.Int64
+	readLocalBytes  *obs.Counter
+	readRemoteBytes *obs.Counter
 	// blockIngestBytes counts block replica bytes pushed to this node's
 	// store at ingest (replication included), kept apart from the shuffle
 	// wire counters so the conservation ledger stays about records.
-	blockIngestBytes atomic.Int64
-
-	// Out-of-core reduce: committed shuffle runs evicted to disk when a
-	// node's resident intermediate data exceeds Tuning.SpillThreshold.
-	// Same conserv_spill_* vocabulary as the native runtime's spill path.
-	spillRecords     atomic.Int64
-	spillRawBytes    atomic.Int64
-	spillStoredBytes atomic.Int64
-	spillFiles       atomic.Int64
-	spillDisarmed    atomic.Int64 // stores that stopped spilling after a disk error
-
-	mapKernelNs    atomic.Int64
-	mapInputNs     atomic.Int64
-	mapPartitionNs atomic.Int64
-	netSendNs      atomic.Int64
-	netRecvNs      atomic.Int64
-	spillNs        atomic.Int64
-	reduceNs       atomic.Int64
+	blockIngestBytes *obs.Counter
 
 	// net/send split: queue residence vs socket write, summed per bulk
-	// frame by the connection write pumps. netSendNs above is the span sum
-	// (queue + write); these tell congestion apart from a slow wire.
-	netQueueNs atomic.Int64
-	netWriteNs atomic.Int64
+	// frame by the connection write pumps — they tell congestion apart from
+	// a slow wire.
+	netQueueNs *obs.Counter
+	netWriteNs *obs.Counter
+
+	// base is the ledger at job start: Result reports this run's growth.
+	base struct{ readLocal, readRemote, spillRecords, spillBytes int64 }
+}
+
+func newLedger(tel *obs.Telemetry) *ledger {
+	var reg *obs.Registry
+	if tel != nil {
+		reg = tel.Metrics
+	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	l := &ledger{
+		tel: tel, reg: reg,
+		Conserv: core.NewConserv(reg),
+
+		storeSettled:  reg.Counter("conserv_store_settled_records_total"),
+		handoffOut:    reg.Counter("conserv_store_handoff_out_records_total"),
+		handoffIn:     reg.Counter("conserv_store_handoff_in_records_total"),
+		spillDisarmed: reg.Counter("conserv_spill_disarmed_total"),
+
+		netRecordsSent: reg.Counter("conserv_net_records_sent_total"),
+		netBytesSent:   reg.Counter("conserv_net_bytes_sent_total"),
+		netRecordsRecv: reg.Counter("conserv_net_records_recv_total"),
+		netBytesRecv:   reg.Counter("conserv_net_bytes_recv_total"),
+		netRecordsLost: reg.Counter("conserv_net_records_lost_total"),
+		netBytesLost:   reg.Counter("conserv_net_bytes_lost_total"),
+		shuffleBytes:   reg.Counter("dist_shuffle_bytes_total"),
+
+		readLocalBytes:   reg.Counter("dist_read_local_bytes_total"),
+		readRemoteBytes:  reg.Counter("dist_read_remote_bytes_total"),
+		blockIngestBytes: reg.Counter("dist_block_ingest_bytes_total"),
+
+		netQueueNs: reg.Counter("dist_net_queue_ns_total"),
+		netWriteNs: reg.Counter("dist_net_write_ns_total"),
+	}
+	l.base.readLocal = l.readLocalBytes.Value()
+	l.base.readRemote = l.readRemoteBytes.Value()
+	l.base.spillRecords = l.SpillRecords.Value()
+	l.base.spillBytes = l.SpillStoredBytes.Value()
+	return l
+}
+
+// fill sets the Result fields read off the ledger to this run's totals —
+// loopback only, where one ledger is the whole cluster's.
+func (l *ledger) fill(res *Result) {
+	res.ReadLocalBytes = l.readLocalBytes.Value() - l.base.readLocal
+	res.ReadRemoteBytes = l.readRemoteBytes.Value() - l.base.readRemote
+	res.SpillRecords = l.SpillRecords.Value() - l.base.spillRecords
+	res.SpillBytes = l.SpillStoredBytes.Value() - l.base.spillBytes
 }
 
 // distFrameBuckets bucket outbound shuffle frame sizes in bytes, from
@@ -84,9 +110,7 @@ var distFrameBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10
 
 // frameBytes records one outbound shuffle frame's wire size.
 func (l *ledger) frameBytes(n int64) {
-	if l.tel != nil && l.tel.Metrics != nil {
-		l.tel.Metrics.Histogram("dist_frame_bytes", distFrameBuckets).Observe(float64(n))
-	}
+	l.reg.Histogram("dist_frame_bytes", distFrameBuckets).Observe(float64(n))
 }
 
 // bulkTiming accumulates one written bulk frame's queue/write split, both
@@ -95,31 +119,14 @@ func (l *ledger) frameBytes(n int64) {
 func (l *ledger) bulkTiming(queueNs, writeNs int64) {
 	l.netQueueNs.Add(queueNs)
 	l.netWriteNs.Add(writeNs)
-	if l.tel != nil && l.tel.Metrics != nil {
-		l.tel.Metrics.Histogram("dist_net_queue_seconds", obs.DefTimeBuckets).Observe(float64(queueNs) / 1e9)
-		l.tel.Metrics.Histogram("dist_net_write_seconds", obs.DefTimeBuckets).Observe(float64(writeNs) / 1e9)
-	}
-}
-
-func newLedger(tel *obs.Telemetry) *ledger {
-	return &ledger{tel: tel, epoch: time.Now()}
-}
-
-// flushAttempt folds one winning map attempt's stats into the ledger.
-// Failed and killed attempts flush nothing, so the map-side counters stay
-// exact even on retry runs.
-func (l *ledger) flushAttempt(s attemptStats) {
-	l.mapRecordsIn.Add(s.RecordsIn)
-	l.mapPairsOut.Add(s.PairsOut)
-	l.partRecords.Add(s.PartRecords)
-	l.partRuns.Add(s.PartRuns)
-	l.partRaw.Add(s.PartRaw)
-	l.partStored.Add(s.PartStored)
+	l.reg.Histogram("dist_net_queue_seconds", obs.DefTimeBuckets).Observe(float64(queueNs) / 1e9)
+	l.reg.Histogram("dist_net_write_seconds", obs.DefTimeBuckets).Observe(float64(writeNs) / 1e9)
 }
 
 func (l *ledger) netSent(records, bytes int64) {
 	l.netRecordsSent.Add(records)
 	l.netBytesSent.Add(bytes)
+	l.shuffleBytes.Add(bytes)
 }
 
 func (l *ledger) netRecv(records, bytes int64) {
@@ -132,33 +139,12 @@ func (l *ledger) netLost(records, bytes int64) {
 	l.netBytesLost.Add(bytes)
 }
 
-func (l *ledger) nsAcc(stage string) *atomic.Int64 {
-	switch stage {
-	case stageMapKernel:
-		return &l.mapKernelNs
-	case stageMapInput:
-		return &l.mapInputNs
-	case stageMapPartition:
-		return &l.mapPartitionNs
-	case stageNetSend:
-		return &l.netSendNs
-	case stageNetRecv:
-		return &l.netRecvNs
-	case stageSpill:
-		return &l.spillNs
-	default:
-		return &l.reduceNs
-	}
-}
-
 // tracer records one node's trace spans against that node's own wall clock
 // and mints cluster-unique span ids. Workers ship their tracer's buffer to
 // the coordinator in a span-batch at job end; the coordinator rebases every
 // batch onto its own epoch (minus the estimated clock offset) and emits one
-// merged trace. The ledger reference (nil for the coordinator) feeds the
-// per-stage busy accumulators exactly as the old per-ledger spans did.
+// merged trace.
 type tracer struct {
-	led   *ledger
 	node  int
 	epoch time.Time
 	ctr   atomic.Uint64
@@ -170,8 +156,8 @@ type tracer struct {
 // 1 and node 0 as 2 — never 0, which marks "no span").
 const spanIDBits = 48
 
-func newTracer(led *ledger, node int) *tracer {
-	return &tracer{led: led, node: node, epoch: time.Now()}
+func newTracer(node int) *tracer {
+	return &tracer{node: node, epoch: time.Now()}
 }
 
 // newID mints a cluster-unique span id: node salt in the high bits, a
@@ -193,43 +179,25 @@ func (t *tracer) span(stage string, parent uint64) (uint64, func()) {
 // before the connection pump starts the span.
 func (t *tracer) spanWithID(id uint64, stage string, parent uint64) func() {
 	t0 := time.Now()
-	return func() { t.recordAt(id, stage, t0, time.Now(), parent) }
+	return func() { t.recordAt(id, stage, t0, time.Now(), parent, nil) }
 }
 
 // record books a completed interval with a fresh id, returning the id.
 func (t *tracer) record(stage string, start, end time.Time, parent uint64) uint64 {
 	id := t.newID()
-	t.recordAt(id, stage, start, end, parent)
+	t.recordAt(id, stage, start, end, parent, nil)
 	return id
 }
 
-// recordTagged is record with span tags attached — the per-split locality
-// verdict on map/input spans, for one.
-func (t *tracer) recordTagged(stage string, start, end time.Time, parent uint64, tags map[string]string) uint64 {
-	id := t.newID()
-	d := end.Sub(start)
-	if t.led != nil {
-		t.led.nsAcc(stage).Add(int64(d))
-	}
+// recordAt books a completed interval under a pre-minted id; tags (may be
+// nil) ride on the span — the per-split locality verdict on map/input spans,
+// for one.
+func (t *tracer) recordAt(id uint64, stage string, start, end time.Time, parent uint64, tags map[string]string) {
 	begin := start.Sub(t.epoch).Seconds()
 	t.buf.Span(obs.Span{
 		Node: t.node, Stage: stage,
-		Start: begin, End: begin + d.Seconds(),
+		Start: begin, End: begin + end.Sub(start).Seconds(),
 		ID: id, Parent: parent, Tags: tags,
-	})
-	return id
-}
-
-func (t *tracer) recordAt(id uint64, stage string, start, end time.Time, parent uint64) {
-	d := end.Sub(start)
-	if t.led != nil {
-		t.led.nsAcc(stage).Add(int64(d))
-	}
-	begin := start.Sub(t.epoch).Seconds()
-	t.buf.Span(obs.Span{
-		Node: t.node, Stage: stage,
-		Start: begin, End: begin + d.Seconds(),
-		ID: id, Parent: parent,
 	})
 }
 
@@ -271,80 +239,4 @@ func (ce *clockEstimator) estimate() (offsetNs float64, rttNs int64, ok bool) {
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
 	return ce.offsetNs, ce.bestRTT, ce.have
-}
-
-// stages snapshots per-stage busy totals (stages that never ran are
-// omitted), the same shape the native recorder reports.
-func (l *ledger) stages() map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, s := range []struct {
-		name string
-		ns   *atomic.Int64
-	}{
-		{stageMapKernel, &l.mapKernelNs},
-		{stageMapInput, &l.mapInputNs},
-		{stageMapPartition, &l.mapPartitionNs},
-		{stageNetSend, &l.netSendNs},
-		{stageNetRecv, &l.netRecvNs},
-		{stageSpill, &l.spillNs},
-		{stageReduce, &l.reduceNs},
-	} {
-		if v := s.ns.Load(); v > 0 {
-			out[s.name] = time.Duration(v)
-		}
-	}
-	return out
-}
-
-// publish pushes the settled counters into the telemetry registry. Call
-// once, after every node has quiesced.
-func (l *ledger) publish() {
-	if l.tel == nil || l.tel.Metrics == nil {
-		return
-	}
-	reg := l.tel.Metrics
-	reg.Counter("conserv_map_records_in_total").Add(l.mapRecordsIn.Load())
-	reg.Counter("conserv_map_pairs_out_total").Add(l.mapPairsOut.Load())
-	reg.Counter("conserv_partition_records_total").Add(l.partRecords.Load())
-	reg.Counter("conserv_partition_runs_total").Add(l.partRuns.Load())
-	reg.Counter("conserv_partition_raw_bytes_total").Add(l.partRaw.Load())
-	reg.Counter("conserv_partition_stored_bytes_total").Add(l.partStored.Load())
-	reg.Counter("conserv_store_accepted_records_total").Add(l.storeAccepted.Load())
-	reg.Counter("conserv_store_dup_dropped_records_total").Add(l.storeDupDropped.Load())
-	reg.Counter("conserv_store_lost_records_total").Add(l.storeLost.Load())
-	reg.Counter("conserv_store_settled_records_total").Add(l.storeSettled.Load())
-	reg.Counter("conserv_store_handoff_out_records_total").Add(l.handoffOut.Load())
-	reg.Counter("conserv_store_handoff_in_records_total").Add(l.handoffIn.Load())
-	reg.Counter("conserv_reduce_records_in_total").Add(l.reduceRecordsIn.Load())
-	reg.Counter("conserv_reduce_groups_in_total").Add(l.reduceGroupsIn.Load())
-	reg.Counter("conserv_output_pairs_total").Add(l.outputPairs.Load())
-	reg.Counter("conserv_net_records_sent_total").Add(l.netRecordsSent.Load())
-	reg.Counter("conserv_net_bytes_sent_total").Add(l.netBytesSent.Load())
-	reg.Counter("conserv_net_records_recv_total").Add(l.netRecordsRecv.Load())
-	reg.Counter("conserv_net_bytes_recv_total").Add(l.netBytesRecv.Load())
-	reg.Counter("conserv_net_records_lost_total").Add(l.netRecordsLost.Load())
-	reg.Counter("conserv_net_bytes_lost_total").Add(l.netBytesLost.Load())
-	reg.Counter("dist_shuffle_bytes_total").Add(l.netBytesSent.Load())
-	reg.Counter("dist_net_queue_ns_total").Add(l.netQueueNs.Load())
-	reg.Counter("dist_net_write_ns_total").Add(l.netWriteNs.Load())
-	// Block-store and spill counters only appear on runs that used those
-	// subsystems, so metric snapshots of every pre-existing run shape stay
-	// byte-identical.
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"dist_read_local_bytes_total", l.readLocalBytes.Load()},
-		{"dist_read_remote_bytes_total", l.readRemoteBytes.Load()},
-		{"dist_block_ingest_bytes_total", l.blockIngestBytes.Load()},
-		{"conserv_spill_records_total", l.spillRecords.Load()},
-		{"conserv_spill_raw_bytes_total", l.spillRawBytes.Load()},
-		{"conserv_spill_stored_bytes_total", l.spillStoredBytes.Load()},
-		{"conserv_spill_files_total", l.spillFiles.Load()},
-		{"conserv_spill_disarmed_total", l.spillDisarmed.Load()},
-	} {
-		if c.v != 0 {
-			reg.Counter(c.name).Add(c.v)
-		}
-	}
 }

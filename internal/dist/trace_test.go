@@ -182,8 +182,8 @@ func TestClockEstimatorProperty(t *testing.T) {
 func TestClockProbeOverLink(t *testing.T) {
 	a, b := tcpPair(t)
 	est := &clockEstimator{}
-	ca := newConn(a, "prober", Tuning{HeartbeatEvery: time.Hour}, nil)
-	cb := newConn(b, "echo", Tuning{HeartbeatEvery: time.Hour}, nil)
+	ca := newConn(a, "prober", Tuning{heartbeatEvery: time.Hour}, nil)
+	cb := newConn(b, "echo", Tuning{heartbeatEvery: time.Hour}, nil)
 	defer ca.close()
 	defer cb.close()
 	ca.enableClock(est, 10*time.Millisecond)

@@ -31,43 +31,42 @@ import (
 // sit far below this).
 const maxFrame = 1 << 28
 
-// Message types. Control frames are small and never window-limited;
-// mRunBatch is the only bulk type.
+// Message types. Control frames are small and never window-limited; the
+// bulk types (mRunBatch, mHandoff, mBlockPut) are.
 const (
-	mHello      byte = iota + 1 // worker→coord: listen addr (legacy alias of mJoin)
-	mWelcome                    // coord→worker: assigned worker id, cluster size
-	mJobStart                   // coord→worker: job spec, peer addrs, partition homes
-	mMapTask                    // coord→worker: task, attempt, input block
-	mMapDone                    // worker→coord: task, attempt, attempt stats
-	mMapFailed                  // worker→coord: task, attempt, reason
-	mRunBatch                   // worker→worker: coalesced partition runs (bulk)
-	mMark                       // worker→worker: attempt complete, commit staged runs
-	mAck                        // worker→worker: mark processed
-	mReduceTask                 // coord→worker: partition, attempt
-	mReduceDone                 // worker→coord: partition, attempt, output pairs
-	mReduceFailed               // worker→coord: partition, attempt, reason
-	mWorkerDead                 // coord→worker: dead id, reassigned partition homes
-	mJobEnd                     // coord→worker: job over, shut down
-	mHeartbeat                  // both directions: keep-alive / clock probe
-	mPeerHello                  // worker→worker on dial: my worker id
-	mSpanBatch                  // worker→coord: this node's trace spans, at job end
-	mJoin                       // worker→coord: join request (formation or live), listen addr
-	mJoinReady                  // worker→coord: live joiner's peer mesh is connected
-	mRejoin                     // worker→coord: re-attach to a resumed coordinator
-	mRehome                     // coord→worker: new membership epoch + partition homes
-	mDrain                      // coord→worker: stop expecting work, prepare to hand off
-	mDrained                    // coord→worker: handoff complete, exit cleanly
-	mHandoff                    // worker→worker: committed runs of one re-homed partition (bulk)
-	mHandoffMark                // worker→worker: one partition's handoff is complete
-	mHandoffDone                // worker→coord: destination committed a handed-off partition
-	mBlockPut                   // coord→worker: ingest one input-block replica into the worker's store (bulk)
-	mBlockFetch                 // worker→worker: request a streamed read of one stored block
-	mBlockChunk                 // worker→worker: one chunk of a fetched block
+	mWelcome      byte = iota + 1 // coord→worker: assigned worker id, cluster size
+	mJobStart                     // coord→worker: job spec, peer addrs, partition homes
+	mMapTask                      // coord→worker: task, attempt, input block
+	mMapDone                      // worker→coord: task, attempt, attempt stats
+	mMapFailed                    // worker→coord: task, attempt, reason
+	mRunBatch                     // worker→worker: coalesced partition runs (bulk)
+	mMark                         // worker→worker: attempt complete, commit staged runs
+	mAck                          // worker→worker: mark processed
+	mReduceTask                   // coord→worker: partition, attempt
+	mReduceDone                   // worker→coord: partition, attempt, output pairs
+	mReduceFailed                 // worker→coord: partition, attempt, reason
+	mWorkerDead                   // coord→worker: dead id, reassigned partition homes
+	mJobEnd                       // coord→worker: job over, shut down
+	mHeartbeat                    // both directions: keep-alive / clock probe
+	mPeerHello                    // worker→worker on dial: my worker id
+	mSpanBatch                    // worker→coord: this node's trace spans, at job end
+	mJoin                         // worker→coord: join request (formation or live), listen addr
+	mJoinReady                    // worker→coord: live joiner's peer mesh is connected
+	mRejoin                       // worker→coord: re-attach to a resumed coordinator
+	mRehome                       // coord→worker: new membership epoch + partition homes
+	mDrain                        // coord→worker: stop expecting work, prepare to hand off
+	mDrained                      // coord→worker: handoff complete, exit cleanly
+	mHandoff                      // worker→worker: committed runs of one re-homed partition (bulk)
+	mHandoffMark                  // worker→worker: one partition's handoff is complete
+	mHandoffDone                  // worker→coord: destination committed a handed-off partition
+	mBlockPut                     // coord→worker: ingest one input-block replica into the worker's store (bulk)
+	mBlockFetch                   // worker→worker: request a streamed read of one stored block
+	mBlockChunk                   // worker→worker: one chunk of a fetched block
 )
 
 func typeName(t byte) string {
 	names := [...]string{
-		mHello: "hello", mWelcome: "welcome", mJobStart: "job-start",
+		mWelcome: "welcome", mJobStart: "job-start",
 		mMapTask: "map-task", mMapDone: "map-done", mMapFailed: "map-failed",
 		mRunBatch: "run-batch", mMark: "mark", mAck: "ack",
 		mReduceTask: "reduce-task", mReduceDone: "reduce-done", mReduceFailed: "reduce-failed",
@@ -98,7 +97,10 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame, tolerating arbitrary short reads from the
-// socket (io.ReadFull reassembles TCP segmentation).
+// socket (io.ReadFull reassembles TCP segmentation). Every frame gets a fresh
+// buffer that nothing reuses, so the byte fields the decoders return (input
+// blocks, run blobs, reduce output) are views into it, valid for as long as
+// the frame is referenced.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -332,7 +334,7 @@ func (m mapTaskMsg) encode() []byte {
 func decodeMapTask(p []byte) (mapTaskMsg, error) {
 	d := dec{buf: p}
 	m := mapTaskMsg{Task: int(d.i()), Attempt: int(d.i()), SpanID: d.u()}
-	m.Block = append([]byte(nil), d.bytes()...)
+	m.Block = d.bytes()
 	m.Ref = d.bool()
 	m.BlockSize = d.i()
 	n := d.u()
@@ -560,7 +562,7 @@ func decodeReduceDone(p []byte) (reduceDoneMsg, error) {
 		Partition: int(d.i()), Attempt: int(d.i()),
 		RecordsIn: d.i(), GroupsIn: d.i(),
 	}
-	m.Output = append([]byte(nil), d.bytes()...)
+	m.Output = d.bytes()
 	return m, d.fin("reduce-done")
 }
 

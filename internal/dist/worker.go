@@ -21,17 +21,15 @@ import (
 // peer-facing listener (use ":0" to let the kernel pick). Telemetry (may be
 // nil) receives this process's slice of the conservation ledger.
 func Join(coordAddr, listenAddr string, tun Tuning, tel *obs.Telemetry) error {
-	led := newLedger(tel)
 	_, err := runWorker(workerConfig{
 		coordAddr:  coordAddr,
 		listenAddr: listenAddr,
 		tun:        tun,
-		led:        led,
+		led:        newLedger(tel),
 		resolve:    RegistryResolver,
 		localSpans: true,
 		journal:    slog.Default(),
 	})
-	led.publish()
 	return err
 }
 
@@ -46,7 +44,7 @@ type workerConfig struct {
 	coordAddr  string
 	listenAddr string // peer-facing listener ("127.0.0.1:0" for loopback)
 	tun        Tuning
-	led        *ledger // shared in loopback; nil = private
+	led        *ledger // shared by the whole cluster in loopback
 	resolve    Resolver
 	// mapFault, if set, fails map attempts after the kernel but before any
 	// partitioning or sends — the same injection point as the sim core's
@@ -145,10 +143,6 @@ type execItem struct {
 func runWorker(cfg workerConfig) (killed bool, err error) {
 	tun := cfg.tun.withDefaults()
 	led := cfg.led
-	ownLed := led == nil
-	if ownLed {
-		led = newLedger(nil)
-	}
 	w := &worker{
 		cfg:     cfg,
 		tun:     tun,
@@ -159,7 +153,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		ackWait: make(map[attemptKey]*pendingDone),
 		fetches: make(map[uint64]*blockFetchWait),
 	}
-	w.onDrop = func(records, acct int64) { w.led.netLost(records, acct) }
+	w.onDrop = led.netLost
 	// net/send spans are recorded on the pump goroutine, where the socket
 	// write actually happens — that is the wall-clock interval that
 	// overlaps the executor's map/kernel spans in the trace. The span id
@@ -271,9 +265,6 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		// resume), so the scratch dir goes with the worker.
 		os.RemoveAll(w.workdir)
 	}
-	if ownLed {
-		led.publish()
-	}
 	if cfg.localSpans && led.tel != nil && led.tel.Spans != nil {
 		for _, s := range w.tr.spans() {
 			led.tel.Spans.Span(s)
@@ -312,7 +303,7 @@ func (w *worker) join() error {
 		return err
 	}
 	w.id, w.n = wel.WorkerID, wel.Workers
-	w.tr = newTracer(w.led, w.id)
+	w.tr = newTracer(w.id)
 
 	typ, p, err = w.coord.recv()
 	if err != nil {
@@ -689,7 +680,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 		return
 	}
 	if locality != "" {
-		w.tr.recordTagged(stageMapInput, t0, time.Now(), m.SpanID, map[string]string{
+		w.tr.recordAt(w.tr.newID(), stageMapInput, t0, time.Now(), m.SpanID, map[string]string{
 			"locality": locality,
 			"block":    fmt.Sprintf("%d", m.Task),
 		})
@@ -746,8 +737,8 @@ func (w *worker) runMap(m mapTaskMsg) {
 		}
 	}
 	acc, dup := w.store.commit(m.Task, m.Attempt)
-	w.led.storeAccepted.Add(acc)
-	w.led.storeDupDropped.Add(dup)
+	w.led.StoreAccepted.Add(acc)
+	w.led.StoreDupDropped.Add(dup)
 	var pd *pendingDone
 	if len(livePeers) > 0 {
 		pd = &pendingDone{acks: make(map[int]bool, len(livePeers)), stats: stats}
@@ -783,7 +774,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 	}
 	if pd == nil {
 		// Single-node cluster (or every peer dead): no barrier to wait on.
-		w.led.flushAttempt(stats)
+		stats.Book(&w.led.Conserv)
 		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: m.Task, Attempt: m.Attempt, Stats: stats}.encode()})
 	}
 }
@@ -859,9 +850,7 @@ func (w *worker) peerReader(j int, cc *conn) {
 // here mirrors exactly what the sender counted at flush.
 //
 // Staged runs are kv views aliasing the frame's receive buffer — the
-// zero-copy path: readFrame allocates a fresh buffer per frame and nothing
-// reuses it, so the views stay valid for the life of the shuffle store. (A
-// pooled receive buffer would need Retain before staging.)
+// zero-copy path (see readFrame for why that is safe).
 func (w *worker) onRunBatch(p []byte) {
 	t0 := time.Now()
 	var parent uint64
@@ -905,8 +894,8 @@ func (w *worker) onMark(cc *conn, p []byte) {
 		return
 	}
 	acc, dup := w.store.commit(msg.Task, msg.Attempt)
-	w.led.storeAccepted.Add(acc)
-	w.led.storeDupDropped.Add(dup)
+	w.led.StoreAccepted.Add(acc)
+	w.led.StoreDupDropped.Add(dup)
 	w.mu.Unlock()
 	cc.send(frame{typ: mAck, payload: p})
 }
@@ -951,7 +940,7 @@ func (w *worker) onHandoffMark(p []byte) {
 	}
 	adopted, dup := w.store.adoptHandoff(msg.Partition, msg.Epoch)
 	w.led.handoffIn.Add(adopted)
-	w.led.storeDupDropped.Add(dup)
+	w.led.StoreDupDropped.Add(dup)
 	w.mu.Unlock()
 	w.coordSend(frame{typ: mHandoffDone, payload: handoffDoneMsg{
 		Epoch: msg.Epoch, Partition: msg.Partition,
@@ -977,7 +966,7 @@ func (w *worker) onAck(j int, p []byte) {
 	}
 	w.mu.Unlock()
 	if done != nil {
-		w.led.flushAttempt(done.stats)
+		done.stats.Book(&w.led.Conserv)
 		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: k.task, Attempt: k.attempt, Stats: done.stats}.encode()})
 	}
 }
@@ -1056,7 +1045,7 @@ func (w *worker) handleRehome(m rehomeMsg) {
 		}
 	}
 	for _, d := range done {
-		w.led.flushAttempt(d.pd.stats)
+		d.pd.stats.Book(&w.led.Conserv)
 		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: d.k.task, Attempt: d.k.attempt, Stats: d.pd.stats}.encode()})
 	}
 	if len(moves) == 0 {
@@ -1099,7 +1088,6 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 		return
 	}
 	runs, records := w.store.takePartition(part)
-	w.led.handoffOut.Add(records)
 	w.mu.Unlock()
 
 	msg := handoffBatchMsg{Epoch: epoch, Partition: part}
@@ -1117,11 +1105,11 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 		if err != nil {
 			// The spill file is unreadable: its records are lost to the
 			// handoff, exactly like a disk dying under a classic worker.
-			// Re-book them as lost so the handoff ledger still balances.
-			w.led.handoffOut.Add(-int64(cr.run.Records))
-			w.led.storeLost.Add(int64(cr.run.Records))
+			// Book them lost, not handed off, so the handoff ledger balances.
+			w.led.StoreLost.Add(int64(cr.run.Records))
 			continue
 		}
+		w.led.handoffOut.Add(int64(run.Records))
 		blob := run.Blob()
 		msg.Entries = append(msg.Entries, handoffEntry{
 			Task: cr.task, Records: run.Records, RawBytes: run.RawBytes, Blob: blob,
@@ -1196,7 +1184,7 @@ func (w *worker) handleDeath(m workerDeadMsg) {
 		co.close()
 	}
 	for _, d := range done {
-		w.led.flushAttempt(d.pd.stats)
+		d.pd.stats.Book(&w.led.Conserv)
 		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: d.k.task, Attempt: d.k.attempt, Stats: d.pd.stats}.encode()})
 	}
 }
@@ -1214,7 +1202,7 @@ func (w *worker) kill() {
 	}
 	w.killed = true
 	lost := w.store.lostAll()
-	w.led.storeLost.Add(lost)
+	w.led.StoreLost.Add(lost)
 	w.ackWait = make(map[attemptKey]*pendingDone)
 	peers := append([]*conn(nil), w.peers...)
 	coal := append([]*coalescer(nil), w.coal...)

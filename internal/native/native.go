@@ -15,7 +15,9 @@
 // (§III-A). Here both run on the same cores, where a static split only
 // idles whichever pool is the smaller, so a map task is one goroutine that
 // takes a block through kernel, partition and store, cache-warm, and the
-// map phase is KernelWorkers of those. The stages survive as spans.
+// map phase is KernelWorkers of those. The stages survive as spans, and their
+// boundaries count into core.Conserv — the conservation ledger the simulator
+// and internal/dist count into too.
 package native
 
 import (
@@ -191,12 +193,12 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 		rec.end(stageMapKernel, t0)
 		defer rec.end(stageMapPartition, time.Now())
 		runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
-		rec.mapStats(st)
+		st.Book(&rec.Conserv)
 		for g, run := range runs {
 			if run == nil {
 				continue
 			}
-			rec.storeAccepted.Add(int64(run.Records))
+			rec.StoreAccepted.Add(int64(run.Records))
 			if err := store.Add(g, i, run); err != nil {
 				return fmt.Errorf("native: %w", err)
 			}
@@ -207,10 +209,9 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.MapElapsed = time.Since(start)
-	res.IntermediatePairs = int(rec.mapPairsOut.Load())
-
-	res.SpillFiles = int(rec.spillFiles.Load())
-	res.SpillBytes = rec.spillBytes.Load()
+	res.IntermediatePairs = int(rec.MapPairsOut.Value() - rec.base.pairsOut)
+	res.SpillFiles = int(rec.SpillFiles.Value() - rec.base.spillFiles)
+	res.SpillBytes = rec.SpillStoredBytes.Value() - rec.base.spillBytes
 
 	// ---- Reduce phase: partitions in parallel, each k-way merging its
 	// resident and filed runs — the only merge a partition gets. ----
@@ -228,9 +229,9 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 			// return it.
 			return fmt.Errorf("native: %w", err)
 		}
-		rec.reduceRecordsIn.Add(records)
-		rec.reduceGroupsIn.Add(groups)
-		rec.outputPairs.Add(int64(len(out)))
+		rec.ReduceRecordsIn.Add(records)
+		rec.ReduceGroupsIn.Add(groups)
+		rec.OutputPairs.Add(int64(len(out)))
 		res.outputs[g] = out
 		return nil
 	})

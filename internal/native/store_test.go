@@ -85,7 +85,7 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if rec.spillFiles.Load() == 0 {
+	if rec.SpillFiles.Value() == 0 {
 		t.Fatal("expected spills under a 256-byte threshold")
 	}
 	total := 0
@@ -133,11 +133,11 @@ func TestStoreSpillAccounting(t *testing.T) {
 		}
 		onDisk += st.Size()
 	}
-	if onDisk == 0 || rec.spillBytes.Load() != onDisk || rec.spillRecords.Load() != files || rec.spillFiles.Load() != files {
+	if onDisk == 0 || rec.SpillStoredBytes.Value() != onDisk || rec.SpillRecords.Value() != files || rec.SpillFiles.Value() != files {
 		t.Fatalf("stored bytes booked %d in %d files of %d records; %d files hold %d",
-			rec.spillBytes.Load(), rec.spillFiles.Load(), rec.spillRecords.Load(), files, onDisk)
+			rec.SpillStoredBytes.Value(), rec.SpillFiles.Value(), rec.SpillRecords.Value(), files, onDisk)
 	}
-	if raw, n := rec.spillRawBytes.Load(), rec.spillRecords.Load(); onDisk < raw || onDisk > raw+10*n {
+	if raw, n := rec.SpillRawBytes.Value(), rec.SpillRecords.Value(); onDisk < raw || onDisk > raw+10*n {
 		t.Fatalf("spilled %d bytes, outside [%d, %d] for %d records", onDisk, raw, raw+10*n, n)
 	}
 	if rec.stages()[stageSpill] <= 0 {

@@ -21,6 +21,16 @@ type MapStats struct {
 	PartStored  int64 // encoded run bytes (post-compression)
 }
 
+// Book adds one winning map attempt's stats to the conservation ledger.
+func (s MapStats) Book(led *core.Conserv) {
+	led.MapRecordsIn.Add(s.RecordsIn)
+	led.MapPairsOut.Add(s.PairsOut)
+	led.PartRecords.Add(s.PartRecords)
+	led.PartRuns.Add(s.PartRuns)
+	led.PartRawBytes.Add(s.PartRaw)
+	led.PartStoredBytes.Add(s.PartStored)
+}
+
 // MapBlock parses one input block and runs the map kernel over it,
 // returning the collected output on pooled state. The caller must hand the
 // chunk to Partition, or Release it, exactly once.
