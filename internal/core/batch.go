@@ -11,7 +11,9 @@ type MapBatchFunc func(recs []kv.Pair, out kv.Sink)
 
 // ReduceBatchFunc is the reduce and the combine kernel: one key group in,
 // output pairs appended to out, which copies, so the kernel may emit views
-// into key and values or stack scratch. out is the concrete batch, not a
+// into key and values or stack scratch. The values slice is the kernel's
+// for the call only — the real runtimes refill it for the next group — so
+// a kernel must not keep it. out is the concrete batch, not a
 // kv.Sink: a value encoded into stack scratch would escape to the heap
 // through an interface call, one allocation per group.
 type ReduceBatchFunc func(key []byte, values [][]byte, out *kv.Batch)

@@ -1,0 +1,65 @@
+//go:build !race
+
+package kv
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+)
+
+// TestReadBackAllocs: merging filed and resident runs back — the reduce
+// side's read path — allocates per run and per chunk, never per pair. Eight
+// runs of 5,000 pairs, four of them filed (two of those DEFLATEd), merge back
+// in 54 allocations (ceiling 1.5× that); one allocation per pair would be
+// 40,000. The race detector's instrumentation allocates, so the file is
+// built without it.
+func TestReadBackAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	runs := make([]*Run, 8)
+	for i := range runs {
+		runs[i] = NewRun(randomSorted(rng, 5000), i%4 == 1)
+		if i%2 == 1 {
+			if err := runs[i].Spill(filepath.Join(t.TempDir(), fmt.Sprintf("%d.run", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var pairs int
+	allocs := testing.AllocsPerRun(5, func() {
+		iters := make([]Iterator, len(runs))
+		var files []*FileIter
+		for i, r := range runs {
+			if r.Path() == "" {
+				iters[i] = r.Iter()
+				continue
+			}
+			it, err := r.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, it)
+			iters[i] = it
+		}
+		m := Merge(iters...)
+		for pairs = 0; ; pairs++ {
+			if _, ok := m.Next(); !ok {
+				break
+			}
+		}
+		for _, it := range files {
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+		}
+	})
+	t.Logf("%d pairs from %d runs: %.0f allocations", pairs, len(runs), allocs)
+	if pairs != 8*5000 {
+		t.Fatalf("merged %d pairs, want %d", pairs, 8*5000)
+	}
+	if allocs > 81 {
+		t.Fatalf("%.0f allocations to merge %d pairs back, want at most 81", allocs, pairs)
+	}
+}

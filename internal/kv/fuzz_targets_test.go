@@ -82,22 +82,27 @@ func FuzzStreamDecode(f *testing.F) {
 			}
 		}
 
-		// Structured round trip: derived pairs framed, then read back.
+		// Structured round trip: derived pairs framed, then read back, once
+		// through the default chunk and once through chunks of 1–13 bytes
+		// that frames straddle. Pairs are compared after the last read: a
+		// later chunk must not have overwritten an earlier pair.
 		pairs := pairsFromBytes(data)
-		r = NewReader(bytes.NewReader(frames(pairs)))
-		var got []Pair
-		for {
-			p, err := r.Read()
-			if errors.Is(err, io.EOF) {
-				break
+		for _, chunk := range []int{readerChunk, 1 + len(data)%13} {
+			r = newReaderSize(bytes.NewReader(frames(pairs)), chunk, -1)
+			var got []Pair
+			for {
+				p, err := r.Read()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("stream decode, %d-byte chunks: %v", chunk, err)
+				}
+				got = append(got, p)
 			}
-			if err != nil {
-				t.Fatalf("stream decode: %v", err)
+			if !pairsEqual(pairs, got) {
+				t.Fatalf("stream round trip through %d-byte chunks changed pairs: %d vs %d", chunk, len(pairs), len(got))
 			}
-			got = append(got, p)
-		}
-		if !pairsEqual(pairs, got) {
-			t.Fatalf("stream round trip changed pairs: %d vs %d", len(pairs), len(got))
 		}
 	})
 }

@@ -9,9 +9,11 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"slices"
 )
 
@@ -99,27 +101,26 @@ func Marshal(pairs []Pair) []byte {
 	for _, p := range pairs {
 		size += 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Value)
 	}
-	buf := make([]byte, 0, size+binary.MaxVarintLen64)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(pairs)))
-	buf = append(buf, tmp[:n]...)
+	buf := binary.AppendUvarint(make([]byte, 0, size+binary.MaxVarintLen64), uint64(len(pairs)))
 	for _, p := range pairs {
-		n = binary.PutUvarint(tmp[:], uint64(len(p.Key)))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(len(p.Value)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, p.Key...)
-		buf = append(buf, p.Value...)
+		buf = appendFrame(buf, p)
 	}
 	return buf
 }
 
-// Unmarshal decodes a blob produced by Marshal.
+// appendFrame appends p's frame to b.
+func appendFrame(b []byte, p Pair) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p.Key)))
+	b = binary.AppendUvarint(b, uint64(len(p.Value)))
+	b = append(b, p.Key...)
+	return append(b, p.Value...)
+}
+
+// Unmarshal decodes a blob produced by Marshal. The pairs alias blob.
 func Unmarshal(blob []byte) ([]Pair, error) {
-	rd := bytes.NewReader(blob)
-	count, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("kv: reading pair count: %w", err)
+	count, n := binary.Uvarint(blob)
+	if n <= 0 {
+		return nil, fmt.Errorf("kv: reading pair count: %w", cmp.Or(uvarintErr(n), io.ErrUnexpectedEOF))
 	}
 	// Every pair carries at least two framing bytes, so a count beyond the
 	// blob size is corrupt; rejecting it here also bounds the preallocation
@@ -128,28 +129,14 @@ func Unmarshal(blob []byte) ([]Pair, error) {
 		return nil, fmt.Errorf("kv: pair count %d exceeds blob size %d", count, len(blob))
 	}
 	pairs := make([]Pair, 0, count)
+	rest := blob[n:]
 	for i := uint64(0); i < count; i++ {
-		kl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("kv: pair %d key length: %w", i, err)
+		p, n, _, err := splitFrame(rest)
+		if n == 0 {
+			return nil, fmt.Errorf("kv: pair %d overruns blob: %w", i, cmp.Or(err, io.ErrUnexpectedEOF))
 		}
-		vl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("kv: pair %d value length: %w", i, err)
-		}
-		// Validate in uint64 space before any int conversion: lengths near
-		// 2^63 would otherwise overflow the bounds arithmetic.
-		rem := uint64(rd.Len())
-		if kl > rem || vl > rem-kl {
-			return nil, fmt.Errorf("kv: pair %d overruns blob (%d+%d > %d remaining)", i, kl, vl, rem)
-		}
-		off := len(blob) - rd.Len()
-		key := blob[off : off+int(kl)]
-		val := blob[off+int(kl) : off+int(kl)+int(vl)]
-		pairs = append(pairs, Pair{Key: key, Value: val})
-		if _, err := rd.Seek(int64(kl+vl), 1); err != nil {
-			return nil, err
-		}
+		pairs = append(pairs, p)
+		rest = rest[n:]
 	}
 	return pairs, nil
 }

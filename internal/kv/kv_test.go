@@ -174,6 +174,68 @@ func TestMergeEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestMergeTiesKeepInputOrder: byte-identical pairs from several inputs
+// come out in input order, whatever the fan-in. Only the backing arrays
+// tell the copies apart.
+func TestMergeTiesKeepInputOrder(t *testing.T) {
+	for k := 2; k <= 9; k++ {
+		iters := make([]Iterator, k)
+		values := make([][]byte, k)
+		for i := range iters {
+			values[i] = []byte("v")
+			iters[i] = NewSliceIter([]Pair{
+				{Key: []byte("a"), Value: []byte{byte(i)}},
+				{Key: []byte("same"), Value: values[i]},
+			})
+		}
+		out := Drain(Merge(iters...))
+		if len(out) != 2*k {
+			t.Fatalf("k=%d: merged %d pairs, want %d", k, len(out), 2*k)
+		}
+		for i, p := range out[k:] {
+			if &p.Value[0] != &values[i][0] {
+				t.Fatalf("k=%d: tie %d did not come from input %d", k, i, i)
+			}
+		}
+	}
+}
+
+// TestQuickMergePrefixOrder pits the merge against SortPairs on keys and
+// values built to defeat an eight-byte prefix: zero bytes and 0xff, lengths
+// either side of eight, long strings that share their first eight bytes.
+func TestQuickMergePrefixOrder(t *testing.T) {
+	alphabet := []byte{0, 1, 'a', 0xff}
+	str := func(rng *rand.Rand) []byte {
+		b := make([]byte, rng.Intn(13))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if rng.Intn(3) == 0 {
+			b = append([]byte("prefix08"), b...)
+		}
+		return b
+	}
+	f := func(seed int64, shards uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var all []Pair
+		iters := make([]Iterator, int(shards%8)+1)
+		for s := range iters {
+			pairs := make([]Pair, rng.Intn(40))
+			for i := range pairs {
+				pairs[i] = Pair{Key: str(rng), Value: str(rng)}
+			}
+			SortPairs(pairs)
+			all = append(all, pairs...)
+			iters[s] = NewSliceIter(pairs)
+		}
+		SortPairs(all)
+		return pairsEqual(all, Drain(Merge(iters...)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGroupIter(t *testing.T) {
 	pairs := []Pair{
 		{Key: []byte("a"), Value: []byte("1")},

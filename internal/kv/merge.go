@@ -1,11 +1,18 @@
 package kv
 
-import "container/heap"
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"slices"
+)
 
 // Iterator yields pairs in key order. Implementations are not safe for
 // concurrent use; in the simulation each iterator is driven by one process.
 type Iterator interface {
-	// Next returns the next pair, or ok=false when exhausted.
+	// Next returns the next pair, or ok=false when exhausted. A pair stays
+	// valid after later calls: no iterator overwrites bytes it has handed
+	// out, so a consumer may hold a key group's pairs while it reads on.
 	Next() (Pair, bool)
 }
 
@@ -29,64 +36,131 @@ func (s *SliceIter) Next() (Pair, bool) {
 	return p, true
 }
 
-// mergeIter is a k-way merge over sorted inputs using a binary heap.
+// mergeIter is a k-way merge over sorted inputs using a loser tree: leaf i
+// (node k+i) is input i's head, each internal node 1..k-1 holds the input
+// that lost the match played there, and win is the overall winner. Taking
+// the winner's next pair replays only the matches on its leaf-to-root path
+// — ⌈log2 k⌉ comparisons, against a binary heap's two per level — and the
+// tree is int32s beside a typed head slice, not entries boxed through
+// container/heap's any. Each head carries the first eight bytes of its key
+// and value as big-endian integers, so most matches are decided, or found
+// equal, without a call into bytes.Compare.
 type mergeIter struct {
-	h mergeHeap
+	src  []mergeSrc
+	tree []int32
+	win  int32
 }
 
-type mergeEntry struct {
-	pair Pair
-	src  int
-	it   Iterator
+type mergeSrc struct {
+	it     Iterator
+	head   Pair
+	kp, vp uint64 // prefix8 of head.Key, head.Value
+	done   bool
 }
 
-type mergeHeap []mergeEntry
+// next advances the source to its next pair.
+func (s *mergeSrc) next() {
+	var ok bool
+	s.head, ok = s.it.Next()
+	s.kp, s.vp, s.done = prefix8(s.head.Key), prefix8(s.head.Value), !ok
+}
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if c := h[i].pair.Compare(h[j].pair); c != 0 {
+// prefix8 is b's first eight bytes, zero-padded, as a big-endian integer:
+// prefixes order like the strings wherever they differ.
+func prefix8(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	var buf [8]byte
+	copy(buf[:], b)
+	return binary.BigEndian.Uint64(buf[:])
+}
+
+// compareRest orders two strings whose prefix8 values are equal. When
+// neither is longer than eight bytes, they agree on every byte they share
+// and the longer one only adds zeros, so the shorter sorts first.
+func compareRest(a, b []byte) int {
+	if len(a) <= 8 && len(b) <= 8 {
+		return cmp.Compare(len(a), len(b))
+	}
+	return bytes.Compare(a, b)
+}
+
+// Merge returns an iterator producing the union of the sorted inputs in
+// key-then-value order, equal pairs in input order. This is the multi-way
+// merge the paper's intermediate-data manager runs continuously (§III-B)
+// and the reduce input reader runs one last time (§III-C).
+func Merge(iters ...Iterator) Iterator {
+	if len(iters) == 1 {
+		return iters[0]
+	}
+	m := &mergeIter{src: make([]mergeSrc, len(iters)), tree: make([]int32, len(iters))}
+	for i, it := range iters {
+		m.src[i].it = it
+		m.src[i].next()
+	}
+	if len(iters) > 0 {
+		m.win = m.play(1)
+	}
+	return m
+}
+
+// play fills the subtree under node with its matches and returns its
+// winner.
+func (m *mergeIter) play(node int) int32 {
+	k := len(m.src)
+	if node >= k {
+		return int32(node - k)
+	}
+	a, b := m.play(2*node), m.play(2*node+1)
+	if m.beats(b, a) {
+		a, b = b, a
+	}
+	m.tree[node] = b
+	return a
+}
+
+// beats reports whether input a's head comes out before input b's: an
+// exhausted input loses to any other, and a tie goes to the lower input.
+func (m *mergeIter) beats(a, b int32) bool {
+	x, y := &m.src[a], &m.src[b]
+	if x.done || y.done {
+		return !x.done || (y.done && a < b)
+	}
+	if x.kp != y.kp {
+		return x.kp < y.kp
+	}
+	if c := compareRest(x.head.Key, y.head.Key); c != 0 {
 		return c < 0
 	}
-	return h[i].src < h[j].src // stable across equal pairs
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// Merge returns an iterator producing the union of the sorted inputs in key
-// order. This is the multi-way merge the paper's intermediate-data manager
-// runs continuously (§III-B) and the reduce input reader runs one last time
-// (§III-C).
-func Merge(iters ...Iterator) Iterator {
-	m := &mergeIter{}
-	for i, it := range iters {
-		if p, ok := it.Next(); ok {
-			m.h = append(m.h, mergeEntry{pair: p, src: i, it: it})
-		}
+	if x.vp != y.vp {
+		return x.vp < y.vp
 	}
-	heap.Init(&m.h)
-	return m
+	if c := compareRest(x.head.Value, y.head.Value); c != 0 {
+		return c < 0
+	}
+	return a < b
 }
 
 // Next implements Iterator.
 func (m *mergeIter) Next() (Pair, bool) {
-	if len(m.h) == 0 {
+	if len(m.src) == 0 {
 		return Pair{}, false
 	}
-	top := m.h[0]
-	if p, ok := top.it.Next(); ok {
-		m.h[0] = mergeEntry{pair: p, src: top.src, it: top.it}
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
+	w := m.win
+	s := &m.src[w]
+	if s.done {
+		return Pair{}, false
 	}
-	return top.pair, true
+	p := s.head
+	s.next()
+	for node := (int(w) + len(m.src)) / 2; node > 0; node /= 2 {
+		if m.beats(m.tree[node], w) {
+			m.tree[node], w = w, m.tree[node]
+		}
+	}
+	m.win = w
+	return p, true
 }
 
 // Group is one reduce input: a key and all of its values.
@@ -138,14 +212,16 @@ func (g *GroupIter) Next() (Group, bool) {
 	}
 }
 
-// Drain collects all remaining pairs from it.
+// Drain collects all remaining pairs from it. The slice doubles as it
+// grows: append's quarter steps on a slice this size (a reduce-less
+// partition's whole output) copy and zero five times what they keep.
 func Drain(it Iterator) []Pair {
 	var out []Pair
-	for {
-		p, ok := it.Next()
-		if !ok {
-			return out
+	for p, ok := it.Next(); ok; p, ok = it.Next() {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, max(len(out), 64))
 		}
 		out = append(out, p)
 	}
+	return out
 }

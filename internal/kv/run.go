@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -131,29 +132,71 @@ func (r *Run) Pairs() ([]Pair, error) {
 	return Unmarshal(blob)
 }
 
-// Iter returns an iterator over the run's pairs. Decoding errors panic: a
-// run that fails to decode is a corrupted simulation artifact, not a
-// recoverable condition.
+// Iter returns an iterator that decodes the run's frames in place: its
+// pairs are views into the run's bytes (into one inflated copy for a
+// compressed run), so iterating allocates per run, not per pair. A run that
+// fails to decode is a corrupted simulation artifact, not a recoverable
+// condition: Iter panics on a bad header or DEFLATE stream, Next on a bad
+// frame.
 func (r *Run) Iter() Iterator {
-	pairs, err := r.Pairs()
-	if err != nil {
-		panic(err)
+	blob := r.blob
+	if r.Compressed {
+		dec, err := Inflate(blob)
+		if err != nil {
+			panic(fmt.Errorf("kv: decompressing run: %w", err))
+		}
+		blob = dec
 	}
-	return NewSliceIter(pairs)
+	count, n := binary.Uvarint(blob)
+	if n <= 0 || count > uint64(len(blob)) {
+		panic(fmt.Errorf("kv: run header corrupt (%d bytes)", len(blob)))
+	}
+	return &runIter{rest: blob[n:], left: int(count)}
 }
 
-// MergeRuns merges several resident runs into one.
+// runIter walks a resident run's frames.
+type runIter struct {
+	rest []byte
+	left int
+}
+
+// Next implements Iterator.
+func (it *runIter) Next() (Pair, bool) {
+	if it.left == 0 {
+		return Pair{}, false
+	}
+	p, n, _, err := splitFrame(it.rest)
+	if n == 0 {
+		panic(fmt.Errorf("kv: run frame corrupt with %d pairs to go: %v", it.left, err))
+	}
+	it.rest, it.left = it.rest[n:], it.left-1
+	return p, true
+}
+
+// MergeRuns merges several resident runs into one, encoding the merge
+// straight into the new run's blob.
 func MergeRuns(runs []*Run, compress bool) *Run {
 	iters := make([]Iterator, len(runs))
-	records := 0
+	records, size := 0, int64(binary.MaxVarintLen64)
 	for i, r := range runs {
 		iters[i] = r.Iter()
 		records += r.Records
+		size += r.RawBytes + 2*int64(r.Records)
 	}
-	pairs := make([]Pair, 0, records)
+	blob := binary.AppendUvarint(make([]byte, 0, size), uint64(records))
+	var n int
+	var raw int64
 	m := Merge(iters...)
 	for p, ok := m.Next(); ok; p, ok = m.Next() {
-		pairs = append(pairs, p)
+		blob = appendFrame(blob, p)
+		n++
+		raw += p.Size()
 	}
-	return NewRun(pairs, compress)
+	if n != records {
+		panic(fmt.Sprintf("kv: MergeRuns: runs hold %d pairs, their headers say %d", n, records))
+	}
+	if compress {
+		blob = Deflate(blob)
+	}
+	return &Run{blob: blob, Records: records, RawBytes: raw, Compressed: compress}
 }

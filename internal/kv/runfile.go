@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bufio"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -49,13 +48,11 @@ func (r *Run) Load() (*Run, error) {
 	return RunFromBlob(blob, r.Records, r.RawBytes, r.Compressed), nil
 }
 
-// fileIterBuf bounds what streaming one filed run holds in memory, besides
-// the pair being returned.
-const fileIterBuf = 64 << 10
-
-// FileIter streams a filed run's pairs off disk in key order. A damaged file
-// ends the iteration, possibly early; callers must check Err once the
-// consumer has drained it, and Close it either way.
+// FileIter streams a filed run's pairs off disk in key order, as views into
+// the chunks it reads (see Reader: a pair stays valid while referenced, and
+// a chunk no pair references is garbage). A damaged file ends the
+// iteration, possibly early; callers must check Err once the consumer has
+// drained it, and Close it either way.
 type FileIter struct {
 	f    *os.File
 	r    *Reader
@@ -63,24 +60,28 @@ type FileIter struct {
 	err  error
 }
 
-// Open streams a filed run back through a bounded buffer.
+// Open streams a filed run back through bounded chunks.
 func (r *Run) Open() (*FileIter, error) {
 	f, err := os.Open(r.path)
 	if err != nil {
 		return nil, fmt.Errorf("kv: opening filed run: %w", err)
 	}
-	var src io.Reader = bufio.NewReaderSize(f, fileIterBuf)
+	// A plain file is the decoded stream, so its chunks stop at its end and
+	// a run smaller than a chunk is one allocation. A DEFLATEd one decodes
+	// to at most the payload plus two length varints per pair and the
+	// count: the first chunk is no bigger than that.
+	rd := newReaderSize(f, readerChunk, r.filed)
 	if r.Compressed {
-		src = flate.NewReader(src)
+		size := r.RawBytes + int64(r.Records+1)*2*binary.MaxVarintLen32
+		rd = newReaderSize(flate.NewReader(f), int(min(size+1, readerChunk)), -1)
 	}
-	rd := NewReader(src)
-	n, err := binary.ReadUvarint(rd.r)
+	n, err := rd.uvarint()
 	if err == nil && n != uint64(r.Records) {
 		err = fmt.Errorf("holds %d pairs, want %d", n, r.Records)
 	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("kv: opening filed run %s: %w", r.path, err)
+		return nil, fmt.Errorf("kv: opening filed run %s: %w", r.path, unexpected(err))
 	}
 	return &FileIter{f: f, r: rd, left: r.Records}, nil
 }

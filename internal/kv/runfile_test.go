@@ -14,7 +14,7 @@ import (
 func runFileCases() map[string][]Pair {
 	big := []Pair{
 		{Key: []byte("a"), Value: []byte("small")},
-		{Key: []byte("b"), Value: bytes.Repeat([]byte("0123456789abcdef"), (fileIterBuf+4096)/16)},
+		{Key: []byte("b"), Value: bytes.Repeat([]byte("0123456789abcdef"), (readerChunk+4096)/16)},
 		{Key: []byte("c"), Value: nil},
 	}
 	return map[string][]Pair{

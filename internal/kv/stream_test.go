@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -137,24 +138,51 @@ func TestStreamSocketSplit(t *testing.T) {
 	}
 }
 
+// TestQuickStreamRoundTrip decodes random frames through chunks of 1 to 24
+// bytes fed by 1–3-byte reads, so frames straddle chunk ends at every offset
+// and values outgrow their chunk, and checks every pair only after the
+// whole stream is read: a pair handed out earlier must not have been
+// overwritten by a later fill.
 func TestQuickStreamRoundTrip(t *testing.T) {
-	f := func(keys, vals [][]byte) bool {
+	f := func(keys, vals [][]byte, chunk uint8) bool {
 		n := min(len(keys), len(vals))
 		pairs := make([]Pair, n)
 		for i := range pairs {
 			pairs[i] = Pair{Key: keys[i], Value: vals[i]}
 		}
-		r := NewReader(bytes.NewReader(frames(pairs)))
-		for i := 0; i < n; i++ {
+		r := newReaderSize(&jaggedReader{data: frames(pairs)}, int(chunk%24)+1, -1)
+		var got []Pair
+		for {
 			p, err := r.Read()
-			if err != nil || !bytes.Equal(p.Key, keys[i]) || !bytes.Equal(p.Value, vals[i]) {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
 				return false
 			}
+			got = append(got, p)
 		}
-		_, err := r.Read()
-		return errors.Is(err, io.EOF)
+		return pairsEqual(pairs, got)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamHugeClaimIsBounded: a prefix claiming a gigabyte value over a
+// stream that holds a few bytes fails as truncated without allocating the
+// claim.
+func TestStreamHugeClaimIsBounded(t *testing.T) {
+	stream := append(binary.AppendUvarint([]byte{1}, maxFrameLen), "k and a little"...)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := NewReader(bytes.NewReader(stream)).Read()
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
+	}
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte stream allocated %d bytes", len(stream), grew)
 	}
 }

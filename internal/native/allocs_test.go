@@ -31,10 +31,12 @@ func TestMapBlockAllocs(t *testing.T) {
 
 // TestRunAllocs: allocations per whole job for six pinned scenarios (4 kernel
 // workers, 8 partitions; AllocsPerRun measures at GOMAXPROCS 1). Each row
-// carries the count measured when it was pinned (PR 23) and its budget: 1.25×,
-// or 1.10× where no combiner runs and the job is a few thousand slab
-// allocations, so one per-record allocation site is a multiple. The spill row
-// also pins the spilled volume: the store must spill, and not 1.25× as much.
+// carries the count measured when it was last pinned — map and reduce both
+// allocate per block, run, chunk and partition, never per pair or per key
+// group — and its budget: 1.25×, or 1.10× where no combiner runs and the job
+// is under a thousand allocations, so one per-record allocation site is a
+// multiple. The spill row also pins the spilled volume: the store must
+// spill, and not 1.25× as much.
 func TestRunAllocs(t *testing.T) {
 	wc, _ := apps.WCData(11, 1<<20, 5000)
 	wcBlocks := dfs.SplitLines(wc, 64<<10)
@@ -50,17 +52,17 @@ func TestRunAllocs(t *testing.T) {
 		spill  int64   // measured Result.SpillBytes; 0 = not checked
 	}{
 		{"wc-hash", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable}, 17800, 1.10, 0},
+			Config{Collector: core.HashTable}, 830, 1.10, 0},
 		{"wc-hash-combine", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable, UseCombiner: true}, 15000, 1.25, 0},
+			Config{Collector: core.HashTable, UseCombiner: true}, 820, 1.25, 0},
 		{"wc-pool", apps.WordCount(), wcBlocks,
-			Config{Collector: core.BufferPool}, 17800, 1.10, 0},
+			Config{Collector: core.BufferPool}, 830, 1.10, 0},
 		{"wc-spill", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 44000, 1.25, 144700},
+			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 1740, 1.25, 144700},
 		{"terasort", apps.TeraSort(), dfs.SplitFixed(ts, 64<<10, workload.TeraRecordSize),
-			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1870, 1.25, 0},
+			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1065, 1.25, 0},
 		{"kmeans", apps.KMeans(spec), dfs.SplitFixed(km, 16<<10, int64(spec.Dim*4)),
-			Config{Collector: core.HashTable, UseCombiner: true}, 3420, 1.25, 0},
+			Config{Collector: core.HashTable, UseCombiner: true}, 2460, 1.25, 0},
 	} {
 		sc.cfg.KernelWorkers, sc.cfg.Partitions = 4, 8
 		var spill int64

@@ -1,6 +1,10 @@
 package native
 
 import (
+	"bytes"
+	"slices"
+	"sync"
+
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
@@ -85,10 +89,19 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 	return runs, st
 }
 
+// valsPool recycles ReducePartition's values slice across partitions. On
+// skewed keys one group holds a good share of a partition's pairs, and
+// growing a slice of that many pointers afresh for every partition was most
+// of what reduce allocated.
+var valsPool = sync.Pool{New: func() any { return new([][]byte) }}
+
 // ReducePartition merges one partition's sorted iterators and applies the
 // reduce kernel, or passes the merged pairs through for reduce-less apps
 // like TeraSort. It returns the output with the records and key groups the
 // kernel consumed (groups is 0 on the reduce-less path, which never groups).
+// Groups are cut straight off the merge into one values slice reused for
+// every key: ReduceBatchFunc reads its values during the call and keeps
+// none, and the pairs behind them stay valid (kv.Iterator).
 func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
 	merged := kv.Merge(iters...)
 	if app.ReduceBatch == nil {
@@ -98,15 +111,27 @@ func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records
 	// The kernel appends its output into one partition-owned slab; the
 	// returned pairs are views into it, so there is no per-pair copy-out.
 	var slab kv.Batch
-	gi := kv.NewGroupIter(merged)
-	for {
-		grp, ok := gi.Next()
-		if !ok {
-			break
+	vp := valsPool.Get().(*[][]byte)
+	vals, most := *vp, 0
+	defer func() {
+		clear(vals[:most]) // the pool must not keep this partition's chunks alive
+		*vp = vals[:0]
+		valsPool.Put(vp)
+	}()
+	p, ok := merged.Next()
+	for ok {
+		key := p.Key
+		vals = append(vals[:0], p.Value)
+		for p, ok = merged.Next(); ok && bytes.Equal(p.Key, key); p, ok = merged.Next() {
+			if len(vals) == cap(vals) {
+				vals = slices.Grow(vals, len(vals)) // doubling: append adds a quarter
+			}
+			vals = append(vals, p.Value)
 		}
-		records += int64(len(grp.Values))
+		most = max(most, len(vals))
+		records += int64(len(vals))
 		groups++
-		app.ReduceBatch(grp.Key, grp.Values, &slab)
+		app.ReduceBatch(key, vals, &slab)
 	}
 	return slab.Pairs(nil), records, groups
 }
