@@ -66,22 +66,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("distnode: ")
 	var (
-		serve      = flag.String("serve", "", "coordinator mode: listen address for workers (e.g. 127.0.0.1:9700)")
-		join       = flag.String("join", "", "worker mode: coordinator address to join")
-		listen     = flag.String("listen", "127.0.0.1:0", "worker mode: shuffle listen address peers dial (use a reachable host:port for multi-host runs)")
-		workers    = flag.Int("workers", 3, "coordinator mode: workers to wait for")
-		appName    = flag.String("app", "wc", "application: wc, ts, km")
-		size       = flag.Int("size", 1<<20, "approximate input size in bytes")
-		partitions = flag.Int("partitions", 0, "reduce partitions (0 = default)")
-		chunk      = flag.Int("chunk", 0, "map block size in bytes (0 = default)")
-		verify     = flag.Bool("verify", false, "verify output against a reference implementation")
-		traceOut   = flag.String("trace-out", "", "write the run's Chrome trace_event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write the run's metrics snapshot as JSON to this file")
+		serve       = flag.String("serve", "", "coordinator mode: listen address for workers (e.g. 127.0.0.1:9700)")
+		join        = flag.String("join", "", "worker mode: coordinator address to join")
+		listen      = flag.String("listen", "127.0.0.1:0", "worker mode: shuffle listen address peers dial (use a reachable host:port for multi-host runs)")
+		workers     = flag.Int("workers", 3, "coordinator mode: workers to wait for")
+		appName     = flag.String("app", "wc", "application: wc, ts, km")
+		size        = flag.Int("size", 1<<20, "approximate input size in bytes")
+		partitions  = flag.Int("partitions", 0, "reduce partitions (0 = default)")
+		chunk       = flag.Int("chunk", 0, "map block size in bytes (0 = default)")
+		verify      = flag.Bool("verify", false, "verify output against a reference implementation")
+		traceOut    = flag.String("trace-out", "", "write the run's Chrome trace_event JSON to this file")
+		metricsOut  = flag.String("metrics-out", "", "write the run's metrics snapshot as JSON to this file")
 		rejoinGrace = flag.Duration("rejoin-grace", 0, "worker mode: how long to retry re-dialing a crashed coordinator before giving up (0 = exit on coordinator loss)")
 
-		journal    = flag.String("journal", "", "coordinator mode: checkpoint journal path (append-only, fsynced)")
-		resume     = flag.Bool("resume", false, "coordinator mode: resume a crashed job from -journal instead of starting fresh")
-		elastic    = flag.String("elastic", "", "coordinator mode: membership schedule kind[:worker]@threshold[,...] — drain:W, restart; threshold N fires after N map tasks resolve, rN after N reduce outputs accept")
+		journal = flag.String("journal", "", "coordinator mode: checkpoint journal path (append-only, fsynced)")
+		resume  = flag.Bool("resume", false, "coordinator mode: resume a crashed job from -journal instead of starting fresh")
+		elastic = flag.String("elastic", "", "coordinator mode: membership schedule kind[:worker]@threshold[,...] — drain:W, restart; threshold N fires after N map tasks resolve, rN after N reduce outputs accept")
 
 		input       = flag.String("input", "", "coordinator mode: read the input from this file instead of generating it (-app wc or ts)")
 		noCombiner  = flag.Bool("no-combiner", false, "coordinator mode: disable the map-side combiner")

@@ -29,7 +29,7 @@ type frame struct {
 //   - a bounded send window: bulk (mRun) frames block the sender while
 //     more than Tuning.sendWindow bytes are queued or in flight —
 //     backpressure from a slow receiver propagates to the map executor.
-//     Control frames bypass the window: acks and death notices must flow
+//     Control frames bypass the window: acks and membership frames must flow
 //     even when a window is wedged, or two workers shuffling into each
 //     other could deadlock.
 //   - heartbeats: a keep-alive frame every Tuning.heartbeatEvery, and a

@@ -121,6 +121,10 @@ type cworker struct {
 	state       int
 	outstanding int             // map tasks dispatched, not yet reported
 	clock       *clockEstimator // NTP-style offset estimate for this worker
+	// left is set once the membership frame naming this worker Left has gone
+	// out: from then on it is dead to its peers, though still data-alive
+	// until its handoff completes.
+	left bool
 }
 
 // cevent is one frame (or connection loss) from one worker, funneled into
@@ -137,14 +141,14 @@ type cevent struct {
 
 // transition is one queued or in-flight membership change. Transitions run
 // one at a time: the cluster quiesces (no outstanding map attempts), the
-// epoch bumps, partition homes rebalance, the rehome broadcast goes out,
+// epoch bumps, partition homes rebalance, the membership frame goes out,
 // and the transition completes when every moved partition's new home
 // reports its handoff adopted.
 type transition struct {
 	kind    string // "join" or "drain"
 	target  int
 	claimed bool // holds a pendingMembership claim (event-spawned churn)
-	started bool // quiesce passed: epoch bumped, rehome broadcast
+	started bool // quiesce passed: epoch bumped, membership frame broadcast
 	epoch   int
 	pending map[int]bool // partitions whose handoff is still outstanding
 }
@@ -268,6 +272,38 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}()
 	defer func() { jn.close() }()
 
+	// membership builds the one frame every membership change travels as,
+	// from current state. A drain target turns dead to its peers only once
+	// the frame naming it Left has gone out, never while the drain is merely
+	// queued: until then its peers still owe it marks and acks.
+	membership := func(joined, left int) frame {
+		m := membershipMsg{Epoch: epoch, Homes: homes, Settled: donePart, Joined: joined, Left: left}
+		m.Alive = make([]bool, len(alive))
+		for i, a := range alive {
+			m.Alive[i] = a && !ws[i].left
+		}
+		if joined >= 0 {
+			m.JoinedAddr = ws[joined].addr
+		}
+		return frame{typ: mMembership, payload: m.encode()}
+	}
+	// adopt installs a worker re-attaching to a resumed coordinator under its
+	// old id, padding the membership with dead slots up to it: resume
+	// formation and a straggler's late rejoin alike.
+	adopt := func(m rejoinMsg, cc *conn) {
+		for len(ws) <= m.WorkerID {
+			ws = append(ws, &cworker{state: wActive})
+			alive = append(alive, false)
+		}
+		cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
+		ws[m.WorkerID] = cw
+		alive[m.WorkerID] = true
+		cc.enableClock(cw.clock, tun.heartbeatEvery)
+		if sched != nil {
+			sched.join(m.WorkerID)
+		}
+	}
+
 	if o.Resume {
 		// ----- resume formation: replay the journal, collect rejoins -----
 		if o.JournalPath == "" {
@@ -302,7 +338,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			if a {
 				need[i] = true
 			} else {
-				ws[i] = &cworker{alive: false, state: wActive}
+				ws[i] = &cworker{state: wActive}
 			}
 		}
 		deadline := time.Now().Add(acceptTimeout)
@@ -331,23 +367,14 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				return nil, fmt.Errorf(resumeRefused+": worker %d is at epoch %d, ahead of the journal's %d",
 					m.WorkerID, m.Epoch, epoch)
 			case m.WorkerID >= 0 && m.WorkerID < len(ws) && need[m.WorkerID]:
-				cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
-				ws[m.WorkerID] = cw
-				cc.enableClock(cw.clock, tun.heartbeatEvery)
+				adopt(m, cc)
 				delete(need, m.WorkerID)
 			case m.WorkerID >= len(ws):
 				// Admitted after the journal's last membership record (a join
 				// whose transition never started before the crash): adopt it
 				// as a full member owning no partitions — the peer mesh it
 				// built before the crash is intact.
-				for len(ws) < m.WorkerID {
-					ws = append(ws, &cworker{alive: false, state: wActive})
-					alive = append(alive, false)
-				}
-				cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
-				ws = append(ws, cw)
-				alive = append(alive, true)
-				cc.enableClock(cw.clock, tun.heartbeatEvery)
+				adopt(m, cc)
 			default:
 				// The journal says this worker already left (drained or its
 				// rejoin slot is already filled): let it exit cleanly.
@@ -383,14 +410,14 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		res.WorkersLost = rs.lost
 		res.Resumed = true
 		// Re-sync every rejoined worker: the refresh carries the journaled
-		// epoch, homes and liveness, so a worker that missed a crash-window
-		// broadcast applies it now — including any handoff it still owes
-		// (journaling is write-ahead, so the journal is never behind a
-		// broadcast a worker saw).
-		refresh := rehomeMsg{Epoch: epoch, Homes: homes, Alive: alive, Joined: -1, Left: -1}.encode()
+		// epoch, homes, liveness and settled set, so a worker that missed a
+		// crash-window broadcast applies it now — including any handoff it
+		// still owes (journaling is write-ahead, so the journal is never
+		// behind a broadcast a worker saw).
+		refresh := membership(-1, -1)
 		for _, cw := range ws {
 			if cw != nil && cw.cc != nil && cw.alive {
-				cw.cc.send(frame{typ: mRehome, payload: refresh})
+				cw.cc.send(refresh)
 			}
 		}
 	} else {
@@ -636,6 +663,21 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		death               func(int)
 	)
 
+	// rehome moves every partition homed on a leaving worker — dead or
+	// draining — across the active survivors, deterministically: ascending
+	// partitions, cycling ascending ids. It returns the partitions moved.
+	rehome := func(from int) map[int]bool {
+		surv := activeIDs(from)
+		moved := make(map[int]bool)
+		for p, h := range homes {
+			if h == from {
+				homes[p] = surv[len(moved)%len(surv)]
+				moved[p] = true
+			}
+		}
+		return moved
+	}
+
 	journalMembership := func() {
 		if jn == nil {
 			return
@@ -843,19 +885,22 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	// tryAdvance starts the active transition once the cluster is quiesced:
 	// no outstanding map attempts means every shipped run has passed its
 	// commit barrier, so the partition map can move without stranding
-	// staged data.
+	// staged data. A fired kill must land first: its death would abort a
+	// transition started under it, and whether it did would hang on
+	// goroutine timing.
 	tryAdvance = func() {
 		if activeT == nil || activeT.started || jobErr != nil || phase != phaseMap {
 			return
 		}
-		if totalOutstanding() > 0 {
+		if totalOutstanding() > 0 || len(pendingKills) > 0 {
 			return
 		}
 		t := activeT
 		epoch++
 		t.epoch = epoch
-		t.pending = make(map[int]bool)
+		joined, left := t.target, -1
 		if t.kind == "join" {
+			t.pending = make(map[int]bool)
 			// Move ⌊P/live⌋ partitions to the joiner, one at a time from the
 			// currently most-loaded owner (lowest id on ties) — deterministic
 			// and balanced.
@@ -885,40 +930,24 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 			res.WorkersJoined++
 		} else {
-			surv := activeIDs(t.target)
-			rr := 0
-			for p := range homes {
-				if homes[p] == t.target {
-					homes[p] = surv[rr%len(surv)]
-					t.pending[p] = true
-					rr++
-				}
-			}
+			joined, left = -1, t.target
+			t.pending = rehome(t.target)
 			sched.drain(t.target, schedAlive())
-			// Tell the target to stop expecting work and flush its coalescers.
-			ws[t.target].cc.send(frame{typ: mDrain})
 		}
 		// Write-ahead: journal the new epoch before any worker hears of it.
 		// A drain journals the target still data-alive — a resume must accept
 		// its rejoin while un-handed-off partitions live only on it — while
-		// the broadcast announces it compute-dead so peers stop counting it
-		// in commit barriers. The second journal record at completion retires
-		// it fully.
+		// the frame naming it Left announces it compute-dead, so peers stop
+		// counting it in commit barriers and it flushes and hands off. The
+		// second journal record at completion retires it fully.
 		journalMembership()
 		if jobErr != nil {
 			return
 		}
-		msg := rehomeMsg{Epoch: epoch, Homes: homes, Joined: -1, Left: -1}
-		msg.Alive = append([]bool(nil), alive...)
-		if t.kind == "join" {
-			msg.Joined = t.target
-			msg.JoinedAddr = ws[t.target].addr
-		} else {
-			msg.Left = t.target
-			msg.Alive[t.target] = false
+		if left >= 0 {
+			ws[left].left = true
 		}
-		payload := msg.encode()
-		broadcast(frame{typ: mRehome, payload: payload})
+		broadcast(membership(joined, left))
 		t.started = true
 		if o.Journal != nil {
 			o.Journal.Info("rehome", "kind", t.kind, "target", t.target, "epoch", epoch, "moved", len(t.pending))
@@ -1039,8 +1068,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			fail(fmt.Errorf("dist: all workers dead"))
 			return
 		}
-		surv := activeIDs(-1)
-		if len(surv) == 0 {
+		if len(activeIDs(-1)) == 0 {
 			fail(fmt.Errorf("dist: no active workers left"))
 			return
 		}
@@ -1080,25 +1108,14 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				}
 			}
 		}
-		// Re-home the dead worker's partitions across active survivors,
-		// deterministically: ascending partitions, cycling ascending ids.
-		rr := 0
-		for p := range homes {
-			if homes[p] == w {
-				homes[p] = surv[rr%len(surv)]
-				rr++
-			}
-		}
+		rehome(w)
 		epoch++
 		sched.death(w, schedAlive())
 		journalMembership()
 		if jobErr != nil {
 			return
 		}
-		broadcast(frame{typ: mWorkerDead, payload: workerDeadMsg{
-			Dead: w, Homes: homes, Epoch: epoch,
-			Settled: append([]bool(nil), donePart...),
-		}.encode()})
+		broadcast(membership(-1, -1))
 		// Events held behind this kill can fire now. And the death may have
 		// aborted the active transition: promote the next queued one, or
 		// nothing ever will and dispatch stays paused.
@@ -1163,19 +1180,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 					cc.close()
 					continue
 				}
-				for len(ws) < m.WorkerID {
-					ws = append(ws, &cworker{alive: false, state: wActive})
-					alive = append(alive, false)
-					sched.join(len(ws) - 1)
-				}
-				cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
-				ws = append(ws, cw)
-				alive = append(alive, true)
-				sched.join(m.WorkerID)
-				cc.enableClock(cw.clock, tun.heartbeatEvery)
-				cc.send(frame{typ: mRehome, payload: rehomeMsg{
-					Epoch: epoch, Homes: homes, Alive: alive, Joined: -1, Left: -1,
-				}.encode()})
+				adopt(m, cc)
+				cc.send(membership(-1, -1))
 				startReader(m.WorkerID, cc)
 				fill()
 			default:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"glasswing/internal/apps"
 	"glasswing/internal/core"
@@ -42,6 +43,45 @@ func checkWire(t *testing.T, reg *obs.Registry, wantLoss bool) {
 	}
 	if !wantLoss && (lost != 0 || blost != 0) {
 		t.Fatalf("unexpected loss: %d records, %d bytes", lost, blost)
+	}
+}
+
+// checkStore asserts the store ledger is exact: every record a winning
+// reduce read was accepted by a store and not lost with it, or was lost
+// only after a final reduce had settled it.
+func checkStore(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	c := func(name string) int64 { return reg.Counter(name).Value() }
+	in, acc := c("conserv_reduce_records_in_total"), c("conserv_store_accepted_records_total")
+	lost, settled := c("conserv_store_lost_records_total"), c("conserv_store_settled_records_total")
+	if in != acc-lost+settled {
+		t.Fatalf("store ledger imbalance: reduce in %d, accepted %d - lost %d + settled %d = %d",
+			in, acc, lost, settled, acc-lost+settled)
+	}
+}
+
+// runWatched runs one loopback job under a watchdog, so a membership
+// deadlock fails the test instead of stalling the suite.
+func runWatched(t *testing.T, o Options, limit time.Duration) *Result {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunLoopback(o)
+		done <- outcome{res, err}
+	}()
+	select {
+	case out := <-done:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		return out.res
+	case <-time.After(limit):
+		t.Fatalf("job still running after %v", limit)
+		return nil
 	}
 }
 
@@ -145,6 +185,79 @@ func TestReduceKillRecovers(t *testing.T) {
 		t.Fatal("reduce-kill run output diverged from static run")
 	}
 	checkWire(t, tel.Metrics, true)
+}
+
+func TestJoinAfterReduceKillKeepsStoreLedger(t *testing.T) {
+	// A worker that joins after a reduce-phase death must learn which
+	// partitions are settled. Otherwise, once active, it ships re-executed
+	// map output to partitions no reduce will read again, and their homes
+	// book it as accepted.
+	oRef, want := elasticWC(3, nil)
+	ref, err := RunLoopback(oRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDig := wcDigest(t, ref)
+
+	for n := 1; n <= 4; n++ {
+		spec := fmt.Sprintf("kill:1@r%d,join@r%d", n, n)
+		joined := false
+		for run := 0; run < 3; run++ {
+			tel := obs.NewTelemetry()
+			o, _ := elasticWC(3, tel)
+			if o.Elastic, err = ParseElastic(spec); err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunLoopback(o)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if err := apps.VerifyCounts(res.Output(), want); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if dig := wcDigest(t, res); dig != refDig {
+				t.Fatalf("%s: output diverged from static run", spec)
+			}
+			checkWire(t, tel.Metrics, true)
+			checkStore(t, tel.Metrics)
+			joined = joined || res.WorkersJoined > 0
+		}
+		if !joined {
+			t.Fatalf("%s: no run admitted the joiner", spec)
+		}
+	}
+}
+
+func TestElasticDeathDuringDrain(t *testing.T) {
+	// A death while a drain is queued, announced or in handoff: the drain
+	// target must stay live to its peers until its own drain frame goes
+	// out, or the cluster waits forever on links it already sealed.
+	oRef, want := elasticWC(4, nil)
+	ref, err := RunLoopback(oRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDig := wcDigest(t, ref)
+
+	for _, spec := range []string{"drain:0@2,kill:1@2", "kill:1@2,drain:0@2", "drain:0@3,kill:1@4"} {
+		tel := obs.NewTelemetry()
+		o, _ := elasticWC(4, tel)
+		if o.Elastic, err = ParseElastic(spec); err != nil {
+			t.Fatal(err)
+		}
+		res := runWatched(t, o, 60*time.Second)
+		if err := apps.VerifyCounts(res.Output(), want); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if dig := wcDigest(t, res); dig != refDig {
+			t.Fatalf("%s: output diverged from static run", spec)
+		}
+		if res.WorkersDrained != 1 || res.WorkersLost != 1 {
+			t.Fatalf("%s: drained=%d lost=%d, want 1 and 1", spec, res.WorkersDrained, res.WorkersLost)
+		}
+		checkWire(t, tel.Metrics, true)
+		checkStore(t, tel.Metrics)
+	}
 }
 
 func TestCoordinatorRestartResume(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-
-	"glasswing/internal/core"
 )
 
 // The coordinator checkpoint journal is an append-only file of fsynced
@@ -99,13 +97,7 @@ func blocksDigest(blocks [][]byte) [32]byte {
 func (j *journal) jobStart(job Job, traceID uint64, nTasks int, digest [32]byte) error {
 	var e enc
 	e.buf = append(e.buf, jrJobStart)
-	e.str(job.App.Name)
-	e.bytes(job.App.Params)
-	e.i(int64(job.Partitions))
-	e.u(uint64(job.Collector))
-	e.bool(job.UseCombiner)
-	e.bool(job.Compress)
-	e.i(int64(job.MaxAttempts))
+	e.job(job)
 	e.i(int64(nTasks))
 	e.u(traceID)
 	e.bytes(digest[:])
@@ -129,18 +121,9 @@ func (j *journal) membership(epoch int, homes []int, alive []bool, attempt []int
 	var e enc
 	e.buf = append(e.buf, jrMembership)
 	e.i(int64(epoch))
-	e.u(uint64(len(homes)))
-	for _, h := range homes {
-		e.i(int64(h))
-	}
-	e.u(uint64(len(alive)))
-	for _, a := range alive {
-		e.bool(a)
-	}
-	e.u(uint64(len(attempt)))
-	for _, a := range attempt {
-		e.i(int64(a))
-	}
+	e.ints(homes)
+	e.bools(alive)
+	e.ints(attempt)
 	e.i(int64(joined))
 	e.i(int64(drained))
 	e.i(int64(lost))
@@ -239,13 +222,7 @@ func replayJournal(data []byte) (*resumeState, error) {
 				return refuse("duplicate job-start record")
 			}
 			sawStart = true
-			rs.job.App.Name = d.str()
-			rs.job.App.Params = append([]byte(nil), d.bytes()...)
-			rs.job.Partitions = int(d.i())
-			rs.job.Collector = core.CollectorKind(d.u())
-			rs.job.UseCombiner = d.bool()
-			rs.job.Compress = d.bool()
-			rs.job.MaxAttempts = int(d.i())
+			rs.job = d.job()
 			rs.nTasks = int(d.i())
 			rs.traceID = d.u()
 			dg := d.bytes()
@@ -260,31 +237,7 @@ func replayJournal(data []byte) (*resumeState, error) {
 			rs.resolved = make([]bool, rs.nTasks)
 			rs.attempt = make([]int, rs.nTasks)
 		case jrMembership:
-			epoch := int(d.i())
-			nh := d.u()
-			if nh > uint64(len(body)) {
-				return refuse("implausible membership record")
-			}
-			homes := make([]int, 0, nh)
-			for i := uint64(0); i < nh && d.err == nil; i++ {
-				homes = append(homes, int(d.i()))
-			}
-			na := d.u()
-			if na > uint64(len(body)) {
-				return refuse("implausible membership record")
-			}
-			alive := make([]bool, 0, na)
-			for i := uint64(0); i < na && d.err == nil; i++ {
-				alive = append(alive, d.bool())
-			}
-			nt := d.u()
-			if nt > uint64(len(body)) {
-				return refuse("implausible membership record")
-			}
-			attempt := make([]int, 0, nt)
-			for i := uint64(0); i < nt && d.err == nil; i++ {
-				attempt = append(attempt, int(d.i()))
-			}
+			epoch, homes, alive, attempt := int(d.i()), d.ints(), d.bools(), d.ints()
 			joined, drained, lost := int(d.i()), int(d.i()), int(d.i())
 			if err := d.fin("journal membership"); err != nil {
 				return refuse("%v", err)

@@ -38,7 +38,7 @@ func (lc *loopCluster) fail(err error) {
 // always finds the worker; the poll is a safety margin for that. What the
 // poll does wait for is cluster formation: a fast worker can resolve its
 // first tasks while a slow one is still waiting for the victim to dial in,
-// and a worker in that wait reads no death notice — it would sit out the
+// and a worker in that wait reads no membership frame — it would sit out the
 // mesh timeout and fail the job. A kill models a death mid-job, so it
 // lands once every registered worker has its mesh.
 func (lc *loopCluster) kill(id int) {

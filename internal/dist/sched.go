@@ -18,11 +18,11 @@ import "fmt"
 // attempt and are ignored, and destination-side per-(task,partition) dedup
 // discards whatever re-delivered output survived.
 type dsched struct {
-	queues   [][]int // per-worker pending task ids (FIFO)
-	attempt  []int   // task → current expected attempt
-	failures []int   // task → failed-attempt count
-	resolved []bool
-	total    int
+	queues        [][]int // per-worker pending task ids (FIFO)
+	attempt       []int   // task → current expected attempt
+	failures      []int   // task → failed-attempt count
+	resolved      []bool
+	total         int
 	resolvedCount int
 	maxAttempts   int
 
@@ -136,59 +136,58 @@ func (s *dsched) join(wkr int) {
 	}
 }
 
-// drain moves a gracefully-leaving worker's queued tasks to survivors,
-// round-robin. Unlike death, nothing resolved or in-flight is touched: the
-// drain is only initiated once the worker has no outstanding attempts, and
-// its committed shuffle data is handed off rather than lost, so no attempt
-// supersession is needed.
-func (s *dsched) drain(wkr int, alive []bool) {
-	orphans := s.queues[wkr]
-	s.queues[wkr] = nil
-	live := []int{}
+// deal appends tasks round-robin across the live workers' queues in
+// ascending id order — the one placement rule for a leaving worker's
+// orphans, a death's superseded tasks and a resumed job's pending ones.
+// With no live worker the tasks stay unqueued.
+func (s *dsched) deal(tasks []int, alive []bool) {
+	var live []int
 	for w, a := range alive {
-		if a && w != wkr {
+		if a {
 			live = append(live, w)
 		}
 	}
 	if len(live) == 0 {
 		return
 	}
-	for i, t := range orphans {
-		s.queues[live[i%len(live)]] = append(s.queues[live[i%len(live)]], t)
+	for i, t := range tasks {
+		w := live[i%len(live)]
+		s.queues[w] = append(s.queues[w], t)
 	}
+}
+
+// drain moves a gracefully-leaving worker's queued tasks to survivors
+// (alive must already exclude it). Unlike death, nothing resolved or
+// in-flight is touched: the drain is only initiated once the worker has no
+// outstanding attempts, and its committed shuffle data is handed off rather
+// than lost, so no attempt supersession is needed.
+func (s *dsched) drain(wkr int, alive []bool) {
+	orphans := s.queues[wkr]
+	s.queues[wkr] = nil
+	s.deal(orphans, alive)
 }
 
 // newSchedResume rebuilds a scheduler from journaled state: resolved tasks
 // stay resolved at their journaled attempt, and every unresolved task is
-// dealt round-robin across the live workers under its journaled attempt.
+// dealt across the live workers under its journaled attempt.
 func newSchedResume(nTasks, nWorkers, maxAttempts int, resolved []bool, attempt []int, alive []bool) *dsched {
 	s := &dsched{
 		queues:      make([][]int, nWorkers),
-		attempt:     make([]int, nTasks),
+		attempt:     append([]int(nil), attempt...),
 		failures:    make([]int, nTasks),
-		resolved:    make([]bool, nTasks),
+		resolved:    append([]bool(nil), resolved...),
 		total:       nTasks,
 		maxAttempts: maxAttempts,
 	}
-	copy(s.attempt, attempt)
-	live := []int{}
-	for w, a := range alive {
-		if a {
-			live = append(live, w)
-		}
-	}
-	rr := 0
-	for t := 0; t < nTasks; t++ {
-		if resolved[t] {
-			s.resolved[t] = true
+	var pending []int
+	for t, r := range resolved {
+		if r {
 			s.resolvedCount++
-			continue
-		}
-		if len(live) > 0 {
-			s.queues[live[rr%len(live)]] = append(s.queues[live[rr%len(live)]], t)
-			rr++
+		} else {
+			pending = append(pending, t)
 		}
 	}
+	s.deal(pending, alive)
 	return s
 }
 
@@ -197,31 +196,14 @@ func newSchedResume(nTasks, nWorkers, maxAttempts int, resolved []bool, attempt 
 // is re-queued under a fresh attempt, because its shuffle output was
 // addressed under the old partition-home map.
 func (s *dsched) death(wkr int, alive []bool) {
-	orphans := s.queues[wkr]
-	s.queues[wkr] = nil
-	live := []int{}
-	for w, a := range alive {
-		if a {
-			live = append(live, w)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	rr := 0
-	requeue := func(t int) {
-		s.queues[live[rr%len(live)]] = append(s.queues[live[rr%len(live)]], t)
-		rr++
-	}
-	for _, t := range orphans {
-		requeue(t)
-	}
-	queued := make(map[int]bool, len(orphans))
+	queued := make(map[int]bool)
 	for _, q := range s.queues {
 		for _, t := range q {
 			queued[t] = true
 		}
 	}
+	redo := s.queues[wkr]
+	s.queues[wkr] = nil
 	for t := 0; t < s.total; t++ {
 		if queued[t] {
 			continue // still pending; will execute under the new home map
@@ -233,6 +215,7 @@ func (s *dsched) death(wkr int, alive []bool) {
 		}
 		// Resolved or in-flight: supersede with a fresh attempt.
 		s.attempt[t]++
-		requeue(t)
+		redo = append(redo, t)
 	}
+	s.deal(redo, alive)
 }

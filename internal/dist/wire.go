@@ -45,7 +45,6 @@ const (
 	mReduceTask                   // coord→worker: partition, attempt
 	mReduceDone                   // worker→coord: partition, attempt, output pairs
 	mReduceFailed                 // worker→coord: partition, attempt, reason
-	mWorkerDead                   // coord→worker: dead id, reassigned partition homes
 	mJobEnd                       // coord→worker: job over, shut down
 	mHeartbeat                    // both directions: keep-alive / clock probe
 	mPeerHello                    // worker→worker on dial: my worker id
@@ -53,8 +52,7 @@ const (
 	mJoin                         // worker→coord: join request (formation or live), listen addr
 	mJoinReady                    // worker→coord: live joiner's peer mesh is connected
 	mRejoin                       // worker→coord: re-attach to a resumed coordinator
-	mRehome                       // coord→worker: new membership epoch + partition homes
-	mDrain                        // coord→worker: stop expecting work, prepare to hand off
+	mMembership                   // coord→worker: every membership change — epoch, homes, liveness, settled set
 	mDrained                      // coord→worker: handoff complete, exit cleanly
 	mHandoff                      // worker→worker: committed runs of one re-homed partition (bulk)
 	mHandoffMark                  // worker→worker: one partition's handoff is complete
@@ -70,10 +68,10 @@ func typeName(t byte) string {
 		mMapTask: "map-task", mMapDone: "map-done", mMapFailed: "map-failed",
 		mRunBatch: "run-batch", mMark: "mark", mAck: "ack",
 		mReduceTask: "reduce-task", mReduceDone: "reduce-done", mReduceFailed: "reduce-failed",
-		mWorkerDead: "worker-dead", mJobEnd: "job-end", mHeartbeat: "heartbeat",
+		mJobEnd: "job-end", mHeartbeat: "heartbeat",
 		mPeerHello: "peer-hello", mSpanBatch: "span-batch",
 		mJoin: "join", mJoinReady: "join-ready", mRejoin: "rejoin",
-		mRehome: "rehome", mDrain: "drain", mDrained: "drained",
+		mMembership: "membership", mDrained: "drained",
 		mHandoff: "handoff", mHandoffMark: "handoff-mark", mHandoffDone: "handoff-done",
 		mBlockPut: "block-put", mBlockFetch: "block-fetch", mBlockChunk: "block-chunk",
 	}
@@ -143,6 +141,33 @@ func (e *enc) bool(b bool) {
 	}
 }
 
+// ints and bools write count-prefixed lists.
+func (e *enc) ints(v []int) {
+	e.u(uint64(len(v)))
+	for _, x := range v {
+		e.i(int64(x))
+	}
+}
+
+func (e *enc) bools(v []bool) {
+	e.u(uint64(len(v)))
+	for _, b := range v {
+		e.bool(b)
+	}
+}
+
+// job writes a job spec — the same bytes on the wire's job-start and in the
+// journal's job-start record.
+func (e *enc) job(j Job) {
+	e.str(j.App.Name)
+	e.bytes(j.App.Params)
+	e.i(int64(j.Partitions))
+	e.u(uint64(j.Collector))
+	e.bool(j.UseCombiner)
+	e.bool(j.Compress)
+	e.i(int64(j.MaxAttempts))
+}
+
 var errCorrupt = errors.New("dist: corrupt payload")
 
 // dec decodes a payload; the first malformed field latches err and every
@@ -185,6 +210,43 @@ func (d *dec) bytes() []byte {
 func (d *dec) str() string { return string(d.bytes()) }
 
 func (d *dec) bool() bool { return d.u() != 0 }
+
+// count reads a list length, latching errCorrupt when it exceeds the bytes
+// left: every element takes at least one.
+func (d *dec) count() int {
+	n := d.u()
+	if n > uint64(len(d.buf)) {
+		d.err = errCorrupt
+		return 0
+	}
+	return int(n)
+}
+
+func (d *dec) ints() []int {
+	var v []int
+	for n := d.count(); len(v) < n && d.err == nil; {
+		v = append(v, int(d.i()))
+	}
+	return v
+}
+
+func (d *dec) bools() []bool {
+	var v []bool
+	for n := d.count(); len(v) < n && d.err == nil; {
+		v = append(v, d.bool())
+	}
+	return v
+}
+
+func (d *dec) job() Job {
+	j := Job{App: AppSpec{Name: d.str(), Params: append([]byte(nil), d.bytes()...)}}
+	j.Partitions = int(d.i())
+	j.Collector = core.CollectorKind(d.u())
+	j.UseCombiner = d.bool()
+	j.Compress = d.bool()
+	j.MaxAttempts = int(d.i())
+	return j
+}
 
 // fin returns the latched decode error, also flagging trailing garbage.
 func (d *dec) fin(what string) error {
@@ -245,21 +307,12 @@ type jobStartMsg struct {
 func (m jobStartMsg) encode() []byte {
 	var e enc
 	e.u(m.TraceID)
-	e.str(m.Job.App.Name)
-	e.bytes(m.Job.App.Params)
-	e.i(int64(m.Job.Partitions))
-	e.u(uint64(m.Job.Collector))
-	e.bool(m.Job.UseCombiner)
-	e.bool(m.Job.Compress)
-	e.i(int64(m.Job.MaxAttempts))
+	e.job(m.Job)
 	e.u(uint64(len(m.Peers)))
 	for _, p := range m.Peers {
 		e.str(p)
 	}
-	e.u(uint64(len(m.Homes)))
-	for _, h := range m.Homes {
-		e.i(int64(h))
-	}
+	e.ints(m.Homes)
 	e.i(int64(m.Epoch))
 	e.bool(m.Live)
 	return e.buf
@@ -267,29 +320,11 @@ func (m jobStartMsg) encode() []byte {
 
 func decodeJobStart(p []byte) (jobStartMsg, error) {
 	d := dec{buf: p}
-	var m jobStartMsg
-	m.TraceID = d.u()
-	m.Job.App.Name = d.str()
-	m.Job.App.Params = append([]byte(nil), d.bytes()...)
-	m.Job.Partitions = int(d.i())
-	m.Job.Collector = core.CollectorKind(d.u())
-	m.Job.UseCombiner = d.bool()
-	m.Job.Compress = d.bool()
-	m.Job.MaxAttempts = int(d.i())
-	np := d.u()
-	if np > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < np && d.err == nil; i++ {
+	m := jobStartMsg{TraceID: d.u(), Job: d.job()}
+	for n := d.count(); len(m.Peers) < n && d.err == nil; {
 		m.Peers = append(m.Peers, d.str())
 	}
-	nh := d.u()
-	if nh > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < nh && d.err == nil; i++ {
-		m.Homes = append(m.Homes, int(d.i()))
-	}
+	m.Homes = d.ints()
 	m.Epoch = int(d.i())
 	m.Live = d.bool()
 	return m, d.fin("job-start")
@@ -323,10 +358,7 @@ func (m mapTaskMsg) encode() []byte {
 	e.bytes(m.Block)
 	e.bool(m.Ref)
 	e.i(m.BlockSize)
-	e.u(uint64(len(m.Holders)))
-	for _, h := range m.Holders {
-		e.i(int64(h))
-	}
+	e.ints(m.Holders)
 	e.bool(m.AllowLocal)
 	return e.buf
 }
@@ -337,13 +369,7 @@ func decodeMapTask(p []byte) (mapTaskMsg, error) {
 	m.Block = d.bytes()
 	m.Ref = d.bool()
 	m.BlockSize = d.i()
-	n := d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Holders = append(m.Holders, int(d.i()))
-	}
+	m.Holders = d.ints()
 	m.AllowLocal = d.bool()
 	return m, d.fin("map-task")
 }
@@ -566,49 +592,6 @@ func decodeReduceDone(p []byte) (reduceDoneMsg, error) {
 	return m, d.fin("reduce-done")
 }
 
-type workerDeadMsg struct {
-	Dead    int
-	Homes   []int  // full partition → home map after reassignment
-	Epoch   int    // membership epoch after the death
-	Settled []bool // partitions whose accepted output settled: never re-ship them
-}
-
-func (m workerDeadMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Dead))
-	e.u(uint64(len(m.Homes)))
-	for _, h := range m.Homes {
-		e.i(int64(h))
-	}
-	e.i(int64(m.Epoch))
-	e.u(uint64(len(m.Settled)))
-	for _, s := range m.Settled {
-		e.bool(s)
-	}
-	return e.buf
-}
-
-func decodeWorkerDead(p []byte) (workerDeadMsg, error) {
-	d := dec{buf: p}
-	m := workerDeadMsg{Dead: int(d.i())}
-	n := d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Homes = append(m.Homes, int(d.i()))
-	}
-	m.Epoch = int(d.i())
-	n = d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Settled = append(m.Settled, d.bool())
-	}
-	return m, d.fin("worker-dead")
-}
-
 type peerHelloMsg struct {
 	WorkerID int
 }
@@ -670,21 +653,13 @@ func decodeSpanBatch(p []byte) (spanBatchMsg, error) {
 	m.TraceID = d.u()
 	m.Node = int(d.i())
 	m.EpochUnixNano = d.i()
-	n := d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 		s := obs.Span{Node: m.Node, Stage: d.str()}
 		s.Start = math.Float64frombits(d.u())
 		s.End = math.Float64frombits(d.u())
 		s.ID = d.u()
 		s.Parent = d.u()
-		nt := d.u()
-		if nt > uint64(len(p)) {
-			d.err = errCorrupt
-		}
-		for j := uint64(0); j < nt && d.err == nil; j++ {
+		for j, nt := 0, d.count(); j < nt && d.err == nil; j++ {
 			k := d.str()
 			v := d.str()
 			if d.err == nil {
@@ -759,63 +734,43 @@ func decodeRejoin(p []byte) (rejoinMsg, error) {
 	return m, d.fin("rejoin")
 }
 
-// rehomeMsg announces a membership transition: a new epoch with the full
-// partition→home map after a join or drain (Joined/Left are -1 when the
-// transition has no joiner/leaver — a resumed coordinator broadcasts such a
-// refresh to re-sync homes without moving anything). Workers owning a
+// membershipMsg is the one frame every membership change travels as — a
+// death, a join, a drain and a resumed coordinator's refresh alike — and
+// the wire twin of the journal's membership record: the epoch, the full
+// partition→home map, cluster liveness as the coordinator announces it, and
+// the partitions whose accepted output settled. Joined/Left name the
+// worker a join or drain transition is about (-1 = none). Workers owning a
 // partition whose home changed away from them hand its committed runs to
 // the new home.
-type rehomeMsg struct {
+type membershipMsg struct {
 	Epoch      int
 	Homes      []int
-	Alive      []bool // cluster-wide liveness as the coordinator sees it
+	Alive      []bool
+	Settled    []bool // partitions whose accepted output settled: never ship to them again
 	Joined     int    // worker id that joined, -1 = none
 	JoinedAddr string // joiner's peer listen addr
 	Left       int    // worker id being drained, -1 = none
 }
 
-func (m rehomeMsg) encode() []byte {
+func (m membershipMsg) encode() []byte {
 	var e enc
 	e.i(int64(m.Epoch))
-	e.u(uint64(len(m.Homes)))
-	for _, h := range m.Homes {
-		e.i(int64(h))
-	}
-	e.u(uint64(len(m.Alive)))
-	for _, a := range m.Alive {
-		b := uint64(0)
-		if a {
-			b = 1
-		}
-		e.u(b)
-	}
+	e.ints(m.Homes)
+	e.bools(m.Alive)
+	e.bools(m.Settled)
 	e.i(int64(m.Joined))
 	e.str(m.JoinedAddr)
 	e.i(int64(m.Left))
 	return e.buf
 }
 
-func decodeRehome(p []byte) (rehomeMsg, error) {
+func decodeMembership(p []byte) (membershipMsg, error) {
 	d := dec{buf: p}
-	m := rehomeMsg{Epoch: int(d.i())}
-	n := d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Homes = append(m.Homes, int(d.i()))
-	}
-	n = d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Alive = append(m.Alive, d.u() != 0)
-	}
+	m := membershipMsg{Epoch: int(d.i()), Homes: d.ints(), Alive: d.bools(), Settled: d.bools()}
 	m.Joined = int(d.i())
 	m.JoinedAddr = d.str()
 	m.Left = int(d.i())
-	return m, d.fin("rehome")
+	return m, d.fin("membership")
 }
 
 // handoffEntry is one committed run travelling to a partition's new home.

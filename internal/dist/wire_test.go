@@ -95,6 +95,15 @@ func TestMessageRoundTrips(t *testing.T) {
 				Peers: []string{"a:1", "b:2"},
 				Homes: []int{0, 1, 0, 1, 0, 1, 0},
 			}.encode()},
+		{"job-start-live", jobStartMsg{
+			Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3, MaxAttempts: 4},
+			Peers: []string{"a:1", "", "c:3"}, Homes: []int{0, 2, 0}, Epoch: 5, Live: true,
+		},
+			func(p []byte) (any, error) { return decodeJobStart(p) },
+			jobStartMsg{
+				Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3, MaxAttempts: 4},
+				Peers: []string{"a:1", "", "c:3"}, Homes: []int{0, 2, 0}, Epoch: 5, Live: true,
+			}.encode()},
 		{"map-task", mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")},
 			func(p []byte) (any, error) { return decodeMapTask(p) },
 			mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")}.encode()},
@@ -133,9 +142,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		{"reduce-done", reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")},
 			func(p []byte) (any, error) { return decodeReduceDone(p) },
 			reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")}.encode()},
-		{"worker-dead", workerDeadMsg{Dead: 1, Homes: []int{0, 2, 0, 2}},
-			func(p []byte) (any, error) { return decodeWorkerDead(p) },
-			workerDeadMsg{Dead: 1, Homes: []int{0, 2, 0, 2}}.encode()},
 		{"peer-hello", peerHelloMsg{WorkerID: 4},
 			func(p []byte) (any, error) { return decodePeerHello(p) },
 			peerHelloMsg{WorkerID: 4}.encode()},
@@ -160,6 +166,60 @@ func TestMessageRoundTrips(t *testing.T) {
 		{"heartbeat-reply", hbMsg{Kind: hbReply, T1: 10, T2: -20, T3: 30},
 			func(p []byte) (any, error) { return decodeHB(p) },
 			hbMsg{Kind: hbReply, T1: 10, T2: -20, T3: 30}.encode()},
+		{"rejoin", rejoinMsg{WorkerID: 3, ListenAddr: "127.0.0.1:9", Epoch: 7},
+			func(p []byte) (any, error) { return decodeRejoin(p) },
+			rejoinMsg{WorkerID: 3, ListenAddr: "127.0.0.1:9", Epoch: 7}.encode()},
+		{"membership-death", membershipMsg{
+			Epoch: 4, Homes: []int{0, 2, 0, 2}, Alive: []bool{true, false, true},
+			Settled: []bool{true, false, false, true}, Joined: -1, Left: -1,
+		},
+			func(p []byte) (any, error) { return decodeMembership(p) },
+			membershipMsg{
+				Epoch: 4, Homes: []int{0, 2, 0, 2}, Alive: []bool{true, false, true},
+				Settled: []bool{true, false, false, true}, Joined: -1, Left: -1,
+			}.encode()},
+		{"membership-join", membershipMsg{
+			Epoch: 5, Homes: []int{3, 2, 0, 2}, Alive: []bool{true, false, true, true},
+			Settled: []bool{false, false, false, false}, Joined: 3, JoinedAddr: "127.0.0.1:8", Left: -1,
+		},
+			func(p []byte) (any, error) { return decodeMembership(p) },
+			membershipMsg{
+				Epoch: 5, Homes: []int{3, 2, 0, 2}, Alive: []bool{true, false, true, true},
+				Settled: []bool{false, false, false, false}, Joined: 3, JoinedAddr: "127.0.0.1:8", Left: -1,
+			}.encode()},
+		{"membership-drain", membershipMsg{
+			Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
+			Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
+		},
+			func(p []byte) (any, error) { return decodeMembership(p) },
+			membershipMsg{
+				Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
+				Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
+			}.encode()},
+		{"handoff", handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
+			{Task: 0, Records: 3, RawBytes: 30, Blob: []byte{1, 2, 3}},
+			{Task: 5, Records: 1, RawBytes: 9, Blob: []byte{4}},
+		}},
+			func(p []byte) (any, error) { return decodeHandoffBatch(p) },
+			handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
+				{Task: 0, Records: 3, RawBytes: 30, Blob: []byte{1, 2, 3}},
+				{Task: 5, Records: 1, RawBytes: 9, Blob: []byte{4}},
+			}}.encode()},
+		{"handoff-mark", handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4},
+			func(p []byte) (any, error) { return decodeHandoffMark(p) },
+			handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}.encode()},
+		{"handoff-done", handoffDoneMsg{Epoch: 2, Partition: 1},
+			func(p []byte) (any, error) { return decodeHandoffDone(p) },
+			handoffDoneMsg{Epoch: 2, Partition: 1}.encode()},
+		{"block-put", blockPutMsg{ID: 6, Data: []byte("replica bytes")},
+			func(p []byte) (any, error) { return decodeBlockPut(p) },
+			blockPutMsg{ID: 6, Data: []byte("replica bytes")}.encode()},
+		{"block-fetch", blockFetchMsg{ID: 6, Nonce: 1 << 40},
+			func(p []byte) (any, error) { return decodeBlockFetch(p) },
+			blockFetchMsg{ID: 6, Nonce: 1 << 40}.encode()},
+		{"block-chunk", blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")},
+			func(p []byte) (any, error) { return decodeBlockChunk(p) },
+			blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")}.encode()},
 	}
 	for _, c := range checks {
 		got, err := c.decode(c.enc)
@@ -176,20 +236,27 @@ func TestMessageRoundTrips(t *testing.T) {
 // payloads: all must error, none may panic.
 func TestDecodeCorrupt(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"hello":       func(p []byte) error { _, err := decodeHello(p); return err },
-		"welcome":     func(p []byte) error { _, err := decodeWelcome(p); return err },
-		"job-start":   func(p []byte) error { _, err := decodeJobStart(p); return err },
-		"map-task":    func(p []byte) error { _, err := decodeMapTask(p); return err },
-		"map-done":    func(p []byte) error { _, err := decodeMapDone(p); return err },
-		"task-fail":   func(p []byte) error { _, err := decodeTaskFail(p); return err },
-		"run-batch":   func(p []byte) error { _, err := decodeRunBatch(p); return err },
-		"mark":        func(p []byte) error { _, err := decodeMark(p); return err },
-		"reduce-task": func(p []byte) error { _, err := decodeReduceTask(p); return err },
-		"reduce-done": func(p []byte) error { _, err := decodeReduceDone(p); return err },
-		"worker-dead": func(p []byte) error { _, err := decodeWorkerDead(p); return err },
-		"peer-hello":  func(p []byte) error { _, err := decodePeerHello(p); return err },
-		"span-batch":  func(p []byte) error { _, err := decodeSpanBatch(p); return err },
-		"heartbeat":   func(p []byte) error { _, err := decodeHB(p); return err },
+		"hello":        func(p []byte) error { _, err := decodeHello(p); return err },
+		"welcome":      func(p []byte) error { _, err := decodeWelcome(p); return err },
+		"job-start":    func(p []byte) error { _, err := decodeJobStart(p); return err },
+		"map-task":     func(p []byte) error { _, err := decodeMapTask(p); return err },
+		"map-done":     func(p []byte) error { _, err := decodeMapDone(p); return err },
+		"task-fail":    func(p []byte) error { _, err := decodeTaskFail(p); return err },
+		"run-batch":    func(p []byte) error { _, err := decodeRunBatch(p); return err },
+		"mark":         func(p []byte) error { _, err := decodeMark(p); return err },
+		"reduce-task":  func(p []byte) error { _, err := decodeReduceTask(p); return err },
+		"reduce-done":  func(p []byte) error { _, err := decodeReduceDone(p); return err },
+		"rejoin":       func(p []byte) error { _, err := decodeRejoin(p); return err },
+		"membership":   func(p []byte) error { _, err := decodeMembership(p); return err },
+		"handoff":      func(p []byte) error { _, err := decodeHandoffBatch(p); return err },
+		"handoff-mark": func(p []byte) error { _, err := decodeHandoffMark(p); return err },
+		"handoff-done": func(p []byte) error { _, err := decodeHandoffDone(p); return err },
+		"block-put":    func(p []byte) error { _, err := decodeBlockPut(p); return err },
+		"block-fetch":  func(p []byte) error { _, err := decodeBlockFetch(p); return err },
+		"block-chunk":  func(p []byte) error { _, err := decodeBlockChunk(p); return err },
+		"peer-hello":   func(p []byte) error { _, err := decodePeerHello(p); return err },
+		"span-batch":   func(p []byte) error { _, err := decodeSpanBatch(p); return err },
+		"heartbeat":    func(p []byte) error { _, err := decodeHB(p); return err },
 	}
 	samples := map[string][]byte{
 		"hello":       helloMsg{ListenAddr: "127.0.0.1:1"}.encode(),
@@ -202,8 +269,16 @@ func TestDecodeCorrupt(t *testing.T) {
 		"mark":        markMsg{Task: 1, Attempt: 1}.encode(),
 		"reduce-task": reduceTaskMsg{Partition: 1}.encode(),
 		"reduce-done": reduceDoneMsg{Partition: 1, Output: []byte("oo")}.encode(),
-		"worker-dead": workerDeadMsg{Dead: 0, Homes: []int{1, 1}}.encode(),
-		"peer-hello":  peerHelloMsg{WorkerID: 1}.encode(),
+		"rejoin":      rejoinMsg{WorkerID: 1, ListenAddr: "x", Epoch: 2}.encode(),
+		"membership": membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
+			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}.encode(),
+		"handoff":      handoffBatchMsg{Epoch: 1, Partition: 0, Entries: []handoffEntry{{Task: 2, Records: 1, Blob: []byte("h")}}}.encode(),
+		"handoff-mark": handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}.encode(),
+		"handoff-done": handoffDoneMsg{Epoch: 1, Partition: 0}.encode(),
+		"block-put":    blockPutMsg{ID: 1, Data: []byte("b")}.encode(),
+		"block-fetch":  blockFetchMsg{ID: 1, Nonce: 9}.encode(),
+		"block-chunk":  blockChunkMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}.encode(),
+		"peer-hello":   peerHelloMsg{WorkerID: 1}.encode(),
 		"span-batch": spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 99,
 			Spans: []obs.Span{{Stage: "reduce", Start: 1, End: 2, ID: 3}}}.encode(),
 		"heartbeat": hbMsg{Kind: hbReply, T1: 1, T2: 2, T3: 3}.encode(),

@@ -113,7 +113,6 @@ type worker struct {
 	settled   []bool // partitions with a settled final output: stage nothing for them
 	meshed    bool   // setupPeers returned: every live peer is linked
 	killed    bool
-	draining  bool
 	drained   bool
 	ackWait   map[attemptKey]*pendingDone
 
@@ -384,9 +383,10 @@ func (w *worker) setupPeers(ln net.Listener) error {
 		}
 		if err != nil {
 			// The peer's listener is gone: it died (or was killed) while we
-			// were meshing. Skip it — the coordinator's death broadcast will
-			// mark it dead and prune any barrier that still counts it, and
-			// death re-execution recovers whatever its store held.
+			// were meshing. Skip it — the membership frame announcing the
+			// death will mark it dead and prune any barrier that still
+			// counts it, and death re-execution recovers whatever its store
+			// held.
 			delete(need, j)
 			continue
 		}
@@ -563,28 +563,12 @@ func (w *worker) coordLoop() error {
 				return err
 			}
 			w.execCh <- execItem{reduce: true, redTask: m}
-		case mWorkerDead:
-			m, err := decodeWorkerDead(p)
+		case mMembership:
+			m, err := decodeMembership(p)
 			if err != nil {
 				return err
 			}
-			w.handleDeath(m)
-		case mRehome:
-			m, err := decodeRehome(p)
-			if err != nil {
-				return err
-			}
-			w.handleRehome(m)
-		case mDrain:
-			w.mu.Lock()
-			w.draining = true
-			coal := append([]*coalescer(nil), w.coal...)
-			w.mu.Unlock()
-			for _, co := range coal {
-				if co != nil {
-					co.flush()
-				}
-			}
+			w.handleMembership(m)
 		case mDrained:
 			w.mu.Lock()
 			w.drained = true
@@ -600,7 +584,7 @@ func (w *worker) coordLoop() error {
 
 // redialCoord tries to re-attach to a restarted coordinator until the
 // deadline: dial, announce ourselves with a rejoin, and swap the link in.
-// The resumed coordinator's first frame (a rehome refresh, or a drained
+// The resumed coordinator's first frame (a membership refresh, or a drained
 // notice if the journal says we already left) flows through coordLoop's
 // normal dispatch.
 func (w *worker) redialCoord(deadline time.Time) bool {
@@ -882,7 +866,7 @@ func (w *worker) onRunBatch(p []byte) {
 
 // onMark commits an attempt's staged runs and acks the sender. A killed
 // worker neither commits nor acks — the sender's barrier is released by
-// the coordinator's death notice instead.
+// the membership frame announcing its death instead.
 func (w *worker) onMark(cc *conn, p []byte) {
 	msg, err := decodeMark(p)
 	if err != nil {
@@ -971,13 +955,27 @@ func (w *worker) onAck(j int, p []byte) {
 	}
 }
 
-// handleRehome applies a membership transition: adopt the new epoch, homes
-// and liveness map, then hand any partition that moved away from this node
-// to its new home. Newly-dead peers (a death the coordinator journaled but
-// could not broadcast before restarting) are sealed like a death notice;
-// the drained worker named in Left is not sealed — its link must stay open
-// to carry the handoff it is about to send.
-func (w *worker) handleRehome(m rehomeMsg) {
+// handleMembership applies a membership frame — a death, a join, a drain
+// or a resumed coordinator's refresh: adopt the new epoch, homes, liveness
+// and settled set, release newly dead peers from every commit barrier, then
+// hand any partition that moved away from this node to its new home. A
+// frame naming this worker Left starts its drain: the coalescers flush
+// first, so nothing staged for a peer is still buffered when the handoff
+// begins. Newly dead peers are sealed (queued frames are accounted lost;
+// already-delivered bytes are still drained by the dying peer) and their
+// buffered runs discarded; the worker named in Left is not sealed — its
+// link must stay open to carry the handoff it is about to send.
+func (w *worker) handleMembership(m membershipMsg) {
+	if m.Left == w.id {
+		w.mu.Lock()
+		coal := append([]*coalescer(nil), w.coal...)
+		w.mu.Unlock()
+		for _, co := range coal {
+			if co != nil {
+				co.flush()
+			}
+		}
+	}
 	type flushed struct {
 		k  attemptKey
 		pd *pendingDone
@@ -987,7 +985,7 @@ func (w *worker) handleRehome(m rehomeMsg) {
 	var moves []move
 	var sealIDs []int
 	w.mu.Lock()
-	if m.Epoch < w.epoch || len(m.Homes) != len(w.homes) {
+	if m.Epoch < w.epoch || len(m.Homes) != len(w.homes) || len(m.Settled) != len(m.Homes) {
 		w.mu.Unlock()
 		return
 	}
@@ -1023,6 +1021,10 @@ func (w *worker) handleRehome(m rehomeMsg) {
 	if m.Joined >= 0 && m.Joined != w.id {
 		w.alive[m.Joined] = true
 	}
+	// A settled partition's accepted output is final: runMap stages and
+	// ships nothing for it, or its home would book re-executed runs as
+	// accepted records no reduce will ever read.
+	w.settled = m.Settled
 	prev := w.homes
 	w.homes = append([]int(nil), m.Homes...)
 	w.epoch = m.Epoch
@@ -1129,64 +1131,6 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 	pc.send(frame{typ: mHandoffMark, payload: handoffMarkMsg{
 		Epoch: epoch, Partition: part, Runs: len(runs), Records: records,
 	}.encode()})
-}
-
-// handleDeath applies a coordinator death notice: mark the peer dead,
-// adopt the re-homed partition map and epoch, release the dead peer from
-// every commit barrier, and seal our link to it (queued frames are
-// accounted lost; already-delivered bytes will still be drained by the
-// dying peer).
-func (w *worker) handleDeath(m workerDeadMsg) {
-	type flushed struct {
-		k  attemptKey
-		pd *pendingDone
-	}
-	var done []flushed
-	w.mu.Lock()
-	if m.Dead >= 0 && m.Dead < w.n {
-		w.alive[m.Dead] = false
-	}
-	if len(m.Homes) == len(w.homes) {
-		w.homes = m.Homes
-	}
-	if len(m.Settled) == len(w.homes) {
-		// Partitions whose accepted output settled must never be re-staged:
-		// death re-execution recovers the live partitions, and a settled
-		// partition's fresh (empty-handed) home would book re-shipped runs
-		// as newly accepted records nothing will ever read.
-		w.settled = m.Settled
-	}
-	if m.Epoch > w.epoch {
-		w.epoch = m.Epoch
-		w.store.setEpoch(m.Epoch)
-	}
-	for k, pd := range w.ackWait {
-		if pd.acks[m.Dead] {
-			delete(pd.acks, m.Dead)
-			if len(pd.acks) == 0 {
-				delete(w.ackWait, k)
-				done = append(done, flushed{k, pd})
-			}
-		}
-	}
-	var pc *conn
-	var co *coalescer
-	if m.Dead >= 0 && m.Dead < len(w.peers) {
-		pc, co = w.peers[m.Dead], w.coal[m.Dead]
-	}
-	w.mu.Unlock()
-	if pc != nil {
-		pc.seal()
-	}
-	if co != nil {
-		// Runs buffered for the dead peer were never counted sent; discard
-		// them so a later flush cannot ship data nobody will commit.
-		co.close()
-	}
-	for _, d := range done {
-		d.pd.stats.Book(&w.led.Conserv)
-		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: d.k.task, Attempt: d.k.attempt, Stats: d.pd.stats}.encode()})
-	}
 }
 
 // kill simulates this worker dying mid-job (loopback fault cells): the

@@ -315,25 +315,11 @@ type job struct {
 	pri     Priority
 	traceID uint64
 
-	app         string
-	params      []byte
-	input       []byte
-	recordSize  int
-	chunk       int
-	partitions  int
-	workers     int
-	collector   core.CollectorKind
-	useCombiner bool
-	compress    bool
-	blockstore  string
-	replication int
-	spillThresh int64
-	cost        int64
-
-	killWorker  int // -1 = none
-	killAfter   int
-	mapFaultMod int
-	elastic     []dist.ElasticEvent
+	// opts is the run parseRequest validated: job spec, cluster size,
+	// tuning, input blocks (views into the decoded input), block store and
+	// fault injection. distRun adds only what is per run.
+	opts dist.Options
+	cost int64 // queued bytes: input + params
 
 	state     State
 	submitted time.Time
@@ -441,7 +427,7 @@ func (s *Service) Close() {
 				j.state = StateCanceled
 				j.finished = time.Now()
 				j.errMsg = "service shutting down"
-				j.input = nil
+				j.opts.Blocks = nil
 				s.counter("jobsvc_canceled_total", obs.L("tenant", j.tenant)).Inc()
 			}
 			t.queued[p] = nil
@@ -624,23 +610,27 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 		return nil, badRequest("bad-blockstore", "replication and spill_threshold must be non-negative")
 	}
 	j := &job{
-		tenant:      req.Tenant,
-		pri:         pri,
-		app:         req.App,
-		params:      params,
-		input:       input,
-		recordSize:  req.RecordSize,
-		chunk:       req.Chunk,
-		partitions:  req.Partitions,
-		workers:     workers,
-		collector:   collector,
-		useCombiner: req.UseCombiner,
-		compress:    req.Compress,
-		blockstore:  req.Blockstore,
-		replication: req.Replication,
-		spillThresh: req.SpillThreshold,
-		cost:        int64(len(input) + len(params)),
-		killWorker:  -1,
+		tenant: req.Tenant,
+		pri:    pri,
+		opts: dist.Options{
+			Job: dist.Job{
+				App:         dist.AppSpec{Name: req.App, Params: params},
+				Partitions:  req.Partitions,
+				Collector:   collector,
+				UseCombiner: req.UseCombiner,
+				Compress:    req.Compress,
+			},
+			Workers:     workers,
+			Tuning:      s.cfg.Tuning,
+			Blocks:      dist.SplitBlocks(input, req.Chunk, req.RecordSize),
+			KillWorker:  -1,
+			Blockstore:  req.Blockstore,
+			Replication: req.Replication,
+		},
+		cost: int64(len(input) + len(params)),
+	}
+	if req.SpillThreshold > 0 {
+		j.opts.Tuning.SpillThreshold = req.SpillThreshold
 	}
 	if req.KillWorker != nil || req.MapFaultMod != 0 || req.Elastic != "" {
 		if !s.cfg.AllowFaultInjection {
@@ -649,13 +639,15 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 		if req.MapFaultMod < 0 {
 			return nil, badRequest("bad-fault", "map_fault_mod must be non-negative")
 		}
-		j.mapFaultMod = req.MapFaultMod
+		if mod := req.MapFaultMod; mod > 0 {
+			j.opts.MapFault = func(task, attempt int) bool { return attempt == 0 && task%mod == 0 }
+		}
 		if req.KillWorker != nil {
 			if *req.KillWorker < 0 || *req.KillWorker >= workers {
 				return nil, badRequest("bad-fault", "kill_worker %d outside worker range [0,%d)", *req.KillWorker, workers)
 			}
-			j.killWorker = *req.KillWorker
-			j.killAfter = req.KillAfterMapDone
+			j.opts.KillWorker = *req.KillWorker
+			j.opts.KillAfterMapDone = req.KillAfterMapDone
 		}
 		if req.Elastic != "" {
 			evs, err := dist.ParseElastic(req.Elastic)
@@ -673,7 +665,7 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 					return nil, badRequest("bad-elastic", "%s target %d outside worker range [0,%d)", ev.Kind, ev.Worker, maxID)
 				}
 			}
-			j.elastic = evs
+			j.opts.Elastic = evs
 		}
 	}
 	return j, nil
@@ -744,7 +736,7 @@ func (s *Service) Submit(req Request) (Status, *APIError) {
 	s.queuedTotal++
 	s.counter("jobsvc_admitted_total", obs.L("tenant", j.tenant)).Inc()
 	s.event("job-admitted", "tenant", j.tenant, "job", j.id, "trace", traceIDHex(j.traceID),
-		"priority", j.pri.String(), "app", j.app, "queue_depth", s.queuedTotal)
+		"priority", j.pri.String(), "app", j.opts.Job.App.Name, "queue_depth", s.queuedTotal)
 	s.gaugeQueue()
 	s.cond.Broadcast()
 	return s.statusLocked(j), nil
@@ -793,7 +785,7 @@ func (s *Service) evictLocked(v *job) {
 	v.state = StateEvicted
 	v.finished = time.Now()
 	v.errMsg = "evicted under queue pressure by a higher-priority submission"
-	v.input = nil
+	v.opts.Blocks = nil
 	s.counter("jobsvc_evicted_total", obs.L("tenant", v.tenant)).Inc()
 	s.event("job-evicted", "tenant", v.tenant, "job", v.id, "trace", traceIDHex(v.traceID),
 		"priority", v.pri.String())
@@ -833,7 +825,7 @@ func (s *Service) Cancel(id string) (Status, *APIError) {
 	j.state = StateCanceled
 	j.finished = time.Now()
 	j.errMsg = "canceled by client"
-	j.input = nil
+	j.opts.Blocks = nil
 	s.counter("jobsvc_canceled_total", obs.L("tenant", j.tenant)).Inc()
 	s.event("job-canceled", "tenant", j.tenant, "job", j.id, "trace", traceIDHex(j.traceID))
 	s.cond.Broadcast()
@@ -855,11 +847,11 @@ func (s *Service) statusLocked(j *job) Status {
 	st := Status{
 		ID:         j.id,
 		Tenant:     j.tenant,
-		App:        j.app,
+		App:        j.opts.Job.App.Name,
 		Priority:   j.pri.String(),
 		State:      j.state,
-		Workers:    j.workers,
-		Partitions: j.partitions,
+		Workers:    j.opts.Workers,
+		Partitions: j.opts.Job.Partitions,
 		QueueDepth: s.queuedTotal,
 		Stats:      j.stats,
 		Error:      j.errMsg,

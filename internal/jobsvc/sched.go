@@ -34,10 +34,10 @@ func (s *Service) scheduler() {
 		// A fleet shrink after admission can leave a queued job wanting more
 		// workers than the pool will ever hold again; clamp at dispatch so
 		// it runs smaller instead of blocking its class forever.
-		if t := s.fleet.Total(); j.workers > t {
-			j.workers = t
+		if t := s.fleet.Total(); j.opts.Workers > t {
+			j.opts.Workers = t
 		}
-		if !s.fleet.TryAcquire(j.workers) {
+		if !s.fleet.TryAcquire(j.opts.Workers) {
 			// The class leader does not fit the free slot budget. Wait for
 			// a release rather than dispatching around it: bypassing would
 			// let a stream of small jobs starve a big one and would break
@@ -76,7 +76,7 @@ func (s *Service) pickLocked() (*job, int) {
 func (s *Service) dispatchLocked(j *job, rrIdx int) {
 	if s.dispatchHook != nil {
 		ev := DispatchEvent{
-			JobID: j.id, Tenant: j.tenant, Priority: j.pri, Workers: j.workers,
+			JobID: j.id, Tenant: j.tenant, Priority: j.pri, Workers: j.opts.Workers,
 			QueuedAt:  make(map[string][numPriorities]int, len(s.tenants)),
 			RunningAt: make(map[string]int, len(s.tenants)),
 		}
@@ -99,7 +99,7 @@ func (s *Service) dispatchLocked(j *job, rrIdx int) {
 	j.started = time.Now()
 	s.counter("jobsvc_dispatch_total", obs.L("tenant", j.tenant), obs.L("priority", j.pri.String())).Inc()
 	s.event("job-dispatched", "tenant", j.tenant, "job", j.id, "trace", traceIDHex(j.traceID),
-		"priority", j.pri.String(), "workers", j.workers, "wait_ms", j.started.Sub(j.submitted).Milliseconds())
+		"priority", j.pri.String(), "workers", j.opts.Workers, "wait_ms", j.started.Sub(j.submitted).Milliseconds())
 	s.reg.Histogram("jobsvc_queue_wait_seconds", obs.DefTimeBuckets, obs.L("tenant", j.tenant)).
 		Observe(j.started.Sub(j.submitted).Seconds())
 	s.gaugeQueue()
@@ -113,11 +113,11 @@ func (s *Service) runJob(j *job) {
 	defer s.runWG.Done()
 	res, tel, err := s.runFn(j)
 
-	s.fleet.Release(j.workers)
+	s.fleet.Release(j.opts.Workers)
 	s.mu.Lock()
 	j.finished = time.Now()
 	j.tel = tel
-	j.input = nil // the run consumed it; free queue-sized memory early
+	j.opts.Blocks = nil // the run consumed them; free queue-sized memory early
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
@@ -161,52 +161,20 @@ func (s *Service) runJob(j *job) {
 // ledger and spans cannot mix with any concurrent job's.
 func (s *Service) distRun(j *job) (*dist.Result, *obs.Telemetry, error) {
 	tel := obs.NewTelemetry()
-	blocks := dist.SplitBlocks(j.input, j.chunk, j.recordSize)
-	if len(blocks) == 0 {
-		return nil, tel, fmt.Errorf("jobsvc: input produced no map blocks")
-	}
-	o := dist.Options{
-		Job: dist.Job{
-			App:         dist.AppSpec{Name: j.app, Params: j.params},
-			Partitions:  j.partitions,
-			Collector:   j.collector,
-			UseCombiner: j.useCombiner,
-			Compress:    j.compress,
-		},
-		Workers:     j.workers,
-		Tuning:      s.cfg.Tuning,
-		Blocks:      blocks,
-		Telemetry:   tel,
-		KillWorker:  -1,
-		TraceID:     j.traceID,
-		Journal:     s.journalFor(j),
-		Blockstore:  j.blockstore,
-		Replication: j.replication,
-	}
-	if j.spillThresh > 0 {
-		o.Tuning.SpillThreshold = j.spillThresh
-	}
-	if j.mapFaultMod > 0 {
-		mod := j.mapFaultMod
-		o.MapFault = func(task, attempt int) bool { return attempt == 0 && task%mod == 0 }
-	}
-	if j.killWorker >= 0 {
-		o.KillWorker = j.killWorker
-		o.KillAfterMapDone = j.killAfter
-	}
-	if len(j.elastic) > 0 {
-		o.Elastic = j.elastic
-		if dist.HasRestart(j.elastic) {
-			// Restart events resume from a checkpoint journal; the service
-			// owns a throwaway one for the job's lifetime.
-			jf, err := os.CreateTemp("", "jobsvc-journal-*")
-			if err != nil {
-				return nil, tel, fmt.Errorf("jobsvc: journal temp file: %w", err)
-			}
-			jf.Close()
-			defer os.Remove(jf.Name())
-			o.JournalPath = jf.Name()
+	o := j.opts
+	o.Telemetry = tel
+	o.TraceID = j.traceID
+	o.Journal = s.journalFor(j)
+	if dist.HasRestart(o.Elastic) {
+		// Restart events resume from a checkpoint journal; the service owns
+		// a throwaway one for the job's lifetime.
+		jf, err := os.CreateTemp("", "jobsvc-journal-*")
+		if err != nil {
+			return nil, tel, fmt.Errorf("jobsvc: journal temp file: %w", err)
 		}
+		jf.Close()
+		defer os.Remove(jf.Name())
+		o.JournalPath = jf.Name()
 	}
 	res, err := dist.RunLoopback(o)
 	return res, tel, err
