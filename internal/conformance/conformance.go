@@ -58,7 +58,7 @@ type Job struct {
 	// same partitioner sample / center spec the closure path uses, so both
 	// paths run identical kernels.
 	Params []byte
-	// Collector is the tuned collector for this app; the collector axis
+	// Collector is the tuned collector for this app; the sim collector axis
 	// runs the other one.
 	Collector core.CollectorKind
 	// CombinerOK marks apps whose combiner preserves bit-exact output

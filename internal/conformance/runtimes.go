@@ -345,13 +345,9 @@ func nativeVariants(j Job) []nativeVariant {
 			c.CacheThreshold = 4 << 10
 		}},
 	}
-	if j.Collector == core.HashTable {
-		vs = append(vs, nativeVariant{axis: "collector", name: "buffer-pool",
-			mutate: func(c *native.Config) { c.Collector = core.BufferPool }})
-	} else {
-		vs = append(vs, nativeVariant{axis: "collector", name: "hash-table",
-			mutate: func(c *native.Config) { c.Collector = core.HashTable }})
-	}
+	// The collector axis is the combiner cell alone: the collector selects
+	// code only with the combiner on, so flipping it alone would re-run the
+	// baseline byte for byte (TestTaskKernelMatchesReference pins that).
 	if j.CombinerOK {
 		vs = append(vs, nativeVariant{axis: "collector", name: "combiner",
 			mutate: func(c *native.Config) { c.Collector = core.HashTable; c.UseCombiner = true }})
@@ -474,15 +470,14 @@ func runHadoopApp(j Job, exp Expected, opt Options, add func(Cell)) {
 // additionally enforces the wire conservation invariants (Dist: true).
 
 type distVariant struct {
-	axis, name   string
-	workers      int     // 0 = 3
-	partitions   int     // 0 = 4
-	blockMul     float64 // 0 = 1
-	compress     bool
-	altCollector bool // flip the job's tuned collector
-	combiner     bool // HashTable + combiner (CombinerOK apps only)
-	mapFault     bool // deterministic injected attempt failures
-	kill         bool // kill a worker mid-map
+	axis, name string
+	workers    int     // 0 = 3
+	partitions int     // 0 = 4
+	blockMul   float64 // 0 = 1
+	compress   bool
+	combiner   bool // HashTable + combiner (CombinerOK apps only)
+	mapFault   bool // deterministic injected attempt failures
+	kill       bool // kill a worker mid-map
 	// elastic is a membership schedule in dist.ParseElastic syntax
 	// (join@2, drain:0@2, restart@2, kill:1@r1, ...); restart events get a
 	// throwaway checkpoint journal wired up automatically.
@@ -506,8 +501,8 @@ func distVariants(j Job) []distVariant {
 		{axis: "chunk", name: "half-block", blockMul: 0.5},
 		{axis: "chunk", name: "double-block", blockMul: 2},
 		{axis: "compress", name: "deflate", compress: true},
-		{axis: "collector", name: "alt", altCollector: true},
 	}
+	// As in nativeVariants, only the combiner cell selects collector code.
 	if j.CombinerOK {
 		vs = append(vs, distVariant{axis: "collector", name: "combiner", combiner: true})
 	}
@@ -579,13 +574,6 @@ func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
 			partitions = 4
 		}
 		collector := j.Collector
-		if v.altCollector {
-			if collector == core.HashTable {
-				collector = core.BufferPool
-			} else {
-				collector = core.HashTable
-			}
-		}
 		if v.combiner {
 			collector = core.HashTable
 		}

@@ -73,13 +73,6 @@ func runServiceCell(e *serviceEnv, j Job, v distVariant) (string, []kv.Pair, Led
 	if j.Collector == core.BufferPool {
 		collector = "pool"
 	}
-	if v.altCollector {
-		if collector == "hash" {
-			collector = "pool"
-		} else {
-			collector = "hash"
-		}
-	}
 	if v.combiner {
 		collector = "hash"
 	}

@@ -62,8 +62,8 @@ func (w *worker) blockStore() (*blockstore.Store, error) {
 // synchronously on the coordinator reader: the FIFO link guarantees every
 // replica is durable before any map task that might reference it arrives.
 func (w *worker) onBlockPut(p []byte) error {
-	m, err := decodeBlockPut(p)
-	if err != nil {
+	var m blockPutMsg
+	if err := decode(p, &m).fin("block-put"); err != nil {
 		return err
 	}
 	s, err := w.blockStore()
@@ -168,7 +168,7 @@ func (w *worker) fetchBlockFrom(j, id int, size int64) ([]byte, error) {
 	w.fetches[nonce] = fw
 	w.fetchMu.Unlock()
 
-	pc.send(frame{typ: mBlockFetch, payload: blockFetchMsg{ID: id, Nonce: nonce}.encode()})
+	pc.send(frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: id, Nonce: nonce})})
 	select {
 	case err := <-fw.done:
 		if err != nil {
@@ -194,17 +194,17 @@ const blockIngestWait = 15 * time.Second
 // dispatch; chunks are control frames (bounded by the block size), so they
 // flow even when the bulk send window is wedged.
 func (w *worker) onBlockFetch(cc *conn, p []byte) {
-	msg, err := decodeBlockFetch(p)
-	if err != nil {
+	var msg blockFetchMsg
+	if err := decode(p, &msg).fin("block-fetch"); err != nil {
 		return
 	}
 	w.wg.Add(1)
-	go func() {
+	go func(msg blockFetchMsg) {
 		defer w.wg.Done()
 		fail := func() {
-			cc.send(frame{typ: mBlockChunk, payload: blockChunkMsg{
+			cc.send(frame{typ: mBlockChunk, payload: encode(&blockChunkMsg{
 				ID: msg.ID, Nonce: msg.Nonce, OK: false, Last: true,
-			}.encode()})
+			})})
 		}
 		s, err := w.blockStore()
 		if err != nil {
@@ -236,9 +236,9 @@ func (w *worker) onBlockFetch(cc *conn, p []byte) {
 			n, err := r.Read(buf)
 			last := err == io.EOF
 			if n > 0 || last {
-				cc.send(frame{typ: mBlockChunk, payload: blockChunkMsg{
+				cc.send(frame{typ: mBlockChunk, payload: encode(&blockChunkMsg{
 					ID: msg.ID, Nonce: msg.Nonce, OK: true, Last: last, Data: buf[:n],
-				}.encode()})
+				})})
 			}
 			if last {
 				return
@@ -248,13 +248,13 @@ func (w *worker) onBlockFetch(cc *conn, p []byte) {
 				return
 			}
 		}
-	}()
+	}(msg)
 }
 
 // onBlockChunk routes one streamed chunk to its waiting fetch.
 func (w *worker) onBlockChunk(p []byte) {
-	msg, err := decodeBlockChunk(p)
-	if err != nil {
+	var msg blockChunkMsg
+	if err := decode(p, &msg).fin("block-chunk"); err != nil {
 		return
 	}
 	w.fetchMu.Lock()

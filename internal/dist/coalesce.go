@@ -38,7 +38,7 @@ type coalescer struct {
 	compress bool
 
 	mu      sync.Mutex
-	body    enc
+	body    codec // runEntries layout under construction
 	records int64
 	parent  uint64    // span parent of the batch: first contributing kernel
 	oldest  time.Time // enqueue time of the oldest buffered entry
@@ -75,10 +75,11 @@ func (co *coalescer) add(task, attempt, part int, r *kv.Run, parent uint64, epoc
 		co.oldest = time.Now()
 		co.parent = parent
 	}
-	appendRunEntry(&co.body, runEntry{
+	re := runEntry{
 		Task: task, Attempt: attempt, Partition: part,
 		Records: r.Records, RawBytes: r.RawBytes, Epoch: epoch, Blob: r.Blob(),
-	})
+	}
+	re.wire(&co.body)
 	co.records += int64(r.Records)
 	if len(co.body.buf) >= coalesceBytes {
 		co.flushLocked()
@@ -114,7 +115,7 @@ func (co *coalescer) flushLocked() {
 	if co.tr != nil {
 		sendSpan = co.tr.newID()
 	}
-	payload := encodeRunBatchBody(co.body.buf, co.compress, co.traceID, sendSpan)
+	payload := encode(&runBatchMsg{TraceID: co.traceID, SendSpan: sendSpan, Compressed: co.compress, Body: co.body.buf})
 	records := co.records
 	parent := co.parent
 	co.body.buf = co.body.buf[:0] // payload holds its own copy of the body
@@ -139,6 +140,6 @@ func (co *coalescer) close() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.closed = true
-	co.body = enc{}
+	co.body = codec{}
 	co.records = 0
 }

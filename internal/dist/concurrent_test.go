@@ -125,33 +125,3 @@ func TestConcurrentJobsIndependentLedgers(t *testing.T) {
 		}
 	}
 }
-
-// TestFleet exercises the shared slot pool's accounting.
-func TestFleet(t *testing.T) {
-	f := NewFleet(4)
-	if f.Total() != 4 || f.Free() != 4 {
-		t.Fatalf("fresh fleet: total %d free %d, want 4/4", f.Total(), f.Free())
-	}
-	if !f.TryAcquire(3) {
-		t.Fatal("TryAcquire(3) on an empty fleet failed")
-	}
-	if f.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) succeeded with 1 slot free")
-	}
-	if !f.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) with 1 slot free failed")
-	}
-	f.Release(2)
-	if f.Free() != 2 {
-		t.Fatalf("free after release = %d, want 2", f.Free())
-	}
-	f.Release(2)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("over-release did not panic")
-			}
-		}()
-		f.Release(1)
-	}()
-}

@@ -229,7 +229,7 @@ func (cc *conn) enableClock(est *clockEstimator, every time.Duration) {
 
 func (cc *conn) probeClock(every time.Duration) {
 	probe := func() {
-		cc.send(frame{typ: mHeartbeat, payload: hbMsg{Kind: hbProbe, T1: time.Now().UnixNano()}.encode()})
+		cc.send(frame{typ: mHeartbeat, payload: encode(&hbMsg{Kind: hbProbe, T1: time.Now().UnixNano()})})
 	}
 	// An immediate burst: the first samples arrive before bulk traffic can
 	// queue behind the probes and inflate the RTT, and the min-RTT filter
@@ -282,15 +282,15 @@ func (cc *conn) handleHeartbeat(payload []byte) {
 		return // plain keep-alive
 	}
 	now := time.Now().UnixNano()
-	hb, err := decodeHB(payload)
-	if err != nil {
+	var hb hbMsg
+	if err := decode(payload, &hb).fin("heartbeat"); err != nil {
 		return
 	}
 	switch hb.Kind {
 	case hbProbe:
-		cc.send(frame{typ: mHeartbeat, payload: hbMsg{
+		cc.send(frame{typ: mHeartbeat, payload: encode(&hbMsg{
 			Kind: hbReply, T1: hb.T1, T2: now, T3: time.Now().UnixNano(),
-		}.encode()})
+		})})
 	case hbReply:
 		cc.mu.Lock()
 		est := cc.clock

@@ -97,7 +97,7 @@ func TestSendWindowBackpressure(t *testing.T) {
 	// A control frame must bypass the wedged window...
 	ctrlSent := make(chan struct{})
 	go func() {
-		ca.send(frame{typ: mMark, payload: markMsg{Task: 9}.encode()})
+		ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: 9})})
 		close(ctrlSent)
 	}()
 	select {
@@ -203,7 +203,7 @@ func TestShutdownFlushesQueuedFrames(t *testing.T) {
 
 	const frames = 50
 	for i := 0; i < frames; i++ {
-		ca.send(frame{typ: mMark, payload: markMsg{Task: i}.encode()})
+		ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: i})})
 	}
 	go ca.shutdown()
 

@@ -222,7 +222,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 
 	var (
 		ws    []*cworker // index by worker id; grows on join
-		alive []bool
 		homes []int
 		epoch int
 		sched *dsched
@@ -272,20 +271,35 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}()
 	defer func() { jn.close() }()
 
+	// liveness is the alive set by worker id. The journal records a drain
+	// target alive until its drain completes; announced, it is dead to its
+	// peers once the frame naming it Left has gone out, never while the drain
+	// is merely queued: until then its peers still owe it marks and acks.
+	liveness := func(announced bool) []bool {
+		v := make([]bool, len(ws))
+		for i, cw := range ws {
+			v[i] = cw != nil && cw.alive && !(announced && cw.left)
+		}
+		return v
+	}
 	// membership builds the one frame every membership change travels as,
-	// from current state. A drain target turns dead to its peers only once
-	// the frame naming it Left has gone out, never while the drain is merely
-	// queued: until then its peers still owe it marks and acks.
+	// from current state.
 	membership := func(joined, left int) frame {
-		m := membershipMsg{Epoch: epoch, Homes: homes, Settled: donePart, Joined: joined, Left: left}
-		m.Alive = make([]bool, len(alive))
-		for i, a := range alive {
-			m.Alive[i] = a && !ws[i].left
+		m := membershipMsg{
+			Epoch: epoch, Homes: homes, Alive: liveness(true), Settled: donePart,
+			Joined: joined, Left: left,
 		}
 		if joined >= 0 {
 			m.JoinedAddr = ws[joined].addr
 		}
-		return frame{typ: mMembership, payload: m.encode()}
+		return frame{typ: mMembership, payload: encode(&m)}
+	}
+	// membershipRec is the journal's membership record of current state.
+	membershipRec := func() *membershipRecord {
+		return &membershipRecord{
+			Epoch: epoch, Homes: homes, Alive: liveness(false), Attempt: sched.attempt,
+			Joined: res.WorkersJoined, Drained: res.WorkersDrained, Lost: res.WorkersLost,
+		}
 	}
 	// adopt installs a worker re-attaching to a resumed coordinator under its
 	// old id, padding the membership with dead slots up to it: resume
@@ -293,11 +307,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	adopt := func(m rejoinMsg, cc *conn) {
 		for len(ws) <= m.WorkerID {
 			ws = append(ws, &cworker{state: wActive})
-			alive = append(alive, false)
 		}
 		cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
 		ws[m.WorkerID] = cw
-		alive[m.WorkerID] = true
 		cc.enableClock(cw.clock, tun.heartbeatEvery)
 		if sched != nil {
 			sched.join(m.WorkerID)
@@ -320,21 +332,20 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		if err := rs.validateResume(&o); err != nil {
 			return nil, err
 		}
-		if rs.bsMode != "" {
+		if rs.Mode != "" {
 			// Rebuild the namespace exactly as formed: the journaled width and
 			// replication reproduce the placement the workers' disks hold, so
 			// resume never re-ingests — rejoining workers still have their
 			// replicas, and dead holders fall out at dispatch time.
-			bsRepl = rs.bsRepl
-			placeBlocks(rs.bsWidth)
+			bsRepl = rs.Repl
+			placeBlocks(rs.Width)
 		}
-		traceID = rs.traceID
-		epoch = rs.epoch
-		homes = append([]int(nil), rs.homes...)
-		alive = append([]bool(nil), rs.alive...)
-		ws = make([]*cworker, len(alive))
+		traceID = rs.TraceID
+		epoch = rs.Epoch
+		homes = append([]int(nil), rs.Homes...)
+		ws = make([]*cworker, len(rs.Alive))
 		need := make(map[int]bool)
-		for i, a := range alive {
+		for i, a := range rs.Alive {
 			if a {
 				need[i] = true
 			} else {
@@ -356,8 +367,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				cc.close()
 				continue
 			}
-			m, err := decodeRejoin(p)
-			if err != nil {
+			var m rejoinMsg
+			if err := decode(p, &m).fin("rejoin"); err != nil {
 				cc.close()
 				continue
 			}
@@ -387,7 +398,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		sched = newSchedResume(nTasks, len(ws), o.Job.MaxAttempts, rs.resolved, rs.attempt, alive)
+		sched = newSchedResume(nTasks, len(ws), o.Job.MaxAttempts, rs.resolved, rs.Attempt, liveness(false))
 		for t := 0; t < nTasks; t++ {
 			if rs.resolved[t] {
 				interPairs[t] = rs.stats[t].PairsOut
@@ -405,9 +416,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			settledResident[p] = rs.records[p]
 			res.OutputPairs += len(pairs)
 		}
-		res.WorkersJoined = rs.joined
-		res.WorkersDrained = rs.drained
-		res.WorkersLost = rs.lost
+		res.WorkersJoined = rs.Joined
+		res.WorkersDrained = rs.Drained
+		res.WorkersLost = rs.Lost
 		res.Resumed = true
 		// Re-sync every rejoined worker: the refresh carries the journaled
 		// epoch, homes, liveness and settled set, so a worker that missed a
@@ -437,8 +448,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				cc.close()
 				return nil, fmt.Errorf("dist: bad join from worker %d (%s): %v", i, typeName(typ), err)
 			}
-			h, err := decodeHello(p)
-			if err != nil {
+			var h helloMsg
+			if err := decode(p, &h).fin("hello"); err != nil {
 				cc.close()
 				return nil, err
 			}
@@ -447,10 +458,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			// initial probe burst lands during formation, before shuffle
 			// traffic can queue behind it.
 			ws[i].cc.enableClock(ws[i].clock, tun.heartbeatEvery)
-		}
-		alive = make([]bool, n)
-		for i := range alive {
-			alive[i] = true
 		}
 		homes = make([]int, o.Job.Partitions)
 		for p := range homes {
@@ -478,15 +485,17 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			if err := jn.jobStart(o.Job, traceID, nTasks, blocksDigest(o.Blocks)); err != nil {
+			if err := jn.append(jrJobStart, encode(&jobRecord{
+				Job: o.Job, Tasks: nTasks, TraceID: traceID, Digest: blocksDigest(o.Blocks),
+			})); err != nil {
 				return nil, err
 			}
 			if o.Blockstore != "" {
-				if err := jn.namespace(o.Blockstore, bsRepl, n); err != nil {
+				if err := jn.append(jrNamespace, encode(&namespaceRecord{Mode: o.Blockstore, Repl: bsRepl, Width: n})); err != nil {
 					return nil, err
 				}
 			}
-			if err := jn.membership(0, homes, alive, sched.attempt, 0, 0, 0); err != nil {
+			if err := jn.append(jrMembership, encode(membershipRec())); err != nil {
 				return nil, err
 			}
 		}
@@ -495,10 +504,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			peers[i] = cw.addr
 		}
 		for i, cw := range ws {
-			cw.cc.send(frame{typ: mWelcome, payload: welcomeMsg{WorkerID: i, Workers: n}.encode()})
-			cw.cc.send(frame{typ: mJobStart, payload: jobStartMsg{
+			cw.cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: i, Workers: n})})
+			cw.cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
 				Job: o.Job, TraceID: traceID, Peers: peers, Homes: homes, Epoch: 0, Live: false,
-			}.encode()})
+			})})
 		}
 		// Ingest the namespace: push every block to each of its replica
 		// holders, after job-start so the worker's handshake stays two
@@ -507,7 +516,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		// ballooning the queue; replica bytes are booked by the receiving
 		// worker as dist_block_ingest_bytes_total, never as shuffle traffic.
 		for t, hs := range holders {
-			payload := blockPutMsg{ID: t, Data: o.Blocks[t]}.encode()
+			payload := encode(&blockPutMsg{ID: t, Data: o.Blocks[t]})
 			for _, h := range hs {
 				ws[h].cc.send(frame{typ: mBlockPut, payload: payload, bulk: true, acct: int64(len(payload))})
 			}
@@ -682,8 +691,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		if jn == nil {
 			return
 		}
-		if err := jn.membership(epoch, homes, alive, sched.attempt,
-			res.WorkersJoined, res.WorkersDrained, res.WorkersLost); err != nil {
+		if err := jn.append(jrMembership, encode(membershipRec())); err != nil {
 			fail(err)
 		}
 	}
@@ -746,7 +754,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 						msg.Block = o.Blocks[t]
 					}
 				}
-				cw.cc.send(frame{typ: mMapTask, payload: msg.encode()})
+				cw.cc.send(frame{typ: mMapTask, payload: encode(&msg)})
 				cw.outstanding++
 			}
 		}
@@ -786,9 +794,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 			id, endSpan := ctr.span(stageSchedReduce, 0)
 			reduceSpans[p] = endSpan
-			ws[homes[p]].cc.send(frame{typ: mReduceTask, payload: reduceTaskMsg{
+			ws[homes[p]].cc.send(frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
 				Partition: p, Attempt: reduceAttempt[p], SpanID: id,
-			}.encode()})
+			})})
 			reduceOutstanding++
 		}
 		if reduceOutstanding == 0 {
@@ -979,7 +987,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 		} else {
 			epoch++
-			alive[t.target] = false
 			cw := ws[t.target]
 			cw.alive = false
 			cw.state = wDrained
@@ -1005,7 +1012,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			return
 		}
 		cw.alive = false
-		alive[w] = false
 		cw.outstanding = 0
 		wasJoining := cw.state == wJoining
 		res.WorkersLost++
@@ -1145,15 +1151,14 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				// meshes, idles (its transition waits for a map phase that may
 				// never come back) and exits at job end — refusing it would
 				// strand its spawn claim.
-				h, err := decodeHello(ev.payload)
-				if err != nil {
+				var h helloMsg
+				if err := decode(ev.payload, &h).fin("hello"); err != nil {
 					cc.close()
 					continue
 				}
 				id := len(ws)
 				cw := &cworker{cc: cc, addr: h.ListenAddr, alive: true, state: wJoining, clock: &clockEstimator{}}
 				ws = append(ws, cw)
-				alive = append(alive, true)
 				sched.join(id)
 				cc.enableClock(cw.clock, tun.heartbeatEvery)
 				ps := make([]string, len(ws))
@@ -1162,10 +1167,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 						ps[i] = w2.addr
 					}
 				}
-				cc.send(frame{typ: mWelcome, payload: welcomeMsg{WorkerID: id, Workers: len(ws)}.encode()})
-				cc.send(frame{typ: mJobStart, payload: jobStartMsg{
+				cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: id, Workers: len(ws)})})
+				cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
 					Job: o.Job, TraceID: traceID, Peers: ps, Homes: homes, Epoch: epoch, Live: true,
-				}.encode()})
+				})})
 				startReader(id, cc)
 				if o.Journal != nil {
 					o.Journal.Info("worker-join", "worker", id, "addr", h.ListenAddr)
@@ -1175,8 +1180,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				// A pre-crash joiner whose admission post-dates the journal's
 				// last membership record, rejoining late (after resume
 				// formation already closed). Adopt it like the formation path.
-				m, err := decodeRejoin(ev.payload)
-				if err != nil || m.WorkerID < len(ws) || m.Epoch > epoch {
+				var m rejoinMsg
+				if err := decode(ev.payload, &m).fin("rejoin"); err != nil || m.WorkerID < len(ws) || m.Epoch > epoch {
 					cc.close()
 					continue
 				}
@@ -1195,7 +1200,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				death(ev.w)
 			} else if ws[ev.w] != nil && ws[ev.w].alive {
 				ws[ev.w].alive = false
-				alive[ev.w] = false
 			}
 			continue
 		}
@@ -1203,7 +1207,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			// Span batches arrive as workers wind down — drained workers
 			// mid-job, everyone else after job-end — so they are handled
 			// ahead of the drain check below.
-			if m, err := decodeSpanBatch(ev.payload); err == nil {
+			var m spanBatchMsg
+			if decode(ev.payload, &m).fin("span-batch") == nil {
 				batches = append(batches, m)
 			}
 			continue
@@ -1213,8 +1218,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		switch ev.typ {
 		case mMapDone:
-			m, err := decodeMapDone(ev.payload)
-			if err != nil {
+			var m mapDoneMsg
+			if err := decode(ev.payload, &m).fin("map-done"); err != nil {
 				fail(err)
 				continue
 			}
@@ -1230,7 +1235,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			if sched.done(m.Task, m.Attempt) {
 				interPairs[m.Task] = m.Stats.PairsOut
 				if jn != nil {
-					if err := jn.mapDone(m.Task, m.Attempt, m.Stats); err != nil {
+					// The journal record is the payload itself.
+					if err := jn.append(jrMapDone, ev.payload); err != nil {
 						fail(err)
 						continue
 					}
@@ -1241,8 +1247,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			tryAdvance()
 			maybeReduce()
 		case mMapFailed:
-			m, err := decodeTaskFail(ev.payload)
-			if err != nil {
+			var m taskFailMsg
+			if err := decode(ev.payload, &m).fin("task-fail"); err != nil {
 				fail(err)
 				continue
 			}
@@ -1270,8 +1276,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				startNextTransition()
 			}
 		case mHandoffDone:
-			m, err := decodeHandoffDone(ev.payload)
-			if err != nil {
+			var m handoffDoneMsg
+			if err := decode(ev.payload, &m).fin("handoff-done"); err != nil {
 				fail(err)
 				continue
 			}
@@ -1280,8 +1286,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				completeTransition()
 			}
 		case mReduceDone:
-			m, err := decodeReduceDone(ev.payload)
-			if err != nil {
+			var m reduceDoneMsg
+			if err := decode(ev.payload, &m).fin("reduce-done"); err != nil {
 				fail(err)
 				continue
 			}
@@ -1304,7 +1310,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 					continue
 				}
 				if jn != nil {
-					if err := jn.reduceDone(m.Partition, m.Attempt, m.RecordsIn, m.GroupsIn, m.Output); err != nil {
+					if err := jn.append(jrReduceDone, ev.payload); err != nil {
 						fail(err)
 						continue
 					}
@@ -1330,7 +1336,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				finishJob()
 			}
 		case mReduceFailed:
-			m, err := decodeTaskFail(ev.payload)
+			var m taskFailMsg
+			err := decode(ev.payload, &m).fin("task-fail")
 			if err == nil {
 				err = fmt.Errorf("dist: reduce partition %d failed: %s", m.Task, m.Reason)
 			}

@@ -553,7 +553,7 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(500 * time.Millisecond)
-	ca.send(frame{typ: mMark, payload: markMsg{Task: 1}.encode()})
+	ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: 1})})
 	select {
 	case err := <-done:
 		if err != nil {

@@ -14,11 +14,13 @@ import (
 //
 //	[uvarint body length][body][4-byte little-endian CRC32(body)]
 //
-// where the body is a type byte followed by the same uvarint/byte-string
-// encoding the wire uses. The journal is written write-ahead: a record is
-// durable before the state change it describes is applied or broadcast, so
-// replaying a prefix always yields a state the cluster is at or ahead of —
-// never behind. Replay is strict: any corruption (bad CRC, truncation,
+// where the body is a type byte followed by the record's layout, in the
+// wire's codec. The map-done and reduce-done records are the wire payloads
+// themselves: the coordinator journals the mapDoneMsg or reduceDoneMsg
+// payload it just decoded, and replay decodes it back into the same type.
+// The journal is written write-ahead: a record is durable before the state
+// change it describes is applied or broadcast, so replaying a prefix always
+// yields a state the cluster is at or ahead of — never behind. Replay is strict: any corruption (bad CRC, truncation,
 // duplicate resolution, regressed epoch, identity mismatch) refuses the
 // resume with a "resume refused" error rather than risking a divergent one.
 
@@ -57,15 +59,15 @@ func openJournalAppend(path string) (*journal, error) {
 	return &journal{f: f}, nil
 }
 
-// append frames, writes, and fsyncs one record body. The job fails rather
-// than runs unjournaled if the disk write does.
-func (j *journal) append(body []byte) error {
-	var rec enc
-	rec.bytes(body)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	rec.buf = append(rec.buf, crc[:]...)
-	if _, err := j.f.Write(rec.buf); err != nil {
+// append frames, writes, and fsyncs one record: its type byte, then the
+// encoded record. The job fails rather than runs unjournaled if the disk
+// write does.
+func (j *journal) append(typ byte, record []byte) error {
+	body := append([]byte{typ}, record...)
+	rec := binary.AppendUvarint(nil, uint64(len(body)))
+	rec = append(rec, body...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
+	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("dist: journal write: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -82,97 +84,73 @@ func (j *journal) close() {
 
 // blocksDigest fingerprints the job input so a resume against different
 // blocks is refused instead of silently recomputing a different answer.
-func blocksDigest(blocks [][]byte) [32]byte {
+func blocksDigest(blocks [][]byte) []byte {
 	h := sha256.New()
 	var n [binary.MaxVarintLen64]byte
 	for _, b := range blocks {
 		h.Write(n[:binary.PutUvarint(n[:], uint64(len(b)))])
 		h.Write(b)
 	}
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
+	return h.Sum(nil)
 }
 
-func (j *journal) jobStart(job Job, traceID uint64, nTasks int, digest [32]byte) error {
-	var e enc
-	e.buf = append(e.buf, jrJobStart)
-	e.job(job)
-	e.i(int64(nTasks))
-	e.u(traceID)
-	e.bytes(digest[:])
-	return j.append(e.buf)
+// jobRecord is the job's identity: the spec, the input's block count and
+// digest, and the trace id.
+type jobRecord struct {
+	Job     Job
+	Tasks   int
+	TraceID uint64
+	Digest  []byte // blocksDigest of the input
 }
 
-// namespace journals the block-store placement inputs. Placement is a pure
-// function of (tasks, width, replication), so the record carries the inputs
-// rather than the full block→holders map; a resumed coordinator recomputes
-// the identical namespace the workers' disks hold.
-func (j *journal) namespace(mode string, repl, width int) error {
-	var e enc
-	e.buf = append(e.buf, jrNamespace)
-	e.str(mode)
-	e.i(int64(repl))
-	e.i(int64(width))
-	return j.append(e.buf)
+func (r *jobRecord) wire(c *codec) {
+	c.job(&r.Job)
+	c.i(&r.Tasks)
+	c.u(&r.TraceID)
+	c.owned(&r.Digest)
 }
 
-func (j *journal) membership(epoch int, homes []int, alive []bool, attempt []int, joined, drained, lost int) error {
-	var e enc
-	e.buf = append(e.buf, jrMembership)
-	e.i(int64(epoch))
-	e.ints(homes)
-	e.bools(alive)
-	e.ints(attempt)
-	e.i(int64(joined))
-	e.i(int64(drained))
-	e.i(int64(lost))
-	return j.append(e.buf)
+// namespaceRecord journals the block-store placement inputs. Placement is a
+// pure function of (tasks, width, replication), so the record carries the
+// inputs rather than the full block→holders map; a resumed coordinator
+// recomputes the identical namespace the workers' disks hold.
+type namespaceRecord struct {
+	Mode  string // block-store mode ("" = off)
+	Repl  int
+	Width int // cluster width the placement was computed at
 }
 
-func (j *journal) mapDone(task, attempt int, st attemptStats) error {
-	var e enc
-	e.buf = append(e.buf, jrMapDone)
-	e.i(int64(task))
-	e.i(int64(attempt))
-	e.i(st.RecordsIn)
-	e.i(st.PairsOut)
-	e.i(st.PartRecords)
-	e.i(st.PartRuns)
-	e.i(st.PartRaw)
-	e.i(st.PartStored)
-	return j.append(e.buf)
+func (r *namespaceRecord) wire(c *codec) { c.str(&r.Mode); c.i(&r.Repl); c.i(&r.Width) }
+
+// membershipRecord is one membership epoch: homes, the alive set, per-task
+// attempts and the churn totals.
+type membershipRecord struct {
+	Epoch   int
+	Homes   []int
+	Alive   []bool
+	Attempt []int
+	Joined  int
+	Drained int
+	Lost    int
 }
 
-func (j *journal) reduceDone(partition, attempt int, recordsIn, groupsIn int64, output []byte) error {
-	var e enc
-	e.buf = append(e.buf, jrReduceDone)
-	e.i(int64(partition))
-	e.i(int64(attempt))
-	e.i(recordsIn)
-	e.i(groupsIn)
-	e.bytes(output)
-	return j.append(e.buf)
+func (r *membershipRecord) wire(c *codec) {
+	c.i(&r.Epoch)
+	c.ints(&r.Homes)
+	c.bools(&r.Alive)
+	c.ints(&r.Attempt)
+	c.i(&r.Joined)
+	c.i(&r.Drained)
+	c.i(&r.Lost)
 }
 
-// resumeState is everything a replayed journal reconstructs.
+// resumeState is everything a replayed journal reconstructs: its job-start,
+// latest membership and namespace records, plus what the map-done and
+// reduce-done records resolved.
 type resumeState struct {
-	job     Job
-	traceID uint64
-	nTasks  int
-	digest  [32]byte
-
-	epoch   int
-	homes   []int
-	alive   []bool
-	attempt []int
-	joined  int
-	drained int
-	lost    int
-
-	bsMode  string // block-store mode ("" = off)
-	bsRepl  int
-	bsWidth int // cluster width the placement was computed at
+	jobRecord
+	membershipRecord
+	namespaceRecord
 
 	resolved []bool
 	stats    map[int]attemptStats
@@ -212,7 +190,7 @@ func replayJournal(data []byte) (*resumeState, error) {
 		if crc32.ChecksumIEEE(body) != want {
 			return refuse("record checksum mismatch")
 		}
-		typ, d := body[0], dec{buf: body[1:]}
+		typ, p := body[0], body[1:]
 		if !sawStart && typ != jrJobStart {
 			return refuse("journal does not begin with a job-start record")
 		}
@@ -222,107 +200,93 @@ func replayJournal(data []byte) (*resumeState, error) {
 				return refuse("duplicate job-start record")
 			}
 			sawStart = true
-			rs.job = d.job()
-			rs.nTasks = int(d.i())
-			rs.traceID = d.u()
-			dg := d.bytes()
-			if err := d.fin("journal job-start"); err != nil {
+			if err := decode(p, &rs.jobRecord).fin("journal job-start"); err != nil {
 				return refuse("%v", err)
 			}
-			if len(dg) != 32 || rs.nTasks < 0 || rs.nTasks > maxFrame ||
-				rs.job.Partitions <= 0 || rs.job.Partitions > maxFrame {
+			if len(rs.Digest) != 32 || rs.Tasks < 0 || rs.Tasks > maxFrame ||
+				rs.Job.Partitions <= 0 || rs.Job.Partitions > maxFrame {
 				return refuse("implausible job-start record")
 			}
-			copy(rs.digest[:], dg)
-			rs.resolved = make([]bool, rs.nTasks)
-			rs.attempt = make([]int, rs.nTasks)
+			rs.resolved = make([]bool, rs.Tasks)
+			rs.Attempt = make([]int, rs.Tasks)
 		case jrMembership:
-			epoch, homes, alive, attempt := int(d.i()), d.ints(), d.bools(), d.ints()
-			joined, drained, lost := int(d.i()), int(d.i()), int(d.i())
-			if err := d.fin("journal membership"); err != nil {
+			var r membershipRecord
+			if err := decode(p, &r).fin("journal membership"); err != nil {
 				return refuse("%v", err)
 			}
-			if epoch < 0 || (sawMembership && epoch <= rs.epoch) {
-				return refuse("membership epoch regressed (%d after %d)", epoch, rs.epoch)
+			if r.Epoch < 0 || (sawMembership && r.Epoch <= rs.Epoch) {
+				return refuse("membership epoch regressed (%d after %d)", r.Epoch, rs.Epoch)
 			}
-			if len(homes) != rs.job.Partitions || len(attempt) != rs.nTasks || len(alive) == 0 {
+			if len(r.Homes) != rs.Job.Partitions || len(r.Attempt) != rs.Tasks || len(r.Alive) == 0 {
 				return refuse("membership record shape mismatch")
 			}
-			for _, a := range attempt {
+			for _, a := range r.Attempt {
 				if a < 0 {
 					return refuse("negative attempt in membership record")
 				}
 			}
-			for _, h := range homes {
-				if h < 0 || h >= len(alive) || !alive[h] {
+			for _, h := range r.Homes {
+				if h < 0 || h >= len(r.Alive) || !r.Alive[h] {
 					return refuse("partition homed on a non-live worker")
 				}
 			}
-			if joined < rs.joined || drained < rs.drained || lost < rs.lost {
+			if r.Joined < rs.Joined || r.Drained < rs.Drained || r.Lost < rs.Lost {
 				return refuse("membership churn totals regressed")
 			}
 			sawMembership = true
-			rs.epoch, rs.homes, rs.alive, rs.attempt = epoch, homes, alive, attempt
-			rs.joined, rs.drained, rs.lost = joined, drained, lost
+			rs.membershipRecord = r
 			// A death re-queues resolved tasks under a bumped attempt (their
 			// shuffle output died with the worker). A membership record whose
 			// attempt supersedes a task's journaled resolution un-resolves it.
-			for t := 0; t < rs.nTasks; t++ {
-				if rs.resolved[t] && resolvedAt[t] < rs.attempt[t] {
+			for t := 0; t < rs.Tasks; t++ {
+				if rs.resolved[t] && resolvedAt[t] < rs.Attempt[t] {
 					rs.resolved[t] = false
 				}
 			}
 		case jrMapDone:
-			task, attempt := int(d.i()), int(d.i())
-			st := attemptStats{
-				RecordsIn: d.i(), PairsOut: d.i(),
-				PartRecords: d.i(), PartRuns: d.i(), PartRaw: d.i(), PartStored: d.i(),
-			}
-			if err := d.fin("journal map-done"); err != nil {
+			var m mapDoneMsg
+			if err := decode(p, &m).fin("journal map-done"); err != nil {
 				return refuse("%v", err)
 			}
-			if task < 0 || task >= rs.nTasks {
-				return refuse("map-done for unknown task %d", task)
+			if m.Task < 0 || m.Task >= rs.Tasks {
+				return refuse("map-done for unknown task %d", m.Task)
 			}
-			if rs.resolved[task] {
-				return refuse("duplicate resolution of task %d", task)
+			if rs.resolved[m.Task] {
+				return refuse("duplicate resolution of task %d", m.Task)
 			}
-			if attempt < rs.attempt[task] {
-				return refuse("map-done for task %d at stale attempt %d (current %d)", task, attempt, rs.attempt[task])
+			if m.Attempt < rs.Attempt[m.Task] {
+				return refuse("map-done for task %d at stale attempt %d (current %d)", m.Task, m.Attempt, rs.Attempt[m.Task])
 			}
-			rs.resolved[task] = true
-			rs.attempt[task] = attempt
-			rs.stats[task] = st
-			resolvedAt[task] = attempt
+			rs.resolved[m.Task] = true
+			rs.Attempt[m.Task] = m.Attempt
+			rs.stats[m.Task] = m.Stats
+			resolvedAt[m.Task] = m.Attempt
 		case jrNamespace:
-			mode := d.str()
-			repl, width := int(d.i()), int(d.i())
-			if err := d.fin("journal namespace"); err != nil {
+			var r namespaceRecord
+			if err := decode(p, &r).fin("journal namespace"); err != nil {
 				return refuse("%v", err)
 			}
-			if (mode != "local" && mode != "remote") || repl <= 0 || width <= 0 || repl > width {
+			if (r.Mode != "local" && r.Mode != "remote") || r.Repl <= 0 || r.Width <= 0 || r.Repl > r.Width {
 				return refuse("implausible namespace record")
 			}
-			if rs.bsMode != "" {
+			if rs.Mode != "" {
 				return refuse("duplicate namespace record")
 			}
-			rs.bsMode, rs.bsRepl, rs.bsWidth = mode, repl, width
+			rs.namespaceRecord = r
 		case jrReduceDone:
-			part, attempt := int(d.i()), int(d.i())
-			recs, _ := d.i(), d.i() // groupsIn is informational; records feed settlement
-			out := append([]byte(nil), d.bytes()...)
-			if err := d.fin("journal reduce-done"); err != nil {
+			var m reduceDoneMsg // GroupsIn is informational; RecordsIn feeds settlement
+			if err := decode(p, &m).fin("journal reduce-done"); err != nil {
 				return refuse("%v", err)
 			}
-			if part < 0 || part >= rs.job.Partitions || attempt < 0 || recs < 0 {
-				return refuse("reduce-done for unknown partition %d", part)
+			if m.Partition < 0 || m.Partition >= rs.Job.Partitions || m.Attempt < 0 || m.RecordsIn < 0 {
+				return refuse("reduce-done for unknown partition %d", m.Partition)
 			}
-			if _, dup := rs.outputs[part]; dup {
-				return refuse("duplicate output for partition %d", part)
+			if _, dup := rs.outputs[m.Partition]; dup {
+				return refuse("duplicate output for partition %d", m.Partition)
 			}
-			rs.outputs[part] = out
-			rs.reduceAt[part] = attempt
-			rs.records[part] = recs
+			rs.outputs[m.Partition] = append([]byte(nil), m.Output...)
+			rs.reduceAt[m.Partition] = m.Attempt
+			rs.records[m.Partition] = m.RecordsIn
 		default:
 			return refuse("unknown record type %d", typ)
 		}
@@ -344,23 +308,23 @@ func (rs *resumeState) validateResume(o *Options) error {
 		return fmt.Errorf(resumeRefused+": "+format, args...)
 	}
 	switch {
-	case rs.job.App.Name != o.Job.App.Name:
-		return refuse("journal is for app %q, not %q", rs.job.App.Name, o.Job.App.Name)
-	case string(rs.job.App.Params) != string(o.Job.App.Params):
+	case rs.Job.App.Name != o.Job.App.Name:
+		return refuse("journal is for app %q, not %q", rs.Job.App.Name, o.Job.App.Name)
+	case string(rs.Job.App.Params) != string(o.Job.App.Params):
 		return refuse("app params differ from the journaled job")
-	case rs.job.Partitions != o.Job.Partitions:
-		return refuse("journaled %d partitions, options say %d", rs.job.Partitions, o.Job.Partitions)
-	case rs.job.Collector != o.Job.Collector ||
-		rs.job.UseCombiner != o.Job.UseCombiner ||
-		rs.job.Compress != o.Job.Compress ||
-		rs.job.MaxAttempts != o.Job.MaxAttempts:
+	case rs.Job.Partitions != o.Job.Partitions:
+		return refuse("journaled %d partitions, options say %d", rs.Job.Partitions, o.Job.Partitions)
+	case rs.Job.Collector != o.Job.Collector ||
+		rs.Job.UseCombiner != o.Job.UseCombiner ||
+		rs.Job.Compress != o.Job.Compress ||
+		rs.Job.MaxAttempts != o.Job.MaxAttempts:
 		return refuse("job spec differs from the journaled job")
-	case rs.nTasks != len(o.Blocks):
-		return refuse("journaled %d input blocks, options carry %d", rs.nTasks, len(o.Blocks))
-	case rs.digest != blocksDigest(o.Blocks):
+	case rs.Tasks != len(o.Blocks):
+		return refuse("journaled %d input blocks, options carry %d", rs.Tasks, len(o.Blocks))
+	case string(rs.Digest) != string(blocksDigest(o.Blocks)):
 		return refuse("input blocks differ from the journaled job")
-	case rs.bsMode != o.Blockstore:
-		return refuse("journaled blockstore mode %q, options say %q", rs.bsMode, o.Blockstore)
+	case rs.Mode != o.Blockstore:
+		return refuse("journaled blockstore mode %q, options say %q", rs.Mode, o.Blockstore)
 	}
 	return nil
 }

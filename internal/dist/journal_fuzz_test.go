@@ -34,21 +34,30 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 
 	job := Job{App: AppSpec{Name: "wc"}, Partitions: 3, Collector: 1, MaxAttempts: 4}
 	digest := blocksDigest([][]byte{[]byte("block zero"), []byte("block one")})
+	jobStart := func(j *journal) {
+		j.append(jrJobStart, encode(&jobRecord{Job: job, Tasks: 2, TraceID: 42, Digest: digest}))
+	}
+	membership := func(j *journal, epoch int, homes []int, alive []bool, attempt []int, lost int) {
+		j.append(jrMembership, encode(&membershipRecord{Epoch: epoch, Homes: homes, Alive: alive, Attempt: attempt, Lost: lost}))
+	}
+	mapDone := func(j *journal, task, attempt int, st attemptStats) {
+		j.append(jrMapDone, encode(&mapDoneMsg{Task: task, Attempt: attempt, Stats: st}))
+	}
 	healthy := write("healthy", func(j *journal) {
-		j.jobStart(job, 42, 2, digest)
-		j.membership(0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0, 0, 0)
-		j.mapDone(0, 0, attemptStats{RecordsIn: 10, PairsOut: 20})
-		j.mapDone(1, 0, attemptStats{RecordsIn: 5, PairsOut: 9})
-		j.reduceDone(1, 0, 12, 7, nil)
+		jobStart(j)
+		membership(j, 0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0)
+		mapDone(j, 0, 0, attemptStats{RecordsIn: 10, PairsOut: 20})
+		mapDone(j, 1, 0, attemptStats{RecordsIn: 5, PairsOut: 9})
+		j.append(jrReduceDone, encode(&reduceDoneMsg{Partition: 1, RecordsIn: 12, GroupsIn: 7}))
 	})
 	churn := write("churn", func(j *journal) {
-		j.jobStart(job, 42, 2, digest)
-		j.membership(0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0, 0, 0)
-		j.mapDone(0, 0, attemptStats{PairsOut: 20})
+		jobStart(j)
+		membership(j, 0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0)
+		mapDone(j, 0, 0, attemptStats{PairsOut: 20})
 		// A death bumps attempts: task 0's resolution is superseded.
-		j.membership(1, []int{0, 0, 0}, []bool{true, false}, []int{1, 1}, 0, 0, 1)
-		j.mapDone(0, 1, attemptStats{PairsOut: 20})
-		j.mapDone(1, 1, attemptStats{PairsOut: 9})
+		membership(j, 1, []int{0, 0, 0}, []bool{true, false}, []int{1, 1}, 1)
+		mapDone(j, 0, 1, attemptStats{PairsOut: 20})
+		mapDone(j, 1, 1, attemptStats{PairsOut: 9})
 	})
 
 	seeds := map[string][]byte{
@@ -68,20 +77,20 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds["garbled"] = garbled
 	// Duplicate the tail record wholesale.
 	dup := write("dup", func(j *journal) {
-		j.jobStart(job, 42, 2, digest)
-		j.membership(0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0, 0, 0)
-		j.mapDone(0, 0, attemptStats{})
-		j.mapDone(0, 0, attemptStats{}) // duplicate resolution
+		jobStart(j)
+		membership(j, 0, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0)
+		mapDone(j, 0, 0, attemptStats{})
+		mapDone(j, 0, 0, attemptStats{}) // duplicate resolution
 	})
 	seeds["dup-resolution"] = dup
 	regressed := write("regressed", func(j *journal) {
-		j.jobStart(job, 42, 2, digest)
-		j.membership(5, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0, 0, 0)
-		j.membership(3, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0, 0, 0) // epoch went backwards
+		jobStart(j)
+		membership(j, 5, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0)
+		membership(j, 3, []int{0, 1, 0}, []bool{true, true}, []int{0, 0}, 0) // epoch went backwards
 	})
 	seeds["epoch-regressed"] = regressed
 	seeds["no-membership"] = write("nomem", func(j *journal) {
-		j.jobStart(job, 42, 2, digest)
+		jobStart(j)
 	})
 	return seeds
 }
@@ -134,27 +143,27 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal("non-deterministic replay state")
 		}
 		// Coherence of an accepted state.
-		if rs.epoch < 0 {
-			t.Fatalf("accepted negative epoch %d", rs.epoch)
+		if rs.Epoch < 0 {
+			t.Fatalf("accepted negative epoch %d", rs.Epoch)
 		}
-		if len(rs.homes) != rs.job.Partitions || len(rs.alive) == 0 {
-			t.Fatalf("accepted malformed membership: %d homes, %d alive", len(rs.homes), len(rs.alive))
+		if len(rs.Homes) != rs.Job.Partitions || len(rs.Alive) == 0 {
+			t.Fatalf("accepted malformed membership: %d homes, %d alive", len(rs.Homes), len(rs.Alive))
 		}
-		for p, h := range rs.homes {
-			if h < 0 || h >= len(rs.alive) || !rs.alive[h] {
+		for p, h := range rs.Homes {
+			if h < 0 || h >= len(rs.Alive) || !rs.Alive[h] {
 				t.Fatalf("partition %d homed on non-live worker %d", p, h)
 			}
 		}
-		if len(rs.resolved) != rs.nTasks || len(rs.attempt) != rs.nTasks {
-			t.Fatalf("task arrays sized %d/%d for %d tasks", len(rs.resolved), len(rs.attempt), rs.nTasks)
+		if len(rs.resolved) != rs.Tasks || len(rs.Attempt) != rs.Tasks {
+			t.Fatalf("task arrays sized %d/%d for %d tasks", len(rs.resolved), len(rs.Attempt), rs.Tasks)
 		}
-		for t2, a := range rs.attempt {
+		for t2, a := range rs.Attempt {
 			if a < 0 {
 				t.Fatalf("task %d accepted at negative attempt %d", t2, a)
 			}
 		}
 		for p := range rs.outputs {
-			if p < 0 || p >= rs.job.Partitions {
+			if p < 0 || p >= rs.Job.Partitions {
 				t.Fatalf("output for out-of-range partition %d", p)
 			}
 			if _, ok := rs.reduceAt[p]; !ok {

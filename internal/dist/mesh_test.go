@@ -14,7 +14,7 @@ func dialAs(t *testing.T, addr string, id int) *conn {
 		t.Fatal(err)
 	}
 	cc := newConn(c, "test", Tuning{}, nil)
-	cc.send(frame{typ: mPeerHello, payload: peerHelloMsg{WorkerID: id}.encode()})
+	cc.send(frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: id})})
 	return cc
 }
 

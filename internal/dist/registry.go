@@ -37,69 +37,49 @@ func RegistryResolver(spec AppSpec) (*core.App, func(key []byte, n int) int, err
 	}
 }
 
+// tsParams is the TeraSort params layout: the sample keys, copied out on
+// decode.
+type tsParams [][]byte
+
+func (s *tsParams) wire(c *codec) { list(c, (*[][]byte)(s), c.owned) }
+
 // EncodeTSParams packs a TeraSort key sample (the range-partitioner
 // boundaries every node must agree on) into an AppSpec params blob.
-func EncodeTSParams(sample [][]byte) []byte {
-	var e enc
-	e.u(uint64(len(sample)))
-	for _, k := range sample {
-		e.bytes(k)
-	}
-	return e.buf
-}
+func EncodeTSParams(sample [][]byte) []byte { return encode((*tsParams)(&sample)) }
 
 // DecodeTSParams unpacks EncodeTSParams.
 func DecodeTSParams(p []byte) ([][]byte, error) {
-	d := dec{buf: p}
-	n := d.u()
-	if n > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	sample := make([][]byte, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		sample = append(sample, append([]byte(nil), d.bytes()...))
-	}
-	return sample, d.fin("ts-params")
+	var s tsParams
+	err := decode(p, &s).fin("ts-params")
+	return s, err
+}
+
+// kmParams is the KMeans params layout: dimensions, then each center as a
+// count-prefixed list of float32 bit patterns.
+type kmParams apps.KMeansSpec
+
+func (s *kmParams) wire(c *codec) {
+	c.i(&s.Dim)
+	c.i(&s.ModelCenters)
+	list(c, &s.Centers, func(ctr *[]float32) {
+		list(c, ctr, func(v *float32) {
+			x := uint64(math.Float32bits(*v))
+			c.u(&x)
+			if c.dec {
+				*v = math.Float32frombits(uint32(x))
+			}
+		})
+	})
 }
 
 // EncodeKMParams packs a KMeans spec into an AppSpec params blob.
-func EncodeKMParams(s apps.KMeansSpec) []byte {
-	var e enc
-	e.u(uint64(s.Dim))
-	e.u(uint64(s.ModelCenters))
-	e.u(uint64(len(s.Centers)))
-	for _, c := range s.Centers {
-		e.u(uint64(len(c)))
-		for _, v := range c {
-			e.u(uint64(math.Float32bits(v)))
-		}
-	}
-	return e.buf
-}
+func EncodeKMParams(s apps.KMeansSpec) []byte { return encode((*kmParams)(&s)) }
 
 // DecodeKMParams unpacks EncodeKMParams.
 func DecodeKMParams(p []byte) (apps.KMeansSpec, error) {
-	d := dec{buf: p}
-	var s apps.KMeansSpec
-	s.Dim = int(d.u())
-	s.ModelCenters = int(d.u())
-	k := d.u()
-	if k > uint64(len(p)) {
-		d.err = errCorrupt
-	}
-	for i := uint64(0); i < k && d.err == nil; i++ {
-		dim := d.u()
-		if dim > uint64(len(p)) {
-			d.err = errCorrupt
-			break
-		}
-		c := make([]float32, 0, dim)
-		for j := uint64(0); j < dim && d.err == nil; j++ {
-			c = append(c, math.Float32frombits(uint32(d.u())))
-		}
-		s.Centers = append(s.Centers, c)
-	}
-	return s, d.fin("km-params")
+	var s kmParams
+	err := decode(p, &s).fin("km-params")
+	return apps.KMeansSpec(s), err
 }
 
 // SplitBlocks cuts input into map blocks of roughly chunk bytes, on record

@@ -217,22 +217,22 @@ func TestClockProbeOverLink(t *testing.T) {
 // payload (the codec is canonical).
 func FuzzSpanBatch(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 42}.encode())
-	f.Add(spanBatchMsg{
+	f.Add(encode(&spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 42}))
+	f.Add(encode(&spanBatchMsg{
 		TraceID: 0xdeadbeef, Node: 2, EpochUnixNano: 1700000000000000000,
 		Spans: []obs.Span{
 			{Node: 2, Stage: "map/kernel", Start: 0.5, End: 1.5, ID: 2<<48 | 7, Parent: 1 << 48},
 			{Node: 2, Stage: "net/send", Start: 1, End: 2, ID: 2<<48 | 8},
 		},
-	}.encode())
+	}))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		m, err := decodeSpanBatch(p)
-		if err != nil {
+		var m spanBatchMsg
+		if decode(p, &m).fin("span-batch") != nil {
 			return
 		}
-		re := m.encode()
-		m2, err := decodeSpanBatch(re)
-		if err != nil {
+		re := encode(&m)
+		var m2 spanBatchMsg
+		if err := decode(re, &m2).fin("span-batch"); err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(m, m2) {

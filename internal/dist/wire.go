@@ -20,11 +20,12 @@ import (
 //
 // where length counts the type byte plus the payload. Payloads are encoded
 // with uvarints and length-prefixed byte strings (the same primitives as
-// kv's stream framing). Bulk shuffle data rides in mRunBatch frames: many
-// small per-chunk runs coalesced into one large frame per destination, so
-// the per-frame costs (syscall, header, send-window bookkeeping, one
-// DEFLATE stream when the job compresses) are paid once per batch instead
-// of once per run.
+// kv's stream framing), and every payload type states its field order once,
+// in a wire method that both encodes and decodes it. Bulk shuffle data rides
+// in mRunBatch frames: many small per-chunk runs coalesced into one large
+// frame per destination, so the per-frame costs (syscall, header,
+// send-window bookkeeping, one DEFLATE stream when the job compresses) are
+// paid once per batch instead of once per run.
 
 // maxFrame bounds one frame; a length prefix beyond it means a corrupt or
 // hostile stream, not a big transfer (runs are produced per map chunk and
@@ -115,148 +116,205 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return body[0], body[1:], nil
 }
 
-// enc assembles a payload from uvarints and length-prefixed byte strings.
-type enc struct{ buf []byte }
-
-func (e *enc) u(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf = append(e.buf, tmp[:n]...)
+// codec runs one payload layout in either direction. Encoding appends every
+// field a wire method names to buf; decoding (dec set) reads the same fields
+// back from buf, in the same order, into the same places. The first malformed
+// field latches err and every later read is a no-op, so a decode checks err
+// once, in fin. Decoded byte fields alias buf — the frame, whose lifetime
+// readFrame states — except where a layout copies them (owned).
+type codec struct {
+	buf []byte
+	dec bool
+	err error
 }
 
-func (e *enc) i(v int64) { e.u(uint64(v)) }
+// payload is anything with a layout: its wire method is the only statement of
+// its field order.
+type payload interface{ wire(*codec) }
 
-func (e *enc) bytes(b []byte) {
-	e.u(uint64(len(b)))
-	e.buf = append(e.buf, b...)
+// encode lays m out as bytes.
+func encode(m payload) []byte {
+	var c codec
+	m.wire(&c)
+	return c.buf
 }
 
-func (e *enc) str(s string) { e.bytes([]byte(s)) }
-
-func (e *enc) bool(b bool) {
-	if b {
-		e.u(1)
-	} else {
-		e.u(0)
-	}
-}
-
-// ints and bools write count-prefixed lists.
-func (e *enc) ints(v []int) {
-	e.u(uint64(len(v)))
-	for _, x := range v {
-		e.i(int64(x))
-	}
-}
-
-func (e *enc) bools(v []bool) {
-	e.u(uint64(len(v)))
-	for _, b := range v {
-		e.bool(b)
-	}
-}
-
-// job writes a job spec — the same bytes on the wire's job-start and in the
-// journal's job-start record.
-func (e *enc) job(j Job) {
-	e.str(j.App.Name)
-	e.bytes(j.App.Params)
-	e.i(int64(j.Partitions))
-	e.u(uint64(j.Collector))
-	e.bool(j.UseCombiner)
-	e.bool(j.Compress)
-	e.i(int64(j.MaxAttempts))
+// decode fills m from p through m's layout. The caller checks the result
+// with fin, naming the payload.
+func decode(p []byte, m payload) codec {
+	c := codec{buf: p, dec: true}
+	m.wire(&c)
+	return c
 }
 
 var errCorrupt = errors.New("dist: corrupt payload")
 
-// dec decodes a payload; the first malformed field latches err and every
-// later read returns zero values, so decode paths check err once at the
-// end.
-type dec struct {
-	buf []byte
-	err error
-}
-
-func (d *dec) u() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = errCorrupt
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *dec) i() int64 { return int64(d.u()) }
-
-func (d *dec) bytes() []byte {
-	n := d.u()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = errCorrupt
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *dec) str() string { return string(d.bytes()) }
-
-func (d *dec) bool() bool { return d.u() != 0 }
-
-// count reads a list length, latching errCorrupt when it exceeds the bytes
-// left: every element takes at least one.
-func (d *dec) count() int {
-	n := d.u()
-	if n > uint64(len(d.buf)) {
-		d.err = errCorrupt
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) ints() []int {
-	var v []int
-	for n := d.count(); len(v) < n && d.err == nil; {
-		v = append(v, int(d.i()))
-	}
-	return v
-}
-
-func (d *dec) bools() []bool {
-	var v []bool
-	for n := d.count(); len(v) < n && d.err == nil; {
-		v = append(v, d.bool())
-	}
-	return v
-}
-
-func (d *dec) job() Job {
-	j := Job{App: AppSpec{Name: d.str(), Params: append([]byte(nil), d.bytes()...)}}
-	j.Partitions = int(d.i())
-	j.Collector = core.CollectorKind(d.u())
-	j.UseCombiner = d.bool()
-	j.Compress = d.bool()
-	j.MaxAttempts = int(d.i())
-	return j
-}
-
 // fin returns the latched decode error, also flagging trailing garbage.
-func (d *dec) fin(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("dist: decoding %s: %w", what, d.err)
+func (c codec) fin(what string) error {
+	if c.err != nil {
+		return fmt.Errorf("dist: decoding %s: %w", what, c.err)
 	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("dist: decoding %s: %d trailing bytes", what, len(d.buf))
+	if len(c.buf) != 0 {
+		return fmt.Errorf("dist: decoding %s: %d trailing bytes", what, len(c.buf))
 	}
 	return nil
+}
+
+func (c *codec) u(v *uint64) {
+	if !c.dec {
+		// One append per field, not per byte, so a buffer grows at most once
+		// per field.
+		var tmp [binary.MaxVarintLen64]byte
+		c.buf = append(c.buf, tmp[:binary.PutUvarint(tmp[:], *v)]...)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Uvarint(c.buf)
+	if n <= 0 {
+		c.err = errCorrupt
+		return
+	}
+	*v, c.buf = x, c.buf[n:]
+}
+
+// i and i64 carry signed integers as the uvarint of their two's complement.
+func (c *codec) i(v *int) {
+	x := uint64(*v)
+	c.u(&x)
+	if c.dec {
+		*v = int(x)
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	x := uint64(*v)
+	c.u(&x)
+	if c.dec {
+		*v = int64(x)
+	}
+}
+
+func (c *codec) bool(v *bool) {
+	var x uint64
+	if *v {
+		x = 1
+	}
+	c.u(&x)
+	if c.dec {
+		*v = x != 0
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	x := math.Float64bits(*v)
+	c.u(&x)
+	if c.dec {
+		*v = math.Float64frombits(x)
+	}
+}
+
+// bytes carries a length-prefixed byte string; decoding aliases buf.
+func (c *codec) bytes(v *[]byte) {
+	n := uint64(len(*v))
+	c.u(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if c.err == nil && n > uint64(len(c.buf)) {
+		c.err = errCorrupt
+	}
+	if c.err == nil {
+		*v, c.buf = c.buf[:n], c.buf[n:]
+	}
+}
+
+// owned is bytes for a field that outlives its frame: decoding copies.
+func (c *codec) owned(v *[]byte) {
+	c.bytes(v)
+	if c.dec {
+		*v = append([]byte(nil), *v...)
+	}
+}
+
+func (c *codec) str(v *string) {
+	if !c.dec {
+		n := uint64(len(*v))
+		c.u(&n)
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	var b []byte
+	c.bytes(&b)
+	*v = string(b)
+}
+
+// count carries a list length. Decoding latches errCorrupt when it exceeds
+// the bytes left: every element takes at least one.
+func (c *codec) count(n int) int {
+	x := uint64(n)
+	c.u(&x)
+	if c.dec && c.err == nil && x > uint64(len(c.buf)) {
+		c.err = errCorrupt
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(x)
+}
+
+// list carries a count-prefixed list, each element laid out by elem.
+// Decoding grows the list one element at a time, so a count that lies costs
+// no more memory than the bytes behind it.
+func list[T any](c *codec, v *[]T, elem func(*T)) {
+	n := c.count(len(*v))
+	if c.dec {
+		*v = nil
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.dec {
+			*v = append(*v, *new(T))
+		}
+		elem(&(*v)[i])
+	}
+}
+
+// rest carries a list with no count prefix that runs to the end of buf: the
+// layout of a body its sender appends to one entry at a time.
+func rest[T any](c *codec, v *[]T, elem func(*T)) {
+	if !c.dec {
+		for i := range *v {
+			elem(&(*v)[i])
+		}
+		return
+	}
+	*v = nil
+	for len(c.buf) > 0 && c.err == nil {
+		*v = append(*v, *new(T))
+		elem(&(*v)[len(*v)-1])
+	}
+}
+
+func (c *codec) ints(v *[]int)    { list(c, v, c.i) }
+func (c *codec) bools(v *[]bool)  { list(c, v, c.bool) }
+func (c *codec) strs(v *[]string) { list(c, v, c.str) }
+
+// job carries a job spec — the same bytes on the wire's job-start and in the
+// journal's job-start record.
+func (c *codec) job(j *Job) {
+	c.str(&j.App.Name)
+	c.owned(&j.App.Params)
+	c.i(&j.Partitions)
+	coll := int(j.Collector)
+	c.i(&coll)
+	if c.dec {
+		j.Collector = core.CollectorKind(coll)
+	}
+	c.bool(&j.UseCombiner)
+	c.bool(&j.Compress)
+	c.i(&j.MaxAttempts)
 }
 
 // --- message payloads ---
@@ -265,35 +323,14 @@ type helloMsg struct {
 	ListenAddr string // where this worker accepts peer connections
 }
 
-func (m helloMsg) encode() []byte {
-	var e enc
-	e.str(m.ListenAddr)
-	return e.buf
-}
-
-func decodeHello(p []byte) (helloMsg, error) {
-	d := dec{buf: p}
-	m := helloMsg{ListenAddr: d.str()}
-	return m, d.fin("hello")
-}
+func (m *helloMsg) wire(c *codec) { c.str(&m.ListenAddr) }
 
 type welcomeMsg struct {
 	WorkerID int
 	Workers  int
 }
 
-func (m welcomeMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.WorkerID))
-	e.i(int64(m.Workers))
-	return e.buf
-}
-
-func decodeWelcome(p []byte) (welcomeMsg, error) {
-	d := dec{buf: p}
-	m := welcomeMsg{WorkerID: int(d.i()), Workers: int(d.i())}
-	return m, d.fin("welcome")
-}
+func (m *welcomeMsg) wire(c *codec) { c.i(&m.WorkerID); c.i(&m.Workers) }
 
 type jobStartMsg struct {
 	Job     Job
@@ -304,30 +341,13 @@ type jobStartMsg struct {
 	Live    bool     // true when this worker is joining a job already underway
 }
 
-func (m jobStartMsg) encode() []byte {
-	var e enc
-	e.u(m.TraceID)
-	e.job(m.Job)
-	e.u(uint64(len(m.Peers)))
-	for _, p := range m.Peers {
-		e.str(p)
-	}
-	e.ints(m.Homes)
-	e.i(int64(m.Epoch))
-	e.bool(m.Live)
-	return e.buf
-}
-
-func decodeJobStart(p []byte) (jobStartMsg, error) {
-	d := dec{buf: p}
-	m := jobStartMsg{TraceID: d.u(), Job: d.job()}
-	for n := d.count(); len(m.Peers) < n && d.err == nil; {
-		m.Peers = append(m.Peers, d.str())
-	}
-	m.Homes = d.ints()
-	m.Epoch = int(d.i())
-	m.Live = d.bool()
-	return m, d.fin("job-start")
+func (m *jobStartMsg) wire(c *codec) {
+	c.u(&m.TraceID)
+	c.job(&m.Job)
+	c.strs(&m.Peers)
+	c.ints(&m.Homes)
+	c.i(&m.Epoch)
+	c.bool(&m.Live)
 }
 
 type mapTaskMsg struct {
@@ -350,61 +370,38 @@ type mapTaskMsg struct {
 	AllowLocal bool
 }
 
-func (m mapTaskMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Task))
-	e.i(int64(m.Attempt))
-	e.u(m.SpanID)
-	e.bytes(m.Block)
-	e.bool(m.Ref)
-	e.i(m.BlockSize)
-	e.ints(m.Holders)
-	e.bool(m.AllowLocal)
-	return e.buf
-}
-
-func decodeMapTask(p []byte) (mapTaskMsg, error) {
-	d := dec{buf: p}
-	m := mapTaskMsg{Task: int(d.i()), Attempt: int(d.i()), SpanID: d.u()}
-	m.Block = d.bytes()
-	m.Ref = d.bool()
-	m.BlockSize = d.i()
-	m.Holders = d.ints()
-	m.AllowLocal = d.bool()
-	return m, d.fin("map-task")
+func (m *mapTaskMsg) wire(c *codec) {
+	c.i(&m.Task)
+	c.i(&m.Attempt)
+	c.u(&m.SpanID)
+	c.bytes(&m.Block)
+	c.bool(&m.Ref)
+	c.i64(&m.BlockSize)
+	c.ints(&m.Holders)
+	c.bool(&m.AllowLocal)
 }
 
 // attemptStats is the map-side conservation slice of one successful
 // attempt, flushed into the shared ledger only when the attempt wins.
 type attemptStats = native.MapStats
 
+// mapDoneMsg is also the journal's map-done record, byte for byte: the
+// coordinator journals the payload it decoded.
 type mapDoneMsg struct {
 	Task    int
 	Attempt int
 	Stats   attemptStats
 }
 
-func (m mapDoneMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Task))
-	e.i(int64(m.Attempt))
-	e.i(m.Stats.RecordsIn)
-	e.i(m.Stats.PairsOut)
-	e.i(m.Stats.PartRecords)
-	e.i(m.Stats.PartRuns)
-	e.i(m.Stats.PartRaw)
-	e.i(m.Stats.PartStored)
-	return e.buf
-}
-
-func decodeMapDone(p []byte) (mapDoneMsg, error) {
-	d := dec{buf: p}
-	m := mapDoneMsg{Task: int(d.i()), Attempt: int(d.i())}
-	m.Stats = attemptStats{
-		RecordsIn: d.i(), PairsOut: d.i(),
-		PartRecords: d.i(), PartRuns: d.i(), PartRaw: d.i(), PartStored: d.i(),
-	}
-	return m, d.fin("map-done")
+func (m *mapDoneMsg) wire(c *codec) {
+	c.i(&m.Task)
+	c.i(&m.Attempt)
+	c.i64(&m.Stats.RecordsIn)
+	c.i64(&m.Stats.PairsOut)
+	c.i64(&m.Stats.PartRecords)
+	c.i64(&m.Stats.PartRuns)
+	c.i64(&m.Stats.PartRaw)
+	c.i64(&m.Stats.PartStored)
 }
 
 type taskFailMsg struct {
@@ -413,19 +410,7 @@ type taskFailMsg struct {
 	Reason  string
 }
 
-func (m taskFailMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Task))
-	e.i(int64(m.Attempt))
-	e.str(m.Reason)
-	return e.buf
-}
-
-func decodeTaskFail(p []byte) (taskFailMsg, error) {
-	d := dec{buf: p}
-	m := taskFailMsg{Task: int(d.i()), Attempt: int(d.i()), Reason: d.str()}
-	return m, d.fin("task-fail")
-}
+func (m *taskFailMsg) wire(c *codec) { c.i(&m.Task); c.i(&m.Attempt); c.str(&m.Reason) }
 
 // runEntry is one partition's run inside a coalesced shuffle frame. Blob is
 // always an uncompressed kv.Run encoding — when the job compresses, the
@@ -441,87 +426,52 @@ type runEntry struct {
 	Blob      []byte
 }
 
+func (e *runEntry) wire(c *codec) {
+	c.i(&e.Task)
+	c.i(&e.Attempt)
+	c.i(&e.Partition)
+	c.i(&e.Records)
+	c.i64(&e.RawBytes)
+	c.i(&e.Epoch)
+	c.bytes(&e.Blob)
+}
+
+// runEntries is a run-batch body: entries back to back with no count
+// prefix — the coalescer appends them one at a time as runs arrive, and the
+// receiver consumes until the body is exhausted.
+type runEntries []runEntry
+
+func (l *runEntries) wire(c *codec) { rest(c, (*[]runEntry)(l), func(e *runEntry) { e.wire(c) }) }
+
 // runBatchMsg is the bulk shuffle frame: the runs one sender has buffered
-// for one destination, shipped back to back. The body carries the entries
-// with no count prefix — the coalescer appends entries incrementally and
-// the decoder consumes until the body is exhausted. TraceID and SendSpan
+// for one destination, shipped back to back in Body. TraceID and SendSpan
 // are the trace context the frame propagates: the receiver parents its
-// net/recv staging span on the sender's net/send span.
+// net/recv staging span on the sender's net/send span. Decoded entry blobs
+// alias the payload (or, for a compressed frame, the freshly inflated body)
+// — the zero-copy receive path: callers wrap blobs in kv.NewRunView and must
+// keep them only as long as the backing buffer lives, or Retain the views.
 type runBatchMsg struct {
 	TraceID    uint64
 	SendSpan   uint64 // sender's net/send span id (0 = untraced)
-	Compressed bool   // body DEFLATEd as one stream on the wire
-	Entries    []runEntry
+	Compressed bool   // Body DEFLATEd as one stream on the wire
+	Body       []byte // runEntries layout, uncompressed
 }
 
-// appendRunEntry serializes one entry onto a body under construction.
-func appendRunEntry(e *enc, re runEntry) {
-	e.i(int64(re.Task))
-	e.i(int64(re.Attempt))
-	e.i(int64(re.Partition))
-	e.i(int64(re.Records))
-	e.i(re.RawBytes)
-	e.i(int64(re.Epoch))
-	e.bytes(re.Blob)
-}
-
-func (m runBatchMsg) encode() []byte {
-	var body enc
-	for _, re := range m.Entries {
-		appendRunEntry(&body, re)
-	}
-	return encodeRunBatchBody(body.buf, m.Compressed, m.TraceID, m.SendSpan)
-}
-
-// encodeRunBatchBody wraps an assembled entry body into the frame payload,
-// compressing it when asked and prefixing the frame's trace context.
-func encodeRunBatchBody(body []byte, compress bool, traceID, sendSpan uint64) []byte {
-	if compress {
+func (m *runBatchMsg) wire(c *codec) {
+	c.u(&m.TraceID)
+	c.u(&m.SendSpan)
+	c.bool(&m.Compressed)
+	body := m.Body
+	if m.Compressed && !c.dec {
 		body = kv.Deflate(body)
 	}
-	var e enc
-	e.u(traceID)
-	e.u(sendSpan)
-	e.bool(compress)
-	e.bytes(body)
-	return e.buf
-}
-
-// decodeRunBatch decodes a coalesced shuffle frame. Entry blobs alias the
-// payload (or, for a compressed frame, the freshly inflated body) — this is
-// the zero-copy receive path: callers wrap blobs in kv.NewRunView and must
-// keep them only as long as the backing buffer lives, or Retain the views.
-func decodeRunBatch(p []byte) (runBatchMsg, error) {
-	d := dec{buf: p}
-	var m runBatchMsg
-	m.TraceID = d.u()
-	m.SendSpan = d.u()
-	m.Compressed = d.bool()
-	body := d.bytes()
-	if err := d.fin("run-batch"); err != nil {
-		return m, err
+	c.bytes(&body)
+	if m.Compressed && c.dec && c.err == nil {
+		body, c.err = kv.Inflate(body)
 	}
-	if m.Compressed {
-		var err error
-		if body, err = kv.Inflate(body); err != nil {
-			return m, fmt.Errorf("dist: inflating run batch: %w", err)
-		}
+	if c.dec {
+		m.Body = body
 	}
-	bd := dec{buf: body}
-	for len(bd.buf) > 0 && bd.err == nil {
-		re := runEntry{
-			Task: int(bd.i()), Attempt: int(bd.i()), Partition: int(bd.i()),
-			Records: int(bd.i()), RawBytes: bd.i(), Epoch: int(bd.i()),
-		}
-		re.Blob = bd.bytes()
-		if bd.err == nil {
-			m.Entries = append(m.Entries, re)
-		}
-	}
-	if bd.err != nil {
-		return m, fmt.Errorf("dist: decoding run-batch entries: %w", bd.err)
-	}
-	return m, nil
 }
 
 type markMsg struct {
@@ -529,18 +479,7 @@ type markMsg struct {
 	Attempt int
 }
 
-func (m markMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Task))
-	e.i(int64(m.Attempt))
-	return e.buf
-}
-
-func decodeMark(p []byte) (markMsg, error) {
-	d := dec{buf: p}
-	m := markMsg{Task: int(d.i()), Attempt: int(d.i())}
-	return m, d.fin("mark")
-}
+func (m *markMsg) wire(c *codec) { c.i(&m.Task); c.i(&m.Attempt) }
 
 type reduceTaskMsg struct {
 	Partition int
@@ -550,20 +489,10 @@ type reduceTaskMsg struct {
 	SpanID uint64
 }
 
-func (m reduceTaskMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Partition))
-	e.i(int64(m.Attempt))
-	e.u(m.SpanID)
-	return e.buf
-}
+func (m *reduceTaskMsg) wire(c *codec) { c.i(&m.Partition); c.i(&m.Attempt); c.u(&m.SpanID) }
 
-func decodeReduceTask(p []byte) (reduceTaskMsg, error) {
-	d := dec{buf: p}
-	m := reduceTaskMsg{Partition: int(d.i()), Attempt: int(d.i()), SpanID: d.u()}
-	return m, d.fin("reduce-task")
-}
-
+// reduceDoneMsg is also the journal's reduce-done record, byte for byte.
+// Output aliases the frame; replay copies it out of the journal image.
 type reduceDoneMsg struct {
 	Partition int
 	Attempt   int
@@ -572,41 +501,19 @@ type reduceDoneMsg struct {
 	Output    []byte // kv.Marshal of the partition's final pairs
 }
 
-func (m reduceDoneMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Partition))
-	e.i(int64(m.Attempt))
-	e.i(m.RecordsIn)
-	e.i(m.GroupsIn)
-	e.bytes(m.Output)
-	return e.buf
-}
-
-func decodeReduceDone(p []byte) (reduceDoneMsg, error) {
-	d := dec{buf: p}
-	m := reduceDoneMsg{
-		Partition: int(d.i()), Attempt: int(d.i()),
-		RecordsIn: d.i(), GroupsIn: d.i(),
-	}
-	m.Output = d.bytes()
-	return m, d.fin("reduce-done")
+func (m *reduceDoneMsg) wire(c *codec) {
+	c.i(&m.Partition)
+	c.i(&m.Attempt)
+	c.i64(&m.RecordsIn)
+	c.i64(&m.GroupsIn)
+	c.bytes(&m.Output)
 }
 
 type peerHelloMsg struct {
 	WorkerID int
 }
 
-func (m peerHelloMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.WorkerID))
-	return e.buf
-}
-
-func decodePeerHello(p []byte) (peerHelloMsg, error) {
-	d := dec{buf: p}
-	m := peerHelloMsg{WorkerID: int(d.i())}
-	return m, d.fin("peer-hello")
-}
+func (m *peerHelloMsg) wire(c *codec) { c.i(&m.WorkerID) }
 
 // spanBatchMsg ships one node's recorded trace spans to the coordinator at
 // job end. Span times are seconds relative to the node's own tracer epoch;
@@ -621,59 +528,42 @@ type spanBatchMsg struct {
 	Spans         []obs.Span
 }
 
-func (m spanBatchMsg) encode() []byte {
-	var e enc
-	e.u(m.TraceID)
-	e.i(int64(m.Node))
-	e.i(m.EpochUnixNano)
-	e.u(uint64(len(m.Spans)))
-	for _, s := range m.Spans {
-		e.str(s.Stage)
-		e.u(math.Float64bits(s.Start))
-		e.u(math.Float64bits(s.End))
-		e.u(s.ID)
-		e.u(s.Parent)
-		e.u(uint64(len(s.Tags)))
+func (m *spanBatchMsg) wire(c *codec) {
+	c.u(&m.TraceID)
+	c.i(&m.Node)
+	c.i64(&m.EpochUnixNano)
+	list(c, &m.Spans, func(s *obs.Span) {
+		if c.dec {
+			s.Node = m.Node
+		}
+		c.str(&s.Stage)
+		c.f64(&s.Start)
+		c.f64(&s.End)
+		c.u(&s.ID)
+		c.u(&s.Parent)
+		// Tags are a count-prefixed key/value list, sorted by key so the
+		// bytes do not depend on map order.
+		n := c.count(len(s.Tags))
 		keys := make([]string, 0, len(s.Tags))
 		for k := range s.Tags {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys) // deterministic wire bytes for map-ordered tags
-		for _, k := range keys {
-			e.str(k)
-			e.str(s.Tags[k])
-		}
-	}
-	return e.buf
-}
-
-func decodeSpanBatch(p []byte) (spanBatchMsg, error) {
-	d := dec{buf: p}
-	var m spanBatchMsg
-	m.TraceID = d.u()
-	m.Node = int(d.i())
-	m.EpochUnixNano = d.i()
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		s := obs.Span{Node: m.Node, Stage: d.str()}
-		s.Start = math.Float64frombits(d.u())
-		s.End = math.Float64frombits(d.u())
-		s.ID = d.u()
-		s.Parent = d.u()
-		for j, nt := 0, d.count(); j < nt && d.err == nil; j++ {
-			k := d.str()
-			v := d.str()
-			if d.err == nil {
+		sort.Strings(keys)
+		for j := 0; j < n && c.err == nil; j++ {
+			var k, v string
+			if !c.dec {
+				k, v = keys[j], s.Tags[keys[j]]
+			}
+			c.str(&k)
+			c.str(&v)
+			if c.dec && c.err == nil {
 				if s.Tags == nil {
-					s.Tags = make(map[string]string, nt)
+					s.Tags = make(map[string]string, n)
 				}
 				s.Tags[k] = v
 			}
 		}
-		if d.err == nil {
-			m.Spans = append(m.Spans, s)
-		}
-	}
-	return m, d.fin("span-batch")
+	})
 }
 
 // Heartbeat payload kinds. A plain keep-alive carries no payload (legacy
@@ -693,20 +583,7 @@ type hbMsg struct {
 	T1, T2, T3 int64 // unix nanoseconds; unused fields are zero
 }
 
-func (m hbMsg) encode() []byte {
-	var e enc
-	e.u(m.Kind)
-	e.i(m.T1)
-	e.i(m.T2)
-	e.i(m.T3)
-	return e.buf
-}
-
-func decodeHB(p []byte) (hbMsg, error) {
-	d := dec{buf: p}
-	m := hbMsg{Kind: d.u(), T1: d.i(), T2: d.i(), T3: d.i()}
-	return m, d.fin("heartbeat")
-}
+func (m *hbMsg) wire(c *codec) { c.u(&m.Kind); c.i64(&m.T1); c.i64(&m.T2); c.i64(&m.T3) }
 
 // --- elastic membership payloads ---
 
@@ -720,19 +597,7 @@ type rejoinMsg struct {
 	Epoch      int
 }
 
-func (m rejoinMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.WorkerID))
-	e.str(m.ListenAddr)
-	e.i(int64(m.Epoch))
-	return e.buf
-}
-
-func decodeRejoin(p []byte) (rejoinMsg, error) {
-	d := dec{buf: p}
-	m := rejoinMsg{WorkerID: int(d.i()), ListenAddr: d.str(), Epoch: int(d.i())}
-	return m, d.fin("rejoin")
-}
+func (m *rejoinMsg) wire(c *codec) { c.i(&m.WorkerID); c.str(&m.ListenAddr); c.i(&m.Epoch) }
 
 // membershipMsg is the one frame every membership change travels as — a
 // death, a join, a drain and a resumed coordinator's refresh alike — and
@@ -752,25 +617,14 @@ type membershipMsg struct {
 	Left       int    // worker id being drained, -1 = none
 }
 
-func (m membershipMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Epoch))
-	e.ints(m.Homes)
-	e.bools(m.Alive)
-	e.bools(m.Settled)
-	e.i(int64(m.Joined))
-	e.str(m.JoinedAddr)
-	e.i(int64(m.Left))
-	return e.buf
-}
-
-func decodeMembership(p []byte) (membershipMsg, error) {
-	d := dec{buf: p}
-	m := membershipMsg{Epoch: int(d.i()), Homes: d.ints(), Alive: d.bools(), Settled: d.bools()}
-	m.Joined = int(d.i())
-	m.JoinedAddr = d.str()
-	m.Left = int(d.i())
-	return m, d.fin("membership")
+func (m *membershipMsg) wire(c *codec) {
+	c.i(&m.Epoch)
+	c.ints(&m.Homes)
+	c.bools(&m.Alive)
+	c.bools(&m.Settled)
+	c.i(&m.Joined)
+	c.str(&m.JoinedAddr)
+	c.i(&m.Left)
 }
 
 // handoffEntry is one committed run travelling to a partition's new home.
@@ -785,41 +639,23 @@ type handoffEntry struct {
 }
 
 // handoffBatchMsg is the bulk frame carrying part of one re-homed
-// partition's committed runs. Entries are consumed until the body is
-// exhausted, mirroring runBatchMsg.
+// partition's committed runs. Entries run to the end of the payload with
+// no count prefix, like a run-batch body.
 type handoffBatchMsg struct {
 	Epoch     int
 	Partition int
 	Entries   []handoffEntry
 }
 
-func (m handoffBatchMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Epoch))
-	e.i(int64(m.Partition))
-	for _, he := range m.Entries {
-		e.i(int64(he.Task))
-		e.i(int64(he.Records))
-		e.i(he.RawBytes)
-		e.bytes(he.Blob)
-	}
-	return e.buf
-}
-
-func decodeHandoffBatch(p []byte) (handoffBatchMsg, error) {
-	d := dec{buf: p}
-	m := handoffBatchMsg{Epoch: int(d.i()), Partition: int(d.i())}
-	for len(d.buf) > 0 && d.err == nil {
-		he := handoffEntry{Task: int(d.i()), Records: int(d.i()), RawBytes: d.i()}
-		he.Blob = d.bytes()
-		if d.err == nil {
-			m.Entries = append(m.Entries, he)
-		}
-	}
-	if d.err != nil {
-		return m, fmt.Errorf("dist: decoding handoff entries: %w", d.err)
-	}
-	return m, nil
+func (m *handoffBatchMsg) wire(c *codec) {
+	c.i(&m.Epoch)
+	c.i(&m.Partition)
+	rest(c, &m.Entries, func(e *handoffEntry) {
+		c.i(&e.Task)
+		c.i(&e.Records)
+		c.i64(&e.RawBytes)
+		c.bytes(&e.Blob)
+	})
 }
 
 // handoffMarkMsg closes one partition's handoff: everything staged for it
@@ -831,22 +667,11 @@ type handoffMarkMsg struct {
 	Records   int64
 }
 
-func (m handoffMarkMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Epoch))
-	e.i(int64(m.Partition))
-	e.i(int64(m.Runs))
-	e.i(m.Records)
-	return e.buf
-}
-
-func decodeHandoffMark(p []byte) (handoffMarkMsg, error) {
-	d := dec{buf: p}
-	m := handoffMarkMsg{
-		Epoch: int(d.i()), Partition: int(d.i()),
-		Runs: int(d.i()), Records: d.i(),
-	}
-	return m, d.fin("handoff-mark")
+func (m *handoffMarkMsg) wire(c *codec) {
+	c.i(&m.Epoch)
+	c.i(&m.Partition)
+	c.i(&m.Runs)
+	c.i64(&m.Records)
 }
 
 // handoffDoneMsg tells the coordinator one re-homed partition has been
@@ -857,18 +682,7 @@ type handoffDoneMsg struct {
 	Partition int
 }
 
-func (m handoffDoneMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.Epoch))
-	e.i(int64(m.Partition))
-	return e.buf
-}
-
-func decodeHandoffDone(p []byte) (handoffDoneMsg, error) {
-	d := dec{buf: p}
-	m := handoffDoneMsg{Epoch: int(d.i()), Partition: int(d.i())}
-	return m, d.fin("handoff-done")
-}
+func (m *handoffDoneMsg) wire(c *codec) { c.i(&m.Epoch); c.i(&m.Partition) }
 
 // --- block-store payloads ---
 
@@ -876,24 +690,13 @@ func decodeHandoffDone(p []byte) (handoffDoneMsg, error) {
 // store. The coordinator pushes these on each holder's control connection
 // right after JobStart — FIFO framing guarantees every replica is durable
 // on its holder before the first MapTask that might reference it arrives.
+// Data aliases the frame; the store writes it straight to disk.
 type blockPutMsg struct {
 	ID   int
 	Data []byte
 }
 
-func (m blockPutMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.ID))
-	e.bytes(m.Data)
-	return e.buf
-}
-
-func decodeBlockPut(p []byte) (blockPutMsg, error) {
-	d := dec{buf: p}
-	m := blockPutMsg{ID: int(d.i())}
-	m.Data = d.bytes() // aliases the payload; the store writes it straight to disk
-	return m, d.fin("block-put")
-}
+func (m *blockPutMsg) wire(c *codec) { c.i(&m.ID); c.bytes(&m.Data) }
 
 // blockFetchMsg asks a peer holding block ID to stream it back. Nonce
 // correlates the reply chunks with the waiting fetch on the requester.
@@ -902,23 +705,12 @@ type blockFetchMsg struct {
 	Nonce uint64
 }
 
-func (m blockFetchMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.ID))
-	e.u(m.Nonce)
-	return e.buf
-}
-
-func decodeBlockFetch(p []byte) (blockFetchMsg, error) {
-	d := dec{buf: p}
-	m := blockFetchMsg{ID: int(d.i()), Nonce: d.u()}
-	return m, d.fin("block-fetch")
-}
+func (m *blockFetchMsg) wire(c *codec) { c.i(&m.ID); c.u(&m.Nonce) }
 
 // blockChunkMsg is one chunk of a streamed block read (blockstore.ReadChunk
 // granularity — the serving side never materializes the whole block). Last
 // marks the final chunk; OK false aborts the fetch (block not held, or the
-// holder's disk failed mid-stream).
+// holder's disk failed mid-stream). Decoding copies Data out of the frame.
 type blockChunkMsg struct {
 	ID    int
 	Nonce uint64
@@ -927,19 +719,10 @@ type blockChunkMsg struct {
 	Data  []byte
 }
 
-func (m blockChunkMsg) encode() []byte {
-	var e enc
-	e.i(int64(m.ID))
-	e.u(m.Nonce)
-	e.bool(m.OK)
-	e.bool(m.Last)
-	e.bytes(m.Data)
-	return e.buf
-}
-
-func decodeBlockChunk(p []byte) (blockChunkMsg, error) {
-	d := dec{buf: p}
-	m := blockChunkMsg{ID: int(d.i()), Nonce: d.u(), OK: d.bool(), Last: d.bool()}
-	m.Data = append([]byte(nil), d.bytes()...)
-	return m, d.fin("block-chunk")
+func (m *blockChunkMsg) wire(c *codec) {
+	c.i(&m.ID)
+	c.u(&m.Nonce)
+	c.bool(&m.OK)
+	c.bool(&m.Last)
+	c.owned(&m.Data)
 }

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -55,20 +57,35 @@ func TestReadFrameImplausibleLength(t *testing.T) {
 	}
 }
 
-func TestMessageRoundTrips(t *testing.T) {
-	checks := []struct {
-		name   string
-		msg    any
-		decode func([]byte) (any, error)
-		enc    []byte
-	}{
-		{"hello", helloMsg{ListenAddr: "127.0.0.1:7777"},
-			func(p []byte) (any, error) { return decodeHello(p) },
-			helloMsg{ListenAddr: "127.0.0.1:7777"}.encode()},
-		{"welcome", welcomeMsg{WorkerID: 2, Workers: 5},
-			func(p []byte) (any, error) { return decodeWelcome(p) },
-			welcomeMsg{WorkerID: 2, Workers: 5}.encode()},
-		{"job-start", jobStartMsg{
+// payloadTypes lists one value of every wire payload type. FuzzPayloads
+// selects among them by the first input byte.
+var payloadTypes = []payload{
+	&helloMsg{}, &welcomeMsg{}, &jobStartMsg{}, &mapTaskMsg{}, &mapDoneMsg{}, &taskFailMsg{},
+	&runBatchMsg{}, &runEntries{}, &markMsg{}, &reduceTaskMsg{}, &reduceDoneMsg{}, &peerHelloMsg{},
+	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffBatchMsg{}, &handoffMarkMsg{},
+	&handoffDoneMsg{}, &blockPutMsg{}, &blockFetchMsg{}, &blockChunkMsg{},
+}
+
+// newPayload returns a zero value of m's type, to decode into.
+func newPayload(m payload) payload {
+	return reflect.New(reflect.TypeOf(m).Elem()).Interface().(payload)
+}
+
+// roundTrip is one message with its encoding in hex. The want bytes pin the
+// wire format: a layout edit that reorders or retypes a field fails on them
+// even when it still round-trips.
+type roundTrip struct {
+	name string
+	msg  payload
+	want string
+}
+
+// roundTrips covers every payload type.
+func roundTrips() []roundTrip {
+	return []roundTrip{
+		{"hello", &helloMsg{ListenAddr: "127.0.0.1:7777"}, "0e3132372e302e302e313a37373737"},
+		{"welcome", &welcomeMsg{WorkerID: 2, Workers: 5}, "0205"},
+		{"job-start", &jobStartMsg{
 			TraceID: 0xfeedbeefcafe,
 			Job: Job{
 				App:         AppSpec{Name: "wc", Params: []byte{1, 2, 3}},
@@ -80,150 +97,79 @@ func TestMessageRoundTrips(t *testing.T) {
 			},
 			Peers: []string{"a:1", "b:2"},
 			Homes: []int{0, 1, 0, 1, 0, 1, 0},
-		},
-			func(p []byte) (any, error) { return decodeJobStart(p) },
-			jobStartMsg{
-				TraceID: 0xfeedbeefcafe,
-				Job: Job{
-					App:         AppSpec{Name: "wc", Params: []byte{1, 2, 3}},
-					Partitions:  7,
-					Collector:   core.BufferPool,
-					UseCombiner: true,
-					Compress:    true,
-					MaxAttempts: 3,
-				},
-				Peers: []string{"a:1", "b:2"},
-				Homes: []int{0, 1, 0, 1, 0, 1, 0},
-			}.encode()},
-		{"job-start-live", jobStartMsg{
+		}, "fe95bff7dbdd3f0277630301020307010101030203613a3103623a3207000100010001000000"},
+		{"job-start-live", &jobStartMsg{
 			Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3, MaxAttempts: 4},
 			Peers: []string{"a:1", "", "c:3"}, Homes: []int{0, 2, 0}, Epoch: 5, Live: true,
-		},
-			func(p []byte) (any, error) { return decodeJobStart(p) },
-			jobStartMsg{
-				Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3, MaxAttempts: 4},
-				Peers: []string{"a:1", "", "c:3"}, Homes: []int{0, 2, 0}, Epoch: 5, Live: true,
-			}.encode()},
-		{"map-task", mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")},
-			func(p []byte) (any, error) { return decodeMapTask(p) },
-			mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")}.encode()},
-		{"map-done", mapDoneMsg{Task: 1, Attempt: 1, Stats: attemptStats{
+		}, "000274730003000000040303613a310003633a33030002000501"},
+		{"map-task", &mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")},
+			"0402898080808080400a626c6f636b206461746100000000"},
+		{"map-done", &mapDoneMsg{Task: 1, Attempt: 1, Stats: attemptStats{
 			RecordsIn: 10, PairsOut: 20, PartRecords: 20, PartRuns: 3, PartRaw: 400, PartStored: 300,
-		}},
-			func(p []byte) (any, error) { return decodeMapDone(p) },
-			mapDoneMsg{Task: 1, Attempt: 1, Stats: attemptStats{
-				RecordsIn: 10, PairsOut: 20, PartRecords: 20, PartRuns: 3, PartRaw: 400, PartStored: 300,
-			}}.encode()},
-		{"task-fail", taskFailMsg{Task: 2, Attempt: 0, Reason: "injected"},
-			func(p []byte) (any, error) { return decodeTaskFail(p) },
-			taskFailMsg{Task: 2, Attempt: 0, Reason: "injected"}.encode()},
-		{"run-batch", runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 3, Entries: []runEntry{
+		}}, "01010a1414039003ac02"},
+		{"task-fail", &taskFailMsg{Task: 2, Attempt: 0, Reason: "injected"}, "020008696e6a6563746564"},
+		{"run-batch", &runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 3, Body: encode(&runEntries{
 			{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},
 			{Task: 3, Attempt: 1, Partition: 5, Records: 1, RawBytes: 11, Blob: []byte{1}},
-		}},
-			func(p []byte) (any, error) { return decodeRunBatch(p) },
-			runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 3, Entries: []runEntry{
-				{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},
-				{Task: 3, Attempt: 1, Partition: 5, Records: 1, RawBytes: 11, Blob: []byte{1}},
-			}}.encode()},
-		{"run-batch-deflate", runBatchMsg{Compressed: true, Entries: []runEntry{
+		})}, "2a83808080808080010012030102097b0003090807030105010b000101"},
+		{"run-batch-entries", &runEntries{
+			{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},
+			{Task: 3, Attempt: 1, Partition: 5, Records: 1, RawBytes: 11, Blob: []byte{1}},
+		}, "030102097b0003090807030105010b000101"},
+		{"run-batch-deflate", &runBatchMsg{Compressed: true, Body: encode(&runEntries{
 			{Task: 1, Attempt: 0, Partition: 0, Records: 4, RawBytes: 64, Blob: bytes.Repeat([]byte("run"), 40)},
-		}},
-			func(p []byte) (any, error) { return decodeRunBatch(p) },
-			runBatchMsg{Compressed: true, Entries: []runEntry{
-				{Task: 1, Attempt: 0, Partition: 0, Records: 4, RawBytes: 64, Blob: bytes.Repeat([]byte("run"), 40)},
-			}}.encode()},
-		{"mark", markMsg{Task: 6, Attempt: 2},
-			func(p []byte) (any, error) { return decodeMark(p) },
-			markMsg{Task: 6, Attempt: 2}.encode()},
-		{"reduce-task", reduceTaskMsg{Partition: 3, Attempt: 1, SpanID: 77},
-			func(p []byte) (any, error) { return decodeReduceTask(p) },
-			reduceTaskMsg{Partition: 3, Attempt: 1, SpanID: 77}.encode()},
-		{"reduce-done", reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")},
-			func(p []byte) (any, error) { return decodeReduceDone(p) },
-			reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")}.encode()},
-		{"peer-hello", peerHelloMsg{WorkerID: 4},
-			func(p []byte) (any, error) { return decodePeerHello(p) },
-			peerHelloMsg{WorkerID: 4}.encode()},
-		{"span-batch", spanBatchMsg{
+		})}, "0000013a04c04109c03000c5d03f98b02aca2110a8fcbe6ffbcfae6118866118866118866118866118866118866118866118866118866118c60b0000ffff"},
+		{"mark", &markMsg{Task: 6, Attempt: 2}, "0602"},
+		{"reduce-task", &reduceTaskMsg{Partition: 3, Attempt: 1, SpanID: 77}, "03014d"},
+		{"reduce-done", &reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")},
+			"0100370b057061697273"},
+		{"peer-hello", &peerHelloMsg{WorkerID: 4}, "04"},
+		{"span-batch", &spanBatchMsg{
 			TraceID: 0xabc, Node: 2, EpochUnixNano: 1700000000123456789,
 			Spans: []obs.Span{
-				{Node: 2, Stage: "map/kernel", Start: 0.001, End: 0.025, ID: 2<<48 | 1, Parent: 1 << 48},
+				{Node: 2, Stage: "map/kernel", Start: 0.001, End: 0.025, ID: 2<<48 | 1, Parent: 1 << 48,
+					Tags: map[string]string{"locality": "local", "block": "3"}},
 				{Node: 2, Stage: "net/send", Start: 0.010, End: 0.030, ID: 2<<48 | 2, Parent: 2<<48 | 1},
 			},
-		},
-			func(p []byte) (any, error) { return decodeSpanBatch(p) },
-			spanBatchMsg{
-				TraceID: 0xabc, Node: 2, EpochUnixNano: 1700000000123456789,
-				Spans: []obs.Span{
-					{Node: 2, Stage: "map/kernel", Start: 0.001, End: 0.025, ID: 2<<48 | 1, Parent: 1 << 48},
-					{Node: 2, Stage: "net/send", Start: 0.010, End: 0.030, ID: 2<<48 | 2, Parent: 2<<48 | 1},
-				},
-			}.encode()},
-		{"heartbeat-probe", hbMsg{Kind: hbProbe, T1: 1234567890},
-			func(p []byte) (any, error) { return decodeHB(p) },
-			hbMsg{Kind: hbProbe, T1: 1234567890}.encode()},
-		{"heartbeat-reply", hbMsg{Kind: hbReply, T1: 10, T2: -20, T3: 30},
-			func(p []byte) (any, error) { return decodeHB(p) },
-			hbMsg{Kind: hbReply, T1: 10, T2: -20, T3: 30}.encode()},
-		{"rejoin", rejoinMsg{WorkerID: 3, ListenAddr: "127.0.0.1:9", Epoch: 7},
-			func(p []byte) (any, error) { return decodeRejoin(p) },
-			rejoinMsg{WorkerID: 3, ListenAddr: "127.0.0.1:9", Epoch: 7}.encode()},
-		{"membership-death", membershipMsg{
+		}, "bc1502959a97ece39fe7cb17020a6d61702f6b65726e656cfcd3c697ddc998a83f9ab3e6cc99b3e6cc3f8180808080808001" +
+			"808080808080400205626c6f636b0133086c6f63616c697479056c6f63616c086e65742f73656e64fba8b8bd94dc9ec23f" +
+			"b8bd94dc9e8aaecf3f8280808080808001818080808080800100"},
+		{"heartbeat-probe", &hbMsg{Kind: hbProbe, T1: 1234567890}, "01d285d8cc040000"},
+		{"heartbeat-reply", &hbMsg{Kind: hbReply, T1: 10, T2: -20, T3: 30}, "020aecffffffffffffffff011e"},
+		{"rejoin", &rejoinMsg{WorkerID: 3, ListenAddr: "127.0.0.1:9", Epoch: 7}, "030b3132372e302e302e313a3907"},
+		{"membership-death", &membershipMsg{
 			Epoch: 4, Homes: []int{0, 2, 0, 2}, Alive: []bool{true, false, true},
 			Settled: []bool{true, false, false, true}, Joined: -1, Left: -1,
-		},
-			func(p []byte) (any, error) { return decodeMembership(p) },
-			membershipMsg{
-				Epoch: 4, Homes: []int{0, 2, 0, 2}, Alive: []bool{true, false, true},
-				Settled: []bool{true, false, false, true}, Joined: -1, Left: -1,
-			}.encode()},
-		{"membership-join", membershipMsg{
+		}, "040400020002030100010401000001ffffffffffffffffff0100ffffffffffffffffff01"},
+		{"membership-join", &membershipMsg{
 			Epoch: 5, Homes: []int{3, 2, 0, 2}, Alive: []bool{true, false, true, true},
 			Settled: []bool{false, false, false, false}, Joined: 3, JoinedAddr: "127.0.0.1:8", Left: -1,
-		},
-			func(p []byte) (any, error) { return decodeMembership(p) },
-			membershipMsg{
-				Epoch: 5, Homes: []int{3, 2, 0, 2}, Alive: []bool{true, false, true, true},
-				Settled: []bool{false, false, false, false}, Joined: 3, JoinedAddr: "127.0.0.1:8", Left: -1,
-			}.encode()},
-		{"membership-drain", membershipMsg{
+		}, "05040302000204010001010400000000030b3132372e302e302e313a38ffffffffffffffffff01"},
+		{"membership-drain", &membershipMsg{
 			Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
 			Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
-		},
-			func(p []byte) (any, error) { return decodeMembership(p) },
-			membershipMsg{
-				Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
-				Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
-			}.encode()},
-		{"handoff", handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
+		}, "06040302030204000001010401010000ffffffffffffffffff010000"},
+		{"handoff", &handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
 			{Task: 0, Records: 3, RawBytes: 30, Blob: []byte{1, 2, 3}},
 			{Task: 5, Records: 1, RawBytes: 9, Blob: []byte{4}},
-		}},
-			func(p []byte) (any, error) { return decodeHandoffBatch(p) },
-			handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
-				{Task: 0, Records: 3, RawBytes: 30, Blob: []byte{1, 2, 3}},
-				{Task: 5, Records: 1, RawBytes: 9, Blob: []byte{4}},
-			}}.encode()},
-		{"handoff-mark", handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4},
-			func(p []byte) (any, error) { return decodeHandoffMark(p) },
-			handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}.encode()},
-		{"handoff-done", handoffDoneMsg{Epoch: 2, Partition: 1},
-			func(p []byte) (any, error) { return decodeHandoffDone(p) },
-			handoffDoneMsg{Epoch: 2, Partition: 1}.encode()},
-		{"block-put", blockPutMsg{ID: 6, Data: []byte("replica bytes")},
-			func(p []byte) (any, error) { return decodeBlockPut(p) },
-			blockPutMsg{ID: 6, Data: []byte("replica bytes")}.encode()},
-		{"block-fetch", blockFetchMsg{ID: 6, Nonce: 1 << 40},
-			func(p []byte) (any, error) { return decodeBlockFetch(p) },
-			blockFetchMsg{ID: 6, Nonce: 1 << 40}.encode()},
-		{"block-chunk", blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")},
-			func(p []byte) (any, error) { return decodeBlockChunk(p) },
-			blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")}.encode()},
+		}}, "020100031e030102030501090104"},
+		{"handoff-mark", &handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}, "02010204"},
+		{"handoff-done", &handoffDoneMsg{Epoch: 2, Partition: 1}, "0201"},
+		{"block-put", &blockPutMsg{ID: 6, Data: []byte("replica bytes")}, "060d7265706c696361206279746573"},
+		{"block-fetch", &blockFetchMsg{ID: 6, Nonce: 1 << 40}, "06808080808020"},
+		{"block-chunk", &blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")},
+			"068080808080200101056368756e6b"},
 	}
-	for _, c := range checks {
-		got, err := c.decode(c.enc)
-		if err != nil {
+}
+
+func TestMessageRoundTrips(t *testing.T) {
+	for _, c := range roundTrips() {
+		p := encode(c.msg)
+		if got := hex.EncodeToString(p); got != c.want {
+			t.Errorf("%s: encoded\n got %s\nwant %s", c.name, got, c.want)
+		}
+		got := newPayload(c.msg)
+		if err := decode(p, got).fin(c.name); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !reflect.DeepEqual(got, c.msg) {
@@ -232,56 +178,96 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// FuzzPayloads fuzzes every payload decoder — each reads bytes another
+// process wrote. The first input byte selects the payload type and the rest
+// is decoded: decoding must never panic, and anything that decodes must
+// re-encode to bytes that decode to an equal value.
+func FuzzPayloads(f *testing.F) {
+	for _, c := range roundTrips() {
+		for i, pt := range payloadTypes {
+			if reflect.TypeOf(pt) == reflect.TypeOf(c.msg) {
+				p, _ := hex.DecodeString(c.want)
+				f.Add(append([]byte{byte(i)}, p...))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pt := payloadTypes[int(data[0])%len(payloadTypes)]
+		m := newPayload(pt)
+		if decode(data[1:], m).fin("fuzz") != nil {
+			return
+		}
+		m2 := newPayload(pt)
+		if err := decode(encode(m), m2).fin("fuzz"); err != nil {
+			t.Fatalf("%T: re-encoded payload does not decode: %v", m, err)
+		}
+		// %#v rather than DeepEqual: a decoded NaN span time is equal to
+		// itself bit for bit, not under ==.
+		if got, want := fmt.Sprintf("%#v", m2), fmt.Sprintf("%#v", m); got != want {
+			t.Fatalf("re-encode round trip diverged:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
 // TestDecodeCorrupt feeds every decoder truncated and trailing-garbage
 // payloads: all must error, none may panic.
 func TestDecodeCorrupt(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"hello":        func(p []byte) error { _, err := decodeHello(p); return err },
-		"welcome":      func(p []byte) error { _, err := decodeWelcome(p); return err },
-		"job-start":    func(p []byte) error { _, err := decodeJobStart(p); return err },
-		"map-task":     func(p []byte) error { _, err := decodeMapTask(p); return err },
-		"map-done":     func(p []byte) error { _, err := decodeMapDone(p); return err },
-		"task-fail":    func(p []byte) error { _, err := decodeTaskFail(p); return err },
-		"run-batch":    func(p []byte) error { _, err := decodeRunBatch(p); return err },
-		"mark":         func(p []byte) error { _, err := decodeMark(p); return err },
-		"reduce-task":  func(p []byte) error { _, err := decodeReduceTask(p); return err },
-		"reduce-done":  func(p []byte) error { _, err := decodeReduceDone(p); return err },
-		"rejoin":       func(p []byte) error { _, err := decodeRejoin(p); return err },
-		"membership":   func(p []byte) error { _, err := decodeMembership(p); return err },
-		"handoff":      func(p []byte) error { _, err := decodeHandoffBatch(p); return err },
-		"handoff-mark": func(p []byte) error { _, err := decodeHandoffMark(p); return err },
-		"handoff-done": func(p []byte) error { _, err := decodeHandoffDone(p); return err },
-		"block-put":    func(p []byte) error { _, err := decodeBlockPut(p); return err },
-		"block-fetch":  func(p []byte) error { _, err := decodeBlockFetch(p); return err },
-		"block-chunk":  func(p []byte) error { _, err := decodeBlockChunk(p); return err },
-		"peer-hello":   func(p []byte) error { _, err := decodePeerHello(p); return err },
-		"span-batch":   func(p []byte) error { _, err := decodeSpanBatch(p); return err },
-		"heartbeat":    func(p []byte) error { _, err := decodeHB(p); return err },
+		"hello":     func(p []byte) error { return decode(p, &helloMsg{}).fin("hello") },
+		"welcome":   func(p []byte) error { return decode(p, &welcomeMsg{}).fin("welcome") },
+		"job-start": func(p []byte) error { return decode(p, &jobStartMsg{}).fin("job-start") },
+		"map-task":  func(p []byte) error { return decode(p, &mapTaskMsg{}).fin("map-task") },
+		"map-done":  func(p []byte) error { return decode(p, &mapDoneMsg{}).fin("map-done") },
+		"task-fail": func(p []byte) error { return decode(p, &taskFailMsg{}).fin("task-fail") },
+		"run-batch": func(p []byte) error {
+			var m runBatchMsg
+			if err := decode(p, &m).fin("run-batch"); err != nil {
+				return err
+			}
+			return decode(m.Body, &runEntries{}).fin("run-batch entries")
+		},
+		"mark":         func(p []byte) error { return decode(p, &markMsg{}).fin("mark") },
+		"reduce-task":  func(p []byte) error { return decode(p, &reduceTaskMsg{}).fin("reduce-task") },
+		"reduce-done":  func(p []byte) error { return decode(p, &reduceDoneMsg{}).fin("reduce-done") },
+		"rejoin":       func(p []byte) error { return decode(p, &rejoinMsg{}).fin("rejoin") },
+		"membership":   func(p []byte) error { return decode(p, &membershipMsg{}).fin("membership") },
+		"handoff":      func(p []byte) error { return decode(p, &handoffBatchMsg{}).fin("handoff") },
+		"handoff-mark": func(p []byte) error { return decode(p, &handoffMarkMsg{}).fin("handoff-mark") },
+		"handoff-done": func(p []byte) error { return decode(p, &handoffDoneMsg{}).fin("handoff-done") },
+		"block-put":    func(p []byte) error { return decode(p, &blockPutMsg{}).fin("block-put") },
+		"block-fetch":  func(p []byte) error { return decode(p, &blockFetchMsg{}).fin("block-fetch") },
+		"block-chunk":  func(p []byte) error { return decode(p, &blockChunkMsg{}).fin("block-chunk") },
+		"peer-hello":   func(p []byte) error { return decode(p, &peerHelloMsg{}).fin("peer-hello") },
+		"span-batch":   func(p []byte) error { return decode(p, &spanBatchMsg{}).fin("span-batch") },
+		"heartbeat":    func(p []byte) error { return decode(p, &hbMsg{}).fin("heartbeat") },
 	}
 	samples := map[string][]byte{
-		"hello":       helloMsg{ListenAddr: "127.0.0.1:1"}.encode(),
-		"welcome":     welcomeMsg{WorkerID: 1, Workers: 3}.encode(),
-		"job-start":   jobStartMsg{Job: Job{App: AppSpec{Name: "wc"}, Partitions: 2}, Peers: []string{"x"}, Homes: []int{0, 1}}.encode(),
-		"map-task":    mapTaskMsg{Task: 1, Attempt: 0, Block: []byte("abc")}.encode(),
-		"map-done":    mapDoneMsg{Task: 1, Stats: attemptStats{RecordsIn: 5}}.encode(),
-		"task-fail":   taskFailMsg{Task: 1, Reason: "r"}.encode(),
-		"run-batch":   runBatchMsg{Entries: []runEntry{{Task: 1, Records: 2, Blob: []byte("bb")}}}.encode(),
-		"mark":        markMsg{Task: 1, Attempt: 1}.encode(),
-		"reduce-task": reduceTaskMsg{Partition: 1}.encode(),
-		"reduce-done": reduceDoneMsg{Partition: 1, Output: []byte("oo")}.encode(),
-		"rejoin":      rejoinMsg{WorkerID: 1, ListenAddr: "x", Epoch: 2}.encode(),
-		"membership": membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
-			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}.encode(),
-		"handoff":      handoffBatchMsg{Epoch: 1, Partition: 0, Entries: []handoffEntry{{Task: 2, Records: 1, Blob: []byte("h")}}}.encode(),
-		"handoff-mark": handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}.encode(),
-		"handoff-done": handoffDoneMsg{Epoch: 1, Partition: 0}.encode(),
-		"block-put":    blockPutMsg{ID: 1, Data: []byte("b")}.encode(),
-		"block-fetch":  blockFetchMsg{ID: 1, Nonce: 9}.encode(),
-		"block-chunk":  blockChunkMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}.encode(),
-		"peer-hello":   peerHelloMsg{WorkerID: 1}.encode(),
-		"span-batch": spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 99,
-			Spans: []obs.Span{{Stage: "reduce", Start: 1, End: 2, ID: 3}}}.encode(),
-		"heartbeat": hbMsg{Kind: hbReply, T1: 1, T2: 2, T3: 3}.encode(),
+		"hello":       encode(&helloMsg{ListenAddr: "127.0.0.1:1"}),
+		"welcome":     encode(&welcomeMsg{WorkerID: 1, Workers: 3}),
+		"job-start":   encode(&jobStartMsg{Job: Job{App: AppSpec{Name: "wc"}, Partitions: 2}, Peers: []string{"x"}, Homes: []int{0, 1}}),
+		"map-task":    encode(&mapTaskMsg{Task: 1, Attempt: 0, Block: []byte("abc")}),
+		"map-done":    encode(&mapDoneMsg{Task: 1, Stats: attemptStats{RecordsIn: 5}}),
+		"task-fail":   encode(&taskFailMsg{Task: 1, Reason: "r"}),
+		"run-batch":   encode(&runBatchMsg{Body: encode(&runEntries{{Task: 1, Records: 2, Blob: []byte("bb")}})}),
+		"mark":        encode(&markMsg{Task: 1, Attempt: 1}),
+		"reduce-task": encode(&reduceTaskMsg{Partition: 1}),
+		"reduce-done": encode(&reduceDoneMsg{Partition: 1, Output: []byte("oo")}),
+		"rejoin":      encode(&rejoinMsg{WorkerID: 1, ListenAddr: "x", Epoch: 2}),
+		"membership": encode(&membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
+			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}),
+		"handoff":      encode(&handoffBatchMsg{Epoch: 1, Partition: 0, Entries: []handoffEntry{{Task: 2, Records: 1, Blob: []byte("h")}}}),
+		"handoff-mark": encode(&handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}),
+		"handoff-done": encode(&handoffDoneMsg{Epoch: 1, Partition: 0}),
+		"block-put":    encode(&blockPutMsg{ID: 1, Data: []byte("b")}),
+		"block-fetch":  encode(&blockFetchMsg{ID: 1, Nonce: 9}),
+		"block-chunk":  encode(&blockChunkMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}),
+		"peer-hello":   encode(&peerHelloMsg{WorkerID: 1}),
+		"span-batch": encode(&spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 99,
+			Spans: []obs.Span{{Stage: "reduce", Start: 1, End: 2, ID: 3}}}),
+		"heartbeat": encode(&hbMsg{Kind: hbReply, T1: 1, T2: 2, T3: 3}),
 	}
 	for name, dec := range decoders {
 		good := samples[name]

@@ -183,7 +183,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	w.coord = newConn(c, "coord", tun, nil)
 	defer func() { w.coordConn().close() }()
 
-	w.coord.send(frame{typ: mJoin, payload: helloMsg{ListenAddr: w.lnAddr}.encode()})
+	w.coord.send(frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.lnAddr})})
 
 	if err := w.join(); err != nil {
 		return false, err
@@ -229,12 +229,12 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		// The FIFO connection guarantees the batch precedes our EOF, so the
 		// coordinator always has it by the time its reader drains. A killed
 		// or failed worker sends nothing — its partial timeline died with it.
-		cc.send(frame{typ: mSpanBatch, payload: spanBatchMsg{
+		cc.send(frame{typ: mSpanBatch, payload: encode(&spanBatchMsg{
 			TraceID:       w.traceID,
 			Node:          w.id,
 			EpochUnixNano: w.tr.epoch.UnixNano(),
 			Spans:         w.tr.spans(),
-		}.encode()})
+		})})
 		cc.flush()
 	}
 	cc.close()
@@ -297,8 +297,8 @@ func (w *worker) join() error {
 	if typ != mWelcome {
 		return fmt.Errorf("dist: expected welcome, got %s", typeName(typ))
 	}
-	wel, err := decodeWelcome(p)
-	if err != nil {
+	var wel welcomeMsg
+	if err := decode(p, &wel).fin("welcome"); err != nil {
 		return err
 	}
 	w.id, w.n = wel.WorkerID, wel.Workers
@@ -311,8 +311,8 @@ func (w *worker) join() error {
 	if typ != mJobStart {
 		return fmt.Errorf("dist: expected job-start, got %s", typeName(typ))
 	}
-	js, err := decodeJobStart(p)
-	if err != nil {
+	var js jobStartMsg
+	if err := decode(p, &js).fin("job-start"); err != nil {
 		return err
 	}
 	w.job = js.Job.withDefaults()
@@ -393,7 +393,7 @@ func (w *worker) setupPeers(ln net.Listener) error {
 		cc := newConn(c, fmt.Sprintf("peer%d", j), w.tun, w.onDrop)
 		cc.onBulkWrite = w.onBulkWrite
 		cc.onBulkTiming = w.onBulkTiming
-		cc.send(frame{typ: mPeerHello, payload: peerHelloMsg{WorkerID: w.id}.encode()})
+		cc.send(frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: w.id})})
 		if !w.registerPeer(j, cc) {
 			cc.close()
 			return fmt.Errorf("dist: duplicate peer %d", j)
@@ -442,8 +442,8 @@ func (w *worker) peerAcceptor(ln net.Listener) {
 				cc.close()
 				return
 			}
-			ph, err := decodePeerHello(p)
-			if err != nil || !w.registerPeer(ph.WorkerID, cc) {
+			var ph peerHelloMsg
+			if err := decode(p, &ph).fin("peer-hello"); err != nil || !w.registerPeer(ph.WorkerID, cc) {
 				cc.close()
 			}
 		}(c)
@@ -552,20 +552,20 @@ func (w *worker) coordLoop() error {
 				return err
 			}
 		case mMapTask:
-			m, err := decodeMapTask(p)
-			if err != nil {
+			var m mapTaskMsg
+			if err := decode(p, &m).fin("map-task"); err != nil {
 				return err
 			}
 			w.execCh <- execItem{mapTask: m}
 		case mReduceTask:
-			m, err := decodeReduceTask(p)
-			if err != nil {
+			var m reduceTaskMsg
+			if err := decode(p, &m).fin("reduce-task"); err != nil {
 				return err
 			}
 			w.execCh <- execItem{reduce: true, redTask: m}
 		case mMembership:
-			m, err := decodeMembership(p)
-			if err != nil {
+			var m membershipMsg
+			if err := decode(p, &m).fin("membership"); err != nil {
 				return err
 			}
 			w.handleMembership(m)
@@ -602,9 +602,9 @@ func (w *worker) redialCoord(deadline time.Time) bool {
 			continue
 		}
 		cc := newConn(c, "coord", w.tun, nil)
-		cc.send(frame{typ: mRejoin, payload: rejoinMsg{
+		cc.send(frame{typ: mRejoin, payload: encode(&rejoinMsg{
 			WorkerID: w.id, ListenAddr: w.lnAddr, Epoch: epoch,
-		}.encode()})
+		})})
 		w.mu.Lock()
 		old := w.coord
 		w.coord = cc
@@ -658,9 +658,9 @@ func (w *worker) runMap(m mapTaskMsg) {
 	t0 := time.Now()
 	block, locality, err := w.acquireBlock(m)
 	if err != nil {
-		w.coordSend(frame{typ: mMapFailed, payload: taskFailMsg{
+		w.coordSend(frame{typ: mMapFailed, payload: encode(&taskFailMsg{
 			Task: m.Task, Attempt: m.Attempt, Reason: err.Error(),
-		}.encode()})
+		})})
 		return
 	}
 	if locality != "" {
@@ -682,9 +682,9 @@ func (w *worker) runMap(m mapTaskMsg) {
 		// Fail before partitioning: like the sim core, a failed attempt has
 		// produced nothing durable and nothing has touched the wire.
 		chunk.Release()
-		w.coordSend(frame{typ: mMapFailed, payload: taskFailMsg{
+		w.coordSend(frame{typ: mMapFailed, payload: encode(&taskFailMsg{
 			Task: m.Task, Attempt: m.Attempt, Reason: "injected fault",
-		}.encode()})
+		})})
 		return
 	}
 
@@ -747,7 +747,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 			co.add(m.Task, m.Attempt, p, r, kernelID, epoch)
 		}
 	}
-	mark := markMsg{Task: m.Task, Attempt: m.Attempt}.encode()
+	mark := encode(&markMsg{Task: m.Task, Attempt: m.Attempt})
 	for _, j := range livePeers {
 		if coal[j] != nil {
 			coal[j].flush()
@@ -759,7 +759,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 	if pd == nil {
 		// Single-node cluster (or every peer dead): no barrier to wait on.
 		stats.Book(&w.led.Conserv)
-		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: m.Task, Attempt: m.Attempt, Stats: stats}.encode()})
+		w.coordSend(frame{typ: mMapDone, payload: encode(&mapDoneMsg{Task: m.Task, Attempt: m.Attempt, Stats: stats})})
 	}
 }
 
@@ -785,16 +785,16 @@ func (w *worker) runReduce(rt reduceTaskMsg) {
 	if err := spillErr(); err != nil {
 		// A spilled run failed to stream back: this partition's merge is
 		// incomplete, so fail the attempt instead of reporting short output.
-		w.coordSend(frame{typ: mReduceFailed, payload: taskFailMsg{
+		w.coordSend(frame{typ: mReduceFailed, payload: encode(&taskFailMsg{
 			Task: rt.Partition, Attempt: rt.Attempt, Reason: err.Error(),
-		}.encode()})
+		})})
 		return
 	}
 
-	w.coordSend(frame{typ: mReduceDone, payload: reduceDoneMsg{
+	w.coordSend(frame{typ: mReduceDone, payload: encode(&reduceDoneMsg{
 		Partition: rt.Partition, Attempt: rt.Attempt,
 		RecordsIn: recordsIn, GroupsIn: groups, Output: kv.Marshal(out),
-	}.encode()})
+	})})
 }
 
 // peerReader owns the inbound side of one peer link.
@@ -842,13 +842,17 @@ func (w *worker) onRunBatch(p []byte) {
 	// the frame payload — the cross-process edge of the trace (parent stays
 	// 0 when decode fails; the span still books the busy time).
 	defer func() { w.tr.record(stageNetRecv, t0, time.Now(), parent) }()
-	msg, err := decodeRunBatch(p)
-	if err != nil {
+	var msg runBatchMsg
+	if err := decode(p, &msg).fin("run-batch"); err != nil {
+		return
+	}
+	var entries runEntries
+	if err := decode(msg.Body, &entries).fin("run-batch entries"); err != nil {
 		return
 	}
 	parent = msg.SendSpan
 	var records int64
-	for _, re := range msg.Entries {
+	for _, re := range entries {
 		records += int64(re.Records)
 	}
 	w.mu.Lock()
@@ -858,7 +862,7 @@ func (w *worker) onRunBatch(p []byte) {
 		return
 	}
 	w.led.netRecv(records, int64(len(p)))
-	for _, re := range msg.Entries {
+	for _, re := range entries {
 		run := kv.NewRunView(re.Blob, re.Records, re.RawBytes, false)
 		w.store.stage(re.Task, re.Attempt, re.Partition, run, re.Epoch)
 	}
@@ -868,8 +872,8 @@ func (w *worker) onRunBatch(p []byte) {
 // worker neither commits nor acks — the sender's barrier is released by
 // the membership frame announcing its death instead.
 func (w *worker) onMark(cc *conn, p []byte) {
-	msg, err := decodeMark(p)
-	if err != nil {
+	var msg markMsg
+	if err := decode(p, &msg).fin("mark"); err != nil {
 		return
 	}
 	w.mu.Lock()
@@ -888,8 +892,8 @@ func (w *worker) onMark(cc *conn, p []byte) {
 // home. A killed destination drains the frame as net-lost, like any bulk
 // frame.
 func (w *worker) onHandoffBatch(p []byte) {
-	msg, err := decodeHandoffBatch(p)
-	if err != nil {
+	var msg handoffBatchMsg
+	if err := decode(p, &msg).fin("handoff"); err != nil {
 		return
 	}
 	var records int64
@@ -913,8 +917,8 @@ func (w *worker) onHandoffBatch(p []byte) {
 // the coordinator, which is counting adopted partitions to complete the
 // membership transition.
 func (w *worker) onHandoffMark(p []byte) {
-	msg, err := decodeHandoffMark(p)
-	if err != nil {
+	var msg handoffMarkMsg
+	if err := decode(p, &msg).fin("handoff-mark"); err != nil {
 		return
 	}
 	w.mu.Lock()
@@ -926,16 +930,16 @@ func (w *worker) onHandoffMark(p []byte) {
 	w.led.handoffIn.Add(adopted)
 	w.led.StoreDupDropped.Add(dup)
 	w.mu.Unlock()
-	w.coordSend(frame{typ: mHandoffDone, payload: handoffDoneMsg{
+	w.coordSend(frame{typ: mHandoffDone, payload: encode(&handoffDoneMsg{
 		Epoch: msg.Epoch, Partition: msg.Partition,
-	}.encode()})
+	})})
 }
 
 // onAck releases one peer from an attempt's commit barrier; the last ack
 // flushes the attempt's stats and reports map-done.
 func (w *worker) onAck(j int, p []byte) {
-	msg, err := decodeMark(p)
-	if err != nil {
+	var msg markMsg
+	if err := decode(p, &msg).fin("mark"); err != nil {
 		return
 	}
 	k := attemptKey{msg.Task, msg.Attempt}
@@ -951,7 +955,7 @@ func (w *worker) onAck(j int, p []byte) {
 	w.mu.Unlock()
 	if done != nil {
 		done.stats.Book(&w.led.Conserv)
-		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: k.task, Attempt: k.attempt, Stats: done.stats}.encode()})
+		w.coordSend(frame{typ: mMapDone, payload: encode(&mapDoneMsg{Task: k.task, Attempt: k.attempt, Stats: done.stats})})
 	}
 }
 
@@ -1048,7 +1052,7 @@ func (w *worker) handleMembership(m membershipMsg) {
 	}
 	for _, d := range done {
 		d.pd.stats.Book(&w.led.Conserv)
-		w.coordSend(frame{typ: mMapDone, payload: mapDoneMsg{Task: d.k.task, Attempt: d.k.attempt, Stats: d.pd.stats}.encode()})
+		w.coordSend(frame{typ: mMapDone, payload: encode(&mapDoneMsg{Task: d.k.task, Attempt: d.k.attempt, Stats: d.pd.stats})})
 	}
 	if len(moves) == 0 {
 		return
@@ -1096,7 +1100,7 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 	var bodyBytes int64
 	var recs int64
 	flush := func() {
-		payload := msg.encode()
+		payload := encode(&msg)
 		w.led.netSent(recs, int64(len(payload)))
 		w.led.frameBytes(5 + int64(len(payload)))
 		pc.send(frame{typ: mHandoff, payload: payload, bulk: true, records: recs, acct: int64(len(payload))})
@@ -1128,9 +1132,9 @@ func (w *worker) sendHandoff(part, dest, epoch int) {
 	if len(msg.Entries) > 0 {
 		flush()
 	}
-	pc.send(frame{typ: mHandoffMark, payload: handoffMarkMsg{
+	pc.send(frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{
 		Epoch: epoch, Partition: part, Runs: len(runs), Records: records,
-	}.encode()})
+	})})
 }
 
 // kill simulates this worker dying mid-job (loopback fault cells): the

@@ -61,7 +61,7 @@ type FleetStatus struct {
 }
 
 func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, FleetStatus{Total: s.fleet.Total(), Free: s.fleet.Free()})
+	writeJSON(w, http.StatusOK, s.fleetStatus())
 }
 
 // handleFleetResize is the elastic scaling hook: POST /fleet {"workers": n}

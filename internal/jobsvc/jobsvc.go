@@ -344,12 +344,17 @@ type tenantState struct {
 // Service is the resident coordinator. Create with New, serve its
 // Handler, and Close it to drain.
 type Service struct {
-	cfg   Config
-	reg   *obs.Registry
-	fleet *dist.Fleet
+	cfg Config
+	reg *obs.Registry
 
-	mu          sync.Mutex
-	cond        *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// fleet is the worker-slot budget every job's cluster draws from: a job
+	// holds as many slots as it runs workers, from dispatch until its cluster
+	// quiesces, so at most Total workers exist at once. Clusters share
+	// nothing else — each RunLoopback owns its listener, ledger and workers.
+	// Free reads negative after a shrink below current use.
+	fleet       FleetStatus
 	jobs        map[string]*job
 	order       []*job // submission order, for listing
 	tenants     map[string]*tenantState
@@ -394,7 +399,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:     cfg,
 		reg:     cfg.Metrics,
-		fleet:   dist.NewFleet(cfg.FleetWorkers),
+		fleet:   FleetStatus{Total: cfg.FleetWorkers, Free: cfg.FleetWorkers},
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]*tenantState),
 		stopCh:  make(chan struct{}),
@@ -454,14 +459,32 @@ func (s *Service) Metrics() *obs.Registry { return s.reg }
 // usage never preempts, it just gates new dispatches until running jobs
 // release the deficit.
 func (s *Service) ResizeFleet(n int) FleetStatus {
-	total := s.fleet.Resize(n)
+	n = max(n, 1)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fleet.Free += n - s.fleet.Total
+	s.fleet.Total = n
 	s.gaugeSlots()
-	s.event("fleet-resized", "workers", total, "free", s.fleet.Free())
+	s.event("fleet-resized", "workers", n, "free", s.fleet.Free)
 	s.counter("jobsvc_fleet_resize_total").Inc()
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	return FleetStatus{Total: total, Free: s.fleet.Free()}
+	return s.fleet
+}
+
+// fleetStatus reads the slot budget.
+func (s *Service) fleetStatus() FleetStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fleet
+}
+
+// releaseLocked returns n slots to the budget. Releasing more than was
+// acquired is an accounting bug and panics.
+func (s *Service) releaseLocked(n int) {
+	s.fleet.Free += n
+	if s.fleet.Free > s.fleet.Total {
+		panic("jobsvc: released fleet slots never acquired")
+	}
 }
 
 func (s *Service) counter(name string, labels ...obs.Label) *obs.Counter {
@@ -474,7 +497,7 @@ func (s *Service) gaugeQueue() {
 }
 
 func (s *Service) gaugeSlots() {
-	s.reg.Gauge("jobsvc_fleet_slots_free").Set(float64(s.fleet.Free()))
+	s.reg.Gauge("jobsvc_fleet_slots_free").Set(float64(s.fleet.Free))
 }
 
 // event writes one structured record to the journal, if one is configured.
@@ -595,7 +618,7 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	}
 	// Clamp to the live fleet capacity, not the boot-time config — the
 	// fleet can be resized while the service runs (POST /fleet).
-	if t := s.fleet.Total(); workers > t {
+	if t := s.fleetStatus().Total; workers > t {
 		workers = t
 	}
 	if req.RecordSize < 0 || req.Chunk < 0 || req.Partitions < 0 {

@@ -34,10 +34,10 @@ func (s *Service) scheduler() {
 		// A fleet shrink after admission can leave a queued job wanting more
 		// workers than the pool will ever hold again; clamp at dispatch so
 		// it runs smaller instead of blocking its class forever.
-		if t := s.fleet.Total(); j.opts.Workers > t {
+		if t := s.fleet.Total; j.opts.Workers > t {
 			j.opts.Workers = t
 		}
-		if !s.fleet.TryAcquire(j.opts.Workers) {
+		if j.opts.Workers > s.fleet.Free {
 			// The class leader does not fit the free slot budget. Wait for
 			// a release rather than dispatching around it: bypassing would
 			// let a stream of small jobs starve a big one and would break
@@ -45,6 +45,7 @@ func (s *Service) scheduler() {
 			s.cond.Wait()
 			continue
 		}
+		s.fleet.Free -= j.opts.Workers
 		s.dispatchLocked(j, rrIdx)
 	}
 }
@@ -113,8 +114,8 @@ func (s *Service) runJob(j *job) {
 	defer s.runWG.Done()
 	res, tel, err := s.runFn(j)
 
-	s.fleet.Release(j.opts.Workers)
 	s.mu.Lock()
+	s.releaseLocked(j.opts.Workers)
 	j.finished = time.Now()
 	j.tel = tel
 	j.opts.Blocks = nil // the run consumed them; free queue-sized memory early

@@ -2,8 +2,10 @@ package jobsvc
 
 import (
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -205,8 +207,8 @@ func TestSchedulerProperties(t *testing.T) {
 		}
 	}
 	s.mu.Unlock()
-	if free, total := s.fleet.Free(), s.fleet.Total(); free != total {
-		t.Errorf("fleet slots leaked: %d/%d free after drain", free, total)
+	if fl := s.fleetStatus(); fl.Free != fl.Total {
+		t.Errorf("fleet slots leaked: %d/%d free after drain", fl.Free, fl.Total)
 	}
 }
 
@@ -272,4 +274,101 @@ func TestEvictionIsPriced(t *testing.T) {
 	release <- struct{}{}
 	s.Close()
 	close(started)
+}
+
+// TestFleetResize pins the slot budget's accounting: a dispatch acquires a
+// job's workers and completion releases them; growth dispatches a blocked
+// job with no other event; a shrink below the slots in use preempts
+// nothing, reads as negative free slots on GET /fleet, and holds dispatch
+// until releases repay the deficit; releasing slots never acquired panics.
+func TestFleetResize(t *testing.T) {
+	started := make(chan *job)
+	release := make(chan struct{})
+	s := New(Config{FleetWorkers: 2})
+	defer s.Close()
+	s.runFn = func(j *job) (*dist.Result, *obs.Telemetry, error) {
+		started <- j
+		<-release
+		return &dist.Result{}, obs.NewTelemetry(), nil
+	}
+	submit := func(tenant string) {
+		t.Helper()
+		if _, apiErr := s.Submit(wcRequest(tenant, "normal", 2)); apiErr != nil {
+			t.Fatalf("submit %s: %v", tenant, apiErr)
+		}
+	}
+	dispatched := func() {
+		t.Helper()
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("blocked job never dispatched")
+		}
+	}
+	blocked := func() {
+		t.Helper()
+		select {
+		case j := <-started:
+			t.Fatalf("job %s dispatched with %+v", j.id, s.fleetStatus())
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	waitFleet := func(want FleetStatus) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.fleetStatus() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet %+v, want %+v", s.fleetStatus(), want)
+			}
+		}
+	}
+
+	submit("A")
+	dispatched()
+	waitFleet(FleetStatus{Total: 2, Free: 0})
+	submit("B")
+	blocked()
+
+	if got := s.ResizeFleet(4); got != (FleetStatus{Total: 4, Free: 2}) {
+		t.Fatalf("grow: %+v, want 4 total, 2 free", got)
+	}
+	dispatched()
+	waitFleet(FleetStatus{Total: 4, Free: 0})
+
+	if got := s.ResizeFleet(1); got != (FleetStatus{Total: 1, Free: -3}) {
+		t.Fatalf("shrink: %+v, want 1 total, -3 free", got)
+	}
+	s.mu.Lock()
+	running := s.runningJobs
+	s.mu.Unlock()
+	if running != 2 {
+		t.Fatalf("%d jobs running after the shrink, want both", running)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
+	var fl FleetStatus
+	if err := json.NewDecoder(rec.Body).Decode(&fl); err != nil || fl != (FleetStatus{Total: 1, Free: -3}) {
+		t.Fatalf("GET /fleet: %+v (%v), want 1 total, -3 free", fl, err)
+	}
+
+	submit("C") // clamped to the one-slot fleet
+	blocked()
+	release <- struct{}{}
+	waitFleet(FleetStatus{Total: 1, Free: -1})
+	blocked()
+	release <- struct{}{}
+	dispatched()
+	waitFleet(FleetStatus{Total: 1, Free: 0})
+	release <- struct{}{}
+	waitFleet(FleetStatus{Total: 1, Free: 1})
+
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		defer func() {
+			if recover() == nil {
+				t.Error("over-release did not panic")
+			}
+		}()
+		s.releaseLocked(1)
+	}()
 }
