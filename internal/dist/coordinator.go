@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"glasswing/internal/blockstore"
-	"glasswing/internal/kv"
 	"glasswing/internal/obs"
 )
 
@@ -205,10 +204,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}
 
 	start := time.Now()
-	traceID := o.TraceID
-	if traceID == 0 {
-		traceID = uint64(time.Now().UnixNano())
-	}
 	// The coordinator records its own scheduling spans as node -1 — the
 	// merged trace's "coordinator" process — and its epoch is the timeline
 	// every worker batch is rebased onto.
@@ -221,46 +216,16 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}
 
 	var (
-		ws    []*cworker // index by worker id; grows on join
-		homes []int
-		epoch int
-		sched *dsched
-		jn    *journal
+		ws     []*cworker // index by worker id; grows on join
+		st     = new(jobState)
+		sched  *dsched
+		jn     *journal
+		phase  = phaseMap
+		jobErr error
 	)
-	// Block-store namespace: holders[t] is the replica set of block t,
-	// computed once at formation width and journaled so a resumed coordinator
-	// reconstructs the same placement the workers' disks actually hold.
-	var holders [][]int
-	bsRepl := o.Replication
-	if bsRepl <= 0 {
-		bsRepl = 3
-	}
-	placeBlocks := func(width int) {
-		if o.Blockstore == "" || width <= 0 {
-			return
-		}
-		if o.Blockstore == "remote" && bsRepl >= width && width > 1 {
-			// Forced-remote needs a non-holder to run every task on.
-			bsRepl = width - 1
-		}
-		if bsRepl > width {
-			bsRepl = width
-		}
-		holders = blockstore.Place(nTasks, width, bsRepl)
-	}
-	interPairs := make([]int64, nTasks) // per task, last winning attempt
-	outputs := make([][]kv.Pair, o.Job.Partitions)
-	donePart := make([]bool, o.Job.Partitions)
-	donePartCount := 0
+	// reduceAttempt[p] is the attempt partition p's next reduce task runs
+	// under; a reduce-phase death cancels the wave and bumps it.
 	reduceAttempt := make([]int, o.Job.Partitions)
-	// settledResident[p] is how many committed records still live at
-	// partition p's home after its output was accepted. If that home dies,
-	// the records are settled — consumed by a final output, then lost with
-	// the store — not recoverable losses; the death handler books them so
-	// the conservation ledger stays exact. Zeroed once booked: the data
-	// existed on exactly one store, and nothing re-ships to a settled
-	// partition.
-	settledResident := make([]int64, o.Job.Partitions)
 
 	defer func() {
 		for _, cw := range ws {
@@ -271,6 +236,38 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}()
 	defer func() { jn.close() }()
 
+	fail := func(err error) {
+		if jobErr == nil {
+			jobErr = err
+		}
+		phase = phaseDone
+		for _, cw := range ws {
+			if cw != nil && cw.cc != nil {
+				cw.cc.close() // hard: unblock every reader
+			}
+		}
+	}
+	// commit makes one change to the job's journaled state: the record is
+	// durable, when journaling, before apply changes the state, and callers
+	// broadcast the change only once commit reports success. p is the
+	// record's bytes when the caller already holds them (a worker's map-done
+	// or reduce-done payload); nil encodes r.
+	commit := func(typ byte, r payload, p []byte) bool {
+		if jn != nil {
+			if p == nil {
+				p = encode(r)
+			}
+			if err := jn.append(typ, p); err != nil {
+				fail(err)
+				return false
+			}
+		}
+		if err := st.apply(r); err != nil {
+			fail(fmt.Errorf("dist: %w", err))
+			return false
+		}
+		return true
+	}
 	// liveness is the alive set by worker id. The journal records a drain
 	// target alive until its drain completes; announced, it is dead to its
 	// peers once the frame naming it Left has gone out, never while the drain
@@ -286,7 +283,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	// from current state.
 	membership := func(joined, left int) frame {
 		m := membershipMsg{
-			Epoch: epoch, Homes: homes, Alive: liveness(true), Settled: donePart,
+			Epoch: st.Epoch, Homes: st.Homes, Alive: liveness(true), Settled: st.done,
 			Joined: joined, Left: left,
 		}
 		if joined >= 0 {
@@ -294,30 +291,42 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		return frame{typ: mMembership, payload: encode(&m)}
 	}
-	// membershipRec is the journal's membership record of current state.
-	membershipRec := func() *membershipRecord {
-		return &membershipRecord{
-			Epoch: epoch, Homes: homes, Alive: liveness(false), Attempt: sched.attempt,
-			Joined: res.WorkersJoined, Drained: res.WorkersDrained, Lost: res.WorkersLost,
-		}
+	// nextEpoch is the membership record of the next epoch as things stand:
+	// the caller edits in its change, then commits it.
+	nextEpoch := func() *membershipRecord {
+		r := st.membershipRecord
+		r.Epoch++
+		r.Homes = append([]int(nil), r.Homes...)
+		r.Attempt = append([]int(nil), r.Attempt...)
+		r.Alive = liveness(false)
+		return &r
 	}
-	// adopt installs a worker re-attaching to a resumed coordinator under its
-	// old id, padding the membership with dead slots up to it: resume
-	// formation and a straggler's late rejoin alike.
-	adopt := func(m rejoinMsg, cc *conn) {
-		for len(ws) <= m.WorkerID {
+	// adopt installs a worker under id, padding the membership with dead
+	// slots up to it: formation, a live joiner, and a worker re-attaching to
+	// a resumed coordinator under its old id.
+	adopt := func(id int, addr string, cc *conn, state int) {
+		for len(ws) <= id {
 			ws = append(ws, &cworker{state: wActive})
 		}
-		cw := &cworker{cc: cc, addr: m.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
-		ws[m.WorkerID] = cw
+		cw := &cworker{cc: cc, addr: addr, alive: true, state: state, clock: &clockEstimator{}}
+		ws[id] = cw
+		// Only the coordinator probes; the worker side just echoes. The
+		// initial probe burst lands during formation, before shuffle traffic
+		// can queue behind it.
 		cc.enableClock(cw.clock, tun.heartbeatEvery)
 		if sched != nil {
-			sched.join(m.WorkerID)
+			sched.join(id)
 		}
 	}
 
+	// ----- formation -----
+	// A fresh job admits the first n workers to send mJoin, numbered in
+	// order of arrival. A resumed one replays the journal and waits for
+	// every journaled-live worker's mRejoin under its old id. Anything else
+	// is turned away.
+	first := mJoin
+	need := make(map[int]bool) // resume: journaled-live workers yet to rejoin
 	if o.Resume {
-		// ----- resume formation: replay the journal, collect rejoins -----
 		if o.JournalPath == "" {
 			return nil, fmt.Errorf(resumeRefused + ": no journal path configured")
 		}
@@ -325,101 +334,140 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		if err != nil {
 			return nil, fmt.Errorf(resumeRefused+": %v", err)
 		}
-		rs, err := replayJournal(data)
-		if err != nil {
+		if st, err = replayJournal(data); err != nil {
 			return nil, err
 		}
-		if err := rs.validateResume(&o); err != nil {
+		if err := st.validateResume(&o); err != nil {
 			return nil, err
 		}
-		if rs.Mode != "" {
-			// Rebuild the namespace exactly as formed: the journaled width and
-			// replication reproduce the placement the workers' disks hold, so
-			// resume never re-ingests — rejoining workers still have their
-			// replicas, and dead holders fall out at dispatch time.
-			bsRepl = rs.Repl
-			placeBlocks(rs.Width)
-		}
-		traceID = rs.TraceID
-		epoch = rs.Epoch
-		homes = append([]int(nil), rs.Homes...)
-		ws = make([]*cworker, len(rs.Alive))
-		need := make(map[int]bool)
-		for i, a := range rs.Alive {
+		first = mRejoin
+		ws = make([]*cworker, len(st.Alive))
+		for i, a := range st.Alive {
 			if a {
 				need[i] = true
 			} else {
 				ws[i] = &cworker{state: wActive}
 			}
 		}
-		deadline := time.Now().Add(acceptTimeout)
-		for len(need) > 0 {
-			if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-				d.SetDeadline(deadline)
-			}
-			c, err := ln.Accept()
-			if err != nil {
-				return nil, fmt.Errorf("dist: resume: awaiting %d workers to rejoin: %w", len(need), err)
-			}
-			cc := newConn(c, "rejoin", tun, nil)
-			typ, p, err := cc.recv()
-			if err != nil || typ != mRejoin {
+	}
+	missing := func() int {
+		if o.Resume {
+			return len(need)
+		}
+		return n - len(ws)
+	}
+	for missing() > 0 {
+		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+			d.SetDeadline(time.Now().Add(acceptTimeout))
+		}
+		c, err := ln.Accept()
+		if err != nil {
+			return nil, fmt.Errorf("dist: forming the cluster: awaiting %d more workers: %w", missing(), err)
+		}
+		cc := newConn(c, "worker", tun, nil)
+		typ, p, err := cc.recv()
+		if err != nil || typ != first {
+			cc.close()
+			continue
+		}
+		if typ == mJoin {
+			var h helloMsg
+			if decode(p, &h).fin("hello") != nil {
 				cc.close()
 				continue
 			}
-			var m rejoinMsg
-			if err := decode(p, &m).fin("rejoin"); err != nil {
-				cc.close()
-				continue
-			}
-			switch {
-			case m.Epoch > epoch:
-				cc.close()
-				return nil, fmt.Errorf(resumeRefused+": worker %d is at epoch %d, ahead of the journal's %d",
-					m.WorkerID, m.Epoch, epoch)
-			case m.WorkerID >= 0 && m.WorkerID < len(ws) && need[m.WorkerID]:
-				adopt(m, cc)
-				delete(need, m.WorkerID)
-			case m.WorkerID >= len(ws):
-				// Admitted after the journal's last membership record (a join
-				// whose transition never started before the crash): adopt it
-				// as a full member owning no partitions — the peer mesh it
-				// built before the crash is intact.
-				adopt(m, cc)
-			default:
-				// The journal says this worker already left (drained or its
-				// rejoin slot is already filled): let it exit cleanly.
-				cc.send(frame{typ: mDrained})
-				cc.flush()
-				cc.close()
+			adopt(len(ws), h.ListenAddr, cc, wActive)
+			continue
+		}
+		var m rejoinMsg
+		switch {
+		case decode(p, &m).fin("rejoin") != nil:
+			cc.close()
+		case m.Epoch > st.Epoch:
+			cc.close()
+			return nil, fmt.Errorf(resumeRefused+": worker %d is at epoch %d, ahead of the journal's %d",
+				m.WorkerID, m.Epoch, st.Epoch)
+		case m.WorkerID >= len(ws) || need[m.WorkerID]:
+			// Beyond the journal's membership is a worker admitted after its
+			// last membership record (a join whose transition never started
+			// before the crash): adopt it as a full member owning no
+			// partitions — the peer mesh it built before the crash is intact.
+			adopt(m.WorkerID, m.ListenAddr, cc, wActive)
+			delete(need, m.WorkerID)
+		default:
+			// The journal says this worker already left (drained or its
+			// rejoin slot is already filled): let it exit cleanly.
+			cc.send(frame{typ: mDrained})
+			cc.flush()
+			cc.close()
+		}
+	}
+
+	if !o.Resume {
+		// The job's first records: its identity, its block-store namespace and
+		// the formation epoch.
+		if o.JournalPath != "" {
+			var err error
+			if jn, err = createJournal(o.JournalPath); err != nil {
+				return nil, err
 			}
 		}
-		jn, err = openJournalAppend(o.JournalPath)
-		if err != nil {
+		traceID := o.TraceID
+		if traceID == 0 {
+			traceID = uint64(time.Now().UnixNano())
+		}
+		commit(jrJobStart, &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: traceID, Digest: blocksDigest(o.Blocks)}, nil)
+		if o.Blockstore != "" {
+			// Block b's replicas are computed once, at formation width, and
+			// journaled so a resumed coordinator reconstructs the placement
+			// the workers' disks actually hold.
+			repl := o.Replication
+			if repl <= 0 {
+				repl = 3
+			}
+			if o.Blockstore == "remote" && repl >= n && n > 1 {
+				repl = n - 1 // forced-remote needs a non-holder to run every task on
+			}
+			commit(jrNamespace, &namespaceRecord{Mode: o.Blockstore, Repl: min(repl, n), Width: n}, nil)
+		}
+		homes := make([]int, o.Job.Partitions)
+		for p := range homes {
+			homes[p] = p % n
+		}
+		commit(jrMembership, &membershipRecord{Homes: homes, Alive: liveness(false), Attempt: make([]int, nTasks)}, nil)
+		if jobErr != nil {
+			return nil, jobErr
+		}
+	}
+	// Block-store namespace: holders[t] is the replica set of block t. Resume
+	// never re-ingests — rejoining workers still have their replicas, and
+	// dead holders fall out at dispatch time.
+	var holders [][]int
+	if st.Mode != "" {
+		holders = blockstore.Place(nTasks, st.Width, st.Repl)
+	}
+	var prefer []int
+	if holders != nil && !o.Resume {
+		prefer = make([]int, nTasks)
+		for t := range prefer {
+			if o.Blockstore == "remote" {
+				// First worker past the replica window: never a holder.
+				prefer[t] = (t + len(holders[t])) % n
+			} else {
+				// holders[t][0] is t%n, so the locality-preferring deal keeps
+				// the classic deal's balance exactly.
+				prefer[t] = holders[t][0]
+			}
+		}
+	}
+	sched = newSched(st, len(ws), o.Job.MaxAttempts, prefer, liveness(false))
+
+	if o.Resume {
+		res.Resumed = true
+		var err error
+		if jn, err = openJournalAppend(o.JournalPath); err != nil {
 			return nil, err
 		}
-		sched = newSchedResume(nTasks, len(ws), o.Job.MaxAttempts, rs.resolved, rs.Attempt, liveness(false))
-		for t := 0; t < nTasks; t++ {
-			if rs.resolved[t] {
-				interPairs[t] = rs.stats[t].PairsOut
-			}
-		}
-		for p, out := range rs.outputs {
-			pairs, err := kv.Unmarshal(out)
-			if err != nil {
-				return nil, fmt.Errorf(resumeRefused+": journaled output for partition %d: %v", p, err)
-			}
-			outputs[p] = pairs
-			donePart[p] = true
-			donePartCount++
-			reduceAttempt[p] = rs.reduceAt[p]
-			settledResident[p] = rs.records[p]
-			res.OutputPairs += len(pairs)
-		}
-		res.WorkersJoined = rs.Joined
-		res.WorkersDrained = rs.Drained
-		res.WorkersLost = rs.Lost
-		res.Resumed = true
 		// Re-sync every rejoined worker: the refresh carries the journaled
 		// epoch, homes, liveness and settled set, so a worker that missed a
 		// crash-window broadcast applies it now — including any handoff it
@@ -432,73 +480,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 		}
 	} else {
-		// ----- fresh formation: worker ids in order of arrival -----
-		ws = make([]*cworker, n)
-		for i := 0; i < n; i++ {
-			if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-				d.SetDeadline(time.Now().Add(acceptTimeout))
-			}
-			c, err := ln.Accept()
-			if err != nil {
-				return nil, fmt.Errorf("dist: awaiting worker %d/%d: %w", i+1, n, err)
-			}
-			cc := newConn(c, fmt.Sprintf("worker%d", i), tun, nil)
-			typ, p, err := cc.recv()
-			if err != nil || typ != mJoin {
-				cc.close()
-				return nil, fmt.Errorf("dist: bad join from worker %d (%s): %v", i, typeName(typ), err)
-			}
-			var h helloMsg
-			if err := decode(p, &h).fin("hello"); err != nil {
-				cc.close()
-				return nil, err
-			}
-			ws[i] = &cworker{cc: cc, addr: h.ListenAddr, alive: true, state: wActive, clock: &clockEstimator{}}
-			// Only the coordinator probes; the worker side just echoes. The
-			// initial probe burst lands during formation, before shuffle
-			// traffic can queue behind it.
-			ws[i].cc.enableClock(ws[i].clock, tun.heartbeatEvery)
-		}
-		homes = make([]int, o.Job.Partitions)
-		for p := range homes {
-			homes[p] = p % n
-		}
-		placeBlocks(n)
-		var prefer []int
-		if holders != nil {
-			prefer = make([]int, nTasks)
-			for t := range prefer {
-				if o.Blockstore == "remote" {
-					// First worker past the replica window: never a holder.
-					prefer[t] = (t + len(holders[t])) % n
-				} else {
-					// holders[t][0] is t%n, so the locality-preferring deal
-					// keeps the classic deal's balance exactly.
-					prefer[t] = holders[t][0]
-				}
-			}
-		}
-		sched = newSchedAffinity(nTasks, n, o.Job.MaxAttempts, prefer)
-		if o.JournalPath != "" {
-			var err error
-			jn, err = createJournal(o.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := jn.append(jrJobStart, encode(&jobRecord{
-				Job: o.Job, Tasks: nTasks, TraceID: traceID, Digest: blocksDigest(o.Blocks),
-			})); err != nil {
-				return nil, err
-			}
-			if o.Blockstore != "" {
-				if err := jn.append(jrNamespace, encode(&namespaceRecord{Mode: o.Blockstore, Repl: bsRepl, Width: n})); err != nil {
-					return nil, err
-				}
-			}
-			if err := jn.append(jrMembership, encode(membershipRec())); err != nil {
-				return nil, err
-			}
-		}
 		peers := make([]string, n)
 		for i, cw := range ws {
 			peers[i] = cw.addr
@@ -506,7 +487,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		for i, cw := range ws {
 			cw.cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: i, Workers: n})})
 			cw.cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
-				Job: o.Job, TraceID: traceID, Peers: peers, Homes: homes, Epoch: 0, Live: false,
+				Job: o.Job, TraceID: st.TraceID, Peers: peers, Homes: st.Homes, Epoch: 0, Live: false,
 			})})
 		}
 		// Ingest the namespace: push every block to each of its replica
@@ -596,8 +577,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 	}
 
-	phase := phaseMap
-	var jobErr error
 	reduceOutstanding := 0
 	var mapElapsed time.Duration
 	var reduceStart time.Time
@@ -661,7 +640,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}
 
 	var (
-		fail                func(error)
 		fill                func()
 		maybeReduce         func()
 		finishJob           func()
@@ -672,10 +650,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		death               func(int)
 	)
 
-	// rehome moves every partition homed on a leaving worker — dead or
-	// draining — across the active survivors, deterministically: ascending
+	// rehome moves every partition homes places on a leaving worker — dead
+	// or draining — across the active survivors, deterministically: ascending
 	// partitions, cycling ascending ids. It returns the partitions moved.
-	rehome := func(from int) map[int]bool {
+	rehome := func(homes []int, from int) map[int]bool {
 		surv := activeIDs(from)
 		moved := make(map[int]bool)
 		for p, h := range homes {
@@ -685,27 +663,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 		}
 		return moved
-	}
-
-	journalMembership := func() {
-		if jn == nil {
-			return
-		}
-		if err := jn.append(jrMembership, encode(membershipRec())); err != nil {
-			fail(err)
-		}
-	}
-
-	fail = func(err error) {
-		if jobErr == nil {
-			jobErr = err
-		}
-		phase = phaseDone
-		for _, cw := range ws {
-			if cw != nil && cw.cc != nil {
-				cw.cc.close() // hard: unblock every reader
-			}
-		}
 	}
 
 	// mapSlots is how many map tasks a worker may hold at once; the wire
@@ -732,8 +689,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 					break
 				}
 				id, endSpan := ctr.span(stageSchedAssign, 0)
-				assignSpans[attemptKey{t, sched.attempt[t]}] = endSpan
-				msg := mapTaskMsg{Task: t, Attempt: sched.attempt[t], SpanID: id}
+				assignSpans[attemptKey{t, st.Attempt[t]}] = endSpan
+				msg := mapTaskMsg{Task: t, Attempt: st.Attempt[t], SpanID: id}
 				if holders == nil {
 					msg.Block = o.Blocks[t]
 				} else {
@@ -780,7 +737,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	maybeReduce = func() {
 		if phase != phaseMap || jobErr != nil || len(pendingKills) > 0 ||
 			pendingMembership > 0 || activeT != nil || len(queuedT) > 0 ||
-			sched.resolvedCount != sched.total {
+			st.resolvedCount != st.Tasks {
 			return
 		}
 		phase = phaseReduce
@@ -789,12 +746,12 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		reduceStart = time.Now()
 		for p := 0; p < o.Job.Partitions; p++ {
-			if donePart[p] {
+			if st.done[p] {
 				continue // accepted before a restart or recovery; output is final
 			}
 			id, endSpan := ctr.span(stageSchedReduce, 0)
 			reduceSpans[p] = endSpan
-			ws[homes[p]].cc.send(frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
+			ws[st.Homes[p]].cc.send(frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
 				Partition: p, Attempt: reduceAttempt[p], SpanID: id,
 			})})
 			reduceOutstanding++
@@ -809,9 +766,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	fireEvents = func() {
 		for jobErr == nil && eventIdx < len(o.Elastic) {
 			e := o.Elastic[eventIdx]
-			trigger, threshold := sched.resolvedCount, e.AfterMapDone
+			trigger, threshold := st.resolvedCount, e.AfterMapDone
 			if e.AfterReduceDone > 0 {
-				trigger, threshold = donePartCount, e.AfterReduceDone
+				trigger, threshold = st.doneCount, e.AfterReduceDone
 			}
 			// A fired kill lands asynchronously. Hold later events until its
 			// death is observed (death re-runs fireEvents), or a drain that
@@ -904,8 +861,8 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			return
 		}
 		t := activeT
-		epoch++
-		t.epoch = epoch
+		rec := nextEpoch()
+		homes := rec.Homes
 		joined, left := t.target, -1
 		if t.kind == "join" {
 			t.pending = make(map[int]bool)
@@ -936,11 +893,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 					}
 				}
 			}
-			res.WorkersJoined++
+			rec.Joined++
 		} else {
 			joined, left = -1, t.target
-			t.pending = rehome(t.target)
-			sched.drain(t.target, schedAlive())
+			t.pending = rehome(homes, t.target)
 		}
 		// Write-ahead: journal the new epoch before any worker hears of it.
 		// A drain journals the target still data-alive — a resume must accept
@@ -948,17 +904,18 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		// the frame naming it Left announces it compute-dead, so peers stop
 		// counting it in commit barriers and it flushes and hands off. The
 		// second journal record at completion retires it fully.
-		journalMembership()
-		if jobErr != nil {
+		if !commit(jrMembership, rec, nil) {
 			return
 		}
+		t.epoch = st.Epoch
 		if left >= 0 {
+			sched.drain(left, schedAlive())
 			ws[left].left = true
 		}
 		broadcast(membership(joined, left))
 		t.started = true
 		if o.Journal != nil {
-			o.Journal.Info("rehome", "kind", t.kind, "target", t.target, "epoch", epoch, "moved", len(t.pending))
+			o.Journal.Info("rehome", "kind", t.kind, "target", t.target, "epoch", st.Epoch, "moved", len(t.pending))
 		}
 		if len(t.pending) == 0 {
 			completeTransition()
@@ -986,19 +943,18 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				}
 			}
 		} else {
-			epoch++
 			cw := ws[t.target]
 			cw.alive = false
 			cw.state = wDrained
-			res.WorkersDrained++
-			journalMembership()
-			if jobErr != nil {
+			rec := nextEpoch()
+			rec.Drained++
+			if !commit(jrMembership, rec, nil) {
 				return
 			}
 			cw.cc.send(frame{typ: mDrained})
 		}
 		if o.Journal != nil {
-			o.Journal.Info("membership-complete", "kind", t.kind, "target", t.target, "epoch", epoch)
+			o.Journal.Info("membership-complete", "kind", t.kind, "target", t.target, "epoch", st.Epoch)
 		}
 		fireEvents() // a drain/kill deferred on this join's completion can fire now
 		startNextTransition()
@@ -1014,7 +970,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		cw.alive = false
 		cw.outstanding = 0
 		wasJoining := cw.state == wJoining
-		res.WorkersLost++
 		delete(pendingKills, w)
 		if o.Journal != nil {
 			o.Journal.Info("worker-dead", "worker", w, "live", countLive())
@@ -1080,19 +1035,24 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		// Accepted outputs whose home just died take their resident records
 		// with them: the dying store books them lost, so book them settled
-		// here or the ledger reads them as recoverable losses. Zeroing makes
-		// a second death of the partition's (empty-handed) next home book 0.
-		for p, h := range homes {
-			if h == w && donePart[p] {
-				led.storeSettled.Add(settledResident[p])
-				settledResident[p] = 0
+		// here or the ledger reads them as recoverable losses. The record
+		// announcing the death zeroes them, so a second death of the
+		// partition's (empty-handed) next home books 0.
+		for p, h := range st.Homes {
+			if h == w && st.done[p] {
+				led.storeSettled.Add(st.resident[p])
 			}
 		}
-		if donePartCount == o.Job.Partitions {
+		rec := nextEpoch()
+		rec.Lost++
+		rehome(rec.Homes, w)
+		if st.doneCount == o.Job.Partitions {
 			// Every partition's output was already accepted — final by
-			// definition — so the death recovers nothing. Finish instead of
-			// re-executing the world.
-			finishJob()
+			// definition — so the death recovers nothing. Record it and
+			// finish instead of re-executing the world.
+			if commit(jrMembership, rec, nil) {
+				finishJob()
+			}
 			return
 		}
 		if phase == phaseReduce {
@@ -1109,16 +1069,15 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				delete(reduceSpans, p)
 			}
 			for p := 0; p < o.Job.Partitions; p++ {
-				if !donePart[p] {
+				if !st.done[p] {
 					reduceAttempt[p]++
 				}
 			}
 		}
-		rehome(w)
-		epoch++
-		sched.death(w, schedAlive())
-		journalMembership()
-		if jobErr != nil {
+		for _, t := range sched.death(w, schedAlive()) {
+			rec.Attempt[t]++
+		}
+		if !commit(jrMembership, rec, nil) {
 			return
 		}
 		broadcast(membership(-1, -1))
@@ -1157,10 +1116,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 					continue
 				}
 				id := len(ws)
-				cw := &cworker{cc: cc, addr: h.ListenAddr, alive: true, state: wJoining, clock: &clockEstimator{}}
-				ws = append(ws, cw)
-				sched.join(id)
-				cc.enableClock(cw.clock, tun.heartbeatEvery)
+				adopt(id, h.ListenAddr, cc, wJoining)
 				ps := make([]string, len(ws))
 				for i, w2 := range ws {
 					if w2 != nil && w2.alive && w2.cc != nil {
@@ -1169,7 +1125,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				}
 				cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: id, Workers: len(ws)})})
 				cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
-					Job: o.Job, TraceID: traceID, Peers: ps, Homes: homes, Epoch: epoch, Live: true,
+					Job: o.Job, TraceID: st.TraceID, Peers: ps, Homes: st.Homes, Epoch: st.Epoch, Live: true,
 				})})
 				startReader(id, cc)
 				if o.Journal != nil {
@@ -1181,11 +1137,11 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				// last membership record, rejoining late (after resume
 				// formation already closed). Adopt it like the formation path.
 				var m rejoinMsg
-				if err := decode(ev.payload, &m).fin("rejoin"); err != nil || m.WorkerID < len(ws) || m.Epoch > epoch {
+				if err := decode(ev.payload, &m).fin("rejoin"); err != nil || m.WorkerID < len(ws) || m.Epoch > st.Epoch {
 					cc.close()
 					continue
 				}
-				adopt(m, cc)
+				adopt(m.WorkerID, m.ListenAddr, cc, wActive)
 				cc.send(membership(-1, -1))
 				startReader(m.WorkerID, cc)
 				fill()
@@ -1218,11 +1174,12 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		switch ev.typ {
 		case mMapDone:
-			var m mapDoneMsg
-			if err := decode(ev.payload, &m).fin("map-done"); err != nil {
+			r, err := decodeRecord(jrMapDone, ev.payload)
+			if err != nil {
 				fail(err)
 				continue
 			}
+			m := r.(*mapDoneMsg)
 			// Clamp rather than decrement blindly: a resumed coordinator can
 			// receive reports for attempts dispatched before the crash.
 			if ws[ev.w].outstanding > 0 {
@@ -1232,14 +1189,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				end()
 				delete(assignSpans, attemptKey{m.Task, m.Attempt})
 			}
-			if sched.done(m.Task, m.Attempt) {
-				interPairs[m.Task] = m.Stats.PairsOut
-				if jn != nil {
-					// The journal record is the payload itself.
-					if err := jn.append(jrMapDone, ev.payload); err != nil {
-						fail(err)
-						continue
-					}
+			if st.current(m.Task, m.Attempt) {
+				// The journal record is the payload itself.
+				if !commit(jrMapDone, m, ev.payload) {
+					continue
 				}
 				fireEvents()
 			}
@@ -1286,11 +1239,12 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				completeTransition()
 			}
 		case mReduceDone:
-			var m reduceDoneMsg
-			if err := decode(ev.payload, &m).fin("reduce-done"); err != nil {
+			r, err := decodeRecord(jrReduceDone, ev.payload)
+			if err != nil {
 				fail(err)
 				continue
 			}
+			m := r.(*reduceDone)
 			if m.Partition < 0 || m.Partition >= o.Job.Partitions {
 				fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
 				continue
@@ -1303,30 +1257,17 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				end()
 				delete(reduceSpans, m.Partition)
 			}
-			if !donePart[m.Partition] {
-				pairs, err := kv.Unmarshal(m.Output)
-				if err != nil {
-					fail(fmt.Errorf("dist: partition %d output: %w", m.Partition, err))
+			if !st.done[m.Partition] {
+				if !commit(jrReduceDone, m, ev.payload) {
 					continue
 				}
-				if jn != nil {
-					if err := jn.append(jrReduceDone, ev.payload); err != nil {
-						fail(err)
-						continue
-					}
-				}
-				donePart[m.Partition] = true
-				donePartCount++
-				settledResident[m.Partition] = m.RecordsIn
-				outputs[m.Partition] = pairs
-				res.OutputPairs += len(pairs)
 				// Reduce-side conservation books at first acceptance, here on
 				// the coordinator: recoveries and restarts can run a
 				// partition's kernel more than once, but only one report may
 				// count or the ledger double-books.
 				led.ReduceRecordsIn.Add(m.RecordsIn)
 				led.ReduceGroupsIn.Add(m.GroupsIn)
-				led.OutputPairs.Add(int64(len(pairs)))
+				led.OutputPairs.Add(int64(len(m.pairs)))
 				fireEvents()
 			}
 			// A fired kill whose death has not yet been observed blocks
@@ -1350,14 +1291,18 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	if jobErr != nil {
 		return nil, jobErr
 	}
-	for _, t := range interPairs {
-		res.IntermediatePairs += t
+	for _, s := range st.stats {
+		res.IntermediatePairs += s.PairsOut
 	}
+	for _, rd := range st.reduced {
+		res.OutputPairs += len(rd.pairs)
+	}
+	res.WorkersJoined, res.WorkersDrained, res.WorkersLost = st.Joined, st.Drained, st.Lost
 	res.MapRetries = sched.retries
 	res.MapRecoveries = sched.recoveries
 	res.MapElapsed = mapElapsed
 	res.Total = time.Since(start)
-	res.outputs = outputs
+	res.state = st
 
 	// Merge the cluster's trace: the coordinator's own scheduling spans plus
 	// every worker's span batch, rebased from the worker's epoch onto ours.
@@ -1365,7 +1310,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	// clocks, minus the estimated offset between those clocks — after which
 	// a worker that booted with its clock an hour ahead still lands its
 	// spans where they causally belong on the coordinator timeline.
-	res.TraceID = traceID
+	res.TraceID = st.TraceID
 	res.ClockOffsets = make(map[int]float64)
 	res.ClockRTTs = make(map[int]float64)
 	for i, cw := range ws {

@@ -181,15 +181,17 @@ type Result struct {
 	ClockOffsets map[int]float64
 	ClockRTTs    map[int]float64
 
-	outputs [][]kv.Pair // per partition, key-sorted
+	state *jobState // the job's final journaled state; outputs key-sorted per partition
 }
 
 // Output returns the final pairs in partition order; within a partition
 // keys are sorted, so a range partitioner yields totally ordered output.
 func (r *Result) Output() []kv.Pair {
 	var out []kv.Pair
-	for _, part := range r.outputs {
-		out = append(out, part...)
+	if r.state != nil {
+		for _, rd := range r.state.reduced {
+			out = append(out, rd.pairs...)
+		}
 	}
 	return out
 }

@@ -486,7 +486,7 @@ func TestRegistryParamRoundTrip(t *testing.T) {
 }
 
 func TestSchedDeathRequeuesEverything(t *testing.T) {
-	s := newSched(6, 3, 4)
+	s := testSched(t, 6, 3, 4)
 	alive := []bool{true, true, true}
 	// Worker 0 resolves tasks 0 and 3; task 1 in flight on worker 1.
 	for _, w := range []int{0, 1, 2} {
@@ -496,19 +496,21 @@ func TestSchedDeathRequeuesEverything(t *testing.T) {
 			}
 		}
 	}
-	s.done(0, 0)
-	s.done(3, 0)
+	schedDone(s, 0, 0)
+	schedDone(s, 3, 0)
 	alive[1] = false
-	s.death(1, alive)
+	if err := schedDeath(s, 1, alive); err != nil {
+		t.Fatal(err)
+	}
 	if s.recoveries != 2 {
 		t.Fatalf("recoveries = %d, want 2 (both resolved tasks)", s.recoveries)
 	}
-	if s.resolvedCount != 0 {
-		t.Fatalf("resolvedCount = %d, want 0", s.resolvedCount)
+	if s.st.resolvedCount != 0 {
+		t.Fatalf("resolvedCount = %d, want 0", s.st.resolvedCount)
 	}
 	// Every task must be requeued with a bumped attempt, and stale attempt-0
 	// reports must now be ignored.
-	if s.done(0, 0) {
+	if schedDone(s, 0, 0) {
 		t.Fatal("stale attempt accepted after death bump")
 	}
 	queued := 0
@@ -521,7 +523,7 @@ func TestSchedDeathRequeuesEverything(t *testing.T) {
 }
 
 func TestSchedFailExhaustion(t *testing.T) {
-	s := newSched(1, 1, 2)
+	s := testSched(t, 1, 1, 2)
 	alive := []bool{true}
 	if _, ok := s.next(0, alive); !ok {
 		t.Fatal("no task")

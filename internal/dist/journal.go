@@ -3,9 +3,12 @@ package dist
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"glasswing/internal/kv"
 )
 
 // The coordinator checkpoint journal is an append-only file of fsynced
@@ -18,11 +21,16 @@ import (
 // wire's codec. The map-done and reduce-done records are the wire payloads
 // themselves: the coordinator journals the mapDoneMsg or reduceDoneMsg
 // payload it just decoded, and replay decodes it back into the same type.
-// The journal is written write-ahead: a record is durable before the state
-// change it describes is applied or broadcast, so replaying a prefix always
-// yields a state the cluster is at or ahead of — never behind. Replay is strict: any corruption (bad CRC, truncation,
-// duplicate resolution, regressed epoch, identity mismatch) refuses the
-// resume with a "resume refused" error rather than risking a divergent one.
+//
+// Records are the only writer of the state they describe (jobState): the
+// live coordinator builds a record, journals it, applies it and only then
+// broadcasts, and a resumed coordinator applies every journaled record in
+// order through the same apply. A record is therefore durable before the
+// state it describes exists anywhere, so replaying a prefix always yields a
+// state the cluster is at or ahead of — never behind. Replay is strict: any
+// corruption (bad CRC, truncation, duplicate resolution, regressed epoch,
+// identity mismatch) refuses the resume with a "resume refused" error
+// rather than risking a divergent one.
 
 // Journal record types.
 const (
@@ -144,36 +152,187 @@ func (r *membershipRecord) wire(c *codec) {
 	c.i(&r.Lost)
 }
 
-// resumeState is everything a replayed journal reconstructs: its job-start,
-// latest membership and namespace records, plus what the map-done and
-// reduce-done records resolved.
-type resumeState struct {
+// jobState is every fact the journal records: the job's identity and
+// block-store namespace, the latest membership epoch, and what each task
+// and partition resolved to. apply is the only code that changes it, one
+// decoded record at a time. The live coordinator applies a record after
+// journaling it and before broadcasting it; a resumed one applies each
+// journaled record in order, so a replayed journal rebuilds exactly the
+// state its writer had.
+type jobState struct {
 	jobRecord
-	membershipRecord
 	namespaceRecord
+	membershipRecord
 
-	resolved []bool
-	stats    map[int]attemptStats
-	outputs  map[int][]byte // partition → marshaled final pairs
-	reduceAt map[int]int    // partition → attempt the output resolved at
-	records  map[int]int64  // partition → records the accepted reduce consumed
+	started, formed bool // a job-start / membership record has been applied
+
+	resolved      []bool // task → resolved at Attempt[task]
+	resolvedCount int
+	stats         []attemptStats // task → the stats of the attempt it last resolved at
+	done          []bool         // partition → output accepted: the settled set
+	doneCount     int
+	reduced       []reduceDone // partition → the reduce-done record that settled it
+	// resident[p] is how many committed records still live at partition p's
+	// home after its output was accepted. If that home dies they are settled
+	// — consumed by a final output, then lost with the store — not
+	// recoverable losses: the coordinator books them so the conservation
+	// ledger stays exact, and the membership record announcing the death
+	// zeroes them, since nothing re-ships to a settled partition.
+	resident []int64
 }
 
-// replayJournal decodes and validates a journal image. Every anomaly —
-// framing damage, CRC mismatch, semantic impossibility — refuses the
-// resume; replay never guesses.
-func replayJournal(data []byte) (*resumeState, error) {
-	refuse := func(format string, args ...any) (*resumeState, error) {
+// reduceDone is a decoded reduce-done record: the payload and the pairs its
+// output decodes to, which alias the payload.
+type reduceDone struct {
+	reduceDoneMsg
+	pairs []kv.Pair
+}
+
+// decodeRecord decodes one journal record. The live coordinator decodes a
+// worker's map-done and reduce-done payloads through it too, once, before
+// it journals them, so both sides apply the very same values.
+func decodeRecord(typ byte, p []byte) (payload, error) {
+	switch typ {
+	case jrJobStart:
+		r := new(jobRecord)
+		return r, decode(p, r).fin("job-start")
+	case jrNamespace:
+		r := new(namespaceRecord)
+		return r, decode(p, r).fin("namespace")
+	case jrMembership:
+		r := new(membershipRecord)
+		return r, decode(p, r).fin("membership")
+	case jrMapDone:
+		r := new(mapDoneMsg)
+		return r, decode(p, r).fin("map-done")
+	case jrReduceDone:
+		r := new(reduceDone)
+		err := decode(p, &r.reduceDoneMsg).fin("reduce-done")
+		if err == nil {
+			if r.pairs, err = kv.Unmarshal(r.Output); err != nil {
+				err = fmt.Errorf("dist: partition %d output: %w", r.Partition, err)
+			}
+		}
+		return r, err
+	}
+	return nil, fmt.Errorf("unknown record type %d", typ)
+}
+
+// current reports whether a map-done for (task, attempt) resolves the task:
+// the attempt is the one last dispatched and the task is unresolved.
+// Reports from superseded attempts are ignored.
+func (s *jobState) current(task, attempt int) bool {
+	return task >= 0 && task < s.Tasks && attempt == s.Attempt[task] && !s.resolved[task]
+}
+
+// apply changes the state by one record, refusing a record no coordinator
+// could have written against it. It is the only writer of the state's
+// fields but one: dsched.fail bumps a failed task's attempt without a
+// record, and replay recovers the bump from the attempt the task's next
+// map-done or membership record carries.
+func (s *jobState) apply(r payload) error {
+	if _, ok := r.(*jobRecord); !ok && !s.started {
+		return errors.New("journal does not begin with a job-start record")
+	}
+	switch r := r.(type) {
+	case *jobRecord:
+		if s.started {
+			return errors.New("duplicate job-start record")
+		}
+		if len(r.Digest) != 32 || r.Tasks < 0 || r.Tasks > maxFrame ||
+			r.Job.Partitions <= 0 || r.Job.Partitions > maxFrame {
+			return errors.New("implausible job-start record")
+		}
+		s.jobRecord, s.started = *r, true
+		s.Attempt = make([]int, r.Tasks)
+		s.resolved = make([]bool, r.Tasks)
+		s.stats = make([]attemptStats, r.Tasks)
+		s.done = make([]bool, r.Job.Partitions)
+		s.reduced = make([]reduceDone, r.Job.Partitions)
+		s.resident = make([]int64, r.Job.Partitions)
+	case *namespaceRecord:
+		if (r.Mode != "local" && r.Mode != "remote") || r.Repl <= 0 || r.Width <= 0 || r.Repl > r.Width {
+			return errors.New("implausible namespace record")
+		}
+		if s.Mode != "" {
+			return errors.New("duplicate namespace record")
+		}
+		s.namespaceRecord = *r
+	case *membershipRecord:
+		if r.Epoch < 0 || (s.formed && r.Epoch <= s.Epoch) {
+			return fmt.Errorf("membership epoch regressed (%d after %d)", r.Epoch, s.Epoch)
+		}
+		if len(r.Homes) != s.Job.Partitions || len(r.Attempt) != s.Tasks || len(r.Alive) == 0 {
+			return errors.New("membership record shape mismatch")
+		}
+		for t, a := range r.Attempt {
+			if a < s.Attempt[t] {
+				return fmt.Errorf("attempt of task %d regressed (%d after %d)", t, a, s.Attempt[t])
+			}
+		}
+		for _, h := range r.Homes {
+			if h < 0 || h >= len(r.Alive) || !r.Alive[h] {
+				return errors.New("partition homed on a non-live worker")
+			}
+		}
+		if r.Joined < s.Joined || r.Drained < s.Drained || r.Lost < s.Lost {
+			return errors.New("membership churn totals regressed")
+		}
+		// The one supersede rule: a death re-queues every resolved task under
+		// a bumped attempt, because its shuffle output was addressed under the
+		// old homes; a bumped attempt un-resolves the task.
+		for t, a := range r.Attempt {
+			if s.resolved[t] && a > s.Attempt[t] {
+				s.resolved[t] = false
+				s.resolvedCount--
+			}
+		}
+		for p, h := range s.Homes {
+			if s.done[p] && (h >= len(r.Alive) || !r.Alive[h]) {
+				s.resident[p] = 0 // settled with its dead home
+			}
+		}
+		s.membershipRecord, s.formed = *r, true
+	case *mapDoneMsg:
+		t := r.Task
+		switch {
+		case t < 0 || t >= s.Tasks:
+			return fmt.Errorf("map-done for unknown task %d", t)
+		case s.resolved[t]:
+			return fmt.Errorf("duplicate resolution of task %d", t)
+		case r.Attempt < s.Attempt[t]:
+			return fmt.Errorf("map-done for task %d at stale attempt %d (current %d)", t, r.Attempt, s.Attempt[t])
+		}
+		s.resolved[t] = true
+		s.resolvedCount++
+		s.Attempt[t] = r.Attempt
+		s.stats[t] = r.Stats
+	case *reduceDone:
+		p := r.Partition
+		if p < 0 || p >= s.Job.Partitions || r.Attempt < 0 || r.RecordsIn < 0 {
+			return fmt.Errorf("reduce-done for unknown partition %d", p)
+		}
+		if s.done[p] {
+			return fmt.Errorf("duplicate output for partition %d", p)
+		}
+		s.done[p] = true
+		s.doneCount++
+		s.reduced[p] = *r
+		s.resident[p] = r.RecordsIn
+	default:
+		return fmt.Errorf("no such record %T", r)
+	}
+	return nil
+}
+
+// replayJournal rebuilds the job's state from a journal image by applying
+// its records in order. Every anomaly — framing damage, a CRC mismatch, a
+// record apply refuses — refuses the resume; replay never guesses.
+func replayJournal(data []byte) (*jobState, error) {
+	refuse := func(format string, args ...any) (*jobState, error) {
 		return nil, fmt.Errorf(resumeRefused+": "+format, args...)
 	}
-	rs := &resumeState{
-		stats:    make(map[int]attemptStats),
-		outputs:  make(map[int][]byte),
-		reduceAt: make(map[int]int),
-		records:  make(map[int]int64),
-	}
-	resolvedAt := make(map[int]int) // task → attempt it was journaled resolved at
-	sawStart, sawMembership := false, false
+	st := new(jobState)
 	rest := data
 	for len(rest) > 0 {
 		n, sz := binary.Uvarint(rest)
@@ -190,141 +349,48 @@ func replayJournal(data []byte) (*resumeState, error) {
 		if crc32.ChecksumIEEE(body) != want {
 			return refuse("record checksum mismatch")
 		}
-		typ, p := body[0], body[1:]
-		if !sawStart && typ != jrJobStart {
-			return refuse("journal does not begin with a job-start record")
+		r, err := decodeRecord(body[0], body[1:])
+		if err == nil {
+			err = st.apply(r)
 		}
-		switch typ {
-		case jrJobStart:
-			if sawStart {
-				return refuse("duplicate job-start record")
-			}
-			sawStart = true
-			if err := decode(p, &rs.jobRecord).fin("journal job-start"); err != nil {
-				return refuse("%v", err)
-			}
-			if len(rs.Digest) != 32 || rs.Tasks < 0 || rs.Tasks > maxFrame ||
-				rs.Job.Partitions <= 0 || rs.Job.Partitions > maxFrame {
-				return refuse("implausible job-start record")
-			}
-			rs.resolved = make([]bool, rs.Tasks)
-			rs.Attempt = make([]int, rs.Tasks)
-		case jrMembership:
-			var r membershipRecord
-			if err := decode(p, &r).fin("journal membership"); err != nil {
-				return refuse("%v", err)
-			}
-			if r.Epoch < 0 || (sawMembership && r.Epoch <= rs.Epoch) {
-				return refuse("membership epoch regressed (%d after %d)", r.Epoch, rs.Epoch)
-			}
-			if len(r.Homes) != rs.Job.Partitions || len(r.Attempt) != rs.Tasks || len(r.Alive) == 0 {
-				return refuse("membership record shape mismatch")
-			}
-			for _, a := range r.Attempt {
-				if a < 0 {
-					return refuse("negative attempt in membership record")
-				}
-			}
-			for _, h := range r.Homes {
-				if h < 0 || h >= len(r.Alive) || !r.Alive[h] {
-					return refuse("partition homed on a non-live worker")
-				}
-			}
-			if r.Joined < rs.Joined || r.Drained < rs.Drained || r.Lost < rs.Lost {
-				return refuse("membership churn totals regressed")
-			}
-			sawMembership = true
-			rs.membershipRecord = r
-			// A death re-queues resolved tasks under a bumped attempt (their
-			// shuffle output died with the worker). A membership record whose
-			// attempt supersedes a task's journaled resolution un-resolves it.
-			for t := 0; t < rs.Tasks; t++ {
-				if rs.resolved[t] && resolvedAt[t] < rs.Attempt[t] {
-					rs.resolved[t] = false
-				}
-			}
-		case jrMapDone:
-			var m mapDoneMsg
-			if err := decode(p, &m).fin("journal map-done"); err != nil {
-				return refuse("%v", err)
-			}
-			if m.Task < 0 || m.Task >= rs.Tasks {
-				return refuse("map-done for unknown task %d", m.Task)
-			}
-			if rs.resolved[m.Task] {
-				return refuse("duplicate resolution of task %d", m.Task)
-			}
-			if m.Attempt < rs.Attempt[m.Task] {
-				return refuse("map-done for task %d at stale attempt %d (current %d)", m.Task, m.Attempt, rs.Attempt[m.Task])
-			}
-			rs.resolved[m.Task] = true
-			rs.Attempt[m.Task] = m.Attempt
-			rs.stats[m.Task] = m.Stats
-			resolvedAt[m.Task] = m.Attempt
-		case jrNamespace:
-			var r namespaceRecord
-			if err := decode(p, &r).fin("journal namespace"); err != nil {
-				return refuse("%v", err)
-			}
-			if (r.Mode != "local" && r.Mode != "remote") || r.Repl <= 0 || r.Width <= 0 || r.Repl > r.Width {
-				return refuse("implausible namespace record")
-			}
-			if rs.Mode != "" {
-				return refuse("duplicate namespace record")
-			}
-			rs.namespaceRecord = r
-		case jrReduceDone:
-			var m reduceDoneMsg // GroupsIn is informational; RecordsIn feeds settlement
-			if err := decode(p, &m).fin("journal reduce-done"); err != nil {
-				return refuse("%v", err)
-			}
-			if m.Partition < 0 || m.Partition >= rs.Job.Partitions || m.Attempt < 0 || m.RecordsIn < 0 {
-				return refuse("reduce-done for unknown partition %d", m.Partition)
-			}
-			if _, dup := rs.outputs[m.Partition]; dup {
-				return refuse("duplicate output for partition %d", m.Partition)
-			}
-			rs.outputs[m.Partition] = append([]byte(nil), m.Output...)
-			rs.reduceAt[m.Partition] = m.Attempt
-			rs.records[m.Partition] = m.RecordsIn
-		default:
-			return refuse("unknown record type %d", typ)
+		if err != nil {
+			return refuse("%v", err)
 		}
 	}
-	if !sawStart {
+	switch {
+	case !st.started:
 		return refuse("journal is empty")
-	}
-	if !sawMembership {
+	case !st.formed:
 		return refuse("journal has no membership record")
 	}
-	return rs, nil
+	return st, nil
 }
 
 // validateResume checks a replayed journal against the options the resumed
 // coordinator was started with: the job identity and input must match what
 // the journal was written for.
-func (rs *resumeState) validateResume(o *Options) error {
+func (s *jobState) validateResume(o *Options) error {
 	refuse := func(format string, args ...any) error {
 		return fmt.Errorf(resumeRefused+": "+format, args...)
 	}
 	switch {
-	case rs.Job.App.Name != o.Job.App.Name:
-		return refuse("journal is for app %q, not %q", rs.Job.App.Name, o.Job.App.Name)
-	case string(rs.Job.App.Params) != string(o.Job.App.Params):
+	case s.Job.App.Name != o.Job.App.Name:
+		return refuse("journal is for app %q, not %q", s.Job.App.Name, o.Job.App.Name)
+	case string(s.Job.App.Params) != string(o.Job.App.Params):
 		return refuse("app params differ from the journaled job")
-	case rs.Job.Partitions != o.Job.Partitions:
-		return refuse("journaled %d partitions, options say %d", rs.Job.Partitions, o.Job.Partitions)
-	case rs.Job.Collector != o.Job.Collector ||
-		rs.Job.UseCombiner != o.Job.UseCombiner ||
-		rs.Job.Compress != o.Job.Compress ||
-		rs.Job.MaxAttempts != o.Job.MaxAttempts:
+	case s.Job.Partitions != o.Job.Partitions:
+		return refuse("journaled %d partitions, options say %d", s.Job.Partitions, o.Job.Partitions)
+	case s.Job.Collector != o.Job.Collector ||
+		s.Job.UseCombiner != o.Job.UseCombiner ||
+		s.Job.Compress != o.Job.Compress ||
+		s.Job.MaxAttempts != o.Job.MaxAttempts:
 		return refuse("job spec differs from the journaled job")
-	case rs.Tasks != len(o.Blocks):
-		return refuse("journaled %d input blocks, options carry %d", rs.Tasks, len(o.Blocks))
-	case string(rs.Digest) != string(blocksDigest(o.Blocks)):
+	case s.Tasks != len(o.Blocks):
+		return refuse("journaled %d input blocks, options carry %d", s.Tasks, len(o.Blocks))
+	case string(s.Digest) != string(blocksDigest(o.Blocks)):
 		return refuse("input blocks differ from the journaled job")
-	case rs.Mode != o.Blockstore:
-		return refuse("journaled blockstore mode %q, options say %q", rs.Mode, o.Blockstore)
+	case s.Mode != o.Blockstore:
+		return refuse("journaled blockstore mode %q, options say %q", s.Mode, o.Blockstore)
 	}
 	return nil
 }

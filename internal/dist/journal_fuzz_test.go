@@ -154,21 +154,43 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("partition %d homed on non-live worker %d", p, h)
 			}
 		}
-		if len(rs.resolved) != rs.Tasks || len(rs.Attempt) != rs.Tasks {
-			t.Fatalf("task arrays sized %d/%d for %d tasks", len(rs.resolved), len(rs.Attempt), rs.Tasks)
+		if len(rs.resolved) != rs.Tasks || len(rs.Attempt) != rs.Tasks || len(rs.stats) != rs.Tasks {
+			t.Fatalf("task arrays sized %d/%d/%d for %d tasks", len(rs.resolved), len(rs.Attempt), len(rs.stats), rs.Tasks)
 		}
+		resolved := 0
 		for t2, a := range rs.Attempt {
 			if a < 0 {
 				t.Fatalf("task %d accepted at negative attempt %d", t2, a)
 			}
+			if rs.resolved[t2] {
+				resolved++
+			}
 		}
-		for p := range rs.outputs {
-			if p < 0 || p >= rs.Job.Partitions {
-				t.Fatalf("output for out-of-range partition %d", p)
+		if resolved != rs.resolvedCount {
+			t.Fatalf("%d tasks resolved, count says %d", resolved, rs.resolvedCount)
+		}
+		P := rs.Job.Partitions
+		if len(rs.done) != P || len(rs.reduced) != P || len(rs.resident) != P {
+			t.Fatalf("partition arrays sized %d/%d/%d for %d partitions", len(rs.done), len(rs.reduced), len(rs.resident), P)
+		}
+		done := 0
+		for p, d := range rs.done {
+			switch {
+			case d && rs.reduced[p].Partition != p:
+				t.Fatalf("output for partition %d recorded as partition %d", p, rs.reduced[p].Partition)
+			case d && rs.reduced[p].Attempt < 0:
+				t.Fatalf("output for partition %d at negative attempt %d", p, rs.reduced[p].Attempt)
+			case !d && (rs.resident[p] != 0 || rs.reduced[p].pairs != nil):
+				t.Fatalf("partition %d holds an output it never accepted", p)
+			case rs.resident[p] < 0:
+				t.Fatalf("partition %d has %d resident records", p, rs.resident[p])
 			}
-			if _, ok := rs.reduceAt[p]; !ok {
-				t.Fatalf("output for partition %d with no attempt record", p)
+			if d {
+				done++
 			}
+		}
+		if done != rs.doneCount {
+			t.Fatalf("%d partitions done, count says %d", done, rs.doneCount)
 		}
 	})
 }

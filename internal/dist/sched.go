@@ -18,45 +18,42 @@ import "fmt"
 // attempt and are ignored, and destination-side per-(task,partition) dedup
 // discards whatever re-delivered output survived.
 type dsched struct {
-	queues        [][]int // per-worker pending task ids (FIFO)
-	attempt       []int   // task → current expected attempt
-	failures      []int   // task → failed-attempt count
-	resolved      []bool
-	total         int
-	resolvedCount int
-	maxAttempts   int
+	// st holds what the journal records — each task's attempt and whether
+	// it resolved; dsched reads it and writes only the retry bump (fail).
+	st          *jobState
+	queues      [][]int // per-worker pending task ids (FIFO)
+	failures    []int   // task → failed-attempt count
+	maxAttempts int
 
 	retries    int // failed attempts requeued
 	recoveries int // resolved tasks re-executed after a death
 }
 
-func newSched(nTasks, nWorkers, maxAttempts int) *dsched {
-	return newSchedAffinity(nTasks, nWorkers, maxAttempts, nil)
-}
-
-// newSchedAffinity is newSched with locality-aware placement: prefer[t]
-// names the worker whose queue task t is dealt to — the block store passes
-// a replica holder here, so the initial deal is a local disk read for every
-// task (Fig 3(d)'s "move compute to data"). A nil prefer, or an entry out
-// of range, falls back to the classic t%n deal. Work stealing is untouched:
-// a stolen task simply becomes a remote streaming read, which is exactly
-// the graceful degradation the locality counters exist to measure.
-func newSchedAffinity(nTasks, nWorkers, maxAttempts int, prefer []int) *dsched {
+// newSched queues every task st has not resolved. With prefer, task t goes
+// to prefer[t]: the block store passes a replica holder there, so the
+// initial deal is a local disk read for every task (Fig 3(d)'s "move
+// compute to data"); a stolen task simply becomes a remote streaming read,
+// the graceful degradation the locality counters exist to measure. Without
+// it the tasks are dealt round-robin over the live workers, which for a
+// fresh job is the classic t%n deal.
+func newSched(st *jobState, nWorkers, maxAttempts int, prefer []int, alive []bool) *dsched {
 	s := &dsched{
+		st:          st,
 		queues:      make([][]int, nWorkers),
-		attempt:     make([]int, nTasks),
-		failures:    make([]int, nTasks),
-		resolved:    make([]bool, nTasks),
-		total:       nTasks,
+		failures:    make([]int, st.Tasks),
 		maxAttempts: maxAttempts,
 	}
-	for t := 0; t < nTasks; t++ {
-		w := t % nWorkers
-		if t < len(prefer) && prefer[t] >= 0 && prefer[t] < nWorkers {
-			w = prefer[t]
+	var pending []int
+	for t, r := range st.resolved {
+		switch {
+		case r:
+		case prefer != nil:
+			s.queues[prefer[t]] = append(s.queues[prefer[t]], t)
+		default:
+			pending = append(pending, t)
 		}
-		s.queues[w] = append(s.queues[w], t)
 	}
+	s.deal(pending, alive)
 	return s
 }
 
@@ -83,22 +80,11 @@ func (s *dsched) next(wkr int, alive []bool) (int, bool) {
 	return t, true
 }
 
-// done resolves a task if the report matches the current attempt; stale
-// reports (from attempts superseded by a death) are ignored.
-func (s *dsched) done(task, attempt int) bool {
-	if attempt != s.attempt[task] || s.resolved[task] {
-		return false
-	}
-	s.resolved[task] = true
-	s.resolvedCount++
-	return true
-}
-
 // fail requeues a failed current attempt on the same worker (survivors
 // inherit via death redistribution if it later dies); exhausting
 // maxAttempts fails the job.
 func (s *dsched) fail(task, attempt, wkr int, alive []bool, reason string) error {
-	if attempt != s.attempt[task] || s.resolved[task] {
+	if !s.st.current(task, attempt) {
 		return nil // stale attempt; its successor is already queued
 	}
 	s.failures[task]++
@@ -108,7 +94,10 @@ func (s *dsched) fail(task, attempt, wkr int, alive []bool, reason string) error
 		}
 		return fmt.Errorf("dist: task %d failed %d attempts", task, s.failures[task])
 	}
-	s.attempt[task]++
+	// The one journaled field changed outside jobState.apply: a retry is
+	// never journaled, and replay recovers its attempt from the map-done
+	// (or membership record) that follows it.
+	s.st.Attempt[task]++
 	s.retries++
 	target := wkr
 	if !alive[target] {
@@ -167,55 +156,31 @@ func (s *dsched) drain(wkr int, alive []bool) {
 	s.deal(orphans, alive)
 }
 
-// newSchedResume rebuilds a scheduler from journaled state: resolved tasks
-// stay resolved at their journaled attempt, and every unresolved task is
-// dealt across the live workers under its journaled attempt.
-func newSchedResume(nTasks, nWorkers, maxAttempts int, resolved []bool, attempt []int, alive []bool) *dsched {
-	s := &dsched{
-		queues:      make([][]int, nWorkers),
-		attempt:     append([]int(nil), attempt...),
-		failures:    make([]int, nTasks),
-		resolved:    append([]bool(nil), resolved...),
-		total:       nTasks,
-		maxAttempts: maxAttempts,
-	}
-	var pending []int
-	for t, r := range resolved {
-		if r {
-			s.resolvedCount++
-		} else {
-			pending = append(pending, t)
-		}
-	}
-	s.deal(pending, alive)
-	return s
-}
-
-// death redistributes after wkr dies (alive must already exclude it):
-// its queued tasks move to survivors, and every resolved or in-flight task
-// is re-queued under a fresh attempt, because its shuffle output was
-// addressed under the old partition-home map.
-func (s *dsched) death(wkr int, alive []bool) {
+// death moves a dead worker's queued tasks to the survivors (alive must
+// already exclude it) together with every task no queue holds — resolved
+// or in flight — and returns the latter. Their shuffle output was
+// addressed under the old partition-home map, so the membership record
+// announcing the death supersedes each with a bumped attempt. It runs
+// before that record is applied, so the resolved ones still read as
+// resolved and count as recoveries.
+func (s *dsched) death(wkr int, alive []bool) (superseded []int) {
 	queued := make(map[int]bool)
 	for _, q := range s.queues {
 		for _, t := range q {
 			queued[t] = true
 		}
 	}
-	redo := s.queues[wkr]
-	s.queues[wkr] = nil
-	for t := 0; t < s.total; t++ {
+	for t, r := range s.st.resolved {
 		if queued[t] {
 			continue // still pending; will execute under the new home map
 		}
-		if s.resolved[t] {
-			s.resolved[t] = false
-			s.resolvedCount--
+		if r {
 			s.recoveries++
 		}
-		// Resolved or in-flight: supersede with a fresh attempt.
-		s.attempt[t]++
-		redo = append(redo, t)
+		superseded = append(superseded, t)
 	}
+	redo := append(s.queues[wkr], superseded...)
+	s.queues[wkr] = nil
 	s.deal(redo, alive)
+	return superseded
 }

@@ -5,6 +5,59 @@ import (
 	"testing"
 )
 
+// testSched is a scheduler over a fresh job of nTasks tasks on nWorkers
+// workers, its state formed from the records serve commits at formation.
+func testSched(t testing.TB, nTasks, nWorkers, maxAttempts int) *dsched {
+	t.Helper()
+	st := new(jobState)
+	alive := make([]bool, nWorkers)
+	for i := range alive {
+		alive[i] = true
+	}
+	for _, r := range []payload{
+		&jobRecord{Job: Job{Partitions: 1}, Tasks: nTasks, Digest: make([]byte, 32)},
+		&membershipRecord{Homes: []int{0}, Alive: alive, Attempt: make([]int, nTasks)},
+	} {
+		if err := st.apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newSched(st, nWorkers, maxAttempts, nil, alive)
+}
+
+// schedDone reports (task, attempt) done the way the coordinator does: a
+// current attempt's map-done is applied, anything else is ignored.
+func schedDone(s *dsched, task, attempt int) bool {
+	if !s.st.current(task, attempt) {
+		return false
+	}
+	if err := s.st.apply(&mapDoneMsg{Task: task, Attempt: attempt}); err != nil {
+		panic(err)
+	}
+	return true
+}
+
+// schedDeath handles wkr's death the way the coordinator does (alive must
+// already exclude it): dsched re-queues, and the membership record
+// announcing the death bumps the attempts of the tasks it superseded.
+func schedDeath(s *dsched, wkr int, alive []bool) error {
+	rec := s.st.membershipRecord
+	rec.Epoch++
+	rec.Alive = append([]bool(nil), alive...)
+	rec.Attempt = append([]int(nil), rec.Attempt...)
+	rec.Lost++
+	for w, a := range alive {
+		if a {
+			rec.Homes = []int{w}
+			break
+		}
+	}
+	for _, t := range s.death(wkr, alive) {
+		rec.Attempt[t]++
+	}
+	return s.st.apply(&rec)
+}
+
 // schedChaos drives one dsched through a random interleaving of assigns,
 // completions, failures, ghost (stale) reports, kills, joins and drains,
 // checking after every membership change that no task can be lost — every
@@ -52,15 +105,15 @@ func (c *schedChaos) checkConservation() {
 	}
 	current := make(map[int]bool)
 	for _, a := range c.inflight {
-		if c.alive[a.wkr] && a.attempt == c.s.attempt[a.task] {
+		if c.alive[a.wkr] && a.attempt == c.s.st.Attempt[a.task] {
 			current[a.task] = true
 		}
 	}
-	for t := 0; t < c.s.total; t++ {
+	for t := 0; t < c.s.st.Tasks; t++ {
 		if queued[t] > 1 {
 			c.t.Fatalf("seed %d: task %d queued %d times", c.seed, t, queued[t])
 		}
-		if c.s.resolved[t] {
+		if c.s.st.resolved[t] {
 			if queued[t] > 0 {
 				c.t.Fatalf("seed %d: resolved task %d still queued", c.seed, t)
 			}
@@ -81,7 +134,7 @@ func (c *schedChaos) step() {
 		}
 		w := live[c.rng.Intn(len(live))]
 		if t, ok := c.s.next(w, c.alive); ok {
-			c.inflight = append(c.inflight, chaosAttempt{t, c.s.attempt[t], w})
+			c.inflight = append(c.inflight, chaosAttempt{t, c.s.st.Attempt[t], w})
 		}
 	case op < 70: // complete a random in-flight attempt
 		if len(c.inflight) == 0 {
@@ -90,10 +143,10 @@ func (c *schedChaos) step() {
 		i := c.rng.Intn(len(c.inflight))
 		a := c.inflight[i]
 		c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-		if c.s.done(a.task, a.attempt) {
-			if a.attempt != c.s.attempt[a.task] {
+		if schedDone(c.s, a.task, a.attempt) {
+			if a.attempt != c.s.st.Attempt[a.task] {
 				c.t.Fatalf("seed %d: task %d accepted at stale attempt %d (current %d)",
-					c.seed, a.task, a.attempt, c.s.attempt[a.task])
+					c.seed, a.task, a.attempt, c.s.st.Attempt[a.task])
 			}
 			c.resolutions[a.task]++
 			c.finalAt[a.task] = a.attempt
@@ -115,19 +168,19 @@ func (c *schedChaos) step() {
 		i := c.rng.Intn(len(c.ghosts))
 		g := c.ghosts[i]
 		c.ghosts = append(c.ghosts[:i], c.ghosts[i+1:]...)
-		if g.attempt == c.s.attempt[g.task] && !c.s.resolved[g.task] {
+		if g.attempt == c.s.st.Attempt[g.task] && !c.s.st.resolved[g.task] {
 			// The attempt was never superseded (kill happened before its
 			// worker shipped anything that mattered) — it is a legitimate
 			// report, not a ghost after all. Treat as a completion.
-			if c.s.done(g.task, g.attempt) {
+			if schedDone(c.s, g.task, g.attempt) {
 				c.resolutions[g.task]++
 				c.finalAt[g.task] = g.attempt
 			}
 			return
 		}
-		if c.s.done(g.task, g.attempt) && c.finalAt[g.task] != g.attempt {
+		if schedDone(c.s, g.task, g.attempt) && c.finalAt[g.task] != g.attempt {
 			c.t.Fatalf("seed %d: stale attempt (%d,%d) accepted over current %d",
-				c.seed, g.task, g.attempt, c.s.attempt[g.task])
+				c.seed, g.task, g.attempt, c.s.st.Attempt[g.task])
 		}
 		c.s.fail(g.task, g.attempt, g.wkr, c.alive, "") // stale fail: must be a no-op
 	case op < 90: // kill a random live worker (never the last)
@@ -155,7 +208,9 @@ func (c *schedChaos) step() {
 			c.ghosts = append(c.ghosts, c.inflight...)
 			c.inflight = c.inflight[:0]
 		}
-		c.s.death(w, c.alive)
+		if err := schedDeath(c.s, w, c.alive); err != nil {
+			c.t.Fatalf("seed %d: %v", c.seed, err)
+		}
 		c.checkConservation()
 	case op < 95: // join a fresh worker
 		if len(c.alive) >= 9 {
@@ -192,7 +247,7 @@ func TestSchedChaos(t *testing.T) {
 		nWorkers := 2 + rng.Intn(4)
 		c := &schedChaos{
 			t: t, rng: rng, seed: seed,
-			s:           newSched(nTasks, nWorkers, 1000),
+			s:           testSched(t, nTasks, nWorkers, 1000),
 			alive:       make([]bool, nWorkers),
 			resolutions: make([]int, nTasks),
 			finalAt:     make([]int, nTasks),
@@ -201,23 +256,23 @@ func TestSchedChaos(t *testing.T) {
 			c.alive[i] = true
 		}
 		steps := 0
-		for c.s.resolvedCount < c.s.total {
+		for c.s.st.resolvedCount < c.s.st.Tasks {
 			c.step()
 			if steps++; steps > 200000 {
 				t.Fatalf("seed %d: schedule did not terminate (%d/%d resolved)",
-					seed, c.s.resolvedCount, c.s.total)
+					seed, c.s.st.resolvedCount, c.s.st.Tasks)
 			}
 		}
 		for task := 0; task < nTasks; task++ {
-			if !c.s.resolved[task] {
+			if !c.s.st.resolved[task] {
 				t.Fatalf("seed %d: task %d unresolved at end", seed, task)
 			}
 			if c.resolutions[task] == 0 {
 				t.Fatalf("seed %d: task %d resolved with no accepted report", seed, task)
 			}
-			if c.finalAt[task] != c.s.attempt[task] {
+			if c.finalAt[task] != c.s.st.Attempt[task] {
 				t.Fatalf("seed %d: task %d final resolution at attempt %d, scheduler expects %d",
-					seed, task, c.finalAt[task], c.s.attempt[task])
+					seed, task, c.finalAt[task], c.s.st.Attempt[task])
 			}
 		}
 		// Exactly-once: acceptances beyond one per task must each have been

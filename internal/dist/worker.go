@@ -775,7 +775,14 @@ func (w *worker) runReduce(rt reduceTaskMsg) {
 	// grow mid-snapshot) but drained outside it: resident runs are immutable
 	// once committed, and a concurrent spill of this partition only drops the
 	// store's reference — the blob an iterator already holds stays valid.
+	//
+	// A killed worker's store is already written off as lost: its reduce
+	// would report an emptied partition as final, so it reports nothing.
 	w.mu.Lock()
+	if w.killed {
+		w.mu.Unlock()
+		return
+	}
 	iters, closeSpills, spillErr := w.store.partitionIters(rt.Partition)
 	w.mu.Unlock()
 	defer closeSpills()
