@@ -3,100 +3,19 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"glasswing/internal/blockstore"
-	"glasswing/internal/obs"
 )
-
-// ElasticEvent schedules one membership change during a job, triggered by
-// scheduler progress: the event fires once AfterMapDone map tasks have
-// resolved (or, when AfterReduceDone > 0, once that many reduce partitions
-// have been accepted). Events fire strictly in declaration order; an event
-// whose threshold is already met fires immediately after its predecessor.
-//
-//   - "join": spawn one new worker into the cluster (loopback-only — a
-//     multi-process cluster admits joiners whenever they dial in).
-//   - "drain": gracefully remove Worker — stop assigning it work, hand its
-//     partitions off to survivors, then release it.
-//   - "kill": murder Worker abruptly (loopback-only), exercising the death
-//     recovery path.
-//   - "restart": crash the coordinator itself. With a journal configured,
-//     the loopback runner restarts it and resumes from the checkpoint.
-type ElasticEvent struct {
-	Kind            string // "join", "drain", "kill" or "restart"
-	Worker          int    // target worker id (drain/kill); ignored otherwise
-	AfterMapDone    int    // fire once this many map tasks have resolved
-	AfterReduceDone int    // when > 0, fire once this many partitions are accepted instead
-}
-
-// Options configures one distributed job from the coordinator's side. The
-// loopback runner shares this type; fields marked loopback-only are ignored
-// by the multi-process Serve entry point.
-type Options struct {
-	Job     Job
-	Workers int
-	Tuning  Tuning
-	// Blocks are the map input splits; one map task per block.
-	Blocks [][]byte
-	// Telemetry receives the coordinator-side counters; in loopback mode the
-	// workers share it too (spans, conserv_* ledger).
-	Telemetry *obs.Telemetry
-	// TraceID identifies the job's distributed trace. 0 mints one from the
-	// wall clock; a resident service passes the id it already handed the
-	// client so the job's spans correlate with its journal.
-	TraceID uint64
-	// Journal, if set, receives structured scheduling events (map retries,
-	// worker deaths, membership changes) — callers attach job/tenant/trace
-	// context up front via slog.With.
-	Journal *slog.Logger
-
-	// NewApp resolves the job's application (loopback-only; multi-process
-	// workers use the registry). The resolver's partitioner return value
-	// overrides the default hash partitioner.
-	NewApp Resolver
-	// MapFault injects attempt failures after the map kernel but before any
-	// shuffle effect (loopback-only).
-	MapFault func(task, attempt int) bool
-	// KillWorker, when >= 0, kills that worker once KillAfterMapDone map
-	// tasks have resolved (loopback-only; folded into Elastic internally).
-	KillWorker       int
-	KillAfterMapDone int
-
-	// Elastic schedules membership churn — joins, drains, kills and
-	// coordinator restarts — against scheduler progress. Joins, kills and
-	// restarts need the loopback runner's hooks; drains work anywhere.
-	Elastic []ElasticEvent
-	// Blockstore selects how map input reaches workers. "" ships each block
-	// embedded in its map-task frame (the classic path). "local" ingests
-	// every block into Replication worker disks up front and schedules each
-	// task on a replica holder — the Fig 3(d) move-compute-to-data mode;
-	// non-holders (steals, retries) stream the block from a holder. "remote"
-	// ingests identically but pins every task away from its replicas, the
-	// locality-off baseline the conformance suite diffs against.
-	Blockstore string
-	// Replication is block-store replica count (0 = default 3, clamped to
-	// the cluster width; "remote" further clamps to width-1 so a non-holder
-	// always exists).
-	Replication int
-
-	// JournalPath enables the checkpoint journal: an append-only, fsynced
-	// record of task resolutions, partition homes, shuffle commit marks and
-	// membership epochs, written write-ahead of every broadcast.
-	JournalPath string
-	// Resume replays JournalPath instead of forming a fresh cluster: the
-	// coordinator validates the journal against this job, collects rejoins
-	// from every journaled-live worker, and picks the job back up.
-	Resume bool
-}
 
 // coordinator phases.
 const (
-	phaseMap = iota
+	phaseForm = iota
+	phaseMap
 	phaseReduce
 	phaseDone
 )
@@ -126,10 +45,10 @@ type cworker struct {
 	left bool
 }
 
-// cevent is one frame (or connection loss) from one worker, funneled into
-// the coordinator's single event loop by per-worker reader goroutines.
-// Admission events (a candidate's first frame) carry w == -1 and the
-// candidate's connection.
+// cevent is one event for the coordinator's step: a frame (or connection
+// loss) from worker w, funneled in by per-worker reader goroutines; an
+// admission (w == evAdmit: a candidate's first frame, with its connection);
+// or the formation deadline passing (w == evTimeout).
 type cevent struct {
 	w       int
 	typ     byte
@@ -146,17 +65,20 @@ type cevent struct {
 type transition struct {
 	kind    string // "join" or "drain"
 	target  int
-	claimed bool // holds a pendingMembership claim (event-spawned churn)
 	started bool // quiesce passed: epoch bumped, membership frame broadcast
 	epoch   int
 	pending map[int]bool // partitions whose handoff is still outstanding
 }
 
 // loopHooks are the loopback runner's fault and elasticity hooks: kill
-// murders a worker in-process, spawn launches one new live-join worker.
+// murders a worker in-process, spawn launches one new live-join worker, and
+// joiners is how many joiners crashed coordinators of this job spawned —
+// a fact the runner keeps across a restart, so a resumed coordinator waits
+// for the ones it has not admitted.
 type loopHooks struct {
-	kill  func(id int)
-	spawn func()
+	kill    func(id int)
+	spawn   func()
+	joiners int
 }
 
 // restartCrash is the error a scheduled coordinator restart fails with;
@@ -176,22 +98,54 @@ func CoordinatorRestarted(err error) bool {
 	return errors.As(err, &rc)
 }
 
-// acceptTimeout bounds cluster formation so a worker that never dials
-// fails the job instead of hanging CI.
+// acceptTimeout bounds the wait for each candidate during cluster
+// formation, so a worker that never dials fails the job instead of hanging
+// CI.
 const acceptTimeout = 60 * time.Second
 
+// maxWorkers caps the cluster's width: a worker id at or above it, from a
+// rejoin frame or a join that would be numbered past it, is turned away.
+// Ids index the coordinator's and every worker's per-worker slices, and
+// the journal's alive set, so an unchecked id from the network would size
+// them.
+const maxWorkers = 1 << 12
+
+// Effects are what step asks the event loop to do once it returns, in the
+// order step queued them: step itself touches no socket and starts no
+// goroutine, so the schedule checker can run it with no cluster behind it.
+const (
+	fxSend  = iota // send f on cc
+	fxClose        // hard-close cc, after sending f if it has a type
+	fxProbe        // start worker w's clock probes on cc
+	fxRead         // start worker w's reader on cc
+	fxKill         // murder worker w (loopback hook)
+	fxSpawn        // launch one live-join worker (loopback hook)
+)
+
+type effect struct {
+	op int
+	w  int // worker id; -1 for a candidate not admitted
+	cc *conn
+	f  frame
+}
+
+// Event sources besides a worker id: a candidate's first frame, and the
+// formation deadline passing.
+const (
+	evAdmit   = -1
+	evTimeout = -2
+)
+
 // serve runs the coordinator side of one job on an already-open listener:
-// form the cluster (or resume it from the journal), drive the map phase
-// through the scheduler, apply elastic membership changes, gate reduce on
-// full shuffle commit, and assemble the result. led receives the
+// it does the I/O a coord may not — reading or creating the journal,
+// accepting candidates, reading workers' frames, performing the effects
+// step queues — and assembles the result. led receives the
 // coordinator-side reduce conservation counters (shared with the workers in
 // loopback mode); hooks are the loopback fault/elasticity callbacks.
 func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, error) {
 	o.Job = o.Job.withDefaults()
-	tun := o.Tuning.withDefaults()
-	n := o.Workers
-	if n <= 0 && !o.Resume {
-		return nil, fmt.Errorf("dist: need at least one worker, got %d", n)
+	if o.Workers <= 0 && !o.Resume {
+		return nil, fmt.Errorf("dist: need at least one worker, got %d", o.Workers)
 	}
 	if len(o.Blocks) == 0 {
 		return nil, fmt.Errorf("dist: no input blocks")
@@ -202,130 +156,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	if led == nil {
 		led = newLedger(o.Telemetry)
 	}
-
-	start := time.Now()
-	// The coordinator records its own scheduling spans as node -1 — the
-	// merged trace's "coordinator" process — and its epoch is the timeline
-	// every worker batch is rebased onto.
-	ctr := newTracer(-1)
-	nTasks := len(o.Blocks)
-
-	res := &Result{App: o.Job.App.Name, Workers: n}
-	for _, b := range o.Blocks {
-		res.InputBytes += int64(len(b))
+	if o.TraceID == 0 {
+		o.TraceID = uint64(time.Now().UnixNano())
 	}
-
-	var (
-		ws     []*cworker // index by worker id; grows on join
-		st     = new(jobState)
-		sched  *dsched
-		jn     *journal
-		phase  = phaseMap
-		jobErr error
-	)
-	// reduceAttempt[p] is the attempt partition p's next reduce task runs
-	// under; a reduce-phase death cancels the wave and bumps it.
-	reduceAttempt := make([]int, o.Job.Partitions)
-
-	defer func() {
-		for _, cw := range ws {
-			if cw != nil && cw.cc != nil {
-				cw.cc.close()
-			}
-		}
-	}()
-	defer func() { jn.close() }()
-
-	fail := func(err error) {
-		if jobErr == nil {
-			jobErr = err
-		}
-		phase = phaseDone
-		for _, cw := range ws {
-			if cw != nil && cw.cc != nil {
-				cw.cc.close() // hard: unblock every reader
-			}
-		}
-	}
-	// commit makes one change to the job's journaled state: the record is
-	// durable, when journaling, before apply changes the state, and callers
-	// broadcast the change only once commit reports success. p is the
-	// record's bytes when the caller already holds them (a worker's map-done
-	// or reduce-done payload); nil encodes r.
-	commit := func(typ byte, r payload, p []byte) bool {
-		if jn != nil {
-			if p == nil {
-				p = encode(r)
-			}
-			if err := jn.append(typ, p); err != nil {
-				fail(err)
-				return false
-			}
-		}
-		if err := st.apply(r); err != nil {
-			fail(fmt.Errorf("dist: %w", err))
-			return false
-		}
-		return true
-	}
-	// liveness is the alive set by worker id. The journal records a drain
-	// target alive until its drain completes; announced, it is dead to its
-	// peers once the frame naming it Left has gone out, never while the drain
-	// is merely queued: until then its peers still owe it marks and acks.
-	liveness := func(announced bool) []bool {
-		v := make([]bool, len(ws))
-		for i, cw := range ws {
-			v[i] = cw != nil && cw.alive && !(announced && cw.left)
-		}
-		return v
-	}
-	// membership builds the one frame every membership change travels as,
-	// from current state.
-	membership := func(joined, left int) frame {
-		m := membershipMsg{
-			Epoch: st.Epoch, Homes: st.Homes, Alive: liveness(true), Settled: st.done,
-			Joined: joined, Left: left,
-		}
-		if joined >= 0 {
-			m.JoinedAddr = ws[joined].addr
-		}
-		return frame{typ: mMembership, payload: encode(&m)}
-	}
-	// nextEpoch is the membership record of the next epoch as things stand:
-	// the caller edits in its change, then commits it.
-	nextEpoch := func() *membershipRecord {
-		r := st.membershipRecord
-		r.Epoch++
-		r.Homes = append([]int(nil), r.Homes...)
-		r.Attempt = append([]int(nil), r.Attempt...)
-		r.Alive = liveness(false)
-		return &r
-	}
-	// adopt installs a worker under id, padding the membership with dead
-	// slots up to it: formation, a live joiner, and a worker re-attaching to
-	// a resumed coordinator under its old id.
-	adopt := func(id int, addr string, cc *conn, state int) {
-		for len(ws) <= id {
-			ws = append(ws, &cworker{state: wActive})
-		}
-		cw := &cworker{cc: cc, addr: addr, alive: true, state: state, clock: &clockEstimator{}}
-		ws[id] = cw
-		// Only the coordinator probes; the worker side just echoes. The
-		// initial probe burst lands during formation, before shuffle traffic
-		// can queue behind it.
-		cc.enableClock(cw.clock, tun.heartbeatEvery)
-		if sched != nil {
-			sched.join(id)
-		}
-	}
-
-	// ----- formation -----
-	// A fresh job admits the first n workers to send mJoin, numbered in
-	// order of arrival. A resumed one replays the journal and waits for
-	// every journaled-live worker's mRejoin under its old id. Anything else
-	// is turned away.
-	first := mJoin
-	need := make(map[int]bool) // resume: journaled-live workers yet to rejoin
+	var st *jobState
 	if o.Resume {
 		if o.JournalPath == "" {
 			return nil, fmt.Errorf(resumeRefused + ": no journal path configured")
@@ -340,179 +174,31 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		if err := st.validateResume(&o); err != nil {
 			return nil, err
 		}
-		first = mRejoin
-		ws = make([]*cworker, len(st.Alive))
-		for i, a := range st.Alive {
-			if a {
-				need[i] = true
-			} else {
-				ws[i] = &cworker{state: wActive}
-			}
-		}
 	}
-	missing := func() int {
-		if o.Resume {
-			return len(need)
-		}
-		return n - len(ws)
-	}
-	for missing() > 0 {
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			d.SetDeadline(time.Now().Add(acceptTimeout))
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("dist: forming the cluster: awaiting %d more workers: %w", missing(), err)
-		}
-		cc := newConn(c, "worker", tun, nil)
-		typ, p, err := cc.recv()
-		if err != nil || typ != first {
-			cc.close()
-			continue
-		}
-		if typ == mJoin {
-			var h helloMsg
-			if decode(p, &h).fin("hello") != nil {
-				cc.close()
-				continue
-			}
-			adopt(len(ws), h.ListenAddr, cc, wActive)
-			continue
-		}
-		var m rejoinMsg
-		switch {
-		case decode(p, &m).fin("rejoin") != nil:
-			cc.close()
-		case m.Epoch > st.Epoch:
-			cc.close()
-			return nil, fmt.Errorf(resumeRefused+": worker %d is at epoch %d, ahead of the journal's %d",
-				m.WorkerID, m.Epoch, st.Epoch)
-		case m.WorkerID >= len(ws) || need[m.WorkerID]:
-			// Beyond the journal's membership is a worker admitted after its
-			// last membership record (a join whose transition never started
-			// before the crash): adopt it as a full member owning no
-			// partitions — the peer mesh it built before the crash is intact.
-			adopt(m.WorkerID, m.ListenAddr, cc, wActive)
-			delete(need, m.WorkerID)
-		default:
-			// The journal says this worker already left (drained or its
-			// rejoin slot is already filled): let it exit cleanly.
-			cc.send(frame{typ: mDrained})
-			cc.flush()
-			cc.close()
-		}
-	}
-
-	if !o.Resume {
-		// The job's first records: its identity, its block-store namespace and
-		// the formation epoch.
-		if o.JournalPath != "" {
-			var err error
-			if jn, err = createJournal(o.JournalPath); err != nil {
-				return nil, err
-			}
-		}
-		traceID := o.TraceID
-		if traceID == 0 {
-			traceID = uint64(time.Now().UnixNano())
-		}
-		commit(jrJobStart, &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: traceID, Digest: blocksDigest(o.Blocks)}, nil)
-		if o.Blockstore != "" {
-			// Block b's replicas are computed once, at formation width, and
-			// journaled so a resumed coordinator reconstructs the placement
-			// the workers' disks actually hold.
-			repl := o.Replication
-			if repl <= 0 {
-				repl = 3
-			}
-			if o.Blockstore == "remote" && repl >= n && n > 1 {
-				repl = n - 1 // forced-remote needs a non-holder to run every task on
-			}
-			commit(jrNamespace, &namespaceRecord{Mode: o.Blockstore, Repl: min(repl, n), Width: n}, nil)
-		}
-		homes := make([]int, o.Job.Partitions)
-		for p := range homes {
-			homes[p] = p % n
-		}
-		commit(jrMembership, &membershipRecord{Homes: homes, Alive: liveness(false), Attempt: make([]int, nTasks)}, nil)
-		if jobErr != nil {
-			return nil, jobErr
-		}
-	}
-	// Block-store namespace: holders[t] is the replica set of block t. Resume
-	// never re-ingests — rejoining workers still have their replicas, and
-	// dead holders fall out at dispatch time.
-	var holders [][]int
-	if st.Mode != "" {
-		holders = blockstore.Place(nTasks, st.Width, st.Repl)
-	}
-	var prefer []int
-	if holders != nil && !o.Resume {
-		prefer = make([]int, nTasks)
-		for t := range prefer {
-			if o.Blockstore == "remote" {
-				// First worker past the replica window: never a holder.
-				prefer[t] = (t + len(holders[t])) % n
-			} else {
-				// holders[t][0] is t%n, so the locality-preferring deal keeps
-				// the classic deal's balance exactly.
-				prefer[t] = holders[t][0]
-			}
-		}
-	}
-	sched = newSched(st, len(ws), o.Job.MaxAttempts, prefer, liveness(false))
-
-	if o.Resume {
-		res.Resumed = true
+	var jn *journal
+	if o.JournalPath != "" {
 		var err error
-		if jn, err = openJournalAppend(o.JournalPath); err != nil {
+		if jn, err = openJournal(o.JournalPath, o.Resume); err != nil {
 			return nil, err
 		}
-		// Re-sync every rejoined worker: the refresh carries the journaled
-		// epoch, homes, liveness and settled set, so a worker that missed a
-		// crash-window broadcast applies it now — including any handoff it
-		// still owes (journaling is write-ahead, so the journal is never
-		// behind a broadcast a worker saw).
-		refresh := membership(-1, -1)
-		for _, cw := range ws {
-			if cw != nil && cw.cc != nil && cw.alive {
-				cw.cc.send(refresh)
-			}
-		}
-	} else {
-		peers := make([]string, n)
-		for i, cw := range ws {
-			peers[i] = cw.addr
-		}
-		for i, cw := range ws {
-			cw.cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: i, Workers: n})})
-			cw.cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
-				Job: o.Job, TraceID: st.TraceID, Peers: peers, Homes: st.Homes, Epoch: 0, Live: false,
-			})})
-		}
-		// Ingest the namespace: push every block to each of its replica
-		// holders, after job-start so the worker's handshake stays two
-		// frames, before any map task thanks to FIFO links. Puts ride the
-		// bulk send window, so a slow disk backpressures the push instead of
-		// ballooning the queue; replica bytes are booked by the receiving
-		// worker as dist_block_ingest_bytes_total, never as shuffle traffic.
-		for t, hs := range holders {
-			payload := encode(&blockPutMsg{ID: t, Data: o.Blocks[t]})
-			for _, h := range hs {
-				ws[h].cc.send(frame{typ: mBlockPut, payload: payload, bulk: true, acct: int64(len(payload))})
-			}
-		}
 	}
+	c := newCoord(o, led, hooks, st, jn)
+	defer func() {
+		jn.close()
+		for _, cw := range c.ws {
+			if cw != nil && cw.cc != nil {
+				cw.cc.close()
+			}
+		}
+		for _, h := range c.held {
+			h.cc.close()
+		}
+	}()
 
-	// Post-formation acceptor: candidates dialing in after the job started
-	// (live joiners, or stragglers rejoining a resumed coordinator) are
-	// handshaken off-loop and funneled into the event loop as admission
-	// events. The admission gate closes when serve returns — a candidate
-	// admitted into a dead coordinator's queue would otherwise keep its
-	// connection (and the worker behind it) alive forever.
-	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		d.SetDeadline(time.Time{})
-	}
+	// The acceptor hands each candidate's first frame to the loop as an
+	// admission event. The gate closes when serve returns: a candidate queued
+	// to a finished coordinator would keep its connection, and the worker
+	// behind it, alive forever.
 	events := make(chan cevent, 1024)
 	var admitMu sync.Mutex
 	admitOpen := true
@@ -532,6 +218,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			}
 		}
 	}()
+	tun := c.tun
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -539,7 +226,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				return
 			}
 			go func(c net.Conn) {
-				cc := newConn(c, "joiner", tun, nil)
+				cc := newConn(c, "worker", tun, nil)
 				typ, p, err := cc.recv()
 				if err != nil {
 					cc.close()
@@ -547,7 +234,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				}
 				admitMu.Lock()
 				if admitOpen {
-					events <- cevent{w: -1, typ: typ, payload: p, cc: cc}
+					events <- cevent{w: evAdmit, typ: typ, payload: p, cc: cc}
 					admitMu.Unlock()
 					return
 				}
@@ -558,739 +245,1057 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}()
 
 	readers := 0
-	startReader := func(i int, cc *conn) {
-		readers++
-		go func() {
-			for {
-				typ, p, err := cc.recv()
-				if err != nil {
-					events <- cevent{w: i, err: err}
-					return
+	perform := func() {
+		for _, e := range c.out {
+			switch e.op {
+			case fxSend:
+				e.cc.send(e.f)
+			case fxClose:
+				if e.f.typ != 0 {
+					e.cc.send(e.f)
+					e.cc.flush()
 				}
-				events <- cevent{w: i, typ: typ, payload: p}
-			}
-		}()
-	}
-	for i, cw := range ws {
-		if cw != nil && cw.cc != nil && cw.alive {
-			startReader(i, cw.cc)
-		}
-	}
-
-	reduceOutstanding := 0
-	var mapElapsed time.Duration
-	var reduceStart time.Time
-	pendingKills := make(map[int]bool) // kills fired, death not yet observed
-	pendingMembership := 0             // event-spawned churn not yet completed
-	eventIdx := 0
-	var queuedT []*transition
-	var activeT *transition
-
-	// Open scheduling spans: sched/assign keyed by (task, attempt),
-	// sched/reduce by partition. A span ends when its done/failed report
-	// lands; dispatches that die with their worker are simply never
-	// recorded (the retry opens a fresh span).
-	assignSpans := make(map[attemptKey]func())
-	reduceSpans := make(map[int]func())
-	var batches []spanBatchMsg
-
-	countLive := func() int {
-		c := 0
-		for _, cw := range ws {
-			if cw != nil && cw.alive && cw.state != wDrained {
-				c++
+				e.cc.close()
+			case fxProbe:
+				// Only the coordinator probes; the worker side just echoes.
+				e.cc.enableClock(c.ws[e.w].clock, tun.heartbeatEvery)
+			case fxRead:
+				readers++
+				go func(w int, cc *conn) {
+					for {
+						typ, p, err := cc.recv()
+						if err != nil {
+							events <- cevent{w: w, err: err}
+							return
+						}
+						events <- cevent{w: w, typ: typ, payload: p}
+					}
+				}(e.w, e.cc)
+			case fxKill:
+				go hooks.kill(e.w) // the victim's lost link comes back as an event
+			case fxSpawn:
+				hooks.spawn()
 			}
 		}
+		c.out = c.out[:0]
+	}
+	// Formation fails once acceptTimeout passes with no candidate arriving.
+	formDeadline := time.NewTimer(acceptTimeout)
+	defer formDeadline.Stop()
+	for c.phase == phaseForm || readers > 0 {
+		var ev cevent
+		select {
+		case ev = <-events:
+		case <-formDeadline.C:
+			ev = cevent{w: evTimeout}
+		}
+		if ev.w == evAdmit && c.phase == phaseForm && formDeadline.Stop() {
+			formDeadline.Reset(acceptTimeout)
+		}
+		if ev.w >= 0 && ev.err != nil {
+			readers--
+		}
+		c.step(ev)
+		perform()
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.result(), nil
+}
+
+// coord is the coordinator of one job. Every decision it makes is a method
+// reached from step, one event at a time: a candidate's first frame, a
+// worker's frame, a lost link, or the formation deadline. step touches no
+// socket, starts no goroutine and reads no clock to decide anything; it
+// queues effects in out, which the caller performs in order after step
+// returns. Journal appends are the exception, and stay synchronous inside
+// commit, so a record is durable before any effect that broadcasts it runs.
+type coord struct {
+	o     Options
+	tun   Tuning
+	led   *ledger
+	hooks loopHooks
+	ctr   *tracer // the coordinator's own spans, node -1
+	start time.Time
+	res   *Result
+
+	ws      []*cworker // index by worker id; grows on join
+	st      *jobState
+	sched   *dsched
+	jn      *journal
+	holders [][]int // block t's replica set (block-store modes)
+	phase   int
+	err     error
+
+	// Resume formation: the journaled-live workers yet to rejoin, and the
+	// joiners held until it completes. Ids below base are the journal's
+	// members; fresh joiners are numbered from idFloor, past every id an
+	// earlier coordinator of this job could have given a loopback joiner.
+	need    map[int]bool
+	held    []cevent
+	base    int
+	idFloor int
+	spawned int // joiners this coordinator's join events launched
+
+	// reduceAttempt[p] is the attempt partition p's next reduce task runs
+	// under; a reduce-phase death cancels the wave and bumps it.
+	reduceAttempt     []int
+	reduceOutstanding int
+	mapElapsed        time.Duration
+	reduceStart       time.Time
+	pendingKills      map[int]bool // kills fired, death not yet observed
+	eventIdx          int
+	queuedT           []*transition
+	activeT           *transition
+
+	// Open scheduling spans: sched/assign keyed by (task, attempt), which
+	// is also the set of attempts counted in outstanding, and sched/reduce
+	// by partition. Dispatches that die with their worker are never recorded.
+	assignSpans map[attemptKey]func()
+	reduceSpans map[int]func()
+	batches     []spanBatchMsg
+
+	out []effect
+}
+
+// newCoord builds a coordinator in its formation phase. st is the replayed
+// journal of a resumed job, nil for a fresh one; jn, if set, receives every
+// record the coordinator commits.
+func newCoord(o Options, led *ledger, hooks loopHooks, st *jobState, jn *journal) *coord {
+	c := &coord{
+		o: o, tun: o.Tuning.withDefaults(), led: led, hooks: hooks,
+		ctr: newTracer(-1), start: time.Now(),
+		st: st, jn: jn, phase: phaseForm,
+		reduceAttempt: make([]int, o.Job.Partitions),
+		pendingKills:  make(map[int]bool),
+		assignSpans:   make(map[attemptKey]func()),
+		reduceSpans:   make(map[int]func()),
+		res:           &Result{App: o.Job.App.Name, Workers: o.Workers, Resumed: st != nil},
+	}
+	for _, b := range o.Blocks {
+		c.res.InputBytes += int64(len(b))
+	}
+	if st == nil {
+		c.st = new(jobState)
+		c.base = o.Workers
 		return c
 	}
-	// schedAlive is the scheduler's view of liveness: only wActive workers
-	// may receive, steal or inherit tasks. Joiners still meshing and drain
-	// targets are excluded so nothing is queued where it cannot run.
-	schedAlive := func() []bool {
-		v := make([]bool, len(ws))
-		for i, cw := range ws {
-			v[i] = cw != nil && cw.alive && cw.state == wActive
-		}
-		return v
-	}
-	activeIDs := func(except int) []int {
-		var ids []int
-		for i, cw := range ws {
-			if i != except && cw != nil && cw.alive && cw.state == wActive {
-				ids = append(ids, i)
-			}
-		}
-		return ids
-	}
-	totalOutstanding := func() int {
-		sum := 0
-		for _, cw := range ws {
-			if cw != nil && cw.alive {
-				sum += cw.outstanding
-			}
-		}
-		return sum
-	}
-	broadcast := func(f frame) {
-		for _, cw := range ws {
-			if cw != nil && cw.alive && cw.cc != nil && cw.state != wDrained {
-				cw.cc.send(f)
-			}
-		}
-	}
-
-	var (
-		fill                func()
-		maybeReduce         func()
-		finishJob           func()
-		fireEvents          func()
-		startNextTransition func()
-		tryAdvance          func()
-		completeTransition  func()
-		death               func(int)
-	)
-
-	// rehome moves every partition homes places on a leaving worker — dead
-	// or draining — across the active survivors, deterministically: ascending
-	// partitions, cycling ascending ids. It returns the partitions moved.
-	rehome := func(homes []int, from int) map[int]bool {
-		surv := activeIDs(from)
-		moved := make(map[int]bool)
-		for p, h := range homes {
-			if h == from {
-				homes[p] = surv[len(moved)%len(surv)]
-				moved[p] = true
-			}
-		}
-		return moved
-	}
-
-	// mapSlots is how many map tasks a worker may hold at once; the wire
-	// shuffle of task k overlaps the kernel of task k+1 even at 1 because
-	// sends are asynchronous.
-	const mapSlots = 2
-
-	// fill tops every active worker up to its mapSlots quota. Dispatch
-	// pauses while a membership transition is queued or in flight: the
-	// transition needs the cluster quiesced, and new attempts would stage
-	// shuffle output across a partition map about to move.
-	fill = func() {
-		if phase != phaseMap || jobErr != nil || activeT != nil || len(queuedT) > 0 {
-			return
-		}
-		sa := schedAlive()
-		for w, cw := range ws {
-			if cw == nil || !cw.alive || cw.state != wActive {
-				continue
-			}
-			for cw.outstanding < mapSlots {
-				t, ok := sched.next(w, sa)
-				if !ok {
-					break
-				}
-				id, endSpan := ctr.span(stageSchedAssign, 0)
-				assignSpans[attemptKey{t, st.Attempt[t]}] = endSpan
-				msg := mapTaskMsg{Task: t, Attempt: st.Attempt[t], SpanID: id}
-				if holders == nil {
-					msg.Block = o.Blocks[t]
-				} else {
-					// Block-store dispatch: a reference plus the replica set
-					// still alive to serve it. AllowLocal=false is the
-					// forced-remote baseline — even a holder must stream.
-					msg.Ref = true
-					msg.BlockSize = int64(len(o.Blocks[t]))
-					msg.AllowLocal = o.Blockstore != "remote"
-					for _, h := range holders[t] {
-						if h < len(ws) && ws[h] != nil && ws[h].alive && ws[h].state != wDrained {
-							msg.Holders = append(msg.Holders, h)
-						}
-					}
-					if len(msg.Holders) == 0 {
-						// Every replica is gone: embed the bytes — availability
-						// beats locality, and the read books as remote.
-						msg.Block = o.Blocks[t]
-					}
-				}
-				cw.cc.send(frame{typ: mMapTask, payload: encode(&msg)})
-				cw.outstanding++
-			}
-		}
-	}
-
-	finishJob = func() {
-		if phase == phaseDone {
-			return
-		}
-		phase = phaseDone
-		if !reduceStart.IsZero() {
-			res.ReduceElapsed = time.Since(reduceStart)
-		}
-		broadcast(frame{typ: mJobEnd})
-		// Workers close their end after job-end; readers drain out.
-	}
-
-	// maybeReduce fires the reduce phase once every map task is resolved —
-	// and, crucially, once no kill or membership change is pending: a kill
-	// that has been triggered but whose death the coordinator has not yet
-	// observed must not let reduce start against a store that is about to
-	// be lost, and partitions must not move while reduce reads them.
-	maybeReduce = func() {
-		if phase != phaseMap || jobErr != nil || len(pendingKills) > 0 ||
-			pendingMembership > 0 || activeT != nil || len(queuedT) > 0 ||
-			st.resolvedCount != st.Tasks {
-			return
-		}
-		phase = phaseReduce
-		if mapElapsed == 0 {
-			mapElapsed = time.Since(start)
-		}
-		reduceStart = time.Now()
-		for p := 0; p < o.Job.Partitions; p++ {
-			if st.done[p] {
-				continue // accepted before a restart or recovery; output is final
-			}
-			id, endSpan := ctr.span(stageSchedReduce, 0)
-			reduceSpans[p] = endSpan
-			ws[st.Homes[p]].cc.send(frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
-				Partition: p, Attempt: reduceAttempt[p], SpanID: id,
-			})})
-			reduceOutstanding++
-		}
-		if reduceOutstanding == 0 {
-			finishJob()
-		}
-	}
-
-	// fireEvents consumes elastic events whose progress threshold has been
-	// met, strictly in order.
-	fireEvents = func() {
-		for jobErr == nil && eventIdx < len(o.Elastic) {
-			e := o.Elastic[eventIdx]
-			trigger, threshold := st.resolvedCount, e.AfterMapDone
-			if e.AfterReduceDone > 0 {
-				trigger, threshold = st.doneCount, e.AfterReduceDone
-			}
-			// A fired kill lands asynchronously. Hold later events until its
-			// death is observed (death re-runs fireEvents), or a drain that
-			// starts in between is aborted by that death and the schedule's
-			// outcome depends on goroutine timing.
-			if trigger < threshold || len(pendingKills) > 0 {
-				return
-			}
-			// A drain or kill may target a joiner from an earlier event in the
-			// schedule. While that join is still in flight (admission and
-			// meshing are async, claimed by pendingMembership), hold the event
-			// un-consumed — admission and transition completion re-run
-			// fireEvents — instead of silently skipping it.
-			if (e.Kind == "drain" || e.Kind == "kill") && pendingMembership > 0 &&
-				(e.Worker >= len(ws) || ws[e.Worker] == nil || ws[e.Worker].state == wJoining) {
-				return
-			}
-			eventIdx++
-			switch e.Kind {
-			case "join":
-				if hooks.spawn != nil {
-					pendingMembership++
-					go hooks.spawn()
-				}
-			case "drain":
-				if e.Worker >= 0 && e.Worker < len(ws) && ws[e.Worker] != nil &&
-					ws[e.Worker].alive && ws[e.Worker].state == wActive {
-					ws[e.Worker].state = wDraining
-					pendingMembership++
-					queuedT = append(queuedT, &transition{kind: "drain", target: e.Worker, claimed: true})
-					startNextTransition()
-				}
-			case "kill":
-				if hooks.kill != nil && e.Worker >= 0 && e.Worker < len(ws) &&
-					ws[e.Worker] != nil && ws[e.Worker].alive {
-					pendingKills[e.Worker] = true
-					// The kill hook runs off-loop: it closes the victim's
-					// coordinator link, which comes back as this loop's
-					// death event.
-					go hooks.kill(e.Worker)
-				}
-			case "restart":
-				fail(&restartCrash{fired: eventIdx})
-				return
-			}
-		}
-	}
-
-	// startNextTransition promotes the head of the transition queue,
-	// dropping entries invalidated by deaths along the way.
-	startNextTransition = func() {
-		if activeT != nil || jobErr != nil {
-			return
-		}
-		for activeT == nil && len(queuedT) > 0 {
-			t := queuedT[0]
-			queuedT = queuedT[1:]
-			cw := ws[t.target]
-			switch {
-			case cw == nil || !cw.alive:
-				if t.claimed {
-					pendingMembership--
-				}
-			case t.kind == "drain" && len(activeIDs(t.target)) == 0:
-				// Can't drain the last active worker; drop the drain.
-				cw.state = wActive
-				if t.claimed {
-					pendingMembership--
-				}
-			default:
-				activeT = t
-			}
-		}
-		if activeT != nil {
-			tryAdvance()
-		}
-	}
-
-	// tryAdvance starts the active transition once the cluster is quiesced:
-	// no outstanding map attempts means every shipped run has passed its
-	// commit barrier, so the partition map can move without stranding
-	// staged data. A fired kill must land first: its death would abort a
-	// transition started under it, and whether it did would hang on
-	// goroutine timing.
-	tryAdvance = func() {
-		if activeT == nil || activeT.started || jobErr != nil || phase != phaseMap {
-			return
-		}
-		if totalOutstanding() > 0 || len(pendingKills) > 0 {
-			return
-		}
-		t := activeT
-		rec := nextEpoch()
-		homes := rec.Homes
-		joined, left := t.target, -1
-		if t.kind == "join" {
-			t.pending = make(map[int]bool)
-			// Move ⌊P/live⌋ partitions to the joiner, one at a time from the
-			// currently most-loaded owner (lowest id on ties) — deterministic
-			// and balanced.
-			surv := activeIDs(-1)
-			want := len(homes) / (len(surv) + 1)
-			for moved := 0; moved < want; moved++ {
-				load := make(map[int]int)
-				for _, h := range homes {
-					load[h]++
-				}
-				donor, best := -1, 1
-				for _, id := range surv {
-					if load[id] > best {
-						donor, best = id, load[id]
-					}
-				}
-				if donor < 0 {
-					break
-				}
-				for p := range homes {
-					if homes[p] == donor {
-						homes[p] = t.target
-						t.pending[p] = true
-						break
-					}
-				}
-			}
-			rec.Joined++
+	c.need = make(map[int]bool)
+	c.ws = make([]*cworker, len(st.Alive))
+	for i, a := range st.Alive {
+		if a {
+			c.need[i] = true
 		} else {
-			joined, left = -1, t.target
-			t.pending = rehome(homes, t.target)
-		}
-		// Write-ahead: journal the new epoch before any worker hears of it.
-		// A drain journals the target still data-alive — a resume must accept
-		// its rejoin while un-handed-off partitions live only on it — while
-		// the frame naming it Left announces it compute-dead, so peers stop
-		// counting it in commit barriers and it flushes and hands off. The
-		// second journal record at completion retires it fully.
-		if !commit(jrMembership, rec, nil) {
-			return
-		}
-		t.epoch = st.Epoch
-		if left >= 0 {
-			sched.drain(left, schedAlive())
-			ws[left].left = true
-		}
-		broadcast(membership(joined, left))
-		t.started = true
-		if o.Journal != nil {
-			o.Journal.Info("rehome", "kind", t.kind, "target", t.target, "epoch", st.Epoch, "moved", len(t.pending))
-		}
-		if len(t.pending) == 0 {
-			completeTransition()
+			c.ws[i] = &cworker{state: wActive}
 		}
 	}
+	c.base = len(st.Alive)
+	c.idFloor = max(c.base, o.Workers+hooks.joiners)
+	return c
+}
 
-	completeTransition = func() {
-		t := activeT
-		if t == nil || !t.started || len(t.pending) > 0 {
+func (c *coord) emit(op, w int, cc *conn, f frame) {
+	c.out = append(c.out, effect{op: op, w: w, cc: cc, f: f})
+}
+
+func (c *coord) send(w int, f frame) { c.emit(fxSend, w, c.ws[w].cc, f) }
+
+// note logs one scheduling event to Options.Journal, if set.
+func (c *coord) note(msg string, args ...any) {
+	if c.o.Journal != nil {
+		c.o.Journal.Info(msg, args...)
+	}
+}
+
+func (c *coord) step(ev cevent) {
+	switch {
+	case ev.w == evTimeout:
+		if c.phase == phaseForm {
+			c.fail(fmt.Errorf("dist: forming the cluster: no worker arrived for %v", acceptTimeout))
+		}
+	case ev.w == evAdmit:
+		c.admit(ev)
+	case ev.err != nil:
+		c.death(ev.w)
+	default:
+		c.onFrame(ev.w, ev.typ, ev.payload)
+	}
+}
+
+func (c *coord) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.phase = phaseDone
+	for i, cw := range c.ws {
+		if cw != nil && cw.cc != nil {
+			c.emit(fxClose, i, cw.cc, frame{}) // hard: unblock every reader
+		}
+	}
+}
+
+// commit makes one change to the job's journaled state: the record is
+// durable, when journaling, before apply changes the state, and callers
+// broadcast the change only once commit reports success. p is the record's
+// bytes when the caller already holds them (a worker's map-done or
+// reduce-done payload); nil encodes r.
+func (c *coord) commit(typ byte, r payload, p []byte) bool {
+	if c.jn != nil {
+		if p == nil {
+			p = encode(r)
+		}
+		if err := c.jn.append(typ, p); err != nil {
+			c.fail(err)
+			return false
+		}
+	}
+	if err := c.st.apply(r); err != nil {
+		c.fail(fmt.Errorf("dist: %w", err))
+		return false
+	}
+	return true
+}
+
+// liveness is the alive set by worker id. The journal records a drain
+// target alive until its drain completes; announced, it is dead to its
+// peers once the frame naming it Left has gone out, never while the drain
+// is merely queued: until then its peers still owe it marks and acks.
+func (c *coord) liveness(announced bool) []bool {
+	v := make([]bool, len(c.ws))
+	for i, cw := range c.ws {
+		v[i] = cw != nil && cw.alive && !(announced && cw.left)
+	}
+	return v
+}
+
+// membership builds the one frame every membership change travels as,
+// from current state.
+func (c *coord) membership(joined, left int) frame {
+	m := membershipMsg{
+		Epoch: c.st.Epoch, Homes: c.st.Homes, Alive: c.liveness(true), Settled: c.st.done,
+		Joined: joined, Left: left,
+	}
+	if joined >= 0 {
+		m.JoinedAddr = c.ws[joined].addr
+	}
+	return frame{typ: mMembership, payload: encode(&m)}
+}
+
+// nextEpoch is the membership record of the next epoch as things stand:
+// the caller edits in its change, then commits it.
+func (c *coord) nextEpoch() *membershipRecord {
+	r := c.st.membershipRecord
+	r.Epoch++
+	r.Homes = append([]int(nil), r.Homes...)
+	r.Attempt = append([]int(nil), r.Attempt...)
+	r.Alive = c.liveness(false)
+	return &r
+}
+
+// admit is the one admission path: a candidate's first frame, in any phase.
+// A fresh job's formation numbers the first o.Workers mJoins in arrival
+// order; a resumed one's waits for every journaled-live worker's mRejoin
+// and holds mJoins until it completes. Later mJoins are live joiners. A
+// rejoiner beyond the journal's membership is a joiner whose transition
+// never started: its transition is queued now, since it meshed before the
+// crash and will not report ready again. A rejoiner the journal says left
+// is told to exit; anything else, and any id past maxWorkers, is refused.
+func (c *coord) admit(ev cevent) {
+	cc := ev.cc
+	refuse := func() { c.emit(fxClose, evAdmit, cc, frame{}) }
+	if c.phase == phaseDone {
+		refuse()
+		return
+	}
+	forming := c.phase == phaseForm
+	switch ev.typ {
+	case mJoin:
+		var h helloMsg
+		if decode(ev.payload, &h).fin("hello") != nil {
+			refuse()
 			return
 		}
-		activeT = nil
-		if t.claimed {
-			pendingMembership--
+		id := max(len(c.ws), c.idFloor)
+		switch {
+		case forming && c.need != nil:
+			c.held = append(c.held, ev)
+		case id >= maxWorkers:
+			refuse()
+		case forming:
+			c.adopt(id, h.ListenAddr, cc, wActive)
+			if len(c.ws) == c.o.Workers {
+				c.form()
+			}
+		default:
+			// A mid-reduce joiner meshes, idles (its transition waits for a
+			// map phase that may never come back) and exits at job end.
+			c.adopt(id, h.ListenAddr, cc, wJoining)
+			c.welcome(id)
+			c.emit(fxRead, id, cc, frame{})
+			c.note("worker-join", "worker", id, "addr", h.ListenAddr)
+			c.fireEvents() // a deferred drain/kill of this joiner can fire now
 		}
-		if t.kind == "join" {
-			ws[t.target].state = wActive
-			// Rescue tasks stranded on dead workers' queues now that a fresh
-			// active worker exists (possible only if every prior active died
-			// while the joiner was meshing).
-			sa := schedAlive()
-			for i, cw := range ws {
-				if (cw == nil || !cw.alive) && i < len(sched.queues) && len(sched.queues[i]) > 0 {
-					sched.drain(i, sa)
+	case mRejoin:
+		var m rejoinMsg
+		if decode(ev.payload, &m).fin("rejoin") != nil || c.need == nil ||
+			m.WorkerID < 0 || m.WorkerID >= maxWorkers {
+			refuse()
+			return
+		}
+		id := m.WorkerID
+		switch {
+		case m.Epoch > c.st.Epoch:
+			refuse()
+			if forming {
+				c.fail(fmt.Errorf(resumeRefused+": worker %d is at epoch %d, ahead of the journal's %d",
+					id, m.Epoch, c.st.Epoch))
+			}
+		case c.need[id]:
+			delete(c.need, id)
+			c.adopt(id, m.ListenAddr, cc, wActive)
+			if forming && len(c.need) == 0 {
+				c.form()
+			}
+		case id >= c.base && (id >= len(c.ws) || c.ws[id].cc == nil):
+			c.adopt(id, m.ListenAddr, cc, wJoining)
+			c.queuedT = append(c.queuedT, &transition{kind: "join", target: id})
+			if !forming {
+				c.send(id, c.membership(-1, -1))
+				c.emit(fxRead, id, cc, frame{})
+				c.startNextTransition()
+			}
+		default: // it already left, or its slot is filled: let it exit cleanly
+			c.emit(fxClose, evAdmit, cc, frame{typ: mDrained})
+		}
+	default:
+		refuse()
+	}
+}
+
+// adopt installs a worker under id, padding the membership with dead slots
+// up to it.
+func (c *coord) adopt(id int, addr string, cc *conn, state int) {
+	for len(c.ws) <= id {
+		c.ws = append(c.ws, &cworker{state: wActive})
+	}
+	c.ws[id] = &cworker{cc: cc, addr: addr, alive: true, state: state, clock: &clockEstimator{}}
+	// The initial probe burst lands during formation, before shuffle
+	// traffic can queue behind it.
+	c.emit(fxProbe, id, cc, frame{})
+	if c.sched != nil {
+		c.sched.join(id)
+	}
+}
+
+// welcome sends worker id its handshake: its id and the cluster width, then
+// the job, its peers' addresses, the partition homes and the epoch.
+func (c *coord) welcome(id int) {
+	peers := make([]string, len(c.ws))
+	for i, cw := range c.ws {
+		if cw != nil && cw.alive && cw.cc != nil {
+			peers[i] = cw.addr
+		}
+	}
+	c.send(id, frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: id, Workers: len(c.ws)})})
+	c.send(id, frame{typ: mJobStart, payload: encode(&jobStartMsg{
+		Job: c.o.Job, TraceID: c.st.TraceID, Peers: peers, Homes: c.st.Homes, Epoch: c.st.Epoch,
+		Live: c.phase != phaseForm,
+	})})
+}
+
+// form ends formation. A fresh job commits its first records — identity,
+// block-store namespace, the formation epoch — welcomes its workers and
+// ingests the namespace; a resumed one re-syncs its rejoined workers.
+// Then the map phase starts and held joiners are admitted.
+func (c *coord) form() {
+	o, n, nTasks := &c.o, len(c.ws), len(c.o.Blocks)
+	if c.need == nil {
+		c.commit(jrJobStart, &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: o.TraceID, Digest: blocksDigest(o.Blocks)}, nil)
+		if o.Blockstore != "" {
+			// Block b's replicas are computed once, at formation width, and
+			// journaled so a resumed coordinator reconstructs the placement
+			// the workers' disks actually hold.
+			repl := o.Replication
+			if repl <= 0 {
+				repl = 3
+			}
+			if o.Blockstore == "remote" && repl >= n && n > 1 {
+				repl = n - 1 // forced-remote needs a non-holder to run every task on
+			}
+			c.commit(jrNamespace, &namespaceRecord{Mode: o.Blockstore, Repl: min(repl, n), Width: n}, nil)
+		}
+		homes := make([]int, o.Job.Partitions)
+		for p := range homes {
+			homes[p] = p % n
+		}
+		c.commit(jrMembership, &membershipRecord{Homes: homes, Alive: c.liveness(false), Attempt: make([]int, nTasks)}, nil)
+		if c.err != nil {
+			return
+		}
+	}
+	// Block-store namespace: holders[t] is the replica set of block t. Resume
+	// never re-ingests — rejoining workers still have their replicas, and
+	// dead holders fall out at dispatch time.
+	if c.st.Mode != "" {
+		c.holders = blockstore.Place(nTasks, c.st.Width, c.st.Repl)
+	}
+	if c.need != nil {
+		// A resumed job starts a new epoch that supersedes every unresolved
+		// task's attempt: the crashed coordinator's attempts may still be
+		// running, this one cannot count them toward quiesce, and their runs
+		// — staged under the old epoch — are fenced once the homes adopt the
+		// new one. If the crash interrupted a transition, its handoffs in
+		// flight are fenced too, so every task is superseded, as by a death.
+		rec := c.nextEpoch()
+		for t, r := range c.st.resolved {
+			if !r || c.st.moving {
+				rec.Attempt[t]++
+			}
+		}
+		if !c.commit(jrMembership, rec, nil) {
+			return
+		}
+	}
+	var prefer []int
+	if c.holders != nil && c.need == nil {
+		prefer = make([]int, nTasks)
+		for t := range prefer {
+			if o.Blockstore == "remote" {
+				// First worker past the replica window: never a holder.
+				prefer[t] = (t + len(c.holders[t])) % n
+			} else {
+				// holders[t][0] is t%n, so the locality-preferring deal keeps
+				// the classic deal's balance exactly.
+				prefer[t] = c.holders[t][0]
+			}
+		}
+	}
+	c.sched = newSched(c.st, len(c.ws), o.Job.MaxAttempts, prefer, c.schedAlive())
+
+	if c.need != nil {
+		// The refresh announcing the new epoch carries the homes, liveness
+		// and settled set, so a worker that missed a crash-window broadcast
+		// applies it now (journaling is write-ahead, so the journal is never
+		// behind a broadcast a worker saw).
+		c.broadcast(c.membership(-1, -1))
+	} else {
+		for i := range c.ws {
+			c.welcome(i)
+		}
+		// Ingest the namespace: push every block to each of its replica
+		// holders, after job-start so the worker's handshake stays two
+		// frames, before any map task thanks to FIFO links. Puts ride the
+		// bulk send window, so a slow disk backpressures the push instead of
+		// ballooning the queue; replica bytes are booked by the receiving
+		// worker as dist_block_ingest_bytes_total, never as shuffle traffic.
+		for t, hs := range c.holders {
+			payload := encode(&blockPutMsg{ID: t, Data: o.Blocks[t]})
+			for _, h := range hs {
+				c.send(h, frame{typ: mBlockPut, payload: payload, bulk: true, acct: int64(len(payload))})
+			}
+		}
+	}
+	c.phase = phaseMap
+	for i, cw := range c.ws {
+		if cw != nil && cw.cc != nil && cw.alive {
+			c.emit(fxRead, i, cw.cc, frame{})
+		}
+	}
+	for _, ev := range c.held {
+		c.admit(ev) // no longer forming: admitted live
+	}
+	c.held = nil
+	c.startNextTransition()
+	c.fireEvents()
+	c.fill()
+	c.maybeReduce() // a resumed job may already have every task and partition done
+}
+
+// schedAlive is the scheduler's view of liveness: only wActive workers may
+// receive, steal or inherit tasks. Joiners still meshing and drain targets
+// are excluded so nothing is queued where it cannot run.
+func (c *coord) schedAlive() []bool {
+	v := make([]bool, len(c.ws))
+	for i, cw := range c.ws {
+		v[i] = cw != nil && cw.alive && cw.state == wActive
+	}
+	return v
+}
+
+func (c *coord) activeIDs(except int) (ids []int) {
+	for i, a := range c.schedAlive() {
+		if a && i != except {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
+func (c *coord) totalOutstanding() int {
+	sum := 0
+	for _, cw := range c.ws {
+		if cw != nil && cw.alive {
+			sum += cw.outstanding
+		}
+	}
+	return sum
+}
+
+func (c *coord) broadcast(f frame) {
+	for i, cw := range c.ws {
+		if cw != nil && cw.alive && cw.cc != nil && cw.state != wDrained {
+			c.send(i, f)
+		}
+	}
+}
+
+// claimed reports whether churn the loopback runner scheduled is still in
+// flight: a queued or active drain (drains are only ever scheduled), and in
+// loopback a join transition, a joiner still meshing, or a spawned joiner no
+// coordinator of this job has admitted — every spawn, by this coordinator or
+// a crashed one, less the joiners the journal's membership and this
+// coordinator's admissions account for. Reduce does not start under a
+// claim, and a drain or kill aimed at a joiner waits for it.
+func (c *coord) claimed() bool {
+	loopback := c.hooks.spawn != nil
+	if t := c.activeT; t != nil && (t.kind == "drain" || loopback) {
+		return true
+	}
+	for _, t := range c.queuedT {
+		if t.kind == "drain" || loopback {
+			return true
+		}
+	}
+	if !loopback {
+		return false
+	}
+	admitted := c.base - c.o.Workers
+	for i, cw := range c.ws {
+		if cw != nil && cw.alive && cw.state == wJoining {
+			return true
+		}
+		if i >= c.base && cw.cc != nil {
+			admitted++
+		}
+	}
+	return c.hooks.joiners+c.spawned > admitted
+}
+
+// rehome moves every partition homes places on a leaving worker — dead or
+// draining — across the active survivors, deterministically: ascending
+// partitions, cycling ascending ids. It returns the partitions moved.
+func (c *coord) rehome(homes []int, from int) map[int]bool {
+	surv := c.activeIDs(from)
+	moved := make(map[int]bool)
+	for p, h := range homes {
+		if h == from {
+			homes[p] = surv[len(moved)%len(surv)]
+			moved[p] = true
+		}
+	}
+	return moved
+}
+
+// mapSlots is how many map tasks a worker may hold at once; the wire
+// shuffle of task k overlaps the kernel of task k+1 even at 1 because sends
+// are asynchronous.
+const mapSlots = 2
+
+// fill tops every active worker up to its mapSlots quota. Dispatch pauses
+// while a membership transition is queued or in flight: the transition
+// needs the cluster quiesced, and new attempts would stage shuffle output
+// across a partition map about to move.
+func (c *coord) fill() {
+	if c.phase != phaseMap || c.activeT != nil || len(c.queuedT) > 0 {
+		return
+	}
+	sa := c.schedAlive()
+	for w, cw := range c.ws {
+		if cw == nil || !cw.alive || cw.state != wActive {
+			continue
+		}
+		for cw.outstanding < mapSlots {
+			t, ok := c.sched.next(w, sa)
+			if !ok {
+				break
+			}
+			id, endSpan := c.ctr.span(stageSchedAssign, 0)
+			c.assignSpans[attemptKey{t, c.st.Attempt[t]}] = endSpan
+			msg := mapTaskMsg{Task: t, Attempt: c.st.Attempt[t], SpanID: id}
+			if c.holders == nil {
+				msg.Block = c.o.Blocks[t]
+			} else {
+				// Block-store dispatch: a reference plus the replica set still
+				// alive to serve it. AllowLocal=false is the forced-remote
+				// baseline — even a holder must stream.
+				msg.Ref = true
+				msg.BlockSize = int64(len(c.o.Blocks[t]))
+				msg.AllowLocal = c.o.Blockstore != "remote"
+				for _, h := range c.holders[t] {
+					if h < len(c.ws) && c.ws[h] != nil && c.ws[h].alive && c.ws[h].state != wDrained {
+						msg.Holders = append(msg.Holders, h)
+					}
+				}
+				if len(msg.Holders) == 0 {
+					// Every replica is gone: embed the bytes — availability
+					// beats locality, and the read books as remote.
+					msg.Block = c.o.Blocks[t]
 				}
 			}
-		} else {
-			cw := ws[t.target]
-			cw.alive = false
-			cw.state = wDrained
-			rec := nextEpoch()
-			rec.Drained++
-			if !commit(jrMembership, rec, nil) {
-				return
-			}
-			cw.cc.send(frame{typ: mDrained})
+			c.send(w, frame{typ: mMapTask, payload: encode(&msg)})
+			cw.outstanding++
 		}
-		if o.Journal != nil {
-			o.Journal.Info("membership-complete", "kind", t.kind, "target", t.target, "epoch", st.Epoch)
-		}
-		fireEvents() // a drain/kill deferred on this join's completion can fire now
-		startNextTransition()
-		fill()
-		maybeReduce()
 	}
+}
 
-	death = func(w int) {
-		cw := ws[w]
-		if cw == nil || !cw.alive {
+func (c *coord) finishJob() {
+	if c.phase == phaseDone {
+		return
+	}
+	c.phase = phaseDone
+	if !c.reduceStart.IsZero() {
+		c.res.ReduceElapsed = time.Since(c.reduceStart)
+	}
+	c.broadcast(frame{typ: mJobEnd})
+	// Workers close their end after job-end; readers drain out.
+}
+
+// maybeReduce fires the reduce phase once every map task is resolved —
+// and, crucially, once no kill or membership change is pending: a kill that
+// has been triggered but whose death the coordinator has not yet observed
+// must not let reduce start against a store that is about to be lost, and
+// partitions must not move while reduce reads them.
+func (c *coord) maybeReduce() {
+	if c.phase != phaseMap || len(c.pendingKills) > 0 || c.claimed() ||
+		c.activeT != nil || len(c.queuedT) > 0 || c.st.resolvedCount != c.st.Tasks {
+		return
+	}
+	c.phase = phaseReduce
+	if c.mapElapsed == 0 {
+		c.mapElapsed = time.Since(c.start)
+	}
+	c.reduceStart = time.Now()
+	for p := 0; p < c.o.Job.Partitions; p++ {
+		if c.st.done[p] {
+			continue // accepted before a restart or recovery; output is final
+		}
+		id, endSpan := c.ctr.span(stageSchedReduce, 0)
+		c.reduceSpans[p] = endSpan
+		c.send(c.st.Homes[p], frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
+			Partition: p, Attempt: c.reduceAttempt[p], SpanID: id,
+		})})
+		c.reduceOutstanding++
+	}
+	if c.reduceOutstanding == 0 {
+		c.finishJob()
+	}
+}
+
+// fireEvents consumes elastic events whose progress threshold has been
+// met, strictly in order.
+func (c *coord) fireEvents() {
+	for c.err == nil && c.eventIdx < len(c.o.Elastic) {
+		e := c.o.Elastic[c.eventIdx]
+		trigger, threshold := c.st.resolvedCount, e.AfterMapDone
+		if e.AfterReduceDone > 0 {
+			trigger, threshold = c.st.doneCount, e.AfterReduceDone
+		}
+		// A fired kill lands asynchronously. Hold later events until its
+		// death is observed (death re-runs fireEvents), or a drain that
+		// starts in between is aborted by that death and the schedule's
+		// outcome depends on goroutine timing.
+		if trigger < threshold || len(c.pendingKills) > 0 {
 			return
 		}
+		// A drain or kill may target a joiner from an earlier event in the
+		// schedule. While that join is still in flight, hold the event
+		// un-consumed — admission and transition completion re-run
+		// fireEvents — instead of silently skipping it.
+		target := e.Worker
+		if (e.Kind == "drain" || e.Kind == "kill") && c.claimed() &&
+			(target >= len(c.ws) || c.ws[target] == nil || c.ws[target].state == wJoining) {
+			return
+		}
+		c.eventIdx++
+		valid := target >= 0 && target < len(c.ws) && c.ws[target] != nil && c.ws[target].alive
+		switch e.Kind {
+		case "join":
+			if c.hooks.spawn != nil {
+				c.spawned++
+				c.emit(fxSpawn, -1, nil, frame{})
+			}
+		case "drain":
+			// Draining the last active worker is refused: nothing could take
+			// its partitions.
+			if valid && c.ws[target].state == wActive && len(c.activeIDs(target)) > 0 {
+				c.ws[target].state = wDraining
+				c.queuedT = append(c.queuedT, &transition{kind: "drain", target: target})
+				c.startNextTransition()
+			}
+		case "kill":
+			if c.hooks.kill != nil && valid {
+				c.pendingKills[target] = true
+				c.emit(fxKill, target, nil, frame{})
+			}
+		case "restart":
+			c.fail(&restartCrash{fired: c.eventIdx})
+			return
+		}
+	}
+}
+
+// startNextTransition promotes the head of the transition queue, dropping
+// entries invalidated by deaths along the way.
+func (c *coord) startNextTransition() {
+	if c.activeT != nil || c.err != nil {
+		return
+	}
+	for c.activeT == nil && len(c.queuedT) > 0 {
+		t := c.queuedT[0]
+		c.queuedT = c.queuedT[1:]
+		cw := c.ws[t.target]
+		switch {
+		case !cw.alive:
+		case t.kind == "drain" && len(c.activeIDs(t.target)) == 0:
+			cw.state = wActive // can't drain the last active worker; drop the drain
+		default:
+			c.activeT = t
+		}
+	}
+	if c.activeT != nil {
+		c.tryAdvance()
+	}
+}
+
+// tryAdvance starts the active transition once the cluster is quiesced: no
+// outstanding map attempts means every shipped run has passed its commit
+// barrier, so the partition map can move without stranding staged data. A
+// fired kill must land first: its death would abort a transition started
+// under it, and whether it did would hang on goroutine timing.
+func (c *coord) tryAdvance() {
+	t := c.activeT
+	if t == nil || t.started || c.phase != phaseMap || c.totalOutstanding() > 0 || len(c.pendingKills) > 0 {
+		return
+	}
+	rec := c.nextEpoch()
+	homes := rec.Homes
+	joined, left := t.target, -1
+	if t.kind == "join" {
+		t.pending = make(map[int]bool)
+		// Move ⌊P/live⌋ partitions to the joiner, one at a time from the
+		// currently most-loaded owner (lowest id on ties) — deterministic and
+		// balanced.
+		surv := c.activeIDs(-1)
+		load := make(map[int]int)
+		for _, h := range homes {
+			load[h]++
+		}
+		for moved := 0; moved < len(homes)/(len(surv)+1); moved++ {
+			donor := -1
+			for _, id := range surv {
+				if load[id] > 1 && (donor < 0 || load[id] > load[donor]) {
+					donor = id
+				}
+			}
+			if donor < 0 {
+				break
+			}
+			p := slices.Index(homes, donor)
+			homes[p] = t.target
+			load[donor]--
+			t.pending[p] = true
+		}
+		rec.Joined++
+	} else {
+		joined, left = -1, t.target
+		t.pending = c.rehome(homes, t.target)
+	}
+	// Write-ahead: journal the new epoch before any worker hears of it. A
+	// drain journals the target still data-alive — a resume must accept its
+	// rejoin while un-handed-off partitions live only on it — while the
+	// frame naming it Left announces it compute-dead, so peers stop counting
+	// it in commit barriers and it flushes and hands off. The second journal
+	// record at completion retires it fully.
+	if !c.commit(jrMembership, rec, nil) {
+		return
+	}
+	t.epoch = c.st.Epoch
+	if left >= 0 {
+		c.sched.drain(left, c.schedAlive())
+		c.ws[left].left = true
+	}
+	c.broadcast(c.membership(joined, left))
+	t.started = true
+	c.note("rehome", "kind", t.kind, "target", t.target, "epoch", c.st.Epoch, "moved", len(t.pending))
+	if len(t.pending) == 0 {
+		c.completeTransition()
+	}
+}
+
+func (c *coord) completeTransition() {
+	t := c.activeT
+	if t == nil || !t.started || len(t.pending) > 0 {
+		return
+	}
+	c.activeT = nil
+	if t.kind == "join" {
+		// Journal the end of the handoff, so a resume knows none is in flight.
+		if !c.commit(jrMembership, c.nextEpoch(), nil) {
+			return
+		}
+		c.ws[t.target].state = wActive
+		// Rescue tasks stranded on dead workers' queues now that a fresh
+		// active worker exists (possible only if every prior active died
+		// while the joiner was meshing).
+		sa := c.schedAlive()
+		for i, cw := range c.ws {
+			if (cw == nil || !cw.alive) && i < len(c.sched.queues) && len(c.sched.queues[i]) > 0 {
+				c.sched.drain(i, sa)
+			}
+		}
+	} else {
+		cw := c.ws[t.target]
 		cw.alive = false
-		cw.outstanding = 0
-		wasJoining := cw.state == wJoining
-		delete(pendingKills, w)
-		if o.Journal != nil {
-			o.Journal.Info("worker-dead", "worker", w, "live", countLive())
+		cw.state = wDrained
+		rec := c.nextEpoch()
+		rec.Drained++
+		if !c.commit(jrMembership, rec, nil) {
+			return
 		}
-		// Release any membership claims the dead worker holds.
-		released := false
-		keep := queuedT[:0]
-		for _, t := range queuedT {
-			if t.target == w {
-				if t.claimed {
-					pendingMembership--
-				}
-				released = true
-				continue
-			}
+		c.send(t.target, frame{typ: mDrained})
+	}
+	c.note("membership-complete", "kind", t.kind, "target", t.target, "epoch", c.st.Epoch)
+	c.fireEvents() // a drain/kill deferred on this join's completion can fire now
+	c.startNextTransition()
+	c.fill()
+	c.maybeReduce()
+}
+
+func (c *coord) death(w int) {
+	cw := c.ws[w]
+	if cw == nil || !cw.alive {
+		return
+	}
+	cw.alive = false
+	if c.phase == phaseDone {
+		return // workers close their links once the job ends
+	}
+	cw.outstanding = 0
+	delete(c.pendingKills, w)
+	c.note("worker-dead", "worker", w, "active", len(c.activeIDs(-1)))
+	// Drop the transitions the dead worker was the target of.
+	keep := c.queuedT[:0]
+	for _, t := range c.queuedT {
+		if t.target != w {
 			keep = append(keep, t)
 		}
-		queuedT = keep
-		if activeT != nil {
-			t := activeT
-			switch {
-			case !t.started && t.target == w:
-				if t.claimed {
-					pendingMembership--
-				}
-				released = true
-				activeT = nil
-			case !t.started:
-				// Bystander death while the transition awaits quiesce: keep
-				// it; quiesce re-checks after redistribution.
-			default:
-				// Started: the handoff plan is invalidated — the dead worker
-				// may be its source, target or destination. Abort: death
-				// re-execution supersedes whatever moved, and the store's
-				// epoch fence drops stale handoff remnants. A join target
-				// survives as a full (empty-handed) member; a drain target
-				// survives in limbo — compute-dead to its peers, data-alive,
-				// owning nothing — and idles until job end.
-				if t.kind == "join" && t.target != w {
-					ws[t.target].state = wActive
-				}
-				if t.claimed {
-					pendingMembership--
-				}
-				if t.target == w {
-					released = true
-				}
-				activeT = nil
-			}
-		}
-		// A joiner that died between spawn and its mJoinReady holds the
-		// spawn-time claim with no transition to release it.
-		if wasJoining && !released && hooks.spawn != nil {
-			pendingMembership--
-		}
-		if countLive() == 0 {
-			fail(fmt.Errorf("dist: all workers dead"))
-			return
-		}
-		if len(activeIDs(-1)) == 0 {
-			fail(fmt.Errorf("dist: no active workers left"))
-			return
-		}
-		// Accepted outputs whose home just died take their resident records
-		// with them: the dying store books them lost, so book them settled
-		// here or the ledger reads them as recoverable losses. The record
-		// announcing the death zeroes them, so a second death of the
-		// partition's (empty-handed) next home books 0.
-		for p, h := range st.Homes {
-			if h == w && st.done[p] {
-				led.storeSettled.Add(st.resident[p])
-			}
-		}
-		rec := nextEpoch()
-		rec.Lost++
-		rehome(rec.Homes, w)
-		if st.doneCount == o.Job.Partitions {
-			// Every partition's output was already accepted — final by
-			// definition — so the death recovers nothing. Record it and
-			// finish instead of re-executing the world.
-			if commit(jrMembership, rec, nil) {
-				finishJob()
-			}
-			return
-		}
-		if phase == phaseReduce {
-			// Reduce-phase death is no longer fatal: cancel the reduce wave,
-			// fall back to the map phase, and let death redistribution
-			// re-execute what died with the worker's store. Partitions whose
-			// output was already accepted keep it — first acceptance is
-			// final — and late reports from the cancelled wave are still
-			// accepted if their partition's data was complete.
-			phase = phaseMap
-			reduceOutstanding = 0
-			for p, end := range reduceSpans {
-				end()
-				delete(reduceSpans, p)
-			}
-			for p := 0; p < o.Job.Partitions; p++ {
-				if !st.done[p] {
-					reduceAttempt[p]++
-				}
-			}
-		}
-		for _, t := range sched.death(w, schedAlive()) {
-			rec.Attempt[t]++
-		}
-		if !commit(jrMembership, rec, nil) {
-			return
-		}
-		broadcast(membership(-1, -1))
-		// Events held behind this kill can fire now. And the death may have
-		// aborted the active transition: promote the next queued one, or
-		// nothing ever will and dispatch stays paused.
-		fireEvents()
-		startNextTransition()
-		fill()
-		tryAdvance()
-		maybeReduce()
 	}
+	c.queuedT = keep
+	// A bystander death while the active transition awaits quiesce keeps
+	// it: quiesce re-checks after redistribution. A started one's handoff
+	// plan is invalidated — the dead worker may be its source, target or
+	// destination — so it aborts: death re-execution supersedes whatever
+	// moved, and the store's epoch fence drops stale handoff remnants. A
+	// join target survives as a full (empty-handed) member; a drain target
+	// survives in limbo — compute-dead to its peers, data-alive, owning
+	// nothing — and idles until job end.
+	if t := c.activeT; t != nil && (t.started || t.target == w) {
+		if t.kind == "join" && t.target != w {
+			c.ws[t.target].state = wActive
+		}
+		c.activeT = nil
+	}
+	if len(c.activeIDs(-1)) == 0 {
+		c.fail(errors.New("dist: all workers dead or leaving"))
+		return
+	}
+	// Accepted outputs whose home just died take their resident records
+	// with them: the dying store books them lost, so book them settled here
+	// or the ledger reads them as recoverable losses. The record announcing
+	// the death zeroes them, so a second death of the partition's
+	// (empty-handed) next home books 0.
+	for p, h := range c.st.Homes {
+		if h == w && c.st.done[p] {
+			c.led.storeSettled.Add(c.st.resident[p])
+		}
+	}
+	rec := c.nextEpoch()
+	rec.Lost++
+	c.rehome(rec.Homes, w)
+	if c.st.doneCount == c.o.Job.Partitions {
+		// Every partition's output was already accepted — final by
+		// definition — so the death recovers nothing. Record it and finish
+		// instead of re-executing the world.
+		if c.commit(jrMembership, rec, nil) {
+			c.finishJob()
+		}
+		return
+	}
+	if c.phase == phaseReduce {
+		// Reduce-phase death is no longer fatal: cancel the reduce wave, fall
+		// back to the map phase, and let death redistribution re-execute what
+		// died with the worker's store. Partitions whose output was already
+		// accepted keep it — first acceptance is final — and late reports
+		// from the cancelled wave are still accepted if their partition's
+		// data was complete.
+		c.phase = phaseMap
+		c.reduceOutstanding = 0
+		for _, end := range c.reduceSpans {
+			end()
+		}
+		clear(c.reduceSpans)
+		for p := range c.reduceAttempt {
+			if !c.st.done[p] {
+				c.reduceAttempt[p]++
+			}
+		}
+	}
+	for _, t := range c.sched.death(w, c.schedAlive()) {
+		rec.Attempt[t]++
+	}
+	if !c.commit(jrMembership, rec, nil) {
+		return
+	}
+	c.broadcast(c.membership(-1, -1))
+	// Events held behind this kill can fire now. And the death may have
+	// aborted the active transition: promote the next queued one, or nothing
+	// ever will and dispatch stays paused.
+	c.fireEvents()
+	c.startNextTransition()
+	c.fill()
+	c.tryAdvance()
+	c.maybeReduce()
+}
 
-	fill()
-	fireEvents()
-	maybeReduce() // a resumed job may already have every task and partition done
-
-	for readers > 0 {
-		ev := <-events
-		if ev.w < 0 {
-			// Admission: a candidate's first frame, handshaken off-loop.
-			cc := ev.cc
-			if jobErr != nil || phase == phaseDone {
-				cc.close()
-				continue
-			}
-			switch ev.typ {
-			case mJoin:
-				// Joiners are admitted in either phase: a mid-reduce joiner
-				// meshes, idles (its transition waits for a map phase that may
-				// never come back) and exits at job end — refusing it would
-				// strand its spawn claim.
-				var h helloMsg
-				if err := decode(ev.payload, &h).fin("hello"); err != nil {
-					cc.close()
-					continue
-				}
-				id := len(ws)
-				adopt(id, h.ListenAddr, cc, wJoining)
-				ps := make([]string, len(ws))
-				for i, w2 := range ws {
-					if w2 != nil && w2.alive && w2.cc != nil {
-						ps[i] = w2.addr
-					}
-				}
-				cc.send(frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: id, Workers: len(ws)})})
-				cc.send(frame{typ: mJobStart, payload: encode(&jobStartMsg{
-					Job: o.Job, TraceID: st.TraceID, Peers: ps, Homes: st.Homes, Epoch: st.Epoch, Live: true,
-				})})
-				startReader(id, cc)
-				if o.Journal != nil {
-					o.Journal.Info("worker-join", "worker", id, "addr", h.ListenAddr)
-				}
-				fireEvents() // a deferred drain/kill of this joiner can fire now
-			case mRejoin:
-				// A pre-crash joiner whose admission post-dates the journal's
-				// last membership record, rejoining late (after resume
-				// formation already closed). Adopt it like the formation path.
-				var m rejoinMsg
-				if err := decode(ev.payload, &m).fin("rejoin"); err != nil || m.WorkerID < len(ws) || m.Epoch > st.Epoch {
-					cc.close()
-					continue
-				}
-				adopt(m.WorkerID, m.ListenAddr, cc, wActive)
-				cc.send(membership(-1, -1))
-				startReader(m.WorkerID, cc)
-				fill()
-			default:
-				cc.close()
-			}
-			continue
+// onFrame handles one frame from worker w.
+func (c *coord) onFrame(w int, typ byte, p []byte) {
+	if typ == mSpanBatch {
+		// Span batches arrive as workers wind down — drained workers mid-job,
+		// everyone else after job-end — so they are handled ahead of the
+		// done check below.
+		var m spanBatchMsg
+		if decode(p, &m).fin("span-batch") == nil {
+			c.batches = append(c.batches, m)
 		}
-		if ev.err != nil {
-			readers--
-			if phase != phaseDone {
-				death(ev.w)
-			} else if ws[ev.w] != nil && ws[ev.w].alive {
-				ws[ev.w].alive = false
-			}
-			continue
-		}
-		if ev.typ == mSpanBatch {
-			// Span batches arrive as workers wind down — drained workers
-			// mid-job, everyone else after job-end — so they are handled
-			// ahead of the drain check below.
-			var m spanBatchMsg
-			if decode(ev.payload, &m).fin("span-batch") == nil {
-				batches = append(batches, m)
-			}
-			continue
-		}
-		if phase == phaseDone {
-			continue // draining
-		}
-		switch ev.typ {
-		case mMapDone:
-			r, err := decodeRecord(jrMapDone, ev.payload)
+		return
+	}
+	if c.phase == phaseDone {
+		return // draining
+	}
+	cw := c.ws[w]
+	switch typ {
+	case mMapDone, mMapFailed:
+		var m *mapDoneMsg
+		var reason string
+		if typ == mMapDone {
+			r, err := decodeRecord(jrMapDone, p)
 			if err != nil {
-				fail(err)
-				continue
+				c.fail(err)
+				return
 			}
-			m := r.(*mapDoneMsg)
-			// Clamp rather than decrement blindly: a resumed coordinator can
-			// receive reports for attempts dispatched before the crash.
-			if ws[ev.w].outstanding > 0 {
-				ws[ev.w].outstanding--
+			m = r.(*mapDoneMsg)
+		} else {
+			var f taskFailMsg
+			if err := decode(p, &f).fin("task-fail"); err != nil {
+				c.fail(err)
+				return
 			}
-			if end := assignSpans[attemptKey{m.Task, m.Attempt}]; end != nil {
-				end()
-				delete(assignSpans, attemptKey{m.Task, m.Attempt})
-			}
-			if st.current(m.Task, m.Attempt) {
-				// The journal record is the payload itself.
-				if !commit(jrMapDone, m, ev.payload) {
-					continue
-				}
-				fireEvents()
-			}
-			fill()
-			tryAdvance()
-			maybeReduce()
-		case mMapFailed:
-			var m taskFailMsg
-			if err := decode(ev.payload, &m).fin("task-fail"); err != nil {
-				fail(err)
-				continue
-			}
-			if ws[ev.w].outstanding > 0 {
-				ws[ev.w].outstanding--
-			}
-			if end := assignSpans[attemptKey{m.Task, m.Attempt}]; end != nil {
-				end()
-				delete(assignSpans, attemptKey{m.Task, m.Attempt})
-			}
-			if o.Journal != nil {
-				o.Journal.Info("map-retry", "task", m.Task, "attempt", m.Attempt, "worker", ev.w, "reason", m.Reason)
-			}
-			if err := sched.fail(m.Task, m.Attempt, ev.w, schedAlive(), m.Reason); err != nil {
-				fail(err)
-				continue
-			}
-			fill()
-			tryAdvance()
-		case mJoinReady:
-			// The joiner's peer mesh is connected; it can own partitions now.
-			cw := ws[ev.w]
-			if cw != nil && cw.alive && cw.state == wJoining {
-				queuedT = append(queuedT, &transition{kind: "join", target: ev.w, claimed: hooks.spawn != nil})
-				startNextTransition()
-			}
-		case mHandoffDone:
-			var m handoffDoneMsg
-			if err := decode(ev.payload, &m).fin("handoff-done"); err != nil {
-				fail(err)
-				continue
-			}
-			if activeT != nil && activeT.started && m.Epoch == activeT.epoch {
-				delete(activeT.pending, m.Partition)
-				completeTransition()
-			}
-		case mReduceDone:
-			r, err := decodeRecord(jrReduceDone, ev.payload)
-			if err != nil {
-				fail(err)
-				continue
-			}
-			m := r.(*reduceDone)
-			if m.Partition < 0 || m.Partition >= o.Job.Partitions {
-				fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
-				continue
-			}
-			// Count a partition against the wave once: a reduce task the
-			// crashed coordinator dispatched can report to its resumed
-			// successor, under the same attempt number as the re-dispatch.
-			if end := reduceSpans[m.Partition]; end != nil && m.Attempt == reduceAttempt[m.Partition] {
-				reduceOutstanding--
-				end()
-				delete(reduceSpans, m.Partition)
-			}
-			if !st.done[m.Partition] {
-				if !commit(jrReduceDone, m, ev.payload) {
-					continue
-				}
-				// Reduce-side conservation books at first acceptance, here on
-				// the coordinator: recoveries and restarts can run a
-				// partition's kernel more than once, but only one report may
-				// count or the ledger double-books.
-				led.ReduceRecordsIn.Add(m.RecordsIn)
-				led.ReduceGroupsIn.Add(m.GroupsIn)
-				led.OutputPairs.Add(int64(len(m.pairs)))
-				fireEvents()
-			}
-			// A fired kill whose death has not yet been observed blocks
-			// completion: the scheduled churn must land (and be recovered
-			// from) before the job may declare itself done.
-			if phase == phaseReduce && reduceOutstanding == 0 && len(pendingKills) == 0 {
-				finishJob()
-			}
-		case mReduceFailed:
-			var m taskFailMsg
-			err := decode(ev.payload, &m).fin("task-fail")
-			if err == nil {
-				err = fmt.Errorf("dist: reduce partition %d failed: %s", m.Task, m.Reason)
-			}
-			fail(err)
-		default:
-			fail(fmt.Errorf("dist: unexpected %s from worker %d", typeName(ev.typ), ev.w))
+			m, reason = &mapDoneMsg{Task: f.Task, Attempt: f.Attempt}, f.Reason
 		}
+		// Only an attempt this coordinator dispatched counts against quiesce:
+		// a resumed one also hears from attempts its predecessor dispatched.
+		k := attemptKey{m.Task, m.Attempt}
+		if end := c.assignSpans[k]; end != nil {
+			end()
+			delete(c.assignSpans, k)
+			cw.outstanding--
+		}
+		if typ == mMapFailed {
+			c.note("map-retry", "task", m.Task, "attempt", m.Attempt, "worker", w, "reason", reason)
+			if err := c.sched.fail(m.Task, m.Attempt, w, c.schedAlive(), reason); err != nil {
+				c.fail(err)
+				return
+			}
+		} else if c.st.current(m.Task, m.Attempt) {
+			// The journal record is the payload itself.
+			if !c.commit(jrMapDone, m, p) {
+				return
+			}
+			c.fireEvents()
+		}
+		c.fill()
+		c.tryAdvance()
+		c.maybeReduce()
+	case mJoinReady:
+		// The joiner's peer mesh is connected; it can own partitions now.
+		if cw.alive && cw.state == wJoining {
+			c.queuedT = append(c.queuedT, &transition{kind: "join", target: w})
+			c.startNextTransition()
+		}
+	case mHandoffDone:
+		var m handoffDoneMsg
+		if err := decode(p, &m).fin("handoff-done"); err != nil {
+			c.fail(err)
+			return
+		}
+		if t := c.activeT; t != nil && t.started && m.Epoch == t.epoch {
+			delete(t.pending, m.Partition)
+			c.completeTransition()
+		}
+	case mReduceDone:
+		r, err := decodeRecord(jrReduceDone, p)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		m := r.(*reduceDone)
+		if m.Partition < 0 || m.Partition >= c.o.Job.Partitions {
+			c.fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
+			return
+		}
+		// Count a partition against the wave once: a reduce task the crashed
+		// coordinator dispatched can report to its resumed successor, under
+		// the same attempt number as the re-dispatch.
+		if end := c.reduceSpans[m.Partition]; end != nil && m.Attempt == c.reduceAttempt[m.Partition] {
+			c.reduceOutstanding--
+			end()
+			delete(c.reduceSpans, m.Partition)
+		}
+		if !c.st.done[m.Partition] {
+			if !c.commit(jrReduceDone, m, p) {
+				return
+			}
+			// Reduce-side conservation books at first acceptance, here on the
+			// coordinator: recoveries and restarts can run a partition's
+			// kernel more than once, but only one report may count or the
+			// ledger double-books.
+			c.led.ReduceRecordsIn.Add(m.RecordsIn)
+			c.led.ReduceGroupsIn.Add(m.GroupsIn)
+			c.led.OutputPairs.Add(int64(len(m.pairs)))
+			c.fireEvents()
+		}
+		// A fired kill whose death has not yet been observed blocks
+		// completion: the scheduled churn must land (and be recovered from)
+		// before the job may declare itself done.
+		if c.phase == phaseReduce && c.reduceOutstanding == 0 && len(c.pendingKills) == 0 {
+			c.finishJob()
+		}
+	case mReduceFailed:
+		var m taskFailMsg
+		err := decode(p, &m).fin("task-fail")
+		if err == nil {
+			err = fmt.Errorf("dist: reduce partition %d failed: %s", m.Task, m.Reason)
+		}
+		c.fail(err)
+	default:
+		c.fail(fmt.Errorf("dist: unexpected %s from worker %d", typeName(typ), w))
 	}
+}
 
-	if jobErr != nil {
-		return nil, jobErr
-	}
+// result assembles a finished job's Result.
+func (c *coord) result() *Result {
+	res, st := c.res, c.st
 	for _, s := range st.stats {
 		res.IntermediatePairs += s.PairsOut
 	}
@@ -1298,10 +1303,10 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		res.OutputPairs += len(rd.pairs)
 	}
 	res.WorkersJoined, res.WorkersDrained, res.WorkersLost = st.Joined, st.Drained, st.Lost
-	res.MapRetries = sched.retries
-	res.MapRecoveries = sched.recoveries
-	res.MapElapsed = mapElapsed
-	res.Total = time.Since(start)
+	res.MapRetries = c.sched.retries
+	res.MapRecoveries = c.sched.recoveries
+	res.MapElapsed = c.mapElapsed
+	res.Total = time.Since(c.start)
 	res.state = st
 
 	// Merge the cluster's trace: the coordinator's own scheduling spans plus
@@ -1313,7 +1318,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	res.TraceID = st.TraceID
 	res.ClockOffsets = make(map[int]float64)
 	res.ClockRTTs = make(map[int]float64)
-	for i, cw := range ws {
+	for i, cw := range c.ws {
 		if cw == nil || cw.clock == nil {
 			continue
 		}
@@ -1322,27 +1327,21 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			res.ClockRTTs[i] = float64(rtt) / 1e9
 		}
 	}
-	if o.Telemetry != nil && o.Telemetry.Spans != nil {
-		for _, s := range ctr.spans() {
-			o.Telemetry.Spans.Span(s)
+	if tel := c.o.Telemetry; tel != nil && tel.Spans != nil {
+		for _, s := range c.ctr.spans() {
+			tel.Spans.Span(s)
 		}
-		coordEpoch := ctr.epoch.UnixNano()
-		for _, b := range batches {
-			var offNs float64
-			if b.Node >= 0 && b.Node < len(ws) && ws[b.Node] != nil && ws[b.Node].clock != nil {
-				if off, _, ok := ws[b.Node].clock.estimate(); ok {
-					offNs = off
-				}
-			}
-			delta := (float64(b.EpochUnixNano-coordEpoch) - offNs) / 1e9
+		coordEpoch := c.ctr.epoch.UnixNano()
+		for _, b := range c.batches {
+			delta := float64(b.EpochUnixNano-coordEpoch)/1e9 - res.ClockOffsets[b.Node]
 			for _, s := range b.Spans {
 				s.Start += delta
 				s.End += delta
-				o.Telemetry.Spans.Span(s)
+				tel.Spans.Span(s)
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Serve runs a coordinator for one job at addr, waiting for o.Workers

@@ -16,15 +16,34 @@
 //     -join` joins it from other processes or hosts (Serve, Join); the
 //     application is resolved by name through the registry in registry.go.
 //
-// Architecture (one job):
+// Architecture (one job), by frame type:
 //
-//	coordinator ── MapTask(block) ──▶ worker w
-//	worker w ── Run(partition p) ──▶ worker home(p)     (during map!)
-//	worker w ── Mark(attempt) ──▶ every peer            (attempt complete)
-//	peer ── Ack ──▶ worker w                            (commit barrier)
-//	worker w ── MapDone ──▶ coordinator                 (after all acks)
-//	coordinator ── StartReduce/ReduceTask(p) ──▶ home(p)
-//	home(p) ── ReduceDone(output) ──▶ coordinator
+//	formation  worker ── Join(listen addr) ──▶ coordinator
+//	           coordinator ── Welcome(id), JobStart(job, peers, homes) ──▶ worker
+//	           worker ── PeerHello(id) ──▶ each lower-id peer          (the mesh)
+//	ingest     coordinator ── BlockPut(block) ──▶ each replica holder  (block store)
+//	map        coordinator ── MapTask(task, attempt) ──▶ worker w
+//	           w ── BlockFetch ──▶ holder ── BlockChunk ──▶ w          (remote read)
+//	           w ── RunBatch(runs of p) ──▶ home(p)                    (during map!)
+//	           w ── Mark(attempt) ──▶ every peer ── Ack ──▶ w          (commit barrier)
+//	           w ── MapDone | MapFailed ──▶ coordinator                (after all acks)
+//	membership coordinator ── Membership(epoch, homes, alive, settled) ──▶ every worker
+//	           old home ── Handoff(runs), HandoffMark ──▶ new home ── HandoffDone ──▶ coordinator
+//	           live joiner ── JoinReady ──▶ coordinator           (mesh is up)
+//	           coordinator ── Drained ──▶ drain target             (handoff done)
+//	           worker ── Rejoin(id, epoch) ──▶ restarted coordinator
+//	reduce     coordinator ── ReduceTask(p, attempt) ──▶ home(p)
+//	           home(p) ── ReduceDone(output) | ReduceFailed ──▶ coordinator
+//	end        coordinator ── JobEnd ──▶ every worker ── SpanBatch ──▶ coordinator
+//	any link   Heartbeat (keep-alive; the coordinator's clock probes)
+//
+// The coordinator is one event loop around coord.step (coordinator.go):
+// every worker frame, admission, lost link and the formation deadline is an
+// event, scheduled churn fires inside step as progress crosses its
+// threshold, and step queues the frames to send instead of sending them. Before any frame
+// announces a change, the coordinator has journaled it (journal.go: job
+// start, block-store namespace, membership epochs, map-done, reduce-done),
+// so a restarted coordinator replays the journal and the workers rejoin it.
 //
 // Fault tolerance mirrors the semantics of internal/core's taskScheduler:
 // failed attempts are requeued up to MaxAttempts; a worker death (detected
@@ -44,11 +63,73 @@
 package dist
 
 import (
+	"log/slog"
 	"time"
 
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
+
+// Options configures one distributed job from the coordinator's side. The
+// loopback runner shares this type; fields marked loopback-only are ignored
+// by the multi-process Serve entry point.
+type Options struct {
+	Job     Job
+	Workers int
+	Tuning  Tuning
+	// Blocks are the map input splits; one map task per block.
+	Blocks [][]byte
+	// Telemetry receives the coordinator-side counters; in loopback mode the
+	// workers share it too (spans, conserv_* ledger).
+	Telemetry *obs.Telemetry
+	// TraceID identifies the job's distributed trace. 0 mints one from the
+	// wall clock; a resident service passes the id it already handed the
+	// client so the job's spans correlate with its journal.
+	TraceID uint64
+	// Journal, if set, receives structured scheduling events (map retries,
+	// worker deaths, membership changes) — callers attach job/tenant/trace
+	// context up front via slog.With.
+	Journal *slog.Logger
+
+	// NewApp resolves the job's application (loopback-only; multi-process
+	// workers use the registry). The resolver's partitioner return value
+	// overrides the default hash partitioner.
+	NewApp Resolver
+	// MapFault injects attempt failures after the map kernel but before any
+	// shuffle effect (loopback-only).
+	MapFault func(task, attempt int) bool
+	// KillWorker, when >= 0, kills that worker once KillAfterMapDone map
+	// tasks have resolved (loopback-only; folded into Elastic internally).
+	KillWorker       int
+	KillAfterMapDone int
+
+	// Elastic schedules membership churn — joins, drains, kills and
+	// coordinator restarts — against scheduler progress. Joins, kills and
+	// restarts need the loopback runner's hooks; drains work anywhere.
+	Elastic []ElasticEvent
+	// Blockstore selects how map input reaches workers. "" ships each block
+	// embedded in its map-task frame (the classic path). "local" ingests
+	// every block into Replication worker disks up front and schedules each
+	// task on a replica holder — the Fig 3(d) move-compute-to-data mode;
+	// non-holders (steals, retries) stream the block from a holder. "remote"
+	// ingests identically but pins every task away from its replicas, the
+	// locality-off baseline the conformance suite diffs against.
+	Blockstore string
+	// Replication is block-store replica count (0 = default 3, clamped to
+	// the cluster width; "remote" further clamps to width-1 so a non-holder
+	// always exists).
+	Replication int
+
+	// JournalPath enables the checkpoint journal: an append-only, fsynced
+	// record of task resolutions, partition homes, shuffle commit marks and
+	// membership epochs, written write-ahead of every broadcast.
+	JournalPath string
+	// Resume replays JournalPath instead of forming a fresh cluster: the
+	// coordinator validates the journal against this job, collects rejoins
+	// from every journaled-live worker, and picks the job back up.
+	Resume bool
+}
 
 // AppSpec identifies the job's application on the wire so multi-process
 // workers can reconstruct the kernels locally (code never crosses the

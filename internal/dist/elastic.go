@@ -6,6 +6,27 @@ import (
 	"strings"
 )
 
+// ElasticEvent schedules one membership change during a job, triggered by
+// scheduler progress: the event fires once AfterMapDone map tasks have
+// resolved (or, when AfterReduceDone > 0, once that many reduce partitions
+// have been accepted). Events fire strictly in declaration order; an event
+// whose threshold is already met fires immediately after its predecessor.
+//
+//   - "join": spawn one new worker into the cluster (loopback-only — a
+//     multi-process cluster admits joiners whenever they dial in).
+//   - "drain": gracefully remove Worker — stop assigning it work, hand its
+//     partitions off to survivors, then release it.
+//   - "kill": murder Worker abruptly (loopback-only), exercising the death
+//     recovery path.
+//   - "restart": crash the coordinator itself. With a journal configured,
+//     the loopback runner restarts it and resumes from the checkpoint.
+type ElasticEvent struct {
+	Kind            string // "join", "drain", "kill" or "restart"
+	Worker          int    // target worker id (drain/kill); ignored otherwise
+	AfterMapDone    int    // fire once this many map tasks have resolved
+	AfterReduceDone int    // when > 0, fire once this many partitions are accepted instead
+}
+
 // ParseElastic parses a comma-separated elastic schedule into the events
 // Options.Elastic takes. Each event is spelled
 //

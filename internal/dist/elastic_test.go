@@ -429,3 +429,50 @@ func TestReplayMatchesLiveState(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinBeforeRestart schedules a join just before a coordinator crash:
+// the joiner may dial the crashing coordinator, the resumed one, or both,
+// and may or may not have been welcomed. Either way the resumed coordinator
+// admits it exactly once and hands it partitions before reduce starts.
+func TestJoinBeforeRestart(t *testing.T) {
+	for _, spec := range []string{"join@2,restart@2", "join@2,restart@3"} {
+		tel := obs.NewTelemetry()
+		o, want := elasticWC(3, tel)
+		o.JournalPath = filepath.Join(t.TempDir(), "coord.journal")
+		var err error
+		if o.Elastic, err = ParseElastic(spec); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res := runWatched(t, o, 60*time.Second)
+		if took := time.Since(start); took > 5*time.Second {
+			t.Fatalf("%s: took %v", spec, took)
+		}
+		if err := apps.VerifyCounts(res.Output(), want); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if !res.Resumed || res.WorkersJoined != 1 {
+			t.Fatalf("%s: resumed=%v joined=%d, want true and 1", spec, res.Resumed, res.WorkersJoined)
+		}
+		checkWire(t, tel.Metrics, false)
+		checkStore(t, tel.Metrics)
+	}
+}
+
+// TestDrainOfLastActiveRefused schedules drains of both workers of a
+// two-worker job. The second would leave no active worker to take the
+// partitions, so it is refused when it fires; the first completes.
+func TestDrainOfLastActiveRefused(t *testing.T) {
+	o, want := elasticWC(2, nil)
+	var err error
+	if o.Elastic, err = ParseElastic("drain:0@2,drain:1@2"); err != nil {
+		t.Fatal(err)
+	}
+	res := runWatched(t, o, 60*time.Second)
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	if res.WorkersDrained != 1 {
+		t.Fatalf("WorkersDrained = %d, want 1", res.WorkersDrained)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 
 	"glasswing/internal/kv"
 )
@@ -45,22 +46,25 @@ const (
 const resumeRefused = "dist: resume refused"
 
 // journal is the coordinator-side writer. Not self-locking: only the
-// coordinator's event loop appends.
-type journal struct{ f *os.File }
-
-// createJournal opens a fresh journal, truncating any previous run's file.
-func createJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dist: journal: %w", err)
+// coordinator's event loop appends. f is the journal file (tests use an
+// in-memory one).
+type journal struct {
+	f interface {
+		Write([]byte) (int, error)
+		Sync() error
+		Close() error
 	}
-	return &journal{f: f}, nil
 }
 
-// openJournalAppend reopens an existing journal for continuation records
-// after a successful replay.
-func openJournalAppend(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+// openJournal opens the journal at path for appending: a fresh job's
+// truncates any previous run's file, a resumed one's continues after the
+// records it replayed.
+func openJournal(path string, resume bool) (*journal, error) {
+	flag := os.O_CREATE | os.O_TRUNC | os.O_WRONLY
+	if resume {
+		flag = os.O_APPEND | os.O_WRONLY
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dist: journal: %w", err)
 	}
@@ -165,6 +169,10 @@ type jobState struct {
 	membershipRecord
 
 	started, formed bool // a job-start / membership record has been applied
+	// moving is set while the latest membership record started a transition
+	// — it moved partitions between live workers — that no later record
+	// ended: handed-off runs may still be in flight between workers.
+	moving bool
 
 	resolved      []bool // task → resolved at Attempt[task]
 	resolvedCount int
@@ -292,6 +300,7 @@ func (s *jobState) apply(r payload) error {
 				s.resident[p] = 0 // settled with its dead home
 			}
 		}
+		s.moving = s.formed && r.Lost == s.Lost && r.Drained == s.Drained && !slices.Equal(r.Homes, s.Homes)
 		s.membershipRecord, s.formed = *r, true
 	case *mapDoneMsg:
 		t := r.Task

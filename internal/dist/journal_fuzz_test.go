@@ -19,7 +19,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	dir := t.TempDir()
 	write := func(name string, build func(j *journal)) []byte {
 		path := filepath.Join(dir, name)
-		j, err := createJournal(path)
+		j, err := openJournal(path, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,12 +114,7 @@ func RunLoopback(o Options) (*Result, error) {
 		})
 		o.KillWorker = -1
 	}
-	hasRestart := false
-	for _, e := range o.Elastic {
-		if e.Kind == "restart" {
-			hasRestart = true
-		}
-	}
+	hasRestart := HasRestart(o.Elastic)
 	if hasRestart && o.JournalPath == "" {
 		return nil, fmt.Errorf("dist: restart events require Options.JournalPath")
 	}
@@ -168,7 +163,14 @@ func RunLoopback(o Options) (*Result, error) {
 	for i := 0; i < o.Workers; i++ {
 		spawn()
 	}
-	hooks := loopHooks{kill: lc.kill, spawn: spawn}
+	// Joiners are counted here, where they are launched, so the count
+	// survives a coordinator restart: a resumed coordinator holds reduce
+	// back until it has admitted every one.
+	hooks := loopHooks{kill: lc.kill}
+	hooks.spawn = func() {
+		hooks.joiners++
+		spawn()
+	}
 
 	// The restart loop: a scheduled coordinator crash surfaces as
 	// restartCrash; re-listen on the same address and resume from the

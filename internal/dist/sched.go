@@ -99,21 +99,12 @@ func (s *dsched) fail(task, attempt, wkr int, alive []bool, reason string) error
 	// (or membership record) that follows it.
 	s.st.Attempt[task]++
 	s.retries++
-	target := wkr
-	if !alive[target] {
-		target = s.anyLive(alive)
+	if alive[wkr] {
+		s.queues[wkr] = append(s.queues[wkr], task)
+	} else {
+		s.deal([]int{task}, alive)
 	}
-	s.queues[target] = append(s.queues[target], task)
 	return nil
-}
-
-func (s *dsched) anyLive(alive []bool) int {
-	for w, a := range alive {
-		if a {
-			return w
-		}
-	}
-	return 0
 }
 
 // join grows the scheduler to admit a new worker id. The joiner starts with

@@ -169,25 +169,10 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	defer ln.Close()
 	w.lnAddr = ln.Addr().String()
 
-	// The rejoin grace also covers the FIRST dial: a coordinator ingesting a
-	// large input file opens its listener only after the read, so a worker
-	// launched alongside it would otherwise die on connection-refused.
-	c, err := net.Dial("tcp", cfg.coordAddr)
-	for deadline := time.Now().Add(tun.RejoinGrace); err != nil && time.Now().Before(deadline); {
-		time.Sleep(200 * time.Millisecond)
-		c, err = net.Dial("tcp", cfg.coordAddr)
-	}
-	if err != nil {
-		return false, fmt.Errorf("dist: dialing coordinator: %w", err)
-	}
-	w.coord = newConn(c, "coord", tun, nil)
-	defer func() { w.coordConn().close() }()
-
-	w.coord.send(frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.lnAddr})})
-
 	if err := w.join(); err != nil {
 		return false, err
 	}
+	defer func() { w.coordConn().close() }()
 	if tun.SpillThreshold > 0 {
 		// Armed only now: the tracer the spill spans book into is minted
 		// during join, and nothing commits to the store before job start.
@@ -288,32 +273,77 @@ func (w *worker) coordSend(f frame) {
 	w.coordConn().send(f)
 }
 
-// join completes the hello/welcome/job-start handshake.
+// join dials the coordinator and completes the hello/welcome/job-start
+// handshake. The rejoin grace covers it: a coordinator ingesting a large
+// input file opens its listener only after the read, and one that crashes
+// before welcoming this worker is redialed and sent a fresh mJoin, since
+// nothing of this worker reached its journal.
 func (w *worker) join() error {
+	deadline := time.Now().Add(w.tun.RejoinGrace)
+	for {
+		cc, err := w.dialCoord(deadline, frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.lnAddr})})
+		if err != nil {
+			return err
+		}
+		w.coord = cc
+		retry, err := w.handshake()
+		if err == nil {
+			return nil
+		}
+		cc.close()
+		if !retry || !time.Now().Before(deadline) {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// dialCoord dials the coordinator until the deadline, trying at least
+// once, and sends first on the new link.
+func (w *worker) dialCoord(deadline time.Time, first frame) (*conn, error) {
+	for {
+		c, err := net.Dial("tcp", w.cfg.coordAddr)
+		if err == nil {
+			cc := newConn(c, "coord", w.tun, nil)
+			cc.send(first)
+			return cc, nil
+		}
+		w.mu.Lock()
+		killed := w.killed
+		w.mu.Unlock()
+		if killed || !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("dist: dialing coordinator: %w", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// handshake reads the coordinator's welcome and job-start; retry reports
+// that the link failed before the job started, so a redial may succeed.
+func (w *worker) handshake() (retry bool, err error) {
 	typ, p, err := w.coord.recv()
 	if err != nil {
-		return fmt.Errorf("dist: awaiting welcome: %w", err)
+		return true, fmt.Errorf("dist: awaiting welcome: %w", err)
 	}
 	if typ != mWelcome {
-		return fmt.Errorf("dist: expected welcome, got %s", typeName(typ))
+		return false, fmt.Errorf("dist: expected welcome, got %s", typeName(typ))
 	}
 	var wel welcomeMsg
 	if err := decode(p, &wel).fin("welcome"); err != nil {
-		return err
+		return false, err
 	}
 	w.id, w.n = wel.WorkerID, wel.Workers
 	w.tr = newTracer(w.id)
 
-	typ, p, err = w.coord.recv()
-	if err != nil {
-		return fmt.Errorf("dist: awaiting job start: %w", err)
+	if typ, p, err = w.coord.recv(); err != nil {
+		return true, fmt.Errorf("dist: awaiting job start: %w", err)
 	}
 	if typ != mJobStart {
-		return fmt.Errorf("dist: expected job-start, got %s", typeName(typ))
+		return false, fmt.Errorf("dist: expected job-start, got %s", typeName(typ))
 	}
 	var js jobStartMsg
 	if err := decode(p, &js).fin("job-start"); err != nil {
-		return err
+		return false, err
 	}
 	w.job = js.Job.withDefaults()
 	w.traceID = js.TraceID
@@ -329,13 +359,13 @@ func (w *worker) join() error {
 
 	app, prt, err := w.cfg.resolve(w.job.App)
 	if err != nil {
-		return fmt.Errorf("dist: resolving app %q: %w", w.job.App.Name, err)
+		return false, fmt.Errorf("dist: resolving app %q: %w", w.job.App.Name, err)
 	}
 	if prt == nil {
 		prt = kv.Partition
 	}
 	w.app, w.prt = app, prt
-	return nil
+	return false, nil
 }
 
 // setupPeers establishes the worker mesh: this worker dials every live peer
@@ -588,31 +618,23 @@ func (w *worker) coordLoop() error {
 // notice if the journal says we already left) flows through coordLoop's
 // normal dispatch.
 func (w *worker) redialCoord(deadline time.Time) bool {
-	for time.Now().Before(deadline) {
-		w.mu.Lock()
-		killed := w.killed
-		epoch := w.epoch
-		w.mu.Unlock()
-		if killed {
-			return false
-		}
-		c, err := net.Dial("tcp", w.cfg.coordAddr)
-		if err != nil {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		cc := newConn(c, "coord", w.tun, nil)
-		cc.send(frame{typ: mRejoin, payload: encode(&rejoinMsg{
-			WorkerID: w.id, ListenAddr: w.lnAddr, Epoch: epoch,
-		})})
-		w.mu.Lock()
-		old := w.coord
-		w.coord = cc
-		w.mu.Unlock()
-		old.close()
-		return true
+	w.mu.Lock()
+	killed := w.killed
+	rejoin := rejoinMsg{WorkerID: w.id, ListenAddr: w.lnAddr, Epoch: w.epoch}
+	w.mu.Unlock()
+	if killed || !time.Now().Before(deadline) {
+		return false
 	}
-	return false
+	cc, err := w.dialCoord(deadline, frame{typ: mRejoin, payload: encode(&rejoin)})
+	if err != nil {
+		return false
+	}
+	w.mu.Lock()
+	old := w.coord
+	w.coord = cc
+	w.mu.Unlock()
+	old.close()
+	return true
 }
 
 // executor runs map and reduce tasks serially; shuffle sends are
