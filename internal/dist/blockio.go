@@ -18,9 +18,8 @@ import (
 
 // workDir lazily creates this worker's scratch directory (under
 // Tuning.WorkDir, or the OS temp dir). Jobs that never spill and never use
-// the block store never touch the disk. Safe from any goroutine; must not
-// be called with w.mu held by a caller that also takes wdMu elsewhere —
-// wdMu is a leaf lock.
+// the block store never touch the disk. Safe from any goroutine, including
+// a store spilling inside step under w.mu: wdMu is a leaf lock.
 func (w *worker) workDir() (string, error) {
 	w.wdMu.Lock()
 	defer w.wdMu.Unlock()
@@ -151,16 +150,6 @@ type blockFetchWait struct {
 
 // fetchBlockFrom streams block id from holder j over the peer mesh.
 func (w *worker) fetchBlockFrom(j, id int, size int64) ([]byte, error) {
-	w.mu.Lock()
-	var pc *conn
-	if j >= 0 && j < len(w.peers) {
-		pc = w.peers[j]
-	}
-	livePeer := j >= 0 && j < len(w.alive) && w.alive[j]
-	w.mu.Unlock()
-	if pc == nil || !livePeer {
-		return nil, fmt.Errorf("dist: no live link to block holder %d", j)
-	}
 	w.fetchMu.Lock()
 	w.fetchCtr++
 	nonce := w.fetchCtr
@@ -168,14 +157,19 @@ func (w *worker) fetchBlockFrom(j, id int, size int64) ([]byte, error) {
 	w.fetches[nonce] = fw
 	w.fetchMu.Unlock()
 
-	pc.send(frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: id, Nonce: nonce})})
+	if len(w.do(wevent{kind: weSend, peer: j, f: frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: id, Nonce: nonce})}})) == 0 {
+		w.fetchMu.Lock()
+		delete(w.fetches, nonce)
+		w.fetchMu.Unlock()
+		return nil, fmt.Errorf("dist: no live link to block holder %d", j)
+	}
 	select {
 	case err := <-fw.done:
 		if err != nil {
 			return nil, err
 		}
 		return fw.buf, nil
-	case <-time.After(peerMeshTimeout):
+	case <-time.After(blockFetchTimeout):
 		w.fetchMu.Lock()
 		delete(w.fetches, nonce)
 		w.fetchMu.Unlock()
@@ -184,6 +178,9 @@ func (w *worker) fetchBlockFrom(j, id int, size int64) ([]byte, error) {
 		return nil, fmt.Errorf("dist: worker stopping mid-fetch of block %d", id)
 	}
 }
+
+// blockFetchTimeout bounds a remote block read.
+const blockFetchTimeout = 60 * time.Second
 
 // blockIngestWait bounds how long a holder waits for a replica a peer is
 // asking for to finish ingesting before declaring it missing.

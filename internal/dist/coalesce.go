@@ -17,9 +17,9 @@ import (
 // A buffered batch flushes on three triggers:
 //
 //   - size: the body crosses the coalesceBytes budget (checked on add);
-//   - time: the oldest buffered entry has waited coalesceDelay (the
-//     worker's flusher goroutine, so a batch never idles while peers
-//     starve for data);
+//   - time: the oldest buffered entry has waited coalesceDelay (a timer
+//     armed when the buffer turns non-empty, so a batch never idles while
+//     peers starve for data);
 //   - barrier: the sender is about to emit the attempt's end-of-attempt
 //     marker, which must follow every run of that attempt on the FIFO
 //     connection (runMap flushes before each mark).
@@ -43,6 +43,7 @@ type coalescer struct {
 	parent  uint64    // span parent of the batch: first contributing kernel
 	oldest  time.Time // enqueue time of the oldest buffered entry
 	closed  bool
+	timer   *time.Timer // the time trigger
 }
 
 const (
@@ -55,7 +56,10 @@ const (
 )
 
 func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64, compress bool) *coalescer {
-	return &coalescer{cc: cc, led: led, tr: tr, traceID: traceID, compress: compress}
+	co := &coalescer{cc: cc, led: led, tr: tr, traceID: traceID, compress: compress}
+	co.timer = time.AfterFunc(time.Hour, co.flushIfStale)
+	co.timer.Stop()
+	return co
 }
 
 // add buffers one run for shipment, flushing when the body crosses the
@@ -74,6 +78,7 @@ func (co *coalescer) add(task, attempt, part int, r *kv.Run, parent uint64, epoc
 	if len(co.body.buf) == 0 {
 		co.oldest = time.Now()
 		co.parent = parent
+		co.timer.Reset(coalesceDelay)
 	}
 	re := runEntry{
 		Task: task, Attempt: attempt, Partition: part,
@@ -95,7 +100,8 @@ func (co *coalescer) flush() {
 }
 
 // flushIfStale ships the buffer only when its oldest entry has waited at
-// least coalesceDelay — the flusher goroutine's time trigger.
+// least coalesceDelay — the time trigger; a batch flushed and refilled
+// since the timer was armed re-armed it.
 func (co *coalescer) flushIfStale() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -142,4 +148,5 @@ func (co *coalescer) close() {
 	co.closed = true
 	co.body = codec{}
 	co.records = 0
+	co.timer.Stop()
 }

@@ -61,7 +61,7 @@ type conn struct {
 	window     int64
 	writing    bool
 	closed     bool
-	onDrop     func(records, acct int64)
+	onDrop     func(f frame)
 	// onBulkWrite, if set, is invoked when a bulk frame is admitted to the
 	// queue; the returned func runs when its socket write completes (or the
 	// frame drops at teardown). The worker hooks net/send span recording
@@ -85,9 +85,9 @@ type conn struct {
 }
 
 // newConn starts the write pump and heartbeat sender for c. onDrop (may be
-// nil) receives the record/byte accounting of every bulk frame that was
-// accepted by send but never written to the socket.
-func newConn(c net.Conn, name string, t Tuning, onDrop func(records, acct int64)) *conn {
+// nil) receives every bulk frame that was accepted by send but never
+// written to the socket, for loss accounting.
+func newConn(c net.Conn, name string, t Tuning, onDrop func(f frame)) *conn {
 	t = t.withDefaults()
 	cc := &conn{
 		c:         c,
@@ -137,7 +137,7 @@ func (cc *conn) drop(f frame) {
 		f.endSpan()
 	}
 	if cc.onDrop != nil && f.bulk {
-		cc.onDrop(f.records, f.acct)
+		cc.onDrop(f)
 	}
 }
 
@@ -358,9 +358,10 @@ func (cc *conn) teardown(full bool) {
 	}
 }
 
-// shutdown flushes the queue, then closes. Use for orderly teardown where
-// the final frames (job-end, map-done) must reach the peer.
+// shutdown flushes the queue, then seals: the peer reads every frame, then
+// EOF, while this side's reader drains the peer's frames to its EOF. Use
+// for orderly teardown, where nothing sent either way may go unaccounted.
 func (cc *conn) shutdown() {
 	cc.flush()
-	cc.close()
+	cc.seal()
 }

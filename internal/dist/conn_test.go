@@ -128,9 +128,9 @@ func TestSealAccountsQueuedFramesAsLost(t *testing.T) {
 	a, b := tcpPair(t)
 	tun := Tuning{sendWindow: 1 << 30, heartbeatEvery: time.Hour, heartbeatTimeout: time.Hour}
 	var lostRecords, lostBytes atomic.Int64
-	onDrop := func(records, acct int64) {
-		lostRecords.Add(records)
-		lostBytes.Add(acct)
+	onDrop := func(f frame) {
+		lostRecords.Add(f.records)
+		lostBytes.Add(f.acct)
 	}
 	ca := newConn(a, "a", tun, onDrop)
 	defer ca.close()
@@ -186,7 +186,7 @@ func TestSealAccountsQueuedFramesAsLost(t *testing.T) {
 func TestSendAfterCloseDropsWithAccounting(t *testing.T) {
 	a, _ := tcpPair(t)
 	var lost atomic.Int64
-	ca := newConn(a, "a", Tuning{}, func(records, _ int64) { lost.Add(records) })
+	ca := newConn(a, "a", Tuning{}, func(f frame) { lost.Add(f.records) })
 	ca.close()
 	ca.send(frame{typ: mRunBatch, payload: []byte("x"), bulk: true, records: 7})
 	if lost.Load() != 7 {

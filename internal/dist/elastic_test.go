@@ -476,3 +476,28 @@ func TestDrainOfLastActiveRefused(t *testing.T) {
 		t.Fatalf("WorkersDrained = %d, want 1", res.WorkersDrained)
 	}
 }
+
+// TestDrainAcrossRestart crashes the coordinator right after a drain
+// starts: the drain of a joiner fires as the join completes, and the
+// restart queued behind it fires in the same breath, with the drain's
+// membership frame out and its handoffs in flight. The resumed coordinator
+// finds the unfinished drain in its journal and completes it, so the
+// target exits drained and is counted.
+func TestDrainAcrossRestart(t *testing.T) {
+	tel := obs.NewTelemetry()
+	o, want := elasticWC(3, tel)
+	o.JournalPath = filepath.Join(t.TempDir(), "coord.journal")
+	var err error
+	if o.Elastic, err = ParseElastic("join@2,drain:3@2,restart@2"); err != nil {
+		t.Fatal(err)
+	}
+	res := runWatched(t, o, 60*time.Second)
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed || res.WorkersJoined != 1 || res.WorkersDrained != 1 {
+		t.Fatalf("resumed=%v joined=%d drained=%d, want true, 1 and 1", res.Resumed, res.WorkersJoined, res.WorkersDrained)
+	}
+	checkWire(t, tel.Metrics, true)
+	checkStore(t, tel.Metrics)
+}

@@ -172,7 +172,11 @@ type jobState struct {
 	// moving is set while the latest membership record started a transition
 	// — it moved partitions between live workers — that no later record
 	// ended: handed-off runs may still be in flight between workers.
-	moving bool
+	// draining is that transition's drain target, if it is a drain: the
+	// live worker that homed partitions before the record and homes none in
+	// it; -1 otherwise.
+	moving   bool
+	draining int
 
 	resolved      []bool // task → resolved at Attempt[task]
 	resolvedCount int
@@ -180,13 +184,15 @@ type jobState struct {
 	done          []bool         // partition → output accepted: the settled set
 	doneCount     int
 	reduced       []reduceDone // partition → the reduce-done record that settled it
-	// resident[p] is how many committed records still live at partition p's
-	// home after its output was accepted. If that home dies they are settled
-	// — consumed by a final output, then lost with the store — not
+	// resident[p] is how many committed records still live at holder[p],
+	// partition p's home when its output was accepted: a settled partition
+	// moves empty, so they stay there. If the holder dies they are settled —
+	// consumed by a final output, then lost with the store — not
 	// recoverable losses: the coordinator books them so the conservation
 	// ledger stays exact, and the membership record announcing the death
-	// zeroes them, since nothing re-ships to a settled partition.
+	// (or a drain's completion) zeroes them.
 	resident []int64
+	holder   []int
 }
 
 // reduceDone is a decoded reduce-done record: the payload and the pairs its
@@ -258,6 +264,7 @@ func (s *jobState) apply(r payload) error {
 		s.done = make([]bool, r.Job.Partitions)
 		s.reduced = make([]reduceDone, r.Job.Partitions)
 		s.resident = make([]int64, r.Job.Partitions)
+		s.holder = make([]int, r.Job.Partitions)
 	case *namespaceRecord:
 		if (r.Mode != "local" && r.Mode != "remote") || r.Repl <= 0 || r.Width <= 0 || r.Repl > r.Width {
 			return errors.New("implausible namespace record")
@@ -295,12 +302,18 @@ func (s *jobState) apply(r payload) error {
 				s.resolvedCount--
 			}
 		}
-		for p, h := range s.Homes {
+		for p, h := range s.holder {
 			if s.done[p] && (h >= len(r.Alive) || !r.Alive[h]) {
-				s.resident[p] = 0 // settled with its dead home
+				s.resident[p] = 0 // settled with its dead holder, or gone with a drained one
 			}
 		}
 		s.moving = s.formed && r.Lost == s.Lost && r.Drained == s.Drained && !slices.Equal(r.Homes, s.Homes)
+		s.draining = -1
+		for _, h := range s.Homes {
+			if s.moving && !slices.Contains(r.Homes, h) {
+				s.draining = h
+			}
+		}
 		s.membershipRecord, s.formed = *r, true
 	case *mapDoneMsg:
 		t := r.Task
@@ -327,7 +340,7 @@ func (s *jobState) apply(r payload) error {
 		s.done[p] = true
 		s.doneCount++
 		s.reduced[p] = *r
-		s.resident[p] = r.RecordsIn
+		s.resident[p], s.holder[p] = r.RecordsIn, s.Homes[p]
 	default:
 		return fmt.Errorf("no such record %T", r)
 	}

@@ -188,11 +188,14 @@ func (s *shuffleStore) stageHandoff(part, epoch, task int, run *kv.Run) {
 // adoptHandoff commits a partition's staged handoff runs at their new home.
 // Runs staged under an epoch older than the store's (a transition was
 // overtaken by a death) and (task, partition) pairs already present are
-// dropped as duplicates. Returns record counts for the ledger.
+// dropped. Returns record counts for the ledger: the dropped ones were
+// accepted at their old home and are now in no store, so they book lost.
 func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 	m := s.handoff[part]
 	entries := m[epoch]
-	delete(s.handoff, part)
+	if delete(m, epoch); len(m) == 0 {
+		delete(s.handoff, part)
+	}
 	for _, sh := range entries {
 		if epoch < s.epoch || s.have[sh.task][part] {
 			dupped += int64(sh.run.Records)
@@ -204,11 +207,25 @@ func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 	return adopted, dupped
 }
 
-// lostAll empties the store, returning the committed record count — the
-// data that dies with this worker.
+// dropHandoffs drops every staged handoff, returning its record count:
+// accepted at its old home, and now in no store. A job's end drops those
+// whose mark never came — a transition a death overtook.
+func (s *shuffleStore) dropHandoffs() (lost int64) {
+	for _, m := range s.handoff {
+		for _, runs := range m {
+			for _, cr := range runs {
+				lost += int64(cr.run.Records)
+			}
+		}
+	}
+	s.handoff = make(map[int]map[int][]committedRun)
+	return lost
+}
+
+// lostAll empties the store, returning the record count of the committed
+// and handed-off runs it held — the data that dies with this worker.
 func (s *shuffleStore) lostAll() int64 {
 	s.have = make(map[int]map[int]bool)
 	s.staged = make(map[attemptKey]map[int]stagedRun)
-	s.handoff = make(map[int]map[int][]committedRun)
-	return s.runs.Drop()
+	return s.dropHandoffs() + s.runs.Drop()
 }

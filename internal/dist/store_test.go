@@ -183,26 +183,19 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 	}
 
 	// Source (worker 0) and destination (worker 1) share the ledger, as a
-	// loopback cluster does; the test plays the destination's coordinator.
-	a, b := tcpPair(t)
-	src := &worker{id: 0, n: 2, led: led, store: store, peers: []*conn{nil, newConn(a, "peer1", Tuning{}, nil)}}
-	coordEnd, dstEnd := tcpPair(t)
-	coord := newConn(coordEnd, "worker1", Tuning{}, nil)
-	dst := &worker{
-		id: 1, n: 2, led: led, store: newShuffleStore(),
-		coord: newConn(dstEnd, "coord", Tuning{}, nil), fetches: make(map[uint64]*blockFetchWait),
+	// loopback cluster does; the frames cross from one to the other in order.
+	h := &handoff{part: 3, epoch: 1}
+	h.runs, h.records = store.takePartition(3)
+	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
+	var done bool
+	h.stream(led, func(f frame) {
+		for _, e := range dst.step(wevent{kind: weFrame, peer: 0, typ: f.typ, p: f.payload}) {
+			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ == mHandoffDone
+		}
+	})
+	if !done {
+		t.Fatal("destination reported no handoff-done")
 	}
-	dst.wg.Add(1)
-	go dst.peerReader(0, newConn(b, "peer0", Tuning{}, nil))
-
-	src.sendHandoff(3, 1, 1)
-	if typ, _, err := coord.recv(); err != nil || typ != mHandoffDone {
-		t.Fatalf("destination reported %s, err %v; want handoff-done", typeName(typ), err)
-	}
-	src.peers[1].close()
-	dst.wg.Wait()
-	dst.coord.close()
-	coord.close()
 
 	out, in, dup, lost := led.handoffOut.Value(), led.handoffIn.Value(), led.StoreDupDropped.Value(), led.StoreLost.Value()
 	if out != 20 || out != in+dup || lost != 5 {

@@ -139,6 +139,16 @@ func (l *ledger) netLost(records, bytes int64) {
 	l.netBytesLost.Add(bytes)
 }
 
+// dropped books one bulk frame a peer link never delivered: lost on the
+// wire, and — for a handoff, whose records a store had accepted — lost to
+// the stores too.
+func (l *ledger) dropped(f frame) {
+	l.netLost(f.records, f.acct)
+	if f.typ == mHandoff {
+		l.StoreLost.Add(f.records)
+	}
+}
+
 // tracer records one node's trace spans against that node's own wall clock
 // and mints cluster-unique span ids. Workers ship their tracer's buffer to
 // the coordinator in a span-batch at job end; the coordinator rebases every
