@@ -2,7 +2,9 @@ package apps
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
@@ -56,20 +58,58 @@ func TeraSample(data []byte, sampleEvery int) [][]byte {
 
 // RangePartitioner builds a total-order partitioner over a sorted key
 // sample: keys are ranked against the sample and mapped to partitions
-// proportionally by quantile, adapting to any partition count.
+// proportionally by quantile, adapting to any partition count. A key of
+// rank r (the number of sample keys <= it) goes to min(n-1, r·n/(S+1)) for
+// a sample of S keys. That quantile crosses p exactly when r reaches
+// ⌈p(S+1)/n⌉, so the partition is the number of the n-1 splitters
+// sample[⌈p(S+1)/n⌉-1] (0 < p < n, indices below S) that are <= the key:
+// each record searches those few splitters, never the whole sample. The
+// splitters for the last n asked for are kept and shared by every
+// goroutine that calls the partitioner; a call with another n replaces
+// them.
 func RangePartitioner(sample [][]byte) func(key []byte, n int) int {
+	var cached atomic.Pointer[splitters]
 	return func(key []byte, n int) int {
-		if n <= 1 || len(sample) == 0 {
-			return 0
+		sp := cached.Load()
+		if sp == nil || sp.n != n {
+			sp = newSplitters(sample, n)
+			cached.Store(sp)
 		}
-		// rank = number of sample keys <= key.
-		rank := sort.Search(len(sample), func(i int) bool { return bytes.Compare(sample[i], key) > 0 })
-		p := rank * n / (len(sample) + 1)
-		if p >= n {
-			p = n - 1
+		// The first splitter greater than key; its index counts the
+		// splitters <= key.
+		kp := kv.Prefix8(key)
+		lo, hi := 0, len(sp.keys)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if sp.pre[m] < kp || sp.pre[m] == kp && bytes.Compare(sp.keys[m], key) <= 0 {
+				lo = m + 1
+			} else {
+				hi = m
+			}
 		}
-		return p
+		return lo
 	}
+}
+
+// splitters are a range partitioner's boundaries for one partition count.
+type splitters struct {
+	n    int
+	keys [][]byte
+	pre  []uint64
+}
+
+func newSplitters(sample [][]byte, n int) *splitters {
+	sp := &splitters{n: n}
+	s := len(sample)
+	for p := 1; p < n; p++ {
+		i := (p*(s+1)+n-1)/n - 1
+		if i >= s {
+			break
+		}
+		sp.keys = append(sp.keys, sample[i])
+		sp.pre = append(sp.pre, kv.Prefix8(sample[i]))
+	}
+	return sp
 }
 
 // TSData builds n TeraGen records.
@@ -84,7 +124,7 @@ func VerifyTeraSort(out []kv.Pair, input []byte) error {
 	}
 	for i := 1; i < len(out); i++ {
 		if bytes.Compare(out[i-1].Key, out[i].Key) > 0 {
-			return countMismatch("order violation at record", uint64(i), uint64(i))
+			return fmt.Errorf("apps: order violation at record %d: key %x follows %x", i, out[i].Key, out[i-1].Key)
 		}
 	}
 	// Multiset equality via sorted reference.
@@ -95,7 +135,7 @@ func VerifyTeraSort(out []kv.Pair, input []byte) error {
 	sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i], ref[j]) < 0 })
 	for i, pr := range out {
 		if !bytes.Equal(pr.Key, ref[i]) {
-			return countMismatch("key mismatch at record", uint64(i), uint64(i))
+			return fmt.Errorf("apps: key mismatch at record %d: got %x, want %x", i, pr.Key, ref[i])
 		}
 		if len(pr.Value) != workload.TeraRecordSize-10 {
 			return countMismatch("value size", uint64(len(pr.Value)), uint64(workload.TeraRecordSize-10))

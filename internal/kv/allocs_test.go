@@ -63,3 +63,26 @@ func TestReadBackAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations to merge %d pairs back, want at most 81", allocs, pairs)
 	}
 }
+
+// TestSortRangeAllocs: on a warm batch, scattering by partition and sorting
+// every range allocates nothing — the scatter and sort scratch are the
+// batch's own. Two ways gives ranges for the radix sort, 32 ways ranges
+// below radixMin for the comparison sort.
+func TestSortRangeAllocs(t *testing.T) {
+	var b Batch
+	for _, p := range randomPairs(rand.New(rand.NewSource(23)), 4000) {
+		b.Append(p)
+	}
+	pass := func() {
+		for _, n := range []int{2, 32} {
+			bounds := b.PartitionRanges(Partition, n)
+			for p := 0; p < n; p++ {
+				b.SortRange(bounds[p], bounds[p+1])
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Fatalf("warm PartitionRanges + SortRange: %.0f allocations, want 0", allocs)
+	}
+}

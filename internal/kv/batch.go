@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -50,6 +51,8 @@ type Batch struct {
 	alt    []pairIdx
 	parts  []uint32
 	bounds []int
+	// sort scratch, reused across SortRange calls
+	ents, ents2 []sortEnt
 
 	bytes int64
 }
@@ -107,20 +110,97 @@ func (b *Batch) Reset() {
 	b.bytes = 0
 }
 
-func (b *Batch) compareIdx(x, y pairIdx) int {
-	if c := bytes.Compare(b.data[x.off:x.off+x.klen], b.data[y.off:y.off+y.klen]); c != 0 {
-		return c
-	}
-	return bytes.Compare(b.data[x.off+x.klen:x.off+x.klen+x.vlen],
-		b.data[y.off+y.klen:y.off+y.klen+y.vlen])
-}
-
 // Sort orders the whole batch by key (then value). Only index entries move.
 func (b *Batch) Sort() { b.SortRange(0, len(b.idx)) }
 
-// SortRange orders records [lo,hi) by key (then value) in place.
+// sortEnt is an index entry beside its key's Prefix8: the sort orders
+// entries by that integer and reads the slab only where two are equal.
+type sortEnt struct {
+	kp uint64
+	e  pairIdx
+}
+
+// radixMin is the shortest range SortRange radix-sorts. Below it, clearing
+// and summing the digit histograms costs more than comparison sorting.
+const radixMin = 256
+
+// SortRange orders records [lo,hi) by key (then value) in place. It pairs
+// each index entry with its key's Prefix8 in batch-owned scratch and sorts
+// the entries: a range of radixMin or more is radix-sorted on the prefix
+// and then each run of equal prefixes is comparison-sorted on the rest of
+// the key and the value; a shorter range is comparison-sorted whole. The
+// order is written back into the index.
 func (b *Batch) SortRange(lo, hi int) {
-	slices.SortFunc(b.idx[lo:hi], b.compareIdx)
+	m := hi - lo
+	if m < 2 {
+		return
+	}
+	if cap(b.ents) < m {
+		b.ents, b.ents2 = make([]sortEnt, m), make([]sortEnt, m)
+	}
+	ents := b.ents[:m]
+	for i, e := range b.idx[lo:hi] {
+		ents[i] = sortEnt{kp: Prefix8(b.data[e.off : e.off+e.klen]), e: e}
+	}
+	data := b.data
+	compare := func(x, y sortEnt) int {
+		if x.kp != y.kp {
+			return cmp.Compare(x.kp, y.kp)
+		}
+		xk, yk := x.e.off+x.e.klen, y.e.off+y.e.klen
+		if c := compareRest(data[x.e.off:xk], data[y.e.off:yk]); c != 0 {
+			return c
+		}
+		return bytes.Compare(data[xk:xk+x.e.vlen], data[yk:yk+y.e.vlen])
+	}
+	if m < radixMin {
+		slices.SortFunc(ents, compare)
+	} else {
+		ents = radixSort(ents, b.ents2[:m])
+		for i := 0; i < m; {
+			j := i + 1
+			for j < m && ents[j].kp == ents[i].kp {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(ents[i:j], compare)
+			}
+			i = j
+		}
+	}
+	for i, x := range ents {
+		b.idx[lo+i] = x.e
+	}
+}
+
+// radixSort orders src by kp, stably, using tmp (as long as src) as the
+// other buffer, and returns whichever of the two holds the result. It
+// counts all eight digits in one pass, then scatters once per digit that
+// is not the same in every entry.
+func radixSort(src, tmp []sortEnt) []sortEnt {
+	var cnt [8][256]int
+	for _, x := range src {
+		for d := range cnt {
+			cnt[d][byte(x.kp>>(8*d))]++
+		}
+	}
+	for d := range cnt {
+		c := &cnt[d]
+		if c[byte(src[0].kp>>(8*d))] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, x := range src {
+			k := byte(x.kp >> (8 * d))
+			tmp[c[k]] = x
+			c[k]++
+		}
+		src, tmp = tmp, src
+	}
+	return src
 }
 
 // PartitionRanges reorders the index so records are grouped by partition

@@ -58,18 +58,55 @@ func TestBatchAppendDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestBatchSortRangeMatchesSortPairs runs below and above radixMin, so
+// both the comparison sort and the radix sort are checked.
 func TestBatchSortRangeMatchesSortPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pairs := randomPairs(rng, 200)
-	var b Batch
-	for _, p := range pairs {
-		b.Append(p)
+	for _, count := range []int{200, 2000} {
+		pairs := randomPairs(rng, count)
+		var b Batch
+		for _, p := range pairs {
+			b.Append(p)
+		}
+		b.Sort()
+		ref := append([]Pair(nil), pairs...)
+		SortPairs(ref)
+		if !pairsEqual(b.Pairs(nil), ref) {
+			t.Fatalf("%d pairs: Batch.Sort disagrees with SortPairs", count)
+		}
 	}
-	b.Sort()
-	ref := append([]Pair(nil), pairs...)
-	SortPairs(ref)
-	if !pairsEqual(b.Pairs(nil), ref) {
-		t.Fatal("Batch.Sort disagrees with SortPairs")
+}
+
+// tieKeys and tieValues are the shapes an 8-byte prefix cannot tell apart:
+// keys longer than eight bytes that share their first eight, keys that
+// differ only by trailing zeros (which pad the prefix), empty keys, and
+// values that differ under one key.
+var (
+	tieKeys = []string{"", "\x00", "a", "a\x00", "a\x00\x00", "abcdefgh", "abcdefgh\x00",
+		"abcdefgh\x00\x00", "abcdefgh\x01", "abcdefghi", "abcdefgh\xff\xff", "abcdefgi"}
+	tieValues = []string{"", "\x00", "1", "10", "2", "\x00\x00\x00\x00\x00\x00\x00\x00\x01"}
+)
+
+// TestBatchSortRangePrefixTies: where two keys' prefixes are equal the
+// sort falls back to the rest of the key and then the value, and agrees
+// with SortPairs — below and above radixMin.
+func TestBatchSortRangePrefixTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, count := range []int{40, radixMin, 3000} {
+		pairs := make([]Pair, count)
+		for i := range pairs {
+			pairs[i] = Pair{Key: []byte(tieKeys[rng.Intn(len(tieKeys))]), Value: []byte(tieValues[rng.Intn(len(tieValues))])}
+		}
+		var b Batch
+		for _, p := range pairs {
+			b.Append(p)
+		}
+		b.Sort()
+		ref := append([]Pair(nil), pairs...)
+		SortPairs(ref)
+		if !pairsEqual(b.Pairs(nil), ref) {
+			t.Fatalf("%d pairs: Batch.Sort disagrees with SortPairs on prefix ties", count)
+		}
 	}
 }
 

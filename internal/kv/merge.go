@@ -54,7 +54,7 @@ type mergeIter struct {
 type mergeSrc struct {
 	it     Iterator
 	head   Pair
-	kp, vp uint64 // prefix8 of head.Key, head.Value
+	kp, vp uint64 // Prefix8 of head.Key, head.Value
 	done   bool
 }
 
@@ -62,12 +62,13 @@ type mergeSrc struct {
 func (s *mergeSrc) next() {
 	var ok bool
 	s.head, ok = s.it.Next()
-	s.kp, s.vp, s.done = prefix8(s.head.Key), prefix8(s.head.Value), !ok
+	s.kp, s.vp, s.done = Prefix8(s.head.Key), Prefix8(s.head.Value), !ok
 }
 
-// prefix8 is b's first eight bytes, zero-padded, as a big-endian integer:
-// prefixes order like the strings wherever they differ.
-func prefix8(b []byte) uint64 {
+// Prefix8 is b's first eight bytes, zero-padded, as a big-endian integer:
+// prefixes order like the strings wherever they differ, so comparing them
+// decides most comparisons of keys without reading the keys again.
+func Prefix8(b []byte) uint64 {
 	if len(b) >= 8 {
 		return binary.BigEndian.Uint64(b)
 	}
@@ -76,7 +77,7 @@ func prefix8(b []byte) uint64 {
 	return binary.BigEndian.Uint64(buf[:])
 }
 
-// compareRest orders two strings whose prefix8 values are equal. When
+// compareRest orders two strings whose Prefix8 values are equal. When
 // neither is longer than eight bytes, they agree on every byte they share
 // and the longer one only adds zeros, so the shorter sorts first.
 func compareRest(a, b []byte) int {
