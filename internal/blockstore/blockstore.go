@@ -1,265 +1,76 @@
 // Package blockstore is the on-disk half of glasswing's distributed file
-// story: each worker runs a Store — a directory of fixed-size input blocks
-// — and the coordinator runs the namespace that says which workers hold a
-// replica of which block. Files are chunked into blocks upstream (the
-// coordinator's SplitBlocks), pushed to their replica holders over the
-// cluster's framed TCP transport at job start, and read back at map time
-// either locally (the block lives on the mapper's own disk — the Fig 3(d)
-// locality case) or streamed from a remote holder.
+// story: each worker runs a Store — a directory of input blocks, one file
+// each — and the coordinator runs the namespace that says which workers
+// hold a replica of which block. Files are chunked into blocks upstream
+// (the coordinator's SplitBlocks), pushed to their replica holders over the
+// cluster's framed TCP transport at job start, and read back whole at map
+// time, either locally (the block lives on the mapper's own disk — the Fig
+// 3(d) locality case) or by a remote holder that reads it and ships it in
+// one frame.
 //
-// The package itself is deliberately transport-free: it knows directories,
-// atomic block files, and streaming readers. Replication placement is a
-// pure function (Place) so the coordinator can journal it; the wire
-// messages that move blocks live in internal/dist.
+// The package itself is deliberately transport-free: it knows a directory
+// and atomic block files. Replication placement is a pure function (Place)
+// so the coordinator can journal it; the wire messages that move blocks
+// live in internal/dist.
 package blockstore
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 )
 
-// ReadChunk is the granularity of streaming reads: the readahead goroutine
-// stays at most this far ahead of the consumer, and remote block serving
-// ships chunks of this size, so neither side ever materializes a whole
-// block just to move it.
-const ReadChunk = 256 << 10
-
 // Store is one worker's slice of the distributed block store: a directory
-// holding block files. Puts are atomic (tmp file + rename), so a crashed
-// ingest never leaves a torn block for a later open to trust.
+// holding block files. The directory is the index: a block is held exactly
+// when its file exists, so a store reopened on the same directory reads the
+// blocks already there.
 type Store struct {
 	dir string
-
-	mu    sync.Mutex
-	sizes map[int]int64
 }
 
-// Open opens (creating if needed) a store rooted at dir and indexes any
-// blocks already present — a worker that outlives a coordinator restart
-// resumes serving its replicas without re-ingest.
+// Open opens (creating if needed) a store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	s := &Store{dir: dir, sizes: make(map[int]int64)}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("blockstore: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".blk") {
-			continue
-		}
-		id, err := strconv.Atoi(strings.TrimSuffix(name, ".blk"))
-		if err != nil {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.sizes[id] = info.Size()
-	}
-	return s, nil
+	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) path(id int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%08d.blk", id))
 }
 
 // Put stores one block atomically: the bytes land in a temp file that is
-// renamed into place, so concurrent readers see either the whole block or
-// no block.
+// renamed into place, so a concurrent reader sees either the whole block or
+// no block, and a crashed ingest never leaves a torn one.
 func (s *Store) Put(id int, data []byte) error {
 	f, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
 		return fmt.Errorf("blockstore: %w", err)
 	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.path(id))
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("blockstore: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(id)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	s.mu.Lock()
-	s.sizes[id] = int64(len(data))
-	s.mu.Unlock()
 	return nil
 }
 
-// Has reports whether this store holds block id.
-func (s *Store) Has(id int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.sizes[id]
-	return ok
-}
-
-// Size returns block id's size in bytes, if held.
-func (s *Store) Size(id int) (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.sizes[id]
-	return n, ok
-}
-
-// Blocks lists the held block ids in ascending order.
-func (s *Store) Blocks() []int {
-	s.mu.Lock()
-	ids := make([]int, 0, len(s.sizes))
-	for id := range s.sizes {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Ints(ids)
-	return ids
-}
-
-// Open returns a streaming reader over block id. The reader runs one
-// ReadChunk of readahead on a background goroutine, so disk latency
-// overlaps whatever the consumer does with the previous chunk; it never
-// holds more than two chunks in memory.
-func (s *Store) Open(id int) (*Reader, error) {
-	s.mu.Lock()
-	size, ok := s.sizes[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("blockstore: no block %d", id)
-	}
-	f, err := os.Open(s.path(id))
+// ReadAll reads block id whole, in one read of its file. Map kernels parse
+// whole blocks, so the per-task high-water mark is one block regardless of
+// dataset size. A block not held is an error.
+func (s *Store) ReadAll(id int) ([]byte, error) {
+	data, err := os.ReadFile(s.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	return newReader(f, size), nil
-}
-
-// ReadAll materializes block id. Map kernels parse whole blocks, so the
-// per-task high-water mark is one block regardless of dataset size; the
-// bytes still arrive through the streaming reader.
-func (s *Store) ReadAll(id int) ([]byte, error) {
-	r, err := s.Open(id)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	buf := make([]byte, 0, r.Size())
-	chunk := make([]byte, ReadChunk)
-	for {
-		n, err := r.Read(chunk)
-		buf = append(buf, chunk[:n]...)
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Remove deletes block id if held.
-func (s *Store) Remove(id int) error {
-	s.mu.Lock()
-	delete(s.sizes, id)
-	s.mu.Unlock()
-	err := os.Remove(s.path(id))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	return nil
-}
-
-// Reader streams one block with background readahead.
-type Reader struct {
-	size   int64
-	chunks chan readChunk
-	stop   chan struct{}
-	once   sync.Once
-	cur    []byte
-	err    error
-}
-
-type readChunk struct {
-	data []byte
-	err  error
-}
-
-func newReader(f *os.File, size int64) *Reader {
-	r := &Reader{
-		size:   size,
-		chunks: make(chan readChunk, 1),
-		stop:   make(chan struct{}),
-	}
-	go func() {
-		defer f.Close()
-		for {
-			buf := make([]byte, ReadChunk)
-			n, err := io.ReadFull(f, buf)
-			if n > 0 {
-				select {
-				case r.chunks <- readChunk{data: buf[:n]}:
-				case <-r.stop:
-					return
-				}
-			}
-			if err != nil {
-				if err == io.ErrUnexpectedEOF {
-					err = io.EOF
-				}
-				select {
-				case r.chunks <- readChunk{err: err}:
-				case <-r.stop:
-				}
-				return
-			}
-		}
-	}()
-	return r
-}
-
-// Size returns the block's total size in bytes.
-func (r *Reader) Size() int64 { return r.size }
-
-// Read implements io.Reader.
-func (r *Reader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.err != nil {
-			return 0, r.err
-		}
-		c := <-r.chunks
-		r.cur, r.err = c.data, c.err
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
-// Close stops the readahead goroutine and releases the file.
-func (r *Reader) Close() error {
-	r.once.Do(func() { close(r.stop) })
-	// Drain anything the goroutine already queued so it can observe stop.
-	select {
-	case <-r.chunks:
-	default:
-	}
-	return nil
+	return data, nil
 }
 
 // Place computes the namespace's replica placement: block b's holders are
@@ -267,7 +78,7 @@ func (r *Reader) Close() error {
 // the simulated DFS uses, so the dist scheduler's existing b%n task deal is
 // automatically a local read for every block's first replica, and the Fig
 // 3(d) locality preference degrades gracefully (work stealing or a dead
-// holder falls back to a remote streaming read).
+// holder falls back to a remote read).
 func Place(nBlocks, nWorkers, replication int) [][]int {
 	if nWorkers < 1 {
 		return nil

@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,39 +12,28 @@ func TestPutOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spans multiple read chunks so the readahead path is exercised.
-	data := make([]byte, ReadChunk*2+12345)
-	for i := range data {
-		data[i] = byte(i * 7)
+	for id, n := range []int{0, 1, 256<<10 + 12345, 1 << 20} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*7 + id)
+		}
+		if err := s.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ReadAll(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("block %d: read %d bytes back, want %d (content equal: %v)", id, len(got), len(data), bytes.Equal(got, data))
+		}
 	}
-	if err := s.Put(3, data); err != nil {
+	// A second put of a block replaces it whole.
+	if err := s.Put(1, []byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(3) || s.Has(4) {
-		t.Fatalf("Has: got (%v,%v), want (true,false)", s.Has(3), s.Has(4))
-	}
-	if n, ok := s.Size(3); !ok || n != int64(len(data)) {
-		t.Fatalf("Size(3) = (%d,%v), want (%d,true)", n, ok, len(data))
-	}
-	r, err := s.Open(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	r.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("streamed read: %d bytes, want %d (content mismatch: %v)",
-			len(got), len(data), !bytes.Equal(got, data))
-	}
-	got2, err := s.ReadAll(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, data) {
-		t.Fatal("ReadAll mismatch")
+	if got, err := s.ReadAll(1); err != nil || string(got) != "again" {
+		t.Fatalf("ReadAll(1) after re-put = %q, %v", got, err)
 	}
 }
 
@@ -54,14 +42,21 @@ func TestOpenMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Open(9); err == nil {
-		t.Fatal("Open(9) on empty store: want error")
-	}
 	if _, err := s.ReadAll(9); err == nil {
 		t.Fatal("ReadAll(9) on empty store: want error")
 	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(filepath.Join(file, "blocks")); err == nil {
+		t.Fatal("Open under a regular file: want error")
+	}
 }
 
+// TestReopenIndexesExistingBlocks: the directory is the index, so a store
+// reopened on it reads the blocks already on disk, and a stray temp file
+// from a crashed put is no block.
 func TestReopenIndexesExistingBlocks(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -74,7 +69,6 @@ func TestReopenIndexesExistingBlocks(t *testing.T) {
 	if err := s.Put(7, []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
-	// A stray temp file must not be indexed as a block.
 	if err := os.WriteFile(filepath.Join(dir, "put-junk"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -82,21 +76,13 @@ func TestReopenIndexesExistingBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Blocks(); len(got) != 2 || got[0] != 0 || got[1] != 7 {
-		t.Fatalf("reopened Blocks() = %v, want [0 7]", got)
+	for id, want := range map[int]string{0: "alpha", 7: "beta"} {
+		if b, err := s2.ReadAll(id); err != nil || string(b) != want {
+			t.Fatalf("reopened ReadAll(%d) = %q, %v; want %q", id, b, err, want)
+		}
 	}
-	b, err := s2.ReadAll(7)
-	if err != nil || string(b) != "beta" {
-		t.Fatalf("ReadAll(7) = %q, %v", b, err)
-	}
-	if err := s2.Remove(7); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Has(7) {
-		t.Fatal("Remove(7) left the block indexed")
-	}
-	if err := s2.Remove(7); err != nil {
-		t.Fatal("Remove must be idempotent")
+	if _, err := s2.ReadAll(1); err == nil {
+		t.Fatal("reopened ReadAll(1): want error for a block never put")
 	}
 }
 

@@ -1,10 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"glasswing/internal/blockstore"
@@ -12,76 +13,75 @@ import (
 
 // This file is the worker's half of the distributed block store: the
 // scratch directory holding its replicas and spill files, ingest of
-// coordinator-pushed blocks, and the local-read / remote-streaming paths a
-// Ref map task resolves its input through. The coordinator's half
-// (placement, namespace journaling, dispatch refs) lives in coordinator.go.
+// coordinator-pushed blocks, and the local read or remote fetch a Ref map
+// task resolves its input through. A block moves whole: one read, one
+// frame. Every decision about a read — which holder to ask next, what a
+// lost link or a dead holder means for a fetch, whether a holder can answer
+// yet — is a wstate step; the shell below only reads, writes and waits. The
+// coordinator's half (placement, namespace journaling, dispatch refs) lives
+// in coordinator.go.
 
-// workDir lazily creates this worker's scratch directory (under
-// Tuning.WorkDir, or the OS temp dir). Jobs that never spill and never use
-// the block store never touch the disk. Safe from any goroutine, including
-// a store spilling inside step under w.mu: wdMu is a leaf lock.
-func (w *worker) workDir() (string, error) {
-	w.wdMu.Lock()
-	defer w.wdMu.Unlock()
-	if w.wdErr != nil {
-		return "", w.wdErr
-	}
-	if w.workdir != "" {
-		return w.workdir, nil
-	}
-	dir, err := os.MkdirTemp(w.tun.WorkDir, "glasswing-worker-*")
-	if err != nil {
-		w.wdErr = fmt.Errorf("dist: worker scratch dir: %w", err)
-		return "", w.wdErr
-	}
-	w.workdir = dir
-	return dir, nil
+// blockFetchTimeout bounds a remote block read.
+const blockFetchTimeout = 60 * time.Second
+
+// blockFetch is the executor's remote block read: the block and the size
+// the reply must have, the holder asked now, and the holders not yet tried.
+// The executor is serial, so a worker has at most one in flight.
+type blockFetch struct {
+	nonce   uint64
+	block   int
+	size    int64
+	holder  int
+	holders []int
 }
 
-// blockStore lazily opens this worker's on-disk block store.
-func (w *worker) blockStore() (*blockstore.Store, error) {
-	w.bsMu.Lock()
-	defer w.bsMu.Unlock()
-	if w.bstore != nil {
-		return w.bstore, nil
+// scratch creates this worker's scratch directory (under Tuning.WorkDir, or
+// the OS temp dir) the first time it is asked for. Only the coordinator
+// loop asks, where the protocol orders it before every reader: at job start
+// when spilling is armed, else at the first block put, which precedes every
+// map task on the FIFO coordinator link. Jobs that never spill and never
+// use the block store never touch the disk.
+func (w *worker) scratch() (string, error) {
+	if w.workdir == "" && w.wdErr == nil {
+		w.workdir, w.wdErr = os.MkdirTemp(w.tun.WorkDir, "glasswing-worker-*")
+		if w.wdErr != nil {
+			w.wdErr = fmt.Errorf("dist: worker scratch dir: %w", w.wdErr)
+		}
 	}
-	dir, err := w.workDir()
-	if err != nil {
-		return nil, err
-	}
-	s, err := blockstore.Open(filepath.Join(dir, "blocks"))
-	if err != nil {
-		return nil, err
-	}
-	w.bstore = s
-	return s, nil
+	return w.workdir, w.wdErr
 }
 
-// onBlockPut ingests one replica pushed by the coordinator. Handled
-// synchronously on the coordinator reader: the FIFO link guarantees every
-// replica is durable before any map task that might reference it arrives.
-func (w *worker) onBlockPut(p []byte) error {
+// ingest stores one replica pushed by the coordinator, on the coordinator
+// loop, and steps its arrival: fetches peers made for it before it landed
+// are answered now. The store is opened at the first put.
+func (w *worker) ingest(p []byte) error {
 	var m blockPutMsg
 	if err := decode(p, &m).fin("block-put"); err != nil {
 		return err
 	}
-	s, err := w.blockStore()
-	if err != nil {
-		return fmt.Errorf("dist: block ingest: %w", err)
+	if w.bstore == nil {
+		dir, err := w.scratch()
+		if err == nil {
+			w.bstore, err = blockstore.Open(filepath.Join(dir, "blocks"))
+		}
+		if err != nil {
+			return fmt.Errorf("dist: block ingest: %w", err)
+		}
 	}
-	if err := s.Put(m.ID, m.Data); err != nil {
+	if err := w.bstore.Put(m.ID, m.Data); err != nil {
 		return fmt.Errorf("dist: block ingest: %w", err)
 	}
 	w.led.blockIngestBytes.Add(int64(len(m.Data)))
+	w.do(wevent{kind: weIngest, block: m.ID})
 	return nil
 }
 
 // acquireBlock resolves one map task's input bytes and reports where they
 // came from: "" for a classic embedded block (no accounting — the
 // pre-block-store behavior, byte for byte), "local" for the mapper's own
-// disk, "remote" for a streamed fetch from a holder or a coordinator
-// fallback embed. The error path reports mMapFailed upstream, and the
-// scheduler retries the attempt.
+// disk, "remote" for a fetch from a holder or a coordinator fallback embed.
+// A replica of the wrong size counts as missing. The error path reports
+// mMapFailed upstream, and the scheduler retries the attempt.
 func (w *worker) acquireBlock(m mapTaskMsg) ([]byte, string, error) {
 	if !m.Ref {
 		return m.Block, "", nil
@@ -93,204 +93,159 @@ func (w *worker) acquireBlock(m mapTaskMsg) ([]byte, string, error) {
 		return m.Block, "remote", nil
 	}
 	if m.AllowLocal {
-		if data, ok := w.readOwnBlock(m.Task); ok {
-			w.led.readLocalBytes.Add(int64(len(data)))
+		if data, ok := w.readOwnBlock(m); ok {
 			return data, "local", nil
 		}
 	}
-	var lastErr error
-	for _, h := range m.Holders {
-		if h == w.id {
-			continue
-		}
-		data, err := w.fetchBlockFrom(h, m.Task, m.BlockSize)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	data, err := w.fetchBlock(m)
+	switch {
+	case err == nil:
 		w.led.readRemoteBytes.Add(int64(len(data)))
 		return data, "remote", nil
-	}
-	if !m.AllowLocal {
-		// Forced-remote, but every other holder is unreachable and we hold
-		// a replica: correctness over placement purity — read it here and
+	case !m.AllowLocal:
+		// Forced-remote, but no other holder could serve it and we hold a
+		// replica: correctness over placement purity — read it here and
 		// account it honestly as local.
-		if data, ok := w.readOwnBlock(m.Task); ok {
-			w.led.readLocalBytes.Add(int64(len(data)))
+		if data, ok := w.readOwnBlock(m); ok {
 			return data, "local", nil
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dist: no reachable holder for block %d", m.Task)
-	}
-	return nil, "", lastErr
+	return nil, "", err
 }
 
-// readOwnBlock reads a block from this worker's own store, if held.
-func (w *worker) readOwnBlock(id int) ([]byte, bool) {
-	s, err := w.blockStore()
-	if err != nil || !s.Has(id) {
+// readOwnBlock reads the task's block from this worker's own store, if held
+// whole, and books it read locally. The store, if any, was opened before
+// this task arrived (see scratch).
+func (w *worker) readOwnBlock(m mapTaskMsg) ([]byte, bool) {
+	if w.bstore == nil {
 		return nil, false
 	}
-	data, err := s.ReadAll(id)
-	if err != nil {
+	data, err := w.bstore.ReadAll(m.Task)
+	if err != nil || int64(len(data)) != m.BlockSize {
 		return nil, false
 	}
+	w.led.readLocalBytes.Add(int64(len(data)))
 	return data, true
 }
 
-// blockFetchWait is one in-flight remote block read: chunks append to buf
-// as the peer reader drains them; done resolves when the last chunk (or a
-// failure) lands.
-type blockFetchWait struct {
-	peer int
-	buf  []byte
-	done chan error // buffered; exactly one resolution per fetch
-}
-
-// fetchBlockFrom streams block id from holder j over the peer mesh.
-func (w *worker) fetchBlockFrom(j, id int, size int64) ([]byte, error) {
-	w.fetchMu.Lock()
-	w.fetchCtr++
-	nonce := w.fetchCtr
-	fw := &blockFetchWait{peer: j, buf: make([]byte, 0, size), done: make(chan error, 1)}
-	w.fetches[nonce] = fw
-	w.fetchMu.Unlock()
-
-	if len(w.do(wevent{kind: weSend, peer: j, f: frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: id, Nonce: nonce})}})) == 0 {
-		w.fetchMu.Lock()
-		delete(w.fetches, nonce)
-		w.fetchMu.Unlock()
-		return nil, fmt.Errorf("dist: no live link to block holder %d", j)
-	}
-	select {
-	case err := <-fw.done:
-		if err != nil {
-			return nil, err
+// fetchBlock reads block m.Task from its other holders: the step asks
+// each in turn and resolves the fetch, and this executor waits for it.
+func (w *worker) fetchBlock(m mapTaskMsg) ([]byte, error) {
+	f := &blockFetch{block: m.Task, size: m.BlockSize, holders: m.Holders}
+	w.do(wevent{kind: weFetch, fetch: f})
+	t := time.NewTimer(blockFetchTimeout)
+	defer t.Stop()
+	for {
+		select {
+		case e := <-w.fetchDone:
+			return e.data, e.err
+		case <-t.C:
+			w.do(wevent{kind: weTimeout, fetch: f}) // resolves f, unless a reply just did
+		case <-w.stop:
+			return nil, errors.New("dist: worker stopping mid-fetch")
 		}
-		return fw.buf, nil
-	case <-time.After(blockFetchTimeout):
-		w.fetchMu.Lock()
-		delete(w.fetches, nonce)
-		w.fetchMu.Unlock()
-		return nil, fmt.Errorf("dist: fetching block %d from worker %d timed out", id, j)
-	case <-w.stop:
-		return nil, fmt.Errorf("dist: worker stopping mid-fetch of block %d", id)
 	}
 }
 
-// blockFetchTimeout bounds a remote block read.
-const blockFetchTimeout = 60 * time.Second
+// serve answers one peer's fetch on its own goroutine, so a slow disk never
+// stalls the reader that stepped it: one read of the block, one reply.
+func (w *worker) serve(cc *conn, bs *blockstore.Store, id int, nonce uint64) {
+	defer w.wg.Done()
+	msg := blockDataMsg{ID: id, Nonce: nonce}
+	if bs != nil {
+		data, err := bs.ReadAll(id)
+		msg.OK, msg.Data = err == nil, data
+	}
+	cc.send(frame{typ: mBlockData, payload: encode(&msg)})
+}
 
-// blockIngestWait bounds how long a holder waits for a replica a peer is
-// asking for to finish ingesting before declaring it missing.
-const blockIngestWait = 15 * time.Second
+// The step's half of block reads: wstate methods, under the worker's lock.
 
-// onBlockFetch serves one peer's streamed block read. The disk read runs on
-// its own goroutine so a slow disk never stalls the peer reader's shuffle
-// dispatch; chunks are control frames (bounded by the block size), so they
-// flow even when the bulk send window is wedged.
-func (w *worker) onBlockFetch(cc *conn, p []byte) {
+// fetch starts the executor's read at the block's first holder it can ask.
+func (s *wstate) fetch(f *blockFetch) {
+	s.nonce++
+	f.nonce, s.fetching = s.nonce, f
+	s.refetch(fmt.Errorf("dist: no reachable holder for block %d", f.block))
+}
+
+// refetch asks the fetch's next holder — another worker, alive and linked
+// — or, with none left, resolves the fetch with err.
+func (s *wstate) refetch(err error) {
+	f := s.fetching
+	for !s.killed && !s.ended && len(f.holders) > 0 {
+		h := f.holders[0]
+		f.holders = f.holders[1:]
+		if h != s.id && s.isLinked(h) && s.alive[h] {
+			f.holder = h
+			s.emit(weffect{op: wfxSend, peer: h, f: frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: f.block, Nonce: f.nonce})}})
+			return
+		}
+	}
+	s.resolve(nil, err)
+}
+
+// resolve ends the fetch: the executor gets data, or err.
+func (s *wstate) resolve(data []byte, err error) {
+	s.fetching = nil
+	s.emit(weffect{op: wfxFetched, data: data, err: err})
+}
+
+// holderLost fails the fetch over if holder j was serving it: j's link
+// ended, or j died.
+func (s *wstate) holderLost(j int, why string) {
+	if f := s.fetching; f != nil && f.holder == j {
+		s.refetch(fmt.Errorf("dist: block holder %d %s mid-fetch of block %d", j, why, f.block))
+	}
+}
+
+// fetchReply takes holder j's reply. One from a holder the fetch has moved
+// past is stale; a failed read or a block of the wrong size fails over like
+// a missing replica.
+func (s *wstate) fetchReply(j int, p []byte) {
+	var msg blockDataMsg
+	switch f := s.fetching; {
+	case decode(p, &msg).fin("block-data") != nil || f == nil || f.nonce != msg.Nonce || f.holder != j:
+	case !msg.OK:
+		s.refetch(fmt.Errorf("dist: holder %d could not read block %d", j, f.block))
+	case int64(len(msg.Data)) != f.size:
+		s.refetch(fmt.Errorf("dist: holder %d sent %d bytes of block %d, want %d", j, len(msg.Data), f.block, f.size))
+	default:
+		s.resolve(msg.Data, nil)
+	}
+}
+
+// serveFetch answers peer j's fetch once this worker holds the block. The
+// coordinator's FIFO link only orders a replica's ingest before this
+// worker's own tasks: a peer whose dispatch won the race can ask for a
+// block whose put is still in flight, so the fetch is held for the ingest.
+func (s *wstate) serveFetch(j int, p []byte) {
 	var msg blockFetchMsg
-	if err := decode(p, &msg).fin("block-fetch"); err != nil {
+	if decode(p, &msg).fin("block-fetch") != nil || s.killed || s.ended {
 		return
 	}
-	w.wg.Add(1)
-	go func(msg blockFetchMsg) {
-		defer w.wg.Done()
-		fail := func() {
-			cc.send(frame{typ: mBlockChunk, payload: encode(&blockChunkMsg{
-				ID: msg.ID, Nonce: msg.Nonce, OK: false, Last: true,
-			})})
-		}
-		s, err := w.blockStore()
-		if err != nil {
-			fail()
-			return
-		}
-		// The coordinator's FIFO link only orders a replica's ingest before
-		// THIS worker's tasks — a peer whose task dispatch won the race can
-		// ask for a block whose put is still in our reader's queue. The
-		// namespace says we hold it, so wait for the rename to land (Put is
-		// temp-file + rename: Open sees either nothing or the whole block).
-		r, err := s.Open(msg.ID)
-		for deadline := time.Now().Add(blockIngestWait); err != nil && time.Now().Before(deadline); {
-			select {
-			case <-w.stop:
-				fail()
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			r, err = s.Open(msg.ID)
-		}
-		if err != nil {
-			fail()
-			return
-		}
-		defer r.Close()
-		buf := make([]byte, blockstore.ReadChunk)
-		for {
-			n, err := r.Read(buf)
-			last := err == io.EOF
-			if n > 0 || last {
-				cc.send(frame{typ: mBlockChunk, payload: encode(&blockChunkMsg{
-					ID: msg.ID, Nonce: msg.Nonce, OK: true, Last: last, Data: buf[:n],
-				})})
-			}
-			if last {
-				return
-			}
-			if err != nil {
-				fail()
-				return
-			}
-		}
-	}(msg)
+	s.serving = append(s.serving, weffect{op: wfxServe, peer: j, block: msg.ID, nonce: msg.Nonce})
+	s.serveHeld()
 }
 
-// onBlockChunk routes one streamed chunk to its waiting fetch.
-func (w *worker) onBlockChunk(p []byte) {
-	var msg blockChunkMsg
-	if err := decode(p, &msg).fin("block-chunk"); err != nil {
-		return
-	}
-	w.fetchMu.Lock()
-	fw := w.fetches[msg.Nonce]
-	if fw == nil {
-		w.fetchMu.Unlock()
-		return // fetch timed out or failed over already
-	}
-	if !msg.OK {
-		delete(w.fetches, msg.Nonce)
-		w.fetchMu.Unlock()
-		fw.done <- fmt.Errorf("dist: holder could not stream block %d", msg.ID)
-		return
-	}
-	fw.buf = append(fw.buf, msg.Data...)
-	last := msg.Last
-	if last {
-		delete(w.fetches, msg.Nonce)
-	}
-	w.fetchMu.Unlock()
-	if last {
-		fw.done <- nil
-	}
+// serveHeld answers every held fetch whose block is ingested. Once the
+// coordinator link that carried this worker's puts is gone, no put is
+// coming (a resumed coordinator never re-ingests): every held fetch is
+// answered, and a read of a block never put fails.
+func (s *wstate) serveHeld() {
+	s.serving = slices.DeleteFunc(s.serving, func(e weffect) bool {
+		ok := s.ingested[e.block] || s.ingestOver
+		if ok {
+			s.emit(e)
+		}
+		return ok
+	})
 }
 
-// failFetches resolves every fetch waiting on peer j with an error — called
-// when j's link dies so the executor fails over to another holder instead
-// of waiting out the timeout.
-func (w *worker) failFetches(j int) {
-	w.fetchMu.Lock()
-	var orphans []*blockFetchWait
-	for n, fw := range w.fetches {
-		if fw.peer == j {
-			delete(w.fetches, n)
-			orphans = append(orphans, fw)
-		}
+// endBlockReads ends the fetch in flight with err, and forgets every held
+// one, for a killed or ended worker.
+func (s *wstate) endBlockReads(err error) {
+	if s.fetching != nil {
+		s.resolve(nil, err)
 	}
-	w.fetchMu.Unlock()
-	for _, fw := range orphans {
-		fw.done <- fmt.Errorf("dist: lost link to block holder %d mid-fetch", j)
-	}
+	s.serving = nil
 }

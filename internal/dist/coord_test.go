@@ -34,7 +34,10 @@ import (
 // queued (coalescer.flush, handoff.stream), lost when a seal or close drops
 // it from the queue (conn.seal). Fake executors build each map attempt's
 // runs directly — one pair per partition, keyed by the task — and reduce by
-// draining the store's real iterators.
+// draining the store's real iterators. Block-store jobs ingest every pushed
+// replica into the worker's fake disk and step its arrival; a Ref task that
+// may not read its own replica fetches it through the step, over the fake
+// links, from a holder that answers from its disk.
 
 // memFile is an in-memory journal file.
 type memFile struct{ bytes.Buffer }
@@ -56,6 +59,15 @@ type simWorker struct {
 	reports  []frame // every map-done and reduce-done sent, for duplicates
 	barrier  map[attemptKey][]int
 	acked    map[attemptKey]map[int]bool
+	disk     map[int][]byte // ingested block replicas
+	fetch    *simFetch      // the executor's block fetch in flight
+}
+
+// simFetch is the executor waiting on a block fetch: done once the step
+// resolves it, with err if it failed.
+type simFetch struct {
+	done bool
+	err  error
 }
 
 type simLink struct {
@@ -129,6 +141,7 @@ type simSchedule struct {
 	kills    []int    // fired kill hooks not yet carried out
 	joiners  int      // joiners the spawn hook launched (the runner's count)
 	faultPct int      // chance a map attempt fails, in percent
+	remote   int      // map inputs read from another worker's replica
 
 	// chaos budget: unsolicited kills, joins, crashes and duplicate reports.
 	chaosKills, chaosJoins, chaosCrashes, chaosDups int
@@ -175,8 +188,11 @@ func newSimSchedule(t testing.TB, seed int64) *simSchedule {
 	n, tasks, parts := 1+rng.Intn(4), 3+rng.Intn(12), 1+rng.Intn(6)
 	o := simOptions(n, tasks, parts)
 	o.Job.MaxAttempts = 2 + rng.Intn(4)
-	if rng.Intn(4) == 0 {
+	switch rng.Intn(4) {
+	case 0:
 		o.Blockstore = "local"
+	case 1:
+		o.Blockstore = "remote"
 	}
 	for k := rng.Intn(4); k > 0; k-- {
 		e := ElasticEvent{Kind: []string{"join", "drain", "kill", "restart"}[rng.Intn(4)], Worker: rng.Intn(n + 1)}
@@ -255,7 +271,8 @@ func (s *simSchedule) fatalf(format string, args ...any) {
 func (s *simSchedule) addWorker() *simWorker {
 	addr := fmt.Sprintf("w%d", len(s.workers))
 	w := &simWorker{id: -1, addr: addr, st: newWState(addr, newShuffleStore(), s.led),
-		links: make(map[int]*simConn), barrier: make(map[attemptKey][]int), acked: make(map[attemptKey]map[int]bool)}
+		links: make(map[int]*simConn), barrier: make(map[attemptKey][]int), acked: make(map[attemptKey]map[int]bool),
+		disk: make(map[int][]byte)}
 	s.workers = append(s.workers, w)
 	s.dial(w, frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.addr})})
 	return w
@@ -385,6 +402,13 @@ func (s *simSchedule) perform(w *simWorker, e weffect) {
 		} else {
 			s.send(w, e.peer, e.f)
 		}
+	case wfxFetched:
+		if f := w.fetch; f != nil {
+			f.done, f.err = true, e.err
+		}
+	case wfxServe:
+		data, ok := w.disk[e.block]
+		s.send(w, e.peer, frame{typ: mBlockData, payload: encode(&blockDataMsg{ID: e.block, Nonce: e.nonce, OK: ok, Data: data})})
 	case wfxPush:
 		// One run per frame, booked sent as coalescer.flush books a batch.
 		p := e.push
@@ -481,7 +505,7 @@ func (s *simSchedule) closeEnd(w *simWorker, c *simConn) {
 // closes and its mesh seals, as runWorker's teardown does.
 func (s *simSchedule) exit(w *simWorker) {
 	w.exited = true
-	w.queue = nil
+	w.queue, w.fetch = nil, nil
 	if w.link != nil {
 		w.link.workerClosed = true
 	}
@@ -516,9 +540,10 @@ func (s *simSchedule) snapshot(w *simWorker) workerSnap {
 }
 
 // checkWorker asserts the worker invariants across one step: nothing is
-// staged or committed for a partition the worker knows settled, a killed
-// worker books nothing received, and a map-done goes out only once every
-// peer in the attempt's barrier has acked or been announced dead.
+// staged or committed for a partition the worker knows settled, no block
+// read waits on what cannot answer it, a killed worker books nothing
+// received, and a map-done goes out only once every peer in the attempt's
+// barrier has acked or been announced dead.
 func (s *simSchedule) checkWorker(w *simWorker, ev wevent, pre workerSnap, fx []weffect) {
 	s.t.Helper()
 	post := s.snapshot(w)
@@ -528,6 +553,17 @@ func (s *simSchedule) checkWorker(w *simWorker, ev wevent, pre workerSnap, fx []
 		}
 		if post.staged[p] > pre.staged[p] || post.have[p] > pre.have[p] && !(ev.kind == weFrame && ev.typ == mHandoffMark) {
 			s.fatalf("worker %d staged or committed a run for settled partition %d", w.id, p)
+		}
+	}
+	// A fetch waits only on a holder that can still answer it or whose
+	// link's end or death will fail it over; a held request only while its
+	// block may still arrive and its requester is linked.
+	if f := w.st.fetching; f != nil && (!w.st.isLinked(f.holder) || !w.st.alive[f.holder]) {
+		s.fatalf("worker %d waits on block %d from worker %d, unlinked or dead", w.id, f.block, f.holder)
+	}
+	for _, r := range w.st.serving {
+		if w.st.ingested[r.block] || w.st.ingestOver || !w.st.isLinked(r.peer) {
+			s.fatalf("worker %d holds worker %d's fetch of block %d, which it could answer or drop", w.id, r.peer, r.block)
 		}
 	}
 	if w.st.killed && ev.kind != weKill && post.recv != pre.recv {
@@ -753,7 +789,7 @@ func (s *simSchedule) actions(buf []simAction) []simAction {
 		} else if w.link.coordClosed {
 			buf = append(buf, simAction{kind: actRedial, w: w})
 		}
-		if len(w.queue) > 0 {
+		if len(w.queue) > 0 && (w.fetch == nil || w.fetch.done) {
 			buf = append(buf, simAction{kind: actExec, w: w})
 		}
 	}
@@ -969,7 +1005,13 @@ func (s *simSchedule) do(a simAction) {
 		f := w.link.in[0]
 		w.link.in = w.link.in[1:]
 		if f.typ == mBlockPut {
-			return // the shell's ingest: no decision
+			// The shell's ingest: the put lands on disk, then its arrival is
+			// stepped.
+			var m blockPutMsg
+			decode(f.payload, &m)
+			w.disk[m.ID] = m.Data
+			s.wstep(w, wevent{kind: weIngest, block: m.ID})
+			return
 		}
 		s.wstep(w, wevent{kind: weFrame, peer: coordPeer, typ: f.typ, p: f.payload})
 		switch f.typ {
@@ -1066,6 +1108,18 @@ func (s *simSchedule) do(a simAction) {
 // reports the pairs the store's iterators hold for the partition.
 func (s *simSchedule) runTask(w *simWorker) {
 	it := w.queue[0]
+	if !it.reduce {
+		waiting, err := s.readBlock(w, it.mapTask)
+		if waiting {
+			return
+		}
+		if err != nil {
+			w.queue = w.queue[1:]
+			s.wstep(w, wevent{kind: weSend, f: frame{typ: mMapFailed,
+				payload: encode(&taskFailMsg{Task: it.mapTask.Task, Attempt: it.mapTask.Attempt, Reason: err.Error()})}})
+			return
+		}
+	}
 	w.queue = w.queue[1:]
 	if it.reduce {
 		p := it.redTask.Partition
@@ -1075,7 +1129,7 @@ func (s *simSchedule) runTask(w *simWorker) {
 			}
 			pairs := kv.Drain(kv.Merge(e.iters...))
 			e.closeIters()
-			s.wstep(w, wevent{kind: weSend, peer: coordPeer, f: frame{typ: mReduceDone, payload: encode(&reduceDoneMsg{
+			s.wstep(w, wevent{kind: weSend, f: frame{typ: mReduceDone, payload: encode(&reduceDoneMsg{
 				Partition: p, Attempt: it.redTask.Attempt, RecordsIn: int64(len(pairs)), GroupsIn: int64(len(pairs)),
 				Output: kv.Marshal(pairs),
 			})}})
@@ -1084,7 +1138,7 @@ func (s *simSchedule) runTask(w *simWorker) {
 	}
 	m := it.mapTask
 	if s.rng.Intn(100) < s.faultPct {
-		s.wstep(w, wevent{kind: weSend, peer: coordPeer, f: frame{typ: mMapFailed,
+		s.wstep(w, wevent{kind: weSend, f: frame{typ: mMapFailed,
 			payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: "injected"})}})
 		return
 	}
@@ -1093,6 +1147,35 @@ func (s *simSchedule) runTask(w *simWorker) {
 		b.runs = append(b.runs, kv.NewRun([]kv.Pair{{Key: binary.BigEndian.AppendUint16(nil, uint16(m.Task))}}, false))
 	}
 	s.wstep(w, wevent{kind: weBuilt, built: b})
+}
+
+// readBlock resolves a map task's input as acquireBlock does: embedded
+// bytes, else its own replica when a local read is allowed, else a fetch
+// from another holder through the step, else — forced remote — its own
+// replica. It reports whether the executor still waits on a fetch, and the
+// read's error.
+func (s *simSchedule) readBlock(w *simWorker, m mapTaskMsg) (waiting bool, err error) {
+	_, own := w.disk[m.Task]
+	switch {
+	case !m.Ref || len(m.Block) > 0 || m.AllowLocal && own:
+		return false, nil
+	case w.fetch == nil:
+		w.fetch = new(simFetch)
+		s.wstep(w, wevent{kind: weFetch, fetch: &blockFetch{block: m.Task, size: m.BlockSize, holders: m.Holders}})
+		return true, nil
+	case !w.fetch.done:
+		return true, nil
+	default:
+		err, w.fetch = w.fetch.err, nil
+		if err == nil {
+			s.remote++
+			return false, nil
+		}
+	}
+	if !m.AllowLocal && own {
+		return false, nil
+	}
+	return false, err
 }
 
 // coordSeeds is how many seeded schedules TestCoordSchedules runs; each
@@ -1106,11 +1189,17 @@ const coordSeeds = 3000
 // coordinator restarts and reordering across links, checking the
 // invariants after every step and the ledgers at the end.
 func TestCoordSchedules(t *testing.T) {
+	remote := 0
 	for seed := int64(0); seed < coordSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			newSimSchedule(t, seed).run(simMaxSteps)
+			s := newSimSchedule(t, seed)
+			s.run(simMaxSteps)
+			if s.remote > 0 {
+				remote++
+			}
 		})
 	}
+	t.Logf("%d schedules read at least one block from another worker", remote)
 }
 
 // FuzzCoordSchedules runs the checker on seeds beyond the fixed range

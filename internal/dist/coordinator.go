@@ -348,18 +348,18 @@ type coord struct {
 
 	// reduceAttempt[p] is the attempt partition p's next reduce task runs
 	// under; a reduce-phase death cancels the wave and bumps it.
-	reduceAttempt     []int
-	reduceOutstanding int
-	mapElapsed        time.Duration
-	reduceStart       time.Time
-	pendingKills      map[int]bool // kills fired, death not yet observed
-	eventIdx          int
-	queuedT           []*transition
-	activeT           *transition
+	reduceAttempt []int
+	mapElapsed    time.Duration
+	reduceStart   time.Time
+	pendingKills  map[int]bool // kills fired, death not yet observed
+	eventIdx      int
+	queuedT       []*transition
+	activeT       *transition
 
 	// Open scheduling spans: sched/assign keyed by (task, attempt), which
 	// is also the set of attempts counted in outstanding, and sched/reduce
-	// by partition. Dispatches that die with their worker are never recorded.
+	// by partition, which is also the reduce wave's outstanding partitions.
+	// Dispatches that die with their worker are never recorded.
 	assignSpans map[attemptKey]func()
 	reduceSpans map[int]func()
 	batches     []spanBatchMsg
@@ -858,7 +858,7 @@ func (c *coord) fill() {
 			} else {
 				// Block-store dispatch: a reference plus the replica set still
 				// alive to serve it. AllowLocal=false is the forced-remote
-				// baseline — even a holder must stream.
+				// baseline — even a holder must fetch.
 				msg.Ref = true
 				msg.BlockSize = int64(len(c.o.Blocks[t]))
 				msg.AllowLocal = c.o.Blockstore != "remote"
@@ -915,9 +915,8 @@ func (c *coord) maybeReduce() {
 		c.send(c.st.Homes[p], frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
 			Partition: p, Attempt: c.reduceAttempt[p], SpanID: id,
 		})})
-		c.reduceOutstanding++
 	}
-	if c.reduceOutstanding == 0 {
+	if len(c.reduceSpans) == 0 {
 		c.finishJob()
 	}
 }
@@ -1169,7 +1168,6 @@ func (c *coord) death(w int) {
 		// from the cancelled wave are still accepted if their partition's
 		// data was complete.
 		c.phase = phaseMap
-		c.reduceOutstanding = 0
 		for _, end := range c.reduceSpans {
 			end()
 		}
@@ -1293,7 +1291,6 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 		// coordinator dispatched can report to its resumed successor, under
 		// the same attempt number as the re-dispatch.
 		if end := c.reduceSpans[m.Partition]; end != nil && m.Attempt == c.reduceAttempt[m.Partition] {
-			c.reduceOutstanding--
 			end()
 			delete(c.reduceSpans, m.Partition)
 		}
@@ -1313,7 +1310,7 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 		// A fired kill whose death has not yet been observed blocks
 		// completion: the scheduled churn must land (and be recovered from)
 		// before the job may declare itself done.
-		if c.phase == phaseReduce && c.reduceOutstanding == 0 && len(c.pendingKills) == 0 {
+		if c.phase == phaseReduce && len(c.reduceSpans) == 0 && len(c.pendingKills) == 0 {
 			c.finishJob()
 		}
 	case mReduceFailed:

@@ -17,34 +17,27 @@ import (
 //
 // size is the approximate input volume in bytes, chunk the map block size
 // (0 for the default). Seeds are fixed: a demo job is reproducible across
-// machines by construction.
+// machines by construction. wc and ts generate their dataset and are then
+// FileJob's jobs over it, the combiner on.
 func DemoJob(name string, size, partitions, chunk int) (Job, [][]byte, func(*Result) error, error) {
 	if size <= 0 {
 		size = 1 << 20
 	}
-	job := Job{App: AppSpec{Name: name}, Partitions: partitions}
+	var data []byte
 	switch name {
 	case "wc":
-		data, want := apps.WCData(1, size, size/400)
-		job.Collector = core.HashTable
-		job.UseCombiner = true
-		verify := func(r *Result) error { return apps.VerifyCounts(r.Output(), want) }
-		return job, SplitBlocks(data, chunk, 0), verify, nil
+		data = workload.WikiText(1, size, size/400)
 	case "ts":
-		data := apps.TSData(3, size/workload.TeraRecordSize)
-		job.App.Params = EncodeTSParams(apps.TeraSample(data, 16))
-		job.Collector = core.BufferPool
-		verify := func(r *Result) error { return apps.VerifyTeraSort(r.Output(), data) }
-		return job, SplitBlocks(data, chunk, workload.TeraRecordSize), verify, nil
+		data = apps.TSData(3, size/workload.TeraRecordSize)
 	case "km":
 		data, spec := apps.KMData(4, size/16, 4, 64)
-		job.App.Params = EncodeKMParams(spec)
-		job.Collector = core.HashTable
+		job := Job{App: AppSpec{Name: name, Params: EncodeKMParams(spec)}, Partitions: partitions, Collector: core.HashTable}
 		verify := func(r *Result) error { return apps.VerifyKMeans(r.Output(), data, spec) }
 		return job, SplitBlocks(data, chunk, spec.Dim*4), verify, nil
 	default:
 		return Job{}, nil, nil, fmt.Errorf("dist: no demo job %q (wc, ts, km)", name)
 	}
+	return FileJob(name, data, partitions, chunk, true)
 }
 
 // FileJob builds a job over caller-supplied input bytes — a file produced

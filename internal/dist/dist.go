@@ -23,7 +23,7 @@
 //	           worker ── PeerHello(id) ──▶ each lower-id peer ── PeerHello ──▶ worker (the mesh)
 //	ingest     coordinator ── BlockPut(block) ──▶ each replica holder  (block store)
 //	map        coordinator ── MapTask(task, attempt) ──▶ worker w
-//	           w ── BlockFetch ──▶ holder ── BlockChunk ──▶ w          (remote read)
+//	           w ── BlockFetch ──▶ holder ── BlockData(block) ──▶ w    (remote read, whole)
 //	           w ── RunBatch(runs of p) ──▶ home(p)                    (during map!)
 //	           w ── Mark(attempt) ──▶ every peer ── Ack ──▶ w          (commit barrier)
 //	           w ── MapDone | MapFailed ──▶ coordinator                (after all acks)
@@ -49,8 +49,8 @@
 // time under one lock in worker.do, around goroutines that do I/O: one
 // reads the coordinator link (formation included), one reader per peer
 // link, the acceptor and the dials that make links, the executor that maps,
-// pushes and reduces, one per outbound handoff, the coalescers' timers and
-// the link deadlines' timers.
+// pushes and reduces, one per outbound handoff, one per block fetch it
+// serves, the coalescers' timers and the link deadlines' timers.
 //
 // Fault tolerance mirrors the semantics of internal/core's taskScheduler:
 // failed attempts are requeued up to MaxAttempts; a worker death (detected
@@ -119,7 +119,7 @@ type Options struct {
 	// embedded in its map-task frame (the classic path). "local" ingests
 	// every block into Replication worker disks up front and schedules each
 	// task on a replica holder — the Fig 3(d) move-compute-to-data mode;
-	// non-holders (steals, retries) stream the block from a holder. "remote"
+	// non-holders (steals, retries) fetch the block from a holder. "remote"
 	// ingests identically but pins every task away from its replicas, the
 	// locality-off baseline the conformance suite diffs against.
 	Blockstore string

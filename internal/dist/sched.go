@@ -32,7 +32,7 @@ type dsched struct {
 // newSched queues every task st has not resolved. With prefer, task t goes
 // to prefer[t]: the block store passes a replica holder there, so the
 // initial deal is a local disk read for every task (Fig 3(d)'s "move
-// compute to data"); a stolen task simply becomes a remote streaming read,
+// compute to data"); a stolen task simply becomes a remote read,
 // the graceful degradation the locality counters exist to measure. Without
 // it the tasks are dealt round-robin over the live workers, which for a
 // fresh job is the classic t%n deal.

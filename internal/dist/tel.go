@@ -36,7 +36,7 @@ type ledger struct {
 	shuffleBytes   *obs.Counter // netBytesSent under the name -report and the bench read
 
 	// Block-store locality: bytes of map input read from the mapper's own
-	// store versus streamed from a remote holder (or shipped embedded by
+	// store versus fetched from a remote holder (or shipped embedded by
 	// the coordinator as a last resort). Their sum is the input volume, so
 	// local/(local+remote) is the Fig 3(d) locality hit ratio.
 	readLocalBytes  *obs.Counter

@@ -59,8 +59,8 @@ const (
 	mHandoffMark                  // worker→worker: one partition's handoff is complete
 	mHandoffDone                  // worker→coord: destination committed a handed-off partition
 	mBlockPut                     // coord→worker: ingest one input-block replica into the worker's store (bulk)
-	mBlockFetch                   // worker→worker: request a streamed read of one stored block
-	mBlockChunk                   // worker→worker: one chunk of a fetched block
+	mBlockFetch                   // worker→worker: request a read of one stored block
+	mBlockData                    // worker→worker: the fetched block, whole
 )
 
 func typeName(t byte) string {
@@ -74,7 +74,7 @@ func typeName(t byte) string {
 		mJoin: "join", mJoinReady: "join-ready", mRejoin: "rejoin",
 		mMembership: "membership", mDrained: "drained",
 		mHandoff: "handoff", mHandoffMark: "handoff-mark", mHandoffDone: "handoff-done",
-		mBlockPut: "block-put", mBlockFetch: "block-fetch", mBlockChunk: "block-chunk",
+		mBlockPut: "block-put", mBlockFetch: "block-fetch", mBlockData: "block-data",
 	}
 	if int(t) < len(names) && names[t] != "" {
 		return names[t]
@@ -359,7 +359,7 @@ type mapTaskMsg struct {
 	Block  []byte
 	// Block-store reference fields. With Ref set the task's input is block
 	// <Task> of the distributed store: Block is empty and the worker reads
-	// it locally or streams it from one of Holders (live replica holders,
+	// it locally or fetches it from one of Holders (live replica holders,
 	// coordinator's view at dispatch). A Ref task may still carry embedded
 	// Block bytes — the coordinator's fallback when no holder survives —
 	// which the worker accounts as a remote read. AllowLocal false forces a
@@ -698,8 +698,8 @@ type blockPutMsg struct {
 
 func (m *blockPutMsg) wire(c *codec) { c.i(&m.ID); c.bytes(&m.Data) }
 
-// blockFetchMsg asks a peer holding block ID to stream it back. Nonce
-// correlates the reply chunks with the waiting fetch on the requester.
+// blockFetchMsg asks a peer holding block ID to read it back. Nonce
+// correlates the reply with the waiting fetch on the requester.
 type blockFetchMsg struct {
 	ID    int
 	Nonce uint64
@@ -707,22 +707,19 @@ type blockFetchMsg struct {
 
 func (m *blockFetchMsg) wire(c *codec) { c.i(&m.ID); c.u(&m.Nonce) }
 
-// blockChunkMsg is one chunk of a streamed block read (blockstore.ReadChunk
-// granularity — the serving side never materializes the whole block). Last
-// marks the final chunk; OK false aborts the fetch (block not held, or the
-// holder's disk failed mid-stream). Decoding copies Data out of the frame.
-type blockChunkMsg struct {
+// blockDataMsg answers one fetch with the whole block, in one control frame
+// so it passes a wedged bulk window. OK false means the holder could not
+// read it. Data aliases the frame.
+type blockDataMsg struct {
 	ID    int
 	Nonce uint64
 	OK    bool
-	Last  bool
 	Data  []byte
 }
 
-func (m *blockChunkMsg) wire(c *codec) {
+func (m *blockDataMsg) wire(c *codec) {
 	c.i(&m.ID)
 	c.u(&m.Nonce)
 	c.bool(&m.OK)
-	c.bool(&m.Last)
-	c.owned(&m.Data)
+	c.bytes(&m.Data)
 }

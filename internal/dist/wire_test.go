@@ -63,7 +63,7 @@ var payloadTypes = []payload{
 	&helloMsg{}, &welcomeMsg{}, &jobStartMsg{}, &mapTaskMsg{}, &mapDoneMsg{}, &taskFailMsg{},
 	&runBatchMsg{}, &runEntries{}, &markMsg{}, &reduceTaskMsg{}, &reduceDoneMsg{}, &peerHelloMsg{},
 	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffBatchMsg{}, &handoffMarkMsg{},
-	&handoffDoneMsg{}, &blockPutMsg{}, &blockFetchMsg{}, &blockChunkMsg{},
+	&handoffDoneMsg{}, &blockPutMsg{}, &blockFetchMsg{}, &blockDataMsg{},
 }
 
 // newPayload returns a zero value of m's type, to decode into.
@@ -157,8 +157,8 @@ func roundTrips() []roundTrip {
 		{"handoff-done", &handoffDoneMsg{Epoch: 2, Partition: 1}, "0201"},
 		{"block-put", &blockPutMsg{ID: 6, Data: []byte("replica bytes")}, "060d7265706c696361206279746573"},
 		{"block-fetch", &blockFetchMsg{ID: 6, Nonce: 1 << 40}, "06808080808020"},
-		{"block-chunk", &blockChunkMsg{ID: 6, Nonce: 1 << 40, OK: true, Last: true, Data: []byte("chunk")},
-			"068080808080200101056368756e6b"},
+		{"block-data", &blockDataMsg{ID: 6, Nonce: 1 << 40, OK: true, Data: []byte("chunk")},
+			"0680808080802001056368756e6b"},
 	}
 }
 
@@ -239,7 +239,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		"handoff-done": func(p []byte) error { return decode(p, &handoffDoneMsg{}).fin("handoff-done") },
 		"block-put":    func(p []byte) error { return decode(p, &blockPutMsg{}).fin("block-put") },
 		"block-fetch":  func(p []byte) error { return decode(p, &blockFetchMsg{}).fin("block-fetch") },
-		"block-chunk":  func(p []byte) error { return decode(p, &blockChunkMsg{}).fin("block-chunk") },
+		"block-data":   func(p []byte) error { return decode(p, &blockDataMsg{}).fin("block-data") },
 		"peer-hello":   func(p []byte) error { return decode(p, &peerHelloMsg{}).fin("peer-hello") },
 		"span-batch":   func(p []byte) error { return decode(p, &spanBatchMsg{}).fin("span-batch") },
 		"heartbeat":    func(p []byte) error { return decode(p, &hbMsg{}).fin("heartbeat") },
@@ -263,7 +263,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		"handoff-done": encode(&handoffDoneMsg{Epoch: 1, Partition: 0}),
 		"block-put":    encode(&blockPutMsg{ID: 1, Data: []byte("b")}),
 		"block-fetch":  encode(&blockFetchMsg{ID: 1, Nonce: 9}),
-		"block-chunk":  encode(&blockChunkMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}),
+		"block-data":   encode(&blockDataMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}),
 		"peer-hello":   encode(&peerHelloMsg{WorkerID: 1}),
 		"span-batch": encode(&spanBatchMsg{TraceID: 1, Node: 0, EpochUnixNano: 99,
 			Spans: []obs.Span{{Stage: "reduce", Start: 1, End: 2, ID: 3}}}),

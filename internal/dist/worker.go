@@ -83,9 +83,10 @@ type worker struct {
 	prt     func(key []byte, n int) int
 	lnAddr  string // our peer-facing listen address
 
-	execCh chan execItem
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	execCh    chan execItem
+	fetchDone chan weffect // the executor's block fetch, resolved: wfxFetched
+	stop      chan struct{}
+	wg        sync.WaitGroup
 
 	mu     sync.Mutex
 	st     *wstate
@@ -94,18 +95,12 @@ type worker struct {
 	coal   []*coalescer // per-peer outbound run coalescers, parallel to peers
 	timers []*time.Timer
 
-	// Scratch-disk state (block-store replicas + spill files). wdMu and bsMu
-	// are leaf locks — never taken while holding them; fetchMu guards the
-	// in-flight remote block reads (blockio.go).
-	wdMu    sync.Mutex
+	// Scratch-disk state (block-store replicas + spill files), written only
+	// by the coordinator loop, before any other goroutine reads it (see
+	// scratch in blockio.go).
 	workdir string
 	wdErr   error
-	bsMu    sync.Mutex
 	bstore  *blockstore.Store
-
-	fetchMu  sync.Mutex
-	fetchCtr uint64
-	fetches  map[uint64]*blockFetchWait
 }
 
 // runWorker joins the coordinator at cfg.coordAddr, executes one job, and
@@ -115,12 +110,12 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	tun := cfg.tun.withDefaults()
 	led := cfg.led
 	w := &worker{
-		cfg:     cfg,
-		tun:     tun,
-		led:     led,
-		execCh:  make(chan execItem, 4096),
-		stop:    make(chan struct{}),
-		fetches: make(map[uint64]*blockFetchWait),
+		cfg:       cfg,
+		tun:       tun,
+		led:       led,
+		execCh:    make(chan execItem, 4096),
+		fetchDone: make(chan weffect, 1),
+		stop:      make(chan struct{}),
 	}
 	ln, err := net.Listen("tcp", cfg.listenAddr)
 	if err != nil {
@@ -278,6 +273,13 @@ func (w *worker) perform(e weffect) {
 		e.cc.close()
 	case wfxFinish:
 		e.cc.shutdown()
+	case wfxFetched:
+		w.fetchDone <- e // buffered: one fetch in flight
+	case wfxServe:
+		// The store was opened before the step that marked the block
+		// ingested, or the read fails with no store at all.
+		w.wg.Add(1)
+		go w.serve(e.cc, w.bstore, e.block, e.nonce)
 	}
 }
 
@@ -353,7 +355,8 @@ func (w *worker) start(typ byte, p []byte, ln net.Listener) error {
 		if journal != nil {
 			journal = journal.With("worker", w.id)
 		}
-		w.st.store.enableSpill(w.tun.SpillThreshold, w.workDir, w.led, w.tr, journal)
+		dir, err := w.scratch()
+		w.st.store.enableSpill(w.tun.SpillThreshold, func() (string, error) { return dir, err }, w.led, w.tr, journal)
 	}
 	if w.cfg.onWelcome != nil {
 		w.cfg.onWelcome(w.id, w.kill)
@@ -433,7 +436,7 @@ func (w *worker) coordLoop(cc *conn, ln net.Listener) (last *conn, killed bool, 
 		case typ == mBlockPut:
 			// Ingest precedes every map task on the FIFO link, so a Ref task
 			// never races its own replica.
-			if err := w.onBlockPut(p); err != nil {
+			if err := w.ingest(p); err != nil {
 				return cc, false, err
 			}
 			continue
@@ -489,7 +492,7 @@ func (w *worker) executor() {
 }
 
 // report sends f to the coordinator unless this worker has been killed.
-func (w *worker) report(f frame) { w.do(wevent{kind: weSend, peer: coordPeer, f: f}) }
+func (w *worker) report(f frame) { w.do(wevent{kind: weSend, f: f}) }
 
 // runMap executes one map attempt's kernel and partitioner and steps the
 // built attempt, whose pushes and marks this executor then performs.
@@ -502,7 +505,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 		w.report(frame{typ: mMapFailed, payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: reason})})
 	}
 	// Resolve the task's input first: embedded bytes for classic jobs, the
-	// block store (own disk, or streamed from a holder) for Ref tasks. The
+	// block store (own disk, or fetched from a holder) for Ref tasks. The
 	// acquisition gets its own map/input span tagged with where the bytes
 	// came from — the per-split locality evidence in the merged trace.
 	t0 := time.Now()
@@ -582,18 +585,11 @@ func (w *worker) peerReader(j int, cc *conn) {
 		typ, p, err := cc.recv()
 		if err != nil {
 			cc.close()
-			// Fetches waiting on this peer's chunks fail over now rather
-			// than waiting out their timeout.
-			w.failFetches(j)
 			w.do(wevent{kind: weLinkDown, peer: j})
 			return
 		}
 		ev := wevent{kind: weFrame, peer: j, typ: typ, p: p}
 		switch typ {
-		case mBlockFetch:
-			w.onBlockFetch(cc, p)
-		case mBlockChunk:
-			w.onBlockChunk(p)
 		case mRunBatch:
 			// Decoded and inflated here, outside the lock. The staging span
 			// parents on the sender's net/send span.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"glasswing/internal/apps"
+	"glasswing/internal/blockstore"
 	"glasswing/internal/obs"
 )
 
@@ -56,8 +57,32 @@ func TestKilledWorkerReducesNothing(t *testing.T) {
 	if fx := s.step(wevent{kind: weReduce, part: 0}); len(fx) != 0 {
 		t.Fatalf("killed worker's reduce read its store: %v", ops(fx))
 	}
-	if fx := s.step(wevent{kind: weSend, peer: coordPeer, f: frame{typ: mReduceDone}}); len(fx) != 0 {
+	if fx := s.step(wevent{kind: weSend, f: frame{typ: mReduceDone}}); len(fx) != 0 {
 		t.Fatalf("killed worker sent %v", ops(fx))
+	}
+}
+
+// TestDrainedPartitionReducesNothing: a reduce task queued at a partition's
+// home before a drain moved the partition away starts after the handoff
+// took its runs. It must read nothing and report nothing: the coordinator
+// accepts the first report, and this one would carry the partition emptied.
+func TestDrainedPartitionReducesNothing(t *testing.T) {
+	store := newShuffleStore()
+	s := startedWState(t, 0, []string{"w0", "w1"}, []int{0, 1}, store, newLedger(nil))
+	s.step(wevent{kind: weLinkUp, peer: 1})
+	store.stage(0, 0, 0, storeRun(t, 3), 0)
+	store.commit(0, 0)
+	fx := s.step(wevent{kind: weFrame, peer: coordPeer, typ: mMembership, p: encode(&membershipMsg{
+		Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true}, Settled: []bool{false, false}, Joined: -1, Left: 0,
+	})})
+	if !hasOp(fx, wfxHandoff) {
+		t.Fatalf("drain did not hand partition 0 off: %v", ops(fx))
+	}
+	if fx := s.step(wevent{kind: weReduce, part: 0}); len(fx) != 0 {
+		t.Fatalf("reduce of a partition handed off read the store: %v", ops(fx))
+	}
+	if fx := s.step(wevent{kind: weReduce, part: 1}); len(fx) != 0 {
+		t.Fatalf("reduce of a partition homed elsewhere read the store: %v", ops(fx))
 	}
 }
 
@@ -173,6 +198,59 @@ func TestLinkDeadlines(t *testing.T) {
 	}
 }
 
+// TestShortReplicaFailsTheRead: a replica shorter than the block the task
+// names is a failed read, not a short map input. Worker 0 holds a truncated
+// copy of block 3 and no other holder is listed, so the task's read fails,
+// whether the local read is preferred or forced remote.
+func TestShortReplicaFailsTheRead(t *testing.T) {
+	bs, err := blockstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Put(3, []byte("trunc")); err != nil {
+		t.Fatal(err)
+	}
+	led := newLedger(nil)
+	w := &worker{led: led, tr: newTracer(0), bstore: bs, fetchDone: make(chan weffect, 1)}
+	w.st = startedWState(t, 0, []string{"w0"}, []int{0}, newShuffleStore(), led)
+	for _, local := range []bool{true, false} {
+		m := mapTaskMsg{Task: 3, Ref: true, BlockSize: int64(len("truncated")), Holders: []int{0}, AllowLocal: local}
+		if data, where, err := w.acquireBlock(m); err == nil {
+			t.Errorf("AllowLocal %v: read %q (%s) from a truncated replica, want an error", local, data, where)
+		}
+	}
+	if n := led.readLocalBytes.Value() + led.readRemoteBytes.Value(); n != 0 {
+		t.Errorf("failed reads booked %d bytes read", n)
+	}
+}
+
+// TestShortReplyFailsOver: a holder's reply of the wrong size fails the
+// fetch over to the next holder, like a holder that could not read the
+// block; the last holder's failure resolves the fetch with an error.
+func TestShortReplyFailsOver(t *testing.T) {
+	s := startedWState(t, 0, []string{"w0", "w1", "w2"}, []int{0}, newShuffleStore(), newLedger(nil))
+	s.step(wevent{kind: weLinkUp, peer: 1})
+	s.step(wevent{kind: weLinkUp, peer: 2})
+	fx := s.step(wevent{kind: weFetch, fetch: &blockFetch{block: 5, size: 4, holders: []int{0, 1, 2}}})
+	if len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 1 || fx[0].f.typ != mBlockFetch {
+		t.Fatalf("fetch start: %v, want the fetch sent to worker 1", ops(fx))
+	}
+	nonce := s.fetching.nonce
+	reply := func(j int, data string) []weffect {
+		return s.step(wevent{kind: weFrame, peer: j, typ: mBlockData,
+			p: encode(&blockDataMsg{ID: 5, Nonce: nonce, OK: true, Data: []byte(data)})})
+	}
+	if fx := reply(1, "abc"); len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 2 || fx[0].f.typ != mBlockFetch {
+		t.Fatalf("short reply: %v, want the fetch sent on to worker 2", ops(fx))
+	}
+	if fx := reply(1, "abcd"); len(fx) != 0 {
+		t.Fatalf("reply from a holder the fetch moved past: %v, want nothing", ops(fx))
+	}
+	if fx := reply(2, "abcde"); len(fx) != 1 || fx[0].op != wfxFetched || fx[0].err == nil || s.fetching != nil {
+		t.Fatalf("long reply from the last holder: %v, want the fetch resolved with an error", ops(fx))
+	}
+}
+
 // TestAcceptorReplyLeadsTheLink: once do installs an accepted link, any
 // goroutine may send on it — the executor a block fetch or a push, the
 // coordinator loop a handoff. The acceptor's hello reply must be queued
@@ -190,7 +268,7 @@ func TestAcceptorReplyLeadsTheLink(t *testing.T) {
 	// effects when the executor sends a block fetch to worker 1.
 	fx := w.decide(wevent{kind: weLinkUp, peer: 1, cc: cc,
 		f: frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: 0})}})
-	w.do(wevent{kind: weSend, peer: 1, f: frame{typ: mBlockFetch, payload: []byte{0}}})
+	w.do(wevent{kind: weFetch, fetch: &blockFetch{block: 0, size: 1, holders: []int{1}}})
 	for _, e := range fx {
 		w.perform(e)
 	}

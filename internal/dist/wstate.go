@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -19,10 +20,12 @@ const (
 	weCoordUp           // a (re)dialed coordinator link: cc, installed if step accepts it
 	weLinkDown          // peer's installed link ended (coordPeer: the coordinator link)
 	weDialFailed        // a dial of peer at addr got no hello back
-	weTimeout           // peer's link deadline passed (coordPeer: the mesh's)
+	weTimeout           // peer's link deadline passed (coordPeer: the mesh's); with fetch, the fetch's
 	weBuilt             // the executor built a map attempt (kernel and partition ran)
 	weReduce            // the executor starts reducing partition part
-	weSend              // the executor sends f to peer (block fetch) or the coordinator (a report)
+	weSend              // the executor reports f to the coordinator
+	weFetch             // the executor reads a block from another holder: fetch
+	weIngest            // the shell stored block in the worker's block store
 	weKill              // the worker dies (loopback fault cells)
 	weEnd               // the coordinator loop ended: tear the mesh down
 )
@@ -37,6 +40,8 @@ type wevent struct {
 	addr  string
 	runs  runEntries // a run batch, decoded and inflated outside the lock
 	built *builtMap
+	fetch *blockFetch
+	block int
 	cc    *conn // weLinkUp only; step never reads it
 }
 
@@ -66,6 +71,8 @@ const (
 	wfxRedial         // the coordinator link is lost: redial it, sending f first
 	wfxExit           // the coordinator loop ends: killed, or with err
 	wfxFinish         // shut peer's link down: flush, seal, and its reader drains to EOF
+	wfxFetched        // hand the executor its fetch's outcome: data, or err
+	wfxServe          // read block from the store and send it to peer, answering nonce
 )
 
 type weffect struct {
@@ -79,6 +86,9 @@ type weffect struct {
 	span   uint64
 	killed bool
 	err    error
+	block  int
+	nonce  uint64
+	data   []byte
 
 	// wfxReduce: kv.RunStore.Iters over the partition's committed runs.
 	iters      []kv.Iterator
@@ -152,6 +162,15 @@ type wstate struct {
 	killed, drained, ended bool
 	err                    error // a deadline passed: the coordinator link closes, and the loop ends with it
 
+	// Block reads (blockio.go): the executor's fetch in flight, the blocks
+	// this worker's store holds, and peers' fetches held for a block not
+	// ingested yet. ingestOver: the link that carried our puts is gone.
+	nonce      uint64
+	fetching   *blockFetch
+	ingested   map[int]bool
+	serving    []weffect // wfxServe, held
+	ingestOver bool
+
 	store *shuffleStore
 	led   *ledger
 	out   []weffect
@@ -160,7 +179,7 @@ type wstate struct {
 func newWState(lnAddr string, store *shuffleStore, led *ledger) *wstate {
 	return &wstate{
 		lnAddr: lnAddr, store: store, led: led,
-		need: make(map[int]bool), wait: make(map[int][]weffect),
+		need: make(map[int]bool), wait: make(map[int][]weffect), ingested: make(map[int]bool),
 	}
 }
 
@@ -182,9 +201,15 @@ func (s *wstate) step(ev wevent) (out []weffect) {
 			s.emit(weffect{op: wfxAccept, peer: coordPeer})
 		}
 	case weLinkDown:
+		if ev.peer == coordPeer && s.homes != nil {
+			s.ingestOver = true
+			s.serveHeld()
+		}
 		switch {
 		case ev.peer != coordPeer:
 			s.linked[ev.peer] = false
+			s.holderLost(ev.peer, "unlinked")
+			s.serving = slices.DeleteFunc(s.serving, func(e weffect) bool { return e.peer == ev.peer })
 		case s.killed || s.drained || s.err != nil:
 			s.emit(weffect{op: wfxExit, killed: s.killed, err: s.err})
 		case s.homes == nil: // lost before our job-start: nothing of us reached the journal
@@ -204,6 +229,10 @@ func (s *wstate) step(ev wevent) (out []weffect) {
 		}
 	case weTimeout:
 		switch j := ev.peer; {
+		case ev.fetch != nil:
+			if ev.fetch == s.fetching {
+				s.resolve(nil, fmt.Errorf("dist: fetching block %d timed out", ev.fetch.block))
+			}
 		case s.killed || s.ended || s.err != nil:
 		case j == coordPeer && len(s.need) > 0:
 			s.fail(fmt.Errorf("dist: peer mesh incomplete: %d/%d connected", s.formed-len(s.need), s.formed))
@@ -215,21 +244,29 @@ func (s *wstate) step(ev wevent) (out []weffect) {
 			s.built(ev.built)
 		}
 	case weReduce:
-		// A killed worker's store is already written off as lost: its reduce
-		// would report an emptied partition as final, so it reads nothing.
-		if !s.killed {
+		// A killed worker's store is already written off as lost, and a
+		// partition that moved away left in a handoff: either reduce would
+		// report an emptied partition as final, so it reads nothing. A moved
+		// partition's reduce goes to its new home once the move completes.
+		if !s.killed && ev.part < len(s.homes) && s.homes[ev.part] == s.id {
 			e := weffect{op: wfxReduce}
 			e.iters, e.closeIters, e.iterErr = s.store.partitionIters(ev.part)
 			s.emit(e)
 		}
 	case weSend:
-		if !s.killed && (ev.peer == coordPeer || s.isLinked(ev.peer) && s.alive[ev.peer]) {
-			s.emit(weffect{op: wfxSend, peer: ev.peer, f: ev.f})
+		if !s.killed {
+			s.toCoord(ev.f)
 		}
+	case weFetch:
+		s.fetch(ev.fetch)
+	case weIngest:
+		s.ingested[ev.block] = true
+		s.serveHeld()
 	case weKill:
 		s.kill()
 	case weEnd:
 		s.ended = true
+		s.endBlockReads(errors.New("dist: worker ended mid-fetch"))
 		s.led.StoreLost.Add(s.store.dropHandoffs())
 		op := wfxFinish
 		if s.killed {
@@ -408,6 +445,7 @@ func (s *wstate) membership(m membershipMsg) {
 		s.alive[i] = false
 		delete(s.need, i)
 		s.dropWaiting(i)
+		s.holderLost(i, "died")
 		if i != m.Left && s.linked[i] {
 			s.emit(weffect{op: wfxSeal, peer: i})
 		}
@@ -530,6 +568,10 @@ func (s *wstate) built(b *builtMap) {
 func (s *wstate) peerFrame(ev wevent) {
 	j, p := ev.peer, ev.p
 	switch ev.typ {
+	case mBlockFetch:
+		s.serveFetch(j, p)
+	case mBlockData:
+		s.fetchReply(j, p)
 	case mRunBatch:
 		var records int64
 		for _, re := range ev.runs {
@@ -610,6 +652,7 @@ func (s *wstate) kill() {
 	}
 	s.killed = true
 	s.led.StoreLost.Add(s.store.lostAll())
+	s.endBlockReads(errors.New("dist: worker killed mid-fetch"))
 	for j := range s.wait {
 		s.dropWaiting(j)
 	}
