@@ -477,18 +477,17 @@ type distVariant struct {
 	compress   bool
 	combiner   bool // HashTable + combiner (CombinerOK apps only)
 	mapFault   bool // deterministic injected attempt failures
-	kill       bool // kill a worker mid-map
 	// elastic is a membership schedule in dist.ParseElastic syntax
 	// (join@2, drain:0@2, restart@2, kill:1@r1, ...); restart events get a
 	// throwaway checkpoint journal wired up automatically.
 	elastic string
 	// blockstore ingests the input into worker block stores ("local" or
 	// "remote") with replication 2 over 3 workers, so placement genuinely
-	// decides which reads are local; spill additionally caps resident
-	// shuffle memory far below the intermediate volume, forcing the
-	// out-of-core reduce path.
+	// decides which reads are local.
 	blockstore string
-	spill      bool
+	// spill caps resident shuffle memory far below the intermediate
+	// volume, forcing the out-of-core reduce path.
+	spill bool
 }
 
 func distVariants(j Job) []distVariant {
@@ -501,6 +500,9 @@ func distVariants(j Job) []distVariant {
 		{axis: "chunk", name: "half-block", blockMul: 0.5},
 		{axis: "chunk", name: "double-block", blockMul: 2},
 		{axis: "compress", name: "deflate", compress: true},
+		// Compressed runs past a 2 KiB resident bound: filed as built and
+		// streamed back through the decompressor.
+		{axis: "compress", name: "deflate-spill", compress: true, spill: true},
 	}
 	// As in nativeVariants, only the combiner cell selects collector code.
 	if j.CombinerOK {
@@ -521,7 +523,7 @@ func distVariants(j Job) []distVariant {
 		// The kill cell murders a worker after two map resolutions: homes
 		// re-assign, resolved tasks re-execute, and the wire + store ledgers
 		// must still balance to the byte.
-		distVariant{axis: "faults", name: "worker-kill", kill: true},
+		distVariant{axis: "faults", name: "worker-kill", elastic: "kill:1@2"},
 		// A worker killed after a reduce partition has already been accepted:
 		// the once-fatal carve-out. Surviving partitions re-execute; the
 		// accepted one stands.
@@ -612,10 +614,6 @@ func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
 		if v.mapFault {
 			o.MapFault = func(task, attempt int) bool { return attempt == 0 && task%3 == 0 }
 		}
-		if v.kill {
-			o.KillWorker = 1
-			o.KillAfterMapDone = 2
-		}
 		var wantJoins, wantDrains, wantKills int
 		var wantResume bool
 		if v.elastic != "" {
@@ -652,7 +650,7 @@ func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
 		led := ReadLedger(tel.Metrics)
 		cell.Err = verdict(j, exp, cell.Digest, out, led.Check(exp, CheckOpts{
 			Dist:       true,
-			Faulty:     v.kill || wantKills > 0,
+			Faulty:     wantKills > 0,
 			Elastic:    wantResume,
 			Combiner:   v.combiner,
 			Compress:   v.compress,

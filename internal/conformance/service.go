@@ -88,16 +88,18 @@ func runServiceCell(e *serviceEnv, j Job, v distVariant) (string, []kv.Pair, Led
 		Collector:   collector,
 		UseCombiner: v.combiner,
 		Compress:    v.compress,
+		Elastic:     v.elastic, // membership schedule rides the API verbatim
+	}
+	if v.blockstore != "" { // as runDistApp sets its options
+		req.Blockstore = v.blockstore
+		req.Replication = 2
+	}
+	if v.spill {
+		req.SpillThreshold = 2 << 10
 	}
 	if v.mapFault {
 		req.MapFaultMod = 3 // same deterministic schedule as the dist axis
 	}
-	if v.kill {
-		kw := 1
-		req.KillWorker = &kw
-		req.KillAfterMapDone = 2
-	}
-	req.Elastic = v.elastic // membership schedule rides the API verbatim
 
 	st, err := e.cli.Submit(req)
 	if err != nil {
@@ -154,19 +156,25 @@ func runServiceApp(j Job, exp Expected, opt Options, add func(Cell)) {
 			}
 			wantJoins, wantDrains, wantKills, wantResume = elasticExpect(evs)
 		}
+		if stats == nil {
+			cell.Err = fmt.Errorf("job finished without stats")
+			add(cell)
+			continue
+		}
 		cell.Digest = dig
 		cell.Err = verdict(j, exp, dig, out, led.Check(exp, CheckOpts{
-			Dist:      true,
-			Faulty:    v.kill || wantKills > 0,
-			Elastic:   wantResume,
-			Combiner:  v.combiner,
-			Compress:  v.compress,
-			HasReduce: j.New().ReduceBatch != nil,
+			Dist:       true,
+			Faulty:     wantKills > 0,
+			Elastic:    wantResume,
+			Combiner:   v.combiner,
+			Compress:   v.compress,
+			HasReduce:  j.New().ReduceBatch != nil,
+			Blockstore: v.blockstore,
+			InputBytes: stats.InputBytes,
+			WantSpill:  v.spill,
 		}))
 		if cell.Err == nil && v.elastic != "" {
 			switch {
-			case stats == nil:
-				cell.Err = fmt.Errorf("elastic cell finished without stats")
 			case stats.WorkersJoined != wantJoins:
 				cell.Err = fmt.Errorf("elastic cell joined %d workers, want %d", stats.WorkersJoined, wantJoins)
 			case stats.WorkersDrained != wantDrains:

@@ -10,9 +10,8 @@ import (
 // coalescer batches the shuffle runs bound for one peer into large
 // mRunBatch frames. Runs are produced one per map chunk per partition —
 // cheap to make, expensive to ship alone: each frame costs a header, a
-// socket write, send-window bookkeeping and (compressed jobs) its own
-// DEFLATE stream. Buffering entries and shipping them together pays those
-// costs once per batch.
+// socket write and send-window bookkeeping. Buffering entries and shipping
+// them together pays those costs once per batch.
 //
 // A buffered batch flushes on three triggers:
 //
@@ -31,11 +30,10 @@ import (
 // without ever being counted sent, so sent == recv + lost stays exact
 // across worker kills.
 type coalescer struct {
-	cc       *conn
-	led      *ledger
-	tr       *tracer
-	traceID  uint64
-	compress bool
+	cc      *conn
+	led     *ledger
+	tr      *tracer
+	traceID uint64
 
 	mu      sync.Mutex
 	body    codec // runEntries layout under construction
@@ -55,8 +53,8 @@ const (
 	coalesceDelay = 2 * time.Millisecond
 )
 
-func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64, compress bool) *coalescer {
-	co := &coalescer{cc: cc, led: led, tr: tr, traceID: traceID, compress: compress}
+func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64) *coalescer {
+	co := &coalescer{cc: cc, led: led, tr: tr, traceID: traceID}
 	co.timer = time.AfterFunc(time.Hour, co.flushIfStale)
 	co.timer.Stop()
 	return co
@@ -121,7 +119,7 @@ func (co *coalescer) flushLocked() {
 	if co.tr != nil {
 		sendSpan = co.tr.newID()
 	}
-	payload := encode(&runBatchMsg{TraceID: co.traceID, SendSpan: sendSpan, Compressed: co.compress, Body: co.body.buf})
+	payload := encode(&runBatchMsg{TraceID: co.traceID, SendSpan: sendSpan, Body: co.body.buf})
 	records := co.records
 	parent := co.parent
 	co.body.buf = co.body.buf[:0] // payload holds its own copy of the body

@@ -1087,13 +1087,9 @@ func (s *simSchedule) do(a simAction) {
 		c, d := a.c, &a.c.dir[a.i]
 		f := d.q[0]
 		d.q = d.q[1:]
-		ev := wevent{kind: weFrame, peer: c.peer[1-a.i], typ: f.typ, p: f.payload}
-		if f.typ == mRunBatch {
-			var msg runBatchMsg
-			decode(f.payload, &msg)
-			decode(msg.Body, &ev.runs) // as peerReader does, outside the step
+		if ev, _, err := peerEvent(c.peer[1-a.i], f.typ, f.payload); err == nil {
+			s.wstep(c.end[1-a.i], ev)
 		}
-		s.wstep(c.end[1-a.i], ev)
 	case actEOF:
 		// The reader closes its end and fails over, as peerReader does.
 		c, to := a.c, a.c.end[1-a.i]

@@ -155,11 +155,9 @@ type Job struct {
 	Partitions  int // total reduce partitions across the cluster
 	Collector   core.CollectorKind
 	UseCombiner bool
-	// Compress DEFLATEs each coalesced shuffle frame once on the wire.
-	// Runs themselves stay uncompressed at both ends — cheap to build, and
-	// the receiver decodes them as zero-copy views into the frame buffer —
-	// so the compression context is per frame, amortized across every run
-	// the frame carries.
+	// Compress stores intermediate runs DEFLATE-compressed, as in the
+	// native runtime: a run is compressed once, where its map task builds
+	// it, and is stored, spilled, shipped and handed off as those bytes.
 	Compress bool
 	// MaxAttempts bounds failed executions per task (0 = default 4).
 	MaxAttempts int

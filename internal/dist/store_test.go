@@ -189,7 +189,11 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
 	var done bool
 	h.stream(led, func(f frame) {
-		for _, e := range dst.step(wevent{kind: weFrame, peer: 0, typ: f.typ, p: f.payload}) {
+		ev, _, err := peerEvent(0, f.typ, f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dst.step(ev) {
 			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ == mHandoffDone
 		}
 	})

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"glasswing/internal/core"
-	"glasswing/internal/kv"
 	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
@@ -24,8 +23,7 @@ import (
 // in a wire method that both encodes and decodes it. Bulk shuffle data rides
 // in mRunBatch frames: many small per-chunk runs coalesced into one large
 // frame per destination, so the per-frame costs (syscall, header,
-// send-window bookkeeping, one DEFLATE stream when the job compresses) are
-// paid once per batch instead of once per run.
+// send-window bookkeeping) are paid once per batch instead of once per run.
 
 // maxFrame bounds one frame; a length prefix beyond it means a corrupt or
 // hostile stream, not a big transfer (runs are produced per map chunk and
@@ -55,7 +53,7 @@ const (
 	mRejoin                       // worker→coord: re-attach to a resumed coordinator
 	mMembership                   // coord→worker: every membership change — epoch, homes, liveness, settled set
 	mDrained                      // coord→worker: handoff complete, exit cleanly
-	mHandoff                      // worker→worker: committed runs of one re-homed partition (bulk)
+	mHandoff                      // worker→worker: runEntries, committed runs of one re-homed partition (bulk)
 	mHandoffMark                  // worker→worker: one partition's handoff is complete
 	mHandoffDone                  // worker→coord: destination committed a handed-off partition
 	mBlockPut                     // coord→worker: ingest one input-block replica into the worker's store (bulk)
@@ -412,10 +410,12 @@ type taskFailMsg struct {
 
 func (m *taskFailMsg) wire(c *codec) { c.i(&m.Task); c.i(&m.Attempt); c.str(&m.Reason) }
 
-// runEntry is one partition's run inside a coalesced shuffle frame. Blob is
-// always an uncompressed kv.Run encoding — when the job compresses, the
-// whole frame body is DEFLATEd once, so every run in the batch shares one
-// compression context instead of paying per-run stream overhead.
+// runEntry is one partition's run inside a coalesced shuffle frame or a
+// handoff frame. Blob is the run's bytes as its map task built them —
+// DEFLATEd when the job compresses; the receiver rebuilds the run with
+// kv.RunFromBlob and only package kv reads them. A handed-off run has won
+// its commit at its old home, so it carries no attempt: the new home
+// re-keys it by (task, partition) under the transition's epoch.
 type runEntry struct {
 	Task      int
 	Attempt   int
@@ -436,9 +436,9 @@ func (e *runEntry) wire(c *codec) {
 	c.bytes(&e.Blob)
 }
 
-// runEntries is a run-batch body: entries back to back with no count
-// prefix — the coalescer appends them one at a time as runs arrive, and the
-// receiver consumes until the body is exhausted.
+// runEntries is a run-batch body and a handoff payload: entries back to
+// back with no count prefix — the coalescer appends them one at a time as
+// runs arrive, and the receiver consumes until the body is exhausted.
 type runEntries []runEntry
 
 func (l *runEntries) wire(c *codec) { rest(c, (*[]runEntry)(l), func(e *runEntry) { e.wire(c) }) }
@@ -447,31 +447,18 @@ func (l *runEntries) wire(c *codec) { rest(c, (*[]runEntry)(l), func(e *runEntry
 // for one destination, shipped back to back in Body. TraceID and SendSpan
 // are the trace context the frame propagates: the receiver parents its
 // net/recv staging span on the sender's net/send span. Decoded entry blobs
-// alias the payload (or, for a compressed frame, the freshly inflated body)
-// — the zero-copy receive path: callers wrap blobs in kv.NewRunView and must
-// keep them only as long as the backing buffer lives, or Retain the views.
+// alias the payload, which readFrame never reuses, so the runs built on
+// them own their bytes.
 type runBatchMsg struct {
-	TraceID    uint64
-	SendSpan   uint64 // sender's net/send span id (0 = untraced)
-	Compressed bool   // Body DEFLATEd as one stream on the wire
-	Body       []byte // runEntries layout, uncompressed
+	TraceID  uint64
+	SendSpan uint64 // sender's net/send span id (0 = untraced)
+	Body     []byte // runEntries layout
 }
 
 func (m *runBatchMsg) wire(c *codec) {
 	c.u(&m.TraceID)
 	c.u(&m.SendSpan)
-	c.bool(&m.Compressed)
-	body := m.Body
-	if m.Compressed && !c.dec {
-		body = kv.Deflate(body)
-	}
-	c.bytes(&body)
-	if m.Compressed && c.dec && c.err == nil {
-		body, c.err = kv.Inflate(body)
-	}
-	if c.dec {
-		m.Body = body
-	}
+	c.bytes(&m.Body)
 }
 
 type markMsg struct {
@@ -625,37 +612,6 @@ func (m *membershipMsg) wire(c *codec) {
 	c.i(&m.Joined)
 	c.str(&m.JoinedAddr)
 	c.i(&m.Left)
-}
-
-// handoffEntry is one committed run travelling to a partition's new home.
-// Unlike runEntry there is no attempt: these runs already won their commit
-// race at the old home; the destination re-keys them by (task, partition)
-// under the transition's epoch.
-type handoffEntry struct {
-	Task     int
-	Records  int
-	RawBytes int64
-	Blob     []byte
-}
-
-// handoffBatchMsg is the bulk frame carrying part of one re-homed
-// partition's committed runs. Entries run to the end of the payload with
-// no count prefix, like a run-batch body.
-type handoffBatchMsg struct {
-	Epoch     int
-	Partition int
-	Entries   []handoffEntry
-}
-
-func (m *handoffBatchMsg) wire(c *codec) {
-	c.i(&m.Epoch)
-	c.i(&m.Partition)
-	rest(c, &m.Entries, func(e *handoffEntry) {
-		c.i(&e.Task)
-		c.i(&e.Records)
-		c.i64(&e.RawBytes)
-		c.bytes(&e.Blob)
-	})
 }
 
 // handoffMarkMsg closes one partition's handoff: everything staged for it

@@ -62,7 +62,7 @@ func TestReadFrameImplausibleLength(t *testing.T) {
 var payloadTypes = []payload{
 	&helloMsg{}, &welcomeMsg{}, &jobStartMsg{}, &mapTaskMsg{}, &mapDoneMsg{}, &taskFailMsg{},
 	&runBatchMsg{}, &runEntries{}, &markMsg{}, &reduceTaskMsg{}, &reduceDoneMsg{}, &peerHelloMsg{},
-	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffBatchMsg{}, &handoffMarkMsg{},
+	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffMarkMsg{},
 	&handoffDoneMsg{}, &blockPutMsg{}, &blockFetchMsg{}, &blockDataMsg{},
 }
 
@@ -111,14 +111,11 @@ func roundTrips() []roundTrip {
 		{"run-batch", &runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 3, Body: encode(&runEntries{
 			{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},
 			{Task: 3, Attempt: 1, Partition: 5, Records: 1, RawBytes: 11, Blob: []byte{1}},
-		})}, "2a83808080808080010012030102097b0003090807030105010b000101"},
+		})}, "2a838080808080800112030102097b0003090807030105010b000101"},
 		{"run-batch-entries", &runEntries{
 			{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},
 			{Task: 3, Attempt: 1, Partition: 5, Records: 1, RawBytes: 11, Blob: []byte{1}},
 		}, "030102097b0003090807030105010b000101"},
-		{"run-batch-deflate", &runBatchMsg{Compressed: true, Body: encode(&runEntries{
-			{Task: 1, Attempt: 0, Partition: 0, Records: 4, RawBytes: 64, Blob: bytes.Repeat([]byte("run"), 40)},
-		})}, "0000013a04c04109c03000c5d03f98b02aca2110a8fcbe6ffbcfae6118866118866118866118866118866118866118866118866118866118c60b0000ffff"},
 		{"mark", &markMsg{Task: 6, Attempt: 2}, "0602"},
 		{"reduce-task", &reduceTaskMsg{Partition: 3, Attempt: 1, SpanID: 77}, "03014d"},
 		{"reduce-done", &reduceDoneMsg{Partition: 1, Attempt: 0, RecordsIn: 55, GroupsIn: 11, Output: []byte("pairs")},
@@ -149,10 +146,10 @@ func roundTrips() []roundTrip {
 			Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
 			Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
 		}, "06040302030204000001010401010000ffffffffffffffffff010000"},
-		{"handoff", &handoffBatchMsg{Epoch: 2, Partition: 1, Entries: []handoffEntry{
-			{Task: 0, Records: 3, RawBytes: 30, Blob: []byte{1, 2, 3}},
-			{Task: 5, Records: 1, RawBytes: 9, Blob: []byte{4}},
-		}}, "020100031e030102030501090104"},
+		{"handoff", &runEntries{
+			{Task: 0, Partition: 1, Records: 3, RawBytes: 30, Epoch: 2, Blob: []byte{1, 2, 3}},
+			{Task: 5, Partition: 1, Records: 1, RawBytes: 9, Epoch: 2, Blob: []byte{4}},
+		}, "000001031e02030102030500010109020104"},
 		{"handoff-mark", &handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}, "02010204"},
 		{"handoff-done", &handoffDoneMsg{Epoch: 2, Partition: 1}, "0201"},
 		{"block-put", &blockPutMsg{ID: 6, Data: []byte("replica bytes")}, "060d7265706c696361206279746573"},
@@ -234,7 +231,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		"reduce-done":  func(p []byte) error { return decode(p, &reduceDoneMsg{}).fin("reduce-done") },
 		"rejoin":       func(p []byte) error { return decode(p, &rejoinMsg{}).fin("rejoin") },
 		"membership":   func(p []byte) error { return decode(p, &membershipMsg{}).fin("membership") },
-		"handoff":      func(p []byte) error { return decode(p, &handoffBatchMsg{}).fin("handoff") },
+		"handoff":      func(p []byte) error { return decode(p, &runEntries{}).fin("handoff") },
 		"handoff-mark": func(p []byte) error { return decode(p, &handoffMarkMsg{}).fin("handoff-mark") },
 		"handoff-done": func(p []byte) error { return decode(p, &handoffDoneMsg{}).fin("handoff-done") },
 		"block-put":    func(p []byte) error { return decode(p, &blockPutMsg{}).fin("block-put") },
@@ -258,7 +255,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		"rejoin":      encode(&rejoinMsg{WorkerID: 1, ListenAddr: "x", Epoch: 2}),
 		"membership": encode(&membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
 			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}),
-		"handoff":      encode(&handoffBatchMsg{Epoch: 1, Partition: 0, Entries: []handoffEntry{{Task: 2, Records: 1, Blob: []byte("h")}}}),
+		"handoff":      encode(&runEntries{{Task: 2, Partition: 0, Records: 1, Epoch: 1, Blob: []byte("h")}}),
 		"handoff-mark": encode(&handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}),
 		"handoff-done": encode(&handoffDoneMsg{Epoch: 1, Partition: 0}),
 		"block-put":    encode(&blockPutMsg{ID: 1, Data: []byte("b")}),

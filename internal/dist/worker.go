@@ -209,7 +209,7 @@ func (w *worker) decide(ev wevent) []weffect {
 				w.peers, w.coal = append(w.peers, nil), append(w.coal, nil)
 			}
 			w.peers[e.peer] = ev.cc
-			w.coal[e.peer] = newCoalescer(ev.cc, w.led, w.tr, w.traceID, w.job.Compress)
+			w.coal[e.peer] = newCoalescer(ev.cc, w.led, w.tr, w.traceID)
 			if e.f.typ != 0 {
 				ev.cc.send(e.f) // not bulk: never blocks
 			}
@@ -495,11 +495,9 @@ func (w *worker) executor() {
 func (w *worker) report(f frame) { w.do(wevent{kind: weSend, f: f}) }
 
 // runMap executes one map attempt's kernel and partitioner and steps the
-// built attempt, whose pushes and marks this executor then performs.
-//
-// Runs are always built uncompressed here: wire compression is applied once
-// per coalesced frame by the coalescer, and the local store holds runs the
-// reducer can decode without an inflate pass.
+// built attempt, whose pushes and marks this executor then performs. Runs
+// are built compressed when the job compresses, and stored, spilled,
+// shipped and handed off as those bytes.
 func (w *worker) runMap(m mapTaskMsg) {
 	fail := func(reason string) {
 		w.report(frame{typ: mMapFailed, payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: reason})})
@@ -538,7 +536,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 	}
 
 	_, end = w.tr.span(stageMapPartition, kernelID)
-	runs, stats := chunk.Partition(w.prt, w.job.Partitions, false)
+	runs, stats := chunk.Partition(w.prt, w.job.Partitions, w.job.Compress)
 	end()
 	w.do(wevent{kind: weBuilt, built: &builtMap{task: m.Task, attempt: m.Attempt, runs: runs, stats: stats, span: kernelID}})
 }
@@ -588,19 +586,32 @@ func (w *worker) peerReader(j int, cc *conn) {
 			w.do(wevent{kind: weLinkDown, peer: j})
 			return
 		}
-		ev := wevent{kind: weFrame, peer: j, typ: typ, p: p}
-		switch typ {
-		case mRunBatch:
-			// Decoded and inflated here, outside the lock. The staging span
-			// parents on the sender's net/send span.
-			t0 := time.Now()
-			var msg runBatchMsg
-			if decode(p, &msg).fin("run-batch") == nil && decode(msg.Body, &ev.runs).fin("run-batch entries") == nil {
-				w.do(ev)
-			}
-			w.tr.record(stageNetRecv, t0, time.Now(), msg.SendSpan)
-		default:
+		t0 := time.Now()
+		ev, sendSpan, err := peerEvent(j, typ, p)
+		if err == nil {
 			w.do(ev)
 		}
+		if typ == mRunBatch {
+			// The staging span parents on the sender's net/send span.
+			w.tr.record(stageNetRecv, t0, time.Now(), sendSpan)
+		}
 	}
+}
+
+// peerEvent is the event frame typ/p from peer j steps as. A run batch or a
+// handoff is decoded here, outside the lock, into the event's runs; one that
+// does not decode is not stepped. sendSpan is a run batch's net/send span.
+func peerEvent(j int, typ byte, p []byte) (ev wevent, sendSpan uint64, err error) {
+	ev = wevent{kind: weFrame, peer: j, typ: typ, p: p}
+	switch typ {
+	case mRunBatch:
+		var msg runBatchMsg
+		if err = decode(p, &msg).fin("run-batch"); err == nil {
+			err = decode(msg.Body, &ev.runs).fin("run-batch entries")
+		}
+		return ev, msg.SendSpan, err
+	case mHandoff:
+		err = decode(p, &ev.runs).fin("handoff")
+	}
+	return ev, 0, err
 }

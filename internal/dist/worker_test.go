@@ -1,12 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
 
 	"glasswing/internal/apps"
 	"glasswing/internal/blockstore"
+	"glasswing/internal/core"
+	"glasswing/internal/kv"
 	"glasswing/internal/obs"
 )
 
@@ -478,4 +481,51 @@ func TestHostilePeerHelloOverTCP(t *testing.T) {
 		}
 	}
 	checkWire(t, tel.Metrics, false)
+}
+
+// TestDamagedPeerRunFailsTheReduce: a run batch from a peer whose run bytes
+// do not decode — compressed and plain — is staged and committed like any
+// other, and the reduce that merges it reports the partition failed to the
+// coordinator instead of taking the worker down.
+func TestDamagedPeerRunFailsTheReduce(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		led := newLedger(nil)
+		w := &worker{led: led, tr: newTracer(0), app: &core.App{Name: "identity"}}
+		w.st = newWState("self", newShuffleStore(), led)
+		w.st.step(wevent{kind: weFrame, peer: coordPeer, typ: mWelcome, p: encode(&welcomeMsg{WorkerID: 0, Workers: 2})})
+		w.st.step(wevent{kind: weFrame, peer: coordPeer, typ: mJobStart, p: encode(&jobStartMsg{
+			Job: Job{Partitions: 1, Compress: compressed}, Peers: []string{"w0", "w1"}, Homes: []int{0},
+		})})
+		w.st.step(wevent{kind: weLinkUp, peer: 1})
+		near, far := net.Pipe()
+		w.coord = newConn(near, "coord", Tuning{}, nil)
+
+		good := kv.NewRun([]kv.Pair{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 40)}}, compressed)
+		entries := runEntries{{Task: 0, Records: good.Records, RawBytes: good.RawBytes, Blob: good.Blob()[:len(good.Blob())-2]}}
+		// Stepped as peerReader steps them; the mark's ack is not sent.
+		w.st.step(wevent{kind: weFrame, peer: 1, typ: mRunBatch, p: encode(&runBatchMsg{Body: encode(&entries)}), runs: entries})
+		w.st.step(wevent{kind: weFrame, peer: 1, typ: mMark, p: encode(&markMsg{Task: 0, Attempt: 0})})
+		if got := led.StoreAccepted.Value(); got != 1 {
+			t.Fatalf("compressed=%v: store accepted %d records, want the damaged run's 1", compressed, got)
+		}
+
+		go w.runReduce(reduceTaskMsg{Partition: 0})
+		for {
+			typ, p, err := readFrame(far)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ == mHeartbeat {
+				continue
+			}
+			var msg taskFailMsg
+			if typ != mReduceFailed || decode(p, &msg).fin("task-fail") != nil || msg.Task != 0 {
+				t.Fatalf("compressed=%v: coordinator got %s, want the partition's reduce failed", compressed, typeName(typ))
+			}
+			t.Logf("compressed=%v: %s", compressed, msg.Reason)
+			break
+		}
+		w.coord.close()
+		far.Close()
+	}
 }

@@ -38,7 +38,7 @@ type wevent struct {
 	f     frame
 	part  int
 	addr  string
-	runs  runEntries // a run batch, decoded and inflated outside the lock
+	runs  runEntries // a run batch or handoff, decoded outside the lock
 	built *builtMap
 	fetch *blockFetch
 	block int
@@ -159,6 +159,7 @@ type wstate struct {
 	wait    map[int][]weffect
 	ackWait []*pendingDone // in registration order: barriers clear in it
 
+	compress               bool // the job's runs are DEFLATEd: how a peer's run bytes read
 	killed, drained, ended bool
 	err                    error // a deadline passed: the coordinator link closes, and the loop ends with it
 
@@ -366,7 +367,7 @@ func (s *wstate) coordFrame(typ byte, p []byte) {
 	case mJobStart:
 		var js jobStartMsg
 		decode(p, &js)
-		s.homes, s.epoch, s.live = js.Homes, js.Epoch, js.Live
+		s.homes, s.epoch, s.live, s.compress = js.Homes, js.Epoch, js.Live, js.Job.Compress
 		s.settled = make([]bool, len(js.Homes))
 		s.store.setEpoch(js.Epoch)
 		for j := range s.alive {
@@ -559,12 +560,12 @@ func (s *wstate) built(b *builtMap) {
 	s.barrierCleared(pd) // a single-node cluster, or every peer dead
 }
 
-// peerFrame handles one shuffle frame from a peer; a run batch arrives
-// decoded, in ev.runs. Bulk frames reaching a killed worker are drained as
-// lost so the wire ledger still balances; wire accounting is at frame
-// granularity, mirroring what the sender counted. Staged runs are kv views
-// aliasing the frame's receive buffer — the zero-copy path (see readFrame
-// for why that is safe).
+// peerFrame handles one shuffle frame from a peer; a run batch or handoff
+// arrives decoded, in ev.runs. Bulk frames reaching a killed worker are
+// drained as lost so the wire ledger still balances; wire accounting is at
+// frame granularity, mirroring what the sender counted. Staged runs own the
+// frame's bytes (readFrame never reuses a buffer); bytes that do not decode
+// fail the reduce that iterates them.
 func (s *wstate) peerFrame(ev wevent) {
 	j, p := ev.peer, ev.p
 	switch ev.typ {
@@ -584,7 +585,7 @@ func (s *wstate) peerFrame(ev wevent) {
 		s.led.netRecv(records, int64(len(p)))
 		for _, re := range ev.runs {
 			if !s.isSettled(re.Partition) {
-				s.store.stage(re.Task, re.Attempt, re.Partition, kv.NewRunView(re.Blob, re.Records, re.RawBytes, false), re.Epoch)
+				s.store.stage(re.Task, re.Attempt, re.Partition, s.run(re), re.Epoch)
 			}
 		}
 	case mMark:
@@ -611,13 +612,9 @@ func (s *wstate) peerFrame(ev wevent) {
 			}
 		}
 	case mHandoff:
-		var msg handoffBatchMsg
-		if decode(p, &msg).fin("handoff") != nil {
-			return
-		}
 		var records int64
-		for _, he := range msg.Entries {
-			records += int64(he.Records)
+		for _, re := range ev.runs {
+			records += int64(re.Records)
 		}
 		if s.killed {
 			s.led.netLost(records, int64(len(p)))
@@ -625,8 +622,8 @@ func (s *wstate) peerFrame(ev wevent) {
 			return
 		}
 		s.led.netRecv(records, int64(len(p)))
-		for _, he := range msg.Entries {
-			s.store.stageHandoff(msg.Partition, msg.Epoch, he.Task, kv.NewRunView(he.Blob, he.Records, he.RawBytes, false))
+		for _, re := range ev.runs {
+			s.store.stageHandoff(re.Partition, re.Epoch, re.Task, s.run(re))
 		}
 	case mHandoffMark:
 		// Adopt the partition and report it to the coordinator, which counts
@@ -640,6 +637,11 @@ func (s *wstate) peerFrame(ev wevent) {
 		s.led.StoreLost.Add(superseded)
 		s.toCoord(frame{typ: mHandoffDone, payload: encode(&handoffDoneMsg{Epoch: msg.Epoch, Partition: msg.Partition})})
 	}
+}
+
+// run rebuilds a peer's run from its entry.
+func (s *wstate) run(re runEntry) *kv.Run {
+	return kv.RunFromBlob(re.Blob, re.Records, re.RawBytes, s.compress)
 }
 
 // kill is this worker dying mid-job: the store's records are written off as
@@ -668,14 +670,14 @@ func (s *wstate) kill() {
 // stream ships h through send: bulk handoff frames sized like coalesced
 // batches, then the handoff mark that tells the destination to adopt.
 func (h *handoff) stream(led *ledger, send func(frame)) {
-	msg := handoffBatchMsg{Epoch: h.epoch, Partition: h.part}
-	var bodyBytes, recs int64
+	var body codec // runEntries layout
+	var recs int64
 	flush := func() {
-		payload := encode(&msg)
+		payload := body.buf
 		led.netSent(recs, int64(len(payload)))
 		led.frameBytes(5 + int64(len(payload)))
 		send(frame{typ: mHandoff, payload: payload, bulk: true, records: recs, acct: int64(len(payload))})
-		msg.Entries, bodyBytes, recs = nil, 0, 0
+		body, recs = codec{}, 0
 	}
 	for _, cr := range h.runs {
 		run, err := cr.run.Load() // filed runs rematerialize for the wire
@@ -687,20 +689,19 @@ func (h *handoff) stream(led *ledger, send func(frame)) {
 			continue
 		}
 		led.handoffOut.Add(int64(run.Records))
-		blob := run.Blob()
-		msg.Entries = append(msg.Entries, handoffEntry{
-			Task: cr.task, Records: run.Records, RawBytes: run.RawBytes, Blob: blob,
-		})
-		bodyBytes += int64(len(blob))
+		(&runEntry{
+			Task: cr.task, Partition: h.part, Records: run.Records,
+			RawBytes: run.RawBytes, Epoch: h.epoch, Blob: run.Blob(),
+		}).wire(&body)
 		recs += int64(run.Records)
-		if bodyBytes >= coalesceBytes {
+		if len(body.buf) >= coalesceBytes {
 			flush()
 		}
 		if path := cr.run.Path(); path != "" {
 			os.Remove(path) // the partition left this node; scratch goes too
 		}
 	}
-	if len(msg.Entries) > 0 {
+	if len(body.buf) > 0 {
 		flush()
 	}
 	send(frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{

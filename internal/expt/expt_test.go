@@ -391,3 +391,18 @@ func TestAblationShapes(t *testing.T) {
 		t.Error("GbE should be slower than IPoIB for shuffle-heavy TS")
 	}
 }
+
+// TestFig3Deterministic runs Fig 3(a) and Fig 3(c) twice each: a simulated
+// experiment's table is a function of its sizes, byte for byte. Both spawn
+// same-named processes whose flows finish together, so a wake order left
+// to map iteration shows here as two different rows.
+func TestFig3Deterministic(t *testing.T) {
+	for _, run := range []func(Sizes) *Table{Fig3KMCPU, Fig3KMGPU} {
+		var a, b strings.Builder
+		run(Quick()).Print(&a)
+		run(Quick()).Print(&b)
+		if a.String() != b.String() {
+			t.Fatalf("two runs printed different tables:\n%s\n%s", a.String(), b.String())
+		}
+	}
+}

@@ -231,12 +231,10 @@ type Request struct {
 	Replication    int    `json:"replication,omitempty"`
 	SpillThreshold int64  `json:"spill_threshold,omitempty"`
 
-	// Fault injection (Config.AllowFaultInjection only): KillWorker kills
-	// that worker after KillAfterMapDone map resolutions; MapFaultMod > 0
-	// fails the first attempt of every MapFaultMod-th map task.
-	KillWorker       *int `json:"kill_worker,omitempty"`
-	KillAfterMapDone int  `json:"kill_after_map_done,omitempty"`
-	MapFaultMod      int  `json:"map_fault_mod,omitempty"`
+	// Fault injection (Config.AllowFaultInjection only): MapFaultMod > 0
+	// fails the first attempt of every MapFaultMod-th map task. A worker
+	// is killed through Elastic ("kill:1@2").
+	MapFaultMod int `json:"map_fault_mod,omitempty"`
 
 	// Elastic (Config.AllowFaultInjection only) schedules membership churn
 	// against the job's cluster in dist.ParseElastic syntax — e.g.
@@ -655,7 +653,7 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	if req.SpillThreshold > 0 {
 		j.opts.Tuning.SpillThreshold = req.SpillThreshold
 	}
-	if req.KillWorker != nil || req.MapFaultMod != 0 || req.Elastic != "" {
+	if req.MapFaultMod != 0 || req.Elastic != "" {
 		if !s.cfg.AllowFaultInjection {
 			return nil, badRequest("fault-injection-disabled", "fault-injection fields require AllowFaultInjection")
 		}
@@ -664,13 +662,6 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 		}
 		if mod := req.MapFaultMod; mod > 0 {
 			j.opts.MapFault = func(task, attempt int) bool { return attempt == 0 && task%mod == 0 }
-		}
-		if req.KillWorker != nil {
-			if *req.KillWorker < 0 || *req.KillWorker >= workers {
-				return nil, badRequest("bad-fault", "kill_worker %d outside worker range [0,%d)", *req.KillWorker, workers)
-			}
-			j.opts.KillWorker = *req.KillWorker
-			j.opts.KillAfterMapDone = req.KillAfterMapDone
 		}
 		if req.Elastic != "" {
 			evs, err := dist.ParseElastic(req.Elastic)

@@ -274,7 +274,7 @@ func (b *Batch) RunRange(lo, hi int, compress bool) *Run {
 		blob = append(blob, b.data[e.off:e.off+e.klen+e.vlen]...)
 	}
 	if compress {
-		blob = Deflate(blob)
+		blob = deflate(blob)
 	}
 	return &Run{blob: blob, Records: hi - lo, RawBytes: raw, Compressed: compress}
 }

@@ -149,31 +149,28 @@ func FuzzRunRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRunView feeds arbitrary bytes to the zero-copy view decoder: a
-// retained view over a buffer that is then scribbled must behave exactly
-// like an owning run over a private copy — same pairs or same rejection,
-// never a panic, never a decode that reads the scribbled bytes.
-func FuzzRunView(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add(Marshal([]Pair{{Key: []byte("a"), Value: []byte("1")}}), false)
-	f.Add(NewRun([]Pair{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 64)}}, true).Blob(), true)
-	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), false)
-	f.Fuzz(func(t *testing.T, blob []byte, compressed bool) {
-		own := RunFromBlob(append([]byte(nil), blob...), len(blob), int64(len(blob)), compressed)
-		buf := append([]byte(nil), blob...)
-		v := NewRunView(buf, len(blob), int64(len(blob)), compressed)
-		v.Retain()
-		for i := range buf {
-			buf[i] ^= 0xA5
+// FuzzRunIter feeds arbitrary bytes to the resident-run decoder as a peer's
+// run, compressed or not, with any record count: Iter must never panic, and
+// it must agree with Pairs — the same pairs when Pairs decodes, an error
+// from Err when Pairs fails, after a prefix of Pairs' pairs at most.
+func FuzzRunIter(f *testing.F) {
+	f.Add([]byte{}, false, uint16(0))
+	f.Add(Marshal([]Pair{{Key: []byte("a"), Value: []byte("1")}}), false, uint16(1))
+	f.Add(NewRun([]Pair{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 64)}}, true).Blob(), true, uint16(1))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), false, uint16(3))
+	f.Fuzz(func(t *testing.T, blob []byte, compressed bool, records uint16) {
+		run := RunFromBlob(blob, int(records), int64(len(blob)), compressed)
+		want, werr := run.Pairs()
+		it := run.Iter()
+		got := Drain(it)
+		if (it.Err() == nil) != (werr == nil) {
+			t.Fatalf("Iter err=%v, Pairs err=%v", it.Err(), werr)
 		}
-		got, gerr := v.Pairs()
-		want, werr := own.Pairs()
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("view/owning decode disagree: view err=%v owning err=%v", gerr, werr)
+		if werr == nil && !pairsEqual(got, want) {
+			t.Fatalf("Iter decoded %d pairs, Pairs %d — contents differ", len(got), len(want))
 		}
-		if gerr == nil && !pairsEqual(got, want) {
-			t.Fatalf("retained view decoded %d pairs, owning decoded %d — contents differ",
-				len(got), len(want))
+		if it.Err() == nil && len(got) != int(records) {
+			t.Fatalf("Iter delivered %d pairs of %d without an error", len(got), records)
 		}
 	})
 }

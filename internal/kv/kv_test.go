@@ -397,3 +397,46 @@ func TestSortPairsShared(t *testing.T) {
 		t.Fatal("trivial slices are sorted")
 	}
 }
+
+// TestRunIterDamageIsAnError: a resident run whose bytes do not decode — a
+// truncated frame, a bad DEFLATE stream, a header that disagrees with the
+// run's record count — ends its iteration with an error from Err, never a
+// panic and never a pair it did not hold.
+func TestRunIterDamageIsAnError(t *testing.T) {
+	pairs := []Pair{
+		{Key: bytes.Repeat([]byte("k"), 200), Value: []byte("v")}, // 2-byte key varint
+		{Key: []byte("tail"), Value: []byte("end")},
+		{Key: []byte("word-0001"), Value: bytes.Repeat([]byte{7}, 300)}, // 2-byte value varint
+	}
+	for _, compressed := range []bool{false, true} {
+		good := NewRun(pairs, compressed)
+		blob := good.Blob()
+		check := func(what string, run *Run) {
+			t.Helper()
+			it := run.Iter()
+			got := Drain(it)
+			if it.Err() == nil {
+				t.Fatalf("compressed=%v, %s: %d pairs and no error", compressed, what, len(got))
+			}
+			if !pairsEqual(got, pairs[:len(got)]) {
+				t.Fatalf("compressed=%v, %s: delivered pairs the run does not hold", compressed, what)
+			}
+		}
+		for cut := 0; cut < len(blob); cut++ {
+			check(fmt.Sprintf("cut at %d/%d", cut, len(blob)), RunFromBlob(blob[:cut], good.Records, good.RawBytes, compressed))
+		}
+		flipped := append([]byte(nil), blob...)
+		flipped[len(flipped)/2] ^= 0xFF
+		if compressed {
+			check("flipped byte", RunFromBlob(flipped, good.Records, good.RawBytes, true))
+		}
+		check("record count one high", RunFromBlob(blob, good.Records+1, good.RawBytes, compressed))
+		check("record count one low", RunFromBlob(blob, good.Records-1, good.RawBytes, compressed))
+		check("plain bytes read as compressed", RunFromBlob(Marshal(pairs), good.Records, good.RawBytes, true))
+
+		it := RunFromBlob(blob, good.Records, good.RawBytes, compressed).Iter()
+		if got := Drain(it); it.Err() != nil || !pairsEqual(got, pairs) {
+			t.Fatalf("compressed=%v: intact run: %d pairs, err %v", compressed, len(got), it.Err())
+		}
+	}
+}

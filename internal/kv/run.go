@@ -2,16 +2,20 @@ package kv
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Run is a sorted batch of pairs in serialized (and optionally compressed)
 // form — the unit in which Glasswing stores intermediate data in its
 // partition cache, on disk, and on the wire (the paper stores all
 // intermediate Partitions "in a serialized and compressed form", §III-B).
+// A run is compressed once, where it is built; this package is the only
+// code that knows the compressed form.
 type Run struct {
 	blob       []byte // nil once Spill has moved the bytes to a file
 	path       string // that file; "" while resident
@@ -19,20 +23,29 @@ type Run struct {
 	Records    int
 	RawBytes   int64 // payload volume before encoding
 	Compressed bool
-
-	// view marks a run whose blob aliases a caller-owned buffer (e.g. a
-	// network receive frame). Retain upgrades a view to an owning run.
-	view bool
 }
 
-// Deflate compresses blob with DEFLATE at BestSpeed. Compression failures
+// A DEFLATE compressor holds about a megabyte of tables and a decompressor
+// tens of kilobytes, against runs of a few kilobytes each: both are pooled,
+// so a run pays for its bytes, not for building that state.
+var (
+	deflaters = sync.Pool{New: func() any {
+		w, err := flate.NewWriter(nil, flate.BestSpeed)
+		if err != nil {
+			panic(fmt.Sprintf("kv: flate writer: %v", err))
+		}
+		return w
+	}}
+	inflaters sync.Pool // io.ReadCloser from flate.NewReader
+)
+
+// deflate compresses blob with DEFLATE at BestSpeed. Compression failures
 // on an in-memory buffer are programming errors, hence the panics.
-func Deflate(blob []byte) []byte {
+func deflate(blob []byte) []byte {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		panic(fmt.Sprintf("kv: flate writer: %v", err))
-	}
+	w := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(blob); err != nil {
 		panic(fmt.Sprintf("kv: compressing run: %v", err))
 	}
@@ -42,17 +55,24 @@ func Deflate(blob []byte) []byte {
 	return buf.Bytes()
 }
 
-// Inflate decompresses a DEFLATE blob.
-func Inflate(blob []byte) ([]byte, error) {
-	rd := flate.NewReader(bytes.NewReader(blob))
-	dec, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("kv: inflating: %w", err)
+// inflate decompresses a DEFLATE blob into one allocation when the stream
+// is no longer than sizeHint, growing the buffer otherwise.
+func inflate(blob []byte, sizeHint int) ([]byte, error) {
+	rd := newInflater(bytes.NewReader(blob))
+	defer inflaters.Put(rd)
+	buf := bytes.NewBuffer(make([]byte, 0, sizeHint+bytes.MinRead))
+	_, err := buf.ReadFrom(rd)
+	return buf.Bytes(), err
+}
+
+// newInflater returns a pooled decompressor reading r; put it back in
+// inflaters once done with it.
+func newInflater(r io.Reader) io.ReadCloser {
+	if rd, ok := inflaters.Get().(io.ReadCloser); ok {
+		rd.(flate.Resetter).Reset(r, nil)
+		return rd
 	}
-	if err := rd.Close(); err != nil {
-		return nil, err
-	}
-	return dec, nil
+	return flate.NewReader(r)
 }
 
 // NewRun serializes sorted pairs into a run. It panics if the pairs are not
@@ -67,7 +87,7 @@ func NewRun(pairs []Pair, compress bool) *Run {
 	}
 	blob := Marshal(pairs)
 	if compress {
-		blob = Deflate(blob)
+		blob = deflate(blob)
 	}
 	return &Run{blob: blob, Records: len(pairs), RawBytes: raw, Compressed: compress}
 }
@@ -86,48 +106,51 @@ func (r *Run) StoredBytes() int64 {
 // the run's backing store.
 func (r *Run) Blob() []byte { return r.blob }
 
-// RunFromBlob reconstructs a run received over the wire from its encoded
-// bytes and metadata. The blob is retained, not copied, and the run takes
-// ownership: the caller must not reuse or mutate it afterwards.
+// RunFromBlob reconstructs a run from its encoded bytes and metadata — a
+// run received from a peer, or read back from its file. The blob is
+// retained, not copied, and the run takes ownership: the caller must not
+// reuse or mutate it afterwards. Nothing is checked here: bytes that do not
+// decode fail the run's iterator, not this call.
 func RunFromBlob(blob []byte, records int, rawBytes int64, compressed bool) *Run {
 	return &Run{blob: blob, Records: records, RawBytes: rawBytes, Compressed: compressed}
 }
 
-// NewRunView wraps encoded bytes without copying or taking ownership: the
-// run aliases blob, which the caller may later overwrite (a pooled receive
-// buffer, a reused frame). A view is valid only until its backing buffer
-// is reused; call Retain to keep it beyond that point. Pairs decoded from
-// an uncompressed view alias the same buffer and share its lifetime.
-func NewRunView(blob []byte, records int, rawBytes int64, compressed bool) *Run {
-	return &Run{blob: blob, Records: records, RawBytes: rawBytes, Compressed: compressed, view: true}
+// decoded returns the run's Marshal layout: the blob itself, or for a
+// compressed run one inflated copy, sized for the pairs the run says it
+// holds when that claim is plausible for the blob's length.
+func (r *Run) decoded() ([]byte, error) {
+	if !r.Compressed {
+		return r.blob, nil
+	}
+	hint := r.RawBytes + 2*int64(r.Records) + binary.MaxVarintLen64
+	if limit := 64*int64(len(r.blob)) + 64; hint < 0 || hint > limit {
+		hint = limit // a damaged header must not size the buffer
+	}
+	dec, err := inflate(r.blob, int(hint))
+	if err != nil {
+		return nil, fmt.Errorf("kv: decompressing run: %w", err)
+	}
+	return dec, nil
 }
 
-// Owned reports whether the run owns its backing bytes (false for a view
-// that has not been retained).
-func (r *Run) Owned() bool { return !r.view }
-
-// Retain upgrades a view into an owning run by copying its blob out of the
-// caller's buffer — copy-on-retain. It is a no-op on runs that already own
-// their bytes, so it is always safe to call before storing a run whose
-// provenance is unknown.
-func (r *Run) Retain() {
-	if r.view {
-		r.blob = append([]byte(nil), r.blob...)
-		r.view = false
+// header reads a decoded run's pair count, which must be the run's Records.
+func (r *Run) header(blob []byte) (rest []byte, err error) {
+	count, n := binary.Uvarint(blob)
+	if n <= 0 || count != uint64(r.Records) {
+		return nil, fmt.Errorf("kv: run header corrupt (%d bytes, want %d pairs)", len(blob), r.Records)
 	}
+	return blob[n:], nil
 }
 
 // Pairs decodes the run back into sorted pairs. For an uncompressed run
-// the pairs alias the run's blob (and, for an unretained view, the buffer
-// behind it).
+// the pairs alias the run's blob.
 func (r *Run) Pairs() ([]Pair, error) {
-	blob := r.blob
-	if r.Compressed {
-		dec, err := Inflate(blob)
-		if err != nil {
-			return nil, fmt.Errorf("kv: decompressing run: %w", err)
-		}
-		blob = dec
+	blob, err := r.decoded()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.header(blob); err != nil {
+		return nil, err
 	}
 	return Unmarshal(blob)
 }
@@ -135,43 +158,44 @@ func (r *Run) Pairs() ([]Pair, error) {
 // Iter returns an iterator that decodes the run's frames in place: its
 // pairs are views into the run's bytes (into one inflated copy for a
 // compressed run), so iterating allocates per run, not per pair. A run that
-// fails to decode is a corrupted simulation artifact, not a recoverable
-// condition: Iter panics on a bad header or DEFLATE stream, Next on a bad
-// frame.
-func (r *Run) Iter() Iterator {
-	blob := r.blob
-	if r.Compressed {
-		dec, err := Inflate(blob)
-		if err != nil {
-			panic(fmt.Errorf("kv: decompressing run: %w", err))
-		}
-		blob = dec
+// does not decode — a bad DEFLATE stream, a header that disagrees with
+// Records, a damaged frame — ends the iteration, possibly before the first
+// pair; callers check Err once the consumer has drained it.
+func (r *Run) Iter() *RunIter {
+	blob, err := r.decoded()
+	if err == nil {
+		blob, err = r.header(blob)
 	}
-	count, n := binary.Uvarint(blob)
-	if n <= 0 || count > uint64(len(blob)) {
-		panic(fmt.Errorf("kv: run header corrupt (%d bytes)", len(blob)))
+	if err != nil {
+		return &RunIter{err: err}
 	}
-	return &runIter{rest: blob[n:], left: int(count)}
+	return &RunIter{rest: blob, left: r.Records}
 }
 
-// runIter walks a resident run's frames.
-type runIter struct {
+// RunIter walks a resident run's frames.
+type RunIter struct {
 	rest []byte
 	left int
+	err  error
 }
 
 // Next implements Iterator.
-func (it *runIter) Next() (Pair, bool) {
+func (it *RunIter) Next() (Pair, bool) {
 	if it.left == 0 {
 		return Pair{}, false
 	}
 	p, n, _, err := splitFrame(it.rest)
 	if n == 0 {
-		panic(fmt.Errorf("kv: run frame corrupt with %d pairs to go: %v", it.left, err))
+		it.err = fmt.Errorf("kv: run frame corrupt with %d pairs to go: %w", it.left, cmp.Or(err, io.ErrUnexpectedEOF))
+		it.left = 0
+		return Pair{}, false
 	}
 	it.rest, it.left = it.rest[n:], it.left-1
 	return p, true
 }
+
+// Err reports the error that cut the iteration short (nil if none did).
+func (it *RunIter) Err() error { return it.err }
 
 // MergeRuns merges several resident runs into one, encoding the merge
 // straight into the new run's blob.
@@ -196,7 +220,7 @@ func MergeRuns(runs []*Run, compress bool) *Run {
 		panic(fmt.Sprintf("kv: MergeRuns: runs hold %d pairs, their headers say %d", n, records))
 	}
 	if compress {
-		blob = Deflate(blob)
+		blob = deflate(blob)
 	}
 	return &Run{blob: blob, Records: records, RawBytes: raw, Compressed: compress}
 }

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +23,7 @@ func (r *Run) Spill(path string) error {
 		os.Remove(path)
 		return fmt.Errorf("kv: spilling run: %w", err)
 	}
-	r.path, r.filed, r.blob, r.view = path, int64(len(r.blob)), nil, false
+	r.path, r.filed, r.blob = path, int64(len(r.blob)), nil
 	return nil
 }
 
@@ -55,8 +54,9 @@ func (r *Run) Load() (*Run, error) {
 // drained it, and Close it either way.
 type FileIter struct {
 	f    *os.File
-	r    *Reader
-	left int // pairs the run still owes
+	fl   io.ReadCloser // the pooled decompressor of a compressed run
+	r    *Reader       // nil once closed
+	left int           // pairs the run still owes
 	err  error
 }
 
@@ -70,27 +70,30 @@ func (r *Run) Open() (*FileIter, error) {
 	// a run smaller than a chunk is one allocation. A DEFLATEd one decodes
 	// to at most the payload plus two length varints per pair and the
 	// count: the first chunk is no bigger than that.
-	rd := newReaderSize(f, readerChunk, r.filed)
+	it := &FileIter{f: f, left: r.Records}
 	if r.Compressed {
 		size := r.RawBytes + int64(r.Records+1)*2*binary.MaxVarintLen32
-		rd = newReaderSize(flate.NewReader(f), int(min(size+1, readerChunk)), -1)
+		it.fl = newInflater(f)
+		it.r = newReaderSize(it.fl, int(min(size+1, readerChunk)), -1)
+	} else {
+		it.r = newReaderSize(f, readerChunk, r.filed)
 	}
-	n, err := rd.uvarint()
+	n, err := it.r.uvarint()
 	if err == nil && n != uint64(r.Records) {
 		err = fmt.Errorf("holds %d pairs, want %d", n, r.Records)
 	}
 	if err != nil {
-		f.Close()
+		it.Close()
 		return nil, fmt.Errorf("kv: opening filed run %s: %w", r.path, unexpected(err))
 	}
-	return &FileIter{f: f, r: rd, left: r.Records}, nil
+	return it, nil
 }
 
 // Next implements Iterator. It reads one frame past the last pair: the
 // stream must end there, and only reading on makes a DEFLATE stream that
 // lost its tail say so.
 func (it *FileIter) Next() (Pair, bool) {
-	if it.err != nil {
+	if it.err != nil || it.r == nil {
 		return Pair{}, false
 	}
 	p, err := it.r.Read()
@@ -109,5 +112,13 @@ func (it *FileIter) Next() (Pair, bool) {
 // Err reports the error that cut the iteration short (nil if none did).
 func (it *FileIter) Err() error { return it.err }
 
-// Close releases the file descriptor.
-func (it *FileIter) Close() error { return it.f.Close() }
+// Close releases the file descriptor and the decompressor; Next reports
+// the end from then on.
+func (it *FileIter) Close() error {
+	if it.fl != nil {
+		inflaters.Put(it.fl)
+		it.fl = nil
+	}
+	it.r = nil
+	return it.f.Close()
+}

@@ -134,8 +134,9 @@ func (s *RunStore) spillPartition(part int) error {
 
 // Iters returns one sorted iterator per committed run of part — resident
 // runs iterate in memory, filed runs stream off disk. close releases the
-// open spill files; errf (a file that would not open, or a stream that
-// ended early) must be checked after the merge drains, not before.
+// open spill files; errf (a file that would not open, a stream that ended
+// early, a run whose bytes do not decode) must be checked after the merge
+// drains, not before.
 func (s *RunStore) Iters(part int) (iters []Iterator, close func(), errf func() error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,8 +164,8 @@ func (s *RunStore) Iters(part int) (iters []Iterator, close func(), errf func() 
 		if openErr != nil {
 			return openErr
 		}
-		for _, it := range files {
-			if err := it.Err(); err != nil {
+		for _, it := range iters { // a *RunIter or a *FileIter
+			if err := it.(interface{ Err() error }).Err(); err != nil {
 				return err
 			}
 		}

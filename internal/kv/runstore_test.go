@@ -187,3 +187,22 @@ func TestRunStoreTakeAndDrop(t *testing.T) {
 		t.Fatalf("store not empty after Drop: %d bytes, %d runs", s.Resident(), len(s.Runs(1)))
 	}
 }
+
+// TestRunStoreItersReportsDamagedRun: a committed resident run whose bytes
+// do not decode ends its iterator early, and errf says so — a reduce over
+// a peer's damaged run fails instead of returning short output.
+func TestRunStoreItersReportsDamagedRun(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		s := NewRunStore(0, nil, nil)
+		s.Add(0, 0, storeTestRun(0, 20))
+		good := NewRun([]Pair{{Key: []byte("k"), Value: []byte("v")}}, compressed)
+		blob := good.Blob()
+		s.Add(0, 1, RunFromBlob(blob[:len(blob)-1], good.Records, good.RawBytes, compressed))
+		iters, closeFiles, errf := s.Iters(0)
+		Drain(Merge(iters...))
+		closeFiles()
+		if errf() == nil {
+			t.Fatalf("compressed=%v: a damaged run merged without an error", compressed)
+		}
+	}
+}

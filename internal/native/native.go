@@ -118,7 +118,8 @@ func (r *Result) Output() []kv.Pair {
 
 // newRunStore returns a job's intermediate-data store: past
 // cfg.CacheThreshold resident bytes it files runs in a temporary directory
-// under cfg.SpillDir, made at the first spill and removed by cleanup.
+// under cfg.SpillDir, made at the first spill and removed by cleanup, which
+// does nothing when called again.
 func newRunStore(cfg Config, rec *recorder) (store *kv.RunStore, cleanup func()) {
 	var dir string
 	store = kv.NewRunStore(cfg.CacheThreshold, func() (string, error) {
@@ -134,6 +135,7 @@ func newRunStore(cfg Config, rec *recorder) (store *kv.RunStore, cleanup func())
 	return store, func() {
 		if dir != "" {
 			os.RemoveAll(dir)
+			dir = ""
 		}
 	}
 }
@@ -168,6 +170,8 @@ func forEach(n, workers int, fn func(i int) error) error {
 // are the unit of map-chunk parallelism (split files on record boundaries;
 // package dfs's SplitLines/SplitFixed do this for text and fixed records).
 func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
+	// The phases cover the call: map from here, reduce to the return.
+	start := time.Now()
 	cfg = cfg.withDefaults()
 	if app.MapBatch == nil || app.Parse == nil {
 		return nil, fmt.Errorf("native: app %q needs Parse and MapBatch", app.Name)
@@ -179,11 +183,10 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	for _, b := range blocks {
 		res.InputBytes += int64(len(b))
 	}
-	start := time.Now()
 	rec := newRecorder(cfg.Telemetry)
 
 	store, cleanup := newRunStore(cfg, rec)
-	defer cleanup()
+	defer cleanup() // a failed job's; a finished one's reduce phase removes its spills
 
 	// ---- Map phase: each worker takes a block through kernel, partition
 	// and store. A failed spill fails the job. ----
@@ -235,15 +238,16 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 		res.outputs[g] = out
 		return nil
 	})
+	cleanup()
 	if err != nil {
 		return nil, err
 	}
-	res.ReduceElapsed = time.Since(reduceStart)
-	res.Total = time.Since(start)
 	for _, part := range res.outputs {
 		res.OutputPairs += len(part)
 	}
 	res.Stages = rec.stages()
+	res.ReduceElapsed = time.Since(reduceStart)
+	res.Total = time.Since(start)
 	rec.publish(res)
 	return res, nil
 }

@@ -1,6 +1,11 @@
 package sim
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"strings"
+)
 
 // Shared is a weighted processor-sharing resource: a capacity of identical
 // service units (CPU hardware threads, link bandwidth) divided among the
@@ -28,7 +33,7 @@ type Shared struct {
 	UnitRate float64
 	Capacity float64
 
-	flows   map[*psFlow]struct{}
+	flows   []*psFlow // active, in start order
 	totalW  float64
 	lastT   float64
 	pending *event
@@ -46,7 +51,7 @@ func NewShared(env *Env, unitRate, capacity float64) *Shared {
 	if unitRate <= 0 || capacity <= 0 {
 		panic("sim: NewShared rates must be positive")
 	}
-	return &Shared{env: env, UnitRate: unitRate, Capacity: capacity, flows: make(map[*psFlow]struct{})}
+	return &Shared{env: env, UnitRate: unitRate, Capacity: capacity}
 }
 
 // rateOf returns the current service rate of flow f.
@@ -62,7 +67,7 @@ func (s *Shared) rateOf(f *psFlow) float64 {
 func (s *Shared) advance() {
 	dt := s.env.now - s.lastT
 	if dt > 0 {
-		for f := range s.flows {
+		for _, f := range s.flows {
 			f.remaining -= s.rateOf(f) * dt
 		}
 	}
@@ -80,7 +85,7 @@ func (s *Shared) reschedule() {
 		return
 	}
 	tmin := math.Inf(1)
-	for f := range s.flows {
+	for _, f := range s.flows {
 		t := f.remaining / s.rateOf(f)
 		if t < tmin {
 			tmin = t
@@ -93,45 +98,34 @@ func (s *Shared) reschedule() {
 }
 
 // complete fires finished flows and reschedules. Runs in scheduler context.
+// Finished flows wake by (process name, weight), and in start order where
+// those tie: names repeat (one durability or transfer process per chunk),
+// and the wake order decides what the woken processes do next.
 func (s *Shared) complete() {
 	s.pending = nil
 	s.advance()
 	const eps = 1e-9
 	var finished []*psFlow
-	for f := range s.flows {
+	for _, f := range s.flows {
 		if f.remaining <= eps*math.Max(1, f.weight)*s.UnitRate {
 			finished = append(finished, f)
 		}
 	}
-	// Deterministic wake order: by process name, then pointer-insertion
-	// order is not stable for maps, so sort by a stable key. Flows are
-	// given increasing ids via remaining ties broken by proc name.
-	sortFlows(finished)
+	slices.SortStableFunc(finished, func(a, b *psFlow) int {
+		if a.proc.Name != b.proc.Name {
+			return strings.Compare(a.proc.Name, b.proc.Name)
+		}
+		return cmp.Compare(a.weight, b.weight)
+	})
 	for _, f := range finished {
-		delete(s.flows, f)
 		s.totalW -= f.weight
 		f.done = true
 	}
+	s.flows = slices.DeleteFunc(s.flows, func(f *psFlow) bool { return f.done })
 	s.reschedule()
 	for _, f := range finished {
 		s.env.wake(f.proc)
 	}
-}
-
-func sortFlows(fs []*psFlow) {
-	// Insertion sort by (proc name, weight); flow sets are small.
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && flowLess(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
-}
-
-func flowLess(a, b *psFlow) bool {
-	if a.proc.Name != b.proc.Name {
-		return a.proc.Name < b.proc.Name
-	}
-	return a.weight < b.weight
 }
 
 // Use consumes amount units of service with the given weight, blocking the
@@ -146,7 +140,7 @@ func (s *Shared) Use(p *Proc, amount, weight float64) {
 	}
 	f := &psFlow{remaining: amount, weight: weight, proc: p}
 	s.advance()
-	s.flows[f] = struct{}{}
+	s.flows = append(s.flows, f)
 	s.totalW += weight
 	s.reschedule()
 	for !f.done {

@@ -193,3 +193,26 @@ func TestSharedManyFlowsNumericalStability(t *testing.T) {
 		t.Fatalf("bad end time %g", end)
 	}
 }
+
+// TestSharedTiesWakeInStartOrder: flows of same-named processes that finish
+// together wake in the order they started, on every run — the simulator's
+// tables must not depend on map iteration order.
+func TestSharedTiesWakeInStartOrder(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		env := NewEnv()
+		s := NewShared(env, 100, 1)
+		var woke []int
+		for i := 0; i < 8; i++ {
+			env.Spawn("node0/durability", func(p *Proc) {
+				s.Use(p, 100, 1)
+				woke = append(woke, i)
+			})
+		}
+		env.Run()
+		for i, got := range woke {
+			if got != i {
+				t.Fatalf("run %d: wake order %v, want start order", rep, woke)
+			}
+		}
+	}
+}
