@@ -382,6 +382,6 @@ func runNativeJob(appName string, size int, traceOut, metricsOut string, report 
 		fmt.Println()
 		glasswing.AnalyzePipeline(tel.Spans.Spans()).WriteTable(os.Stdout)
 	}
-	writeTraceFile(traceOut, tel.Spans.Spans(), tel.Spans.Instants(), nil)
+	writeTraceFile(traceOut, tel.Spans.Spans(), nil, nil)
 	writeMetricsFile(metricsOut, tel.Metrics)
 }

@@ -5,6 +5,7 @@ import (
 
 	"glasswing/internal/hw"
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 	"glasswing/internal/sim"
 )
 
@@ -238,7 +239,7 @@ func (m *interManager) service(p *sim.Proc, idx int) {
 // disk, charging merge CPU (weight 1: one merger thread) and disk I/O.
 func (m *interManager) flush(p *sim.Proc, ps *partStore) {
 	t0 := p.Now()
-	defer func() { m.trace.add(m.nodeIdx, "merge", t0, p.Now()) }()
+	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
 	// Detach the cached runs before any blocking charge: the partition
 	// stage keeps adding runs while this merger waits for CPU and disk,
 	// and those must not be lost.
@@ -283,7 +284,7 @@ func (m *interManager) flush(p *sim.Proc, ps *partStore) {
 // reduce reader's final merge to be cheap.
 func (m *interManager) compactCache(p *sim.Proc, ps *partStore) {
 	t0 := p.Now()
-	defer func() { m.trace.add(m.nodeIdx, "merge", t0, p.Now()) }()
+	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
 	runs := ps.cached
 	if len(runs) < 2 {
 		return
@@ -321,7 +322,7 @@ func (m *interManager) compactCache(p *sim.Proc, ps *partStore) {
 // compactDisk merges all on-disk runs of ps into one.
 func (m *interManager) compactDisk(p *sim.Proc, ps *partStore) {
 	t0 := p.Now()
-	defer func() { m.trace.add(m.nodeIdx, "merge", t0, p.Now()) }()
+	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
 	// Detach before blocking (see flush); concurrent flushes of this
 	// partition cannot run — one merger per partition — but stay safe.
 	runs := ps.onDisk

@@ -6,6 +6,7 @@ import (
 	"glasswing/internal/cl"
 	"glasswing/internal/dfs"
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 	"glasswing/internal/sim"
 )
 
@@ -111,7 +112,7 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			recs := j.app.Parse(block)
 			node.HostWork(p, j.app.ParseCostPerByte*float64(len(block)), 1)
 			times.Input += p.Now() - t0
-			j.trace.add(nodeIdx, "map/input", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageMapInput, t0, p.Now())
 			if dead() {
 				inBufs.Release(1)
 				j.sched.abandon(t, nodeIdx)
@@ -137,7 +138,7 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			t0 := p.Now()
 			ctx.EnqueueWrite(p, c.bytes)
 			times.Stage += p.Now() - t0
-			j.trace.add(nodeIdx, "map/stage", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageMapStage, t0, p.Now())
 			kernelQ.Put(p, c)
 		}
 	}
@@ -159,7 +160,7 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			t0 := p.Now()
 			oc := j.execMapKernel(p, ctx, coll, c)
 			times.Kernel += p.Now() - t0
-			j.trace.add(nodeIdx, "map/kernel", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageMapKernel, t0, p.Now())
 			j.traceAttempt(nodeIdx, c.task.attempt, c.task.spec, t0, p.Now())
 			inBufs.Release(1)
 			if dead() {
@@ -194,7 +195,7 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			t0 := p.Now()
 			ctx.EnqueueRead(p, oc.volume)
 			times.Retrieve += p.Now() - t0
-			j.trace.add(nodeIdx, "map/retrieve", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageMapRetrieve, t0, p.Now())
 			partQ.Put(p, oc)
 		}
 	}
@@ -213,7 +214,7 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			t0 := p.Now()
 			j.partitionChunk(p, nodeIdx, oc)
 			times.Partition += p.Now() - t0
-			j.trace.add(nodeIdx, "map/partition", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageMapPartition, t0, p.Now())
 			outBufs.Release(1)
 		}
 	}
@@ -288,9 +289,9 @@ func (j *job) runMapPipeline(p *sim.Proc, nodeIdx int) StageTimes {
 // backup copies.
 func (j *job) traceAttempt(nodeIdx, attempt int, spec bool, start, end float64) {
 	if spec {
-		j.trace.add(nodeIdx, "speculative", start, end)
+		j.trace.add(nodeIdx, obs.StageSpeculative, start, end)
 	} else if attempt > 1 {
-		j.trace.add(nodeIdx, "retry", start, end)
+		j.trace.add(nodeIdx, obs.StageRetry, start, end)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"glasswing/internal/cl"
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 	"glasswing/internal/sim"
 )
 
@@ -107,7 +108,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			var groupsN int
 			flush := func(last bool) {
 				times.Input += p.Now() - t0
-				j.trace.add(nodeIdx, "reduce/input", t0, p.Now())
+				j.trace.add(nodeIdx, obs.StageReduceInput, t0, p.Now())
 				c := reduceChunk{task: t, groups: batch, bytes: batchBytes, last: last}
 				if last {
 					c.pairsIn, c.groupsIn = pairsN, groupsN
@@ -162,7 +163,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 			t0 := p.Now()
 			ro := j.execReduceKernel(p, ctx, c)
 			times.Kernel += p.Now() - t0
-			j.trace.add(nodeIdx, "reduce/kernel", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageReduceKernel, t0, p.Now())
 			j.traceAttempt(nodeIdx, c.task.attempt, c.task.spec, t0, p.Now())
 			inBufs.Release(1)
 			if c.last {
@@ -234,7 +235,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 				}
 			}
 			times.Partition += p.Now() - t0
-			j.trace.add(nodeIdx, "reduce/output", t0, p.Now())
+			j.trace.add(nodeIdx, obs.StageReduceOutput, t0, p.Now())
 			outBufs.Release(1)
 		}
 	}

@@ -10,74 +10,34 @@ import (
 	"glasswing/internal/obs"
 )
 
-// Span is one traced interval of pipeline activity.
-type Span struct {
-	Node  int
-	Stage string // "map/input", "map/kernel", "reduce/output", ...
-	Start float64
-	End   float64
-}
-
-// Mark is one traced instant — an event with no duration, such as a node
-// death. Instants are kept apart from Spans so every Span keeps the
-// invariant End > Start.
-type Mark struct {
-	Node int
-	Name string
-	At   float64
-}
-
 // Trace is a job's activity timeline, recorded when Config.Trace is set.
 // It shows the overlap the Glasswing pipeline achieves — which stages run
 // concurrently, where the pipeline stalls, how the merge phase interleaves
-// with the map phase.
+// with the map phase. Instants (a node death) are kept apart from Spans so
+// every span keeps the invariant End > Start.
 type Trace struct {
-	Spans []Span
-	Marks []Mark
+	Spans    []obs.Span
+	Instants []obs.Instant
 }
 
 func (t *Trace) add(node int, stage string, start, end float64) {
-	if t == nil || end <= start {
-		return
-	}
-	t.Spans = append(t.Spans, Span{Node: node, Stage: stage, Start: start, End: end})
+	t.Span(obs.Span{Node: node, Stage: stage, Start: start, End: end})
 }
 
 func (t *Trace) mark(node int, name string, at float64) {
 	if t == nil {
 		return
 	}
-	t.Marks = append(t.Marks, Mark{Node: node, Name: name, At: at})
+	t.Instants = append(t.Instants, obs.Instant{Node: node, Name: name, At: at})
 }
 
 // Span implements obs.SpanSink, so a Trace can be handed to instrumented
 // components (cl command queues) as their span destination.
 func (t *Trace) Span(s obs.Span) {
-	t.add(s.Node, s.Stage, s.Start, s.End)
-}
-
-// ObsSpans converts the trace for the obs exporter and analyzer.
-func (t *Trace) ObsSpans() []obs.Span {
-	if t == nil {
-		return nil
+	if t == nil || s.End <= s.Start {
+		return
 	}
-	out := make([]obs.Span, len(t.Spans))
-	for i, s := range t.Spans {
-		out[i] = obs.Span{Node: s.Node, Stage: s.Stage, Start: s.Start, End: s.End}
-	}
-	return out
-}
-
-// ObsInstants converts the trace's marks for the obs exporter.
-func (t *Trace) ObsInstants() []obs.Instant {
-	if t == nil {
-		return nil
-	}
-	out := make([]obs.Instant, len(t.Marks))
-	for i, m := range t.Marks {
-		out[i] = obs.Instant{Node: m.Node, Name: m.Name, At: m.At}
-	}
-	return out
+	t.Spans = append(t.Spans, s)
 }
 
 // Window returns the earliest start and latest end across all spans. A nil
@@ -122,7 +82,7 @@ func (t *Trace) Render(w io.Writer, width int) {
 		node  int
 		stage string
 	}
-	rows := map[key][]Span{}
+	rows := map[key][]obs.Span{}
 	var keys []key
 	for _, s := range t.Spans {
 		k := key{s.Node, s.Stage}
@@ -135,7 +95,7 @@ func (t *Trace) Render(w io.Writer, width int) {
 		if keys[i].node != keys[j].node {
 			return keys[i].node < keys[j].node
 		}
-		return stageOrder(keys[i].stage) < stageOrder(keys[j].stage)
+		return obs.TrackOrder(keys[i].stage) < obs.TrackOrder(keys[j].stage)
 	})
 	scale := float64(width) / (end - start)
 	fmt.Fprintf(w, "timeline %.3fs .. %.3fs (%.3fs total), one column = %.4fs\n",
@@ -166,10 +126,6 @@ func (t *Trace) Render(w io.Writer, width int) {
 		fmt.Fprintf(w, "node%02d %-16s |%s|\n", k.node, k.stage, string(cells))
 	}
 }
-
-// stageOrder keeps pipeline rows in execution order (shared with the obs
-// exporter and analyzer so every view agrees on track layout).
-func stageOrder(stage string) string { return obs.TrackOrder(stage) }
 
 // String renders the trace at a default width.
 func (t *Trace) String() string {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"glasswing/internal/obs"
 )
 
 // A span much shorter than one chart column must still paint a cell: the
@@ -25,25 +28,29 @@ func TestTraceRenderSubColumnSpan(t *testing.T) {
 	}
 }
 
-func TestTraceMarksAndConversion(t *testing.T) {
+// A Trace holds the obs.Span and obs.Instant values the exporter and
+// analyzer read: a cl span keeps every field, and a degenerate span is
+// dropped as SpanBuffer drops it.
+func TestTraceRecordsObsTypes(t *testing.T) {
 	tr := &Trace{}
-	tr.add(1, "map/kernel", 1, 2)
+	tr.add(1, obs.StageMapKernel, 1, 2)
+	tr.add(1, obs.StageMerge, 3, 3)
+	tr.Span(obs.Span{Node: 2, Stage: obs.StageCLKernel, Start: 1, End: 4, ID: 7, Parent: 5})
 	tr.mark(1, "node-death", 1.5)
-	if len(tr.Marks) != 1 || tr.Marks[0].Name != "node-death" {
-		t.Fatalf("marks = %+v", tr.Marks)
+	want := []obs.Span{
+		{Node: 1, Stage: obs.StageMapKernel, Start: 1, End: 2},
+		{Node: 2, Stage: obs.StageCLKernel, Start: 1, End: 4, ID: 7, Parent: 5},
 	}
-	spans, instants := tr.ObsSpans(), tr.ObsInstants()
-	if len(spans) != 1 || spans[0].Stage != "map/kernel" || spans[0].Node != 1 {
-		t.Errorf("ObsSpans = %+v", spans)
+	if !reflect.DeepEqual(tr.Spans, want) {
+		t.Errorf("spans = %+v, want %+v", tr.Spans, want)
 	}
-	if len(instants) != 1 || instants[0].At != 1.5 {
-		t.Errorf("ObsInstants = %+v", instants)
+	if len(tr.Instants) != 1 || tr.Instants[0] != (obs.Instant{Node: 1, Name: "node-death", At: 1.5}) {
+		t.Errorf("instants = %+v", tr.Instants)
 	}
 
-	// nil traces convert to empty, and mark/Span are no-ops.
+	// On a nil trace, add, mark and Span are no-ops.
 	var nilTr *Trace
+	nilTr.add(0, obs.StageMapKernel, 0, 1)
 	nilTr.mark(0, "x", 1)
-	if nilTr.ObsSpans() != nil || nilTr.ObsInstants() != nil {
-		t.Error("nil trace should convert to nil slices")
-	}
+	nilTr.Span(obs.Span{Stage: obs.StageMapKernel, End: 1})
 }

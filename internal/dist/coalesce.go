@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 // coalescer batches the shuffle runs bound for one peer into large
@@ -32,7 +33,7 @@ import (
 type coalescer struct {
 	cc      *conn
 	led     *ledger
-	tr      *tracer
+	tr      *obs.Tracer
 	traceID uint64
 
 	mu      sync.Mutex
@@ -53,7 +54,7 @@ const (
 	coalesceDelay = 2 * time.Millisecond
 )
 
-func newCoalescer(cc *conn, led *ledger, tr *tracer, traceID uint64) *coalescer {
+func newCoalescer(cc *conn, led *ledger, tr *obs.Tracer, traceID uint64) *coalescer {
 	co := &coalescer{cc: cc, led: led, tr: tr, traceID: traceID}
 	co.timer = time.AfterFunc(time.Hour, co.flushIfStale)
 	co.timer.Stop()
@@ -117,7 +118,7 @@ func (co *coalescer) flushLocked() {
 	// is the cross-process edge of the trace.
 	var sendSpan uint64
 	if co.tr != nil {
-		sendSpan = co.tr.newID()
+		sendSpan = co.tr.NewID()
 	}
 	payload := encode(&runBatchMsg{TraceID: co.traceID, SendSpan: sendSpan, Body: co.body.buf})
 	records := co.records

@@ -16,7 +16,6 @@ type frame struct {
 	acct       int64     // kv encoded bytes carried, for loss accounting
 	spanID     uint64    // pre-minted net/send span id (bulk, traced)
 	spanParent uint64    // parent span of the net/send span
-	endSpan    func()    // closes the frame's net/send span (set at enqueue)
 	enq        time.Time // when the frame entered the queue (bulk only)
 }
 
@@ -62,16 +61,15 @@ type conn struct {
 	writing    bool
 	closed     bool
 	onDrop     func(f frame)
-	// onBulkWrite, if set, is invoked when a bulk frame is admitted to the
-	// queue; the returned func runs when its socket write completes (or the
-	// frame drops at teardown). The worker hooks net/send span recording
-	// here, so the span covers the frame's whole tenure in the transfer
-	// pipeline — queue residence plus the write. That is the interval
-	// during which the data is in flight concurrently with whatever the
-	// executor computes next, i.e. the overlap the trace must show. The
-	// frame is passed so the hook can read the pre-minted span id and
+	// onBulkDone, if set, receives every bulk frame admitted to the queue
+	// once its socket write completes (or it drops at teardown). The worker
+	// records the frame's net/send span here, from f.enq, so the span covers
+	// the frame's whole tenure in the transfer pipeline — queue residence
+	// plus the write. That is the interval during which the data is in
+	// flight concurrently with whatever the executor computes next, i.e.
+	// the overlap the trace must show. The frame carries the span id and
 	// parent the coalescer stamped on it.
-	onBulkWrite func(f *frame) func()
+	onBulkDone func(f *frame)
 	// onBulkTiming, if set, receives the split of each successfully written
 	// bulk frame's tenure: nanoseconds spent waiting in the queue versus
 	// nanoseconds inside the socket write. The net/send span above is their
@@ -123,9 +121,6 @@ func (cc *conn) send(f frame) {
 	if f.bulk {
 		cc.queuedBulk += int64(len(f.payload))
 		f.enq = time.Now()
-		if cc.onBulkWrite != nil {
-			f.endSpan = cc.onBulkWrite(&f)
-		}
 	}
 	cc.queue = append(cc.queue, f)
 	cc.cond.Broadcast()
@@ -133,8 +128,8 @@ func (cc *conn) send(f frame) {
 }
 
 func (cc *conn) drop(f frame) {
-	if f.endSpan != nil {
-		f.endSpan()
+	if !f.enq.IsZero() && cc.onBulkDone != nil {
+		cc.onBulkDone(&f)
 	}
 	if cc.onDrop != nil && f.bulk {
 		cc.onDrop(f)
@@ -168,8 +163,8 @@ func (cc *conn) pump() {
 			if f.bulk && cc.onBulkTiming != nil {
 				cc.onBulkTiming(w0.Sub(f.enq).Nanoseconds(), time.Since(w0).Nanoseconds())
 			}
-			if f.endSpan != nil {
-				f.endSpan()
+			if f.bulk && cc.onBulkDone != nil {
+				cc.onBulkDone(&f)
 			}
 		}
 

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"glasswing/internal/blockstore"
+	"glasswing/internal/native"
+	"glasswing/internal/obs"
 )
 
 // coordinator phases.
@@ -158,6 +160,18 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 	}
 	if o.Blockstore != "" && o.Blockstore != "local" && o.Blockstore != "remote" {
 		return nil, fmt.Errorf("dist: unknown blockstore mode %q", o.Blockstore)
+	}
+	if o.Job.Partitions > MaxPartitions {
+		return nil, fmt.Errorf("dist: %d partitions exceeds the cap of %d", o.Job.Partitions, MaxPartitions)
+	}
+	if o.Job.UseCombiner {
+		app, _, err := o.resolver()(o.Job.App)
+		if err != nil {
+			return nil, fmt.Errorf("dist: resolving app %q: %w", o.Job.App.Name, err)
+		}
+		if err := native.CheckCombiner(app, o.Job.Collector, true); err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
 	}
 	if led == nil {
 		led = newLedger(o.Telemetry)
@@ -324,7 +338,7 @@ type coord struct {
 	tun   Tuning
 	led   *ledger
 	hooks loopHooks
-	ctr   *tracer // the coordinator's own spans, node -1
+	ctr   *obs.Tracer // the coordinator's own spans, node -1
 	start time.Time
 	res   *Result
 
@@ -360,11 +374,18 @@ type coord struct {
 	// is also the set of attempts counted in outstanding, and sched/reduce
 	// by partition, which is also the reduce wave's outstanding partitions.
 	// Dispatches that die with their worker are never recorded.
-	assignSpans map[attemptKey]func()
-	reduceSpans map[int]func()
+	assignSpans map[attemptKey]openSpan
+	reduceSpans map[int]openSpan
 	batches     []spanBatchMsg
 
 	out []effect
+}
+
+// openSpan is a scheduling span dispatched under id at start and recorded
+// when its task reports.
+type openSpan struct {
+	id    uint64
+	start time.Time
 }
 
 // newCoord builds a coordinator in its formation phase. st is the replayed
@@ -373,12 +394,12 @@ type coord struct {
 func newCoord(o Options, led *ledger, hooks loopHooks, st *jobState, jn *journal) *coord {
 	c := &coord{
 		o: o, tun: o.Tuning.withDefaults(), led: led, hooks: hooks,
-		ctr: newTracer(-1), start: time.Now(),
+		ctr: obs.NewTracer(-1, new(obs.SpanBuffer)), start: time.Now(),
 		st: st, jn: jn, phase: phaseForm,
 		reduceAttempt: make([]int, o.Job.Partitions),
 		pendingKills:  make(map[int]bool),
-		assignSpans:   make(map[attemptKey]func()),
-		reduceSpans:   make(map[int]func()),
+		assignSpans:   make(map[attemptKey]openSpan),
+		reduceSpans:   make(map[int]openSpan),
 		res:           &Result{App: o.Job.App.Name, Workers: o.Workers, Resumed: st != nil},
 	}
 	for _, b := range o.Blocks {
@@ -850,9 +871,9 @@ func (c *coord) fill() {
 			if !ok {
 				break
 			}
-			id, endSpan := c.ctr.span(stageSchedAssign, 0)
-			c.assignSpans[attemptKey{t, c.st.Attempt[t]}] = endSpan
-			msg := mapTaskMsg{Task: t, Attempt: c.st.Attempt[t], SpanID: id}
+			sp := openSpan{c.ctr.NewID(), time.Now()}
+			c.assignSpans[attemptKey{t, c.st.Attempt[t]}] = sp
+			msg := mapTaskMsg{Task: t, Attempt: c.st.Attempt[t], SpanID: sp.id}
 			if c.holders == nil {
 				msg.Block = c.o.Blocks[t]
 			} else {
@@ -910,10 +931,10 @@ func (c *coord) maybeReduce() {
 		if c.st.done[p] {
 			continue // accepted before a restart or recovery; output is final
 		}
-		id, endSpan := c.ctr.span(stageSchedReduce, 0)
-		c.reduceSpans[p] = endSpan
+		sp := openSpan{c.ctr.NewID(), time.Now()}
+		c.reduceSpans[p] = sp
 		c.send(c.st.Homes[p], frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
-			Partition: p, Attempt: c.reduceAttempt[p], SpanID: id,
+			Partition: p, Attempt: c.reduceAttempt[p], SpanID: sp.id,
 		})})
 	}
 	if len(c.reduceSpans) == 0 {
@@ -1168,8 +1189,8 @@ func (c *coord) death(w int) {
 		// from the cancelled wave are still accepted if their partition's
 		// data was complete.
 		c.phase = phaseMap
-		for _, end := range c.reduceSpans {
-			end()
+		for _, sp := range c.reduceSpans {
+			c.ctr.RecordID(sp.id, obs.StageSchedReduce, sp.start, 0, nil)
 		}
 		clear(c.reduceSpans)
 		for p := range c.reduceAttempt {
@@ -1233,8 +1254,8 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 		// Only an attempt this coordinator dispatched counts against quiesce:
 		// a resumed one also hears from attempts its predecessor dispatched.
 		k := attemptKey{m.Task, m.Attempt}
-		if end := c.assignSpans[k]; end != nil {
-			end()
+		if sp, ok := c.assignSpans[k]; ok {
+			c.ctr.RecordID(sp.id, obs.StageSchedAssign, sp.start, 0, nil)
 			delete(c.assignSpans, k)
 			cw.outstanding--
 		}
@@ -1290,8 +1311,8 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 		// Count a partition against the wave once: a reduce task the crashed
 		// coordinator dispatched can report to its resumed successor, under
 		// the same attempt number as the re-dispatch.
-		if end := c.reduceSpans[m.Partition]; end != nil && m.Attempt == c.reduceAttempt[m.Partition] {
-			end()
+		if sp, ok := c.reduceSpans[m.Partition]; ok && m.Attempt == c.reduceAttempt[m.Partition] {
+			c.ctr.RecordID(sp.id, obs.StageSchedReduce, sp.start, 0, nil)
 			delete(c.reduceSpans, m.Partition)
 		}
 		if !c.st.done[m.Partition] {
@@ -1360,10 +1381,10 @@ func (c *coord) result() *Result {
 		}
 	}
 	if tel := c.o.Telemetry; tel != nil && tel.Spans != nil {
-		for _, s := range c.ctr.spans() {
+		for _, s := range c.ctr.Spans() {
 			tel.Spans.Span(s)
 		}
-		coordEpoch := c.ctr.epoch.UnixNano()
+		coordEpoch := c.ctr.Epoch().UnixNano()
 		for _, b := range c.batches {
 			delta := float64(b.EpochUnixNano-coordEpoch)/1e9 - res.ClockOffsets[b.Node]
 			for _, s := range b.Spans {

@@ -61,9 +61,12 @@
 // recovery set is all resolved tasks; destination-side first-marker-wins
 // dedup discards the re-delivered output partitions that survived.
 //
-// Every transfer is instrumented through internal/obs (net/send and
-// net/recv spans on the worker's node track, conserv_net_* counters), so
-// Chrome traces show the wire stage and internal/conformance can prove
+// Every node times its work with an obs.Tracer, the one the native runtime
+// uses too: the coordinator's sched/* spans, each worker's map, spill and
+// reduce spans and the wire stage (net/send and net/recv spans on the
+// worker's node track), each with a node-salted id and the id of the span
+// that caused it, which the merged Chrome trace draws as cross-process
+// arrows. The conserv_net_* counters let internal/conformance prove
 // records sent == received + lost even across a worker kill. The pipeline
 // boundaries count into core.Conserv, the conservation ledger the simulator
 // and internal/native use too; tel.go adds the counters only this runtime has.
@@ -138,6 +141,14 @@ type Options struct {
 	Resume bool
 }
 
+// resolver is the job's app resolver: NewApp, else the registry.
+func (o *Options) resolver() Resolver {
+	if o.NewApp != nil {
+		return o.NewApp
+	}
+	return RegistryResolver
+}
+
 // AppSpec identifies the job's application on the wire so multi-process
 // workers can reconstruct the kernels locally (code never crosses the
 // network; both sides run the same binary). Params is an opaque
@@ -162,6 +173,11 @@ type Job struct {
 	// MaxAttempts bounds failed executions per task (0 = default 4).
 	MaxAttempts int
 }
+
+// MaxPartitions bounds Job.Partitions. Every map task sizes per-partition
+// slices by it and the coordinator per-partition state, so a job asking for
+// more is refused before anything is sized.
+const MaxPartitions = 1 << 16
 
 func (j Job) withDefaults() Job {
 	if j.Partitions <= 0 {
@@ -281,22 +297,3 @@ func (r *Result) Output() []kv.Pair {
 	}
 	return out
 }
-
-// Stage names for the dist runtime's spans. The map/reduce vocabulary is
-// shared with the sim and native runtimes so all three export onto the same
-// Chrome-trace tracks; net/send and net/recv are the wire stage this
-// runtime adds.
-const (
-	stageMapKernel    = "map/kernel"
-	stageMapInput     = "map/input"
-	stageMapPartition = "map/partition"
-	stageNetSend      = "net/send"
-	stageNetRecv      = "net/recv"
-	stageSpill        = "spill"
-	stageReduce       = "reduce"
-	// Coordinator-side scheduling spans (node -1 in the merged trace): the
-	// tenure of one map attempt / reduce partition from dispatch to its
-	// done report — the root of each task's causal chain.
-	stageSchedAssign = "sched/assign"
-	stageSchedReduce = "sched/reduce"
-)

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -331,9 +332,9 @@ func TestOverlap(t *testing.T) {
 	var sends, kernels []obs.Span
 	for _, s := range spans {
 		switch s.Stage {
-		case stageNetSend:
+		case obs.StageNetSend:
 			sends = append(sends, s)
-		case stageMapKernel:
+		case obs.StageMapKernel:
 			kernels = append(kernels, s)
 		}
 	}
@@ -563,5 +564,33 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("frame never arrived")
+	}
+}
+
+// A job the cluster cannot run is refused before the coordinator sizes
+// anything by it: a partition count over MaxPartitions, or a combiner the
+// app (TeraSort has no Combine kernel) or the collector (the buffer pool
+// has no table to fold in) cannot run.
+func TestLoopbackRefusesUnrunnableJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name, app string
+		mutate    func(*Job)
+		want      string
+	}{
+		{"partitions over the cap", "wc", func(j *Job) { j.Partitions = 1 << 28 }, "exceeds the cap"},
+		{"combiner without Combine", "ts", func(j *Job) { j.UseCombiner = true }, "combiner requires"},
+		{"combiner on the pool", "wc", func(j *Job) { j.UseCombiner, j.Collector = true, core.BufferPool }, "combiner requires"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job, blocks, _, err := DemoJob(tc.app, 32<<10, 2, 16<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&job)
+			_, err = RunLoopback(Options{Job: job, Workers: 2, Blocks: blocks, KillWorker: -1})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunLoopback = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -254,7 +254,7 @@ func (s *jobState) apply(r payload) error {
 			return errors.New("duplicate job-start record")
 		}
 		if len(r.Digest) != 32 || r.Tasks < 0 || r.Tasks > maxFrame ||
-			r.Job.Partitions <= 0 || r.Job.Partitions > maxFrame {
+			r.Job.Partitions <= 0 || r.Job.Partitions > MaxPartitions {
 			return errors.New("implausible job-start record")
 		}
 		s.jobRecord, s.started = *r, true

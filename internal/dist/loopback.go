@@ -94,10 +94,7 @@ func RunLoopback(o Options) (*Result, error) {
 	if o.Workers <= 0 {
 		return nil, fmt.Errorf("dist: need at least one worker, got %d", o.Workers)
 	}
-	resolve := o.NewApp
-	if resolve == nil {
-		resolve = RegistryResolver
-	}
+	resolve := o.resolver()
 
 	// Fold the legacy single-kill knob into the elastic schedule so the
 	// coordinator has one churn pipeline.

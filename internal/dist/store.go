@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 // attemptKey identifies one execution of one map task.
@@ -64,7 +65,7 @@ type shuffleStore struct {
 	// hears about them.
 	spillDir func() (string, error)
 	spillLed *ledger
-	spillTr  *tracer
+	spillTr  *obs.Tracer
 	journal  *slog.Logger
 }
 
@@ -83,7 +84,7 @@ func newShuffleStore() *shuffleStore {
 // limit bytes are evicted to run files under dir(). led receives the
 // conserv_spill_* accounting; tr and journal (both optional) the spill
 // spans and the one line written if a disk error disarms spilling.
-func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *tracer, journal *slog.Logger) {
+func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *obs.Tracer, journal *slog.Logger) {
 	s.spillDir = dir
 	s.spillLed = led
 	s.spillTr = tr
@@ -95,7 +96,7 @@ func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led 
 func (s *shuffleStore) spilled(run *kv.Run, t0 time.Time) {
 	s.spillLed.Spilled(run)
 	if s.spillTr != nil {
-		s.spillTr.record(stageSpill, t0, time.Now(), 0)
+		s.spillTr.Record(obs.StageSpill, t0, 0)
 	}
 }
 

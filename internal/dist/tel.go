@@ -2,8 +2,6 @@ package dist
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"glasswing/internal/core"
 	"glasswing/internal/obs"
@@ -148,71 +146,6 @@ func (l *ledger) dropped(f frame) {
 		l.StoreLost.Add(f.records)
 	}
 }
-
-// tracer records one node's trace spans against that node's own wall clock
-// and mints cluster-unique span ids. Workers ship their tracer's buffer to
-// the coordinator in a span-batch at job end; the coordinator rebases every
-// batch onto its own epoch (minus the estimated clock offset) and emits one
-// merged trace.
-type tracer struct {
-	node  int
-	epoch time.Time
-	ctr   atomic.Uint64
-	buf   obs.SpanBuffer
-}
-
-// spanIDBits is how many id bits belong to the per-tracer counter; the bits
-// above carry the node salt (node+2, so the coordinator's node -1 salts as
-// 1 and node 0 as 2 — never 0, which marks "no span").
-const spanIDBits = 48
-
-func newTracer(node int) *tracer {
-	return &tracer{node: node, epoch: time.Now()}
-}
-
-// newID mints a cluster-unique span id: node salt in the high bits, a
-// per-tracer counter below.
-func (t *tracer) newID() uint64 {
-	return uint64(t.node+2)<<spanIDBits | (t.ctr.Add(1) & (1<<spanIDBits - 1))
-}
-
-// span starts one unit of stage work with a fresh id; the returned func
-// ends and records it. The id is returned up front so it can parent child
-// spans (or cross the wire) before the work completes.
-func (t *tracer) span(stage string, parent uint64) (uint64, func()) {
-	id := t.newID()
-	return id, t.spanWithID(id, stage, parent)
-}
-
-// spanWithID starts stage work under a pre-minted id — the net/send path,
-// where the coalescer mints the id so it can embed it in the frame payload
-// before the connection pump starts the span.
-func (t *tracer) spanWithID(id uint64, stage string, parent uint64) func() {
-	t0 := time.Now()
-	return func() { t.recordAt(id, stage, t0, time.Now(), parent, nil) }
-}
-
-// record books a completed interval with a fresh id, returning the id.
-func (t *tracer) record(stage string, start, end time.Time, parent uint64) uint64 {
-	id := t.newID()
-	t.recordAt(id, stage, start, end, parent, nil)
-	return id
-}
-
-// recordAt books a completed interval under a pre-minted id; tags (may be
-// nil) ride on the span — the per-split locality verdict on map/input spans,
-// for one.
-func (t *tracer) recordAt(id uint64, stage string, start, end time.Time, parent uint64, tags map[string]string) {
-	begin := start.Sub(t.epoch).Seconds()
-	t.buf.Span(obs.Span{
-		Node: t.node, Stage: stage,
-		Start: begin, End: begin + end.Sub(start).Seconds(),
-		ID: id, Parent: parent, Tags: tags,
-	})
-}
-
-// spans returns the recorded spans.
-func (t *tracer) spans() []obs.Span { return t.buf.Spans() }
 
 // clockEstimator holds the NTP-style offset estimate for one remote node,
 // fed by heartbeat probe/reply timestamp exchanges. The estimate kept is

@@ -60,19 +60,19 @@ func TestTraceMergedCluster(t *testing.T) {
 	kernels, crossRecv := 0, 0
 	for _, s := range spans {
 		switch s.Stage {
-		case stageMapKernel:
+		case obs.StageMapKernel:
 			kernels++
 			p, ok := byID[s.Parent]
-			if !ok || p.Node != -1 || p.Stage != stageSchedAssign {
+			if !ok || p.Node != -1 || p.Stage != obs.StageSchedAssign {
 				t.Fatalf("map/kernel span parent %#x not a coordinator sched/assign span (%+v)", s.Parent, p)
 			}
-		case stageNetRecv:
-			if p, ok := byID[s.Parent]; ok && p.Stage == stageNetSend && p.Node != s.Node {
+		case obs.StageNetRecv:
+			if p, ok := byID[s.Parent]; ok && p.Stage == obs.StageNetSend && p.Node != s.Node {
 				crossRecv++
 			}
-		case stageReduce:
+		case obs.StageReduce:
 			p, ok := byID[s.Parent]
-			if !ok || p.Node != -1 || p.Stage != stageSchedReduce {
+			if !ok || p.Node != -1 || p.Stage != obs.StageSchedReduce {
 				t.Fatalf("reduce span parent %#x not a coordinator sched/reduce span", s.Parent)
 			}
 		}

@@ -72,7 +72,7 @@ type worker struct {
 	cfg workerConfig
 	tun Tuning
 	led *ledger
-	tr  *tracer
+	tr  *obs.Tracer
 
 	// Set by start, from the welcome and job-start, before any other
 	// goroutine reads them.
@@ -141,8 +141,8 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		cc.send(frame{typ: mSpanBatch, payload: encode(&spanBatchMsg{
 			TraceID:       w.traceID,
 			Node:          w.id,
-			EpochUnixNano: w.tr.epoch.UnixNano(),
-			Spans:         w.tr.spans(),
+			EpochUnixNano: w.tr.Epoch().UnixNano(),
+			Spans:         w.tr.Spans(),
 		})})
 		cc.flush()
 	}
@@ -160,7 +160,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		os.RemoveAll(w.workdir)
 	}
 	if cfg.localSpans && w.tr != nil && led.tel != nil && led.tel.Spans != nil {
-		for _, s := range w.tr.spans() {
+		for _, s := range w.tr.Spans() {
 			led.tel.Spans.Span(s)
 		}
 	}
@@ -299,7 +299,7 @@ var peerMeshTimeout = 60 * time.Second
 // wall-clock interval that overlaps the executor's map spans in the trace.
 func (w *worker) newPeerConn(c net.Conn, name string) *conn {
 	cc := newConn(c, name, w.tun, w.led.dropped)
-	cc.onBulkWrite = func(f *frame) func() { return w.tr.spanWithID(f.spanID, stageNetSend, f.spanParent) }
+	cc.onBulkDone = func(f *frame) { w.tr.RecordID(f.spanID, obs.StageNetSend, f.enq, f.spanParent, nil) }
 	cc.onBulkTiming = w.led.bulkTiming
 	return cc
 }
@@ -331,7 +331,7 @@ func (w *worker) start(typ byte, p []byte, ln net.Listener) error {
 		if err := decode(p, &wel).fin("welcome"); err != nil {
 			return err
 		}
-		w.id, w.tr = wel.WorkerID, newTracer(wel.WorkerID)
+		w.id, w.tr = wel.WorkerID, obs.NewTracer(wel.WorkerID, new(obs.SpanBuffer))
 		return nil
 	}
 	var js jobStartMsg
@@ -513,7 +513,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 		return
 	}
 	if locality != "" {
-		w.tr.recordAt(w.tr.newID(), stageMapInput, t0, time.Now(), m.SpanID, map[string]string{
+		w.tr.RecordID(w.tr.NewID(), obs.StageMapInput, t0, m.SpanID, map[string]string{
 			"locality": locality,
 			"block":    fmt.Sprintf("%d", m.Task),
 		})
@@ -523,9 +523,9 @@ func (w *worker) runMap(m mapTaskMsg) {
 	// this attempt; everything downstream (partitioning, the shuffle sends)
 	// parents on the kernel, forming the causal chain the merged trace
 	// draws as flow arrows.
-	kernelID, end := w.tr.span(stageMapKernel, m.SpanID)
+	t0 = time.Now()
 	chunk := native.MapBlock(w.app, block, w.job.Collector, w.job.UseCombiner)
-	end()
+	kernelID := w.tr.Record(obs.StageMapKernel, t0, m.SpanID)
 
 	if w.cfg.mapFault != nil && w.cfg.mapFault(m.Task, m.Attempt) {
 		// Fail before partitioning: like the sim core, a failed attempt has
@@ -535,9 +535,9 @@ func (w *worker) runMap(m mapTaskMsg) {
 		return
 	}
 
-	_, end = w.tr.span(stageMapPartition, kernelID)
+	t0 = time.Now()
 	runs, stats := chunk.Partition(w.prt, w.job.Partitions, w.job.Compress)
-	end()
+	w.tr.Record(obs.StageMapPartition, t0, kernelID)
 	w.do(wevent{kind: weBuilt, built: &builtMap{task: m.Task, attempt: m.Attempt, runs: runs, stats: stats, span: kernelID}})
 }
 
@@ -548,8 +548,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 // kills and coordinator restarts a partition can be recomputed, and only
 // the first accepted report may count.
 func (w *worker) runReduce(rt reduceTaskMsg) {
-	_, end := w.tr.span(stageReduce, rt.SpanID)
-	defer end()
+	defer w.tr.Record(obs.StageReduce, time.Now(), rt.SpanID)
 	// The step hands out the partition's runs as iterators, drained here
 	// outside the lock: resident runs are immutable once committed, and a
 	// concurrent spill of this partition only drops the store's reference —
@@ -593,7 +592,7 @@ func (w *worker) peerReader(j int, cc *conn) {
 		}
 		if typ == mRunBatch {
 			// The staging span parents on the sender's net/send span.
-			w.tr.record(stageNetRecv, t0, time.Now(), sendSpan)
+			w.tr.Record(obs.StageNetRecv, t0, sendSpan)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func TestShortReplicaFailsTheRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := newLedger(nil)
-	w := &worker{led: led, tr: newTracer(0), bstore: bs, fetchDone: make(chan weffect, 1)}
+	w := &worker{led: led, tr: obs.NewTracer(0, new(obs.SpanBuffer)), bstore: bs, fetchDone: make(chan weffect, 1)}
 	w.st = startedWState(t, 0, []string{"w0"}, []int{0}, newShuffleStore(), led)
 	for _, local := range []bool{true, false} {
 		m := mapTaskMsg{Task: 3, Ref: true, BlockSize: int64(len("truncated")), Holders: []int{0}, AllowLocal: local}
@@ -261,7 +261,7 @@ func TestShortReplyFailsOver(t *testing.T) {
 // the link while this side keeps it.
 func TestAcceptorReplyLeadsTheLink(t *testing.T) {
 	led := newLedger(nil)
-	w := &worker{led: led, tr: newTracer(0)}
+	w := &worker{led: led, tr: obs.NewTracer(0, new(obs.SpanBuffer))}
 	w.st = startedWState(t, 0, []string{"w0", "w1"}, []int{0, 1}, newShuffleStore(), led)
 	near, far := net.Pipe()
 	defer far.Close()
@@ -490,7 +490,7 @@ func TestHostilePeerHelloOverTCP(t *testing.T) {
 func TestDamagedPeerRunFailsTheReduce(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		led := newLedger(nil)
-		w := &worker{led: led, tr: newTracer(0), app: &core.App{Name: "identity"}}
+		w := &worker{led: led, tr: obs.NewTracer(0, new(obs.SpanBuffer)), app: &core.App{Name: "identity"}}
 		w.st = newWState("self", newShuffleStore(), led)
 		w.st.step(wevent{kind: weFrame, peer: coordPeer, typ: mWelcome, p: encode(&welcomeMsg{WorkerID: 0, Workers: 2})})
 		w.st.step(wevent{kind: weFrame, peer: coordPeer, typ: mJobStart, p: encode(&jobStartMsg{

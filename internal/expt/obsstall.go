@@ -25,7 +25,7 @@ func PipelineStalls(s Sizes) *Table {
 		}
 		res := breakdownRun(apps.WordCount(), blocks, blockSize, cfg, false, nil)
 		mustVerify(apps.VerifyCounts(res.Output(), want), "stall WC")
-		return obs.Analyze(res.Trace.ObsSpans())
+		return obs.Analyze(res.Trace.Spans)
 	}
 	rep := run(false)
 	for _, row := range rep.Rows {

@@ -218,7 +218,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// scheduling spans plus every worker's batch, clock-aligned to the
 	// coordinator's epoch by the dist runtime before they landed here.
 	meta := map[string]any{"trace_id": traceIDHex(j.traceID), "job": j.id, "tenant": j.tenant}
-	obs.WriteChromeTraceWithMeta(w, j.tel.Spans.Spans(), meta, j.tel.Spans.Instants()...)
+	obs.WriteChromeTraceWithMeta(w, j.tel.Spans.Spans(), meta)
 }
 
 func (s *Service) handleJobMetrics(w http.ResponseWriter, r *http.Request) {

@@ -57,6 +57,7 @@ func TestAPISubmitRejections(t *testing.T) {
 	bigParams := base64.StdEncoding.EncodeToString(make([]byte, 200))
 	bigInput := base64.StdEncoding.EncodeToString(make([]byte, 4096))
 	in := base64.StdEncoding.EncodeToString([]byte("a b\n"))
+	tsParams := base64.StdEncoding.EncodeToString(dist.EncodeTSParams([][]byte{[]byte("m")}))
 
 	cases := []struct {
 		name       string
@@ -79,6 +80,12 @@ func TestAPISubmitRejections(t *testing.T) {
 		{"negative geometry", `{"tenant":"t","app":"wc","input_b64":"` + in + `","partitions":-3}`, 400, "bad-geometry"},
 		{"fault injection disabled", `{"tenant":"t","app":"wc","input_b64":"` + in + `","map_fault_mod":3}`, 400, "fault-injection-disabled"},
 		{"ts without params", `{"tenant":"t","app":"ts","input_b64":"` + in + `","record_size":100}`, 400, "unknown-app"},
+		// Refused before anything is sized by the count.
+		{"partitions over the cap", `{"tenant":"t","app":"wc","input_b64":"` + in + `","partitions":268435456}`, 400, "bad-geometry"},
+		// A combiner the job cannot run: TeraSort has no Combine kernel, and
+		// the buffer pool has no table for a combiner to fold in.
+		{"combiner without Combine", `{"tenant":"t","app":"ts","input_b64":"` + in + `","record_size":100,"use_combiner":true,"params_b64":"` + tsParams + `"}`, 400, "bad-combiner"},
+		{"combiner on the pool", `{"tenant":"t","app":"wc","input_b64":"` + in + `","collector":"pool","use_combiner":true}`, 400, "bad-combiner"},
 	}
 
 	_, srv := apiFixture(t, Config{MaxInputBytes: 1024, MaxParamsBytes: 100})

@@ -43,6 +43,7 @@ import (
 
 	"glasswing/internal/core"
 	"glasswing/internal/dist"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -598,7 +599,8 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	}
 	// Resolve the app now: an unknown name or corrupt param blob fails the
 	// submission, not the run.
-	if _, _, err := dist.RegistryResolver(dist.AppSpec{Name: req.App, Params: params}); err != nil {
+	app, _, err := dist.RegistryResolver(dist.AppSpec{Name: req.App, Params: params})
+	if err != nil {
 		return nil, badRequest("unknown-app", "%v", err)
 	}
 	var collector core.CollectorKind
@@ -610,6 +612,9 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	default:
 		return nil, badRequest("bad-collector", "unknown collector %q (hash, pool)", req.Collector)
 	}
+	if err := native.CheckCombiner(app, collector, req.UseCombiner); err != nil {
+		return nil, badRequest("bad-combiner", "%v", err)
+	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = 2
@@ -619,8 +624,8 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	if t := s.fleetStatus().Total; workers > t {
 		workers = t
 	}
-	if req.RecordSize < 0 || req.Chunk < 0 || req.Partitions < 0 {
-		return nil, badRequest("bad-geometry", "record_size, chunk and partitions must be non-negative")
+	if req.RecordSize < 0 || req.Chunk < 0 || req.Partitions < 0 || req.Partitions > dist.MaxPartitions {
+		return nil, badRequest("bad-geometry", "record_size, chunk and partitions must be non-negative, partitions at most %d", dist.MaxPartitions)
 	}
 	switch req.Blockstore {
 	case "", "local", "remote":

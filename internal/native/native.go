@@ -166,6 +166,16 @@ func forEach(n, workers int, fn func(i int) error) error {
 	return <-errs // the first error sent; nil from the closed channel if none was
 }
 
+// CheckCombiner is the one rule for a map-side combiner, in every runtime:
+// a job may ask for one only if its app has a Combine kernel and it
+// collects into the hash table, which is where the combiner folds.
+func CheckCombiner(app *core.App, collector core.CollectorKind, useCombiner bool) error {
+	if useCombiner && (app.Combine == nil || collector != core.HashTable) {
+		return fmt.Errorf("combiner requires App.Combine and the hash-table collector")
+	}
+	return nil
+}
+
 // Run executes app over the input blocks and returns the result. Blocks
 // are the unit of map-chunk parallelism (split files on record boundaries;
 // package dfs's SplitLines/SplitFixed do this for text and fixed records).
@@ -176,8 +186,8 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	if app.MapBatch == nil || app.Parse == nil {
 		return nil, fmt.Errorf("native: app %q needs Parse and MapBatch", app.Name)
 	}
-	if cfg.UseCombiner && (app.Combine == nil || cfg.Collector != core.HashTable) {
-		return nil, fmt.Errorf("native: combiner requires App.Combine and the hash-table collector")
+	if err := CheckCombiner(app, cfg.Collector, cfg.UseCombiner); err != nil {
+		return nil, fmt.Errorf("native: %w", err)
 	}
 	res := &Result{App: app.Name}
 	for _, b := range blocks {
@@ -193,8 +203,8 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	err := forEach(len(blocks), cfg.KernelWorkers, func(i int) error {
 		t0 := time.Now()
 		c := MapBlock(app, blocks[i], cfg.Collector, cfg.UseCombiner)
-		rec.end(stageMapKernel, t0)
-		defer rec.end(stageMapPartition, time.Now())
+		kernel := rec.kernel(t0)
+		defer rec.tr.Record(obs.StageMapPartition, time.Now(), kernel)
 		runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
 		st.Book(&rec.Conserv)
 		for g, run := range runs {
@@ -222,7 +232,7 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	res.MergeDelay = reduceStart.Sub(start) - res.MapElapsed
 	res.outputs = make([][]kv.Pair, cfg.Partitions)
 	err = forEach(cfg.Partitions, cfg.KernelWorkers, func(g int) error {
-		defer rec.end(stageReduce, time.Now())
+		defer rec.tr.Record(obs.StageReduce, time.Now(), 0)
 		iters, closeSpills, spillErr := store.Iters(g)
 		out, records, groups := ReducePartition(app, iters)
 		closeSpills()
@@ -245,7 +255,7 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	for _, part := range res.outputs {
 		res.OutputPairs += len(part)
 	}
-	res.Stages = rec.stages()
+	res.Stages = rec.tr.Busy()
 	res.ReduceElapsed = time.Since(reduceStart)
 	res.Total = time.Since(start)
 	rec.publish(res)

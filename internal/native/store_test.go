@@ -16,6 +16,7 @@ import (
 	"glasswing/internal/core"
 	"glasswing/internal/dfs"
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 func testRun(key, val string) *kv.Run {
@@ -140,7 +141,7 @@ func TestStoreSpillAccounting(t *testing.T) {
 	if raw, n := rec.SpillRawBytes.Value(), rec.SpillRecords.Value(); onDisk < raw || onDisk > raw+10*n {
 		t.Fatalf("spilled %d bytes, outside [%d, %d] for %d records", onDisk, raw, raw+10*n, n)
 	}
-	if rec.stages()[stageSpill] <= 0 {
+	if rec.tr.Busy()[obs.StageSpill] <= 0 {
 		t.Fatal("no spill time booked")
 	}
 	cleanup()

@@ -2,7 +2,6 @@ package native
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"glasswing/internal/core"
@@ -10,30 +9,15 @@ import (
 	"glasswing/internal/obs"
 )
 
-// Pipeline stage names for the native runtime's spans and Result.Stages.
-// They reuse the sim trace vocabulary so both runtimes export onto the same
-// Chrome-trace tracks.
-const (
-	stageMapKernel    = "map/kernel"
-	stageMapPartition = "map/partition"
-	stageSpill        = "spill"
-	stageReduce       = "reduce"
-)
-
 // recorder collects the native pipeline's wall-clock stage telemetry. The
-// per-stage busy accumulators and the conservation ledger are always on (a
-// handful of atomic adds per chunk) — the ledger counts straight into the
-// caller's registry, or a private one when the run has no Telemetry; spans
-// and memory-stat deltas are recorded only when the caller supplied a
+// tracer's per-stage busy totals and the conservation ledger are always on
+// (a handful of atomic adds per chunk) — the ledger counts straight into
+// the caller's registry, or a private one when the run has no Telemetry;
+// spans and memory-stat deltas are recorded only when the caller supplied a
 // Telemetry bundle, so benchmark runs stay undistorted.
 type recorder struct {
-	epoch time.Time
-	tel   *obs.Telemetry
-
-	mapKernelNs    atomic.Int64
-	mapPartitionNs atomic.Int64
-	spillNs        atomic.Int64
-	reduceNs       atomic.Int64
+	tr  *obs.Tracer
+	tel *obs.Telemetry
 
 	core.Conserv
 	// base is the ledger at job start: a registry may be shared across runs,
@@ -46,15 +30,17 @@ type recorder struct {
 }
 
 func newRecorder(tel *obs.Telemetry) *recorder {
-	r := &recorder{epoch: time.Now(), tel: tel}
+	r := &recorder{tel: tel}
 	var reg *obs.Registry
+	var spans *obs.SpanBuffer
 	if tel != nil {
-		reg = tel.Metrics
+		reg, spans = tel.Metrics, tel.Spans
 		runtime.ReadMemStats(&r.memStart)
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	r.tr = obs.NewTracer(0, spans)
 	r.Conserv = core.NewConserv(reg)
 	r.chunks = reg.Counter("native_chunks_total")
 	r.chunkHist = reg.Histogram("native_chunk_seconds", obs.DefTimeBuckets)
@@ -64,50 +50,18 @@ func newRecorder(tel *obs.Telemetry) *recorder {
 	return r
 }
 
-func (r *recorder) acc(stage string) *atomic.Int64 {
-	switch stage {
-	case stageMapKernel:
-		return &r.mapKernelNs
-	case stageMapPartition:
-		return &r.mapPartitionNs
-	case stageSpill:
-		return &r.spillNs
-	default:
-		return &r.reduceNs
-	}
-}
-
-// end books one unit of stage work begun at t0: the elapsed time goes to
-// the stage accumulator and, when enabled, out as a span.
-func (r *recorder) end(stage string, t0 time.Time) {
-	d := time.Since(t0)
-	r.acc(stage).Add(int64(d))
-	if stage == stageMapKernel {
-		r.chunks.Inc()
-		r.chunkHist.Observe(d.Seconds())
-	}
-	if r.tel != nil && r.tel.Spans != nil {
-		begin := t0.Sub(r.epoch).Seconds()
-		r.tel.Spans.Span(obs.Span{Node: 0, Stage: stage, Start: begin, End: begin + d.Seconds()})
-	}
+// kernel books one chunk's map kernel, begun at t0, and returns its span id.
+func (r *recorder) kernel(t0 time.Time) uint64 {
+	id := r.tr.Record(obs.StageMapKernel, t0, 0)
+	r.chunks.Inc()
+	r.chunkHist.Observe(time.Since(t0).Seconds())
+	return id
 }
 
 // spilled is the run store's hook: one run was filed, its write begun at t0.
 func (r *recorder) spilled(run *kv.Run, t0 time.Time) {
-	r.end(stageSpill, t0)
+	r.tr.Record(obs.StageSpill, t0, 0)
 	r.Spilled(run)
-}
-
-// stages snapshots the per-stage busy totals (stages that never ran are
-// omitted).
-func (r *recorder) stages() map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, stage := range []string{stageMapKernel, stageMapPartition, stageSpill, stageReduce} {
-		if v := r.acc(stage).Load(); v > 0 {
-			out[stage] = time.Duration(v)
-		}
-	}
-	return out
 }
 
 // publish pushes the finished run's headline counters and gauges into the

@@ -31,7 +31,7 @@ func TestTelemetryInstrumentsEveryStage(t *testing.T) {
 	}
 
 	// Every stage that ran reports nonzero busy time.
-	for _, stage := range []string{stageMapKernel, stageMapPartition, stageSpill, stageReduce} {
+	for _, stage := range []string{obs.StageMapKernel, obs.StageMapPartition, obs.StageSpill, obs.StageReduce} {
 		if res.Stages[stage] <= 0 {
 			t.Errorf("stage %q busy = %v, want > 0 (stages: %v)", stage, res.Stages[stage], res.Stages)
 		}
@@ -94,7 +94,52 @@ func TestStagesCollectedWithoutTelemetry(t *testing.T) {
 	if err := apps.VerifyCounts(res.Output(), want); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stages[stageMapKernel] <= 0 || res.Stages[stageReduce] <= 0 {
+	if res.Stages[obs.StageMapKernel] <= 0 || res.Stages[obs.StageReduce] <= 0 {
 		t.Errorf("busy totals missing without telemetry: %v", res.Stages)
+	}
+}
+
+// A traced native run links its spans the way a dist node does: every span
+// has a unique non-zero id, every map/partition span parents on the
+// map/kernel span of its chunk, and the Chrome exporter draws those links as
+// flow arrows.
+func TestNativeTraceLinksPartitionToKernel(t *testing.T) {
+	data, _ := apps.WCData(12, 64<<10, 500)
+	blocks := dfs.SplitLines(data, 8<<10)
+	tel := obs.NewTelemetry()
+	if _, err := Run(apps.WordCount(), blocks, Config{Partitions: 2, KernelWorkers: 2, Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	spans := tel.Spans.Spans()
+	byID := map[uint64]obs.Span{}
+	for _, s := range spans {
+		if s.ID == 0 {
+			t.Fatalf("span without an id: %+v", s)
+		}
+		if _, dup := byID[s.ID]; dup {
+			t.Fatalf("span id %x recorded twice", s.ID)
+		}
+		byID[s.ID] = s
+	}
+	partitions := 0
+	for _, s := range spans {
+		if s.Stage != obs.StageMapPartition {
+			continue
+		}
+		partitions++
+		if k, ok := byID[s.Parent]; !ok || k.Stage != obs.StageMapKernel || k.Node != s.Node {
+			t.Errorf("map/partition span %+v does not parent on a map/kernel span of its node (parent %+v)", s, k)
+		}
+	}
+	if partitions != len(blocks) {
+		t.Fatalf("%d map/partition spans for %d blocks", partitions, len(blocks))
+	}
+
+	var sb strings.Builder
+	if err := obs.WriteChromeTrace(&sb, spans); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), `"ph": "s"`); got < partitions {
+		t.Errorf("%d flow starts in the Chrome trace, want at least %d", got, partitions)
 	}
 }

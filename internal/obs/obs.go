@@ -1,15 +1,20 @@
-// Package obs is the shared observability layer consumed by both Glasswing
-// runtimes: the simulated cluster (internal/core, virtual seconds) and the
-// native host runtime (internal/native, wall-clock seconds).
+// Package obs is the shared observability layer consumed by every Glasswing
+// runtime: the simulated cluster (internal/core, virtual seconds), the
+// native host runtime (internal/native) and the distributed one
+// (internal/dist), both in wall-clock seconds.
 //
-// It provides three pieces, all runtime-agnostic:
+// It provides these pieces, all runtime-agnostic:
 //
 //   - a metrics Registry — counters, gauges and fixed-bucket histograms with
 //     atomic hot-path recording, labeled (node/stage/partition/...), and
 //     snapshottable to JSON;
-//   - a SpanSink interface plus SpanBuffer — the timeline feed: the sim
-//     core's Trace, the cl command-queue profiling events and the native
-//     runtime's wall-clock stage instrumentation all record Spans;
+//   - one span type, Span, under one stage vocabulary (the Stage*
+//     constants, in TrackOrder's order), a SpanSink interface plus
+//     SpanBuffer — the timeline feed: the sim core's Trace and the cl
+//     command-queue profiling events record Spans;
+//   - Tracer — the native and dist runtimes' wall-clock stage timer: busy
+//     totals per stage and, when it has a buffer, Spans with
+//     cluster-unique ids and parent links;
 //   - consumers of the timeline: WriteChromeTrace exports any run as Chrome
 //     trace_event JSON (open in chrome://tracing or Perfetto), and Analyze
 //     computes the paper's §V per-stage breakdown — busy/stall time,

@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Span is one interval of pipeline activity on one node's stage track.
 // Times are seconds — virtual seconds for the simulated runtime, wall-clock
@@ -38,12 +41,11 @@ type SpanSink interface {
 	Span(s Span)
 }
 
-// SpanBuffer is the straightforward SpanSink: it accumulates spans (and
-// instants) under a mutex for later export or analysis.
+// SpanBuffer is the straightforward SpanSink: it accumulates spans under a
+// mutex for later export or analysis.
 type SpanBuffer struct {
-	mu       sync.Mutex
-	spans    []Span
-	instants []Instant
+	mu    sync.Mutex
+	spans []Span
 }
 
 // Span records one span. Degenerate spans (End <= Start) are dropped.
@@ -53,16 +55,6 @@ func (b *SpanBuffer) Span(s Span) {
 	}
 	b.mu.Lock()
 	b.spans = append(b.spans, s)
-	b.mu.Unlock()
-}
-
-// Mark records one instantaneous event.
-func (b *SpanBuffer) Mark(i Instant) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.instants = append(b.instants, i)
 	b.mu.Unlock()
 }
 
@@ -76,48 +68,75 @@ func (b *SpanBuffer) Spans() []Span {
 	return append([]Span(nil), b.spans...)
 }
 
-// Instants returns a copy of the recorded instants.
-func (b *SpanBuffer) Instants() []Instant {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]Instant(nil), b.instants...)
+// The stage vocabulary: every span any runtime records lies on one of these
+// tracks, and Result.Stages in the native runtime is keyed by them. This is
+// the one place the names are written; the values are read by name outside
+// the module (benchmark harnesses, trace viewers), so they never change.
+const (
+	// Coordinator-side scheduling (dist): the tenure of one map attempt or
+	// reduce partition from dispatch to its done report, the root of each
+	// task's causal chain.
+	StageSchedAssign = "sched/assign"
+	StageSchedReduce = "sched/reduce"
+
+	StageMapInput     = "map/input"
+	StageMapStage     = "map/stage"
+	StageMapKernel    = "map/kernel"
+	StageMapRetrieve  = "map/retrieve"
+	StageMapPartition = "map/partition"
+	StageNetSend      = "net/send"
+	StageNetRecv      = "net/recv"
+
+	StageMerge       = "merge"
+	StageSpill       = "spill"
+	StageRetry       = "retry"
+	StageSpeculative = "speculative"
+
+	StageReduceInput  = "reduce/input"
+	StageReduceStage  = "reduce/stage"
+	StageReduceKernel = "reduce/kernel"
+	// StageReduce is the real runtimes' single reduce track (merge and
+	// kernel together), placed next to its simulated analog.
+	StageReduce       = "reduce"
+	StageReduceRetr   = "reduce/retr"
+	StageReduceOutput = "reduce/output"
+
+	// Device-level tracks: cl command-queue events, named "cl/" + event.
+	StageCLWrite  = "cl/write"
+	StageCLKernel = "cl/kernel"
+	StageCLRead   = "cl/read"
+)
+
+// stages lists the vocabulary in track order: the scheduling group, the map
+// group, intermediate-data and recovery work, the reduce group, then
+// device-level tracks.
+var stages = [...]string{
+	StageSchedAssign, StageSchedReduce,
+	StageMapInput, StageMapStage, StageMapKernel, StageMapRetrieve, StageMapPartition, StageNetSend, StageNetRecv,
+	StageMerge, StageSpill, StageRetry, StageSpeculative,
+	StageReduceInput, StageReduceStage, StageReduceKernel, StageReduce, StageReduceRetr, StageReduceOutput,
+	StageCLWrite, StageCLKernel, StageCLRead,
 }
 
-// TrackOrder returns a sort key placing stage tracks in pipeline execution
-// order: the map group, then intermediate-data and recovery work, then the
-// reduce group, then device-level (cl) tracks, then unknown stages
-// lexicographically. Both the core Gantt renderer and the Chrome exporter
-// use it, so the two views always agree on row order.
-func TrackOrder(stage string) string {
-	order := map[string]string{
-		"sched/assign":  "00",
-		"sched/reduce":  "01",
-		"map/input":     "a0",
-		"map/stage":     "a1",
-		"map/kernel":    "a2",
-		"map/retrieve":  "a3",
-		"map/partition": "a4",
-		"net/send":      "a5",
-		"net/recv":      "a6",
-		"merge":         "b0",
-		"spill":         "b1",
-		"retry":         "b2",
-		"speculative":   "b3",
-		"reduce/input":  "c0",
-		"reduce/stage":  "c1",
-		"reduce/kernel": "c2",
-		"reduce":        "c2~", // native's single reduce track, next to its sim analog
-		"reduce/retr":   "c3",
-		"reduce/output": "c4",
-		"cl/write":      "d0",
-		"cl/kernel":     "d1",
-		"cl/read":       "d2",
+// stageIndex maps a stage name to its position in stages; trackKey holds
+// each position's sort key.
+var stageIndex, trackKey = func() (map[string]int, [len(stages)]string) {
+	idx := make(map[string]int, len(stages))
+	var keys [len(stages)]string
+	for i, st := range stages {
+		idx[st] = i
+		keys[i] = fmt.Sprintf("%02d", i)
 	}
-	if o, ok := order[stage]; ok {
-		return o
+	return idx, keys
+}()
+
+// TrackOrder returns a sort key placing stage tracks in pipeline execution
+// order (the order of stages), then unknown stages lexicographically. The
+// core Gantt renderer, the Chrome exporter and the analyzer all use it, so
+// every view agrees on row order.
+func TrackOrder(stage string) string {
+	if i, ok := stageIndex[stage]; ok {
+		return trackKey[i]
 	}
 	return "z" + stage
 }

@@ -41,10 +41,20 @@ func NewTelemetry() *Telemetry { return obs.NewTelemetry() }
 
 // TraceSpans extracts a traced sim result's spans for the exporter and
 // analyzer (empty if the job ran without Config.Trace).
-func TraceSpans(r *Result) []Span { return r.Trace.ObsSpans() }
+func TraceSpans(r *Result) []Span {
+	if r.Trace == nil {
+		return nil
+	}
+	return r.Trace.Spans
+}
 
 // TraceInstants extracts a traced sim result's instant events (node deaths).
-func TraceInstants(r *Result) []TraceInstant { return r.Trace.ObsInstants() }
+func TraceInstants(r *Result) []TraceInstant {
+	if r.Trace == nil {
+		return nil
+	}
+	return r.Trace.Instants
+}
 
 // WriteChromeTrace exports spans (plus optional instants) as Chrome
 // trace_event JSON: one process per node, one track per pipeline stage. The
