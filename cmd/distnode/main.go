@@ -213,7 +213,7 @@ func writeTrace(path string, tel *obs.Telemetry) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := obs.WriteChromeTrace(f, tel.Spans.Spans()); err != nil {
+	if err := obs.WriteChromeTrace(f, tel.Spans.Spans(), tel.Spans.Instants()...); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

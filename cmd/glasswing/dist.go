@@ -108,7 +108,7 @@ func runDistJob(c distJobConfig) {
 		glasswing.AnalyzePipeline(tel.Spans.Spans()).WriteTable(os.Stdout)
 		printWireReport(tel.Metrics)
 	}
-	writeTraceFile(c.traceOut, tel.Spans.Spans(), nil,
+	writeTraceFile(c.traceOut, tel.Spans.Spans(), tel.Spans.Instants(),
 		glasswing.TraceMeta(tel.Metrics,
 			"dist_frame_bytes", "dist_shuffle_bytes_total",
 			"dist_net_queue_ns_total", "dist_net_write_ns_total"))

@@ -257,7 +257,7 @@ func (j *job) killNode(d int) {
 	}
 	j.deadNodes[d] = true
 	j.counters.nodesLost.Inc()
-	j.trace.mark(d, "node-death", j.cluster.Env.Now())
+	j.trace.mark(d, obs.InstantDeath, j.cluster.Env.Now())
 
 	var rexOrder []taskID
 	rexSeen := make(map[taskID]bool)

@@ -10,10 +10,11 @@ import (
 
 // TestLoopbackVolumeAndAllocs pins what a whole loopback job puts on the
 // wire, on disk and on the heap, for three 1 MiB, 3-worker demo jobs. Wire
-// and spill volume are functions of the dataset, the run encoding and the
-// frame coalescing, so their budgets are tight (1.10× and 1.25× the figures
-// measured when the rows were pinned): a fatter encoding, coalescing that
-// stopped batching or a store that stopped spilling fails here. Allocations
+// and spill volume are functions of the dataset, the run encoding and how
+// a shipment cuts its runs into frames, so their budgets are tight (1.10×
+// and 1.25× the figures measured when the rows were pinned): a fatter
+// encoding, framing that stopped batching or a store that stopped spilling
+// fails here. Allocations
 // were last pinned once reduce stopped allocating per pair read back and per
 // key group; 1.25× of them stays far below one allocation per pair. The
 // race detector's instrumentation allocates, so the file is built without it.

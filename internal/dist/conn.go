@@ -68,7 +68,7 @@ type conn struct {
 	// plus the write. That is the interval during which the data is in
 	// flight concurrently with whatever the executor computes next, i.e.
 	// the overlap the trace must show. The frame carries the span id and
-	// parent the coalescer stamped on it.
+	// parent shipment.frame stamped on it.
 	onBulkDone func(f *frame)
 	// onBulkTiming, if set, receives the split of each successfully written
 	// bulk frame's tenure: nanoseconds spent waiting in the queue versus

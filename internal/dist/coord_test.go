@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 // The schedule checker drives coord.step and the real worker's
@@ -28,16 +29,16 @@ import (
 //
 // Each worker is a wstate with a real shuffleStore; only its shell is
 // fake, and it performs effects the way worker.do does. Fake links carry
-// every frame a worker sends — run pushes, marks, acks, handoffs and
-// handoff marks — FIFO per direction, each delivery its own step. They
-// book the wire ledger where the real transport does: sent when a frame is
-// queued (coalescer.flush, handoff.stream), lost when a seal or close drops
-// it from the queue (conn.seal). Fake executors build each map attempt's
-// runs directly — one pair per partition, keyed by the task — and reduce by
-// draining the store's real iterators. Block-store jobs ingest every pushed
-// replica into the worker's fake disk and step its arrival; a Ref task that
-// may not read its own replica fetches it through the step, over the fake
-// links, from a holder that answers from its disk.
+// every frame a worker sends — run batches, marks, acks, handoffs and
+// handoff marks, framed by the real shipment.stream — FIFO per direction,
+// each delivery its own step. They book the wire ledger where the real
+// transport does: sent when a frame is queued (shipment.stream), lost when
+// a seal or close drops it from the queue (conn.seal). Fake executors build
+// each map attempt's runs directly — one pair per partition, keyed by the
+// task — and reduce by draining the store's real iterators. Block-store
+// jobs ingest every pushed replica into the worker's fake disk and step its
+// arrival; a Ref task that may not read its own replica fetches it through
+// the step, over the fake links, from a holder that answers from its disk.
 
 // memFile is an in-memory journal file.
 type memFile struct{ bytes.Buffer }
@@ -409,15 +410,8 @@ func (s *simSchedule) perform(w *simWorker, e weffect) {
 	case wfxServe:
 		data, ok := w.disk[e.block]
 		s.send(w, e.peer, frame{typ: mBlockData, payload: encode(&blockDataMsg{ID: e.block, Nonce: e.nonce, OK: ok, Data: data})})
-	case wfxPush:
-		// One run per frame, booked sent as coalescer.flush books a batch.
-		p := e.push
-		var body codec
-		(&runEntry{Task: p.task, Attempt: p.attempt, Partition: p.part, Records: p.run.Records,
-			RawBytes: p.run.RawBytes, Epoch: p.epoch, Blob: p.run.Blob()}).wire(&body)
-		payload := encode(&runBatchMsg{Body: body.buf})
-		s.led.netSent(int64(p.run.Records), int64(len(payload)))
-		s.send(w, e.peer, frame{typ: mRunBatch, payload: payload, bulk: true, records: int64(p.run.Records), acct: int64(len(payload))})
+	case wfxShip:
+		e.sh.stream(s.led, obs.NewTracer(w.id, nil), 0, func(f frame) { s.send(w, e.peer, f) })
 	case wfxSeal:
 		if e.peer != coordPeer {
 			s.seal(w, w.links[e.peer], true)
@@ -427,8 +421,6 @@ func (s *simSchedule) perform(w *simWorker, e weffect) {
 		}
 	case wfxFinish:
 		s.seal(w, w.links[e.peer], false)
-	case wfxHandoff:
-		e.h.stream(s.led, func(f frame) { s.send(w, e.peer, f) })
 	case wfxDial:
 		s.dials = append(s.dials, simDial{from: w, peer: e.peer, addr: e.addr, retry: s.retrying})
 	case wfxTimer:

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"glasswing/internal/blockstore"
-	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -152,27 +151,6 @@ const (
 // loopback mode); hooks are the loopback fault/elasticity callbacks.
 func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, error) {
 	o.Job = o.Job.withDefaults()
-	if o.Workers <= 0 && !o.Resume {
-		return nil, fmt.Errorf("dist: need at least one worker, got %d", o.Workers)
-	}
-	if len(o.Blocks) == 0 {
-		return nil, fmt.Errorf("dist: no input blocks")
-	}
-	if o.Blockstore != "" && o.Blockstore != "local" && o.Blockstore != "remote" {
-		return nil, fmt.Errorf("dist: unknown blockstore mode %q", o.Blockstore)
-	}
-	if o.Job.Partitions > MaxPartitions {
-		return nil, fmt.Errorf("dist: %d partitions exceeds the cap of %d", o.Job.Partitions, MaxPartitions)
-	}
-	if o.Job.UseCombiner {
-		app, _, err := o.resolver()(o.Job.App)
-		if err != nil {
-			return nil, fmt.Errorf("dist: resolving app %q: %w", o.Job.App.Name, err)
-		}
-		if err := native.CheckCombiner(app, o.Job.Collector, true); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-	}
 	if led == nil {
 		led = newLedger(o.Telemetry)
 	}
@@ -568,6 +546,7 @@ func (c *coord) admit(ev cevent) {
 			c.welcome(id)
 			c.emit(fxRead, id, cc, frame{})
 			c.note("worker-join", "worker", id, "addr", h.ListenAddr)
+			c.ctr.Mark(obs.InstantJoin)
 			c.fireEvents() // a deferred drain/kill of this joiner can fire now
 		}
 	case mRejoin:
@@ -697,6 +676,7 @@ func (c *coord) form() {
 		if !c.commit(jrMembership, rec, nil) {
 			return
 		}
+		c.ctr.Mark(obs.InstantResume)
 		if drain >= 0 {
 			c.ws[drain].state = wDraining
 			c.queuedT = append(c.queuedT, &transition{kind: "drain", target: drain})
@@ -1114,6 +1094,7 @@ func (c *coord) completeTransition() {
 			return
 		}
 		c.send(t.target, frame{typ: mDrained})
+		c.ctr.Mark(obs.InstantDrain)
 	}
 	c.note("membership-complete", "kind", t.kind, "target", t.target, "epoch", c.st.Epoch)
 	c.fireEvents() // a drain/kill deferred on this join's completion can fire now
@@ -1134,6 +1115,7 @@ func (c *coord) death(w int) {
 	cw.outstanding = 0
 	delete(c.pendingKills, w)
 	c.note("worker-dead", "worker", w, "active", len(c.activeIDs(-1)))
+	c.ctr.Mark(obs.InstantDeath)
 	// Drop the transitions the dead worker was the target of.
 	keep := c.queuedT[:0]
 	for _, t := range c.queuedT {
@@ -1384,6 +1366,9 @@ func (c *coord) result() *Result {
 		for _, s := range c.ctr.Spans() {
 			tel.Spans.Span(s)
 		}
+		for _, i := range c.ctr.Instants() {
+			tel.Spans.Mark(i)
+		}
 		coordEpoch := c.ctr.Epoch().UnixNano()
 		for _, b := range c.batches {
 			delta := float64(b.EpochUnixNano-coordEpoch)/1e9 - res.ClockOffsets[b.Node]
@@ -1402,6 +1387,9 @@ func (c *coord) result() *Result {
 // for the journaled membership to rejoin. Loopback-only Options fields are
 // ignored.
 func Serve(addr string, o Options) (*Result, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)

@@ -49,8 +49,8 @@
 // time under one lock in worker.do, around goroutines that do I/O: one
 // reads the coordinator link (formation included), one reader per peer
 // link, the acceptor and the dials that make links, the executor that maps,
-// pushes and reduces, one per outbound handoff, one per block fetch it
-// serves, the coalescers' timers and the link deadlines' timers.
+// ships each attempt's runs and reduces, one per outbound handoff, one per
+// block fetch it serves, and the link deadlines' timers.
 //
 // Fault tolerance mirrors the semantics of internal/core's taskScheduler:
 // failed attempts are requeued up to MaxAttempts; a worker death (detected
@@ -73,11 +73,13 @@
 package dist
 
 import (
+	"fmt"
 	"log/slog"
 	"time"
 
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -139,6 +141,34 @@ type Options struct {
 	// coordinator validates the journal against this job, collects rejoins
 	// from every journaled-live worker, and picks the job back up.
 	Resume bool
+}
+
+// check refuses a job no coordinator could run — no workers, no input, an
+// unknown block-store mode, too many partitions, a combiner the app or
+// collector cannot take — before anything listens or starts.
+func (o *Options) check() error {
+	if o.Workers <= 0 && !o.Resume {
+		return fmt.Errorf("dist: need at least one worker, got %d", o.Workers)
+	}
+	if len(o.Blocks) == 0 {
+		return fmt.Errorf("dist: no input blocks")
+	}
+	if o.Blockstore != "" && o.Blockstore != "local" && o.Blockstore != "remote" {
+		return fmt.Errorf("dist: unknown blockstore mode %q", o.Blockstore)
+	}
+	if o.Job.Partitions > MaxPartitions {
+		return fmt.Errorf("dist: %d partitions exceeds the cap of %d", o.Job.Partitions, MaxPartitions)
+	}
+	if o.Job.UseCombiner {
+		app, _, err := o.resolver()(o.Job.App)
+		if err != nil {
+			return fmt.Errorf("dist: resolving app %q: %w", o.Job.App.Name, err)
+		}
+		if err := native.CheckCombiner(app, o.Job.Collector, true); err != nil {
+			return fmt.Errorf("dist: %w", err)
+		}
+	}
+	return nil
 }
 
 // resolver is the job's app resolver: NewApp, else the registry.

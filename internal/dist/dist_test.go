@@ -244,9 +244,9 @@ func TestWorkerKill(t *testing.T) {
 // encodings and proves the byte ledger balances exactly on each: sent ==
 // recv + lost with lost == 0 on a fault-free run, identical record counts
 // either way, and the DEFLATE wire moving strictly fewer bytes. It also
-// pins the coalescer's whole reason to exist: far fewer frames ship than
-// partition runs, and the dist_frame_bytes histogram accounts for every
-// wire byte (frame header included) without slack.
+// pins why runs ship in batches: far fewer frames ship than partition runs,
+// and the dist_frame_bytes histogram accounts for every wire byte (frame
+// header included) without slack.
 func TestWireConservationCompression(t *testing.T) {
 	data, want := apps.WCData(21, 96<<10, 1200)
 	recordsSent := map[bool]int64{}
@@ -567,27 +567,30 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	}
 }
 
-// A job the cluster cannot run is refused before the coordinator sizes
-// anything by it: a partition count over MaxPartitions, or a combiner the
-// app (TeraSort has no Combine kernel) or the collector (the buffer pool
-// has no table to fold in) cannot run.
+// A job the cluster cannot run is refused before anything listens or any
+// worker starts: a partition count over MaxPartitions, a combiner the app
+// (TeraSort has no Combine kernel) or the collector (the buffer pool has no
+// table to fold in) cannot run, an unknown block-store mode, or no input.
 func TestLoopbackRefusesUnrunnableJobs(t *testing.T) {
 	for _, tc := range []struct {
 		name, app string
-		mutate    func(*Job)
+		mutate    func(*Options)
 		want      string
 	}{
-		{"partitions over the cap", "wc", func(j *Job) { j.Partitions = 1 << 28 }, "exceeds the cap"},
-		{"combiner without Combine", "ts", func(j *Job) { j.UseCombiner = true }, "combiner requires"},
-		{"combiner on the pool", "wc", func(j *Job) { j.UseCombiner, j.Collector = true, core.BufferPool }, "combiner requires"},
+		{"partitions over the cap", "wc", func(o *Options) { o.Job.Partitions = 1 << 28 }, "exceeds the cap"},
+		{"combiner without Combine", "ts", func(o *Options) { o.Job.UseCombiner = true }, "combiner requires"},
+		{"combiner on the pool", "wc", func(o *Options) { o.Job.UseCombiner, o.Job.Collector = true, core.BufferPool }, "combiner requires"},
+		{"unknown block-store mode", "wc", func(o *Options) { o.Blockstore = "tape" }, "unknown blockstore mode"},
+		{"no input", "wc", func(o *Options) { o.Blocks = nil }, "no input blocks"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			job, blocks, _, err := DemoJob(tc.app, 32<<10, 2, 16<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.mutate(&job)
-			_, err = RunLoopback(Options{Job: job, Workers: 2, Blocks: blocks, KillWorker: -1})
+			o := Options{Job: job, Workers: 2, Blocks: blocks, KillWorker: -1}
+			tc.mutate(&o)
+			_, err = RunLoopback(o)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RunLoopback = %v, want an error containing %q", err, tc.want)
 			}

@@ -91,8 +91,8 @@ func retryListen(addr string) (net.Listener, error) {
 // many jobs at once — give each call its own o.Telemetry and each job's
 // counters and spans stay independent.
 func RunLoopback(o Options) (*Result, error) {
-	if o.Workers <= 0 {
-		return nil, fmt.Errorf("dist: need at least one worker, got %d", o.Workers)
+	if err := o.check(); err != nil {
+		return nil, err
 	}
 	resolve := o.resolver()
 

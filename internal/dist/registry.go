@@ -6,6 +6,7 @@ import (
 
 	"glasswing/internal/apps"
 	"glasswing/internal/core"
+	"glasswing/internal/dfs"
 )
 
 // The registry resolves AppSpec names to application kernels for
@@ -84,39 +85,17 @@ func DecodeKMParams(p []byte) (apps.KMeansSpec, error) {
 
 // SplitBlocks cuts input into map blocks of roughly chunk bytes, on record
 // boundaries: recordSize > 0 splits on fixed-size records (TeraSort's
-// 100-byte rows, KMeans' packed points), otherwise on newlines.
+// 100-byte rows, KMeans' packed points) with dfs.SplitFixed, otherwise on
+// newlines with dfs.SplitLines. Empty input has no blocks.
 func SplitBlocks(data []byte, chunk int, recordSize int) [][]byte {
+	if len(data) == 0 {
+		return nil
+	}
 	if chunk <= 0 {
 		chunk = 96 << 10
 	}
-	var blocks [][]byte
 	if recordSize > 0 {
-		per := chunk / recordSize
-		if per < 1 {
-			per = 1
-		}
-		step := per * recordSize
-		for off := 0; off < len(data); off += step {
-			end := off + step
-			if end > len(data) {
-				end = len(data)
-			}
-			blocks = append(blocks, data[off:end])
-		}
-		return blocks
+		return dfs.SplitFixed(data, int64(chunk), int64(recordSize))
 	}
-	for off := 0; off < len(data); {
-		end := off + chunk
-		if end >= len(data) {
-			blocks = append(blocks, data[off:])
-			break
-		}
-		// Extend to the next newline so no record straddles blocks.
-		for end < len(data) && data[end-1] != '\n' {
-			end++
-		}
-		blocks = append(blocks, data[off:end])
-		off = end
-	}
-	return blocks
+	return dfs.SplitLines(data, int64(chunk))
 }

@@ -11,13 +11,6 @@ import (
 // attemptKey identifies one execution of one map task.
 type attemptKey struct{ task, attempt int }
 
-// committedRun is a run and the map task that produced it: kv.TaskRun as
-// takePartition's caller reads it, and a handed-off run awaiting its mark.
-type committedRun struct {
-	task int
-	run  *kv.Run
-}
-
 // stagedRun is one uncommitted arrival plus the membership epoch the sender
 // routed under. Commit rejects runs staged under an epoch older than the
 // store's: after a partition is re-homed away and back (drain A→B, later
@@ -58,7 +51,7 @@ type shuffleStore struct {
 	runs    *kv.RunStore                     // committed runs per home partition
 	have    map[int]map[int]bool             // task → partitions committed here
 	staged  map[attemptKey]map[int]stagedRun // uncommitted shuffle arrivals
-	handoff map[int]map[int][]committedRun   // partition → epoch → staged handoff runs
+	handoff map[int]map[int][]kv.TaskRun     // partition → epoch → staged handoff runs
 
 	// Set by enableSpill: where spill files go (the worker's scratch dir,
 	// created lazily so jobs that never spill never touch the disk) and who
@@ -73,7 +66,7 @@ func newShuffleStore() *shuffleStore {
 	s := &shuffleStore{
 		have:    make(map[int]map[int]bool),
 		staged:  make(map[attemptKey]map[int]stagedRun),
-		handoff: make(map[int]map[int][]committedRun),
+		handoff: make(map[int]map[int][]kv.TaskRun),
 	}
 	// Limit 0: the store never asks for a directory until enableSpill.
 	s.runs = kv.NewRunStore(0, func() (string, error) { return s.spillDir() }, s.spilled)
@@ -164,15 +157,13 @@ func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, close func
 }
 
 // takePartition removes a partition this node is handing to a new home,
-// clearing its dedup entries, and returns the committed runs (with task
-// identity) plus their record count for the handoff-out ledger.
-func (s *shuffleStore) takePartition(part int) (runs []committedRun, records int64) {
-	for _, tr := range s.runs.Take(part) {
-		runs = append(runs, committedRun{task: tr.Task, run: tr.Run})
-		records += int64(tr.Run.Records)
+// clearing its dedup entries, and returns its committed runs.
+func (s *shuffleStore) takePartition(part int) []kv.TaskRun {
+	runs := s.runs.Take(part)
+	for _, tr := range runs {
 		delete(s.have[tr.Task], part)
 	}
-	return runs, records
+	return runs
 }
 
 // stageHandoff records one handed-off run for a re-homed partition; it
@@ -180,10 +171,10 @@ func (s *shuffleStore) takePartition(part int) (runs []committedRun, records int
 func (s *shuffleStore) stageHandoff(part, epoch, task int, run *kv.Run) {
 	m := s.handoff[part]
 	if m == nil {
-		m = make(map[int][]committedRun)
+		m = make(map[int][]kv.TaskRun)
 		s.handoff[part] = m
 	}
-	m[epoch] = append(m[epoch], committedRun{task: task, run: run})
+	m[epoch] = append(m[epoch], kv.TaskRun{Task: task, Run: run})
 }
 
 // adoptHandoff commits a partition's staged handoff runs at their new home.
@@ -197,13 +188,13 @@ func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 	if delete(m, epoch); len(m) == 0 {
 		delete(s.handoff, part)
 	}
-	for _, sh := range entries {
-		if epoch < s.epoch || s.have[sh.task][part] {
-			dupped += int64(sh.run.Records)
+	for _, tr := range entries {
+		if epoch < s.epoch || s.have[tr.Task][part] {
+			dupped += int64(tr.Run.Records)
 			continue
 		}
-		s.addCommitted(part, sh.task, sh.run)
-		adopted += int64(sh.run.Records)
+		s.addCommitted(part, tr.Task, tr.Run)
+		adopted += int64(tr.Run.Records)
 	}
 	return adopted, dupped
 }
@@ -214,12 +205,12 @@ func (s *shuffleStore) adoptHandoff(part, epoch int) (adopted, dupped int64) {
 func (s *shuffleStore) dropHandoffs() (lost int64) {
 	for _, m := range s.handoff {
 		for _, runs := range m {
-			for _, cr := range runs {
-				lost += int64(cr.run.Records)
+			for _, tr := range runs {
+				lost += int64(tr.Run.Records)
 			}
 		}
 	}
-	s.handoff = make(map[int]map[int][]committedRun)
+	s.handoff = make(map[int]map[int][]kv.TaskRun)
 	return lost
 }
 

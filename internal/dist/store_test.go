@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 func storeRun(t *testing.T, n int) *kv.Run {
@@ -118,22 +119,22 @@ func TestStoreSpillMovesBytes(t *testing.T) {
 	s.stage(0, 0, 3, run, 0)
 	s.commit(0, 0) // 1-byte limit: the commit spills partition 3
 
-	cr := committedRun{run: s.runs.Runs(3)[0].Run}
-	if cr.run.Path() == "" || s.runs.Resident() != 0 {
-		t.Fatalf("run not spilled: path %q, %d bytes resident", cr.run.Path(), s.runs.Resident())
+	run = s.runs.Runs(3)[0].Run
+	if run.Path() == "" || s.runs.Resident() != 0 {
+		t.Fatalf("run not spilled: path %q, %d bytes resident", run.Path(), s.runs.Resident())
 	}
-	st, err := os.Stat(cr.run.Path())
+	st, err := os.Stat(run.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.run.StoredBytes() != st.Size() || led.SpillStoredBytes.Value() != st.Size() || led.SpillFiles.Value() != 1 {
+	if run.StoredBytes() != st.Size() || led.SpillStoredBytes.Value() != st.Size() || led.SpillFiles.Value() != 1 {
 		t.Fatalf("stored %d, ledger %d in %d files, file holds %d bytes",
-			cr.run.StoredBytes(), led.SpillStoredBytes.Value(), led.SpillFiles.Value(), st.Size())
+			run.StoredBytes(), led.SpillStoredBytes.Value(), led.SpillFiles.Value(), st.Size())
 	}
 	if raw := led.SpillRawBytes.Value(); st.Size() < raw || st.Size() > raw+10*led.SpillRecords.Value() {
 		t.Fatalf("file size %d outside the framing bound of %d raw bytes", st.Size(), raw)
 	}
-	back, err := cr.run.Load()
+	back, err := run.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,9 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 
 	// Source (worker 0) and destination (worker 1) share the ledger, as a
 	// loopback cluster does; the frames cross from one to the other in order.
-	h := &handoff{part: 3, epoch: 1}
-	h.runs, h.records = store.takePartition(3)
 	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
 	var done bool
-	h.stream(led, func(f frame) {
+	newHandoff(3, 1, store.takePartition(3)).stream(led, obs.NewTracer(0, nil), 0, func(f frame) {
 		ev, _, err := peerEvent(0, f.typ, f.payload)
 		if err != nil {
 			t.Fatal(err)

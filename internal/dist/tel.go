@@ -103,7 +103,7 @@ func (l *ledger) fill(res *Result) {
 }
 
 // distFrameBuckets bucket outbound shuffle frame sizes in bytes, from
-// lone-run frames up to fully coalesced multi-megabyte batches.
+// lone-run frames up to batches past coalesceBytes.
 var distFrameBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 // frameBytes records one outbound shuffle frame's wire size.

@@ -3,6 +3,7 @@ package dist
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +210,51 @@ func TestClockProbeOverLink(t *testing.T) {
 	}
 	if off > float64(rtt)/2+float64(time.Millisecond) {
 		t.Fatalf("loopback offset %.0fns exceeds RTT/2 %.0fns", off, float64(rtt)/2)
+	}
+}
+
+// A worker death shows on the merged timeline: a loopback run that kills
+// two workers carries exactly two death instants, both on the
+// coordinator's track, and the Chrome export draws them.
+func TestKillRunMarksEveryDeath(t *testing.T) {
+	tel := obs.NewTelemetry()
+	data, want := apps.WCData(22, 128<<10, 1200)
+	res, err := RunLoopback(Options{
+		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 5, Collector: core.HashTable},
+		Workers:   4,
+		Blocks:    SplitBlocks(data, 8<<10, 0),
+		Telemetry: tel,
+		NewApp:    testResolver(apps.WordCount, nil),
+		Elastic: []ElasticEvent{
+			{Kind: "kill", Worker: 1, AfterMapDone: 2},
+			{Kind: "kill", Worker: 3, AfterMapDone: 5},
+		},
+		KillWorker: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	deaths := 0
+	for _, i := range tel.Spans.Instants() {
+		if i.Name == obs.InstantDeath {
+			deaths++
+			if i.Node != -1 || i.At <= 0 {
+				t.Errorf("death instant %+v: want node -1 and a time after the coordinator's start", i)
+			}
+		}
+	}
+	if res.WorkersLost != 2 || deaths != 2 {
+		t.Fatalf("%d death instants for %d lost workers, want 2 of each", deaths, res.WorkersLost)
+	}
+	var sb strings.Builder
+	if err := obs.WriteChromeTrace(&sb, tel.Spans.Spans(), tel.Spans.Instants()...); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), `"name": "`+obs.InstantDeath+`"`); got != 2 {
+		t.Fatalf("Chrome trace draws %d death instants, want 2", got)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // with uvarints and length-prefixed byte strings (the same primitives as
 // kv's stream framing), and every payload type states its field order once,
 // in a wire method that both encodes and decodes it. Bulk shuffle data rides
-// in mRunBatch frames: many small per-chunk runs coalesced into one large
-// frame per destination, so the per-frame costs (syscall, header,
+// in mRunBatch frames: a map attempt's runs for one destination batched into
+// frames of about coalesceBytes, so the per-frame costs (syscall, header,
 // send-window bookkeeping) are paid once per batch instead of once per run.
 
 // maxFrame bounds one frame; a length prefix beyond it means a corrupt or
@@ -38,7 +38,7 @@ const (
 	mMapTask                      // coord→worker: task, attempt, input block
 	mMapDone                      // worker→coord: task, attempt, attempt stats
 	mMapFailed                    // worker→coord: task, attempt, reason
-	mRunBatch                     // worker→worker: coalesced partition runs (bulk)
+	mRunBatch                     // worker→worker: runBatchMsg, one attempt's partition runs (bulk)
 	mMark                         // worker→worker: attempt complete, commit staged runs
 	mAck                          // worker→worker: mark processed
 	mReduceTask                   // coord→worker: partition, attempt
@@ -53,7 +53,7 @@ const (
 	mRejoin                       // worker→coord: re-attach to a resumed coordinator
 	mMembership                   // coord→worker: every membership change — epoch, homes, liveness, settled set
 	mDrained                      // coord→worker: handoff complete, exit cleanly
-	mHandoff                      // worker→worker: runEntries, committed runs of one re-homed partition (bulk)
+	mHandoff                      // worker→worker: runBatchMsg, committed runs of one re-homed partition (bulk)
 	mHandoffMark                  // worker→worker: one partition's handoff is complete
 	mHandoffDone                  // worker→coord: destination committed a handed-off partition
 	mBlockPut                     // coord→worker: ingest one input-block replica into the worker's store (bulk)
@@ -119,11 +119,15 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // back from buf, in the same order, into the same places. The first malformed
 // field latches err and every later read is a no-op, so a decode checks err
 // once, in fin. Decoded byte fields alias buf — the frame, whose lifetime
-// readFrame states — except where a layout copies them (owned).
+// readFrame states — except where a layout copies them (owned). An encode
+// with size set writes nothing: n counts the bytes it would append, so a
+// payload can be allocated once, at its length.
 type codec struct {
-	buf []byte
-	dec bool
-	err error
+	buf  []byte
+	dec  bool
+	size bool
+	n    int
+	err  error
 }
 
 // payload is anything with a layout: its wire method is the only statement of
@@ -163,7 +167,12 @@ func (c *codec) u(v *uint64) {
 		// One append per field, not per byte, so a buffer grows at most once
 		// per field.
 		var tmp [binary.MaxVarintLen64]byte
-		c.buf = append(c.buf, tmp[:binary.PutUvarint(tmp[:], *v)]...)
+		k := binary.PutUvarint(tmp[:], *v)
+		if c.size {
+			c.n += k
+		} else {
+			c.buf = append(c.buf, tmp[:k]...)
+		}
 		return
 	}
 	if c.err != nil {
@@ -218,7 +227,11 @@ func (c *codec) bytes(v *[]byte) {
 	n := uint64(len(*v))
 	c.u(&n)
 	if !c.dec {
-		c.buf = append(c.buf, *v...)
+		if c.size {
+			c.n += len(*v)
+		} else {
+			c.buf = append(c.buf, *v...)
+		}
 		return
 	}
 	if c.err == nil && n > uint64(len(c.buf)) {
@@ -241,7 +254,11 @@ func (c *codec) str(v *string) {
 	if !c.dec {
 		n := uint64(len(*v))
 		c.u(&n)
-		c.buf = append(c.buf, *v...)
+		if c.size {
+			c.n += len(*v)
+		} else {
+			c.buf = append(c.buf, *v...)
+		}
 		return
 	}
 	var b []byte
@@ -410,12 +427,12 @@ type taskFailMsg struct {
 
 func (m *taskFailMsg) wire(c *codec) { c.i(&m.Task); c.i(&m.Attempt); c.str(&m.Reason) }
 
-// runEntry is one partition's run inside a coalesced shuffle frame or a
-// handoff frame. Blob is the run's bytes as its map task built them —
-// DEFLATEd when the job compresses; the receiver rebuilds the run with
-// kv.RunFromBlob and only package kv reads them. A handed-off run has won
-// its commit at its old home, so it carries no attempt: the new home
-// re-keys it by (task, partition) under the transition's epoch.
+// runEntry is one partition's run inside a run-batch or handoff frame. Blob
+// is the run's bytes as its map task built them — DEFLATEd when the job
+// compresses; the receiver rebuilds the run with kv.RunFromBlob and only
+// package kv reads them. A handed-off run has won its commit at its old
+// home, so it carries no attempt: the new home re-keys it by (task,
+// partition) under the transition's epoch.
 type runEntry struct {
 	Task      int
 	Attempt   int
@@ -424,6 +441,13 @@ type runEntry struct {
 	RawBytes  int64
 	Epoch     int // membership epoch the sender routed under
 	Blob      []byte
+}
+
+// size is the entry's encoded length.
+func (e *runEntry) size() int {
+	c := codec{size: true}
+	e.wire(&c)
+	return c.n
 }
 
 func (e *runEntry) wire(c *codec) {
@@ -436,15 +460,15 @@ func (e *runEntry) wire(c *codec) {
 	c.bytes(&e.Blob)
 }
 
-// runEntries is a run-batch body and a handoff payload: entries back to
-// back with no count prefix — the coalescer appends them one at a time as
-// runs arrive, and the receiver consumes until the body is exhausted.
+// runEntries is a runBatchMsg body: entries back to back with no count
+// prefix — shipment.frame writes them in place behind the body's length,
+// and the receiver consumes until the body is exhausted.
 type runEntries []runEntry
 
 func (l *runEntries) wire(c *codec) { rest(c, (*[]runEntry)(l), func(e *runEntry) { e.wire(c) }) }
 
-// runBatchMsg is the bulk shuffle frame: the runs one sender has buffered
-// for one destination, shipped back to back in Body. TraceID and SendSpan
+// runBatchMsg is both bulk shuffle frames, a run batch and a handoff: runs
+// one sender ships one destination, back to back in Body. TraceID and SendSpan
 // are the trace context the frame propagates: the receiver parents its
 // net/recv staging span on the sender's net/send span. Decoded entry blobs
 // alias the payload, which readFrame never reuses, so the runs built on

@@ -146,10 +146,10 @@ func roundTrips() []roundTrip {
 			Epoch: 6, Homes: []int{3, 2, 3, 2}, Alive: []bool{false, false, true, true},
 			Settled: []bool{true, true, false, false}, Joined: -1, Left: 0,
 		}, "06040302030204000001010401010000ffffffffffffffffff010000"},
-		{"handoff", &runEntries{
+		{"handoff", &runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 4, Body: encode(&runEntries{
 			{Task: 0, Partition: 1, Records: 3, RawBytes: 30, Epoch: 2, Blob: []byte{1, 2, 3}},
 			{Task: 5, Partition: 1, Records: 1, RawBytes: 9, Epoch: 2, Blob: []byte{4}},
-		}, "000001031e02030102030500010109020104"},
+		})}, "2a848080808080800112000001031e02030102030500010109020104"},
 		{"handoff-mark", &handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}, "02010204"},
 		{"handoff-done", &handoffDoneMsg{Epoch: 2, Partition: 1}, "0201"},
 		{"block-put", &blockPutMsg{ID: 6, Data: []byte("replica bytes")}, "060d7265706c696361206279746573"},
@@ -213,25 +213,19 @@ func FuzzPayloads(f *testing.F) {
 // payloads: all must error, none may panic.
 func TestDecodeCorrupt(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"hello":     func(p []byte) error { return decode(p, &helloMsg{}).fin("hello") },
-		"welcome":   func(p []byte) error { return decode(p, &welcomeMsg{}).fin("welcome") },
-		"job-start": func(p []byte) error { return decode(p, &jobStartMsg{}).fin("job-start") },
-		"map-task":  func(p []byte) error { return decode(p, &mapTaskMsg{}).fin("map-task") },
-		"map-done":  func(p []byte) error { return decode(p, &mapDoneMsg{}).fin("map-done") },
-		"task-fail": func(p []byte) error { return decode(p, &taskFailMsg{}).fin("task-fail") },
-		"run-batch": func(p []byte) error {
-			var m runBatchMsg
-			if err := decode(p, &m).fin("run-batch"); err != nil {
-				return err
-			}
-			return decode(m.Body, &runEntries{}).fin("run-batch entries")
-		},
+		"hello":        func(p []byte) error { return decode(p, &helloMsg{}).fin("hello") },
+		"welcome":      func(p []byte) error { return decode(p, &welcomeMsg{}).fin("welcome") },
+		"job-start":    func(p []byte) error { return decode(p, &jobStartMsg{}).fin("job-start") },
+		"map-task":     func(p []byte) error { return decode(p, &mapTaskMsg{}).fin("map-task") },
+		"map-done":     func(p []byte) error { return decode(p, &mapDoneMsg{}).fin("map-done") },
+		"task-fail":    func(p []byte) error { return decode(p, &taskFailMsg{}).fin("task-fail") },
+		"run-batch":    func(p []byte) error { _, _, err := peerEvent(1, mRunBatch, p); return err },
 		"mark":         func(p []byte) error { return decode(p, &markMsg{}).fin("mark") },
 		"reduce-task":  func(p []byte) error { return decode(p, &reduceTaskMsg{}).fin("reduce-task") },
 		"reduce-done":  func(p []byte) error { return decode(p, &reduceDoneMsg{}).fin("reduce-done") },
 		"rejoin":       func(p []byte) error { return decode(p, &rejoinMsg{}).fin("rejoin") },
 		"membership":   func(p []byte) error { return decode(p, &membershipMsg{}).fin("membership") },
-		"handoff":      func(p []byte) error { return decode(p, &runEntries{}).fin("handoff") },
+		"handoff":      func(p []byte) error { _, _, err := peerEvent(1, mHandoff, p); return err },
 		"handoff-mark": func(p []byte) error { return decode(p, &handoffMarkMsg{}).fin("handoff-mark") },
 		"handoff-done": func(p []byte) error { return decode(p, &handoffDoneMsg{}).fin("handoff-done") },
 		"block-put":    func(p []byte) error { return decode(p, &blockPutMsg{}).fin("block-put") },
@@ -255,7 +249,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		"rejoin":      encode(&rejoinMsg{WorkerID: 1, ListenAddr: "x", Epoch: 2}),
 		"membership": encode(&membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
 			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}),
-		"handoff":      encode(&runEntries{{Task: 2, Partition: 0, Records: 1, Epoch: 1, Blob: []byte("h")}}),
+		"handoff":      encode(&runBatchMsg{Body: encode(&runEntries{{Task: 2, Partition: 0, Records: 1, Epoch: 1, Blob: []byte("h")}})}),
 		"handoff-mark": encode(&handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}),
 		"handoff-done": encode(&handoffDoneMsg{Epoch: 1, Partition: 0}),
 		"block-put":    encode(&blockPutMsg{ID: 1, Data: []byte("b")}),

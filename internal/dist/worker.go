@@ -67,7 +67,7 @@ type workerConfig struct {
 // worker is one node of the distributed runtime: an I/O shell around its
 // decision state. Every decision is st.step's, taken in do under the one
 // lock, mu; the shell owns what step may not touch — the links, the
-// coalescers, the executor and the goroutines that read the links.
+// executor and the goroutines that read the links.
 type worker struct {
 	cfg workerConfig
 	tun Tuning
@@ -90,9 +90,8 @@ type worker struct {
 
 	mu     sync.Mutex
 	st     *wstate
-	coord  *conn        // replaced by the rejoin path after a coordinator restart
-	peers  []*conn      // by worker id; nil at own slot or unlinked
-	coal   []*coalescer // per-peer outbound run coalescers, parallel to peers
+	coord  *conn   // replaced by the rejoin path after a coordinator restart
+	peers  []*conn // by worker id; nil at own slot or unlinked
 	timers []*time.Timer
 
 	// Scratch-disk state (block-store replicas + spill files), written only
@@ -173,8 +172,8 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 // do is the worker's one way into a decision: it steps the state under the
 // lock, then performs the effects in order with the lock released, and
 // returns them. Blocking bulk sends are performed by whoever caused them —
-// the executor pushes its own runs; handoffs stream on their own goroutine
-// — so a full send window never stalls a reader.
+// the executor ships its own attempts; handoffs stream on their own
+// goroutine — so a full send window never stalls a reader.
 func (w *worker) do(ev wevent) []weffect {
 	fx := w.decide(ev)
 	for _, e := range fx {
@@ -186,7 +185,7 @@ func (w *worker) do(ev wevent) []weffect {
 // decide is do's locked half: it steps the state, installs a link step
 // accepted — queueing its hello reply there, so no frame another goroutine
 // sends on the link can overtake it — arms the deadlines step asks for, and
-// resolves every effect's peer to its link and coalescer.
+// resolves every effect's peer to its link.
 func (w *worker) decide(ev wevent) []weffect {
 	var old *conn
 	w.mu.Lock()
@@ -206,10 +205,9 @@ func (w *worker) decide(ev wevent) []weffect {
 			old, w.coord = w.coord, ev.cc
 		case e.op == wfxAccept:
 			for len(w.peers) <= e.peer {
-				w.peers, w.coal = append(w.peers, nil), append(w.coal, nil)
+				w.peers = append(w.peers, nil)
 			}
 			w.peers[e.peer] = ev.cc
-			w.coal[e.peer] = newCoalescer(ev.cc, w.led, w.tr, w.traceID)
 			if e.f.typ != 0 {
 				ev.cc.send(e.f) // not bulk: never blocks
 			}
@@ -220,7 +218,7 @@ func (w *worker) decide(ev wevent) []weffect {
 		case e.peer == coordPeer:
 			e.cc = w.coord
 		case e.peer < len(w.peers):
-			e.cc, e.co = w.peers[e.peer], w.coal[e.peer]
+			e.cc = w.peers[e.peer]
 		}
 	}
 	w.mu.Unlock()
@@ -235,30 +233,26 @@ func (w *worker) decide(ev wevent) []weffect {
 func (w *worker) perform(e weffect) {
 	switch e.op {
 	case wfxSend:
-		if e.f.typ == mMark && e.co != nil {
-			// On the FIFO link every run of the attempt precedes its mark.
-			e.co.flush()
-		}
 		e.cc.send(e.f)
-	case wfxPush:
-		p := e.push
-		e.co.add(p.task, p.attempt, p.part, p.run, e.span, p.epoch)
-	case wfxSeal:
-		if e.peer == coordPeer {
-			e.cc.close()
+	case wfxShip:
+		if e.sh.typ == mRunBatch {
+			// The executor ships its attempt itself, so a full send window
+			// holds its next kernel back.
+			e.sh.stream(w.led, w.tr, w.traceID, e.cc.send)
 			return
 		}
-		// Seal before closing the coalescer: a flush blocked on a full send
-		// window holds its coalescer's lock until the sealed link releases it.
-		e.cc.seal()
-		e.co.close()
-	case wfxHandoff:
-		h, cc := e.h, e.cc
+		sh, cc := e.sh, e.cc
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
-			h.stream(w.led, cc.send)
+			sh.stream(w.led, w.tr, w.traceID, cc.send)
 		}()
+	case wfxSeal:
+		if e.peer == coordPeer {
+			e.cc.close()
+		} else {
+			e.cc.seal()
+		}
 	case wfxDial:
 		w.wg.Add(1)
 		go w.dial(e.peer, e.addr)
@@ -292,11 +286,11 @@ func (w *worker) kill() { w.do(wevent{kind: weKill}) }
 var peerMeshTimeout = 60 * time.Second
 
 // newPeerConn wraps a peer link with the worker's loss accounting and
-// net/send span hooks. The span id was minted by the coalescer (it rides
+// net/send span hooks. The span id was minted by shipment.frame (it rides
 // inside the frame payload, so the receiver can parent on it); the parent is
-// the map kernel that first contributed to the batch. The span is recorded on
-// the pump goroutine, where the socket write actually happens — the
-// wall-clock interval that overlaps the executor's map spans in the trace.
+// the map kernel whose attempt the frame ships. The span is recorded on the
+// pump goroutine, where the socket write actually happens — the wall-clock
+// interval that overlaps the executor's map spans in the trace.
 func (w *worker) newPeerConn(c net.Conn, name string) *conn {
 	cc := newConn(c, name, w.tun, w.led.dropped)
 	cc.onBulkDone = func(f *frame) { w.tr.RecordID(f.spanID, obs.StageNetSend, f.enq, f.spanParent, nil) }
@@ -495,9 +489,9 @@ func (w *worker) executor() {
 func (w *worker) report(f frame) { w.do(wevent{kind: weSend, f: f}) }
 
 // runMap executes one map attempt's kernel and partitioner and steps the
-// built attempt, whose pushes and marks this executor then performs. Runs
-// are built compressed when the job compresses, and stored, spilled,
-// shipped and handed off as those bytes.
+// built attempt, whose shipments this executor then streams. Runs are built
+// compressed when the job compresses, and stored, spilled, shipped and
+// handed off as those bytes.
 func (w *worker) runMap(m mapTaskMsg) {
 	fail := func(reason string) {
 		w.report(frame{typ: mMapFailed, payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: reason})})
@@ -590,7 +584,7 @@ func (w *worker) peerReader(j int, cc *conn) {
 		if err == nil {
 			w.do(ev)
 		}
-		if typ == mRunBatch {
+		if typ == mRunBatch || typ == mHandoff {
 			// The staging span parents on the sender's net/send span.
 			w.tr.Record(obs.StageNetRecv, t0, sendSpan)
 		}
@@ -598,19 +592,17 @@ func (w *worker) peerReader(j int, cc *conn) {
 }
 
 // peerEvent is the event frame typ/p from peer j steps as. A run batch or a
-// handoff is decoded here, outside the lock, into the event's runs; one that
-// does not decode is not stepped. sendSpan is a run batch's net/send span.
+// handoff — both runBatchMsg — is decoded here, outside the lock, into the
+// event's runs; one that does not decode is not stepped. sendSpan is its
+// net/send span.
 func peerEvent(j int, typ byte, p []byte) (ev wevent, sendSpan uint64, err error) {
 	ev = wevent{kind: weFrame, peer: j, typ: typ, p: p}
-	switch typ {
-	case mRunBatch:
+	if typ == mRunBatch || typ == mHandoff {
 		var msg runBatchMsg
 		if err = decode(p, &msg).fin("run-batch"); err == nil {
 			err = decode(msg.Body, &ev.runs).fin("run-batch entries")
 		}
 		return ev, msg.SendSpan, err
-	case mHandoff:
-		err = decode(p, &ev.runs).fin("handoff")
 	}
-	return ev, 0, err
+	return ev, 0, nil
 }

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,7 +80,7 @@ func TestDrainedPartitionReducesNothing(t *testing.T) {
 	fx := s.step(wevent{kind: weFrame, peer: coordPeer, typ: mMembership, p: encode(&membershipMsg{
 		Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true}, Settled: []bool{false, false}, Joined: -1, Left: 0,
 	})})
-	if !hasOp(fx, wfxHandoff) {
+	if !hasOp(fx, wfxShip) {
 		t.Fatalf("drain did not hand partition 0 off: %v", ops(fx))
 	}
 	if fx := s.step(wevent{kind: weReduce, part: 0}); len(fx) != 0 {
@@ -190,7 +192,7 @@ func TestLinkDeadlines(t *testing.T) {
 	fx = s.step(wevent{kind: weFrame, peer: coordPeer, typ: mMembership, p: encode(&membershipMsg{
 		Epoch: 1, Homes: []int{0, 2}, Alive: []bool{true, true, true}, Settled: []bool{false, false}, Joined: 2, JoinedAddr: "w2", Left: -1,
 	})})
-	if !hasOp(fx, wfxTimer) || hasOp(fx, wfxHandoff) {
+	if !hasOp(fx, wfxTimer) || hasOp(fx, wfxShip) {
 		t.Fatalf("handoff to an unlinked joiner: %v, want it held under a deadline", ops(fx))
 	}
 	if fx := s.step(wevent{kind: weTimeout, peer: 0}); len(fx) != 0 {
@@ -527,5 +529,84 @@ func TestDamagedPeerRunFailsTheReduce(t *testing.T) {
 		}
 		w.coord.close()
 		far.Close()
+	}
+}
+
+// TestShipmentFraming: a built attempt ships each peer the runs homed there,
+// in partition order, as run-batch frames that close once their entries
+// reach coalesceBytes, then the attempt's mark. Each frame is a runBatchMsg
+// byte for byte, encoded once into a payload allocated at its length, carries
+// its net/send span parented on the attempt's kernel, and is booked sent as
+// it is queued.
+func TestShipmentFraming(t *testing.T) {
+	led := newLedger(nil)
+	homes := make([]int, 12)
+	for p := range homes {
+		homes[p] = p % 2
+	}
+	s := startedWState(t, 0, []string{"w0", "w1"}, homes, newShuffleStore(), led)
+	s.step(wevent{kind: weLinkUp, peer: 1})
+	runs := make([]*kv.Run, len(homes))
+	for p := range runs {
+		runs[p] = kv.NewRun([]kv.Pair{{Key: []byte{byte(p)}, Value: bytes.Repeat([]byte{'v'}, 70<<10)}}, false)
+	}
+	var sh *shipment
+	for _, e := range s.step(wevent{kind: weBuilt, built: &builtMap{task: 3, attempt: 1, runs: runs, span: 77}}) {
+		if e.op == wfxShip && e.peer == 1 {
+			sh = e.sh
+		}
+	}
+	if sh == nil || sh.typ != mRunBatch || len(sh.runs) != 6 {
+		t.Fatalf("shipment to peer 1: %+v, want 6 runs", sh)
+	}
+
+	var frames []frame
+	sh.stream(led, obs.NewTracer(0, new(obs.SpanBuffer)), 42, func(f frame) { frames = append(frames, f) })
+	// Six runs of 70 KiB: four reach 256 KiB, two close the shipment.
+	if len(frames) != 3 || frames[2].typ != mMark {
+		t.Fatalf("%d frames, want two run batches and the mark", len(frames))
+	}
+	var parts []int
+	var sent int64
+	for i, f := range frames[:2] {
+		var m runBatchMsg
+		var entries runEntries
+		if err := decode(f.payload, &m).fin("run-batch"); err != nil {
+			t.Fatal(err)
+		}
+		if err := decode(m.Body, &entries).fin("run-batch entries"); err != nil {
+			t.Fatal(err)
+		}
+		if want := encode(&runBatchMsg{TraceID: 42, SendSpan: m.SendSpan, Body: encode(&entries)}); !bytes.Equal(f.payload, want) {
+			t.Fatalf("frame %d is not a runBatchMsg's bytes", i)
+		}
+		if cap(f.payload) > len(f.payload)+3*binary.MaxVarintLen64 {
+			t.Fatalf("frame %d: payload of %d bytes allocated %d", i, len(f.payload), cap(f.payload))
+		}
+		if m.SendSpan == 0 || f.spanID != m.SendSpan || f.spanParent != 77 || !f.bulk {
+			t.Fatalf("frame %d: span %x (frame %x, parent %d), bulk %v", i, m.SendSpan, f.spanID, f.spanParent, f.bulk)
+		}
+		last := entries[len(entries)-1]
+		if closed := len(m.Body) >= coalesceBytes && len(m.Body)-last.size() < coalesceBytes; closed != (i == 0) {
+			t.Fatalf("frame %d: %d body bytes over %d entries", i, len(m.Body), len(entries))
+		}
+		var records int64
+		for _, e := range entries {
+			if e.Task != 3 || e.Attempt != 1 {
+				t.Fatalf("entry of task %d attempt %d", e.Task, e.Attempt)
+			}
+			parts = append(parts, e.Partition)
+			records += int64(e.Records)
+		}
+		if f.records != records || f.acct != int64(len(f.payload)) {
+			t.Fatalf("frame %d books %d records, %d bytes; carries %d, %d", i, f.records, f.acct, records, len(f.payload))
+		}
+		sent += int64(len(f.payload))
+	}
+	if !slices.Equal(parts, []int{1, 3, 5, 7, 9, 11}) {
+		t.Fatalf("partitions shipped %v", parts)
+	}
+	if led.netRecordsSent.Value() != 6 || led.netBytesSent.Value() != sent {
+		t.Fatalf("booked %d records, %d bytes sent; want 6, %d", led.netRecordsSent.Value(), led.netBytesSent.Value(), sent)
 	}
 }

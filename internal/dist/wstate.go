@@ -1,12 +1,14 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"slices"
 
 	"glasswing/internal/kv"
+	"glasswing/internal/obs"
 )
 
 // coordPeer names the coordinator where an event source or an effect target
@@ -58,10 +60,9 @@ type builtMap struct {
 // Worker effect kinds: what step asks the shell (worker.do) to perform, in
 // order, once the lock is released.
 const (
-	wfxSend    = iota // send f to peer (a mark flushes the peer's coalescer first)
-	wfxPush           // add push's run to peer's coalescer
-	wfxSeal           // seal peer's link and discard its coalescer (coordPeer: close the link)
-	wfxHandoff        // stream h to peer, on its own goroutine
+	wfxSend    = iota // send f to peer
+	wfxShip           // stream sh to peer: a map attempt's inline, a handoff on its own goroutine
+	wfxSeal           // seal peer's link (coordPeer: close the link)
 	wfxDial           // dial peer at addr
 	wfxExec           // queue task for the executor
 	wfxAccept         // install the event's link as peer's, queue f on it (if any), start its reader
@@ -79,11 +80,9 @@ type weffect struct {
 	op     int
 	peer   int
 	f      frame
-	push   runPush
-	h      *handoff
+	sh     *shipment
 	task   execItem
 	addr   string
-	span   uint64
 	killed bool
 	err    error
 	block  int
@@ -95,16 +94,9 @@ type weffect struct {
 	closeIters func()
 	iterErr    func() error
 
-	// The peer's link and coalescer: step never sets them; the shell
-	// (worker.decide) resolves them under the lock.
+	// The peer's link: step never sets it; the shell (worker.decide)
+	// resolves it under the lock.
 	cc *conn
-	co *coalescer
-}
-
-// runPush is one run bound for its home's coalescer.
-type runPush struct {
-	task, attempt, part, epoch int
-	run                        *kv.Run
 }
 
 // execItem is one task for the executor.
@@ -123,17 +115,47 @@ type pendingDone struct {
 	stats attemptStats
 }
 
-// handoff is one re-homed partition's committed runs on their way to the
-// partition's new home, taken off this node's store at the epoch that moved
-// it.
-type handoff struct {
-	part, epoch int
-	runs        []committedRun
-	records     int64
+// coalesceBytes closes a shipment's bulk frame once its entries reach this
+// many bytes: a frame's header, socket write and send-window bookkeeping are
+// paid once per batch of runs, not once per run.
+const coalesceBytes = 256 << 10
+
+// shipment is what this worker owes one peer on their FIFO link: runs, then
+// the frame that closes them — a map attempt's runs homed at the peer and
+// the attempt's mark, or a re-homed partition's committed runs, taken off
+// this node's store at the epoch that moved it, and its handoff mark.
+type shipment struct {
+	typ    byte // the runs' bulk frame type: mRunBatch or mHandoff
+	runs   []shipRun
+	span   uint64 // what the frames' net/send spans parent on: the attempt's map kernel
+	last   frame
+	stored int64 // records taken off the store (a handoff's): lost to the stores if it never ships
+}
+
+// shipRun is one run of a shipment and the entry it ships as; the entry's
+// Blob is set once the run is in memory for the wire.
+type shipRun struct {
+	runEntry
+	run *kv.Run
+}
+
+// newHandoff is partition part's committed runs on their way to its new
+// home under epoch.
+func newHandoff(part, epoch int, runs []kv.TaskRun) *shipment {
+	sh := &shipment{typ: mHandoff, runs: make([]shipRun, len(runs))}
+	for i, tr := range runs {
+		sh.runs[i] = shipRun{runEntry{Task: tr.Task, Partition: part, Records: tr.Run.Records,
+			RawBytes: tr.Run.RawBytes, Epoch: epoch}, tr.Run}
+		sh.stored += int64(tr.Run.Records)
+	}
+	sh.last = frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{
+		Epoch: epoch, Partition: part, Runs: len(runs), Records: sh.stored,
+	})}
+	return sh
 }
 
 // wstate is one worker's decision state: every fact the worker decides on,
-// and nothing it performs I/O through — no link, coalescer, channel or lock.
+// and nothing it performs I/O through — no link, channel or lock.
 // Every input reaches it through step, one event at a time; step returns the
 // effects for the shell to perform and reads no clock. The store's spill is
 // the one I/O it does in place, as the journal append is for coord.
@@ -154,8 +176,8 @@ type wstate struct {
 	formed int // formation peers at job start
 	held   []execItem
 	// wait holds what is owed to an alive peer not linked yet (a joiner whose
-	// hello is still in flight): pushes, marks and handoffs, released in
-	// order by its link-up, dropped by its death.
+	// hello is still in flight): shipments and acks, released in order by its
+	// link-up, dropped by its death.
 	wait    map[int][]weffect
 	ackWait []*pendingDone // in registration order: barriers clear in it
 
@@ -303,16 +325,16 @@ func (s *wstate) toPeer(j int, e weffect) {
 			s.emit(weffect{op: wfxTimer, peer: j})
 		}
 		s.wait[j] = append(s.wait[j], e)
-	case e.op == wfxHandoff:
-		s.led.StoreLost.Add(e.h.records)
+	case e.op == wfxShip:
+		s.led.StoreLost.Add(e.sh.stored)
 	}
 }
 
 // dropWaiting discards what is held for peer j.
 func (s *wstate) dropWaiting(j int) {
 	for _, e := range s.wait[j] {
-		if e.op == wfxHandoff {
-			s.led.StoreLost.Add(e.h.records)
+		if e.op == wfxShip {
+			s.led.StoreLost.Add(e.sh.stored)
 		}
 	}
 	delete(s.wait, j)
@@ -480,11 +502,11 @@ func (s *wstate) membership(m membershipMsg) {
 		}
 		// A settled partition's output is final: it moves empty, and its
 		// records stay where the coordinator books them settled if they die.
-		hd := &handoff{part: p, epoch: m.Epoch}
+		var runs []kv.TaskRun
 		if !s.isSettled(p) {
-			hd.runs, hd.records = s.store.takePartition(p)
+			runs = s.store.takePartition(p)
 		}
-		s.toPeer(h, weffect{op: wfxHandoff, h: hd})
+		s.toPeer(h, weffect{op: wfxShip, sh: newHandoff(p, m.Epoch, runs)})
 	}
 	s.meshCheck()
 }
@@ -527,12 +549,12 @@ func (s *wstate) linkUp(j int, reply frame) {
 }
 
 // built stages and commits an attempt's runs for this node's own
-// partitions, registers its commit barrier, pushes the rest to their homes
-// and marks every live peer. The attempt reports done only when every live
-// peer has acked its mark — at which point its output is committed
-// everywhere it needs to be. A membership change applied before this point
-// is reflected here; one applied after prunes the barrier (death) or fences
-// the staged runs out at commit time (epoch).
+// partitions, registers its commit barrier and ships every live peer the
+// runs homed there, then the attempt's mark. The attempt reports done only
+// when every live peer has acked its mark — at which point its output is
+// committed everywhere it needs to be. A membership change applied before
+// this point is reflected here; one applied after prunes the barrier
+// (death) or fences the staged runs out at commit time (epoch).
 func (s *wstate) built(b *builtMap) {
 	for p, r := range b.runs {
 		if r != nil && s.homes[p] == s.id && !s.isSettled(p) {
@@ -542,19 +564,22 @@ func (s *wstate) built(b *builtMap) {
 	acc, dup := s.store.commit(b.task, b.attempt)
 	s.led.StoreAccepted.Add(acc)
 	s.led.StoreDupDropped.Add(dup)
-	for p, r := range b.runs {
-		if r != nil && s.homes[p] != s.id && !s.isSettled(p) {
-			s.toPeer(s.homes[p], weffect{op: wfxPush, span: b.span,
-				push: runPush{task: b.task, attempt: b.attempt, part: p, epoch: s.epoch, run: r}})
-		}
-	}
 	pd := &pendingDone{k: attemptKey{b.task, b.attempt}, acks: make(map[int]bool), stats: b.stats}
-	mark := encode(&markMsg{Task: b.task, Attempt: b.attempt})
+	mark := frame{typ: mMark, payload: encode(&markMsg{Task: b.task, Attempt: b.attempt})}
+	runs := make([]shipRun, 0, len(b.runs)) // every peer's shipment slices it
 	for j, a := range s.alive {
-		if a && j != s.id {
-			pd.acks[j] = true
-			s.toPeer(j, weffect{op: wfxSend, f: frame{typ: mMark, payload: mark}})
+		if !a || j == s.id {
+			continue
 		}
+		pd.acks[j] = true
+		from := len(runs)
+		for p, r := range b.runs {
+			if r != nil && s.homes[p] == j && !s.isSettled(p) {
+				runs = append(runs, shipRun{runEntry{Task: b.task, Attempt: b.attempt, Partition: p,
+					Records: r.Records, RawBytes: r.RawBytes, Epoch: s.epoch}, r})
+			}
+		}
+		s.toPeer(j, weffect{op: wfxShip, sh: &shipment{typ: mRunBatch, runs: runs[from:], span: b.span, last: mark}})
 	}
 	s.ackWait = append(s.ackWait, pd)
 	s.barrierCleared(pd) // a single-node cluster, or every peer dead
@@ -573,18 +598,25 @@ func (s *wstate) peerFrame(ev wevent) {
 		s.serveFetch(j, p)
 	case mBlockData:
 		s.fetchReply(j, p)
-	case mRunBatch:
+	case mRunBatch, mHandoff:
 		var records int64
 		for _, re := range ev.runs {
 			records += int64(re.Records)
 		}
 		if s.killed {
+			// A handoff's records were accepted at their old home.
 			s.led.netLost(records, int64(len(p)))
+			if ev.typ == mHandoff {
+				s.led.StoreLost.Add(records)
+			}
 			return
 		}
 		s.led.netRecv(records, int64(len(p)))
 		for _, re := range ev.runs {
-			if !s.isSettled(re.Partition) {
+			switch {
+			case ev.typ == mHandoff:
+				s.store.stageHandoff(re.Partition, re.Epoch, re.Task, s.run(re))
+			case !s.isSettled(re.Partition):
 				s.store.stage(re.Task, re.Attempt, re.Partition, s.run(re), re.Epoch)
 			}
 		}
@@ -610,20 +642,6 @@ func (s *wstate) peerFrame(ev wevent) {
 				s.barrierCleared(pd)
 				break
 			}
-		}
-	case mHandoff:
-		var records int64
-		for _, re := range ev.runs {
-			records += int64(re.Records)
-		}
-		if s.killed {
-			s.led.netLost(records, int64(len(p)))
-			s.led.StoreLost.Add(records)
-			return
-		}
-		s.led.netRecv(records, int64(len(p)))
-		for _, re := range ev.runs {
-			s.store.stageHandoff(re.Partition, re.Epoch, re.Task, s.run(re))
 		}
 	case mHandoffMark:
 		// Adopt the partition and report it to the coordinator, which counts
@@ -667,44 +685,67 @@ func (s *wstate) kill() {
 	s.emit(weffect{op: wfxSeal, peer: coordPeer})
 }
 
-// stream ships h through send: bulk handoff frames sized like coalesced
-// batches, then the handoff mark that tells the destination to adopt.
-func (h *handoff) stream(led *ledger, send func(frame)) {
-	var body codec // runEntries layout
-	var recs int64
-	flush := func() {
-		payload := body.buf
-		led.netSent(recs, int64(len(payload)))
-		led.frameBytes(5 + int64(len(payload)))
-		send(frame{typ: mHandoff, payload: payload, bulk: true, records: recs, acct: int64(len(payload))})
-		body, recs = codec{}, 0
-	}
-	for _, cr := range h.runs {
-		run, err := cr.run.Load() // filed runs rematerialize for the wire
-		if err != nil {
-			// The spill file is unreadable: its records are lost to the
-			// handoff, exactly like a disk dying under a classic worker.
-			// Book them lost, not handed off, so the handoff ledger balances.
-			led.StoreLost.Add(int64(cr.run.Records))
-			continue
+// stream ships sh through send: its runs as bulk frames, each closed once
+// its entries reach coalesceBytes, then sh.last. Every frame is encoded once,
+// into a payload sized from its runs, and booked sent as it is queued; its
+// net/send span id, minted by tr (0 without a buffer) and parented on
+// sh.span, rides in the payload for the receiver's net/recv span to parent
+// on.
+func (sh *shipment) stream(led *ledger, tr *obs.Tracer, traceID uint64, send func(frame)) {
+	from, body := 0, 0
+	for i := range sh.runs {
+		if sh.load(led, i) {
+			body += sh.runs[i].size()
 		}
+		if body >= coalesceBytes || i == len(sh.runs)-1 && body > 0 {
+			send(sh.frame(led, traceID, tr.NewID(), from, i+1, body))
+			from, body = i+1, 0
+		}
+	}
+	send(sh.last)
+}
+
+// load brings run i into memory for the wire: a filed run (a handoff's) is
+// read back and its file removed. One that does not read back is dropped
+// from the shipment and its records booked lost, exactly like a disk dying
+// under a classic worker.
+func (sh *shipment) load(led *ledger, i int) bool {
+	sr := &sh.runs[i]
+	run, err := sr.run.Load()
+	if err != nil {
+		led.StoreLost.Add(int64(sr.Records))
+		sr.run = nil
+		return false
+	}
+	if path := sr.run.Path(); path != "" {
+		os.Remove(path) // the partition left this node; scratch goes too
+	}
+	sr.run, sr.Blob = run, run.Blob()
+	if sh.typ == mHandoff {
 		led.handoffOut.Add(int64(run.Records))
-		(&runEntry{
-			Task: cr.task, Partition: h.part, Records: run.Records,
-			RawBytes: run.RawBytes, Epoch: h.epoch, Blob: run.Blob(),
-		}).wire(&body)
-		recs += int64(run.Records)
-		if len(body.buf) >= coalesceBytes {
-			flush()
-		}
-		if path := cr.run.Path(); path != "" {
-			os.Remove(path) // the partition left this node; scratch goes too
+	}
+	return true
+}
+
+// frame encodes the loaded runs of sh.runs[from:to], body bytes of entries,
+// as one bulk frame of trace traceID with net/send span span, and books it
+// sent.
+func (sh *shipment) frame(led *ledger, traceID, span uint64, from, to, body int) frame {
+	// runBatchMsg's layout, its Body written in place.
+	c := codec{buf: make([]byte, 0, 3*binary.MaxVarintLen64+body)}
+	n := uint64(body)
+	c.u(&traceID)
+	c.u(&span)
+	c.u(&n)
+	var records int64
+	for i := from; i < to; i++ {
+		if sr := &sh.runs[i]; sr.run != nil {
+			sr.wire(&c)
+			records += int64(sr.Records)
 		}
 	}
-	if len(body.buf) > 0 {
-		flush()
-	}
-	send(frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{
-		Epoch: h.epoch, Partition: h.part, Runs: len(h.runs), Records: h.records,
-	})})
+	led.netSent(records, int64(len(c.buf)))
+	led.frameBytes(5 + int64(len(c.buf)))
+	return frame{typ: sh.typ, payload: c.buf, bulk: true, records: records, acct: int64(len(c.buf)),
+		spanID: span, spanParent: sh.span}
 }

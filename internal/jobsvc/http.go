@@ -215,10 +215,11 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// The span buffer holds the merged cluster trace: the coordinator's
-	// scheduling spans plus every worker's batch, clock-aligned to the
-	// coordinator's epoch by the dist runtime before they landed here.
+	// scheduling spans and membership instants plus every worker's batch,
+	// clock-aligned to the coordinator's epoch by the dist runtime before
+	// they landed here.
 	meta := map[string]any{"trace_id": traceIDHex(j.traceID), "job": j.id, "tenant": j.tenant}
-	obs.WriteChromeTraceWithMeta(w, j.tel.Spans.Spans(), meta)
+	obs.WriteChromeTraceWithMeta(w, j.tel.Spans.Spans(), meta, j.tel.Spans.Instants()...)
 }
 
 func (s *Service) handleJobMetrics(w http.ResponseWriter, r *http.Request) {

@@ -204,8 +204,9 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 		t0 := time.Now()
 		c := MapBlock(app, blocks[i], cfg.Collector, cfg.UseCombiner)
 		kernel := rec.kernel(t0)
-		defer rec.tr.Record(obs.StageMapPartition, time.Now(), kernel)
+		t0 = time.Now()
 		runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
+		rec.tr.Record(obs.StageMapPartition, t0, kernel)
 		st.Book(&rec.Conserv)
 		for g, run := range runs {
 			if run == nil {

@@ -143,3 +143,38 @@ func TestNativeTraceLinksPartitionToKernel(t *testing.T) {
 		t.Errorf("%d flow starts in the Chrome trace, want at least %d", got, partitions)
 	}
 }
+
+// A map/partition span times Chunk.Partition alone, as dist's does: a spill
+// that committing the chunk's runs triggers is booked as its own spill span,
+// never inside a partition span. One map worker keeps the spans sequential,
+// so any overlap is nesting.
+func TestPartitionSpanExcludesSpill(t *testing.T) {
+	data, _ := apps.WCData(13, 256<<10, 2000)
+	blocks := dfs.SplitLines(data, 16<<10)
+	tel := obs.NewTelemetry()
+	res, err := Run(apps.WordCount(), blocks, Config{
+		Partitions: 4, CacheThreshold: 64 << 10, KernelWorkers: 1, Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SpillFiles == 0 {
+		t.Fatal("expected spills")
+	}
+	var parts, spills []obs.Span
+	for _, s := range tel.Spans.Spans() {
+		switch s.Stage {
+		case obs.StageMapPartition:
+			parts = append(parts, s)
+		case obs.StageSpill:
+			spills = append(spills, s)
+		}
+	}
+	for _, sp := range spills {
+		for _, p := range parts {
+			if sp.Start >= p.Start && sp.End <= p.End {
+				t.Fatalf("spill span %+v lies inside map/partition span %+v", sp, p)
+			}
+		}
+	}
+}

@@ -11,10 +11,12 @@
 //   - one span type, Span, under one stage vocabulary (the Stage*
 //     constants, in TrackOrder's order), a SpanSink interface plus
 //     SpanBuffer — the timeline feed: the sim core's Trace and the cl
-//     command-queue profiling events record Spans;
+//     command-queue profiling events record Spans, and a dist
+//     coordinator's membership changes land there as Instants (the
+//     Instant* names);
 //   - Tracer — the native and dist runtimes' wall-clock stage timer: busy
 //     totals per stage and, when it has a buffer, Spans with
-//     cluster-unique ids and parent links;
+//     cluster-unique ids and parent links, and Instants it marks;
 //   - consumers of the timeline: WriteChromeTrace exports any run as Chrome
 //     trace_event JSON (open in chrome://tracing or Perfetto), and Analyze
 //     computes the paper's §V per-stage breakdown — busy/stall time,

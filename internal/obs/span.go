@@ -41,11 +41,12 @@ type SpanSink interface {
 	Span(s Span)
 }
 
-// SpanBuffer is the straightforward SpanSink: it accumulates spans under a
-// mutex for later export or analysis.
+// SpanBuffer is the straightforward SpanSink: it accumulates spans and
+// instants under a mutex for later export or analysis.
 type SpanBuffer struct {
-	mu    sync.Mutex
-	spans []Span
+	mu       sync.Mutex
+	spans    []Span
+	instants []Instant
 }
 
 // Span records one span. Degenerate spans (End <= Start) are dropped.
@@ -66,6 +67,26 @@ func (b *SpanBuffer) Spans() []Span {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]Span(nil), b.spans...)
+}
+
+// Mark records one instant.
+func (b *SpanBuffer) Mark(i Instant) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.instants = append(b.instants, i)
+	b.mu.Unlock()
+}
+
+// Instants returns a copy of the recorded instants.
+func (b *SpanBuffer) Instants() []Instant {
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]Instant(nil), b.instants...)
 }
 
 // The stage vocabulary: every span any runtime records lies on one of these
@@ -105,6 +126,16 @@ const (
 	StageCLWrite  = "cl/write"
 	StageCLKernel = "cl/kernel"
 	StageCLRead   = "cl/read"
+)
+
+// Instant names: the membership changes a dist coordinator marks on its own
+// track (node -1) — a worker's death, a live join, a completed drain, a
+// coordinator resuming from its journal — and the simulator's node death.
+const (
+	InstantDeath  = "node-death"
+	InstantJoin   = "node-join"
+	InstantDrain  = "node-drain"
+	InstantResume = "coord-resume"
 )
 
 // stages lists the vocabulary in track order: the scheduling group, the map

@@ -40,6 +40,15 @@ func (t *Tracer) Epoch() time.Time { return t.epoch }
 // Spans returns the recorded spans.
 func (t *Tracer) Spans() []Span { return t.buf.Spans() }
 
+// Instants returns the recorded instants.
+func (t *Tracer) Instants() []Instant { return t.buf.Instants() }
+
+// Mark books an instant named name on this node's timeline, now. Without a
+// buffer it records nothing.
+func (t *Tracer) Mark(name string) {
+	t.buf.Mark(Instant{Node: t.node, Name: name, At: time.Since(t.epoch).Seconds()})
+}
+
 // NewID mints a cluster-unique span id — node salt in the high bits, a
 // per-tracer counter below — for a span that must be named before it ends:
 // its id parents other spans or crosses the wire first. Without a buffer it
