@@ -37,8 +37,8 @@ var oneU32 = u32(1)
 
 // sumCounts is the count-summing kernel the counting apps use as both
 // combiner and reducer: the total is encoded into stack scratch and copied
-// into the output slab, so a reduction over a million keys — or a fold of
-// every full chain in a block — allocates nothing per key.
+// into the output slab, so a reduction over a million keys allocates
+// nothing per key.
 func sumCounts(key []byte, values [][]byte, out *kv.Batch) {
 	var total uint32
 	for _, v := range values {
@@ -51,6 +51,16 @@ func sumCounts(key []byte, values [][]byte, out *kv.Batch) {
 	var enc [4]byte
 	binary.LittleEndian.PutUint32(enc[:], total)
 	out.AppendKV(key, enc[:])
+}
+
+// addU32 is sumCounts as a fold: it adds one encoded count into a 4-byte
+// accumulator, wrapping as sumCounts' total does.
+func addU32(acc, v []byte) {
+	n, err := decodeU32(v)
+	if err != nil {
+		panic(err)
+	}
+	binary.LittleEndian.PutUint32(acc, binary.LittleEndian.Uint32(acc)+n)
 }
 
 // parseLines splits a text block into one record per non-empty line. The

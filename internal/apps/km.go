@@ -106,6 +106,7 @@ func KMeans(spec KMeansSpec) *core.App {
 		MapCost:     core.CostModel{OpsPerRecord: perPoint, OpsPerByte: 0.5, OpsPerEmit: 20},
 		Combine:     agg,
 		CombineCost: core.CostModel{OpsPerRecord: 20, OpsPerValue: float64(dim + 4), OpsPerEmit: 15},
+		Fold:        kmAdd,
 		ReduceBatch: func(key []byte, values [][]byte, out *kv.Batch) {
 			acc := make([]byte, dim*8+8)
 			kmAccumulate(acc, values)
@@ -129,16 +130,23 @@ func KMeans(spec KMeansSpec) *core.App {
 // decode-then-add loop has, keeping the float64 results bit-identical
 // across engines.
 func kmAccumulate(acc []byte, values [][]byte) {
-	sums := len(acc) - 8
 	for _, v := range values {
-		if len(v) != len(acc) {
-			panic(fmt.Errorf("apps: bad KM value length %d for dim %d", len(v), sums/8))
-		}
-		for off := 0; off < sums; off += 8 {
-			putF64(acc[off:], getF64(acc[off:])+getF64(v[off:]))
-		}
-		binary.LittleEndian.PutUint64(acc[sums:], binary.LittleEndian.Uint64(acc[sums:])+binary.LittleEndian.Uint64(v[sums:]))
+		kmAdd(acc, v)
 	}
+}
+
+// kmAdd adds one encoded (sum, count) value into acc: kmAccumulate's step,
+// and KMeans' fold. A sum that starts at +0.0 is never -0.0, so folding
+// from a zeroed accumulator matches one Combine over the same values.
+func kmAdd(acc, v []byte) {
+	sums := len(acc) - 8
+	if len(v) != len(acc) {
+		panic(fmt.Errorf("apps: bad KM value length %d for dim %d", len(v), sums/8))
+	}
+	for off := 0; off < sums; off += 8 {
+		putF64(acc[off:], getF64(acc[off:])+getF64(v[off:]))
+	}
+	binary.LittleEndian.PutUint64(acc[sums:], binary.LittleEndian.Uint64(acc[sums:])+binary.LittleEndian.Uint64(v[sums:]))
 }
 
 func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

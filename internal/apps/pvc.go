@@ -29,6 +29,7 @@ func PageviewCount() *core.App {
 		MapCost:     core.CostModel{OpsPerRecord: 40, OpsPerByte: 3, OpsPerEmit: 20},
 		Combine:     sumCounts,
 		CombineCost: core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
+		Fold:        addU32,
 		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
 	}

@@ -43,6 +43,7 @@ func WordCount() *core.App {
 		MapCost:     core.CostModel{OpsPerRecord: 60, OpsPerByte: 10, OpsPerEmit: 25, OpsPerBatch: 400},
 		Combine:     sumCounts,
 		CombineCost: core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
+		Fold:        addU32,
 		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
 	}

@@ -83,24 +83,31 @@ type App struct {
 
 	// Combine, if non-nil, is the application-specific combiner: a local
 	// reduce over the results of one map chunk. Only supported with the
-	// HashTable collector (§III-F).
+	// HashTable collector (§III-F). The simulated engines combine through
+	// it; the real runtimes (internal/native, and internal/dist through
+	// it) fold through Fold instead, and refuse a combiner job whose app
+	// has no Fold.
 	//
 	// The contract is the one reduce has always held it to, since reduce
 	// consumes combiner output from many chunks: Combine may be applied to
-	// its own output, any number of times. A runtime may combine part of a
-	// key's values, and later combine that result with more of them; the
-	// values arrive in emission order, and an earlier result stands first
-	// among them. A left-to-right combiner therefore adds in the order it
-	// would over the whole list — KMeans' float sums come out bit-identical
-	// however the native collector windows them. (KM still runs combiner-off
-	// in the conformance matrix: reduce then adds per-chunk partial sums,
-	// which associates differently from the reference's one pass over every
-	// value and differently again under another runtime's chunking — not
-	// because any runtime reorders the sums inside a chunk.) Combine
-	// normally emits one pair under the key it was given; other keys, no
-	// pair or several pairs are legal and are passed on as they are.
+	// its own output, any number of times. Combine normally emits one pair
+	// under the key it was given; other keys, no pair or several pairs are
+	// legal and are passed on as they are. (KM still runs combiner-off in
+	// the conformance matrix: reduce then adds per-chunk partial sums, which
+	// associates differently from the reference's one pass over every
+	// value and differently again under another runtime's chunking.)
 	Combine     ReduceBatchFunc
 	CombineCost CostModel
+	// Fold is Combine in place, one value at a time: it folds v into acc, a
+	// fixed-width accumulator. A real runtime keeps one accumulator per
+	// distinct key of a chunk, as wide as the key's first value and zeroed,
+	// and folds every value into it in emission order, the first one
+	// included; the accumulator is then the key's one combined value. So
+	// Fold over a key's values must give byte for byte what one Combine
+	// over the same list gives — for a left-to-right Combine that starts
+	// from zero, the same additions in the same order, which keeps KMeans'
+	// float sums bit-identical. Fold must not keep acc or v.
+	Fold func(acc, v []byte)
 
 	// ReduceBatch is the reduce kernel: it appends the output pairs of one
 	// key group to a batch. If nil, reduction is skipped entirely: the

@@ -569,8 +569,9 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 
 // A job the cluster cannot run is refused before anything listens or any
 // worker starts: a partition count over MaxPartitions, a combiner the app
-// (TeraSort has no Combine kernel) or the collector (the buffer pool has no
-// table to fold in) cannot run, an unknown block-store mode, or no input.
+// (TeraSort has no Combine kernel, an app with no Fold only combines in the
+// simulator) or the collector (the buffer pool has no table to fold in)
+// cannot run, an unknown block-store mode, or no input.
 func TestLoopbackRefusesUnrunnableJobs(t *testing.T) {
 	for _, tc := range []struct {
 		name, app string
@@ -580,6 +581,14 @@ func TestLoopbackRefusesUnrunnableJobs(t *testing.T) {
 		{"partitions over the cap", "wc", func(o *Options) { o.Job.Partitions = 1 << 28 }, "exceeds the cap"},
 		{"combiner without Combine", "ts", func(o *Options) { o.Job.UseCombiner = true }, "combiner requires"},
 		{"combiner on the pool", "wc", func(o *Options) { o.Job.UseCombiner, o.Job.Collector = true, core.BufferPool }, "combiner requires"},
+		{"combiner without Fold", "wc", func(o *Options) {
+			o.Job.UseCombiner = true
+			o.NewApp = func(spec AppSpec) (*core.App, func(key []byte, n int) int, error) {
+				app, part, err := RegistryResolver(spec)
+				app.Fold = nil
+				return app, part, err
+			}
+		}, "App.Fold"},
 		{"unknown block-store mode", "wc", func(o *Options) { o.Blockstore = "tape" }, "unknown blockstore mode"},
 		{"no input", "wc", func(o *Options) { o.Blocks = nil }, "no input blocks"},
 	} {

@@ -14,10 +14,11 @@ import (
 
 // TestMapBlockAllocs: the map side of one block — parse, kernel, combining
 // table, partition, runs — allocates per block and per run, never per word
-// or per fold. On a warm pool a 1 MiB Zipf block (some 180 k words, some
-// 20 k folds) costs a few dozen allocations; a kernel or combiner value
-// escaping to the heap costs tens of thousands. The race detector's
-// instrumentation allocates, so the file is built without it.
+// or per key. On a warm pool a 1 MiB Zipf block (some 275 k words folded
+// into some 14 k keys' accumulators) costs a few dozen allocations; a
+// kernel or fold value escaping to the heap costs tens of thousands. The
+// race detector's instrumentation allocates, so the file is built without
+// it.
 func TestMapBlockAllocs(t *testing.T) {
 	block := workload.WikiText(7, 1<<20, 41943)
 	app := apps.WordCount()

@@ -7,68 +7,39 @@ import (
 	"slices"
 	"sync"
 
-	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
 
-// chainMax bounds a key's value chain: the emit that fills it folds the
-// chain through App.Combine into one value.
-const chainMax = 32
-
-// frameHdr is the length prefix of one value in a chain buffer.
-const frameHdr = 4
+// recHdr is the header of one arena record: the key's and the
+// accumulator's lengths.
+const recHdr = 8
 
 // slot is one cell of the open-addressed index. tag is the key's hash with
 // the top bit set, so zero means empty.
 type slot struct {
 	tag uint32
-	idx uint32 // into entries
-}
-
-// entry is one distinct key: its bytes in the arena, and its chain — a
-// buffer in the arena with the values as length-prefixed frames, oldest
-// first. A buffer that fills moves to one twice the size; a fold empties it
-// in place, so a hot key keeps writing the same few cache lines. Entries
-// are appended in first-emission order, which is the order flush walks them
-// in — a chunk's output never depends on the hash.
-type entry struct {
-	key, klen uint32
-	buf, cap  uint32
-	used      uint32 // bytes of buf filled
-	n         uint32 // values in buf, < chainMax between emits
+	off uint32 // the key's record in the arena
 }
 
 // combiner is the combining collector (§III-F): an open-addressed hash
-// table whose value chains are reduced as they are emitted rather than
-// stored. A chain that fills is folded by App.Combine and its result put
-// back at the chain's head, so a combiner sees a key's values in emission
-// order with its own earlier result first, and a chunk never holds more
-// than chainMax values of one key.
+// table that folds each value into its key's accumulator as it is emitted,
+// through App.Fold, rather than storing it. A distinct key is one arena
+// record, [klen u32][alen u32][key][acc], so a repeated key touches its
+// slot and one record. Records are appended in first-emission order, which
+// is the order flush walks them in — a chunk's output never depends on the
+// hash.
 type combiner struct {
-	// arena is a chunk-scoped bump allocator for keys and chains, named by
-	// 32-bit offsets so entries hold no pointers for the collector to
-	// trace. One emit costs a copy into it instead of a heap allocation,
-	// and a pooled chunk reuses it (the paper's per-emit buffer management
-	// done once per chunk, §IV-B1).
-	arena   []byte
-	slots   []slot // power-of-two length, at most half full
-	entries []entry
-	chain   [][]byte // take's view of one chain
+	// arena is a chunk-scoped bump allocator for the records, named by
+	// 32-bit offsets so slots hold no pointers for the collector to trace.
+	// A new key costs a copy into it instead of a heap allocation, and a
+	// pooled chunk reuses it (the paper's per-emit buffer management done
+	// once per chunk, §IV-B1).
+	arena []byte
+	slots []slot // power-of-two length, at most half full
+	keys  int    // records in the arena
 
-	combine core.ReduceBatchFunc
-	out     *kv.Batch // the chunk's output
-	folded  kv.Batch  // what one mid-block Combine call emitted
-}
-
-// alloc reserves n bytes of arena and returns their offset. Growing the
-// arena moves it; bytes handed out earlier stay readable where they were.
-func (c *combiner) alloc(n int) uint32 {
-	off := len(c.arena)
-	if off+n > math.MaxUint32 {
-		panic("native: chunk collector arena exceeds 4GiB")
-	}
-	c.arena = slices.Grow(c.arena, n)[:off+n]
-	return uint32(off)
+	fold func(acc, v []byte)
+	out  *kv.Batch // the chunk's output
 }
 
 var hashSeed = maphash.MakeSeed()
@@ -91,26 +62,40 @@ func (c *combiner) add(tag uint32, k, v []byte) {
 			break
 		}
 		if s.tag == tag {
-			e := &c.entries[s.idx]
-			if string(c.arena[e.key:e.key+e.klen]) == string(k) {
-				c.push(e, v)
-				if e.n == chainMax {
-					c.fold(e)
-				}
+			if key, acc := c.record(s.off); string(key) == string(k) {
+				c.fold(acc, v)
 				return
 			}
 		}
 		i = (i + 1) & mask
 	}
-	if 2*(len(c.entries)+1) > len(c.slots) {
+	if 2*(c.keys+1) > len(c.slots) {
 		c.grow()
 		i = c.free(tag)
 	}
-	key := c.alloc(len(k))
-	copy(c.arena[key:], k)
-	c.slots[i] = slot{tag: tag, idx: uint32(len(c.entries))}
-	c.entries = append(c.entries, entry{key: key, klen: uint32(len(k))})
-	c.push(&c.entries[len(c.entries)-1], v)
+	off, n := len(c.arena), recHdr+len(k)+len(v)
+	if off+n > math.MaxUint32 {
+		panic("native: chunk collector arena exceeds 4GiB")
+	}
+	c.arena = slices.Grow(c.arena, n)[:off+n]
+	r := c.arena[off:]
+	binary.LittleEndian.PutUint32(r, uint32(len(k)))
+	binary.LittleEndian.PutUint32(r[4:], uint32(len(v)))
+	copy(r[recHdr:], k)
+	acc := r[recHdr+len(k):]
+	clear(acc)
+	c.fold(acc, v)
+	c.slots[i] = slot{tag: tag, off: uint32(off)}
+	c.keys++
+}
+
+// record returns the key and accumulator of the record at off, as views
+// into the arena.
+func (c *combiner) record(off uint32) (key, acc []byte) {
+	r := c.arena[off:]
+	klen := binary.LittleEndian.Uint32(r)
+	end := recHdr + klen + binary.LittleEndian.Uint32(r[4:])
+	return r[recHdr : recHdr+klen], r[recHdr+klen : end : end]
 }
 
 // free returns the first empty slot on tag's probe path.
@@ -135,69 +120,20 @@ func (c *combiner) grow() {
 	}
 }
 
-// push appends a copy of v to e's chain.
-func (c *combiner) push(e *entry, v []byte) {
-	need := uint32(frameHdr + len(v))
-	if e.used+need > e.cap {
-		// First value: an exact fit, which is all a key seen once needs.
-		size := max(2*e.cap, e.used+need)
-		buf := c.alloc(int(size))
-		copy(c.arena[buf:], c.arena[e.buf:e.buf+e.used])
-		e.buf, e.cap = buf, size
-	}
-	b := c.arena[e.buf+e.used : e.buf+e.used+need]
-	binary.LittleEndian.PutUint32(b, uint32(len(v)))
-	copy(b[frameHdr:], v)
-	e.used += need
-	e.n++
-}
-
-// take empties e's chain and returns its key and values, oldest first, as
-// views into the arena that the next push may overwrite.
-func (c *combiner) take(e *entry) (key []byte, vals [][]byte) {
-	vals = c.chain[:0]
-	for b := c.arena[e.buf : e.buf+e.used]; len(b) > 0; {
-		end := frameHdr + binary.LittleEndian.Uint32(b)
-		vals = append(vals, b[frameHdr:end:end])
-		b = b[end:]
-	}
-	e.used, e.n = 0, 0
-	return c.arena[e.key : e.key+e.klen : e.key+e.klen], vals
-}
-
-// fold combines a chain that filled mid-block. A sole pair under the
-// chain's own key becomes the chain's new head; anything else — another
-// key, no pair, several pairs — is combiner output like any other and goes
-// to the chunk's output as it stands.
-func (c *combiner) fold(e *entry) {
-	key, vals := c.take(e)
-	c.combine(key, vals, &c.folded)
-	if c.folded.Len() == 1 && string(c.folded.Pair(0).Key) == string(key) {
-		c.push(e, c.folded.Pair(0).Value)
-	} else {
-		for i := 0; i < c.folded.Len(); i++ {
-			p := c.folded.Pair(i)
-			c.out.AppendKV(p.Key, p.Value)
-		}
-	}
-	c.folded.Reset()
-}
-
-// flush combines what is left of every chain into the chunk's output, in
+// flush appends every key with its accumulator to the chunk's output, in
 // first-emission order.
 func (c *combiner) flush() {
-	for i := range c.entries {
-		if e := &c.entries[i]; e.n > 0 {
-			key, vals := c.take(e)
-			c.combine(key, vals, c.out)
-		}
+	for off := 0; off < len(c.arena); {
+		key, acc := c.record(uint32(off))
+		c.out.AppendKV(key, acc)
+		off += recHdr + len(key) + len(acc)
 	}
 }
 
 func (c *combiner) reset() {
 	c.arena = c.arena[:0]
 	clear(c.slots)
-	c.entries = c.entries[:0]
+	c.keys = 0
 }
 
 // Chunk is one block's collected map output on pooled state. Whatever the
@@ -217,7 +153,6 @@ type Chunk struct {
 func newChunk() *Chunk {
 	c := &Chunk{}
 	c.tab.slots = make([]slot, 1024)
-	c.tab.chain = make([][]byte, chainMax)
 	c.tab.out = &c.batch
 	return c
 }

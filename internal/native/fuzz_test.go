@@ -2,6 +2,7 @@ package native
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"glasswing/internal/kv"
@@ -91,5 +92,58 @@ func FuzzSpillMerge(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzCombinerFold drives emit streams derived from raw input through the
+// combining table and a map model, with the order-sensitive test fold: the
+// table must hand back one pair per distinct key, in first-emission order,
+// carrying the fold of exactly that key's values in emission order. The
+// first byte picks whether keys shrink to one byte (so they repeat), and
+// either how many variants of each key are emitted (so a long input grows
+// the index) or that every key's tag is forced onto one of three (so keys
+// share probe paths and tags; one variant then, or the probes go quadratic).
+func FuzzCombinerFold(f *testing.F) {
+	f.Add([]byte("\x00\x02\x01the quick brown fox jumps over the lazy dog"))
+	f.Add([]byte("\x03\x01\x00aaaa\x01\x00ab\x01\x00a\x00\x00\x01\x00b"))
+	f.Add(append([]byte{0xfe}, bytes.Repeat([]byte("\x05\x02some-keyvv"), 60)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		// A fresh table per input: a grown index kept from an earlier
+		// input would make coverage depend on what ran before.
+		c := newChunk()
+		c.tab.fold = orderFold
+		reps, short, collide := int(data[0]>>2&15)+1, data[0]&1 == 1, data[0]&2 == 2
+		if collide {
+			reps = 1
+		}
+		model := map[string][][]byte{}
+		var order []string
+		for i, p := range fuzzPairs(data[1:]) {
+			k := p.Key
+			if short {
+				k = k[:1]
+			}
+			for r := 0; r < reps; r++ {
+				key := append(bytes.Clone(k), '#', byte(r))
+				if r == 0 && len(p.Value) == 0 {
+					key = nil // the empty key
+				}
+				v := binary.LittleEndian.AppendUint64(nil, uint64(i)<<16|uint64(r))
+				if _, seen := model[string(key)]; !seen {
+					order = append(order, string(key))
+				}
+				model[string(key)] = append(model[string(key)], v)
+				if collide && len(key) > 0 {
+					c.tab.add(1<<31|uint32(key[0]%3), key, v)
+				} else {
+					c.tab.AppendKV(key, v)
+				}
+			}
+		}
+		c.tab.flush()
+		checkOutput(t, c, order, model)
 	})
 }

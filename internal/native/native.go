@@ -46,7 +46,7 @@ type Config struct {
 	Partitions int
 	// Collector picks the kernel output mechanism.
 	Collector core.CollectorKind
-	// UseCombiner aggregates each chunk's hash table with App.Combine.
+	// UseCombiner folds each chunk's hash table with App.Fold.
 	UseCombiner bool
 	// Compress stores intermediate runs DEFLATE-compressed.
 	Compress bool
@@ -168,10 +168,17 @@ func forEach(n, workers int, fn func(i int) error) error {
 
 // CheckCombiner is the one rule for a map-side combiner, in every runtime:
 // a job may ask for one only if its app has a Combine kernel and it
-// collects into the hash table, which is where the combiner folds.
+// collects into the hash table, which is where the combiner folds. A real
+// runtime folds through App.Fold, so an app without one is refused rather
+// than run uncombined.
 func CheckCombiner(app *core.App, collector core.CollectorKind, useCombiner bool) error {
-	if useCombiner && (app.Combine == nil || collector != core.HashTable) {
+	switch {
+	case !useCombiner:
+		return nil
+	case app.Combine == nil || collector != core.HashTable:
 		return fmt.Errorf("combiner requires App.Combine and the hash-table collector")
+	case app.Fold == nil:
+		return fmt.Errorf("combiner requires App.Fold: app %q has a Combine kernel but no fold for the real runtimes", app.Name)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package native
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,16 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(apps.WordCount(), nil, Config{UseCombiner: true, Collector: core.BufferPool}); err == nil {
 		t.Error("combiner with buffer pool should fail")
+	}
+	// An app that can combine only in the simulator is refused, not run
+	// uncombined.
+	unfolded := apps.WordCount()
+	unfolded.Fold = nil
+	if _, err := Run(unfolded, nil, Config{UseCombiner: true, Collector: core.HashTable}); err == nil || !strings.Contains(err.Error(), "Fold") {
+		t.Errorf("combiner with Combine but no Fold: %v, want an error naming Fold", err)
+	}
+	if _, err := Run(unfolded, nil, Config{Collector: core.HashTable}); err != nil {
+		t.Errorf("no Fold without the combiner: %v", err)
 	}
 	// Empty input is fine: empty output.
 	res, err := Run(apps.WordCount(), nil, Config{Collector: core.HashTable})

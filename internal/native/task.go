@@ -40,22 +40,22 @@ func (s MapStats) Book(led *core.Conserv) {
 // chunk to Partition, or Release it, exactly once.
 //
 // The collector matters only to the combiner, which needs per-key grouping:
-// it runs with the hash-table collector and an App.Combine, and then the
-// kernel's sink is the chunk's combining table. Otherwise both collectors
-// emit the same pair multiset, and the kernel writes straight into the
-// chunk's output.
+// it runs with the hash-table collector and an App.Fold, and then the
+// kernel's sink is the chunk's combining table, which folds each value into
+// its key's accumulator. Otherwise both collectors emit the same pair
+// multiset, and the kernel writes straight into the chunk's output.
 func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
 	var sink kv.Sink = &c.batch
-	combine := useCombiner && collector == core.HashTable && app.Combine != nil
-	if combine {
-		c.tab.combine = app.Combine
+	fold := useCombiner && collector == core.HashTable && app.Fold != nil
+	if fold {
+		c.tab.fold = app.Fold
 		sink = &c.tab
 	}
 	app.MapBatch(recs, sink)
-	if combine {
+	if fold {
 		c.tab.flush()
 	}
 	return c

@@ -84,8 +84,8 @@ func TestTaskKernelMatchesReference(t *testing.T) {
 					t.Fatalf("Partition returned %d runs, want one slot per partition (%d)", len(runs), P)
 				}
 				// The combiner only engages on the hash table with an
-				// App.Combine; everywhere else the map side is exact.
-				combined := combiner && collector == core.HashTable && app.Combine != nil
+				// App.Fold; everywhere else the map side is exact.
+				combined := combiner && collector == core.HashTable && app.Fold != nil
 				if st.RecordsIn != exp.Records || st.PartRecords != st.PairsOut {
 					t.Fatalf("map stats %+v: want %d records in, every emitted pair partitioned", st, exp.Records)
 				}
