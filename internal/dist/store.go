@@ -74,9 +74,10 @@ func newShuffleStore() *shuffleStore {
 }
 
 // enableSpill arms the out-of-core path: resident committed runs beyond
-// limit bytes are evicted to run files under dir(). led receives the
-// conserv_spill_* accounting; tr and journal (both optional) the spill
-// spans and the one line written if a disk error disarms spilling.
+// limit bytes are appended to one spill file per partition under dir().
+// led receives the conserv_spill_* accounting; tr and journal (both
+// optional) the spill spans and the one line written if a disk error
+// disarms spilling.
 func (s *shuffleStore) enableSpill(limit int64, dir func() (string, error), led *ledger, tr *obs.Tracer, journal *slog.Logger) {
 	s.spillDir = dir
 	s.spillLed = led

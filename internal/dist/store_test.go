@@ -108,7 +108,7 @@ func spillingStore(dir string) (*shuffleStore, *ledger, *bytes.Buffer) {
 }
 
 // TestStoreSpillMovesBytes: spilling a partition files each run on its own
-// (task identity survives), the booked stored size is the file's size and
+// (task identity survives) in the partition's file, the booked stored size is the file's size and
 // sits inside conformance's framing bound, handoff's reload gives back the
 // blob that was spilled, and the reduce path streams the file. (The file's
 // layout is kv's to assert: TestRunFileRoundTrip.)
@@ -178,8 +178,12 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 	store.commit(0, 0)
 	store.stage(1, 0, 3, storeRun(t, 5), 0)
 	store.commit(1, 0)
-	damaged := store.runs.Runs(3)[1].Run
-	if err := os.Truncate(damaged.Path(), damaged.StoredBytes()-1); err != nil {
+	damaged := store.runs.Runs(3)[1].Run // the last run in the partition's file
+	st, err := os.Stat(damaged.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(damaged.Path(), st.Size()-1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,6 +212,69 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 	defer closeIters()
 	if n := len(kv.Drain(kv.Merge(iters...))); n != 20 || errf() != nil {
 		t.Fatalf("adopted partition holds %d pairs, err %v; want 20", n, errf())
+	}
+}
+
+// TestHandoffOfSharedSpillFile: a re-homed partition's three filed runs
+// share its one spill file, and the middle one's section is damaged. The
+// two readable runs are handed off and adopted, only the damaged run's
+// records book store_lost, and the file is removed once, after the last
+// run in it is read.
+func TestHandoffOfSharedSpillFile(t *testing.T) {
+	store, led, _ := spillingStore(t.TempDir())
+	for task, n := range []int{20, 5, 7} {
+		store.stage(task, 0, 3, storeRun(t, n), 0)
+		store.commit(task, 0)
+	}
+	runs := store.runs.Runs(3)
+	path := runs[0].Run.Path()
+	var sum int64
+	for _, tr := range runs {
+		if tr.Run.Path() != path {
+			t.Fatalf("runs filed in %q and %q, want one file", path, tr.Run.Path())
+		}
+		sum += tr.Run.StoredBytes()
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != sum {
+		t.Fatalf("%s: %v bytes (err %v), its runs hold %d", path, st.Size(), err, sum)
+	}
+	// The middle run's section begins right after the first run's: its pair
+	// count no longer reads back.
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{0xff, 0xff}, runs[0].Run.StoredBytes())
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
+	var done bool
+	newHandoff(3, 1, store.takePartition(3)).stream(led, obs.NewTracer(0, nil), 0, func(f frame) {
+		ev, _, err := peerEvent(0, f.typ, f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dst.step(ev) {
+			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ == mHandoffDone
+		}
+	})
+	if !done {
+		t.Fatal("destination reported no handoff-done")
+	}
+	out, in, dup, lost := led.handoffOut.Value(), led.handoffIn.Value(), led.StoreDupDropped.Value(), led.StoreLost.Value()
+	if out != 27 || out != in+dup || lost != 5 {
+		t.Fatalf("handoff out %d, in %d, dup %d, store lost %d; want 27 out == in + dup and 5 lost", out, in, dup, lost)
+	}
+	iters, closeIters, errf := dst.store.partitionIters(3)
+	defer closeIters()
+	if n := len(kv.Drain(kv.Merge(iters...))); n != 27 || errf() != nil {
+		t.Fatalf("adopted partition holds %d pairs, err %v; want 27", n, errf())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the handed-off partition's spill file is still there (%v)", err)
 	}
 }
 

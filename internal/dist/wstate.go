@@ -130,6 +130,9 @@ type shipment struct {
 	span   uint64 // what the frames' net/send spans parent on: the attempt's map kernel
 	last   frame
 	stored int64 // records taken off the store (a handoff's): lost to the stores if it never ships
+	// lastFiled is the index of the last filed run (a handoff's): the runs
+	// share their partition's spill file, which goes once that run is read.
+	lastFiled int
 }
 
 // shipRun is one run of a shipment and the entry it ships as; the entry's
@@ -147,6 +150,9 @@ func newHandoff(part, epoch int, runs []kv.TaskRun) *shipment {
 		sh.runs[i] = shipRun{runEntry{Task: tr.Task, Partition: part, Records: tr.Run.Records,
 			RawBytes: tr.Run.RawBytes, Epoch: epoch}, tr.Run}
 		sh.stored += int64(tr.Run.Records)
+		if tr.Run.Path() != "" {
+			sh.lastFiled = i
+		}
 	}
 	sh.last = frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{
 		Epoch: epoch, Partition: part, Runs: len(runs), Records: sh.stored,
@@ -706,19 +712,19 @@ func (sh *shipment) stream(led *ledger, tr *obs.Tracer, traceID uint64, send fun
 }
 
 // load brings run i into memory for the wire: a filed run (a handoff's) is
-// read back and its file removed. One that does not read back is dropped
-// from the shipment and its records booked lost, exactly like a disk dying
-// under a classic worker.
+// read back, and after the last of them their partition's spill file is
+// removed. One that does not read back is dropped from the shipment and its
+// records booked lost, exactly like a disk dying under a classic worker.
 func (sh *shipment) load(led *ledger, i int) bool {
 	sr := &sh.runs[i]
 	run, err := sr.run.Load()
+	if path := sr.run.Path(); path != "" && i == sh.lastFiled {
+		os.Remove(path) // the partition left this node; scratch goes too
+	}
 	if err != nil {
 		led.StoreLost.Add(int64(sr.Records))
 		sr.run = nil
 		return false
-	}
-	if path := sr.run.Path(); path != "" {
-		os.Remove(path) // the partition left this node; scratch goes too
 	}
 	sr.run, sr.Blob = run, run.Blob()
 	if sh.typ == mHandoff {

@@ -3,31 +3,36 @@
 package kv
 
 import (
-	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
 // TestReadBackAllocs: merging filed and resident runs back — the reduce
 // side's read path — allocates per run and per chunk, never per pair. Eight
-// runs of 5,000 pairs, four of them filed (two of those DEFLATEd), merge back
-// in 54 allocations (ceiling 1.5× that); one allocation per pair would be
-// 40,000. The race detector's instrumentation allocates, so the file is
-// built without it.
+// runs of 5,000 pairs, four of them filed in one file (two of those
+// DEFLATEd), merge back through one descriptor in 35 allocations (ceiling
+// 1.5× that); one allocation per pair would be 40,000. The race detector's
+// instrumentation allocates, so the file is built without it.
 func TestReadBackAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	runs := make([]*Run, 8)
+	var filed []*Run
 	for i := range runs {
 		runs[i] = NewRun(randomSorted(rng, 5000), i%4 == 1)
 		if i%2 == 1 {
-			if err := runs[i].Spill(filepath.Join(t.TempDir(), fmt.Sprintf("%d.run", i))); err != nil {
-				t.Fatal(err)
-			}
+			filed = append(filed, runs[i])
 		}
 	}
+	path := filepath.Join(t.TempDir(), "spill.run")
+	fileRuns(t, path, filed...)
 	var pairs int
 	allocs := testing.AllocsPerRun(5, func() {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		iters := make([]Iterator, len(runs))
 		var files []*FileIter
 		for i, r := range runs {
@@ -35,7 +40,7 @@ func TestReadBackAllocs(t *testing.T) {
 				iters[i] = r.Iter()
 				continue
 			}
-			it, err := r.Open()
+			it, err := r.Stream(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,13 +59,14 @@ func TestReadBackAllocs(t *testing.T) {
 			}
 			it.Close()
 		}
+		f.Close()
 	})
 	t.Logf("%d pairs from %d runs: %.0f allocations", pairs, len(runs), allocs)
 	if pairs != 8*5000 {
 		t.Fatalf("merged %d pairs, want %d", pairs, 8*5000)
 	}
-	if allocs > 81 {
-		t.Fatalf("%.0f allocations to merge %d pairs back, want at most 81", allocs, pairs)
+	if allocs > 53 {
+		t.Fatalf("%.0f allocations to merge %d pairs back, want at most 53", allocs, pairs)
 	}
 }
 

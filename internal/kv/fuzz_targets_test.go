@@ -249,3 +249,61 @@ func FuzzMergeRuns(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergeGroups drives the merge's group step against Merge + GroupIter.
+// Each input byte is one pair — a key and a value from tieKeys and
+// tieValues, the empty key and empty values among them — dealt to one of up
+// to seven sources, each sorted: keys and whole pairs repeat within and
+// across sources, and some sources are empty. Every group's key and values
+// must come out byte for byte as GroupIter cuts Merge's pairs, value order
+// included, through one values slice reused from group to group.
+func FuzzMergeGroups(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{0})
+	f.Add(append([]byte{4}, bytes.Repeat([]byte{0x00, 0x0c, 0x18, 0x24, 0x4b, 0x97}, 30)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]%7) + 1
+		srcs := make([][]Pair, n)
+		combos := len(tieKeys) * len(tieValues)
+		for i, b := range data[1:] {
+			c := int(b) % combos
+			s := (i + int(b)/combos) % n
+			srcs[s] = append(srcs[s], Pair{Key: []byte(tieKeys[c%len(tieKeys)]), Value: []byte(tieValues[c/len(tieKeys)])})
+		}
+		iters := func() []Iterator {
+			its := make([]Iterator, n)
+			for i, src := range srcs {
+				its[i] = NewSliceIter(src)
+			}
+			return its
+		}
+		for _, src := range srcs {
+			SortPairs(src)
+		}
+		want := NewGroupIter(Merge(iters()...))
+		m := NewMerger(iters()...)
+		var vals [][]byte
+		for groups := 0; ; groups++ {
+			wg, wok := want.Next()
+			key, got, ok := m.NextGroup(vals[:0])
+			if ok != wok {
+				t.Fatalf("group %d: NextGroup ok=%v, GroupIter ok=%v", groups, ok, wok)
+			}
+			if !ok {
+				break
+			}
+			if !bytes.Equal(key, wg.Key) || len(got) != len(wg.Values) {
+				t.Fatalf("group %d: key %q with %d values, want %q with %d", groups, key, len(got), wg.Key, len(wg.Values))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], wg.Values[i]) {
+					t.Fatalf("group %d (%q): value %d is %q, want %q", groups, key, i, got[i], wg.Values[i])
+				}
+			}
+			vals = got
+		}
+	})
+}

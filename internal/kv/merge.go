@@ -36,7 +36,7 @@ func (s *SliceIter) Next() (Pair, bool) {
 	return p, true
 }
 
-// mergeIter is a k-way merge over sorted inputs using a loser tree: leaf i
+// Merger is a k-way merge over sorted inputs using a loser tree: leaf i
 // (node k+i) is input i's head, each internal node 1..k-1 holds the input
 // that lost the match played there, and win is the overall winner. Taking
 // the winner's next pair replays only the matches on its leaf-to-root path
@@ -44,8 +44,9 @@ func (s *SliceIter) Next() (Pair, bool) {
 // tree is int32s beside a typed head slice, not entries boxed through
 // container/heap's any. Each head carries the first eight bytes of its key
 // and value as big-endian integers, so most matches are decided, or found
-// equal, without a call into bytes.Compare.
-type mergeIter struct {
+// equal, without a call into bytes.Compare. NextGroup takes a key group at
+// a time off the same tree, replaying it once per input the key is in.
+type Merger struct {
 	src  []mergeSrc
 	tree []int32
 	win  int32
@@ -59,10 +60,12 @@ type mergeSrc struct {
 }
 
 // next advances the source to its next pair.
-func (s *mergeSrc) next() {
-	var ok bool
-	s.head, ok = s.it.Next()
-	s.kp, s.vp, s.done = Prefix8(s.head.Key), Prefix8(s.head.Value), !ok
+func (s *mergeSrc) next() { s.set(s.it.Next()) }
+
+// set makes p the source's head, or marks it exhausted.
+func (s *mergeSrc) set(p Pair, ok bool) {
+	s.head = p
+	s.kp, s.vp, s.done = Prefix8(p.Key), Prefix8(p.Value), !ok
 }
 
 // Prefix8 is b's first eight bytes, zero-padded, as a big-endian integer:
@@ -95,7 +98,14 @@ func Merge(iters ...Iterator) Iterator {
 	if len(iters) == 1 {
 		return iters[0]
 	}
-	m := &mergeIter{src: make([]mergeSrc, len(iters)), tree: make([]int32, len(iters))}
+	return NewMerger(iters...)
+}
+
+// NewMerger returns the merge of the sorted inputs, for a consumer that
+// wants it pair by pair (Next, as Merge) or key group by key group
+// (NextGroup).
+func NewMerger(iters ...Iterator) *Merger {
+	m := &Merger{src: make([]mergeSrc, len(iters)), tree: make([]int32, len(iters))}
 	for i, it := range iters {
 		m.src[i].it = it
 		m.src[i].next()
@@ -108,7 +118,7 @@ func Merge(iters ...Iterator) Iterator {
 
 // play fills the subtree under node with its matches and returns its
 // winner.
-func (m *mergeIter) play(node int) int32 {
+func (m *Merger) play(node int) int32 {
 	k := len(m.src)
 	if node >= k {
 		return int32(node - k)
@@ -123,7 +133,7 @@ func (m *mergeIter) play(node int) int32 {
 
 // beats reports whether input a's head comes out before input b's: an
 // exhausted input loses to any other, and a tie goes to the lower input.
-func (m *mergeIter) beats(a, b int32) bool {
+func (m *Merger) beats(a, b int32) bool {
 	x, y := &m.src[a], &m.src[b]
 	if x.done || y.done {
 		return !x.done || (y.done && a < b)
@@ -143,8 +153,19 @@ func (m *mergeIter) beats(a, b int32) bool {
 	return a < b
 }
 
+// replay plays input w's new head up its leaf-to-root path and sets the
+// winner.
+func (m *Merger) replay(w int32) {
+	for node := (int(w) + len(m.src)) / 2; node > 0; node /= 2 {
+		if m.beats(m.tree[node], w) {
+			m.tree[node], w = w, m.tree[node]
+		}
+	}
+	m.win = w
+}
+
 // Next implements Iterator.
-func (m *mergeIter) Next() (Pair, bool) {
+func (m *Merger) Next() (Pair, bool) {
 	if len(m.src) == 0 {
 		return Pair{}, false
 	}
@@ -155,13 +176,49 @@ func (m *mergeIter) Next() (Pair, bool) {
 	}
 	p := s.head
 	s.next()
-	for node := (int(w) + len(m.src)) / 2; node > 0; node /= 2 {
-		if m.beats(m.tree[node], w) {
-			m.tree[node], w = w, m.tree[node]
+	m.replay(w)
+	return p, true
+}
+
+// NextGroup returns the next key and, appended to vals, all of its values
+// in the order Merge yields them; ok is false at the end of the merge. The
+// winning input hands over its values for as long as its key is unchanged,
+// so the tree replays once per input holding the key, not once per pair.
+// Each input's values are in order; only where more than one input held
+// the key are their seams checked, and the values sorted if one is out of
+// order. Equal values are equal bytes, so the result is Merge's, byte for
+// byte. The values grow vals by doubling.
+func (m *Merger) NextGroup(vals [][]byte) (key []byte, _ [][]byte, ok bool) {
+	if len(m.src) == 0 || m.src[m.win].done {
+		return nil, vals, false
+	}
+	start, sorted := len(vals), true
+	key = m.src[m.win].head.Key
+	kp := m.src[m.win].kp
+	for {
+		w := m.win
+		s := &m.src[w]
+		if len(vals) > start && bytes.Compare(vals[len(vals)-1], s.head.Value) > 0 {
+			sorted = false
+		}
+		p, more := s.head, true
+		for more && bytes.Equal(p.Key, key) {
+			if len(vals) == cap(vals) {
+				vals = slices.Grow(vals, max(len(vals), 16))
+			}
+			vals = append(vals, p.Value)
+			p, more = s.it.Next()
+		}
+		s.set(p, more)
+		m.replay(w)
+		if next := &m.src[m.win]; next.done || next.kp != kp || !bytes.Equal(next.head.Key, key) {
+			break
 		}
 	}
-	m.win = w
-	return p, true
+	if !sorted {
+		slices.SortFunc(vals[start:], bytes.Compare)
+	}
+	return key, vals, true
 }
 
 // Group is one reduce input: a key and all of its values.

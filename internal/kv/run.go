@@ -17,9 +17,9 @@ import (
 // A run is compressed once, where it is built; this package is the only
 // code that knows the compressed form.
 type Run struct {
-	blob       []byte // nil once Spill has moved the bytes to a file
-	path       string // that file; "" while resident
-	filed      int64  // its size
+	blob       []byte // nil once the run is filed
+	path       string // the spill file holding it; "" while resident
+	off, filed int64  // its section of that file
 	Records    int
 	RawBytes   int64 // payload volume before encoding
 	Compressed bool
@@ -107,7 +107,7 @@ func (r *Run) StoredBytes() int64 {
 func (r *Run) Blob() []byte { return r.blob }
 
 // RunFromBlob reconstructs a run from its encoded bytes and metadata — a
-// run received from a peer, or read back from its file. The blob is
+// run received from a peer, or read back from its spill file. The blob is
 // retained, not copied, and the run takes ownership: the caller must not
 // reuse or mutate it afterwards. Nothing is checked here: bytes that do not
 // decode fail the run's iterator, not this call.

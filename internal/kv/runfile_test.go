@@ -2,7 +2,9 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,20 +26,59 @@ func runFileCases() map[string][]Pair {
 	}
 }
 
-func forEachRunFile(t *testing.T, fn func(t *testing.T, run *Run, path string)) {
+// forEachRunFile calls fn with each case's pairs, its compression, and a
+// path for a spill file that does not exist yet.
+func forEachRunFile(t *testing.T, fn func(t *testing.T, pairs []Pair, compress bool, path string)) {
 	for name, pairs := range runFileCases() {
 		for _, compress := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/deflate=%v", name, compress), func(t *testing.T) {
-				fn(t, NewRun(pairs, compress), filepath.Join(t.TempDir(), "x.run"))
+				fn(t, pairs, compress, filepath.Join(t.TempDir(), "x.run"))
 			})
 		}
 	}
 }
 
-// drainFile streams a filed run and returns its pairs and deferred error.
+// neighbours are the runs filed before and after the run under test: a
+// reader that strays out of its section reads one of theirs.
+func neighbours(compress bool) (before, after *Run) {
+	rng := rand.New(rand.NewSource(8))
+	return NewRun(randomSorted(rng, 50), compress), NewRun(randomSorted(rng, 70), compress)
+}
+
+// fileRuns files runs end to end in a new file at path, as a store files a
+// partition's, and returns the file's size.
+func fileRuns(t *testing.T, path string, runs ...*Run) int64 {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var size int64
+	for _, r := range runs {
+		n := r.StoredBytes()
+		if err := r.fileAt(f, size); err != nil {
+			t.Fatal(err)
+		}
+		size += n
+	}
+	return size
+}
+
+// drainFile streams a filed run through one descriptor on its file and
+// returns its pairs and deferred error.
 func drainFile(t *testing.T, run *Run) ([]Pair, error) {
 	t.Helper()
-	it, err := run.Open()
+	f, err := os.Open(run.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	return drainSection(run, f)
+}
+
+func drainSection(run *Run, f io.ReaderAt) ([]Pair, error) {
+	it, err := run.Stream(f)
 	if err != nil {
 		return nil, err
 	}
@@ -45,26 +86,50 @@ func drainFile(t *testing.T, run *Run) ([]Pair, error) {
 	return Drain(it), it.Err()
 }
 
-// TestRunFileRoundTrip: the file is the run's blob byte for byte, the run
-// keeps its accounting, streaming yields the run's pairs, and Load restores
-// the very blob that was spilled.
-func TestRunFileRoundTrip(t *testing.T) {
-	forEachRunFile(t, func(t *testing.T, run *Run, path string) {
-		want, err := run.Pairs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob := append([]byte(nil), run.Blob()...)
-		records, raw, stored := run.Records, run.RawBytes, run.StoredBytes()
+// wantIntact fails unless run streams and reloads to want.
+func wantIntact(t *testing.T, run *Run, want []Pair) {
+	t.Helper()
+	got, err := drainFile(t, run)
+	if err != nil || !pairsEqual(got, want) {
+		t.Fatalf("streamed %d pairs (err %v), want the run's %d", len(got), err, len(want))
+	}
+	back, err := run.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs, err := back.Pairs(); err != nil || !pairsEqual(pairs, want) {
+		t.Fatalf("reloaded %d pairs (err %v), want the run's %d", len(pairs), err, len(want))
+	}
+}
 
-		if err := run.Spill(path); err != nil {
-			t.Fatal(err)
+// TestRunFileRoundTrip: a filed run is its section of the file, the run's
+// blob byte for byte between its neighbours'; the run keeps its accounting,
+// the file is as long as its runs, streaming yields the run's pairs, and
+// Load restores the very blob that was filed.
+func TestRunFileRoundTrip(t *testing.T) {
+	forEachRunFile(t, func(t *testing.T, pairs []Pair, compress bool, path string) {
+		before, after := neighbours(compress)
+		run := NewRun(pairs, compress)
+		runs := []*Run{before, run, after}
+		want := make([][]Pair, len(runs))
+		var blob []byte
+		var sum int64
+		for i, r := range runs {
+			want[i], _ = r.Pairs()
+			blob = append(blob, r.Blob()...)
+			sum += r.StoredBytes()
+		}
+		records, raw, stored := run.Records, run.RawBytes, run.StoredBytes()
+		mine := append([]byte(nil), run.Blob()...)
+
+		if size := fileRuns(t, path, runs...); size != sum {
+			t.Fatalf("filing wrote %d bytes, the runs hold %d", size, sum)
 		}
 		if run.Path() != path || run.Blob() != nil {
 			t.Fatalf("run not filed: path %q, %d blob bytes resident", run.Path(), len(run.Blob()))
 		}
 		if run.Records != records || run.RawBytes != raw || run.StoredBytes() != stored {
-			t.Fatalf("accounting changed by Spill: %d/%d/%d, want %d/%d/%d",
+			t.Fatalf("accounting changed by filing: %d/%d/%d, want %d/%d/%d",
 				run.Records, run.RawBytes, run.StoredBytes(), records, raw, stored)
 		}
 		onDisk, err := os.ReadFile(path)
@@ -72,57 +137,92 @@ func TestRunFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(onDisk, blob) {
-			t.Fatalf("file holds %d bytes that are not the run's %d-byte blob", len(onDisk), len(blob))
+			t.Fatalf("file holds %d bytes that are not the runs' %d blob bytes end to end", len(onDisk), len(blob))
 		}
-
-		got, err := drainFile(t, run)
-		if err != nil {
-			t.Fatal(err)
+		for i, r := range runs {
+			wantIntact(t, r, want[i])
 		}
-		if !pairsEqual(want, got) {
-			t.Fatalf("streamed %d pairs, want the run's %d", len(got), len(want))
-		}
-		back, err := run.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back.Blob(), blob) || back.Records != records || back.RawBytes != raw || back.Compressed != run.Compressed {
-			t.Fatal("reloaded run differs from the spilled one")
+		if back, _ := run.Load(); !bytes.Equal(back.Blob(), mine) || back.Records != records || back.RawBytes != raw || back.Compressed != compress {
+			t.Fatal("reloaded run differs from the filed one")
 		}
 	})
 }
 
-// TestRunFileDamageIsAnError: a file one byte short or one byte long fails
-// Load's size check, and fails streaming too — at Open or, once the pairs
-// before the damage have been delivered, through Err.
-func TestRunFileDamageIsAnError(t *testing.T) {
-	forEachRunFile(t, func(t *testing.T, run *Run, path string) {
-		records := run.Records
-		if err := run.Spill(path); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, run.StoredBytes()-1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := run.Load(); err == nil {
-			t.Error("Load accepted a truncated file")
-		}
-		if got, err := drainFile(t, run); err == nil {
-			t.Errorf("streaming a truncated file delivered %d of %d pairs and no error", len(got), records)
-		}
+// errShortRead is what shortReaderAt's disk says when it stops.
+var errShortRead = errors.New("short read")
 
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Write([]byte{0, 0})
-		f.Close()
-		if _, err := run.Load(); err == nil {
-			t.Error("Load accepted a file one byte too long")
-		}
-		if _, err := drainFile(t, run); err == nil {
-			t.Error("streaming accepted a file with bytes past its last pair")
-		}
+// shortReaderAt reads like r below stop and fails past it, returning the
+// bytes it had: a disk that delivers part of a read and an error.
+type shortReaderAt struct {
+	r    io.ReaderAt
+	stop int64
+}
+
+func (s shortReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) <= s.stop {
+		return s.r.ReadAt(p, off)
+	}
+	n, _ := s.r.ReadAt(p[:max(0, s.stop-off)], off)
+	return n, errShortRead
+}
+
+// TestRunFileDamageIsAnError: a filed run is damaged three ways — the file
+// ends inside its section, its section holds a pair past its last one, a
+// read of it comes back short — and each is an error, at Stream or,
+// once the pairs before the damage have been delivered, through Err; Load
+// refuses the first two. The runs filed beside it read back intact.
+func TestRunFileDamageIsAnError(t *testing.T) {
+	forEachRunFile(t, func(t *testing.T, pairs []Pair, compress bool, path string) {
+		before, after := neighbours(compress)
+		wantBefore, _ := before.Pairs()
+		wantAfter, _ := after.Pairs()
+
+		t.Run("truncated-inside", func(t *testing.T) {
+			b := NewRun(wantBefore, compress)
+			run := NewRun(pairs, compress)
+			size := fileRuns(t, filepath.Join(t.TempDir(), "x.run"), b, run)
+			if err := os.Truncate(run.Path(), size-1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Load(); err == nil {
+				t.Error("Load accepted a section the file ends inside")
+			}
+			if got, err := drainFile(t, run); err == nil {
+				t.Errorf("streaming a cut section delivered %d of %d pairs and no error", len(got), run.Records)
+			}
+			wantIntact(t, b, wantBefore)
+		})
+
+		t.Run("bytes-past-end", func(t *testing.T) {
+			blob := append(Marshal(pairs), frames([]Pair{{Key: []byte("zz"), Value: []byte("past")}})...)
+			if compress {
+				blob = deflate(blob)
+			}
+			long := RunFromBlob(blob, len(pairs), 0, compress)
+			fileRuns(t, path, before, long, after)
+			if _, err := long.Load(); err == nil {
+				t.Error("Load accepted a section with a pair past its last")
+			}
+			if _, err := drainFile(t, long); err == nil {
+				t.Error("streaming accepted a section with a pair past its last")
+			}
+			wantIntact(t, before, wantBefore)
+			wantIntact(t, after, wantAfter)
+		})
+
+		t.Run("short-read", func(t *testing.T) {
+			run := NewRun(pairs, compress)
+			fileRuns(t, filepath.Join(t.TempDir(), "x.run"), run)
+			f, err := os.Open(run.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			got, err := drainSection(run, shortReaderAt{f, run.StoredBytes() / 2})
+			if !errors.Is(err, errShortRead) {
+				t.Errorf("a read cut short delivered %d of %d pairs, err %v", len(got), run.Records, err)
+			}
+		})
 	})
 }
 
@@ -132,11 +232,8 @@ func TestRunFileDamageIsAnError(t *testing.T) {
 func TestRunFileTruncatedAtPairBoundary(t *testing.T) {
 	pairs := []Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}
 	run := NewRun(pairs, false)
-	path := filepath.Join(t.TempDir(), "x.run")
-	if err := run.Spill(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, run.StoredBytes()-int64(len(frames(pairs[1:])))); err != nil {
+	size := fileRuns(t, filepath.Join(t.TempDir(), "x.run"), run)
+	if err := os.Truncate(run.Path(), size-int64(len(frames(pairs[1:])))); err != nil {
 		t.Fatal(err)
 	}
 	got, err := drainFile(t, run)
@@ -145,21 +242,32 @@ func TestRunFileTruncatedAtPairBoundary(t *testing.T) {
 	}
 }
 
-// TestRunFileSpillErrorLeavesRunResident: a failed Spill leaves nothing on
-// disk and the run as it was.
+// TestRunFileSpillErrorLeavesRunResident: an append that fails leaves the
+// file holding the runs filed before it, and the run as it was.
 func TestRunFileSpillErrorLeavesRunResident(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.run")
+	first := NewRun([]Pair{{Key: []byte("a"), Value: []byte("1")}}, false)
+	size := fileRuns(t, path, first)
+	f, err := os.Open(path) // read-only: the append fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	run := NewRun([]Pair{{Key: []byte("k"), Value: []byte("v")}}, false)
-	path := filepath.Join(t.TempDir(), "missing", "x.run")
-	if err := run.Spill(path); err == nil {
-		t.Fatal("Spill into a missing directory succeeded")
+	if err := run.fileAt(f, size); err == nil {
+		t.Fatal("appending through a read-only descriptor succeeded")
 	}
 	if run.Path() != "" || len(Drain(run.Iter())) != 1 {
-		t.Fatal("failed Spill changed the run")
+		t.Fatal("failed append changed the run")
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != size {
+		t.Fatalf("file holds %v bytes after a failed append (err %v), want %d", st.Size(), err, size)
 	}
 }
 
-// TestRunFileCloseReleasesDescriptor: the process's open-file count is flat
-// across 1,000 open/drain/close cycles.
+// TestRunFileCloseReleasesDescriptor: a store's filed partition costs one
+// descriptor while it is read, and none once its iterators are closed: the
+// process's open-file count is flat across 1,000 Iters/drain/close cycles.
 func TestRunFileCloseReleasesDescriptor(t *testing.T) {
 	openFiles := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -168,18 +276,27 @@ func TestRunFileCloseReleasesDescriptor(t *testing.T) {
 		}
 		return len(ents)
 	}
-	run := NewRun(randomSorted(rand.New(rand.NewSource(6)), 20), true)
-	if err := run.Spill(filepath.Join(t.TempDir(), "x.run")); err != nil {
-		t.Fatal(err)
-	}
-	before := openFiles()
-	for i := 0; i < 1000; i++ {
-		if _, err := drainFile(t, run); err != nil {
+	dir := t.TempDir()
+	s := NewRunStore(1, func() (string, error) { return dir, nil }, nil)
+	rng := rand.New(rand.NewSource(6))
+	for task := 0; task < 4; task++ {
+		if err := s.Add(0, task, NewRun(randomSorted(rng, 20), task%2 == 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	before := openFiles()
+	for i := 0; i < 1000; i++ {
+		iters, closeFiles, errf := s.Iters(0)
+		if i == 0 && openFiles() != before+1 {
+			t.Fatalf("open files %d → %d with 4 filed runs' iterators open, want one more", before, openFiles())
+		}
+		if n := len(Drain(Merge(iters...))); n != 80 || errf() != nil {
+			t.Fatalf("drained %d pairs (err %v), want 80", n, errf())
+		}
+		closeFiles()
+	}
 	if after := openFiles(); after != before {
-		t.Fatalf("open files %d → %d across 1,000 open/close", before, after)
+		t.Fatalf("open files %d → %d across 1,000 Iters/close", before, after)
 	}
 }
 
@@ -188,10 +305,13 @@ func TestRunFileFeedsMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a, b := randomSorted(rng, 80), randomSorted(rng, 120)
 	filed := NewRun(a, true)
-	if err := filed.Spill(filepath.Join(t.TempDir(), "a.run")); err != nil {
+	fileRuns(t, filepath.Join(t.TempDir(), "a.run"), filed)
+	f, err := os.Open(filed.Path())
+	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := filed.Open()
+	defer f.Close()
+	it, err := filed.Stream(f)
 	if err != nil {
 		t.Fatal(err)
 	}

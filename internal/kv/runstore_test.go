@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -41,38 +40,42 @@ func drainStore(t *testing.T, s *RunStore, parts int) map[string]int {
 }
 
 // TestRunStoreSpillFailsHalfWay: a spill that fails part of the way leaves
-// the runs it had filed filed and the rest resident, returns the error from
-// Add, and loses or repeats nothing — the caller may fail the job or stop
-// spilling and carry on, and either is correct.
+// the runs it had filed filed and the rest resident, cuts the partition's
+// file back to the runs filed in it, returns the error from Add, and loses
+// or repeats nothing — the caller may fail the job or stop spilling and
+// carry on, and either is correct. Tasks alternate between partitions 0
+// and 1; the limit holds two runs, so the third Add files partition 0's two
+// and the fifth partition 1's two.
 func TestRunStoreSpillFailsHalfWay(t *testing.T) {
 	errDisk := errors.New("disk gone")
+	runBytes := storeTestRun(0, 10).StoredBytes()
 	for _, tc := range []struct {
 		name      string
-		breakDisk func(dir string, calls int) error // what the dir provider does on call number calls
+		breakDisk func(t *testing.T, calls int) error // what the dir provider does on call number calls
 		wantFiled int
 		wantErr   error // nil: whatever the failed write says
 	}{
 		// The second partition to be filed finds no directory.
-		{name: "dir-errors-on-second-call", wantFiled: 3, wantErr: errDisk, breakDisk: func(dir string, calls int) error {
+		{name: "dir-errors-on-second-call", wantFiled: 2, wantErr: errDisk, breakDisk: func(t *testing.T, calls int) error {
 			if calls == 2 {
 				return errDisk
 			}
 			return nil
 		}},
-		// The second file of the first partition cannot be written: its
-		// name is taken by a directory.
-		{name: "write-fails-mid-partition", wantFiled: 1, breakDisk: func(dir string, calls int) error {
-			return os.MkdirAll(filepath.Join(dir, "spill-000001.run", "x"), 0o777)
+		// The second run appended to the first partition's file is cut
+		// short: the process may write files no longer than a run and a
+		// half.
+		{name: "write-fails-mid-partition", wantFiled: 1, breakDisk: func(t *testing.T, calls int) error {
+			limitFileSize(t, runBytes+runBytes/2)
+			return nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			calls, spilled := 0, 0
-			// The limit holds two 10-pair runs and trips on a third.
-			limit := 2*storeTestRun(0, 10).StoredBytes() + 1
-			s := NewRunStore(limit, func() (string, error) {
+			s := NewRunStore(2*runBytes+1, func() (string, error) {
 				calls++
-				return dir, tc.breakDisk(dir, calls)
+				return dir, tc.breakDisk(t, calls)
 			}, func(run *Run, t0 time.Time) {
 				if run.Path() == "" || t0.After(time.Now()) {
 					t.Errorf("hook saw run at %q, begun %v", run.Path(), t0)
@@ -82,7 +85,7 @@ func TestRunStoreSpillFailsHalfWay(t *testing.T) {
 			var firstErr error
 			added := 0
 			for task := 0; task < 6 && firstErr == nil; task++ {
-				firstErr = s.Add(0, task, storeTestRun(task, 10))
+				firstErr = s.Add(task%2, task, storeTestRun(task, 10))
 				added += 10
 			}
 			if firstErr == nil {
@@ -93,18 +96,27 @@ func TestRunStoreSpillFailsHalfWay(t *testing.T) {
 			}
 			var filed int
 			var resident int64
-			for _, tr := range s.Runs(0) {
-				if tr.Run.Path() != "" {
-					filed++
-				} else {
-					resident += tr.Run.StoredBytes()
+			fileBytes := make(map[string]int64)
+			for p := 0; p < 2; p++ {
+				for _, tr := range s.Runs(p) {
+					if path := tr.Run.Path(); path != "" {
+						filed++
+						fileBytes[path] += tr.Run.StoredBytes()
+					} else {
+						resident += tr.Run.StoredBytes()
+					}
 				}
 			}
 			if filed != tc.wantFiled || spilled != filed || s.Resident() != resident {
 				t.Fatalf("%d runs filed (want %d), hook called %d times, %d bytes booked resident, %d are",
 					filed, tc.wantFiled, spilled, s.Resident(), resident)
 			}
-			seen := drainStore(t, s, 1)
+			for path, n := range fileBytes {
+				if st, err := os.Stat(path); err != nil || st.Size() != n {
+					t.Fatalf("%s: %v bytes (err %v), its filed runs hold %d", path, st.Size(), err, n)
+				}
+			}
+			seen := drainStore(t, s, 2)
 			if len(seen) != added {
 				t.Fatalf("%d distinct keys read back, %d added", len(seen), added)
 			}
@@ -115,15 +127,15 @@ func TestRunStoreSpillFailsHalfWay(t *testing.T) {
 			}
 			// The caller that carries on: no limit, no further spill, no error.
 			s.SetLimit(0)
-			if err := s.Add(1, 9, storeTestRun(9, 10)); err != nil || len(drainStore(t, s, 2)) != added+10 {
-				t.Fatalf("after SetLimit(0): err %v, %d keys", err, len(drainStore(t, s, 2)))
+			if err := s.Add(2, 9, storeTestRun(9, 10)); err != nil || len(drainStore(t, s, 3)) != added+10 {
+				t.Fatalf("after SetLimit(0): err %v, %d keys", err, len(drainStore(t, s, 3)))
 			}
 		})
 	}
 }
 
 // TestRunStoreTakeAndDrop: Take hands a partition over as it is — filed
-// runs still filed, their files now the caller's — and its resident bytes
+// runs still filed, their one file now the caller's — and its resident bytes
 // stop counting against the limit; Drop removes what is left, files and
 // all, and says how many records went.
 func TestRunStoreTakeAndDrop(t *testing.T) {
@@ -157,8 +169,8 @@ func TestRunStoreTakeAndDrop(t *testing.T) {
 		if tr.Task != i {
 			t.Fatalf("run %d carries task %d", i, tr.Task)
 		}
-		if filed := tr.Run.Path() != ""; filed != (i < 3) {
-			t.Fatalf("run %d: path %q", i, tr.Run.Path())
+		if filed := tr.Run.Path() != ""; filed != (i < 3) || filed && tr.Run.Path() != taken[0].Run.Path() {
+			t.Fatalf("run %d: path %q, want the partition's one file for the first three", i, tr.Run.Path())
 		}
 	}
 	if got := s.Resident(); got != other.StoredBytes() {

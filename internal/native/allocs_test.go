@@ -63,7 +63,7 @@ func TestRunAllocs(t *testing.T) {
 		{"terasort", apps.TeraSort(), dfs.SplitFixed(ts, 64<<10, workload.TeraRecordSize),
 			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1065, 1.25, 0},
 		{"kmeans", apps.KMeans(spec), dfs.SplitFixed(km, 16<<10, int64(spec.Dim*4)),
-			Config{Collector: core.HashTable, UseCombiner: true}, 2460, 1.25, 0},
+			Config{Collector: core.HashTable, UseCombiner: true}, 1627, 1.25, 0},
 	} {
 		sc.cfg.KernelWorkers, sc.cfg.Partitions = 4, 8
 		var spill int64

@@ -103,10 +103,11 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 	}
 }
 
-// TestStoreSpillAccounting: a spill files each of the victim partition's
-// runs on its own; the booked stored size is the files' size, inside the
-// framing bound conformance holds every spilling run to, the file count is
-// the number of filed runs, and cleanup leaves nothing behind. (The file's
+// TestStoreSpillAccounting: a spill appends each of the victim partition's
+// runs on its own to the partition's one file; the booked stored size is
+// the file's size — the sum of its filed runs — inside the framing bound
+// conformance holds every spilling run to, the file count is still the
+// number of filed runs, and cleanup leaves nothing behind. (The file's
 // layout is kv's to assert: TestRunFileRoundTrip.)
 func TestStoreSpillAccounting(t *testing.T) {
 	spillDir := t.TempDir()
@@ -118,24 +119,35 @@ func TestStoreSpillAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var onDisk, files int64
+	var filedBytes, files int64
+	var path string
 	for _, tr := range store.Runs(0) {
 		r := tr.Run
 		if r.Path() == "" {
 			continue
 		}
+		if path == "" {
+			path = r.Path()
+		}
+		if r.Path() != path {
+			t.Fatalf("partition 0 filed runs in %s and %s, want one file", path, r.Path())
+		}
 		files++
-		st, err := os.Stat(r.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() != r.StoredBytes() {
-			t.Fatalf("%s holds %d bytes, run says %d", r.Path(), st.Size(), r.StoredBytes())
-		}
-		onDisk += st.Size()
+		filedBytes += r.StoredBytes()
 	}
-	if onDisk == 0 || rec.SpillStoredBytes.Value() != onDisk || rec.SpillRecords.Value() != files || rec.SpillFiles.Value() != files {
-		t.Fatalf("stored bytes booked %d in %d files of %d records; %d files hold %d",
+	if files < 2 {
+		t.Fatalf("%d runs filed, want several in one file", files)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := st.Size()
+	if onDisk != filedBytes {
+		t.Fatalf("%s holds %d bytes, its %d filed runs %d", path, onDisk, files, filedBytes)
+	}
+	if rec.SpillStoredBytes.Value() != onDisk || rec.SpillRecords.Value() != files || rec.SpillFiles.Value() != files {
+		t.Fatalf("stored bytes booked %d in %d files of %d records; %d runs hold %d",
 			rec.SpillStoredBytes.Value(), rec.SpillFiles.Value(), rec.SpillRecords.Value(), files, onDisk)
 	}
 	if raw, n := rec.SpillRawBytes.Value(), rec.SpillRecords.Value(); onDisk < raw || onDisk > raw+10*n {
@@ -341,5 +353,65 @@ func TestSpillStressManyPartitions(t *testing.T) {
 		if err := apps.VerifyCounts(res.Output(), want); err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
+	}
+}
+
+// TestSpillIsOneFilePerPartition: a job that files hundreds of runs over 4
+// partitions keeps at most 4 files in its spill directory, and its reduce
+// holds one descriptor per partition it is reducing — the process's open
+// files grow by at most KernelWorkers while reduce kernels run, whatever
+// the run count. Both are sampled from inside the reduce kernel.
+func TestSpillIsOneFilePerPartition(t *testing.T) {
+	openFiles := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors in")
+		}
+		return len(ents)
+	}
+	const parts, workers = 4, 2
+	data, want := apps.WCData(14, 512<<10, 3000)
+	spillDir := t.TempDir()
+	var calls atomic.Int64
+	var mostFiles, mostFDs atomic.Int64
+	app := apps.WordCount()
+	reduce := app.ReduceBatch
+	app.ReduceBatch = func(key []byte, vals [][]byte, out *kv.Batch) {
+		if calls.Add(1)%500 == 1 {
+			fds := int64(openFiles())
+			files := int64(0)
+			if dirs, _ := filepath.Glob(filepath.Join(spillDir, "glasswing-spill-*")); len(dirs) == 1 {
+				ents, _ := os.ReadDir(dirs[0])
+				files = int64(len(ents))
+			}
+			for cur := mostFDs.Load(); fds > cur && !mostFDs.CompareAndSwap(cur, fds); cur = mostFDs.Load() {
+			}
+			for cur := mostFiles.Load(); files > cur && !mostFiles.CompareAndSwap(cur, files); cur = mostFiles.Load() {
+			}
+		}
+		reduce(key, vals, out)
+	}
+	openFiles()
+	before := int64(openFiles())
+	res, err := Run(app, dfs.SplitLines(data, 4<<10), Config{
+		Collector: core.HashTable, KernelWorkers: workers, Partitions: parts,
+		CacheThreshold: 16 << 10, SpillDir: spillDir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d runs filed; at most %d spill files and %d descriptors over %d during reduce",
+		res.SpillFiles, mostFiles.Load(), mostFDs.Load()-before, before)
+	if res.SpillFiles < 200 {
+		t.Fatalf("%d runs filed, the test wants at least 200", res.SpillFiles)
+	}
+	if n := mostFiles.Load(); n == 0 || n > parts {
+		t.Fatalf("%d files in the spill directory during reduce, want 1..%d", n, parts)
+	}
+	if grew := mostFDs.Load() - before; grew > workers {
+		t.Fatalf("open files grew by %d during reduce, want at most KernelWorkers = %d", grew, workers)
 	}
 }

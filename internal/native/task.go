@@ -1,8 +1,6 @@
 package native
 
 import (
-	"bytes"
-	"slices"
 	"sync"
 
 	"glasswing/internal/core"
@@ -99,13 +97,12 @@ var valsPool = sync.Pool{New: func() any { return new([][]byte) }}
 // reduce kernel, or passes the merged pairs through for reduce-less apps
 // like TeraSort. It returns the output with the records and key groups the
 // kernel consumed (groups is 0 on the reduce-less path, which never groups).
-// Groups are cut straight off the merge into one values slice reused for
-// every key: ReduceBatchFunc reads its values during the call and keeps
-// none, and the pairs behind them stay valid (kv.Iterator).
+// Groups come off the merge whole (kv.Merger.NextGroup) into one values
+// slice reused for every key: ReduceBatchFunc reads its values during the
+// call and keeps none, and the pairs behind them stay valid (kv.Iterator).
 func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
-	merged := kv.Merge(iters...)
 	if app.ReduceBatch == nil {
-		out = kv.Drain(merged)
+		out = kv.Drain(kv.Merge(iters...))
 		return out, int64(len(out)), 0
 	}
 	// The kernel appends its output into one partition-owned slab; the
@@ -118,15 +115,11 @@ func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records
 		*vp = vals[:0]
 		valsPool.Put(vp)
 	}()
-	p, ok := merged.Next()
-	for ok {
-		key := p.Key
-		vals = append(vals[:0], p.Value)
-		for p, ok = merged.Next(); ok && bytes.Equal(p.Key, key); p, ok = merged.Next() {
-			if len(vals) == cap(vals) {
-				vals = slices.Grow(vals, len(vals)) // doubling: append adds a quarter
-			}
-			vals = append(vals, p.Value)
+	merged := kv.NewMerger(iters...)
+	for {
+		key, group, ok := merged.NextGroup(vals[:0])
+		if vals = group; !ok {
+			break
 		}
 		most = max(most, len(vals))
 		records += int64(len(vals))
