@@ -70,11 +70,8 @@ func runServiceCell(e *serviceEnv, j Job, v distVariant) (string, []kv.Pair, Led
 		partitions = 4
 	}
 	collector := "hash"
-	if j.Collector == core.BufferPool {
+	if v.collector(j) == core.BufferPool {
 		collector = "pool"
-	}
-	if v.combiner {
-		collector = "hash"
 	}
 	req := jobsvc.Request{
 		Tenant:      "conformance",

@@ -154,38 +154,45 @@ func TestMapFaultRetry(t *testing.T) {
 }
 
 // TestMapFaultReleasesChunk: an attempt failed between kernel and partition
-// must hand its pooled chunk back. Only Release resets the batch a kernel
-// wrote into, so a batch still holding pairs after the job is a leaked chunk.
+// must hand its pooled chunk back, under either collector. Only Release
+// empties the sink a kernel wrote into — the chunk's batch under the buffer
+// pool, its table under the hash table — so a sink still holding pairs or
+// keys after the job is a leaked chunk.
 func TestMapFaultReleasesChunk(t *testing.T) {
-	o, want := wcOptions(3, nil)
-	var mu sync.Mutex
-	seen := make(map[*kv.Batch]bool)
-	o.NewApp = testResolver(func() *core.App {
-		app := apps.WordCount()
-		kernel := app.MapBatch
-		app.MapBatch = func(recs []kv.Pair, out kv.Sink) {
-			mu.Lock()
-			seen[out.(*kv.Batch)] = true // no combiner: the sink is the chunk's batch
-			mu.Unlock()
-			kernel(recs, out)
-		}
-		return app
-	}, nil)
-	o.MapFault = func(task, attempt int) bool { return attempt == 0 }
-	res, err := RunLoopback(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := apps.VerifyCounts(res.Output(), want); err != nil {
-		t.Fatal(err)
-	}
-	if res.MapRetries == 0 || len(seen) == 0 {
-		t.Fatalf("test exercised nothing: %d retries, %d batches", res.MapRetries, len(seen))
-	}
-	for b := range seen {
-		if b.Len() != 0 {
-			t.Fatalf("a kernel batch still holds %d pairs: its chunk was never released", b.Len())
-		}
+	for _, collector := range []core.CollectorKind{core.BufferPool, core.HashTable} {
+		t.Run(collector.String(), func(t *testing.T) {
+			o, want := wcOptions(3, nil)
+			o.Job.Collector = collector
+			var mu sync.Mutex
+			seen := make(map[interface{ Len() int }]bool)
+			o.NewApp = testResolver(func() *core.App {
+				app := apps.WordCount()
+				kernel := app.MapBatch
+				app.MapBatch = func(recs []kv.Pair, out kv.Sink) {
+					mu.Lock()
+					seen[out.(interface{ Len() int })] = true
+					mu.Unlock()
+					kernel(recs, out)
+				}
+				return app
+			}, nil)
+			o.MapFault = func(task, attempt int) bool { return attempt == 0 }
+			res, err := RunLoopback(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := apps.VerifyCounts(res.Output(), want); err != nil {
+				t.Fatal(err)
+			}
+			if res.MapRetries == 0 || len(seen) == 0 {
+				t.Fatalf("test exercised nothing: %d retries, %d sinks", res.MapRetries, len(seen))
+			}
+			for s := range seen {
+				if s.Len() != 0 {
+					t.Fatalf("a kernel's %T still holds %d entries: its chunk was never released", s, s.Len())
+				}
+			}
+		})
 	}
 }
 

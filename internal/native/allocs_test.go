@@ -12,21 +12,24 @@ import (
 	"glasswing/internal/workload"
 )
 
-// TestMapBlockAllocs: the map side of one block — parse, kernel, combining
+// TestMapBlockAllocs: the map side of one block — parse, kernel, hash
 // table, partition, runs — allocates per block and per run, never per word
-// or per key. On a warm pool a 1 MiB Zipf block (some 275 k words folded
-// into some 14 k keys' accumulators) costs a few dozen allocations; a
-// kernel or fold value escaping to the heap costs tens of thousands. The
-// race detector's instrumentation allocates, so the file is built without
-// it.
+// or per key, whether the table folds (the combiner) or groups (without
+// it). On a warm pool a 1 MiB Zipf block (some 275 k words folded or
+// grouped into some 14 k keys) costs a few dozen allocations; a kernel or
+// fold value escaping to the heap costs tens of thousands. The race
+// detector's instrumentation allocates, so the file is built without it.
 func TestMapBlockAllocs(t *testing.T) {
 	block := workload.WikiText(7, 1<<20, 41943)
 	app := apps.WordCount()
-	allocs := testing.AllocsPerRun(5, func() {
-		MapBlock(app, block, core.HashTable, true).Partition(kv.Partition, 4, false)
-	})
-	if allocs > 50 {
-		t.Fatalf("MapBlock+Partition: %.0f allocations per block, want at most 50", allocs)
+	for _, combine := range []bool{true, false} {
+		allocs := testing.AllocsPerRun(5, func() {
+			MapBlock(app, block, core.HashTable, combine).Partition(kv.Partition, 4, false)
+		})
+		t.Logf("combiner=%v: %.0f allocations per block", combine, allocs)
+		if allocs > 50 {
+			t.Fatalf("MapBlock+Partition, combiner=%v: %.0f allocations per block, want at most 50", combine, allocs)
+		}
 	}
 }
 
@@ -59,7 +62,7 @@ func TestRunAllocs(t *testing.T) {
 		{"wc-pool", apps.WordCount(), wcBlocks,
 			Config{Collector: core.BufferPool}, 830, 1.10, 0},
 		{"wc-spill", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 1740, 1.25, 144700},
+			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 1140, 1.25, 144700},
 		{"terasort", apps.TeraSort(), dfs.SplitFixed(ts, 64<<10, workload.TeraRecordSize),
 			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1065, 1.25, 0},
 		{"kmeans", apps.KMeans(spec), dfs.SplitFixed(km, 16<<10, int64(spec.Dim*4)),

@@ -21,14 +21,24 @@ type slot struct {
 	off uint32 // the key's record in the arena
 }
 
-// combiner is the combining collector (§III-F): an open-addressed hash
-// table that folds each value into its key's accumulator as it is emitted,
-// through App.Fold, rather than storing it. A distinct key is one arena
-// record, [klen u32][alen u32][key][acc], so a repeated key touches its
-// slot and one record. Records are appended in first-emission order, which
-// is the order flush walks them in — a chunk's output never depends on the
-// hash.
-type combiner struct {
+// table is the hash-table collector (§III-C, §IV-B1): an open-addressed
+// hash table that stores each distinct key once, as one arena record,
+// [klen u32][alen u32][key][acc], so a repeated key touches its slot and
+// one record. Records are appended in first-emission order, which is the
+// order flush walks them in — a chunk's output never depends on the hash.
+// What a record's acc holds depends on the job:
+//
+//   - With a combiner (§III-F) the table folds each value into its key's
+//     accumulator as it is emitted, through App.Fold, rather than storing
+//     it.
+//   - Without one (fold is nil) the table groups, and acc is the key's
+//     group header (kv.Batch.RunGroups): its group number, its ordinal in
+//     first-emission order; a count; and its first value. While the key's
+//     values all equal the first they are only counted; from the first
+//     one that differs, all of them go to the chunk's value column, in
+//     emission order, as pairs keyed by the group number. Partition then
+//     handles each key once, not each pair it repeats in.
+type table struct {
 	// arena is a chunk-scoped bump allocator for the records, named by
 	// 32-bit offsets so slots hold no pointers for the collector to trace.
 	// A new key costs a copy into it instead of a heap allocation, and a
@@ -37,23 +47,29 @@ type combiner struct {
 	arena []byte
 	slots []slot // power-of-two length, at most half full
 	keys  int    // records in the arena
+	pairs int    // pairs a grouping table added
 
-	fold func(acc, v []byte)
-	out  *kv.Batch // the chunk's output
+	fold func(acc, v []byte) // nil: the table groups
+	out  *kv.Batch           // the chunk's output: one pair per key
+	vals *kv.Batch           // the chunk's value column, when grouping
 }
+
+// groupHdr is the length of a grouping record's group number and count,
+// two big-endian u32s ahead of its first value.
+const groupHdr = 8
 
 var hashSeed = maphash.MakeSeed()
 
-// AppendKV adds one pair to the table: it is the map kernel's kv.Sink when
-// the job combines.
-func (c *combiner) AppendKV(k, v []byte) {
+// AppendKV adds one pair to the table: it is the map kernel's kv.Sink
+// under the hash-table collector.
+func (c *table) AppendKV(k, v []byte) {
 	h := maphash.Bytes(hashSeed, k)
 	c.add(uint32(h>>32)|1<<31, k, v)
 }
 
 // add is AppendKV with the key's tag given, which lets a test force
 // collisions.
-func (c *combiner) add(tag uint32, k, v []byte) {
+func (c *table) add(tag uint32, k, v []byte) {
 	mask := uint32(len(c.slots) - 1)
 	i := tag & mask
 	for {
@@ -63,7 +79,11 @@ func (c *combiner) add(tag uint32, k, v []byte) {
 		}
 		if s.tag == tag {
 			if key, acc := c.record(s.off); string(key) == string(k) {
-				c.fold(acc, v)
+				if c.fold != nil {
+					c.fold(acc, v)
+				} else {
+					c.group(acc, v)
+				}
 				return
 			}
 		}
@@ -73,25 +93,59 @@ func (c *combiner) add(tag uint32, k, v []byte) {
 		c.grow()
 		i = c.free(tag)
 	}
-	off, n := len(c.arena), recHdr+len(k)+len(v)
+	alen := len(v)
+	if c.fold == nil {
+		alen += groupHdr
+	}
+	off, n := len(c.arena), recHdr+len(k)+alen
 	if off+n > math.MaxUint32 {
 		panic("native: chunk collector arena exceeds 4GiB")
 	}
 	c.arena = slices.Grow(c.arena, n)[:off+n]
 	r := c.arena[off:]
 	binary.LittleEndian.PutUint32(r, uint32(len(k)))
-	binary.LittleEndian.PutUint32(r[4:], uint32(len(v)))
+	binary.LittleEndian.PutUint32(r[4:], uint32(alen))
 	copy(r[recHdr:], k)
 	acc := r[recHdr+len(k):]
-	clear(acc)
-	c.fold(acc, v)
+	if c.fold == nil {
+		binary.BigEndian.PutUint32(acc, uint32(c.keys))
+		binary.BigEndian.PutUint32(acc[4:], 1)
+		copy(acc[groupHdr:], v)
+		c.pairs++
+	} else {
+		clear(acc)
+		c.fold(acc, v)
+	}
 	c.slots[i] = slot{tag: tag, off: uint32(off)}
 	c.keys++
 }
 
+// group adds v to the values of the grouping record whose acc is given:
+// it counts a value equal to the first while only such have come, and
+// otherwise moves the counted ones, then v, to the value column, where the
+// key's later values go too. A count of 0 means the key is in the column.
+func (c *table) group(acc, v []byte) {
+	c.pairs++
+	n := binary.BigEndian.Uint32(acc[4:])
+	if n > 0 {
+		if string(acc[groupHdr:]) == string(v) && n < math.MaxUint32 {
+			binary.BigEndian.PutUint32(acc[4:], n+1)
+			return
+		}
+		for ; n > 0; n-- {
+			c.vals.AppendKV(acc[:4], acc[groupHdr:])
+		}
+		binary.BigEndian.PutUint32(acc[4:], 0)
+	}
+	c.vals.AppendKV(acc[:4], v)
+}
+
+// Len returns the number of distinct keys in the table.
+func (c *table) Len() int { return c.keys }
+
 // record returns the key and accumulator of the record at off, as views
 // into the arena.
-func (c *combiner) record(off uint32) (key, acc []byte) {
+func (c *table) record(off uint32) (key, acc []byte) {
 	r := c.arena[off:]
 	klen := binary.LittleEndian.Uint32(r)
 	end := recHdr + klen + binary.LittleEndian.Uint32(r[4:])
@@ -99,7 +153,7 @@ func (c *combiner) record(off uint32) (key, acc []byte) {
 }
 
 // free returns the first empty slot on tag's probe path.
-func (c *combiner) free(tag uint32) uint32 {
+func (c *table) free(tag uint32) uint32 {
 	mask := uint32(len(c.slots) - 1)
 	i := tag & mask
 	for c.slots[i].tag != 0 {
@@ -110,7 +164,7 @@ func (c *combiner) free(tag uint32) uint32 {
 
 // grow doubles the index. Tags carry every bit a larger mask needs, so
 // re-placing them never touches a key.
-func (c *combiner) grow() {
+func (c *table) grow() {
 	old := c.slots
 	c.slots = make([]slot, 2*len(old))
 	for _, s := range old {
@@ -120,9 +174,9 @@ func (c *combiner) grow() {
 	}
 }
 
-// flush appends every key with its accumulator to the chunk's output, in
-// first-emission order.
-func (c *combiner) flush() {
+// flush appends every key with its acc to the chunk's output, in
+// first-emission order: a grouping table's key i is group i.
+func (c *table) flush() {
 	for off := 0; off < len(c.arena); {
 		key, acc := c.record(uint32(off))
 		c.out.AppendKV(key, acc)
@@ -130,30 +184,35 @@ func (c *combiner) flush() {
 	}
 }
 
-func (c *combiner) reset() {
+func (c *table) reset() {
 	c.arena = c.arena[:0]
 	clear(c.slots)
-	c.keys = 0
+	c.keys, c.pairs = 0, 0
 }
 
-// Chunk is one block's collected map output on pooled state. Whatever the
-// collector, the output is the columnar batch: the kernel (or the combining
-// table, when the job combines) appends into its slab, and Partition
-// scatters, sorts and serializes index ranges of it without materializing
-// a []Pair. MapBlock acquires a chunk per block and Partition releases it
-// once the runs own their bytes, so a warm pool serves a block from
-// retained capacity; the pool is emptied by the garbage collector, and the
-// first blocks after that grow their slabs again.
+// Chunk is one block's collected map output on pooled state, in columnar
+// batches that Partition scatters, sorts and serializes by index range
+// without materializing a []Pair. Under the buffer-pool collector the
+// kernel appends its pairs straight into batch. Under the hash-table
+// collector the table flushes one pair per distinct key into batch: the
+// key with its accumulator or, grouping, its group header, with the
+// values the header does not count in vals. MapBlock acquires a chunk per block and Partition
+// releases it once the runs own their bytes, so a warm pool serves a
+// block from retained capacity; the pool is emptied by the garbage
+// collector, and the first blocks after that grow their slabs again.
 type Chunk struct {
 	batch   kv.Batch // the chunk's output
-	tab     combiner
-	records int // parsed input records the kernel consumed
+	vals    kv.Batch // a grouping table's value column
+	tab     table
+	grouped bool // the table grouped: batch holds keys, vals their values
+	records int  // parsed input records the kernel consumed
 }
 
 func newChunk() *Chunk {
 	c := &Chunk{}
 	c.tab.slots = make([]slot, 1024)
 	c.tab.out = &c.batch
+	c.tab.vals = &c.vals
 	return c
 }
 
@@ -164,7 +223,13 @@ func getChunk() *Chunk { return chunkPool.Get().(*Chunk) }
 // Release resets the chunk and returns it to the pool. Its pairs are dead
 // after this call.
 func (c *Chunk) Release() {
+	c.reset()
+	chunkPool.Put(c)
+}
+
+func (c *Chunk) reset() {
 	c.tab.reset()
 	c.batch.Reset()
-	chunkPool.Put(c)
+	c.vals.Reset()
+	c.grouped = false
 }

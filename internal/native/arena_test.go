@@ -33,13 +33,6 @@ func foldAll(vals [][]byte) []byte {
 	return acc
 }
 
-// resetChunk is Release without the pool, so a test keeps the same state
-// across generations whatever sync.Pool decides.
-func resetChunk(c *Chunk) {
-	c.tab.reset()
-	c.batch.Reset()
-}
-
 // checkOutput holds a flushed chunk to the model: one pair per distinct key,
 // in first-emission order, carrying the fold of the key's values.
 func checkOutput(t *testing.T, c *Chunk, order []string, model map[string][][]byte) {
@@ -107,7 +100,7 @@ func TestCombinerMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: %d slots, want five growths of 1024", seed, len(c.tab.slots))
 		}
 		checkOutput(t, c, order, model)
-		resetChunk(c)
+		c.reset() // Release without the pool: the same state for every generation
 	}
 }
 
@@ -144,7 +137,7 @@ func TestCombinerStateReuse(t *testing.T) {
 		}
 		c.tab.flush()
 		checkOutput(t, c, order, model)
-		resetChunk(c)
+		c.reset() // Release without the pool: the same state for every generation
 	}
 }
 

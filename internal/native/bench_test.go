@@ -1,7 +1,6 @@
 package native
 
 import (
-	"fmt"
 	"testing"
 
 	"glasswing/internal/apps"
@@ -12,22 +11,32 @@ import (
 
 // BenchmarkMapBlock is the map kernel and collector alone — parse, map,
 // collect, release — over one 1 MiB block of Zipf text shaped like the
-// benchmark's wc-zipf input. With the combiner the kernel's sink is the
-// combining table; without it the kernel writes the chunk's output
-// directly, which is the cost the table adds to.
+// benchmark's wc-zipf input. Under the hash-table collector the kernel's
+// sink is the chunk's table, which folds each value into its key's
+// accumulator with the combiner and groups each key's values without it;
+// under the buffer pool the kernel writes the chunk's output directly,
+// which is the cost the table adds to.
 func BenchmarkMapBlock(b *testing.B) {
 	block := workload.WikiText(7, 1<<20, 41943)
 	app := apps.WordCount()
-	probe := MapBlock(app, block, core.HashTable, false)
+	probe := MapBlock(app, block, core.BufferPool, false)
 	words := probe.batch.Len()
 	probe.Release()
-	for _, combine := range []bool{true, false} {
-		b.Run(fmt.Sprintf("combiner=%v", combine), func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		collector core.CollectorKind
+		combine   bool
+	}{
+		{"combiner=true", core.HashTable, true},
+		{"combiner=false", core.HashTable, false},
+		{"collector=pool", core.BufferPool, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(block)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MapBlock(app, block, core.HashTable, combine).Release()
+				MapBlock(app, block, c.collector, c.combine).Release()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
 		})
@@ -36,32 +45,38 @@ func BenchmarkMapBlock(b *testing.B) {
 
 // BenchmarkPartition is the map side after the kernel — scatter by
 // partition, sort each range, serialize each run — timed alone on one
-// block's collected output: a 1 MiB TeraSort block under the range
-// partitioner (its sample drawn from 16 MiB of input, as the benchmark's
-// ts-uniform samples every 16th record) and a 256 KiB WordCount block
-// without the combiner under hash partitioning, both 8 ways.
+// block's collected output, 8 ways: a 1 MiB TeraSort block from the buffer
+// pool under the range partitioner (its sample drawn from 16 MiB of
+// input, as the benchmark's ts-uniform samples every 16th record), and a
+// 256 KiB WordCount block without the combiner under hash partitioning,
+// from the hash table (wc: distinct keys scattered and sorted, their
+// pairs spelled out into the runs) and from the buffer pool (wc-pool:
+// every pair scattered and sorted). ns/pair is per emitted pair in both.
 func BenchmarkPartition(b *testing.B) {
 	ts := apps.TSData(3, 16<<20/workload.TeraRecordSize)
+	wc := workload.WikiText(7, 256<<10, 41943)
 	cases := []struct {
-		name  string
-		app   *core.App
-		block []byte
-		part  func(key []byte, n int) int
+		name      string
+		app       *core.App
+		block     []byte
+		collector core.CollectorKind
+		part      func(key []byte, n int) int
 	}{
-		{"ts", apps.TeraSort(), ts[:1<<20/workload.TeraRecordSize*workload.TeraRecordSize], apps.TeraPartitioner(ts, 16)},
-		{"wc", apps.WordCount(), workload.WikiText(7, 256<<10, 41943), kv.Partition},
+		{"ts", apps.TeraSort(), ts[:1<<20/workload.TeraRecordSize*workload.TeraRecordSize], core.BufferPool, apps.TeraPartitioner(ts, 16)},
+		{"wc", apps.WordCount(), wc, core.HashTable, kv.Partition},
+		{"wc-pool", apps.WordCount(), wc, core.BufferPool, kv.Partition},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var pairs int
+			var pairs int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				chunk := MapBlock(c.app, c.block, core.HashTable, false)
-				pairs += chunk.batch.Len()
+				chunk := MapBlock(c.app, c.block, c.collector, false)
 				b.StartTimer()
-				chunk.Partition(c.part, 8, false)
+				_, st := chunk.Partition(c.part, 8, false)
+				pairs += st.PairsOut
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 		})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
 
@@ -145,5 +146,71 @@ func FuzzCombinerFold(f *testing.F) {
 		}
 		c.tab.flush()
 		checkOutput(t, c, order, model)
+	})
+}
+
+// FuzzCollectorGroup drives emit streams derived from raw input through
+// MapBlock under both collectors without a combiner and holds the grouping
+// table to the buffer pool: Partition must make the same runs, byte for
+// byte, and the same MapStats. The kernel emits every pair out of one
+// scratch buffer it scrambles after each emit, so a table that kept a view
+// of a key or a value instead of copying it shows. The first byte picks
+// whether keys shrink to one byte (so they repeat), whether values shrink
+// to at most one byte (so a key's values repeat, then change — the table
+// counts a repeated value and moves a key to its value column at the
+// first that differs — and arrive out of order), whether every key's tag
+// is forced onto one of three, the partition count, and compression.
+func FuzzCollectorGroup(f *testing.F) {
+	f.Add([]byte("\x03the quick brown fox jumps over the lazy dog and the quick dog"))
+	f.Add([]byte("\x06\x00\x01a\x01\x00\x01a\x00\x00\x00a\x01\x01\x01a\x02\x01\x00b"))
+	f.Add(append([]byte{0x7f}, bytes.Repeat([]byte("\x05\x02some-keyvw"), 60)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		shortKeys, shortVals, collide := data[0]&1 != 0, data[0]&2 != 0, data[0]&4 != 0
+		parts, compress := int(data[0]>>3&7)+1, data[0]&0x40 != 0
+		pairs := fuzzPairs(data[1:])
+		app := &core.App{
+			Parse: func(block []byte) []kv.Pair { return []kv.Pair{{Value: block}} },
+			MapBatch: func(_ []kv.Pair, out kv.Sink) {
+				var scratch []byte
+				for _, p := range pairs {
+					k, v := p.Key, p.Value
+					if shortKeys {
+						k = k[:1]
+					}
+					if k[0]%17 == 0 {
+						k = nil // the empty key
+					}
+					if shortVals {
+						v = v[:min(len(v), 1)]
+					}
+					scratch = append(append(scratch[:0], k...), v...)
+					k, v = scratch[:len(k)], scratch[len(k):]
+					if tab, ok := out.(*table); ok && collide && len(k) > 0 {
+						tab.add(1<<31|uint32(k[0]%3), k, v)
+					} else {
+						out.AppendKV(k, v)
+					}
+					for i := range scratch {
+						scratch[i] = 0xa5
+					}
+				}
+			},
+		}
+		poolRuns, poolStats := MapBlock(app, data, core.BufferPool, false).Partition(kv.Partition, parts, compress)
+		hashRuns, hashStats := MapBlock(app, data, core.HashTable, false).Partition(kv.Partition, parts, compress)
+		if hashStats != poolStats {
+			t.Fatalf("hash table's map stats %+v, buffer pool's %+v", hashStats, poolStats)
+		}
+		for g := range poolRuns {
+			if (poolRuns[g] == nil) != (hashRuns[g] == nil) {
+				t.Fatalf("partition %d: buffer pool's run %v, hash table's %v", g, poolRuns[g], hashRuns[g])
+			}
+			if poolRuns[g] != nil && !bytes.Equal(hashRuns[g].Blob(), poolRuns[g].Blob()) {
+				t.Fatalf("partition %d: the hash table's run differs from the buffer pool's", g)
+			}
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"glasswing/internal/core"
@@ -37,25 +38,29 @@ func (s MapStats) Book(led *core.Conserv) {
 // returning the collected output on pooled state. The caller must hand the
 // chunk to Partition, or Release it, exactly once.
 //
-// The collector matters only to the combiner, which needs per-key grouping:
-// it runs with the hash-table collector and an App.Fold, and then the
-// kernel's sink is the chunk's combining table, which folds each value into
-// its key's accumulator. Otherwise both collectors emit the same pair
-// multiset, and the kernel writes straight into the chunk's output.
+// The collector picks the kernel's sink, as in the paper (§IV-B1). Under
+// the buffer-pool collector the kernel writes every pair straight into the
+// chunk's output. Under the hash-table collector it writes into the
+// chunk's table, which stores each distinct key once: with the combiner
+// (and an App.Fold) the table folds each value into its key's accumulator;
+// without it the table groups each key's values, so Partition hashes,
+// scatters and sorts keys, not pairs. Without a combiner both collectors
+// make the same runs and MapStats, byte for byte.
 func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
-	var sink kv.Sink = &c.batch
-	fold := useCombiner && collector == core.HashTable && app.Fold != nil
-	if fold {
+	if collector != core.HashTable {
+		app.MapBatch(recs, &c.batch)
+		return c
+	}
+	c.tab.fold = nil
+	if useCombiner {
 		c.tab.fold = app.Fold
-		sink = &c.tab
 	}
-	app.MapBatch(recs, sink)
-	if fold {
-		c.tab.flush()
-	}
+	c.grouped = c.tab.fold == nil
+	app.MapBatch(recs, &c.tab)
+	c.tab.flush()
 	return c
 }
 
@@ -64,12 +69,20 @@ func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useComb
 // releases the chunk: the runs own their bytes. It counting-scatters the
 // 12-byte index entries by partition, sorts each range in place and
 // serializes it straight into a run — no payload movement, no sortedness
-// re-verification.
+// re-verification. A grouped chunk scatters and sorts its distinct keys;
+// its value column is first scattered by group number, which lays each
+// column key's values out together in emission order, and each run
+// spells the keys' pairs out (kv.Batch.RunGroups).
 func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool) ([]*kv.Run, MapStats) {
 	defer c.Release()
 	runs := make([]*kv.Run, n)
 	b := &c.batch
 	st := MapStats{RecordsIn: int64(c.records), PairsOut: int64(b.Len())}
+	var groups []int
+	if c.grouped {
+		st.PairsOut = int64(c.tab.pairs)
+		groups = c.vals.PartitionRanges(groupOf, b.Len())
+	}
 	bounds := b.PartitionRanges(part, n)
 	for g := range runs {
 		lo, hi := bounds[g], bounds[g+1]
@@ -77,7 +90,12 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 			continue
 		}
 		b.SortRange(lo, hi)
-		r := b.RunRange(lo, hi, compress)
+		var r *kv.Run
+		if c.grouped {
+			r = b.RunGroups(lo, hi, &c.vals, groups, compress)
+		} else {
+			r = b.RunRange(lo, hi, compress)
+		}
 		runs[g] = r
 		st.PartRecords += int64(r.Records)
 		st.PartRuns++
@@ -86,6 +104,9 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 	}
 	return runs, st
 }
+
+// groupOf reads the group number a grouping table keys its values by.
+func groupOf(key []byte, _ int) int { return int(binary.BigEndian.Uint32(key)) }
 
 // valsPool recycles ReducePartition's values slice across partitions. On
 // skewed keys one group holds a good share of a partition's pairs, and
