@@ -167,15 +167,6 @@ type simVariant struct {
 	mutate     func(*core.Config)
 }
 
-// flippedCollector is the collector a job is not tuned for, with the name
-// of its collector-axis cell.
-func flippedCollector(j Job) (core.CollectorKind, string) {
-	if j.Collector == core.HashTable {
-		return core.BufferPool, "buffer-pool"
-	}
-	return core.HashTable, "hash-table"
-}
-
 // simVariants is the metamorphic axis table for the simulated runtime: every
 // variant must reproduce the reference digest exactly.
 func simVariants(j Job) []simVariant {
@@ -193,9 +184,13 @@ func simVariants(j Job) []simVariant {
 		{axis: "overlap", name: "single-buffer", mutate: func(c *core.Config) { c.Buffering = 1 }},
 		{axis: "overlap", name: "triple-buffer", mutate: func(c *core.Config) { c.Buffering = 3 }},
 	}
-	flip, flipName := flippedCollector(j)
-	vs = append(vs, simVariant{axis: "collector", name: flipName,
-		mutate: func(c *core.Config) { c.Collector = flip }})
+	if j.Collector == core.HashTable {
+		vs = append(vs, simVariant{axis: "collector", name: "buffer-pool",
+			mutate: func(c *core.Config) { c.Collector = core.BufferPool }})
+	} else {
+		vs = append(vs, simVariant{axis: "collector", name: "hash-table",
+			mutate: func(c *core.Config) { c.Collector = core.HashTable }})
+	}
 	if j.CombinerOK {
 		vs = append(vs, simVariant{axis: "collector", name: "combiner",
 			mutate: func(c *core.Config) { c.Collector = core.HashTable; c.UseCombiner = true }})
@@ -350,14 +345,9 @@ func nativeVariants(j Job) []nativeVariant {
 			c.CacheThreshold = 4 << 10
 		}},
 	}
-	// The collector axis flips the collector without the combiner, and
-	// adds the combiner cell where the app has one. The collector selects
-	// code either way: without the combiner the hash table groups each
-	// key's values and the buffer pool keeps every pair, and the two must
-	// make the same runs byte for byte (TestTaskKernelMatchesReference).
-	flip, flipName := flippedCollector(j)
-	vs = append(vs, nativeVariant{axis: "collector", name: flipName,
-		mutate: func(c *native.Config) { c.Collector = flip }})
+	// The collector axis is the combiner cell alone: the collector selects
+	// code only with the combiner on, so flipping it alone would re-run the
+	// baseline byte for byte (TestTaskKernelMatchesReference pins that).
 	if j.CombinerOK {
 		vs = append(vs, nativeVariant{axis: "collector", name: "combiner",
 			mutate: func(c *native.Config) { c.Collector = core.HashTable; c.UseCombiner = true }})
@@ -485,7 +475,6 @@ type distVariant struct {
 	partitions int     // 0 = 4
 	blockMul   float64 // 0 = 1
 	compress   bool
-	flip       bool // the collector the app is not tuned for, no combiner
 	combiner   bool // HashTable + combiner (CombinerOK apps only)
 	mapFault   bool // deterministic injected attempt failures
 	// elastic is a membership schedule in dist.ParseElastic syntax
@@ -499,18 +488,6 @@ type distVariant struct {
 	// spill caps resident shuffle memory far below the intermediate
 	// volume, forcing the out-of-core reduce path.
 	spill bool
-}
-
-// collector is the collector a dist or service cell runs j with.
-func (v distVariant) collector(j Job) core.CollectorKind {
-	switch {
-	case v.combiner:
-		return core.HashTable
-	case v.flip:
-		flip, _ := flippedCollector(j)
-		return flip
-	}
-	return j.Collector
 }
 
 func distVariants(j Job) []distVariant {
@@ -527,9 +504,7 @@ func distVariants(j Job) []distVariant {
 		// streamed back through the decompressor.
 		{axis: "compress", name: "deflate-spill", compress: true, spill: true},
 	}
-	// As in nativeVariants: the flipped collector, then the combiner.
-	_, flipName := flippedCollector(j)
-	vs = append(vs, distVariant{axis: "collector", name: flipName, flip: true})
+	// As in nativeVariants, only the combiner cell selects collector code.
 	if j.CombinerOK {
 		vs = append(vs, distVariant{axis: "collector", name: "combiner", combiner: true})
 	}
@@ -600,7 +575,10 @@ func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
 		if partitions == 0 {
 			partitions = 4
 		}
-		collector := v.collector(j)
+		collector := j.Collector
+		if v.combiner {
+			collector = core.HashTable
+		}
 		tel := obs.NewTelemetry()
 		o := dist.Options{
 			Job: dist.Job{

@@ -70,8 +70,11 @@ func runServiceCell(e *serviceEnv, j Job, v distVariant) (string, []kv.Pair, Led
 		partitions = 4
 	}
 	collector := "hash"
-	if v.collector(j) == core.BufferPool {
+	if j.Collector == core.BufferPool {
 		collector = "pool"
+	}
+	if v.combiner {
+		collector = "hash"
 	}
 	req := jobsvc.Request{
 		Tenant:      "conformance",

@@ -155,9 +155,9 @@ func TestMapFaultRetry(t *testing.T) {
 
 // TestMapFaultReleasesChunk: an attempt failed between kernel and partition
 // must hand its pooled chunk back, under either collector. Only Release
-// empties the sink a kernel wrote into — the chunk's batch under the buffer
-// pool, its table under the hash table — so a sink still holding pairs or
-// keys after the job is a leaked chunk.
+// empties the sink a kernel wrote into — the chunk's table, whose Len counts
+// its keys and the pairs in the batch it fills — so a sink still holding
+// entries after the job is a leaked chunk.
 func TestMapFaultReleasesChunk(t *testing.T) {
 	for _, collector := range []core.CollectorKind{core.BufferPool, core.HashTable} {
 		t.Run(collector.String(), func(t *testing.T) {

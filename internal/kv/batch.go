@@ -48,9 +48,9 @@ type Batch struct {
 	idx  []pairIdx
 
 	// scatter scratch, reused across PartitionRanges calls
-	alt            []pairIdx
-	parts          []uint32
-	bounds, cursor []int
+	alt    []pairIdx
+	parts  []uint32
+	bounds []int
 	// sort scratch, reused across SortRange calls
 	ents, ents2 []sortEnt
 
@@ -233,10 +233,13 @@ func (b *Batch) PartitionRanges(part func(key []byte, n int) int, n int) []int {
 		b.alt = make([]pairIdx, m)
 	}
 	alt := b.alt[:m]
-	if cap(b.cursor) < n {
-		b.cursor = make([]int, n)
+	var cur [64]int
+	var cursor []int
+	if n <= len(cur) {
+		cursor = cur[:n]
+	} else {
+		cursor = make([]int, n)
 	}
-	cursor := b.cursor[:n]
 	copy(cursor, bounds[:n])
 	for i, e := range b.idx {
 		p := parts[i]
@@ -269,96 +272,41 @@ func (b *Batch) RunRange(lo, hi int, compress bool) *Run {
 	return sealRun(blob, hi-lo, raw, compress)
 }
 
-// RunGroups serializes a run from grouped keys, byte for byte the run
+// RunCounted serializes a run from counted keys, byte for byte the run
 // RunRange makes from the same pairs spelled out one by one. Records
-// [lo,hi) of b are distinct keys, sorted (by SortRange), each with a group
-// header as its value: a 4-byte big-endian group number g, a 4-byte
-// big-endian count n and a value v. A key with n > 0 has n copies of v as
-// its values; one with n = 0 has those of vals' records [groups[g],
-// groups[g+1]) — the layout vals.PartitionRanges leaves when vals' records
-// are keyed by their group number. A key's values are written in byte
-// order: the pass that writes a group checks its order as it goes, and a
-// group found out of order is sorted (SortRange, in place in vals) and
-// written again.
-func (b *Batch) RunGroups(lo, hi int, vals *Batch, groups []int, compress bool) *Run {
+// [lo,hi) of b are distinct keys, sorted (by SortRange), each with a value
+// that is a 4-byte big-endian count n followed by a value v: the key
+// stands for n pairs (key, v).
+func (b *Batch) RunCounted(lo, hi int, compress bool) *Run {
 	var recs int
 	var raw, enc int64
 	for _, e := range b.idx[lo:hi] {
-		g, n, v := groupHeader(b.value(e))
-		klen, kenc := int64(e.klen), int64(uvarintLen(uint64(e.klen)))
-		if n > 0 {
-			recs += n
-			raw += int64(n) * (klen + int64(len(v)))
-			enc += int64(n) * (kenc + int64(uvarintLen(uint64(len(v)))))
-			continue
-		}
-		vs := vals.idx[groups[g]:groups[g+1]]
-		for _, v := range vs {
-			raw += int64(v.vlen)
-			enc += int64(uvarintLen(uint64(v.vlen)))
-		}
-		recs += len(vs)
-		raw += int64(len(vs)) * klen
-		enc += int64(len(vs)) * kenc
+		n, v := countedValue(b.data[e.off+e.klen : e.off+e.klen+e.vlen])
+		recs += n
+		raw += int64(n) * (int64(e.klen) + int64(len(v)))
+		enc += int64(n) * int64(uvarintLen(uint64(e.klen))+uvarintLen(uint64(len(v))))
 	}
 	enc += raw + int64(uvarintLen(uint64(recs)))
 	blob := make([]byte, 0, enc)
 	blob = binary.AppendUvarint(blob, uint64(recs))
 	for _, e := range b.idx[lo:hi] {
-		key := b.data[e.off : e.off+e.klen]
-		g, n, v := groupHeader(b.value(e))
-		if n > 0 {
-			start := len(blob)
-			blob = appendPair(blob, key, v)
-			for end := len(blob); n > 1; n-- {
-				blob = append(blob, blob[start:end]...)
-			}
-			continue
-		}
-		vlo, vhi := groups[g], groups[g+1]
+		n, v := countedValue(b.data[e.off+e.klen : e.off+e.klen+e.vlen])
 		start := len(blob)
-		var inOrder bool
-		if blob, inOrder = vals.appendGroup(blob, key, vlo, vhi); !inOrder {
-			vals.SortRange(vlo, vhi)
-			blob, _ = vals.appendGroup(blob[:start], key, vlo, vhi)
+		blob = binary.AppendUvarint(blob, uint64(e.klen))
+		blob = binary.AppendUvarint(blob, uint64(len(v)))
+		blob = append(blob, b.data[e.off:e.off+e.klen]...)
+		blob = append(blob, v...)
+		for end := len(blob); n > 1; n-- {
+			blob = append(blob, blob[start:end]...)
 		}
 	}
 	return sealRun(blob, recs, raw, compress)
 }
 
-// groupHeader splits a grouped key's value into its group number, its
-// count and the value the count repeats.
-func groupHeader(h []byte) (g uint32, n int, v []byte) {
-	return binary.BigEndian.Uint32(h), int(binary.BigEndian.Uint32(h[4:])), h[8:]
-}
-
-// appendPair appends one encoded pair to blob.
-func appendPair(blob, key, val []byte) []byte {
-	blob = binary.AppendUvarint(blob, uint64(len(key)))
-	blob = binary.AppendUvarint(blob, uint64(len(val)))
-	blob = append(blob, key...)
-	return append(blob, val...)
-}
-
-// appendGroup appends key's pairs with the values of records [lo,hi) to
-// blob, in record order, and reports whether those values were in byte
-// order; it stops at the first that is not.
-func (b *Batch) appendGroup(blob, key []byte, lo, hi int) ([]byte, bool) {
-	var prev []byte
-	for i, v := range b.idx[lo:hi] {
-		val := b.value(v)
-		if i > 0 && bytes.Compare(prev, val) > 0 {
-			return blob, false
-		}
-		blob = appendPair(blob, key, val)
-		prev = val
-	}
-	return blob, true
-}
-
-// value returns the value bytes e locates in the slab.
-func (b *Batch) value(e pairIdx) []byte {
-	return b.data[e.off+e.klen : e.off+e.klen+e.vlen]
+// countedValue splits a counted key's value into its count and the value
+// the count repeats.
+func countedValue(h []byte) (n int, v []byte) {
+	return int(binary.BigEndian.Uint32(h)), h[4:]
 }
 
 // sealRun makes the Run of an encoded blob, compressing it if asked.

@@ -14,21 +14,31 @@ import (
 
 // TestMapBlockAllocs: the map side of one block — parse, kernel, hash
 // table, partition, runs — allocates per block and per run, never per word
-// or per key, whether the table folds (the combiner) or groups (without
-// it). On a warm pool a 1 MiB Zipf block (some 275 k words folded or
-// grouped into some 14 k keys) costs a few dozen allocations; a kernel or
-// fold value escaping to the heap costs tens of thousands. The race
-// detector's instrumentation allocates, so the file is built without it.
+// or per key, whether the table folds (the combiner), counts (without it)
+// or spells its pairs out (TeraSort's unique keys). On a warm pool a 1 MiB
+// Zipf block (some 275 k words folded or counted into some 14 k keys) or
+// TeraSort block costs a few dozen allocations; a kernel or fold value
+// escaping to the heap costs tens of thousands. The race detector's
+// instrumentation allocates, so the file is built without it.
 func TestMapBlockAllocs(t *testing.T) {
-	block := workload.WikiText(7, 1<<20, 41943)
-	app := apps.WordCount()
-	for _, combine := range []bool{true, false} {
+	wc := workload.WikiText(7, 1<<20, 41943)
+	ts := apps.TSData(3, 1<<20/workload.TeraRecordSize)
+	for _, c := range []struct {
+		name    string
+		app     *core.App
+		block   []byte
+		combine bool
+	}{
+		{"wc/combiner=true", apps.WordCount(), wc, true},
+		{"wc/combiner=false", apps.WordCount(), wc, false},
+		{"terasort", apps.TeraSort(), ts, false},
+	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			MapBlock(app, block, core.HashTable, combine).Partition(kv.Partition, 4, false)
+			MapBlock(c.app, c.block, core.HashTable, c.combine).Partition(kv.Partition, 4, false)
 		})
-		t.Logf("combiner=%v: %.0f allocations per block", combine, allocs)
+		t.Logf("%s: %.0f allocations per block", c.name, allocs)
 		if allocs > 50 {
-			t.Fatalf("MapBlock+Partition, combiner=%v: %.0f allocations per block, want at most 50", combine, allocs)
+			t.Fatalf("MapBlock+Partition, %s: %.0f allocations per block, want at most 50", c.name, allocs)
 		}
 	}
 }

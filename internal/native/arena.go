@@ -26,18 +26,10 @@ type slot struct {
 // [klen u32][alen u32][key][acc], so a repeated key touches its slot and
 // one record. Records are appended in first-emission order, which is the
 // order flush walks them in — a chunk's output never depends on the hash.
-// What a record's acc holds depends on the job:
-//
-//   - With a combiner (§III-F) the table folds each value into its key's
-//     accumulator as it is emitted, through App.Fold, rather than storing
-//     it.
-//   - Without one (fold is nil) the table groups, and acc is the key's
-//     group header (kv.Batch.RunGroups): its group number, its ordinal in
-//     first-emission order; a count; and its first value. While the key's
-//     values all equal the first they are only counted; from the first
-//     one that differs, all of them go to the chunk's value column, in
-//     emission order, as pairs keyed by the group number. Partition then
-//     handles each key once, not each pair it repeats in.
+// The kernel's sink is the table itself when the job combines (§III-F):
+// it folds each value into its key's accumulator as it is emitted,
+// through App.Fold, rather than storing it. Without a combiner the sink
+// is the same table as a counter.
 type table struct {
 	// arena is a chunk-scoped bump allocator for the records, named by
 	// 32-bit offsets so slots hold no pointers for the collector to trace.
@@ -47,55 +39,122 @@ type table struct {
 	arena []byte
 	slots []slot // power-of-two length, at most half full
 	keys  int    // records in the arena
-	pairs int    // pairs a grouping table added
 
-	fold func(acc, v []byte) // nil: the table groups
-	out  *kv.Batch           // the chunk's output: one pair per key
-	vals *kv.Batch           // the chunk's value column, when grouping
+	fold func(acc, v []byte)
+	out  *kv.Batch // the chunk's output
+
+	pairs   int  // pairs a counter took
+	spelled bool // the counter stopped counting: pairs go to out
 }
 
-// groupHdr is the length of a grouping record's group number and count,
-// two big-endian u32s ahead of its first value.
-const groupHdr = 8
+// counter is the table without a fold: acc is a big-endian u32 count and
+// the key's first value, and the key stands for that many copies of the
+// pair (kv.Batch.RunCounted), so Partition handles each key once, not
+// each pair it repeats in. Counting pays only where pairs repeat, so the
+// counter spells its pairs out into the chunk's output and passes every
+// later pair straight there — the chunk becomes a plain pair chunk — as
+// soon as a key brings a second value, or when, at a power-of-two key
+// count from probeKeys on, fewer than two pairs per key have come.
+type counter table
+
+// countLen is the length of a counting record's count, ahead of its value.
+const countLen = 4
+
+// probeKeys is the first key count at which a counter checks that pairs
+// repeat. Two pairs per key is where counting breaks even with handing
+// the pairs on (map side and partition of 16 k pairs with constant
+// values, shuffled keys). On 256 KiB blocks of the benchmark's Zipf text
+// (four seeds, three offsets each) the first 256 distinct words come in
+// 2.7–3.2 pairs per word; TeraSort's unique keys come in one pair each.
+const probeKeys = 256
 
 var hashSeed = maphash.MakeSeed()
 
-// AppendKV adds one pair to the table: it is the map kernel's kv.Sink
-// under the hash-table collector.
-func (c *table) AppendKV(k, v []byte) {
-	h := maphash.Bytes(hashSeed, k)
-	c.add(uint32(h>>32)|1<<31, k, v)
-}
+func tagOf(k []byte) uint32 { return uint32(maphash.Bytes(hashSeed, k)>>32) | 1<<31 }
+
+// AppendKV folds one pair into the table: it is the map kernel's kv.Sink
+// when the job combines.
+func (c *table) AppendKV(k, v []byte) { c.add(tagOf(k), k, v) }
 
 // add is AppendKV with the key's tag given, which lets a test force
 // collisions.
 func (c *table) add(tag uint32, k, v []byte) {
 	mask := uint32(len(c.slots) - 1)
 	i := tag & mask
-	for {
-		s := c.slots[i]
-		if s.tag == 0 {
-			break
-		}
-		if s.tag == tag {
+	for ; c.slots[i].tag != 0; i = (i + 1) & mask {
+		if s := c.slots[i]; s.tag == tag {
 			if key, acc := c.record(s.off); string(key) == string(k) {
-				if c.fold != nil {
-					c.fold(acc, v)
-				} else {
-					c.group(acc, v)
-				}
+				c.fold(acc, v)
 				return
 			}
 		}
-		i = (i + 1) & mask
 	}
+	acc := c.insert(i, tag, k, len(v))
+	clear(acc)
+	c.fold(acc, v)
+}
+
+// AppendKV counts one pair: it is the map kernel's kv.Sink without a
+// combiner.
+func (c *counter) AppendKV(k, v []byte) {
+	if c.spelled {
+		c.out.AppendKV(k, v)
+		return
+	}
+	c.add(tagOf(k), k, v)
+}
+
+// add is AppendKV on a counter still counting, with the key's tag given.
+// It probes as the table's add does; each keeps its own loop so that
+// neither sink pays a call per pair for the other's sake.
+func (c *counter) add(tag uint32, k, v []byte) {
+	c.pairs++
+	t := (*table)(c)
+	mask := uint32(len(c.slots) - 1)
+	i := tag & mask
+	for ; c.slots[i].tag != 0; i = (i + 1) & mask {
+		if s := c.slots[i]; s.tag == tag {
+			if key, acc := t.record(s.off); string(key) == string(k) {
+				n := binary.BigEndian.Uint32(acc)
+				if string(acc[countLen:]) != string(v) || n == math.MaxUint32 {
+					c.spell()
+					c.out.AppendKV(k, v)
+					return
+				}
+				binary.BigEndian.PutUint32(acc, n+1)
+				return
+			}
+		}
+	}
+	acc := t.insert(i, tag, k, countLen+len(v))
+	binary.BigEndian.PutUint32(acc, 1)
+	copy(acc[countLen:], v)
+	if c.keys >= probeKeys && c.keys&(c.keys-1) == 0 && c.pairs < 2*c.keys {
+		c.spell()
+	}
+}
+
+// spell makes the counter a plain sink for the rest of the chunk: it
+// appends each record's pairs to the output, in first-emission order, and
+// AppendKV passes every later pair straight there.
+func (c *counter) spell() {
+	for off := 0; off < len(c.arena); {
+		key, acc := (*table)(c).record(uint32(off))
+		for n := binary.BigEndian.Uint32(acc); n > 0; n-- {
+			c.out.AppendKV(key, acc[countLen:])
+		}
+		off += recHdr + len(key) + len(acc)
+	}
+	c.spelled = true
+}
+
+// insert appends a record for k with an alen-byte acc, indexes it at
+// empty slot i (or, if the index must grow first, on tag's probe path in
+// the grown one) and returns its acc.
+func (c *table) insert(i, tag uint32, k []byte, alen int) []byte {
 	if 2*(c.keys+1) > len(c.slots) {
 		c.grow()
 		i = c.free(tag)
-	}
-	alen := len(v)
-	if c.fold == nil {
-		alen += groupHdr
 	}
 	off, n := len(c.arena), recHdr+len(k)+alen
 	if off+n > math.MaxUint32 {
@@ -106,42 +165,17 @@ func (c *table) add(tag uint32, k, v []byte) {
 	binary.LittleEndian.PutUint32(r, uint32(len(k)))
 	binary.LittleEndian.PutUint32(r[4:], uint32(alen))
 	copy(r[recHdr:], k)
-	acc := r[recHdr+len(k):]
-	if c.fold == nil {
-		binary.BigEndian.PutUint32(acc, uint32(c.keys))
-		binary.BigEndian.PutUint32(acc[4:], 1)
-		copy(acc[groupHdr:], v)
-		c.pairs++
-	} else {
-		clear(acc)
-		c.fold(acc, v)
-	}
 	c.slots[i] = slot{tag: tag, off: uint32(off)}
 	c.keys++
+	return r[recHdr+len(k) : n : n]
 }
 
-// group adds v to the values of the grouping record whose acc is given:
-// it counts a value equal to the first while only such have come, and
-// otherwise moves the counted ones, then v, to the value column, where the
-// key's later values go too. A count of 0 means the key is in the column.
-func (c *table) group(acc, v []byte) {
-	c.pairs++
-	n := binary.BigEndian.Uint32(acc[4:])
-	if n > 0 {
-		if string(acc[groupHdr:]) == string(v) && n < math.MaxUint32 {
-			binary.BigEndian.PutUint32(acc[4:], n+1)
-			return
-		}
-		for ; n > 0; n-- {
-			c.vals.AppendKV(acc[:4], acc[groupHdr:])
-		}
-		binary.BigEndian.PutUint32(acc[4:], 0)
-	}
-	c.vals.AppendKV(acc[:4], v)
-}
+// Len returns the number of records in the table's arena plus the pairs in
+// its output; both are zero once the chunk is released.
+func (c *table) Len() int { return c.keys + c.out.Len() }
 
-// Len returns the number of distinct keys in the table.
-func (c *table) Len() int { return c.keys }
+// Len is the table's.
+func (c *counter) Len() int { return (*table)(c).Len() }
 
 // record returns the key and accumulator of the record at off, as views
 // into the arena.
@@ -175,7 +209,7 @@ func (c *table) grow() {
 }
 
 // flush appends every key with its acc to the chunk's output, in
-// first-emission order: a grouping table's key i is group i.
+// first-emission order.
 func (c *table) flush() {
 	for off := 0; off < len(c.arena); {
 		key, acc := c.record(uint32(off))
@@ -188,23 +222,23 @@ func (c *table) reset() {
 	c.arena = c.arena[:0]
 	clear(c.slots)
 	c.keys, c.pairs = 0, 0
+	c.spelled = false
 }
 
-// Chunk is one block's collected map output on pooled state, in columnar
-// batches that Partition scatters, sorts and serializes by index range
-// without materializing a []Pair. Under the buffer-pool collector the
-// kernel appends its pairs straight into batch. Under the hash-table
-// collector the table flushes one pair per distinct key into batch: the
-// key with its accumulator or, grouping, its group header, with the
-// values the header does not count in vals. MapBlock acquires a chunk per block and Partition
-// releases it once the runs own their bytes, so a warm pool serves a
-// block from retained capacity; the pool is emptied by the garbage
-// collector, and the first blocks after that grow their slabs again.
+// Chunk is one block's collected map output on pooled state, in a
+// columnar batch that Partition scatters, sorts and serializes by index
+// range without materializing a []Pair. The kernel's sink is the chunk's
+// table, which flushes one pair per distinct key into batch — the key
+// with its accumulator or its count — or, once it spelled its pairs out,
+// has put every pair there. MapBlock acquires a chunk per block and
+// Partition releases it once the runs own their bytes, so a warm pool
+// serves a block from retained capacity; the pool is emptied by the
+// garbage collector, and the first blocks after that grow their slabs
+// again.
 type Chunk struct {
 	batch   kv.Batch // the chunk's output
-	vals    kv.Batch // a grouping table's value column
 	tab     table
-	grouped bool // the table grouped: batch holds keys, vals their values
+	counted bool // batch holds counted keys (kv.Batch.RunCounted)
 	records int  // parsed input records the kernel consumed
 }
 
@@ -212,7 +246,6 @@ func newChunk() *Chunk {
 	c := &Chunk{}
 	c.tab.slots = make([]slot, 1024)
 	c.tab.out = &c.batch
-	c.tab.vals = &c.vals
 	return c
 }
 
@@ -230,6 +263,5 @@ func (c *Chunk) Release() {
 func (c *Chunk) reset() {
 	c.tab.reset()
 	c.batch.Reset()
-	c.vals.Reset()
-	c.grouped = false
+	c.counted = false
 }

@@ -149,33 +149,53 @@ func FuzzCombinerFold(f *testing.F) {
 	})
 }
 
+// pairChunk is MapBlock with the kernel writing every pair straight into
+// the chunk's batch: the plain pair path a table without a fold must match.
+func pairChunk(app *core.App, block []byte) *Chunk {
+	c := getChunk()
+	recs := app.Parse(block)
+	c.records = len(recs)
+	app.MapBatch(recs, &c.batch)
+	return c
+}
+
 // FuzzCollectorGroup drives emit streams derived from raw input through
-// MapBlock under both collectors without a combiner and holds the grouping
-// table to the buffer pool: Partition must make the same runs, byte for
-// byte, and the same MapStats. The kernel emits every pair out of one
-// scratch buffer it scrambles after each emit, so a table that kept a view
-// of a key or a value instead of copying it shows. The first byte picks
-// whether keys shrink to one byte (so they repeat), whether values shrink
-// to at most one byte (so a key's values repeat, then change — the table
-// counts a repeated value and moves a key to its value column at the
-// first that differs — and arrive out of order), whether every key's tag
-// is forced onto one of three, the partition count, and compression.
+// MapBlock without a combiner and holds the table to the plain pair path:
+// Partition must make the same runs, byte for byte, and the same MapStats,
+// whether the table counted the chunk or spelled its pairs out. The kernel
+// emits every pair out of one scratch buffer it scrambles after each emit,
+// so a table that kept a view of a key or a value instead of copying it
+// shows. The first byte picks whether keys shrink to one byte (so they
+// repeat), whether values shrink to at most one byte (so a key's values
+// repeat, then change — the table counts a repeated value and spells its
+// pairs out at the first that differs), whether every key's tag is forced
+// onto one of three, the partition count, compression, and whether the
+// stream is emitted three times with each key suffixed by its emission
+// number (so at least probeKeys distinct keys come in fewer than two pairs
+// each and the table gives counting up at the probe).
 func FuzzCollectorGroup(f *testing.F) {
 	f.Add([]byte("\x03the quick brown fox jumps over the lazy dog and the quick dog"))
 	f.Add([]byte("\x06\x00\x01a\x01\x00\x01a\x00\x00\x00a\x01\x01\x01a\x02\x01\x00b"))
 	f.Add(append([]byte{0x7f}, bytes.Repeat([]byte("\x05\x02some-keyvw"), 60)...))
+	f.Add(append([]byte{0x81}, bytes.Repeat([]byte("\x05\x00abcdef"), 200)...))
+	f.Add([]byte("\x10\x01\x01abx\x01\x01abx\x01\x01cdx\x01\x01abx\x01\x01aby\x01\x01cdx"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
 		shortKeys, shortVals, collide := data[0]&1 != 0, data[0]&2 != 0, data[0]&4 != 0
-		parts, compress := int(data[0]>>3&7)+1, data[0]&0x40 != 0
+		parts, compress, many := int(data[0]>>3&7)+1, data[0]&0x40 != 0, data[0]&0x80 != 0
 		pairs := fuzzPairs(data[1:])
+		rounds := 1
+		if many {
+			rounds = 3
+		}
 		app := &core.App{
 			Parse: func(block []byte) []kv.Pair { return []kv.Pair{{Value: block}} },
 			MapBatch: func(_ []kv.Pair, out kv.Sink) {
 				var scratch []byte
-				for _, p := range pairs {
+				for j := range rounds * len(pairs) {
+					p := pairs[j%len(pairs)]
 					k, v := p.Key, p.Value
 					if shortKeys {
 						k = k[:1]
@@ -186,9 +206,14 @@ func FuzzCollectorGroup(f *testing.F) {
 					if shortVals {
 						v = v[:min(len(v), 1)]
 					}
-					scratch = append(append(scratch[:0], k...), v...)
-					k, v = scratch[:len(k)], scratch[len(k):]
-					if tab, ok := out.(*table); ok && collide && len(k) > 0 {
+					scratch = append(scratch[:0], k...)
+					if many {
+						scratch = binary.BigEndian.AppendUint16(scratch, uint16(j))
+					}
+					kl := len(scratch)
+					scratch = append(scratch, v...)
+					k, v = scratch[:kl], scratch[kl:]
+					if tab, ok := out.(*counter); ok && collide && !tab.spelled && len(k) > 0 {
 						tab.add(1<<31|uint32(k[0]%3), k, v)
 					} else {
 						out.AppendKV(k, v)
@@ -199,17 +224,17 @@ func FuzzCollectorGroup(f *testing.F) {
 				}
 			},
 		}
-		poolRuns, poolStats := MapBlock(app, data, core.BufferPool, false).Partition(kv.Partition, parts, compress)
+		pairRuns, pairStats := pairChunk(app, data).Partition(kv.Partition, parts, compress)
 		hashRuns, hashStats := MapBlock(app, data, core.HashTable, false).Partition(kv.Partition, parts, compress)
-		if hashStats != poolStats {
-			t.Fatalf("hash table's map stats %+v, buffer pool's %+v", hashStats, poolStats)
+		if hashStats != pairStats {
+			t.Fatalf("table's map stats %+v, plain pairs' %+v", hashStats, pairStats)
 		}
-		for g := range poolRuns {
-			if (poolRuns[g] == nil) != (hashRuns[g] == nil) {
-				t.Fatalf("partition %d: buffer pool's run %v, hash table's %v", g, poolRuns[g], hashRuns[g])
+		for g := range pairRuns {
+			if (pairRuns[g] == nil) != (hashRuns[g] == nil) {
+				t.Fatalf("partition %d: plain pairs' run %v, table's %v", g, pairRuns[g], hashRuns[g])
 			}
-			if poolRuns[g] != nil && !bytes.Equal(hashRuns[g].Blob(), poolRuns[g].Blob()) {
-				t.Fatalf("partition %d: the hash table's run differs from the buffer pool's", g)
+			if pairRuns[g] != nil && !bytes.Equal(hashRuns[g].Blob(), pairRuns[g].Blob()) {
+				t.Fatalf("partition %d: the table's run differs from the plain pairs'", g)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package native
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"glasswing/internal/core"
@@ -38,29 +37,27 @@ func (s MapStats) Book(led *core.Conserv) {
 // returning the collected output on pooled state. The caller must hand the
 // chunk to Partition, or Release it, exactly once.
 //
-// The collector picks the kernel's sink, as in the paper (§IV-B1). Under
-// the buffer-pool collector the kernel writes every pair straight into the
-// chunk's output. Under the hash-table collector it writes into the
-// chunk's table, which stores each distinct key once: with the combiner
-// (and an App.Fold) the table folds each value into its key's accumulator;
-// without it the table groups each key's values, so Partition hashes,
-// scatters and sorts keys, not pairs. Without a combiner both collectors
-// make the same runs and MapStats, byte for byte.
+// The kernel's sink is the chunk's table. With the hash-table collector,
+// the combiner and an App.Fold, the table folds each value into its key's
+// accumulator. Otherwise it counts each key's repeats of its first value,
+// so Partition hashes, scatters and sorts keys, not pairs; where pairs do
+// not repeat, it hands them on as they come. Without a combiner the runs
+// and MapStats are the same, byte for byte, whatever the collector and
+// whatever the table did.
 func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
-	if collector != core.HashTable {
-		app.MapBatch(recs, &c.batch)
-		return c
-	}
-	c.tab.fold = nil
-	if useCombiner {
+	if useCombiner && collector == core.HashTable && app.Fold != nil {
 		c.tab.fold = app.Fold
+		app.MapBatch(recs, &c.tab)
+	} else {
+		app.MapBatch(recs, (*counter)(&c.tab))
+		c.counted = !c.tab.spelled
 	}
-	c.grouped = c.tab.fold == nil
-	app.MapBatch(recs, &c.tab)
-	c.tab.flush()
+	if !c.tab.spelled {
+		c.tab.flush()
+	}
 	return c
 }
 
@@ -69,19 +66,15 @@ func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useComb
 // releases the chunk: the runs own their bytes. It counting-scatters the
 // 12-byte index entries by partition, sorts each range in place and
 // serializes it straight into a run — no payload movement, no sortedness
-// re-verification. A grouped chunk scatters and sorts its distinct keys;
-// its value column is first scattered by group number, which lays each
-// column key's values out together in emission order, and each run
-// spells the keys' pairs out (kv.Batch.RunGroups).
+// re-verification. A counted chunk scatters and sorts its distinct keys,
+// and each run spells their pairs out (kv.Batch.RunCounted).
 func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool) ([]*kv.Run, MapStats) {
 	defer c.Release()
 	runs := make([]*kv.Run, n)
 	b := &c.batch
 	st := MapStats{RecordsIn: int64(c.records), PairsOut: int64(b.Len())}
-	var groups []int
-	if c.grouped {
+	if c.counted {
 		st.PairsOut = int64(c.tab.pairs)
-		groups = c.vals.PartitionRanges(groupOf, b.Len())
 	}
 	bounds := b.PartitionRanges(part, n)
 	for g := range runs {
@@ -91,8 +84,8 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 		}
 		b.SortRange(lo, hi)
 		var r *kv.Run
-		if c.grouped {
-			r = b.RunGroups(lo, hi, &c.vals, groups, compress)
+		if c.counted {
+			r = b.RunCounted(lo, hi, compress)
 		} else {
 			r = b.RunRange(lo, hi, compress)
 		}
@@ -104,9 +97,6 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 	}
 	return runs, st
 }
-
-// groupOf reads the group number a grouping table keys its values by.
-func groupOf(key []byte, _ int) int { return int(binary.BigEndian.Uint32(key)) }
 
 // valsPool recycles ReducePartition's values slice across partitions. On
 // skewed keys one group holds a good share of a partition's pairs, and
