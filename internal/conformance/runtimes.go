@@ -346,8 +346,10 @@ func nativeVariants(j Job) []nativeVariant {
 		}},
 	}
 	// The collector axis is the combiner cell alone: the collector selects
-	// code only with the combiner on, so flipping it alone would re-run the
-	// baseline byte for byte (TestTaskKernelMatchesReference pins that).
+	// no code in the real runtimes (native.CheckCombiner reads it, and
+	// MapBlock takes only the combine bit), so flipping it alone would
+	// re-run the baseline byte for byte (TestTaskKernelMatchesReference
+	// pins that).
 	if j.CombinerOK {
 		vs = append(vs, nativeVariant{axis: "collector", name: "combiner",
 			mutate: func(c *native.Config) { c.Collector = core.HashTable; c.UseCombiner = true }})
@@ -504,7 +506,7 @@ func distVariants(j Job) []distVariant {
 		// streamed back through the decompressor.
 		{axis: "compress", name: "deflate-spill", compress: true, spill: true},
 	}
-	// As in nativeVariants, only the combiner cell selects collector code.
+	// As in nativeVariants, the collector axis is the combiner cell alone.
 	if j.CombinerOK {
 		vs = append(vs, distVariant{axis: "collector", name: "combiner", combiner: true})
 	}

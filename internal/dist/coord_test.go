@@ -188,7 +188,6 @@ func newSimSchedule(t testing.TB, seed int64) *simSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	n, tasks, parts := 1+rng.Intn(4), 3+rng.Intn(12), 1+rng.Intn(6)
 	o := simOptions(n, tasks, parts)
-	o.Job.MaxAttempts = 2 + rng.Intn(4)
 	switch rng.Intn(4) {
 	case 0:
 		o.Blockstore = "local"

@@ -661,13 +661,13 @@ func (c *coord) form() {
 		// new one. If the crash interrupted a transition, its handoffs in
 		// flight are fenced too, so every task is superseded, as by a death.
 		// The bump clears every attempt the crashed coordinator may have
-		// dispatched: its retries bumped attempts up to MaxAttempts-1 times
+		// dispatched: its retries bumped attempts up to maxAttempts-1 times
 		// without journaling them, and a reused (task, attempt) would collide
 		// with a stale one in every home's staging.
 		rec := c.nextEpoch()
 		for t, r := range c.st.resolved {
 			if !r || c.st.moving {
-				rec.Attempt[t] += o.Job.MaxAttempts
+				rec.Attempt[t] += maxAttempts
 			}
 		}
 		// A drain the crash interrupted resumes: its target, rejoined and
@@ -696,7 +696,7 @@ func (c *coord) form() {
 			}
 		}
 	}
-	c.sched = newSched(c.st, len(c.ws), o.Job.MaxAttempts, prefer, c.schedAlive())
+	c.sched = newSched(c.st, len(c.ws), maxAttempts, prefer, c.schedAlive())
 
 	if c.need != nil {
 		// The refresh announcing the new epoch carries the homes, liveness

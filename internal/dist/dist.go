@@ -53,7 +53,7 @@
 // block fetch it serves, and the link deadlines' timers.
 //
 // Fault tolerance mirrors the semantics of internal/core's taskScheduler:
-// failed attempts are requeued up to MaxAttempts; a worker death (detected
+// failed attempts are requeued up to maxAttempts; a worker death (detected
 // by connection loss or heartbeat timeout) requeues its in-flight tasks,
 // reassigns its home partitions to survivors and re-executes every resolved
 // map task — the destination-push shuffle means a dead node loses a slice
@@ -112,7 +112,8 @@ type Options struct {
 	// shuffle effect (loopback-only).
 	MapFault func(task, attempt int) bool
 	// KillWorker, when >= 0, kills that worker once KillAfterMapDone map
-	// tasks have resolved (loopback-only; folded into Elastic internally).
+	// tasks have resolved (loopback-only). It selects no code of its own:
+	// the runner folds it into Elastic as one kill event.
 	KillWorker       int
 	KillAfterMapDone int
 
@@ -192,17 +193,20 @@ type AppSpec struct {
 // Job is the wire-level job description the coordinator broadcasts in
 // JobStart.
 type Job struct {
-	App         AppSpec
-	Partitions  int // total reduce partitions across the cluster
+	App        AppSpec
+	Partitions int // total reduce partitions across the cluster
+	// Collector selects no code here: Options.check hands it to
+	// native.CheckCombiner, and it does not cross the wire.
 	Collector   core.CollectorKind
 	UseCombiner bool
 	// Compress stores intermediate runs DEFLATE-compressed, as in the
 	// native runtime: a run is compressed once, where its map task builds
 	// it, and is stored, spilled, shipped and handed off as those bytes.
 	Compress bool
-	// MaxAttempts bounds failed executions per task (0 = default 4).
-	MaxAttempts int
 }
+
+// maxAttempts bounds failed executions per task, as Hadoop's default does.
+const maxAttempts = 4
 
 // MaxPartitions bounds Job.Partitions. Every map task sizes per-partition
 // slices by it and the coordinator per-partition state, so a job asking for
@@ -212,9 +216,6 @@ const MaxPartitions = 1 << 16
 func (j Job) withDefaults() Job {
 	if j.Partitions <= 0 {
 		j.Partitions = 4
-	}
-	if j.MaxAttempts <= 0 {
-		j.MaxAttempts = 4
 	}
 	return j
 }

@@ -198,10 +198,10 @@ func TestMapFaultReleasesChunk(t *testing.T) {
 
 func TestMaxAttemptsExhausted(t *testing.T) {
 	o, _ := wcOptions(2, nil)
-	o.Job.MaxAttempts = 2
 	o.MapFault = func(task, attempt int) bool { return task == 1 } // always fails
-	if _, err := RunLoopback(o); err == nil {
-		t.Fatal("want job failure after exhausting attempts")
+	_, err := RunLoopback(o)
+	if want := fmt.Sprintf("task 1 failed %d attempts", maxAttempts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want job failure after exhausting attempts (%q)", err, want)
 	}
 }
 

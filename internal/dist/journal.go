@@ -402,10 +402,7 @@ func (s *jobState) validateResume(o *Options) error {
 		return refuse("app params differ from the journaled job")
 	case s.Job.Partitions != o.Job.Partitions:
 		return refuse("journaled %d partitions, options say %d", s.Job.Partitions, o.Job.Partitions)
-	case s.Job.Collector != o.Job.Collector ||
-		s.Job.UseCombiner != o.Job.UseCombiner ||
-		s.Job.Compress != o.Job.Compress ||
-		s.Job.MaxAttempts != o.Job.MaxAttempts:
+	case s.Job.UseCombiner != o.Job.UseCombiner || s.Job.Compress != o.Job.Compress:
 		return refuse("job spec differs from the journaled job")
 	case s.Tasks != len(o.Blocks):
 		return refuse("journaled %d input blocks, options carry %d", s.Tasks, len(o.Blocks))

@@ -32,7 +32,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		return data
 	}
 
-	job := Job{App: AppSpec{Name: "wc"}, Partitions: 3, Collector: 1, MaxAttempts: 4}
+	job := Job{App: AppSpec{Name: "wc"}, Partitions: 3}
 	digest := blocksDigest([][]byte{[]byte("block zero"), []byte("block one")})
 	jobStart := func(j *journal) {
 		j.append(jrJobStart, encode(&jobRecord{Job: job, Tasks: 2, TraceID: 42, Digest: digest}))

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 
-	"glasswing/internal/core"
 	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
@@ -316,20 +315,14 @@ func (c *codec) ints(v *[]int)    { list(c, v, c.i) }
 func (c *codec) bools(v *[]bool)  { list(c, v, c.bool) }
 func (c *codec) strs(v *[]string) { list(c, v, c.str) }
 
-// job carries a job spec — the same bytes on the wire's job-start and in the
-// journal's job-start record.
+// job carries what a worker or a resume reads of a job spec — the same
+// bytes on the wire's job-start and in the journal's job-start record.
 func (c *codec) job(j *Job) {
 	c.str(&j.App.Name)
 	c.owned(&j.App.Params)
 	c.i(&j.Partitions)
-	coll := int(j.Collector)
-	c.i(&coll)
-	if c.dec {
-		j.Collector = core.CollectorKind(coll)
-	}
 	c.bool(&j.UseCombiner)
 	c.bool(&j.Compress)
-	c.i(&j.MaxAttempts)
 }
 
 // --- message payloads ---
@@ -577,14 +570,13 @@ func (m *spanBatchMsg) wire(c *codec) {
 	})
 }
 
-// Heartbeat payload kinds. A plain keep-alive carries no payload (legacy
-// frames from older nodes decode as plain too); probe/reply frames carry
+// Heartbeat payload kinds. A plain keep-alive carries no payload, and a
+// kind of 0 reads as one; probe/reply frames carry
 // the NTP-style timestamp exchange the coordinator uses to estimate each
 // worker's clock offset: the probe echoes the sender's send time t1, the
 // reply adds the receiver's receive time t2 and send time t3, and the
 // prober stamps t4 on arrival.
 const (
-	hbPlain = 0
 	hbProbe = 1
 	hbReply = 2
 )

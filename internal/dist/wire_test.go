@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"glasswing/internal/core"
 	"glasswing/internal/obs"
 )
 
@@ -90,18 +89,16 @@ func roundTrips() []roundTrip {
 			Job: Job{
 				App:         AppSpec{Name: "wc", Params: []byte{1, 2, 3}},
 				Partitions:  7,
-				Collector:   core.BufferPool,
 				UseCombiner: true,
 				Compress:    true,
-				MaxAttempts: 3,
 			},
 			Peers: []string{"a:1", "b:2"},
 			Homes: []int{0, 1, 0, 1, 0, 1, 0},
-		}, "fe95bff7dbdd3f0277630301020307010101030203613a3103623a3207000100010001000000"},
+		}, "fe95bff7dbdd3f027763030102030701010203613a3103623a3207000100010001000000"},
 		{"job-start-live", &jobStartMsg{
-			Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3, MaxAttempts: 4},
+			Job:   Job{App: AppSpec{Name: "ts"}, Partitions: 3},
 			Peers: []string{"a:1", "", "c:3"}, Homes: []int{0, 2, 0}, Epoch: 5, Live: true,
-		}, "000274730003000000040303613a310003633a33030002000501"},
+		}, "00027473000300000303613a310003633a33030002000501"},
 		{"map-task", &mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")},
 			"0402898080808080400a626c6f636b206461746100000000"},
 		{"map-done", &mapDoneMsg{Task: 1, Attempt: 1, Stats: attemptStats{

@@ -471,13 +471,14 @@ func (w *worker) coordLoop(cc *conn, ln net.Listener) (last *conn, killed bool, 
 // compute/communication overlap.
 func (w *worker) executor() {
 	defer w.wg.Done()
+	var merger kv.Merger // reused for every partition this worker reduces
 	for {
 		select {
 		case <-w.stop:
 			return
 		case it := <-w.execCh:
 			if it.reduce {
-				w.runReduce(it.redTask)
+				w.runReduce(it.redTask, &merger)
 			} else {
 				w.runMap(it.mapTask)
 			}
@@ -518,7 +519,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 	// parents on the kernel, forming the causal chain the merged trace
 	// draws as flow arrows.
 	t0 = time.Now()
-	chunk := native.MapBlock(w.app, block, w.job.Collector, w.job.UseCombiner)
+	chunk := native.MapBlock(w.app, block, w.job.UseCombiner)
 	kernelID := w.tr.Record(obs.StageMapKernel, t0, m.SpanID)
 
 	if w.cfg.mapFault != nil && w.cfg.mapFault(m.Task, m.Attempt) {
@@ -541,7 +542,7 @@ func (w *worker) runMap(m mapTaskMsg) {
 // counters are booked by the coordinator at acceptance, not here: under
 // kills and coordinator restarts a partition can be recomputed, and only
 // the first accepted report may count.
-func (w *worker) runReduce(rt reduceTaskMsg) {
+func (w *worker) runReduce(rt reduceTaskMsg, merger *kv.Merger) {
 	defer w.tr.Record(obs.StageReduce, time.Now(), rt.SpanID)
 	// The step hands out the partition's runs as iterators, drained here
 	// outside the lock: resident runs are immutable once committed, and a
@@ -552,7 +553,7 @@ func (w *worker) runReduce(rt reduceTaskMsg) {
 			continue
 		}
 		defer e.closeIters()
-		out, recordsIn, groups := native.ReducePartition(w.app, e.iters)
+		out, recordsIn, groups := native.ReducePartition(w.app, merger, e.iters)
 		if err := e.iterErr(); err != nil {
 			// A spilled run failed to stream back: this partition's merge is
 			// incomplete, so fail the attempt instead of reporting short output.

@@ -511,7 +511,7 @@ func TestDamagedPeerRunFailsTheReduce(t *testing.T) {
 			t.Fatalf("compressed=%v: store accepted %d records, want the damaged run's 1", compressed, got)
 		}
 
-		go w.runReduce(reduceTaskMsg{Partition: 0})
+		go w.runReduce(reduceTaskMsg{Partition: 0}, new(kv.Merger))
 		for {
 			typ, p, err := readFrame(far)
 			if err != nil {

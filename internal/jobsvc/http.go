@@ -17,7 +17,7 @@ import (
 // enforced post-decode, this is the transport-level backstop (base64
 // inflates by 4/3, JSON quoting adds a little more).
 func (s *Service) maxBodyBytes() int64 {
-	return 2*(s.cfg.MaxInputBytes+s.cfg.MaxParamsBytes) + 1<<16
+	return 2*(s.cfg.maxInputBytes+s.cfg.maxParamsBytes) + 1<<16
 }
 
 // Handler returns the service's HTTP API:

@@ -88,7 +88,7 @@ func TestAPISubmitRejections(t *testing.T) {
 		{"combiner on the pool", `{"tenant":"t","app":"wc","input_b64":"` + in + `","collector":"pool","use_combiner":true}`, 400, "bad-combiner"},
 	}
 
-	_, srv := apiFixture(t, Config{MaxInputBytes: 1024, MaxParamsBytes: 100})
+	_, srv := apiFixture(t, Config{maxInputBytes: 1024, maxParamsBytes: 100})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, m := postJSON(t, srv.URL, tc.body)
@@ -254,7 +254,7 @@ func TestRecoverMiddleware(t *testing.T) {
 
 // TestAPIBodyTooLarge pins the transport-level body cap.
 func TestAPIBodyTooLarge(t *testing.T) {
-	_, srv := apiFixture(t, Config{MaxInputBytes: 512, MaxParamsBytes: 128})
+	_, srv := apiFixture(t, Config{maxInputBytes: 512, maxParamsBytes: 128})
 	big := strings.Repeat("x", 1<<20)
 	status, m := postJSON(t, srv.URL, `{"tenant":"t","app":"wc","input_b64":"`+big+`"}`)
 	if status != 413 {

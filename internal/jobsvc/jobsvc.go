@@ -100,60 +100,29 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled || s == StateEvicted
 }
 
-// Quota bounds one tenant's footprint in the service — the txpool's
-// per-sender caps.
-type Quota struct {
-	// MaxQueued caps the tenant's queued (not yet running) jobs.
-	MaxQueued int
-	// MaxQueuedBytes caps the summed input+params bytes of the tenant's
-	// queued jobs — the byte budget.
-	MaxQueuedBytes int64
-	// MaxRunning caps the tenant's simultaneously running jobs; the
+// quota bounds one tenant's footprint in the service — the txpool's
+// per-sender caps. Every tenant has the same one.
+type quota struct {
+	// maxQueued caps the tenant's queued (not yet running) jobs.
+	maxQueued int
+	// maxRunning caps the tenant's simultaneously running jobs; the
 	// scheduler skips tenants at this cap rather than rejecting.
-	MaxRunning int
+	maxRunning int
 }
 
-func (q Quota) withDefaults() Quota {
-	if q.MaxQueued <= 0 {
-		q.MaxQueued = 16
-	}
-	if q.MaxQueuedBytes <= 0 {
-		q.MaxQueuedBytes = 16 << 20
-	}
-	if q.MaxRunning <= 0 {
-		q.MaxRunning = 4
-	}
-	return q
-}
+// maxQueuedBytes caps the summed input+params bytes of one tenant's queued
+// jobs — the byte budget.
+const maxQueuedBytes = 16 << 20
 
 // Config configures the service.
 type Config struct {
 	// FleetWorkers is the shared worker-slot budget (default 8): the sum
 	// of all running jobs' worker counts never exceeds it.
 	FleetWorkers int
-	// MaxQueue caps queued jobs across all tenants (default 64).
-	MaxQueue int
-	// MaxInputBytes / MaxParamsBytes cap one submission's decoded input
-	// and param blob (defaults 32 MiB / 1 MiB); larger requests are
-	// rejected 413 before admission.
-	MaxInputBytes  int64
-	MaxParamsBytes int64
-	// DefaultQuota applies to tenants absent from Quotas.
-	DefaultQuota Quota
-	// Quotas overrides per tenant.
-	Quotas map[string]Quota
 	// Tuning passes through to every job's dist cluster.
 	Tuning dist.Tuning
-	// RetryAfter is the backoff hint attached to 429 rejections
-	// (default 1s).
-	RetryAfter time.Duration
-	// Metrics is the service-level registry (one is created if nil). Job
-	// conservation counters do NOT land here — each job owns a private
-	// registry served at /jobs/{id}/metrics — so concurrent jobs cannot
-	// cross-contaminate ledgers.
-	Metrics *obs.Registry
 	// AllowFaultInjection enables the loopback fault-injection request
-	// fields (kill_worker, map_fault_mod) — conformance and CI use them to
+	// fields (map_fault_mod, elastic) — conformance and CI use them to
 	// drive the dist fault cells through the service path. Off, such
 	// requests are rejected 400.
 	AllowFaultInjection bool
@@ -163,30 +132,41 @@ type Config struct {
 	// journaling.
 	Events *slog.Logger
 	// RuntimeSampleEvery is the interval of the process runtime gauges
-	// (goroutines, heap in-use, cumulative GC pause) published into
-	// Metrics. 0 = default 1s; negative disables the sampler.
+	// (goroutines, heap in-use, cumulative GC pause) published into the
+	// service registry (Service.Metrics). 0 = default 1s; negative
+	// disables the sampler.
 	RuntimeSampleEvery time.Duration
+
+	// The admission caps and the backoff floor: only this package's tests
+	// set them, to saturate a small service quickly; 0 takes the default.
+	maxQueue       int           // queued jobs across all tenants (default 64)
+	maxInputBytes  int64         // one submission's decoded input (default 32 MiB); larger is rejected 413
+	maxParamsBytes int64         // one submission's param blob (default 1 MiB); larger is rejected 413
+	quota          quota         // every tenant's (default 16 queued, 4 running)
+	retryAfter     time.Duration // the floor of the 429 backoff hint (default 1s)
 }
 
 func (c Config) withDefaults() Config {
 	if c.FleetWorkers <= 0 {
 		c.FleetWorkers = 8
 	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
+	if c.maxQueue <= 0 {
+		c.maxQueue = 64
 	}
-	if c.MaxInputBytes <= 0 {
-		c.MaxInputBytes = 32 << 20
+	if c.maxInputBytes <= 0 {
+		c.maxInputBytes = 32 << 20
 	}
-	if c.MaxParamsBytes <= 0 {
-		c.MaxParamsBytes = 1 << 20
+	if c.maxParamsBytes <= 0 {
+		c.maxParamsBytes = 1 << 20
 	}
-	c.DefaultQuota = c.DefaultQuota.withDefaults()
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+	if c.quota.maxQueued <= 0 {
+		c.quota.maxQueued = 16
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
+	if c.quota.maxRunning <= 0 {
+		c.quota.maxRunning = 4
+	}
+	if c.retryAfter <= 0 {
+		c.retryAfter = time.Second
 	}
 	if c.RuntimeSampleEvery == 0 {
 		c.RuntimeSampleEvery = time.Second
@@ -216,7 +196,9 @@ type Request struct {
 	// Workers is the cluster size drawn from the fleet (0 = default 2;
 	// clamped to the fleet size).
 	Workers int `json:"workers,omitempty"`
-	// Collector is "hash" (default) or "pool".
+	// Collector is "hash" (default) or "pool". It selects no code: the
+	// parser hands it to native.CheckCombiner, which refuses use_combiner
+	// unless it is "hash".
 	Collector   string `json:"collector,omitempty"`
 	UseCombiner bool   `json:"use_combiner,omitempty"`
 	Compress    bool   `json:"compress,omitempty"`
@@ -333,7 +315,6 @@ type job struct {
 
 // tenantState tracks one tenant's queue and running-set footprint.
 type tenantState struct {
-	name        string
 	queued      [numPriorities][]*job // FIFO per class
 	queuedCount int
 	queuedBytes int64
@@ -397,7 +378,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		reg:     cfg.Metrics,
+		reg:     obs.NewRegistry(),
 		fleet:   FleetStatus{Total: cfg.FleetWorkers, Free: cfg.FleetWorkers},
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]*tenantState),
@@ -449,7 +430,10 @@ func (s *Service) Close() {
 }
 
 // Metrics returns the service-level registry (queue depth, admission
-// decisions, per-tenant wait/service time, dispatch fairness).
+// decisions, per-tenant wait/service time, dispatch fairness). Job
+// conservation counters do NOT land here — each job owns a private
+// registry served at /jobs/{id}/metrics — so concurrent jobs cannot
+// cross-contaminate ledgers.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // ResizeFleet changes the shared worker-slot pool's capacity while the
@@ -520,16 +504,16 @@ func traceIDHex(id uint64) string { return fmt.Sprintf("%016x", id) }
 // retryAfterLocked derives the 429 backoff hint from observed load: the
 // tenant's median service time scaled by the current queue depth — "the
 // queue ahead of you, at your own jobs' pace" — clamped to
-// [Config.RetryAfter, 30s]. A tenant with no completed jobs yet gets the
-// configured floor verbatim.
+// [Config.retryAfter, 30s]. A tenant with no completed jobs yet gets the
+// floor verbatim.
 func (s *Service) retryAfterLocked(tenant string) time.Duration {
 	p50 := s.reg.Histogram("jobsvc_service_seconds", obs.DefTimeBuckets, obs.L("tenant", tenant)).Quantile(0.5)
 	if p50 <= 0 {
-		return s.cfg.RetryAfter
+		return s.cfg.retryAfter
 	}
 	d := time.Duration(p50 * float64(s.queuedTotal+1) * float64(time.Second))
-	if d < s.cfg.RetryAfter {
-		d = s.cfg.RetryAfter
+	if d < s.cfg.retryAfter {
+		d = s.cfg.retryAfter
 	}
 	if d > 30*time.Second {
 		d = 30 * time.Second
@@ -561,13 +545,6 @@ func (s *Service) sampleRuntime() {
 	s.reg.Gauge("process_gc_pause_ns").Set(float64(ms.PauseTotalNs))
 }
 
-func (s *Service) quotaFor(tenant string) Quota {
-	if q, ok := s.cfg.Quotas[tenant]; ok {
-		return q.withDefaults()
-	}
-	return s.cfg.DefaultQuota
-}
-
 // parseRequest validates a submission and builds the job record (no lock,
 // no admission yet).
 func (s *Service) parseRequest(req Request) (*job, *APIError) {
@@ -582,9 +559,9 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	if err != nil {
 		return nil, badRequest("bad-params-encoding", "params_b64: %v", err)
 	}
-	if int64(len(params)) > s.cfg.MaxParamsBytes {
+	if int64(len(params)) > s.cfg.maxParamsBytes {
 		return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Reason: "params-too-large",
-			Msg: fmt.Sprintf("param blob %d bytes exceeds cap %d", len(params), s.cfg.MaxParamsBytes)}
+			Msg: fmt.Sprintf("param blob %d bytes exceeds cap %d", len(params), s.cfg.maxParamsBytes)}
 	}
 	input, err := base64.StdEncoding.DecodeString(req.InputB64)
 	if err != nil {
@@ -593,9 +570,9 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	if len(input) == 0 {
 		return nil, badRequest("empty-input", "input_b64 is required and must decode to non-empty input")
 	}
-	if int64(len(input)) > s.cfg.MaxInputBytes {
+	if int64(len(input)) > s.cfg.maxInputBytes {
 		return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Reason: "input-too-large",
-			Msg: fmt.Sprintf("input %d bytes exceeds cap %d", len(input), s.cfg.MaxInputBytes)}
+			Msg: fmt.Sprintf("input %d bytes exceeds cap %d", len(input), s.cfg.maxInputBytes)}
 	}
 	// Resolve the app now: an unknown name or corrupt param blob fails the
 	// submission, not the run.
@@ -719,16 +696,15 @@ func (s *Service) Submit(req Request) (Status, *APIError) {
 		return Status{}, &APIError{Status: http.StatusServiceUnavailable, Reason: "shutting-down", Msg: "service is shutting down"}
 	}
 
-	q := s.quotaFor(j.tenant)
 	t := s.tenantLocked(j.tenant)
-	if t.queuedCount >= q.MaxQueued {
-		return reject("tenant-queue-quota", "tenant %q has %d jobs queued (cap %d)", j.tenant, t.queuedCount, q.MaxQueued)
+	if t.queuedCount >= s.cfg.quota.maxQueued {
+		return reject("tenant-queue-quota", "tenant %q has %d jobs queued (cap %d)", j.tenant, t.queuedCount, s.cfg.quota.maxQueued)
 	}
-	if t.queuedBytes+j.cost > q.MaxQueuedBytes {
+	if t.queuedBytes+j.cost > maxQueuedBytes {
 		return reject("tenant-byte-budget", "tenant %q queued bytes %d + %d exceed budget %d",
-			j.tenant, t.queuedBytes, j.cost, q.MaxQueuedBytes)
+			j.tenant, t.queuedBytes, j.cost, maxQueuedBytes)
 	}
-	if s.queuedTotal >= s.cfg.MaxQueue {
+	if s.queuedTotal >= s.cfg.maxQueue {
 		// Saturation: priced admission. Only a strictly lower-priority
 		// victim may be demoted for the newcomer.
 		v := s.evictionVictimLocked()
@@ -765,7 +741,7 @@ func (s *Service) Submit(req Request) (Status, *APIError) {
 func (s *Service) tenantLocked(name string) *tenantState {
 	t := s.tenants[name]
 	if t == nil {
-		t = &tenantState{name: name}
+		t = &tenantState{}
 		s.tenants[name] = t
 		s.tenantOrder = append(s.tenantOrder, name)
 	}

@@ -93,16 +93,10 @@ func TestServiceLoad(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	reg := obs.NewRegistry()
-	svc, cli, stop := startTestService(t, jobsvc.Config{
-		FleetWorkers: 8,
-		// Tight bounds so the burst genuinely saturates: 6 tenants x 12
-		// queued max, 48 service-wide.
-		MaxQueue:     48,
-		DefaultQuota: jobsvc.Quota{MaxQueued: 12, MaxRunning: 3},
-		RetryAfter:   20 * time.Millisecond,
-		Metrics:      reg,
-	})
+	// Tight bounds so the burst genuinely saturates: 6 tenants x 12 queued
+	// max, 48 service-wide.
+	svc, cli, stop := startTestService(t, jobsvc.WithCaps(jobsvc.Config{FleetWorkers: 8},
+		48, 12, 3, 20*time.Millisecond))
 
 	var (
 		mu        sync.Mutex
@@ -334,12 +328,8 @@ func TestServiceLoad(t *testing.T) {
 // up to whole seconds; the exact cold-path pin lives in
 // TestRetryAfterDerived where the runner is stubbed.
 func TestServiceSaturation429(t *testing.T) {
-	svc, cli, stop := startTestService(t, jobsvc.Config{
-		FleetWorkers: 2,
-		MaxQueue:     4,
-		DefaultQuota: jobsvc.Quota{MaxQueued: 4, MaxRunning: 1},
-		RetryAfter:   1500 * time.Millisecond,
-	})
+	svc, cli, stop := startTestService(t, jobsvc.WithCaps(jobsvc.Config{FleetWorkers: 2},
+		4, 4, 1, 1500*time.Millisecond))
 	defer stop()
 
 	// A moderately sized input keeps each run slow enough (relative to

@@ -63,7 +63,7 @@ func (s *Service) pickLocked() (*job, int) {
 			if len(t.queued[p]) == 0 {
 				continue
 			}
-			if t.running >= s.quotaFor(t.name).MaxRunning {
+			if t.running >= s.cfg.quota.maxRunning {
 				continue
 			}
 			return t.queued[p][0], idx

@@ -106,8 +106,8 @@ func TestSchedulerProperties(t *testing.T) {
 	)
 	s := New(Config{
 		FleetWorkers: 3,
-		MaxQueue:     jobs + 1, // no saturation evictions; admission is not under test
-		DefaultQuota: Quota{MaxQueued: jobs + 1, MaxRunning: 2},
+		maxQueue:     jobs + 1, // no saturation evictions; admission is not under test
+		quota:        quota{maxQueued: jobs + 1, maxRunning: 2},
 	})
 	defer s.Close()
 	s.runFn = func(j *job) (*dist.Result, *obs.Telemetry, error) {
@@ -132,7 +132,7 @@ func TestSchedulerProperties(t *testing.T) {
 				continue
 			}
 			for p := int(ev.Priority) + 1; p < int(numPriorities); p++ {
-				if tq[p] > 0 && ev.RunningAt[tenant] < s.quotaFor(tenant).MaxRunning {
+				if tq[p] > 0 && ev.RunningAt[tenant] < s.cfg.quota.maxRunning {
 					violations = append(violations, fmt.Sprintf(
 						"%s dispatched at %s while %s had %d runnable jobs queued at %s",
 						ev.JobID, ev.Priority, tenant, tq[p], Priority(p)))
@@ -218,7 +218,7 @@ func TestSchedulerProperties(t *testing.T) {
 func TestEvictionIsPriced(t *testing.T) {
 	started := make(chan *job)
 	release := make(chan struct{})
-	s := New(Config{FleetWorkers: 2, MaxQueue: 2})
+	s := New(Config{FleetWorkers: 2, maxQueue: 2})
 	s.runFn = func(j *job) (*dist.Result, *obs.Telemetry, error) {
 		started <- j
 		<-release

@@ -21,7 +21,7 @@ import (
 // TestRetryAfterDerived pins the saturation backoff hint in all three
 // regimes with a gated stub runner (so nothing real races the clock):
 //
-//   - cold: a tenant with no completed jobs gets Config.RetryAfter
+//   - cold: a tenant with no completed jobs gets Config.retryAfter
 //     verbatim, and the Retry-After header is that floor rounded up;
 //   - warm: with service-time samples the hint is the tenant's p50 scaled
 //     by queue depth — strictly above the floor, within the 30s cap;
@@ -29,9 +29,9 @@ import (
 func TestRetryAfterDerived(t *testing.T) {
 	s := New(Config{
 		FleetWorkers: 2,
-		MaxQueue:     8,
-		DefaultQuota: Quota{MaxQueued: 2, MaxRunning: 1},
-		RetryAfter:   1500 * time.Millisecond,
+		maxQueue:     8,
+		quota:        quota{maxQueued: 2, maxRunning: 1},
+		retryAfter:   1500 * time.Millisecond,
 	})
 	release := make(chan struct{})
 	s.runFn = func(j *job) (*dist.Result, *obs.Telemetry, error) {

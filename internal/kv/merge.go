@@ -50,6 +50,8 @@ type Merger struct {
 	src  []mergeSrc
 	tree []int32
 	win  int32
+	vals [][]byte // NextGroup's values, reused from group to group
+	most int      // the longest group since Reset: vals[most:] holds nil
 }
 
 type mergeSrc struct {
@@ -105,7 +107,22 @@ func Merge(iters ...Iterator) Iterator {
 // wants it pair by pair (Next, as Merge) or key group by key group
 // (NextGroup).
 func NewMerger(iters ...Iterator) *Merger {
-	m := &Merger{src: make([]mergeSrc, len(iters)), tree: make([]int32, len(iters))}
+	m := new(Merger)
+	m.Reset(iters...)
+	return m
+}
+
+// Reset makes m the merge of the sorted inputs. It keeps the storage of m's
+// last merge, NextGroup's values slice above all, so a reducer that merges
+// one partition after another grows that slice to its largest group once,
+// not once per partition; it drops every pair of the last merge, so none
+// of its runs stays alive.
+func (m *Merger) Reset(iters ...Iterator) {
+	clear(m.vals[:m.most])
+	clear(m.src)
+	m.src = slices.Grow(m.src[:0], len(iters))[:len(iters)]
+	m.tree = slices.Grow(m.tree[:0], len(iters))[:len(iters)]
+	m.win, m.most = 0, 0
 	for i, it := range iters {
 		m.src[i].it = it
 		m.src[i].next()
@@ -113,7 +130,6 @@ func NewMerger(iters ...Iterator) *Merger {
 	if len(iters) > 0 {
 		m.win = m.play(1)
 	}
-	return m
 }
 
 // play fills the subtree under node with its matches and returns its
@@ -180,25 +196,27 @@ func (m *Merger) Next() (Pair, bool) {
 	return p, true
 }
 
-// NextGroup returns the next key and, appended to vals, all of its values
-// in the order Merge yields them; ok is false at the end of the merge. The
-// winning input hands over its values for as long as its key is unchanged,
-// so the tree replays once per input holding the key, not once per pair.
-// Each input's values are in order; only where more than one input held
-// the key are their seams checked, and the values sorted if one is out of
-// order. Equal values are equal bytes, so the result is Merge's, byte for
-// byte. The values grow vals by doubling.
-func (m *Merger) NextGroup(vals [][]byte) (key []byte, _ [][]byte, ok bool) {
+// NextGroup returns the next key and all of its values in the order Merge
+// yields them; ok is false at the end of the merge. The winning input hands
+// over its values for as long as its key is unchanged, so the tree replays
+// once per input holding the key, not once per pair. Each input's values
+// are in order; only where more than one input held the key are their
+// seams checked, and the values sorted if one is out of order. Equal values
+// are equal bytes, so the result is Merge's, byte for byte. The values
+// slice is the Merger's, grown by doubling and reused for every group: it
+// is valid until the next call to NextGroup or Reset.
+func (m *Merger) NextGroup() (key []byte, vals [][]byte, ok bool) {
 	if len(m.src) == 0 || m.src[m.win].done {
-		return nil, vals, false
+		return nil, nil, false
 	}
-	start, sorted := len(vals), true
+	vals = m.vals[:0]
+	sorted := true
 	key = m.src[m.win].head.Key
 	kp := m.src[m.win].kp
 	for {
 		w := m.win
 		s := &m.src[w]
-		if len(vals) > start && bytes.Compare(vals[len(vals)-1], s.head.Value) > 0 {
+		if len(vals) > 0 && bytes.Compare(vals[len(vals)-1], s.head.Value) > 0 {
 			sorted = false
 		}
 		p, more := s.head, true
@@ -216,8 +234,9 @@ func (m *Merger) NextGroup(vals [][]byte) (key []byte, _ [][]byte, ok bool) {
 		}
 	}
 	if !sorted {
-		slices.SortFunc(vals[start:], bytes.Compare)
+		slices.SortFunc(vals, bytes.Compare)
 	}
+	m.vals, m.most = vals, max(m.most, len(vals))
 	return key, vals, true
 }
 

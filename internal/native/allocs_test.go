@@ -34,7 +34,7 @@ func TestMapBlockAllocs(t *testing.T) {
 		{"terasort", apps.TeraSort(), ts, false},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			MapBlock(c.app, c.block, core.HashTable, c.combine).Partition(kv.Partition, 4, false)
+			MapBlock(c.app, c.block, c.combine).Partition(kv.Partition, 4, false)
 		})
 		t.Logf("%s: %.0f allocations per block", c.name, allocs)
 		if allocs > 50 {

@@ -26,13 +26,13 @@ func BenchmarkMapBlock(b *testing.B) {
 		{"combiner=false", apps.WordCount(), workload.WikiText(7, 1<<20, 41943), false},
 		{"terasort", apps.TeraSort(), apps.TSData(3, 1<<20/workload.TeraRecordSize), false},
 	} {
-		_, probe := MapBlock(c.app, c.block, core.HashTable, false).Partition(kv.Partition, 1, false)
+		_, probe := MapBlock(c.app, c.block, false).Partition(kv.Partition, 1, false)
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(c.block)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MapBlock(c.app, c.block, core.HashTable, c.combine).Release()
+				MapBlock(c.app, c.block, c.combine).Release()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*probe.PairsOut), "ns/pair")
 		})
@@ -67,7 +67,7 @@ func BenchmarkPartition(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				chunk := MapBlock(c.app, c.block, core.BufferPool, false)
+				chunk := MapBlock(c.app, c.block, false)
 				b.StartTimer()
 				_, st := chunk.Partition(c.part, 8, false)
 				pairs += st.PairsOut

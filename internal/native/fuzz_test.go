@@ -225,7 +225,7 @@ func FuzzCollectorGroup(f *testing.F) {
 			},
 		}
 		pairRuns, pairStats := pairChunk(app, data).Partition(kv.Partition, parts, compress)
-		hashRuns, hashStats := MapBlock(app, data, core.HashTable, false).Partition(kv.Partition, parts, compress)
+		hashRuns, hashStats := MapBlock(app, data, false).Partition(kv.Partition, parts, compress)
 		if hashStats != pairStats {
 			t.Fatalf("table's map stats %+v, plain pairs' %+v", hashStats, pairStats)
 		}

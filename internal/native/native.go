@@ -44,7 +44,9 @@ type Config struct {
 	KernelWorkers int
 	// Partitions is P: intermediate partitions (reduce parallelism).
 	Partitions int
-	// Collector picks the kernel output mechanism.
+	// Collector names the simulated engine's kernel output mechanism. Here
+	// it selects no code: CheckCombiner reads it, and refuses UseCombiner
+	// unless it is core.HashTable.
 	Collector core.CollectorKind
 	// UseCombiner folds each chunk's hash table with App.Fold.
 	UseCombiner bool
@@ -140,11 +142,12 @@ func newRunStore(cfg Config, rec *recorder) (store *kv.RunStore, cleanup func())
 	}
 }
 
-// forEach calls fn(i) for every i in [0, n) from workers goroutines, each
-// claiming the next index when it has finished its last, so every worker is
-// busy until the indices run out. After the first error no further index is
-// claimed; forEach waits for the calls in flight and returns that error.
-func forEach(n, workers int, fn func(i int) error) error {
+// forEach calls fn(w, i) for every i in [0, n) from workers goroutines,
+// w in [0, workers) naming the one that calls, each claiming the next index
+// when it has finished its last, so every worker is busy until the indices
+// run out. After the first error no further index is claimed; forEach waits
+// for the calls in flight and returns that error.
+func forEach(n, workers int, fn func(w, i int) error) error {
 	var next atomic.Int64
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -153,7 +156,7 @@ func forEach(n, workers int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					next.Store(int64(n))
 					errs <- err
 					return
@@ -170,7 +173,10 @@ func forEach(n, workers int, fn func(i int) error) error {
 // a job may ask for one only if its app has a Combine kernel and it
 // collects into the hash table, which is where the combiner folds. A real
 // runtime folds through App.Fold, so an app without one is refused rather
-// than run uncombined.
+// than run uncombined. It is the only code in the real runtimes that reads
+// the collector: each entry point (Run, dist's Options.check, the job
+// service's request parser) checks it, and MapBlock then sees only the
+// combine bit.
 func CheckCombiner(app *core.App, collector core.CollectorKind, useCombiner bool) error {
 	switch {
 	case !useCombiner:
@@ -207,9 +213,9 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 
 	// ---- Map phase: each worker takes a block through kernel, partition
 	// and store. A failed spill fails the job. ----
-	err := forEach(len(blocks), cfg.KernelWorkers, func(i int) error {
+	err := forEach(len(blocks), cfg.KernelWorkers, func(_, i int) error {
 		t0 := time.Now()
-		c := MapBlock(app, blocks[i], cfg.Collector, cfg.UseCombiner)
+		c := MapBlock(app, blocks[i], cfg.UseCombiner)
 		kernel := rec.kernel(t0)
 		t0 = time.Now()
 		runs, st := c.Partition(cfg.Partitioner, cfg.Partitions, cfg.Compress)
@@ -239,10 +245,17 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 	reduceStart := time.Now()
 	res.MergeDelay = reduceStart.Sub(start) - res.MapElapsed
 	res.outputs = make([][]kv.Pair, cfg.Partitions)
-	err = forEach(cfg.Partitions, cfg.KernelWorkers, func(g int) error {
+	// One merger per reducing goroutine, allocated by that goroutine: side
+	// by side in one array, two mergers shared cache lines that each
+	// writes per key group.
+	mergers := make([]*kv.Merger, cfg.KernelWorkers)
+	err = forEach(cfg.Partitions, cfg.KernelWorkers, func(w, g int) error {
 		defer rec.tr.Record(obs.StageReduce, time.Now(), 0)
+		if mergers[w] == nil {
+			mergers[w] = new(kv.Merger)
+		}
 		iters, closeSpills, spillErr := store.Iters(g)
-		out, records, groups := ReducePartition(app, iters)
+		out, records, groups := ReducePartition(app, mergers[w], iters)
 		closeSpills()
 		if err := spillErr(); err != nil {
 			// A spill file would not open or failed mid-stream: the merge

@@ -1,8 +1,6 @@
 package native
 
 import (
-	"sync"
-
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
 )
@@ -37,18 +35,18 @@ func (s MapStats) Book(led *core.Conserv) {
 // returning the collected output on pooled state. The caller must hand the
 // chunk to Partition, or Release it, exactly once.
 //
-// The kernel's sink is the chunk's table. With the hash-table collector,
-// the combiner and an App.Fold, the table folds each value into its key's
-// accumulator. Otherwise it counts each key's repeats of its first value,
-// so Partition hashes, scatters and sorts keys, not pairs; where pairs do
-// not repeat, it hands them on as they come. Without a combiner the runs
-// and MapStats are the same, byte for byte, whatever the collector and
+// The kernel's sink is the chunk's table. With combine and an App.Fold, the
+// table folds each value into its key's accumulator; a runtime sets combine
+// only for a job CheckCombiner accepts. Otherwise it counts each key's
+// repeats of its first value, so Partition hashes, scatters and sorts keys,
+// not pairs; where pairs do not repeat, it hands them on as they come.
+// Without combine the runs and MapStats are the same, byte for byte,
 // whatever the table did.
-func MapBlock(app *core.App, block []byte, collector core.CollectorKind, useCombiner bool) *Chunk {
+func MapBlock(app *core.App, block []byte, combine bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
 	c.records = len(recs)
-	if useCombiner && collector == core.HashTable && app.Fold != nil {
+	if combine && app.Fold != nil {
 		c.tab.fold = app.Fold
 		app.MapBatch(recs, &c.tab)
 	} else {
@@ -98,20 +96,17 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 	return runs, st
 }
 
-// valsPool recycles ReducePartition's values slice across partitions. On
-// skewed keys one group holds a good share of a partition's pairs, and
-// growing a slice of that many pointers afresh for every partition was most
-// of what reduce allocated.
-var valsPool = sync.Pool{New: func() any { return new([][]byte) }}
-
 // ReducePartition merges one partition's sorted iterators and applies the
 // reduce kernel, or passes the merged pairs through for reduce-less apps
 // like TeraSort. It returns the output with the records and key groups the
 // kernel consumed (groups is 0 on the reduce-less path, which never groups).
-// Groups come off the merge whole (kv.Merger.NextGroup) into one values
-// slice reused for every key: ReduceBatchFunc reads its values during the
-// call and keeps none, and the pairs behind them stay valid (kv.Iterator).
-func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
+// Groups come off the merge whole (kv.Merger.NextGroup) in the merger's one
+// values slice, reused for every key: ReduceBatchFunc reads its values
+// during the call and keeps none, and the pairs behind them stay valid
+// (kv.Iterator). The merger is the caller's, and is Reset here: a reducer
+// that takes one partition after another passes the same one, so the
+// values slice grows to the largest group once, not once per partition.
+func ReducePartition(app *core.App, merged *kv.Merger, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
 	if app.ReduceBatch == nil {
 		out = kv.Drain(kv.Merge(iters...))
 		return out, int64(len(out)), 0
@@ -119,20 +114,12 @@ func ReducePartition(app *core.App, iters []kv.Iterator) (out []kv.Pair, records
 	// The kernel appends its output into one partition-owned slab; the
 	// returned pairs are views into it, so there is no per-pair copy-out.
 	var slab kv.Batch
-	vp := valsPool.Get().(*[][]byte)
-	vals, most := *vp, 0
-	defer func() {
-		clear(vals[:most]) // the pool must not keep this partition's chunks alive
-		*vp = vals[:0]
-		valsPool.Put(vp)
-	}()
-	merged := kv.NewMerger(iters...)
+	merged.Reset(iters...)
 	for {
-		key, group, ok := merged.NextGroup(vals[:0])
-		if vals = group; !ok {
+		key, vals, ok := merged.NextGroup()
+		if !ok {
 			break
 		}
-		most = max(most, len(vals))
 		records += int64(len(vals))
 		groups++
 		app.ReduceBatch(key, vals, &slab)

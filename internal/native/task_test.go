@@ -47,11 +47,14 @@ func reusedScratchJob() conformance.Job {
 // every registry app × collector × combiner on one block, and holds the
 // result to the sequential reference engine: the merged runs carry exactly
 // the reference's intermediate volume in sorted order, and the reduced
-// partitions digest byte-identically. Without a combiner the collector must
-// not show at all: every such cell produces the same runs, byte for byte —
-// a chunk has one output form. The reused-scratch job runs the same cells,
-// which put its kernel on both of MapBlock's sinks (the chunk's batch, the
-// combining table), and then on the simulated engine's two collectors.
+// partitions digest byte-identically. MapBlock takes the combine bit a
+// runtime passes once CheckCombiner has accepted the cell's collector and
+// combiner; a cell it refuses maps uncombined. Without a combiner the
+// collector must not show at all: every such cell produces the same runs,
+// byte for byte — a chunk has one output form. The reused-scratch job runs
+// the same cells, which put its kernel on both of MapBlock's sinks (the
+// chunk's batch, the combining table), and then on the simulated engine's
+// two collectors.
 func TestTaskKernelMatchesReference(t *testing.T) {
 	const P = 4
 	type cell struct {
@@ -79,13 +82,14 @@ func TestTaskKernelMatchesReference(t *testing.T) {
 			// reads across that change.
 			t.Run(fmt.Sprintf("%s/collector=%v/combiner=%v/batch=true", j.Name, collector, combiner), func(t *testing.T) {
 				app := j.New()
-				runs, st := native.MapBlock(app, j.Data, collector, combiner).Partition(part, P, false)
+				// The combiner only engages where CheckCombiner accepts it
+				// (the hash table, an App.Fold); everywhere else the map
+				// side is exact.
+				combined := combiner && native.CheckCombiner(app, collector, true) == nil
+				runs, st := native.MapBlock(app, j.Data, combined).Partition(part, P, false)
 				if len(runs) != P {
 					t.Fatalf("Partition returned %d runs, want one slot per partition (%d)", len(runs), P)
 				}
-				// The combiner only engages on the hash table with an
-				// App.Fold; everywhere else the map side is exact.
-				combined := combiner && collector == core.HashTable && app.Fold != nil
 				if st.RecordsIn != exp.Records || st.PartRecords != st.PairsOut {
 					t.Fatalf("map stats %+v: want %d records in, every emitted pair partitioned", st, exp.Records)
 				}
@@ -137,11 +141,12 @@ func TestTaskKernelMatchesReference(t *testing.T) {
 
 				var out []kv.Pair
 				var records, groups int64
+				var merger kv.Merger // one reducer's, as a host passes it
 				for _, r := range runs {
 					if r == nil {
 						continue
 					}
-					o, n, g := native.ReducePartition(app, []kv.Iterator{r.Iter()})
+					o, n, g := native.ReducePartition(app, &merger, []kv.Iterator{r.Iter()})
 					out = append(out, o...)
 					records += n
 					groups += g
