@@ -70,9 +70,6 @@ func runDistJob(c distJobConfig) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if dist.HasRestart(o.Elastic) && c.journal == "" {
-			log.Fatal("glasswing: -elastic restart events need -journal to resume from")
-		}
 	}
 	res, err := dist.RunLoopback(o)
 	if err != nil {

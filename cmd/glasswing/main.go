@@ -71,7 +71,7 @@ func main() {
 
 		distWorkers = flag.Int("dist", 0, "run on the distributed runtime with N TCP workers (0 disables)")
 		elastic     = flag.String("elastic", "", "membership schedule for -dist runs: kind[:worker]@threshold[,...] — join, drain:W, kill:W, restart; threshold N fires after N map tasks resolve, rN after N reduce outputs accept")
-		journalPath = flag.String("journal", "", "coordinator checkpoint journal path for -dist runs (restart events resume from it)")
+		journalPath = flag.String("journal", "", "coordinator checkpoint journal path for -dist runs (empty: a restart event resumes from a throwaway one)")
 		distInput   = flag.String("input", "", "-dist runs: read the input from this file (wc or ts) instead of generating it")
 		bstore      = flag.String("blockstore", "", "-dist runs: ingest input into worker block stores — 'local' (locality-preferred) or 'remote' (forced-remote baseline)")
 		replication = flag.Int("replication", 0, "-dist runs: block replicas per block (0 = 3, capped at cluster width)")

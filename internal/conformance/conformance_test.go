@@ -1,6 +1,9 @@
 package conformance
 
 import (
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"glasswing"
@@ -119,6 +122,27 @@ func TestMatrixDistCellCount(t *testing.T) {
 	}
 }
 
+// TestMatrixCellList pins the matrix's cells and their order: the keys the
+// runtimes' tables list, without running a cell, must be
+// testdata/cells.txt's, one per line.
+func TestMatrixCellList(t *testing.T) {
+	data, err := os.ReadFile("testdata/cells.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(data))
+	var got []string
+	eachCell(Options{}, func(c Cell, _ func() (string, error)) { got = append(got, c.Key()) })
+	if slices.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	t.Errorf("the tables list %d cells, testdata/cells.txt %d; they first differ at line %d", len(got), len(want), i+1)
+}
+
 // TestCrossRuntimeDigests pins the property the whole subsystem exists for:
 // for each app, the baseline cells of every runtime produce byte-identical
 // canonical digests (they are each already compared against the reference,
@@ -164,18 +188,15 @@ func counterNames(reg *obs.Registry) map[string]bool {
 	return names
 }
 
-// wcDist is a 3-worker loopback WordCount over j's data, counting into tel.
-func wcDist(j Job, tel *obs.Telemetry) dist.Options {
-	return dist.Options{
-		Job:       dist.Job{App: dist.AppSpec{Name: j.Name}, Partitions: 4, Collector: j.Collector},
-		Workers:   3,
-		Blocks:    splitBlocks(j, j.baseBlock()),
-		Telemetry: tel,
-		NewApp: func(dist.AppSpec) (*core.App, func(key []byte, n int) int, error) {
-			return j.New(), j.Partitioner, nil
-		},
-		KillWorker: -1,
+// wcDist is the dist baseline cell's 3-worker loopback job over j's data,
+// counting into tel.
+func wcDist(t *testing.T, j Job, tel *obs.Telemetry) dist.Options {
+	o, err := j.distOptions(variant{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	o.Blocks, o.Telemetry = splitBlocks(j, j.blockFor(1)), tel
+	return o
 }
 
 // TestConservVocabularyIsShared: the three runtimes count into one ledger
@@ -191,7 +212,7 @@ func TestConservVocabularyIsShared(t *testing.T) {
 	}
 
 	sim := obs.NewRegistry()
-	cluster := glasswing.NewCluster(glasswing.ClusterConfig{Nodes: 3, BlockSize: j.baseBlock()})
+	cluster := glasswing.NewCluster(glasswing.ClusterConfig{Nodes: 3, BlockSize: j.blockFor(1)})
 	cluster.LoadText("in", j.Data)
 	cfg := simConfig(j, simVariant{})
 	cfg.Metrics = sim
@@ -199,12 +220,12 @@ func TestConservVocabularyIsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	nat := obs.NewTelemetry()
-	if _, err := native.Run(j.New(), splitBlocks(j, j.baseBlock()),
+	if _, err := native.Run(j.New(), splitBlocks(j, j.blockFor(1)),
 		native.Config{Partitions: 4, Collector: j.Collector, Telemetry: nat}); err != nil {
 		t.Fatal(err)
 	}
 	dst := obs.NewTelemetry()
-	if _, err := dist.RunLoopback(wcDist(j, dst)); err != nil {
+	if _, err := dist.RunLoopback(wcDist(t, j, dst)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,7 +259,7 @@ func TestResultIsPerRunOnSharedRegistry(t *testing.T) {
 	t.Run("native", func(t *testing.T) {
 		tel := obs.NewTelemetry()
 		run := func() *native.Result {
-			res, err := native.Run(j.New(), splitBlocks(j, j.baseBlock()), native.Config{
+			res, err := native.Run(j.New(), splitBlocks(j, j.blockFor(1)), native.Config{
 				Partitions: 4, Collector: j.Collector, CacheThreshold: 1, SpillDir: t.TempDir(), Telemetry: tel,
 			})
 			if err != nil {
@@ -264,7 +285,7 @@ func TestResultIsPerRunOnSharedRegistry(t *testing.T) {
 	t.Run("dist", func(t *testing.T) {
 		tel := obs.NewTelemetry()
 		run := func() *dist.Result {
-			o := wcDist(j, tel)
+			o := wcDist(t, j, tel)
 			o.Blockstore, o.Replication = "local", 3
 			o.Tuning.SpillThreshold, o.Tuning.WorkDir = 1, t.TempDir()
 			res, err := dist.RunLoopback(o)

@@ -1,19 +1,18 @@
 package conformance
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 
 	"glasswing"
 	"glasswing/internal/core"
 	"glasswing/internal/dfs"
-	"glasswing/internal/dist"
 	"glasswing/internal/gpmr"
 	"glasswing/internal/hadoop"
 	"glasswing/internal/hw"
 	"glasswing/internal/kv"
-	"glasswing/internal/native"
 	"glasswing/internal/obs"
 	"glasswing/internal/sim"
 )
@@ -48,15 +47,57 @@ type Options struct {
 }
 
 func selected(want []string, name string) bool {
-	if len(want) == 0 {
-		return true
-	}
-	for _, w := range want {
-		if w == name {
-			return true
+	return len(want) == 0 || slices.Contains(want, name)
+}
+
+// row is one cell of a runtime's table for one app, with the function that
+// runs it: the cell's output digest and verdict.
+type row struct {
+	axis, name string
+	run        func() (digest string, err error)
+}
+
+// engine is one runtime's slice of the matrix: its table's rows for an app.
+// Listing them runs nothing; done, when not nil, releases what their runs
+// set up.
+type engine struct {
+	name  string
+	table func(j Job, exp Expected) (rows []row, done func())
+}
+
+// engines is RuntimeNames' order, which is the matrix's within each app.
+var engines = []engine{
+	{"sim", simTable},
+	{"native", realTable(nativeVariants, false, runNative)},
+	{"hadoop", modelTable(hadoopVariants, runHadoop)},
+	{"gpmr", modelTable(gpmrVariants, runGpmr)},
+	{"dist", realTable(distVariants, true, runDist)},
+	{"service", serviceTable},
+}
+
+// eachCell visits every selected cell in matrix order, app by app and
+// runtime by runtime, with the function that runs it. Visiting runs nothing.
+func eachCell(opt Options, visit func(c Cell, run func() (string, error))) {
+	for _, j := range Jobs() {
+		if !selected(opt.Apps, j.Name) {
+			continue
+		}
+		exp := Reference(j)
+		for _, e := range engines {
+			if !selected(opt.Runtimes, e.name) {
+				continue
+			}
+			rows, done := e.table(j, exp)
+			for _, r := range rows {
+				if selected(opt.Axes, r.axis) {
+					visit(Cell{Runtime: e.name, App: j.Name, Axis: r.axis, Variant: r.name}, r.run)
+				}
+			}
+			if done != nil {
+				done()
+			}
 		}
 	}
-	return false
 }
 
 // RunMatrix executes every selected cell, invoking report (when non-nil)
@@ -64,69 +105,28 @@ func selected(want []string, name string) bool {
 // and a fresh metrics registry, so cells are independent.
 func RunMatrix(opt Options, report func(Cell)) []Cell {
 	var cells []Cell
-	add := func(c Cell) {
+	eachCell(opt, func(c Cell, run func() (string, error)) {
+		c.Digest, c.Err = run()
 		cells = append(cells, c)
 		if report != nil {
 			report(c)
 		}
-	}
-	for _, j := range Jobs() {
-		if !selected(opt.Apps, j.Name) {
-			continue
-		}
-		exp := Reference(j)
-		if selected(opt.Runtimes, "sim") {
-			runSimApp(j, exp, opt, add)
-		}
-		if selected(opt.Runtimes, "native") {
-			runNativeApp(j, exp, opt, add)
-		}
-		if selected(opt.Runtimes, "hadoop") {
-			runHadoopApp(j, exp, opt, add)
-		}
-		if selected(opt.Runtimes, "gpmr") {
-			runGpmrApp(j, exp, opt, add)
-		}
-		if selected(opt.Runtimes, "dist") {
-			runDistApp(j, exp, opt, add)
-		}
-		if selected(opt.Runtimes, "service") {
-			runServiceApp(j, exp, opt, add)
-		}
-	}
+	})
 	return cells
 }
 
-// baseBlock is the job's baseline DFS block / native chunk size: about six
-// splits, record-aligned for binary inputs.
-func (j Job) baseBlock() int64 {
-	b := int64(len(j.Data)) / 6
-	if j.RecordSize > 0 {
-		b -= b % j.RecordSize
-		if b < j.RecordSize {
-			b = j.RecordSize
-		}
-	}
-	if b < 2<<10 {
-		b = 2 << 10
-	}
-	return b
+// blockFor is the job's DFS block / native chunk size scaled by a variant's
+// multiplier (0 = 1): the baseline is about six splits. Binary inputs'
+// blocks are record-aligned.
+func (j Job) blockFor(mul float64) int64 {
+	b := max(j.align(int64(len(j.Data))/6), 2<<10)
+	return max(j.align(int64(float64(b)*cmp.Or(mul, 1))), 1<<10)
 }
 
-// blockFor scales the baseline block by the variant's chunk multiplier.
-func (j Job) blockFor(mul float64) int64 {
-	if mul == 0 {
-		mul = 1
-	}
-	b := int64(float64(j.baseBlock()) * mul)
+// align rounds b down to whole records, keeping at least one.
+func (j Job) align(b int64) int64 {
 	if j.RecordSize > 0 {
-		b -= b % j.RecordSize
-		if b < j.RecordSize {
-			b = j.RecordSize
-		}
-	}
-	if b < 1<<10 {
-		b = 1 << 10
+		b = max(b-b%j.RecordSize, j.RecordSize)
 	}
 	return b
 }
@@ -207,54 +207,27 @@ func simVariants(j Job) []simVariant {
 	return vs
 }
 
-func runSimApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	var base *glasswing.Result
-	ensureBase := func() error {
-		if base != nil {
-			return nil
-		}
-		res, _, err := runSim(j, simVariant{})
-		if err != nil {
-			return err
-		}
-		base = res
-		return nil
-	}
+func simTable(j Job, exp Expected) ([]row, func()) {
+	var rows []row
 	for _, v := range simVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
-		}
-		cell := Cell{Runtime: "sim", App: j.Name, Axis: v.axis, Variant: v.name}
-		if v.nodeDeath {
-			// The death time is placed mid-map, as a fraction of the
-			// baseline's map phase.
-			if err := ensureBase(); err != nil {
-				cell.Err = fmt.Errorf("baseline for node-death: %w", err)
-				add(cell)
-				continue
+		rows = append(rows, row{v.axis, v.name, func() (string, error) {
+			res, led, err := runSim(j, v)
+			if err != nil {
+				return "", err
 			}
-		}
-		res, led, err := runSimWithBase(j, v, base)
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		if v.axis == "baseline" {
-			base = res
-		}
-		out := res.Output()
-		cell.Digest = Digest(out)
-		cfg := simConfig(j, v)
-		cell.Err = verdict(j, exp, cell.Digest, out, led.Check(exp, CheckOpts{
-			Sim:       true,
-			Faulty:    v.faulty,
-			Combiner:  cfg.UseCombiner,
-			Compress:  cfg.Compress,
-			HasReduce: j.New().ReduceBatch != nil,
-		}))
-		add(cell)
+			out := res.Output()
+			dig := Digest(out)
+			cfg := simConfig(j, v)
+			return dig, verdict(j, exp, dig, out, led.Check(exp, CheckOpts{
+				Sim:       true,
+				Faulty:    v.faulty,
+				Combiner:  cfg.UseCombiner,
+				Compress:  cfg.Compress,
+				HasReduce: j.New().ReduceBatch != nil,
+			}))
+		}})
 	}
+	return rows, nil
 }
 
 // simConfig builds the variant's job config (shared by the run itself and
@@ -278,17 +251,10 @@ func simConfig(j Job, v simVariant) core.Config {
 	return cfg
 }
 
+// runSim runs the variant on a fresh simulated cluster.
 func runSim(j Job, v simVariant) (*glasswing.Result, Ledger, error) {
-	return runSimWithBase(j, v, nil)
-}
-
-func runSimWithBase(j Job, v simVariant, base *glasswing.Result) (*glasswing.Result, Ledger, error) {
-	nodes := v.nodes
-	if nodes == 0 {
-		nodes = 3
-	}
 	cluster := glasswing.NewCluster(glasswing.ClusterConfig{
-		Nodes:     nodes,
+		Nodes:     cmp.Or(v.nodes, 3),
 		GPU:       v.gpu,
 		BlockSize: j.blockFor(v.blockMul),
 	})
@@ -300,7 +266,13 @@ func runSimWithBase(j Job, v simVariant, base *glasswing.Result) (*glasswing.Res
 	reg := obs.NewRegistry()
 	cfg := simConfig(j, v)
 	cfg.Metrics = reg
-	if v.nodeDeath && base != nil {
+	if v.nodeDeath {
+		// The death is placed mid-map, as a fraction of the baseline's map
+		// phase (virtual time: the baseline cell's own figure).
+		base, _, err := runSim(j, simVariant{})
+		if err != nil {
+			return nil, Ledger{}, fmt.Errorf("baseline for node-death: %w", err)
+		}
 		cfg.NodeFailures = []core.NodeFailure{{Node: 1, At: 0.4 * base.MapElapsed}}
 	}
 	app := j.New()
@@ -315,82 +287,6 @@ func runSimWithBase(j Job, v simVariant, base *glasswing.Result) (*glasswing.Res
 		return nil, Ledger{}, err
 	}
 	return res, ReadLedger(reg), nil
-}
-
-// ---- Native pipeline (internal/native). ----
-
-type nativeVariant struct {
-	axis, name string
-	blockMul   float64
-	wantSpill  bool
-	mutate     func(*native.Config)
-}
-
-// nativeVariants is the native runtime's metamorphic axis table. The spill
-// variants shrink the cache threshold far below the intermediate volume so
-// the spill/read-back path is genuinely exercised.
-func nativeVariants(j Job) []nativeVariant {
-	vs := []nativeVariant{
-		{axis: "baseline", name: "kw4"},
-		{axis: "chunk", name: "half-block", blockMul: 0.5},
-		{axis: "chunk", name: "double-block", blockMul: 2},
-		{axis: "workers", name: "kw1", mutate: func(c *native.Config) { c.KernelWorkers = 1 }},
-		{axis: "workers", name: "kw8", mutate: func(c *native.Config) { c.KernelWorkers = 8 }},
-		{axis: "partitions", name: "p2", mutate: func(c *native.Config) { c.Partitions = 2 }},
-		{axis: "partitions", name: "p13", mutate: func(c *native.Config) { c.Partitions = 13 }},
-		{axis: "compress", name: "deflate", mutate: func(c *native.Config) { c.Compress = true }},
-		{axis: "compress", name: "spill", wantSpill: true, mutate: func(c *native.Config) { c.CacheThreshold = 8 << 10 }},
-		{axis: "compress", name: "deflate-spill", wantSpill: true, mutate: func(c *native.Config) {
-			c.Compress = true
-			c.CacheThreshold = 4 << 10
-		}},
-	}
-	// The collector axis is the combiner cell alone: the collector selects
-	// no code in the real runtimes (native.CheckCombiner reads it, and
-	// MapBlock takes only the combine bit), so flipping it alone would
-	// re-run the baseline byte for byte (TestTaskKernelMatchesReference
-	// pins that).
-	if j.CombinerOK {
-		vs = append(vs, nativeVariant{axis: "collector", name: "combiner",
-			mutate: func(c *native.Config) { c.Collector = core.HashTable; c.UseCombiner = true }})
-	}
-	return vs
-}
-
-func runNativeApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	for _, v := range nativeVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
-		}
-		cell := Cell{Runtime: "native", App: j.Name, Axis: v.axis, Variant: v.name}
-		cfg := native.Config{
-			KernelWorkers: 4,
-			Partitions:    4,
-			Collector:     j.Collector,
-			Partitioner:   j.Partitioner,
-			Telemetry:     obs.NewTelemetry(),
-		}
-		if v.mutate != nil {
-			v.mutate(&cfg)
-		}
-		app := j.New()
-		res, err := native.Run(app, splitBlocks(j, j.blockFor(v.blockMul)), cfg)
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		out := res.Output()
-		cell.Digest = Digest(out)
-		led := ReadLedger(cfg.Telemetry.Metrics)
-		cell.Err = verdict(j, exp, cell.Digest, out, led.Check(exp, CheckOpts{
-			Combiner:  cfg.UseCombiner,
-			Compress:  cfg.Compress,
-			HasReduce: app.ReduceBatch != nil,
-			WantSpill: v.wantSpill,
-		}))
-		add(cell)
-	}
 }
 
 // ---- Baseline models (internal/hadoop, internal/gpmr). ----
@@ -423,260 +319,6 @@ func hadoopVariants(j Job) []modelVariant {
 	return vs
 }
 
-func runHadoopApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	for _, v := range hadoopVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
-		}
-		cell := Cell{Runtime: "hadoop", App: j.Name, Axis: v.axis, Variant: v.name}
-		nodes := v.nodes
-		if nodes == 0 {
-			nodes = 3
-		}
-		env := sim.NewEnv()
-		cluster := hw.NewCluster(env, nodes, hw.Type1(false))
-		fs := dfs.New(cluster, j.blockFor(v.blockMul), 3)
-		fs.PreloadBlocks("in", splitBlocks(j, j.blockFor(v.blockMul)), 0)
-		rt := &hadoop.Runtime{Cluster: cluster, FS: fs}
-		if j.Broadcast > 0 {
-			bytes := j.Broadcast
-			rt.Prelude = func(p *sim.Proc, c *hw.Cluster) { c.Broadcast(p, c.Nodes[0], bytes) }
-		}
-		reducers := v.reducers
-		if reducers == 0 {
-			reducers = 4
-		}
-		res, err := hadoop.Run(rt, j.New(), hadoop.Config{
-			Input:             []string{"in"},
-			Reducers:          reducers,
-			UseCombiner:       v.combiner,
-			Partitioner:       j.Partitioner,
-			OutputReplication: j.OutputReplication,
-		})
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		out := res.Output()
-		cell.Digest = Digest(out)
-		cell.Err = verdict(j, exp, cell.Digest, out, nil)
-		add(cell)
-	}
-}
-
-// ---- Distributed runtime (internal/dist, loopback TCP). ----
-//
-// Every cell runs a real coordinator + N worker goroutines over 127.0.0.1
-// sockets: the shuffle crosses the kernel's TCP stack, and the ledger check
-// additionally enforces the wire conservation invariants (Dist: true).
-
-type distVariant struct {
-	axis, name string
-	workers    int     // 0 = 3
-	partitions int     // 0 = 4
-	blockMul   float64 // 0 = 1
-	compress   bool
-	combiner   bool // HashTable + combiner (CombinerOK apps only)
-	mapFault   bool // deterministic injected attempt failures
-	// elastic is a membership schedule in dist.ParseElastic syntax
-	// (join@2, drain:0@2, restart@2, kill:1@r1, ...); restart events get a
-	// throwaway checkpoint journal wired up automatically.
-	elastic string
-	// blockstore ingests the input into worker block stores ("local" or
-	// "remote") with replication 2 over 3 workers, so placement genuinely
-	// decides which reads are local.
-	blockstore string
-	// spill caps resident shuffle memory far below the intermediate
-	// volume, forcing the out-of-core reduce path.
-	spill bool
-}
-
-func distVariants(j Job) []distVariant {
-	vs := []distVariant{
-		{axis: "baseline", name: "w3"},
-		{axis: "workers", name: "w2", workers: 2},
-		{axis: "workers", name: "w5", workers: 5},
-		{axis: "partitions", name: "p2", partitions: 2},
-		{axis: "partitions", name: "p9", partitions: 9},
-		{axis: "chunk", name: "half-block", blockMul: 0.5},
-		{axis: "chunk", name: "double-block", blockMul: 2},
-		{axis: "compress", name: "deflate", compress: true},
-		// Compressed runs past a 2 KiB resident bound: filed as built and
-		// streamed back through the decompressor.
-		{axis: "compress", name: "deflate-spill", compress: true, spill: true},
-	}
-	// As in nativeVariants, the collector axis is the combiner cell alone.
-	if j.CombinerOK {
-		vs = append(vs, distVariant{axis: "collector", name: "combiner", combiner: true})
-	}
-	vs = append(vs,
-		// Block-store cells: the same job with its input ingested into the
-		// cluster's disks. Locality-preferred placement must read at least
-		// half the input off mappers' own replicas, the forced-remote
-		// baseline must read none of it locally, and the out-of-core cell
-		// must actually spill — all byte-identical to the baseline digest.
-		distVariant{axis: "locality", name: "local-preferred", blockstore: "local"},
-		distVariant{axis: "locality", name: "forced-remote", blockstore: "remote"},
-		distVariant{axis: "locality", name: "out-of-core", blockstore: "local", spill: true},
-		// Injected attempt failures die before partitioning, so nothing
-		// touches the wire and the retry cell stays fully exact (not Faulty).
-		distVariant{axis: "faults", name: "map-retry", mapFault: true},
-		// The kill cell murders a worker after two map resolutions: homes
-		// re-assign, resolved tasks re-execute, and the wire + store ledgers
-		// must still balance to the byte.
-		distVariant{axis: "faults", name: "worker-kill", elastic: "kill:1@2"},
-		// A worker killed after a reduce partition has already been accepted:
-		// the once-fatal carve-out. Surviving partitions re-execute; the
-		// accepted one stands.
-		distVariant{axis: "faults", name: "reduce-kill", elastic: "kill:1@r1"},
-		// Elastic membership: these cells change the cluster mid-job without
-		// any fault, so every ledger invariant stays fully exact — a joiner
-		// takes over partitions and map work, a drained worker hands its
-		// partitions off, and a crashed coordinator resumes from its journal
-		// (restart alone may re-execute in-flight attempts: Elastic, not
-		// Faulty — the wire must stay loss-free).
-		distVariant{axis: "elastic", name: "live-join", elastic: "join@2"},
-		distVariant{axis: "elastic", name: "drain", elastic: "drain:0@2"},
-		distVariant{axis: "elastic", name: "coordinator-restart", elastic: "restart@2"},
-	)
-	return vs
-}
-
-// elasticExpect sums what a parsed elastic schedule must visibly do to the
-// run: joins, drains, kills and whether the coordinator resumed. Conformance
-// asserts the Result (or JobStats) reports exactly these — a cell whose
-// event silently never fired would otherwise pass as a vacuous baseline.
-func elasticExpect(evs []dist.ElasticEvent) (joins, drains, kills int, resumed bool) {
-	for _, ev := range evs {
-		switch ev.Kind {
-		case "join":
-			joins++
-		case "drain":
-			drains++
-		case "kill":
-			kills++
-		case "restart":
-			resumed = true
-		}
-	}
-	return
-}
-
-func runDistApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	for _, v := range distVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
-		}
-		cell := Cell{Runtime: "dist", App: j.Name, Axis: v.axis, Variant: v.name}
-		workers := v.workers
-		if workers == 0 {
-			workers = 3
-		}
-		partitions := v.partitions
-		if partitions == 0 {
-			partitions = 4
-		}
-		collector := j.Collector
-		if v.combiner {
-			collector = core.HashTable
-		}
-		tel := obs.NewTelemetry()
-		o := dist.Options{
-			Job: dist.Job{
-				App:         dist.AppSpec{Name: j.Name},
-				Partitions:  partitions,
-				Collector:   collector,
-				UseCombiner: v.combiner,
-				Compress:    v.compress,
-			},
-			Workers:   workers,
-			Blocks:    splitBlocks(j, j.blockFor(v.blockMul)),
-			Telemetry: tel,
-			NewApp: func(dist.AppSpec) (*core.App, func(key []byte, n int) int, error) {
-				return j.New(), j.Partitioner, nil
-			},
-			KillWorker: -1,
-		}
-		if v.blockstore != "" {
-			o.Blockstore = v.blockstore
-			o.Replication = 2
-		}
-		if v.spill {
-			dir, err := os.MkdirTemp("", "glasswing-conf-spill-*")
-			if err != nil {
-				cell.Err = err
-				add(cell)
-				continue
-			}
-			defer os.RemoveAll(dir)
-			o.Tuning.SpillThreshold = 2 << 10
-			o.Tuning.WorkDir = dir
-		}
-		if v.mapFault {
-			o.MapFault = func(task, attempt int) bool { return attempt == 0 && task%3 == 0 }
-		}
-		var wantJoins, wantDrains, wantKills int
-		var wantResume bool
-		if v.elastic != "" {
-			evs, err := dist.ParseElastic(v.elastic)
-			if err != nil {
-				cell.Err = err
-				add(cell)
-				continue
-			}
-			o.Elastic = evs
-			wantJoins, wantDrains, wantKills, wantResume = elasticExpect(evs)
-			if dist.HasRestart(evs) {
-				jf, err := os.CreateTemp("", "glasswing-conf-journal-*")
-				if err != nil {
-					cell.Err = err
-					add(cell)
-					continue
-				}
-				jf.Close()
-				o.JournalPath = jf.Name()
-			}
-		}
-		res, err := dist.RunLoopback(o)
-		if o.JournalPath != "" {
-			os.Remove(o.JournalPath)
-		}
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		out := res.Output()
-		cell.Digest = Digest(out)
-		led := ReadLedger(tel.Metrics)
-		cell.Err = verdict(j, exp, cell.Digest, out, led.Check(exp, CheckOpts{
-			Dist:       true,
-			Faulty:     wantKills > 0,
-			Elastic:    wantResume,
-			Combiner:   v.combiner,
-			Compress:   v.compress,
-			HasReduce:  j.New().ReduceBatch != nil,
-			Blockstore: v.blockstore,
-			InputBytes: res.InputBytes,
-			WantSpill:  v.spill,
-		}))
-		if cell.Err == nil && v.elastic != "" {
-			switch {
-			case res.WorkersJoined != wantJoins:
-				cell.Err = fmt.Errorf("elastic cell joined %d workers, want %d", res.WorkersJoined, wantJoins)
-			case res.WorkersDrained != wantDrains:
-				cell.Err = fmt.Errorf("elastic cell drained %d workers, want %d", res.WorkersDrained, wantDrains)
-			case res.WorkersLost < wantKills:
-				cell.Err = fmt.Errorf("elastic cell lost %d workers, want >= %d", res.WorkersLost, wantKills)
-			case res.Resumed != wantResume:
-				cell.Err = fmt.Errorf("elastic cell resumed=%v, want %v", res.Resumed, wantResume)
-			}
-		}
-		add(cell)
-	}
-}
-
 func gpmrVariants(j Job) []modelVariant {
 	vs := []modelVariant{
 		{axis: "baseline", name: "n3"},
@@ -690,34 +332,60 @@ func gpmrVariants(j Job) []modelVariant {
 	return vs
 }
 
-func runGpmrApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	for _, v := range gpmrVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
+// modelTable is a baseline model's table: run returns a cell's output,
+// which is held to the reference digest and the app's verifier.
+func modelTable(vs func(Job) []modelVariant, run func(Job, modelVariant) ([]kv.Pair, error)) func(Job, Expected) ([]row, func()) {
+	return func(j Job, exp Expected) ([]row, func()) {
+		var rows []row
+		for _, v := range vs(j) {
+			rows = append(rows, row{v.axis, v.name, func() (string, error) {
+				out, err := run(j, v)
+				if err != nil {
+					return "", err
+				}
+				dig := Digest(out)
+				return dig, verdict(j, exp, dig, out, nil)
+			}})
 		}
-		cell := Cell{Runtime: "gpmr", App: j.Name, Axis: v.axis, Variant: v.name}
-		nodes := v.nodes
-		if nodes == 0 {
-			nodes = 3
-		}
-		env := sim.NewEnv()
-		cluster := hw.NewCluster(env, nodes, hw.Type1(true))
-		fs := dfs.NewLocal(cluster, j.blockFor(v.blockMul))
-		fs.PreloadBlocks("in", splitBlocks(j, j.blockFor(v.blockMul)), 0)
-		rt := &gpmr.Runtime{Cluster: cluster, FS: fs}
-		res, err := gpmr.Run(rt, j.New(), gpmr.Config{
-			Input:         []string{"in"},
-			Partitioner:   j.Partitioner,
-			PartialReduce: v.partial,
-		})
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		out := res.Output()
-		cell.Digest = Digest(out)
-		cell.Err = verdict(j, exp, cell.Digest, out, nil)
-		add(cell)
+		return rows, nil
 	}
+}
+
+func runHadoop(j Job, v modelVariant) ([]kv.Pair, error) {
+	block := j.blockFor(v.blockMul)
+	cluster := hw.NewCluster(sim.NewEnv(), cmp.Or(v.nodes, 3), hw.Type1(false))
+	fs := dfs.New(cluster, block, 3)
+	fs.PreloadBlocks("in", splitBlocks(j, block), 0)
+	rt := &hadoop.Runtime{Cluster: cluster, FS: fs}
+	if j.Broadcast > 0 {
+		bytes := j.Broadcast
+		rt.Prelude = func(p *sim.Proc, c *hw.Cluster) { c.Broadcast(p, c.Nodes[0], bytes) }
+	}
+	res, err := hadoop.Run(rt, j.New(), hadoop.Config{
+		Input:             []string{"in"},
+		Reducers:          cmp.Or(v.reducers, 4),
+		UseCombiner:       v.combiner,
+		Partitioner:       j.Partitioner,
+		OutputReplication: j.OutputReplication,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Output(), nil
+}
+
+func runGpmr(j Job, v modelVariant) ([]kv.Pair, error) {
+	block := j.blockFor(v.blockMul)
+	cluster := hw.NewCluster(sim.NewEnv(), cmp.Or(v.nodes, 3), hw.Type1(true))
+	fs := dfs.NewLocal(cluster, block)
+	fs.PreloadBlocks("in", splitBlocks(j, block), 0)
+	res, err := gpmr.Run(&gpmr.Runtime{Cluster: cluster, FS: fs}, j.New(), gpmr.Config{
+		Input:         []string{"in"},
+		Partitioner:   j.Partitioner,
+		PartialReduce: v.partial,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Output(), nil
 }

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"glasswing/internal/core"
-	"glasswing/internal/dist"
 	"glasswing/internal/jobsvc"
-	"glasswing/internal/kv"
 )
 
 // ---- Job service (internal/jobsvc over HTTP). ----
@@ -25,18 +23,12 @@ import (
 // the /metrics JSON — must balance exactly, proving the service layer
 // neither perturbs job semantics nor mixes concurrent jobs' accounting.
 
-// serviceEnv is one running in-process service: real listener, real HTTP.
-type serviceEnv struct {
-	svc *jobsvc.Service
-	srv *http.Server
-	ln  net.Listener
-	cli jobsvc.Client
-}
-
-func startService() (*serviceEnv, error) {
+// startService runs one in-process service on a real listener and returns
+// its HTTP client and the function that stops it.
+func startService() (*jobsvc.Client, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("service listen: %w", err)
+		return nil, nil, fmt.Errorf("service listen: %w", err)
 	}
 	svc := jobsvc.New(jobsvc.Config{
 		FleetWorkers:        8,
@@ -44,147 +36,87 @@ func startService() (*serviceEnv, error) {
 	})
 	srv := &http.Server{Handler: svc.Handler()}
 	go srv.Serve(ln)
-	return &serviceEnv{
-		svc: svc,
-		srv: srv,
-		ln:  ln,
-		cli: jobsvc.Client{Base: "http://" + ln.Addr().String()},
-	}, nil
+	return &jobsvc.Client{Base: "http://" + ln.Addr().String()}, func() { srv.Close(); svc.Close() }, nil
 }
 
-func (e *serviceEnv) stop() {
-	e.srv.Close()
-	e.svc.Close()
+// serviceTable is the dist table run through one service per app, started
+// by the first cell that runs.
+func serviceTable(j Job, exp Expected) ([]row, func()) {
+	var cli *jobsvc.Client
+	var err error
+	stop := func() {}
+	rows, _ := realTable(distVariants, true, func(j Job, v variant) (outcome, error) {
+		if cli == nil && err == nil {
+			cli, stop, err = startService()
+		}
+		if err != nil {
+			return outcome{}, err
+		}
+		return runService(cli, j, v)
+	})(j, exp)
+	return rows, func() { stop() }
 }
 
-// runServiceCell pushes one dist variant through the full API round trip
-// and returns the output digest, pairs, remote-rebuilt ledger and the
-// job's reported stats.
-func runServiceCell(e *serviceEnv, j Job, v distVariant) (string, []kv.Pair, Ledger, *jobsvc.JobStats, error) {
-	workers := v.workers
-	if workers == 0 {
-		workers = 3
-	}
-	partitions := v.partitions
-	if partitions == 0 {
-		partitions = 4
-	}
+// serviceRequest is the cell's dist job as a POST /jobs body: the kernels
+// travel by name and parameter blob, the membership schedule verbatim.
+func (j Job) serviceRequest(v variant) (jobsvc.Request, error) {
+	o, err := j.distOptions(v)
 	collector := "hash"
-	if j.Collector == core.BufferPool {
+	if o.Job.Collector == core.BufferPool {
 		collector = "pool"
 	}
-	if v.combiner {
-		collector = "hash"
-	}
 	req := jobsvc.Request{
-		Tenant:      "conformance",
-		App:         strings.ToLower(j.Name),
-		InputB64:    base64.StdEncoding.EncodeToString(j.Data),
-		ParamsB64:   base64.StdEncoding.EncodeToString(j.Params),
-		RecordSize:  int(j.RecordSize),
-		Chunk:       int(j.blockFor(v.blockMul)),
-		Partitions:  partitions,
-		Workers:     workers,
-		Collector:   collector,
-		UseCombiner: v.combiner,
-		Compress:    v.compress,
-		Elastic:     v.elastic, // membership schedule rides the API verbatim
+		Tenant:         "conformance",
+		App:            strings.ToLower(j.Name),
+		InputB64:       base64.StdEncoding.EncodeToString(j.Data),
+		ParamsB64:      base64.StdEncoding.EncodeToString(j.Params),
+		RecordSize:     int(j.RecordSize),
+		Chunk:          int(j.blockFor(v.blockMul)),
+		Partitions:     o.Job.Partitions,
+		Workers:        o.Workers,
+		Collector:      collector,
+		UseCombiner:    o.Job.UseCombiner,
+		Compress:       o.Job.Compress,
+		Elastic:        v.elastic,
+		Blockstore:     o.Blockstore,
+		Replication:    o.Replication,
+		SpillThreshold: o.Tuning.SpillThreshold,
 	}
-	if v.blockstore != "" { // as runDistApp sets its options
-		req.Blockstore = v.blockstore
-		req.Replication = 2
+	if o.MapFault != nil {
+		req.MapFaultMod = mapFaultMod
 	}
-	if v.spill {
-		req.SpillThreshold = 2 << 10
-	}
-	if v.mapFault {
-		req.MapFaultMod = 3 // same deterministic schedule as the dist axis
-	}
-
-	st, err := e.cli.Submit(req)
-	if err != nil {
-		return "", nil, Ledger{}, nil, fmt.Errorf("submit: %w", err)
-	}
-	st, err = e.cli.WaitDone(st.ID, 2*time.Minute)
-	if err != nil {
-		return "", nil, Ledger{}, nil, err
-	}
-	if st.State != jobsvc.StateDone {
-		return "", nil, Ledger{}, nil, fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
-	}
-	out, err := e.cli.ResultPairs(st.ID)
-	if err != nil {
-		return "", nil, Ledger{}, nil, fmt.Errorf("result: %w", err)
-	}
-	counters, err := e.cli.JobCounters(st.ID)
-	if err != nil {
-		return "", nil, Ledger{}, nil, fmt.Errorf("job metrics: %w", err)
-	}
-	led := LedgerFromCounters(func(name string) int64 { return counters[name] })
-	return Digest(out), out, led, st.Stats, nil
+	return req, err
 }
 
-func runServiceApp(j Job, exp Expected, opt Options, add func(Cell)) {
-	env, envErr := startService()
-	if envErr == nil {
-		defer env.stop()
+// runService pushes one cell through the full API round trip; the ledger is
+// rebuilt from the job's serialized metrics.
+func runService(cli *jobsvc.Client, j Job, v variant) (outcome, error) {
+	req, err := j.serviceRequest(v)
+	if err != nil {
+		return outcome{}, err
 	}
-	for _, v := range distVariants(j) {
-		if !selected(opt.Axes, v.axis) {
-			continue
-		}
-		cell := Cell{Runtime: "service", App: j.Name, Axis: v.axis, Variant: v.name}
-		if envErr != nil {
-			cell.Err = envErr
-			add(cell)
-			continue
-		}
-		dig, out, led, stats, err := runServiceCell(env, j, v)
-		if err != nil {
-			cell.Err = err
-			add(cell)
-			continue
-		}
-		var wantJoins, wantDrains, wantKills int
-		var wantResume bool
-		if v.elastic != "" {
-			evs, perr := dist.ParseElastic(v.elastic)
-			if perr != nil {
-				cell.Err = perr
-				add(cell)
-				continue
-			}
-			wantJoins, wantDrains, wantKills, wantResume = elasticExpect(evs)
-		}
-		if stats == nil {
-			cell.Err = fmt.Errorf("job finished without stats")
-			add(cell)
-			continue
-		}
-		cell.Digest = dig
-		cell.Err = verdict(j, exp, dig, out, led.Check(exp, CheckOpts{
-			Dist:       true,
-			Faulty:     wantKills > 0,
-			Elastic:    wantResume,
-			Combiner:   v.combiner,
-			Compress:   v.compress,
-			HasReduce:  j.New().ReduceBatch != nil,
-			Blockstore: v.blockstore,
-			InputBytes: stats.InputBytes,
-			WantSpill:  v.spill,
-		}))
-		if cell.Err == nil && v.elastic != "" {
-			switch {
-			case stats.WorkersJoined != wantJoins:
-				cell.Err = fmt.Errorf("elastic cell joined %d workers, want %d", stats.WorkersJoined, wantJoins)
-			case stats.WorkersDrained != wantDrains:
-				cell.Err = fmt.Errorf("elastic cell drained %d workers, want %d", stats.WorkersDrained, wantDrains)
-			case stats.WorkersLost < wantKills:
-				cell.Err = fmt.Errorf("elastic cell lost %d workers, want >= %d", stats.WorkersLost, wantKills)
-			case stats.Resumed != wantResume:
-				cell.Err = fmt.Errorf("elastic cell resumed=%v, want %v", stats.Resumed, wantResume)
-			}
-		}
-		add(cell)
+	st, err := cli.Submit(req)
+	if err != nil {
+		return outcome{}, fmt.Errorf("submit: %w", err)
 	}
+	if st, err = cli.WaitDone(st.ID, 2*time.Minute); err != nil {
+		return outcome{}, err
+	}
+	if st.State != jobsvc.StateDone {
+		return outcome{}, fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
+	}
+	if st.Stats == nil {
+		return outcome{}, fmt.Errorf("job finished without stats")
+	}
+	out, err := cli.ResultPairs(st.ID)
+	if err != nil {
+		return outcome{}, fmt.Errorf("result: %w", err)
+	}
+	counters, err := cli.JobCounters(st.ID)
+	if err != nil {
+		return outcome{}, fmt.Errorf("job metrics: %w", err)
+	}
+	s := st.Stats
+	return outcome{out, LedgerFromCounters(func(name string) int64 { return counters[name] }), s.InputBytes,
+		membership{s.WorkersJoined, s.WorkersDrained, s.WorkersLost, s.Resumed}}, nil
 }

@@ -1270,7 +1270,7 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 			c.startNextTransition()
 		}
 	case mHandoffDone:
-		var m handoffDoneMsg
+		var m handoffMsg
 		if err := decode(p, &m).fin("handoff-done"); err != nil {
 			c.fail(err)
 			return

@@ -86,8 +86,9 @@ func ParseElastic(spec string) ([]ElasticEvent, error) {
 	return evs, nil
 }
 
-// HasRestart reports whether a schedule contains a coordinator restart —
-// callers must configure Options.JournalPath before running one.
+// HasRestart reports whether a schedule contains a coordinator restart. A
+// resumed coordinator reads Options.JournalPath, so Serve's callers must set
+// one; RunLoopback keeps its own when they leave it empty.
 func HasRestart(evs []ElasticEvent) bool {
 	for _, ev := range evs {
 		if ev.Kind == "restart" {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,6 +295,37 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		t.Fatal("resumed run output diverged from static run")
 	}
 	checkWire(t, tel.Metrics, false)
+}
+
+// TestRestartKeepsThrowawayJournal: a restart schedule with no JournalPath
+// resumes from a journal RunLoopback keeps under Tuning.WorkDir, and the
+// job leaves nothing behind there.
+func TestRestartKeepsThrowawayJournal(t *testing.T) {
+	o, want := elasticWC(3, obs.NewTelemetry())
+	o.Tuning.WorkDir = t.TempDir()
+	o.Elastic = []ElasticEvent{{Kind: "restart", AfterMapDone: 4}}
+	res, err := RunLoopback(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed {
+		t.Fatal("restarted run did not report Resumed")
+	}
+	left, err := os.ReadDir(o.Tuning.WorkDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("the job left %s in its work dir", e.Name())
+	}
+	// The journal goes under WorkDir: a missing one fails the job up front.
+	o.Tuning.WorkDir = filepath.Join(o.Tuning.WorkDir, "missing")
+	if _, err := RunLoopback(o); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Errorf("restart job with a missing work dir: got error %v, want a journal error", err)
+	}
 }
 
 func TestRestartDuringReduce(t *testing.T) {

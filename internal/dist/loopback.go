@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -84,7 +85,9 @@ func retryListen(addr string) (net.Listener, error) {
 // goroutines mid-job, drains hand partitions off and release their worker,
 // kills exercise death recovery, and restart events crash the coordinator —
 // which RunLoopback then relaunches on the same address, resuming from
-// o.JournalPath while the surviving workers redial in.
+// o.JournalPath while the surviving workers redial in. Without a
+// JournalPath, a restart schedule gets a throwaway journal under
+// o.Tuning.WorkDir (or the OS temp dir), removed when the job ends.
 //
 // RunLoopback is safe for concurrent use: every call builds its own
 // cluster (listener, workers, kill table, ledger), so a process may run
@@ -106,7 +109,15 @@ func RunLoopback(o Options) (*Result, error) {
 	}
 	hasRestart := HasRestart(o.Elastic)
 	if hasRestart && o.JournalPath == "" {
-		return nil, fmt.Errorf("dist: restart events require Options.JournalPath")
+		// The relaunched coordinator resumes in this process, so a
+		// throwaway journal serves; it goes when the job ends.
+		jf, err := os.CreateTemp(o.Tuning.WorkDir, "glasswing-journal-*")
+		if err != nil {
+			return nil, fmt.Errorf("dist: journal: %w", err)
+		}
+		jf.Close()
+		defer os.Remove(jf.Name())
+		o.JournalPath = jf.Name()
 	}
 	// Workers must outlive a coordinator restart: give them a redial grace
 	// window unless the caller tuned one explicitly.

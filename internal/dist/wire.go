@@ -630,31 +630,17 @@ func (m *membershipMsg) wire(c *codec) {
 	c.i(&m.Left)
 }
 
-// handoffMarkMsg closes one partition's handoff: everything staged for it
-// under this epoch is complete and the destination should adopt it.
-type handoffMarkMsg struct {
-	Epoch     int
-	Partition int
-	Runs      int
-	Records   int64
-}
-
-func (m *handoffMarkMsg) wire(c *codec) {
-	c.i(&m.Epoch)
-	c.i(&m.Partition)
-	c.i(&m.Runs)
-	c.i64(&m.Records)
-}
-
-// handoffDoneMsg tells the coordinator one re-homed partition has been
-// adopted by its new home; the transition completes when every moved
-// partition reports.
-type handoffDoneMsg struct {
+// handoffMsg names one partition's handoff under a membership epoch. As a
+// handoff mark it closes the handoff: everything staged for the partition
+// is complete and the destination should adopt it. As a handoff done it
+// tells the coordinator the new home adopted it; the transition completes
+// when every moved partition reports.
+type handoffMsg struct {
 	Epoch     int
 	Partition int
 }
 
-func (m *handoffDoneMsg) wire(c *codec) { c.i(&m.Epoch); c.i(&m.Partition) }
+func (m *handoffMsg) wire(c *codec) { c.i(&m.Epoch); c.i(&m.Partition) }
 
 // --- block-store payloads ---
 

@@ -61,8 +61,8 @@ func TestReadFrameImplausibleLength(t *testing.T) {
 var payloadTypes = []payload{
 	&helloMsg{}, &welcomeMsg{}, &jobStartMsg{}, &mapTaskMsg{}, &mapDoneMsg{}, &taskFailMsg{},
 	&runBatchMsg{}, &runEntries{}, &markMsg{}, &reduceTaskMsg{}, &reduceDoneMsg{}, &peerHelloMsg{},
-	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffMarkMsg{},
-	&handoffDoneMsg{}, &blockPutMsg{}, &blockFetchMsg{}, &blockDataMsg{},
+	&spanBatchMsg{}, &hbMsg{}, &rejoinMsg{}, &membershipMsg{}, &handoffMsg{},
+	&blockPutMsg{}, &blockFetchMsg{}, &blockDataMsg{},
 }
 
 // newPayload returns a zero value of m's type, to decode into.
@@ -147,8 +147,8 @@ func roundTrips() []roundTrip {
 			{Task: 0, Partition: 1, Records: 3, RawBytes: 30, Epoch: 2, Blob: []byte{1, 2, 3}},
 			{Task: 5, Partition: 1, Records: 1, RawBytes: 9, Epoch: 2, Blob: []byte{4}},
 		})}, "2a848080808080800112000001031e02030102030500010109020104"},
-		{"handoff-mark", &handoffMarkMsg{Epoch: 2, Partition: 1, Runs: 2, Records: 4}, "02010204"},
-		{"handoff-done", &handoffDoneMsg{Epoch: 2, Partition: 1}, "0201"},
+		{"handoff-mark", &handoffMsg{Epoch: 2, Partition: 1}, "0201"},
+		{"handoff-done", &handoffMsg{Epoch: 2, Partition: 1}, "0201"},
 		{"block-put", &blockPutMsg{ID: 6, Data: []byte("replica bytes")}, "060d7265706c696361206279746573"},
 		{"block-fetch", &blockFetchMsg{ID: 6, Nonce: 1 << 40}, "06808080808020"},
 		{"block-data", &blockDataMsg{ID: 6, Nonce: 1 << 40, OK: true, Data: []byte("chunk")},
@@ -223,8 +223,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		"rejoin":       func(p []byte) error { return decode(p, &rejoinMsg{}).fin("rejoin") },
 		"membership":   func(p []byte) error { return decode(p, &membershipMsg{}).fin("membership") },
 		"handoff":      func(p []byte) error { _, _, err := peerEvent(1, mHandoff, p); return err },
-		"handoff-mark": func(p []byte) error { return decode(p, &handoffMarkMsg{}).fin("handoff-mark") },
-		"handoff-done": func(p []byte) error { return decode(p, &handoffDoneMsg{}).fin("handoff-done") },
+		"handoff-mark": func(p []byte) error { return decode(p, &handoffMsg{}).fin("handoff-mark") },
+		"handoff-done": func(p []byte) error { return decode(p, &handoffMsg{}).fin("handoff-done") },
 		"block-put":    func(p []byte) error { return decode(p, &blockPutMsg{}).fin("block-put") },
 		"block-fetch":  func(p []byte) error { return decode(p, &blockFetchMsg{}).fin("block-fetch") },
 		"block-data":   func(p []byte) error { return decode(p, &blockDataMsg{}).fin("block-data") },
@@ -247,8 +247,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		"membership": encode(&membershipMsg{Epoch: 1, Homes: []int{1, 1}, Alive: []bool{false, true},
 			Settled: []bool{true, false}, Joined: 1, JoinedAddr: "y", Left: 0}),
 		"handoff":      encode(&runBatchMsg{Body: encode(&runEntries{{Task: 2, Partition: 0, Records: 1, Epoch: 1, Blob: []byte("h")}})}),
-		"handoff-mark": encode(&handoffMarkMsg{Epoch: 1, Partition: 0, Runs: 1, Records: 1}),
-		"handoff-done": encode(&handoffDoneMsg{Epoch: 1, Partition: 0}),
+		"handoff-mark": encode(&handoffMsg{Epoch: 1, Partition: 0}),
+		"handoff-done": encode(&handoffMsg{Epoch: 1, Partition: 0}),
 		"block-put":    encode(&blockPutMsg{ID: 1, Data: []byte("b")}),
 		"block-fetch":  encode(&blockFetchMsg{ID: 1, Nonce: 9}),
 		"block-data":   encode(&blockDataMsg{ID: 1, Nonce: 9, OK: true, Data: []byte("c")}),

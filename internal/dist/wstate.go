@@ -154,9 +154,7 @@ func newHandoff(part, epoch int, runs []kv.TaskRun) *shipment {
 			sh.lastFiled = i
 		}
 	}
-	sh.last = frame{typ: mHandoffMark, payload: encode(&handoffMarkMsg{
-		Epoch: epoch, Partition: part, Runs: len(runs), Records: sh.stored,
-	})}
+	sh.last = frame{typ: mHandoffMark, payload: encode(&handoffMsg{Epoch: epoch, Partition: part})}
 	return sh
 }
 
@@ -652,14 +650,14 @@ func (s *wstate) peerFrame(ev wevent) {
 	case mHandoffMark:
 		// Adopt the partition and report it to the coordinator, which counts
 		// adopted partitions to complete the membership transition.
-		var msg handoffMarkMsg
+		var msg handoffMsg
 		if decode(p, &msg).fin("handoff-mark") != nil || s.killed {
 			return
 		}
 		adopted, superseded := s.store.adoptHandoff(msg.Partition, msg.Epoch)
 		s.led.handoffIn.Add(adopted)
 		s.led.StoreLost.Add(superseded)
-		s.toCoord(frame{typ: mHandoffDone, payload: encode(&handoffDoneMsg{Epoch: msg.Epoch, Partition: msg.Partition})})
+		s.toCoord(frame{typ: mHandoffDone, payload: encode(&msg)})
 	}
 }
 

@@ -1,8 +1,6 @@
 package jobsvc
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"glasswing/internal/dist"
@@ -166,17 +164,6 @@ func (s *Service) distRun(j *job) (*dist.Result, *obs.Telemetry, error) {
 	o.Telemetry = tel
 	o.TraceID = j.traceID
 	o.Journal = s.journalFor(j)
-	if dist.HasRestart(o.Elastic) {
-		// Restart events resume from a checkpoint journal; the service owns
-		// a throwaway one for the job's lifetime.
-		jf, err := os.CreateTemp("", "jobsvc-journal-*")
-		if err != nil {
-			return nil, tel, fmt.Errorf("jobsvc: journal temp file: %w", err)
-		}
-		jf.Close()
-		defer os.Remove(jf.Name())
-		o.JournalPath = jf.Name()
-	}
 	res, err := dist.RunLoopback(o)
 	return res, tel, err
 }
