@@ -156,7 +156,7 @@ func (w *worker) serve(cc *conn, bs *blockstore.Store, id int, nonce uint64) {
 		data, err := bs.ReadAll(id)
 		msg.OK, msg.Data = err == nil, data
 	}
-	cc.send(frame{typ: mBlockData, payload: encode(&msg)})
+	cc.send(newFrame(mBlockData, &msg))
 }
 
 // The step's half of block reads: wstate methods, under the worker's lock.
@@ -177,7 +177,7 @@ func (s *wstate) refetch(err error) {
 		f.holders = f.holders[1:]
 		if h != s.id && s.isLinked(h) && s.alive[h] {
 			f.holder = h
-			s.emit(weffect{op: wfxSend, peer: h, f: frame{typ: mBlockFetch, payload: encode(&blockFetchMsg{ID: f.block, Nonce: f.nonce})}})
+			s.emit(weffect{op: wfxSend, peer: h, f: newFrame(mBlockFetch, &blockFetchMsg{ID: f.block, Nonce: f.nonce})})
 			return
 		}
 	}

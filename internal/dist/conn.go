@@ -7,10 +7,12 @@ import (
 	"time"
 )
 
-// frame is one queued outbound message.
+// frame is one queued outbound message, whole as it goes on the wire: buf
+// is [length][type][payload], built once by newFrame, ctlFrame or
+// shipment.frame, so the pump writes it with no copy. Nothing writes to buf
+// once it is built, so one frame may go out on several links.
 type frame struct {
-	typ        byte
-	payload    []byte
+	buf        []byte
 	bulk       bool      // counts against the send window (shuffle data)
 	records    int64     // kv records carried, for loss accounting
 	acct       int64     // kv encoded bytes carried, for loss accounting
@@ -18,6 +20,18 @@ type frame struct {
 	spanParent uint64    // parent span of the net/send span
 	enq        time.Time // when the frame entered the queue (bulk only)
 }
+
+// typ is the frame's message type; 0 for the zero frame, which an effect
+// that sends nothing carries.
+func (f frame) typ() byte {
+	if f.buf == nil {
+		return 0
+	}
+	return f.buf[4]
+}
+
+// payload is the frame's bytes behind its header.
+func (f frame) payload() []byte { return f.buf[frameHeader:] }
 
 // conn wraps one TCP connection with the transport policies every link in
 // the cluster shares:
@@ -108,7 +122,7 @@ func newConn(c net.Conn, name string, t Tuning, onDrop func(f frame)) *conn {
 func (cc *conn) send(f frame) {
 	cc.mu.Lock()
 	if f.bulk {
-		debit := int64(len(f.payload))
+		debit := int64(len(f.payload()))
 		for !cc.closed && cc.queuedBulk > 0 && cc.queuedBulk+debit > cc.window {
 			cc.cond.Wait()
 		}
@@ -119,7 +133,7 @@ func (cc *conn) send(f frame) {
 		return
 	}
 	if f.bulk {
-		cc.queuedBulk += int64(len(f.payload))
+		cc.queuedBulk += int64(len(f.payload()))
 		f.enq = time.Now()
 	}
 	cc.queue = append(cc.queue, f)
@@ -158,7 +172,7 @@ func (cc *conn) pump() {
 		if f.bulk {
 			w0 = time.Now()
 		}
-		err := writeFrame(cc.c, f.typ, f.payload)
+		err := writeFrame(cc.c, f)
 		if err == nil {
 			if f.bulk && cc.onBulkTiming != nil {
 				cc.onBulkTiming(w0.Sub(f.enq).Nanoseconds(), time.Since(w0).Nanoseconds())
@@ -171,7 +185,7 @@ func (cc *conn) pump() {
 		cc.mu.Lock()
 		cc.writing = false
 		if f.bulk {
-			cc.queuedBulk -= int64(len(f.payload))
+			cc.queuedBulk -= int64(len(f.payload()))
 		}
 		if err != nil {
 			if !cc.closed {
@@ -205,7 +219,7 @@ func (cc *conn) heartbeat(every time.Duration) {
 		case <-cc.done:
 			return
 		case <-t.C:
-			cc.send(frame{typ: mHeartbeat})
+			cc.send(ctlFrame(mHeartbeat))
 		}
 	}
 }
@@ -224,7 +238,7 @@ func (cc *conn) enableClock(est *clockEstimator, every time.Duration) {
 
 func (cc *conn) probeClock(every time.Duration) {
 	probe := func() {
-		cc.send(frame{typ: mHeartbeat, payload: encode(&hbMsg{Kind: hbProbe, T1: time.Now().UnixNano()})})
+		cc.send(newFrame(mHeartbeat, &hbMsg{Kind: hbProbe, T1: time.Now().UnixNano()}))
 	}
 	// An immediate burst: the first samples arrive before bulk traffic can
 	// queue behind the probes and inflate the RTT, and the min-RTT filter
@@ -283,9 +297,9 @@ func (cc *conn) handleHeartbeat(payload []byte) {
 	}
 	switch hb.Kind {
 	case hbProbe:
-		cc.send(frame{typ: mHeartbeat, payload: encode(&hbMsg{
+		cc.send(newFrame(mHeartbeat, &hbMsg{
 			Kind: hbReply, T1: hb.T1, T2: now, T3: time.Now().UnixNano(),
-		})})
+		}))
 	case hbReply:
 		cc.mu.Lock()
 		est := cc.clock

@@ -59,6 +59,18 @@ func TestHeartbeatTimeoutDeclaresPeerDead(t *testing.T) {
 	}
 }
 
+// rawFrame is a frame of type typ carrying p as its payload.
+func rawFrame(typ byte, p []byte) frame {
+	return frame{buf: append(frameBuf(typ, len(p)), p...)}
+}
+
+// bulkFrame is a run-batch frame carrying p, booked as records records.
+func bulkFrame(p []byte, records int64) frame {
+	f := rawFrame(mRunBatch, p)
+	f.bulk, f.records, f.acct = true, records, int64(len(p))
+	return f
+}
+
 func TestSendWindowBackpressure(t *testing.T) {
 	a, b := tcpPair(t)
 	// Tiny window, receiver not reading: after the window fills (plus
@@ -69,11 +81,11 @@ func TestSendWindowBackpressure(t *testing.T) {
 	cb := newConn(b, "b", tun, nil)
 	defer cb.close()
 
-	payload := make([]byte, 8<<10) // each frame alone overflows the window
+	f := bulkFrame(make([]byte, 8<<10), 0) // each frame alone overflows the window
 	var sent atomic.Int64
 	go func() {
 		for i := 0; i < 1000; i++ {
-			ca.send(frame{typ: mRunBatch, payload: payload, bulk: true})
+			ca.send(f)
 			sent.Add(1)
 		}
 	}()
@@ -97,7 +109,7 @@ func TestSendWindowBackpressure(t *testing.T) {
 	// A control frame must bypass the wedged window...
 	ctrlSent := make(chan struct{})
 	go func() {
-		ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: 9})})
+		ca.send(newFrame(mMark, &markMsg{Task: 9}))
 		close(ctrlSent)
 	}()
 	select {
@@ -137,10 +149,10 @@ func TestSealAccountsQueuedFramesAsLost(t *testing.T) {
 
 	// Stall the pump: the receiver reads nothing and the payloads exceed
 	// socket buffering, so most frames stay queued.
-	payload := make([]byte, 1<<20)
+	f := bulkFrame(make([]byte, 1<<20), 10)
 	const frames = 64
 	for i := 0; i < frames; i++ {
-		ca.send(frame{typ: mRunBatch, payload: payload, bulk: true, records: 10, acct: int64(len(payload))})
+		ca.send(f)
 	}
 	ca.seal()
 	// Everything still queued at seal time must be accounted lost; at least
@@ -151,7 +163,7 @@ func TestSealAccountsQueuedFramesAsLost(t *testing.T) {
 	if lostRecords.Load()%10 != 0 {
 		t.Fatalf("lost records %d not a multiple of per-frame count", lostRecords.Load())
 	}
-	if lostBytes.Load() != (lostRecords.Load()/10)*int64(len(payload)) {
+	if lostBytes.Load() != (lostRecords.Load()/10)*f.acct {
 		t.Fatalf("lost bytes %d inconsistent with lost records %d", lostBytes.Load(), lostRecords.Load())
 	}
 
@@ -188,7 +200,7 @@ func TestSendAfterCloseDropsWithAccounting(t *testing.T) {
 	var lost atomic.Int64
 	ca := newConn(a, "a", Tuning{}, func(f frame) { lost.Add(f.records) })
 	ca.close()
-	ca.send(frame{typ: mRunBatch, payload: []byte("x"), bulk: true, records: 7})
+	ca.send(bulkFrame([]byte("x"), 7))
 	if lost.Load() != 7 {
 		t.Fatalf("post-close send accounted %d lost records, want 7", lost.Load())
 	}
@@ -203,7 +215,7 @@ func TestShutdownFlushesQueuedFrames(t *testing.T) {
 
 	const frames = 50
 	for i := 0; i < frames; i++ {
-		ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: i})})
+		ca.send(newFrame(mMark, &markMsg{Task: i}))
 	}
 	go ca.shutdown()
 

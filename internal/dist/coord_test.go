@@ -274,7 +274,7 @@ func (s *simSchedule) addWorker() *simWorker {
 		links: make(map[int]*simConn), barrier: make(map[attemptKey][]int), acked: make(map[attemptKey]map[int]bool),
 		disk: make(map[int][]byte)}
 	s.workers = append(s.workers, w)
-	s.dial(w, frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.addr})})
+	s.dial(w, newFrame(mJoin, &helloMsg{ListenAddr: w.addr}))
 	return w
 }
 
@@ -305,7 +305,7 @@ func (s *simSchedule) report(w *simWorker, f frame) {
 	if l := w.link; l != nil && !l.coordClosed && !l.workerClosed {
 		l.out = append(l.out, f)
 	}
-	if f.typ == mMapDone || f.typ == mReduceDone {
+	if f.typ() == mMapDone || f.typ() == mReduceDone {
 		w.reports = append(w.reports, f)
 	}
 }
@@ -326,7 +326,7 @@ func (s *simSchedule) step(ev cevent) {
 		l := s.links[e.cc]
 		switch e.op {
 		case fxSend, fxClose:
-			if e.f.typ != 0 && !l.coordClosed {
+			if e.f.typ() != 0 && !l.coordClosed {
 				l.in = append(l.in, e.f)
 			}
 			if e.op == fxClose {
@@ -355,15 +355,15 @@ func (s *simSchedule) record(e effect) {
 	if l := s.links[e.cc]; l != nil {
 		who = l.w.addr
 	}
-	s.log = append(s.log, simLogEntry{coord: fmt.Sprintf("g%d op%d w%d %s %s %s", s.gen, e.op, e.w, who, typeName(e.f.typ), describe(e.f))})
-	switch e.f.typ {
+	s.log = append(s.log, simLogEntry{coord: fmt.Sprintf("g%d op%d w%d %s %s %s", s.gen, e.op, e.w, who, typeName(e.f.typ()), describe(e.f))})
+	switch e.f.typ() {
 	case mMapTask:
 		var m mapTaskMsg
-		decode(e.f.payload, &m)
+		decode(e.f.payload(), &m)
 		s.sent = append(s.sent, simSent{gen: s.gen, w: e.w, typ: mMapTask, task: m.Task})
 	case mReduceTask:
 		var m reduceTaskMsg
-		decode(e.f.payload, &m)
+		decode(e.f.payload(), &m)
 		s.sent = append(s.sent, simSent{gen: s.gen, w: e.w, typ: mReduceTask, task: m.Partition,
 			done: s.c.st.done[m.Partition]})
 	}
@@ -383,7 +383,7 @@ func (s *simSchedule) wstep(w *simWorker, ev wevent) []weffect {
 	fx := w.st.step(ev)
 	s.retrying = ev.kind == weDialFailed
 	for _, e := range fx {
-		s.log = append(s.log, simLogEntry{gen: s.gen, w: w.id, op: e.op, j: e.peer, typ: e.f.typ})
+		s.log = append(s.log, simLogEntry{gen: s.gen, w: w.id, op: e.op, j: e.peer, typ: e.f.typ()})
 		s.perform(w, e)
 	}
 	s.checkWorker(w, ev, pre, fx)
@@ -408,7 +408,7 @@ func (s *simSchedule) perform(w *simWorker, e weffect) {
 		}
 	case wfxServe:
 		data, ok := w.disk[e.block]
-		s.send(w, e.peer, frame{typ: mBlockData, payload: encode(&blockDataMsg{ID: e.block, Nonce: e.nonce, OK: ok, Data: data})})
+		s.send(w, e.peer, newFrame(mBlockData, &blockDataMsg{ID: e.block, Nonce: e.nonce, OK: ok, Data: data}))
 	case wfxShip:
 		e.sh.stream(s.led, obs.NewTracer(w.id, nil), 0, func(f frame) { s.send(w, e.peer, f) })
 	case wfxSeal:
@@ -577,11 +577,11 @@ func (s *simSchedule) checkWorker(w *simWorker, ev wevent, pre workerSnap, fx []
 		}
 	}
 	for _, e := range fx {
-		if e.op != wfxSend || e.peer != coordPeer || e.f.typ != mMapDone {
+		if e.op != wfxSend || e.peer != coordPeer || e.f.typ() != mMapDone {
 			continue
 		}
 		var m mapDoneMsg
-		decode(e.f.payload, &m)
+		decode(e.f.payload(), &m)
 		k := attemptKey{m.Task, m.Attempt}
 		for _, j := range w.barrier[k] {
 			if !w.acked[k][j] && j < len(w.st.alive) && w.st.alive[j] {
@@ -627,7 +627,7 @@ func (s *simSchedule) check(out []effect) {
 	for _, e := range out {
 		switch {
 		case e.op != fxSend:
-		case e.f.typ == mMapTask:
+		case e.f.typ() == mMapTask:
 			cw := c.ws[e.w]
 			if !cw.alive || cw.state != wActive {
 				s.fatalf("map task sent to worker %d (alive %v, state %d)", e.w, cw.alive, cw.state)
@@ -635,7 +635,7 @@ func (s *simSchedule) check(out []effect) {
 			if c.activeT != nil || len(c.queuedT) > 0 {
 				s.fatalf("map task sent to worker %d while a transition is queued", e.w)
 			}
-		case e.f.typ == mReduceTask:
+		case e.f.typ() == mReduceTask:
 			if st.resolvedCount != st.Tasks || len(c.pendingKills) > 0 || c.claimed() {
 				s.fatalf("reduce task sent with %d/%d tasks resolved, %d kills pending, claimed %v",
 					st.resolvedCount, st.Tasks, len(c.pendingKills), c.claimed())
@@ -659,7 +659,7 @@ func (s *simSchedule) check(out []effect) {
 		}
 		s.checked[p] = true
 		seen := make([]int, st.Tasks)
-		for _, pr := range st.reduced[p].pairs {
+		for _, pr := range st.reduced[p].Pairs {
 			seen[binary.BigEndian.Uint16(pr.Key)]++
 		}
 		for task, k := range seen {
@@ -982,11 +982,11 @@ func (s *simSchedule) do(a simAction) {
 		case !l.admitted:
 			f := l.out[0]
 			l.out, l.admitted = l.out[1:], true
-			s.step(cevent{w: evAdmit, typ: f.typ, payload: f.payload, cc: l.cc})
+			s.step(cevent{w: evAdmit, typ: f.typ(), payload: f.payload(), cc: l.cc})
 		case len(l.out) > 0:
 			f := l.out[0]
 			l.out = l.out[1:]
-			s.step(cevent{w: l.id, typ: f.typ, payload: f.payload})
+			s.step(cevent{w: l.id, typ: f.typ(), payload: f.payload()})
 		default:
 			l.eof = true
 			s.step(cevent{w: l.id, err: io.EOF})
@@ -995,20 +995,20 @@ func (s *simSchedule) do(a simAction) {
 		w := a.w
 		f := w.link.in[0]
 		w.link.in = w.link.in[1:]
-		if f.typ == mBlockPut {
+		if f.typ() == mBlockPut {
 			// The shell's ingest: the put lands on disk, then its arrival is
 			// stepped.
 			var m blockPutMsg
-			decode(f.payload, &m)
+			decode(f.payload(), &m)
 			w.disk[m.ID] = m.Data
 			s.wstep(w, wevent{kind: weIngest, block: m.ID})
 			return
 		}
-		s.wstep(w, wevent{kind: weFrame, peer: coordPeer, typ: f.typ, p: f.payload})
-		switch f.typ {
+		s.wstep(w, wevent{kind: weFrame, peer: coordPeer, typ: f.typ(), p: f.payload()})
+		switch f.typ() {
 		case mWelcome:
 			var m welcomeMsg
-			decode(f.payload, &m)
+			decode(f.payload(), &m)
 			w.id = m.WorkerID
 		case mJobStart:
 			w.welcomed = true
@@ -1056,10 +1056,10 @@ func (s *simSchedule) do(a simAction) {
 			s.replies = append(s.replies, simReply{c: c})
 		} else {
 			s.pending = c
-			fx := s.wstep(to, wevent{kind: weLinkUp, peer: c.end[0].st.id, f: frame{typ: mPeerHello}})
+			fx := s.wstep(to, wevent{kind: weLinkUp, peer: c.end[0].st.id, f: ctlFrame(mPeerHello)})
 			s.pending = nil
 			s.replies = append(s.replies, simReply{c: c, ok: slices.ContainsFunc(fx, func(e weffect) bool {
-				return e.op == wfxAccept && e.f.typ == mPeerHello
+				return e.op == wfxAccept && e.f.typ() == mPeerHello
 			})})
 		}
 	case actReply:
@@ -1078,7 +1078,7 @@ func (s *simSchedule) do(a simAction) {
 		c, d := a.c, &a.c.dir[a.i]
 		f := d.q[0]
 		d.q = d.q[1:]
-		if ev, _, err := peerEvent(c.peer[1-a.i], f.typ, f.payload); err == nil {
+		if ev, _, err := peerEvent(c.peer[1-a.i], f.typ(), f.payload()); err == nil {
 			s.wstep(c.end[1-a.i], ev)
 		}
 	case actEOF:
@@ -1102,8 +1102,8 @@ func (s *simSchedule) runTask(w *simWorker) {
 		}
 		if err != nil {
 			w.queue = w.queue[1:]
-			s.wstep(w, wevent{kind: weSend, f: frame{typ: mMapFailed,
-				payload: encode(&taskFailMsg{Task: it.mapTask.Task, Attempt: it.mapTask.Attempt, Reason: err.Error()})}})
+			s.wstep(w, wevent{kind: weSend, f: newFrame(mMapFailed,
+				&taskFailMsg{Task: it.mapTask.Task, Attempt: it.mapTask.Attempt, Reason: err.Error()})})
 			return
 		}
 	}
@@ -1114,19 +1114,19 @@ func (s *simSchedule) runTask(w *simWorker) {
 			if e.op != wfxReduce {
 				continue
 			}
-			pairs := kv.Drain(kv.Merge(e.iters...))
+			pairs := kv.Drain(e.iters...)
 			e.closeIters()
-			s.wstep(w, wevent{kind: weSend, f: frame{typ: mReduceDone, payload: encode(&reduceDoneMsg{
+			s.wstep(w, wevent{kind: weSend, f: newFrame(mReduceDone, &reduceOutMsg{reduceDoneMsg{
 				Partition: p, Attempt: it.redTask.Attempt, RecordsIn: int64(len(pairs)), GroupsIn: int64(len(pairs)),
-				Output: kv.Marshal(pairs),
-			})}})
+				Pairs: pairs,
+			}})})
 		}
 		return
 	}
 	m := it.mapTask
 	if s.rng.Intn(100) < s.faultPct {
-		s.wstep(w, wevent{kind: weSend, f: frame{typ: mMapFailed,
-			payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: "injected"})}})
+		s.wstep(w, wevent{kind: weSend, f: newFrame(mMapFailed,
+			&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: "injected"})})
 		return
 	}
 	b := &builtMap{task: m.Task, attempt: m.Attempt, stats: attemptStats{RecordsIn: 1, PairsOut: int64(s.o.Job.Partitions)}}
@@ -1213,8 +1213,11 @@ func TestCoordSchedulesDeterministic(t *testing.T) {
 
 // describe renders a frame's payload for the effect log.
 func describe(f frame) string {
+	if f.buf == nil {
+		return ""
+	}
 	var m payload
-	switch f.typ {
+	switch f.typ() {
 	case mMapTask:
 		m = new(mapTaskMsg)
 	case mReduceTask:
@@ -1224,9 +1227,9 @@ func describe(f frame) string {
 	case mWelcome:
 		m = new(welcomeMsg)
 	default:
-		return fmt.Sprintf("%x", f.payload)
+		return fmt.Sprintf("%x", f.payload())
 	}
-	decode(f.payload, m)
+	decode(f.payload(), m)
 	if mt, ok := m.(*mapTaskMsg); ok {
 		mt.Block = nil
 	}
@@ -1431,7 +1434,7 @@ func TestHostileRejoinTurnedAway(t *testing.T) {
 		s := startSim(t, 1, o)
 		var hostile *simLink
 		s.onRestart = func() {
-			hostile = s.dial(&simWorker{id: -1, addr: "hostile"}, frame{})
+			hostile = s.dial(&simWorker{id: -1, addr: "hostile"}, ctlFrame(0))
 			s.step(cevent{w: evAdmit, typ: mRejoin, cc: hostile.cc,
 				payload: encode(&rejoinMsg{WorkerID: id, ListenAddr: "hostile", Epoch: 0})})
 		}

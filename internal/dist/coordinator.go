@@ -249,7 +249,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			case fxSend:
 				e.cc.send(e.f)
 			case fxClose:
-				if e.f.typ != 0 {
+				if e.f.buf != nil {
 					e.cc.send(e.f)
 					e.cc.flush()
 				}
@@ -491,7 +491,7 @@ func (c *coord) membership(joined, left int) frame {
 	if joined >= 0 {
 		m.JoinedAddr = c.ws[joined].addr
 	}
-	return frame{typ: mMembership, payload: encode(&m)}
+	return newFrame(mMembership, &m)
 }
 
 // nextEpoch is the membership record of the next epoch as things stand:
@@ -579,7 +579,7 @@ func (c *coord) admit(ev cevent) {
 				c.startNextTransition()
 			}
 		default: // it already left, or its slot is filled: let it exit cleanly
-			c.emit(fxClose, evAdmit, cc, frame{typ: mDrained})
+			c.emit(fxClose, evAdmit, cc, ctlFrame(mDrained))
 		}
 	default:
 		refuse()
@@ -610,11 +610,11 @@ func (c *coord) welcome(id int) {
 			peers[i] = cw.addr
 		}
 	}
-	c.send(id, frame{typ: mWelcome, payload: encode(&welcomeMsg{WorkerID: id, Workers: len(c.ws)})})
-	c.send(id, frame{typ: mJobStart, payload: encode(&jobStartMsg{
+	c.send(id, newFrame(mWelcome, &welcomeMsg{WorkerID: id, Workers: len(c.ws)}))
+	c.send(id, newFrame(mJobStart, &jobStartMsg{
 		Job: c.o.Job, TraceID: c.st.TraceID, Peers: peers, Homes: c.st.Homes, Epoch: c.st.Epoch,
 		Live: c.phase != phaseForm,
-	})})
+	}))
 }
 
 // form ends formation. A fresh job commits its first records — identity,
@@ -624,7 +624,13 @@ func (c *coord) welcome(id int) {
 func (c *coord) form() {
 	o, n, nTasks := &c.o, len(c.ws), len(c.o.Blocks)
 	if c.need == nil {
-		c.commit(jrJobStart, &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: o.TraceID, Digest: blocksDigest(o.Blocks)}, nil)
+		rec := &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: o.TraceID}
+		if c.jn != nil {
+			// Only a resume reads the digest, and only a journal resumes:
+			// an unjournaled job does not hash its input.
+			rec.Digest = blocksDigest(o.Blocks)
+		}
+		c.commit(jrJobStart, rec, nil)
 		if o.Blockstore != "" {
 			// Block b's replicas are computed once, at formation width, and
 			// journaled so a resumed coordinator reconstructs the placement
@@ -714,10 +720,13 @@ func (c *coord) form() {
 		// bulk send window, so a slow disk backpressures the push instead of
 		// ballooning the queue; replica bytes are booked by the receiving
 		// worker as dist_block_ingest_bytes_total, never as shuffle traffic.
+		// One frame goes to every holder: its header is written as it is
+		// built, and no link writes to it.
 		for t, hs := range c.holders {
-			payload := encode(&blockPutMsg{ID: t, Data: o.Blocks[t]})
+			put := newFrame(mBlockPut, &blockPutMsg{ID: t, Data: o.Blocks[t]})
+			put.bulk, put.acct = true, int64(len(put.payload()))
 			for _, h := range hs {
-				c.send(h, frame{typ: mBlockPut, payload: payload, bulk: true, acct: int64(len(payload))})
+				c.send(h, put)
 			}
 		}
 	}
@@ -874,7 +883,7 @@ func (c *coord) fill() {
 					msg.Block = c.o.Blocks[t]
 				}
 			}
-			c.send(w, frame{typ: mMapTask, payload: encode(&msg)})
+			c.send(w, newFrame(mMapTask, &msg))
 			cw.outstanding++
 		}
 	}
@@ -888,7 +897,7 @@ func (c *coord) finishJob() {
 	if !c.reduceStart.IsZero() {
 		c.res.ReduceElapsed = time.Since(c.reduceStart)
 	}
-	c.broadcast(frame{typ: mJobEnd})
+	c.broadcast(ctlFrame(mJobEnd))
 	// Workers close their end after job-end; readers drain out.
 }
 
@@ -913,9 +922,9 @@ func (c *coord) maybeReduce() {
 		}
 		sp := openSpan{c.ctr.NewID(), time.Now()}
 		c.reduceSpans[p] = sp
-		c.send(c.st.Homes[p], frame{typ: mReduceTask, payload: encode(&reduceTaskMsg{
+		c.send(c.st.Homes[p], newFrame(mReduceTask, &reduceTaskMsg{
 			Partition: p, Attempt: c.reduceAttempt[p], SpanID: sp.id,
-		})})
+		}))
 	}
 	if len(c.reduceSpans) == 0 {
 		c.finishJob()
@@ -1093,7 +1102,7 @@ func (c *coord) completeTransition() {
 		if !c.commit(jrMembership, rec, nil) {
 			return
 		}
-		c.send(t.target, frame{typ: mDrained})
+		c.send(t.target, ctlFrame(mDrained))
 		c.ctr.Mark(obs.InstantDrain)
 	}
 	c.note("membership-complete", "kind", t.kind, "target", t.target, "epoch", c.st.Epoch)
@@ -1285,7 +1294,7 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 			c.fail(err)
 			return
 		}
-		m := r.(*reduceDone)
+		m := r.(*reduceDoneMsg)
 		if m.Partition < 0 || m.Partition >= c.o.Job.Partitions {
 			c.fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
 			return
@@ -1307,7 +1316,7 @@ func (c *coord) onFrame(w int, typ byte, p []byte) {
 			// ledger double-books.
 			c.led.ReduceRecordsIn.Add(m.RecordsIn)
 			c.led.ReduceGroupsIn.Add(m.GroupsIn)
-			c.led.OutputPairs.Add(int64(len(m.pairs)))
+			c.led.OutputPairs.Add(int64(len(m.Pairs)))
 			c.fireEvents()
 		}
 		// A fired kill whose death has not yet been observed blocks
@@ -1335,7 +1344,7 @@ func (c *coord) result() *Result {
 		res.IntermediatePairs += s.PairsOut
 	}
 	for _, rd := range st.reduced {
-		res.OutputPairs += len(rd.pairs)
+		res.OutputPairs += len(rd.Pairs)
 	}
 	res.WorkersJoined, res.WorkersDrained, res.WorkersLost = st.Joined, st.Drained, st.Lost
 	res.MapRetries = c.sched.retries

@@ -320,11 +320,16 @@ type Result struct {
 // Output returns the final pairs in partition order; within a partition
 // keys are sorted, so a range partitioner yields totally ordered output.
 func (r *Result) Output() []kv.Pair {
-	var out []kv.Pair
-	if r.state != nil {
-		for _, rd := range r.state.reduced {
-			out = append(out, rd.pairs...)
-		}
+	if r.state == nil {
+		return nil
+	}
+	n := 0
+	for _, rd := range r.state.reduced {
+		n += len(rd.Pairs)
+	}
+	out := make([]kv.Pair, 0, n)
+	for _, rd := range r.state.reduced {
+		out = append(out, rd.Pairs...)
 	}
 	return out
 }

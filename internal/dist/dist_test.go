@@ -102,9 +102,14 @@ func TestLoopbackTeraSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Range partitioning + partition-ordered assembly must yield a total
-	// order; VerifyTeraSort checks order and content.
-	if err := apps.VerifyTeraSort(res.Output(), data); err != nil {
+	// order; VerifyTeraSort checks order and content. The assembly is one
+	// slice of exactly the output's pairs.
+	out := res.Output()
+	if err := apps.VerifyTeraSort(out, data); err != nil {
 		t.Fatal(err)
+	}
+	if cap(out) != len(out) {
+		t.Errorf("%d output pairs in a slice of %d", len(out), cap(out))
 	}
 }
 
@@ -563,7 +568,7 @@ func TestHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(500 * time.Millisecond)
-	ca.send(frame{typ: mMark, payload: encode(&markMsg{Task: 1})})
+	ca.send(newFrame(mMark, &markMsg{Task: 1}))
 	select {
 	case err := <-done:
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -406,10 +407,47 @@ func TestResumeRefusedOnSpecMismatch(t *testing.T) {
 	o2, _ := elasticWC(2, nil)
 	o2.JournalPath = o.JournalPath
 	o2.Resume = true
+	// The workers stop redialing the refusing coordinator.
+	o2.Tuning.RejoinGrace = 200 * time.Millisecond
 	o2.Job.Partitions = 9 // spec mismatch
 	_, err := RunLoopback(o2)
 	if err == nil {
 		t.Fatal("resume with mismatched job spec succeeded")
+	}
+}
+
+// TestResumeRefusedOnInputMismatch: the input digest, which the
+// coordinator computes because the job journals, passes a resume of the
+// journaled input and refuses one whose input differs in one byte.
+func TestResumeRefusedOnInputMismatch(t *testing.T) {
+	o, _ := elasticWC(2, nil)
+	o.JournalPath = filepath.Join(t.TempDir(), "coord.journal")
+	if _, err := RunLoopback(o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(o.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, _ := elasticWC(2, nil)
+	if err := st.validateResume(&same); err != nil {
+		t.Fatalf("the journaled input: %v", err)
+	}
+	o2, _ := elasticWC(2, nil)
+	o2.JournalPath = o.JournalPath
+	o2.Resume = true
+	// The workers stop redialing the refusing coordinator.
+	o2.Tuning.RejoinGrace = 200 * time.Millisecond
+	o2.Blocks = slices.Clone(o2.Blocks)
+	o2.Blocks[1] = slices.Clone(o2.Blocks[1])
+	o2.Blocks[1][0] ^= 1
+	_, err = RunLoopback(o2)
+	if err == nil || !strings.Contains(err.Error(), "input blocks differ") {
+		t.Fatalf("resume with one input byte changed: %v, want the input-mismatch refusal", err)
 	}
 }
 

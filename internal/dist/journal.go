@@ -112,7 +112,7 @@ type jobRecord struct {
 	Job     Job
 	Tasks   int
 	TraceID uint64
-	Digest  []byte // blocksDigest of the input
+	Digest  []byte // blocksDigest of the input; nil for a job with no journal
 }
 
 func (r *jobRecord) wire(c *codec) {
@@ -183,7 +183,7 @@ type jobState struct {
 	stats         []attemptStats // task → the stats of the attempt it last resolved at
 	done          []bool         // partition → output accepted: the settled set
 	doneCount     int
-	reduced       []reduceDone // partition → the reduce-done record that settled it
+	reduced       []reduceDoneMsg // partition → the reduce-done record that settled it
 	// resident[p] is how many committed records still live at holder[p],
 	// partition p's home when its output was accepted: a settled partition
 	// moves empty, so they stay there. If the holder dies they are settled —
@@ -193,13 +193,6 @@ type jobState struct {
 	// (or a drain's completion) zeroes them.
 	resident []int64
 	holder   []int
-}
-
-// reduceDone is a decoded reduce-done record: the payload and the pairs its
-// output decodes to, which alias the payload.
-type reduceDone struct {
-	reduceDoneMsg
-	pairs []kv.Pair
 }
 
 // decodeRecord decodes one journal record. The live coordinator decodes a
@@ -220,10 +213,10 @@ func decodeRecord(typ byte, p []byte) (payload, error) {
 		r := new(mapDoneMsg)
 		return r, decode(p, r).fin("map-done")
 	case jrReduceDone:
-		r := new(reduceDone)
-		err := decode(p, &r.reduceDoneMsg).fin("reduce-done")
+		r := new(reduceDoneMsg)
+		err := decode(p, r).fin("reduce-done")
 		if err == nil {
-			if r.pairs, err = kv.Unmarshal(r.Output); err != nil {
+			if r.Pairs, err = kv.Unmarshal(r.Output); err != nil {
 				err = fmt.Errorf("dist: partition %d output: %w", r.Partition, err)
 			}
 		}
@@ -253,7 +246,7 @@ func (s *jobState) apply(r payload) error {
 		if s.started {
 			return errors.New("duplicate job-start record")
 		}
-		if len(r.Digest) != 32 || r.Tasks < 0 || r.Tasks > maxFrame ||
+		if (len(r.Digest) != 0 && len(r.Digest) != sha256.Size) || r.Tasks < 0 || r.Tasks > maxFrame ||
 			r.Job.Partitions <= 0 || r.Job.Partitions > MaxPartitions {
 			return errors.New("implausible job-start record")
 		}
@@ -262,7 +255,7 @@ func (s *jobState) apply(r payload) error {
 		s.resolved = make([]bool, r.Tasks)
 		s.stats = make([]attemptStats, r.Tasks)
 		s.done = make([]bool, r.Job.Partitions)
-		s.reduced = make([]reduceDone, r.Job.Partitions)
+		s.reduced = make([]reduceDoneMsg, r.Job.Partitions)
 		s.resident = make([]int64, r.Job.Partitions)
 		s.holder = make([]int, r.Job.Partitions)
 	case *namespaceRecord:
@@ -329,7 +322,7 @@ func (s *jobState) apply(r payload) error {
 		s.resolvedCount++
 		s.Attempt[t] = r.Attempt
 		s.stats[t] = r.Stats
-	case *reduceDone:
+	case *reduceDoneMsg:
 		p := r.Partition
 		if p < 0 || p >= s.Job.Partitions || r.Attempt < 0 || r.RecordsIn < 0 {
 			return fmt.Errorf("reduce-done for unknown partition %d", p)

@@ -180,7 +180,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("output for partition %d recorded as partition %d", p, rs.reduced[p].Partition)
 			case d && rs.reduced[p].Attempt < 0:
 				t.Fatalf("output for partition %d at negative attempt %d", p, rs.reduced[p].Attempt)
-			case !d && (rs.resident[p] != 0 || rs.reduced[p].pairs != nil):
+			case !d && (rs.resident[p] != 0 || rs.reduced[p].Pairs != nil):
 				t.Fatalf("partition %d holds an output it never accepted", p)
 			case rs.resident[p] < 0:
 				t.Fatalf("partition %d has %d resident records", p, rs.resident[p])

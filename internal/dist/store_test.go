@@ -192,12 +192,12 @@ func TestHandoffOfDamagedSpillFile(t *testing.T) {
 	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
 	var done bool
 	newHandoff(3, 1, store.takePartition(3)).stream(led, obs.NewTracer(0, nil), 0, func(f frame) {
-		ev, _, err := peerEvent(0, f.typ, f.payload)
+		ev, _, err := peerEvent(0, f.typ(), f.payload())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range dst.step(ev) {
-			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ == mHandoffDone
+			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ() == mHandoffDone
 		}
 	})
 	if !done {
@@ -253,12 +253,12 @@ func TestHandoffOfSharedSpillFile(t *testing.T) {
 	dst := startedWState(t, 1, []string{"w0", "w1"}, []int{0, 0, 0, 0}, newShuffleStore(), led)
 	var done bool
 	newHandoff(3, 1, store.takePartition(3)).stream(led, obs.NewTracer(0, nil), 0, func(f frame) {
-		ev, _, err := peerEvent(0, f.typ, f.payload)
+		ev, _, err := peerEvent(0, f.typ(), f.payload())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range dst.step(ev) {
-			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ == mHandoffDone
+			done = done || e.op == wfxSend && e.peer == coordPeer && e.f.typ() == mHandoffDone
 		}
 	})
 	if !done {

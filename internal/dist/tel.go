@@ -142,7 +142,7 @@ func (l *ledger) netLost(records, bytes int64) {
 // the stores too.
 func (l *ledger) dropped(f frame) {
 	l.netLost(f.records, f.acct)
-	if f.typ == mHandoff {
+	if f.typ() == mHandoff {
 		l.StoreLost.Add(f.records)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"glasswing/internal/kv"
 	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
@@ -79,16 +80,39 @@ func typeName(t byte) string {
 	return fmt.Sprintf("type-%d", t)
 }
 
-// writeFrame emits one frame. It performs a single Write call per frame
-// (header and payload pre-assembled) so a connection torn down between
-// frames never leaves a truncated frame behind — the kill accounting in
-// loopback mode relies on whole-frame delivery.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	frame := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(1+len(payload)))
-	frame[4] = typ
-	copy(frame[5:], payload)
-	_, err := w.Write(frame)
+// frameHeader is the length of a frame's header: its length and type bytes.
+const frameHeader = 5
+
+// newFrame lays m out as one frame of type typ, allocated once: the codec's
+// size pass gives the payload's length, so the frame is made at its full
+// length, its header written first and the payload encoded in place behind
+// it.
+func newFrame(typ byte, m payload) frame {
+	c := codec{size: true}
+	m.wire(&c)
+	c = codec{buf: frameBuf(typ, c.n)}
+	m.wire(&c)
+	return frame{buf: c.buf}
+}
+
+// ctlFrame is a frame of type typ with no payload.
+func ctlFrame(typ byte) frame { return frame{buf: frameBuf(typ, 0)} }
+
+// frameBuf allocates a frame of type typ with room for an n-byte payload and
+// writes its header: the payload is appended behind it.
+func frameBuf(typ byte, n int) []byte {
+	b := make([]byte, frameHeader, frameHeader+n)
+	binary.BigEndian.PutUint32(b, uint32(1+n))
+	b[4] = typ
+	return b
+}
+
+// writeFrame emits one frame with a single Write call — header and payload
+// were laid out together when the frame was built — so a connection torn
+// down between frames never leaves a truncated frame behind: the kill
+// accounting in loopback mode relies on whole-frame delivery.
+func writeFrame(w io.Writer, f frame) error {
+	_, err := w.Write(f.buf)
 	return err
 }
 
@@ -133,7 +157,8 @@ type codec struct {
 // its field order.
 type payload interface{ wire(*codec) }
 
-// encode lays m out as bytes.
+// encode lays m out as bytes that go in no frame: a journal record, an
+// app's params.
 func encode(m payload) []byte {
 	var c codec
 	m.wire(&c)
@@ -246,6 +271,18 @@ func (c *codec) owned(v *[]byte) {
 	c.bytes(v)
 	if c.dec {
 		*v = append([]byte(nil), *v...)
+	}
+}
+
+// marshal carries pairs as the byte string kv.Marshal(pairs), laid out
+// straight into buf; the receiver reads it with bytes. Encode only.
+func (c *codec) marshal(pairs []kv.Pair) {
+	n := uint64(kv.MarshalSize(pairs))
+	c.u(&n)
+	if c.size {
+		c.n += int(n)
+	} else {
+		c.buf = kv.AppendMarshal(c.buf, pairs)
 	}
 }
 
@@ -496,21 +533,40 @@ type reduceTaskMsg struct {
 func (m *reduceTaskMsg) wire(c *codec) { c.i(&m.Partition); c.i(&m.Attempt); c.u(&m.SpanID) }
 
 // reduceDoneMsg is also the journal's reduce-done record, byte for byte.
-// Output aliases the frame; replay copies it out of the journal image.
+// Output is kv.Marshal of the partition's final pairs, and aliases the
+// frame; replay copies it out of the journal image. Pairs is what Output
+// decodes to (decodeRecord), aliasing it.
 type reduceDoneMsg struct {
 	Partition int
 	Attempt   int
 	RecordsIn int64
 	GroupsIn  int64
-	Output    []byte // kv.Marshal of the partition's final pairs
+	Output    []byte
+	Pairs     []kv.Pair
 }
 
 func (m *reduceDoneMsg) wire(c *codec) {
+	m.counts(c)
+	c.bytes(&m.Output)
+}
+
+// counts carries the fields before Output.
+func (m *reduceDoneMsg) counts(c *codec) {
 	c.i(&m.Partition)
 	c.i(&m.Attempt)
 	c.i64(&m.RecordsIn)
 	c.i64(&m.GroupsIn)
-	c.bytes(&m.Output)
+}
+
+// reduceOutMsg is a reduce-done as its worker sends it: reduceDoneMsg's
+// layout, with Output laid out from Pairs straight into the frame, in
+// kv.Marshal's bytes and with no blob built first. Encode only: the
+// coordinator decodes a reduceDoneMsg.
+type reduceOutMsg struct{ reduceDoneMsg }
+
+func (m *reduceOutMsg) wire(c *codec) {
+	m.counts(c)
+	c.marshal(m.Pairs)
 }
 
 type peerHelloMsg struct {

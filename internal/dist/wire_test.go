@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"reflect"
 	"testing"
 
+	"glasswing/internal/kv"
 	"glasswing/internal/obs"
 )
 
@@ -15,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("glasswing"), 1000)}
 	for i, p := range payloads {
-		if err := writeFrame(&buf, byte(i+1), p); err != nil {
+		if err := writeFrame(&buf, rawFrame(byte(i+1), p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	writeFrame(&buf, mRunBatch, []byte("some payload"))
+	writeFrame(&buf, rawFrame(mRunBatch, []byte("some payload")))
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
 		if _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
@@ -169,6 +171,32 @@ func TestMessageRoundTrips(t *testing.T) {
 		if !reflect.DeepEqual(got, c.msg) {
 			t.Fatalf("%s: round trip:\n got %+v\nwant %+v", c.name, got, c.msg)
 		}
+	}
+}
+
+// TestFramesBuiltInPlace: a frame laid out in place is the header and
+// payload writeFrame used to join, in exactly the bytes it needs, and a
+// reduce-done laid out from its pairs carries kv.Marshal of them.
+func TestFramesBuiltInPlace(t *testing.T) {
+	check := func(name string, f frame, typ byte, p []byte) {
+		t.Helper()
+		want := append(binary.BigEndian.AppendUint32(nil, uint32(1+len(p))), typ)
+		if want = append(want, p...); !bytes.Equal(f.buf, want) {
+			t.Errorf("%s: frame\n got %x\nwant %x", name, f.buf, want)
+		}
+		if cap(f.buf) != len(f.buf) {
+			t.Errorf("%s: %d-byte frame allocated %d", name, len(f.buf), cap(f.buf))
+		}
+	}
+	for i, c := range roundTrips() {
+		check(c.name, newFrame(byte(i+1), c.msg), byte(i+1), encode(c.msg))
+	}
+	check("no payload", ctlFrame(mJobEnd), mJobEnd, nil)
+	for _, pairs := range [][]kv.Pair{nil, {}, {{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 300)}, {Key: []byte("l")}}} {
+		m := reduceDoneMsg{Partition: 2, Attempt: 1, RecordsIn: 9, GroupsIn: 3}
+		want := encode(&reduceDoneMsg{Partition: 2, Attempt: 1, RecordsIn: 9, GroupsIn: 3, Output: kv.Marshal(pairs)})
+		m.Pairs = pairs
+		check(fmt.Sprintf("reduce-done of %d pairs", len(pairs)), newFrame(mReduceDone, &reduceOutMsg{m}), mReduceDone, want)
 	}
 }
 

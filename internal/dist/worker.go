@@ -124,7 +124,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	w.lnAddr = ln.Addr().String()
 	w.st = newWState(w.lnAddr, newShuffleStore(), led)
 
-	cc, err := dialCoord(cfg.coordAddr, tun, time.Now().Add(tun.RejoinGrace), frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: w.lnAddr})})
+	cc, err := dialCoord(cfg.coordAddr, tun, time.Now().Add(tun.RejoinGrace), newFrame(mJoin, &helloMsg{ListenAddr: w.lnAddr}))
 	if err != nil {
 		return false, err
 	}
@@ -137,12 +137,12 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		// The FIFO connection guarantees the batch precedes our EOF, so the
 		// coordinator always has it by the time its reader drains. A killed
 		// or failed worker sends nothing — its partial timeline died with it.
-		cc.send(frame{typ: mSpanBatch, payload: encode(&spanBatchMsg{
+		cc.send(newFrame(mSpanBatch, &spanBatchMsg{
 			TraceID:       w.traceID,
 			Node:          w.id,
 			EpochUnixNano: w.tr.Epoch().UnixNano(),
 			Spans:         w.tr.Spans(),
-		})})
+		}))
 		cc.flush()
 	}
 	cc.close()
@@ -208,7 +208,7 @@ func (w *worker) decide(ev wevent) []weffect {
 				w.peers = append(w.peers, nil)
 			}
 			w.peers[e.peer] = ev.cc
-			if e.f.typ != 0 {
+			if e.f.buf != nil {
 				ev.cc.send(e.f) // not bulk: never blocks
 			}
 		}
@@ -370,7 +370,7 @@ func (w *worker) dial(j int, addr string) {
 	for try := 0; try < 50; try++ {
 		if c, err := net.Dial("tcp", addr); err == nil {
 			cc := w.newPeerConn(c, fmt.Sprintf("peer%d", j))
-			cc.send(frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: w.id})})
+			cc.send(newFrame(mPeerHello, &peerHelloMsg{WorkerID: w.id}))
 			var ph peerHelloMsg
 			if typ, p, err := cc.recv(); err == nil && typ == mPeerHello && decode(p, &ph).fin("peer-hello") == nil && ph.WorkerID == j {
 				w.do(wevent{kind: weLinkUp, peer: j, cc: cc})
@@ -404,7 +404,7 @@ func (w *worker) peerAcceptor(ln net.Listener) {
 				return
 			}
 			w.do(wevent{kind: weLinkUp, peer: ph.WorkerID, cc: cc,
-				f: frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: w.id})}})
+				f: newFrame(mPeerHello, &peerHelloMsg{WorkerID: w.id})})
 		}(c)
 	}
 }
@@ -495,7 +495,7 @@ func (w *worker) report(f frame) { w.do(wevent{kind: weSend, f: f}) }
 // handed off as those bytes.
 func (w *worker) runMap(m mapTaskMsg) {
 	fail := func(reason string) {
-		w.report(frame{typ: mMapFailed, payload: encode(&taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: reason})})
+		w.report(newFrame(mMapFailed, &taskFailMsg{Task: m.Task, Attempt: m.Attempt, Reason: reason}))
 	}
 	// Resolve the task's input first: embedded bytes for classic jobs, the
 	// block store (own disk, or fetched from a holder) for Ref tasks. The
@@ -557,15 +557,15 @@ func (w *worker) runReduce(rt reduceTaskMsg, merger *kv.Merger) {
 		if err := e.iterErr(); err != nil {
 			// A spilled run failed to stream back: this partition's merge is
 			// incomplete, so fail the attempt instead of reporting short output.
-			w.report(frame{typ: mReduceFailed, payload: encode(&taskFailMsg{
+			w.report(newFrame(mReduceFailed, &taskFailMsg{
 				Task: rt.Partition, Attempt: rt.Attempt, Reason: err.Error(),
-			})})
+			}))
 			return
 		}
-		w.report(frame{typ: mReduceDone, payload: encode(&reduceDoneMsg{
+		w.report(newFrame(mReduceDone, &reduceOutMsg{reduceDoneMsg{
 			Partition: rt.Partition, Attempt: rt.Attempt,
-			RecordsIn: recordsIn, GroupsIn: groups, Output: kv.Marshal(out),
-		})})
+			RecordsIn: recordsIn, GroupsIn: groups, Pairs: out,
+		}}))
 	}
 }
 

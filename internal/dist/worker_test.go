@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"net"
 	"slices"
 	"testing"
@@ -62,7 +61,7 @@ func TestKilledWorkerReducesNothing(t *testing.T) {
 	if fx := s.step(wevent{kind: weReduce, part: 0}); len(fx) != 0 {
 		t.Fatalf("killed worker's reduce read its store: %v", ops(fx))
 	}
-	if fx := s.step(wevent{kind: weSend, f: frame{typ: mReduceDone}}); len(fx) != 0 {
+	if fx := s.step(wevent{kind: weSend, f: ctlFrame(mReduceDone)}); len(fx) != 0 {
 		t.Fatalf("killed worker sent %v", ops(fx))
 	}
 }
@@ -237,7 +236,7 @@ func TestShortReplyFailsOver(t *testing.T) {
 	s.step(wevent{kind: weLinkUp, peer: 1})
 	s.step(wevent{kind: weLinkUp, peer: 2})
 	fx := s.step(wevent{kind: weFetch, fetch: &blockFetch{block: 5, size: 4, holders: []int{0, 1, 2}}})
-	if len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 1 || fx[0].f.typ != mBlockFetch {
+	if len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 1 || fx[0].f.typ() != mBlockFetch {
 		t.Fatalf("fetch start: %v, want the fetch sent to worker 1", ops(fx))
 	}
 	nonce := s.fetching.nonce
@@ -245,7 +244,7 @@ func TestShortReplyFailsOver(t *testing.T) {
 		return s.step(wevent{kind: weFrame, peer: j, typ: mBlockData,
 			p: encode(&blockDataMsg{ID: 5, Nonce: nonce, OK: true, Data: []byte(data)})})
 	}
-	if fx := reply(1, "abc"); len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 2 || fx[0].f.typ != mBlockFetch {
+	if fx := reply(1, "abc"); len(fx) != 1 || fx[0].op != wfxSend || fx[0].peer != 2 || fx[0].f.typ() != mBlockFetch {
 		t.Fatalf("short reply: %v, want the fetch sent on to worker 2", ops(fx))
 	}
 	if fx := reply(1, "abcd"); len(fx) != 0 {
@@ -272,7 +271,7 @@ func TestAcceptorReplyLeadsTheLink(t *testing.T) {
 	// The acceptor has stepped worker 1's hello but not yet performed the
 	// effects when the executor sends a block fetch to worker 1.
 	fx := w.decide(wevent{kind: weLinkUp, peer: 1, cc: cc,
-		f: frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: 0})}})
+		f: newFrame(mPeerHello, &peerHelloMsg{WorkerID: 0})})
 	w.do(wevent{kind: weFetch, fetch: &blockFetch{block: 0, size: 1, holders: []int{1}}})
 	for _, e := range fx {
 		w.perform(e)
@@ -320,7 +319,7 @@ func TestMeshDeadlineOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	silent := newConn(c, "silent", Tuning{}, nil)
-	silent.send(frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: "127.0.0.1:1"})})
+	silent.send(newFrame(mJoin, &helloMsg{ListenAddr: "127.0.0.1:1"}))
 	select {
 	case err := <-werr:
 		if err == nil || err.Error() != "dist: peer mesh incomplete: 0/1 connected" {
@@ -413,7 +412,7 @@ func TestFormationPeerDeathOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := newConn(c, "doomed", Tuning{}, nil)
-	cc.send(frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: dead.Addr().String()})})
+	cc.send(newFrame(mJoin, &helloMsg{ListenAddr: dead.Addr().String()}))
 	time.Sleep(100 * time.Millisecond)
 	start("127.0.0.1:0", nil)
 	typ, p, err := cc.recv()
@@ -455,7 +454,7 @@ func TestHostilePeerHelloOverTCP(t *testing.T) {
 					continue
 				}
 				cc := newConn(c, "hostile", Tuning{}, nil)
-				cc.send(frame{typ: mPeerHello, payload: encode(&peerHelloMsg{WorkerID: id})})
+				cc.send(newFrame(mPeerHello, &peerHelloMsg{WorkerID: id}))
 				go func() {
 					_, _, err := cc.recv()
 					cc.close()
@@ -563,7 +562,7 @@ func TestShipmentFraming(t *testing.T) {
 	var frames []frame
 	sh.stream(led, obs.NewTracer(0, new(obs.SpanBuffer)), 42, func(f frame) { frames = append(frames, f) })
 	// Six runs of 70 KiB: four reach 256 KiB, two close the shipment.
-	if len(frames) != 3 || frames[2].typ != mMark {
+	if len(frames) != 3 || frames[2].typ() != mMark {
 		t.Fatalf("%d frames, want two run batches and the mark", len(frames))
 	}
 	var parts []int
@@ -571,17 +570,17 @@ func TestShipmentFraming(t *testing.T) {
 	for i, f := range frames[:2] {
 		var m runBatchMsg
 		var entries runEntries
-		if err := decode(f.payload, &m).fin("run-batch"); err != nil {
+		if err := decode(f.payload(), &m).fin("run-batch"); err != nil {
 			t.Fatal(err)
 		}
 		if err := decode(m.Body, &entries).fin("run-batch entries"); err != nil {
 			t.Fatal(err)
 		}
-		if want := encode(&runBatchMsg{TraceID: 42, SendSpan: m.SendSpan, Body: encode(&entries)}); !bytes.Equal(f.payload, want) {
+		if want := encode(&runBatchMsg{TraceID: 42, SendSpan: m.SendSpan, Body: encode(&entries)}); !bytes.Equal(f.payload(), want) {
 			t.Fatalf("frame %d is not a runBatchMsg's bytes", i)
 		}
-		if cap(f.payload) > len(f.payload)+3*binary.MaxVarintLen64 {
-			t.Fatalf("frame %d: payload of %d bytes allocated %d", i, len(f.payload), cap(f.payload))
+		if cap(f.buf) != len(f.buf) {
+			t.Fatalf("frame %d: frame of %d bytes allocated %d", i, len(f.buf), cap(f.buf))
 		}
 		if m.SendSpan == 0 || f.spanID != m.SendSpan || f.spanParent != 77 || !f.bulk {
 			t.Fatalf("frame %d: span %x (frame %x, parent %d), bulk %v", i, m.SendSpan, f.spanID, f.spanParent, f.bulk)
@@ -598,10 +597,10 @@ func TestShipmentFraming(t *testing.T) {
 			parts = append(parts, e.Partition)
 			records += int64(e.Records)
 		}
-		if f.records != records || f.acct != int64(len(f.payload)) {
-			t.Fatalf("frame %d books %d records, %d bytes; carries %d, %d", i, f.records, f.acct, records, len(f.payload))
+		if f.records != records || f.acct != int64(len(f.payload())) {
+			t.Fatalf("frame %d books %d records, %d bytes; carries %d, %d", i, f.records, f.acct, records, len(f.payload()))
 		}
-		sent += int64(len(f.payload))
+		sent += int64(len(f.payload()))
 	}
 	if !slices.Equal(parts, []int{1, 3, 5, 7, 9, 11}) {
 		t.Fatalf("partitions shipped %v", parts)

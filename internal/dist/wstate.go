@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -154,7 +153,7 @@ func newHandoff(part, epoch int, runs []kv.TaskRun) *shipment {
 			sh.lastFiled = i
 		}
 	}
-	sh.last = frame{typ: mHandoffMark, payload: encode(&handoffMsg{Epoch: epoch, Partition: part})}
+	sh.last = newFrame(mHandoffMark, &handoffMsg{Epoch: epoch, Partition: part})
 	return sh
 }
 
@@ -240,9 +239,9 @@ func (s *wstate) step(ev wevent) (out []weffect) {
 		case s.killed || s.drained || s.err != nil:
 			s.emit(weffect{op: wfxExit, killed: s.killed, err: s.err})
 		case s.homes == nil: // lost before our job-start: nothing of us reached the journal
-			s.emit(weffect{op: wfxRedial, f: frame{typ: mJoin, payload: encode(&helloMsg{ListenAddr: s.lnAddr})}})
+			s.emit(weffect{op: wfxRedial, f: newFrame(mJoin, &helloMsg{ListenAddr: s.lnAddr})})
 		default:
-			s.emit(weffect{op: wfxRedial, f: frame{typ: mRejoin, payload: encode(&rejoinMsg{WorkerID: s.id, ListenAddr: s.lnAddr, Epoch: s.epoch})}})
+			s.emit(weffect{op: wfxRedial, f: newFrame(mRejoin, &rejoinMsg{WorkerID: s.id, ListenAddr: s.lnAddr, Epoch: s.epoch})})
 		}
 	case weDialFailed:
 		if j := ev.peer; s.alive[j] && !s.linked[j] && !s.killed && !s.ended && s.err == nil {
@@ -366,7 +365,7 @@ func (s *wstate) meshCheck() {
 	}
 	s.held = nil
 	if s.live {
-		s.toCoord(frame{typ: mJoinReady})
+		s.toCoord(ctlFrame(mJoinReady))
 	}
 }
 
@@ -522,7 +521,7 @@ func (s *wstate) barrierCleared(pd *pendingDone) {
 	}
 	s.ackWait = slices.DeleteFunc(s.ackWait, func(x *pendingDone) bool { return x == pd })
 	pd.stats.Book(&s.led.Conserv)
-	s.toCoord(frame{typ: mMapDone, payload: encode(&mapDoneMsg{Task: pd.k.task, Attempt: pd.k.attempt, Stats: pd.stats})})
+	s.toCoord(newFrame(mMapDone, &mapDoneMsg{Task: pd.k.task, Attempt: pd.k.attempt, Stats: pd.stats}))
 }
 
 // linkUp admits one link, sending reply on it first: a dialer sends
@@ -569,7 +568,7 @@ func (s *wstate) built(b *builtMap) {
 	s.led.StoreAccepted.Add(acc)
 	s.led.StoreDupDropped.Add(dup)
 	pd := &pendingDone{k: attemptKey{b.task, b.attempt}, acks: make(map[int]bool), stats: b.stats}
-	mark := frame{typ: mMark, payload: encode(&markMsg{Task: b.task, Attempt: b.attempt})}
+	mark := newFrame(mMark, &markMsg{Task: b.task, Attempt: b.attempt})
 	runs := make([]shipRun, 0, len(b.runs)) // every peer's shipment slices it
 	for j, a := range s.alive {
 		if !a || j == s.id {
@@ -634,7 +633,7 @@ func (s *wstate) peerFrame(ev wevent) {
 		acc, dup := s.store.commit(msg.Task, msg.Attempt)
 		s.led.StoreAccepted.Add(acc)
 		s.led.StoreDupDropped.Add(dup)
-		s.toPeer(j, weffect{op: wfxSend, f: frame{typ: mAck, payload: p}})
+		s.toPeer(j, weffect{op: wfxSend, f: newFrame(mAck, &msg)})
 	case mAck:
 		var msg markMsg
 		if decode(p, &msg).fin("mark") != nil {
@@ -657,7 +656,7 @@ func (s *wstate) peerFrame(ev wevent) {
 		adopted, superseded := s.store.adoptHandoff(msg.Partition, msg.Epoch)
 		s.led.handoffIn.Add(adopted)
 		s.led.StoreLost.Add(superseded)
-		s.toCoord(frame{typ: mHandoffDone, payload: encode(&msg)})
+		s.toCoord(newFrame(mHandoffDone, &msg))
 	}
 }
 
@@ -735,9 +734,14 @@ func (sh *shipment) load(led *ledger, i int) bool {
 // as one bulk frame of trace traceID with net/send span span, and books it
 // sent.
 func (sh *shipment) frame(led *ledger, traceID, span uint64, from, to, body int) frame {
-	// runBatchMsg's layout, its Body written in place.
-	c := codec{buf: make([]byte, 0, 3*binary.MaxVarintLen64+body)}
+	// runBatchMsg's layout, its Body written in place behind the frame's
+	// header: the size pass gives the length of the fields before it.
 	n := uint64(body)
+	c := codec{size: true}
+	c.u(&traceID)
+	c.u(&span)
+	c.u(&n)
+	c = codec{buf: frameBuf(sh.typ, c.n+body)}
 	c.u(&traceID)
 	c.u(&span)
 	c.u(&n)
@@ -748,8 +752,8 @@ func (sh *shipment) frame(led *ledger, traceID, span uint64, from, to, body int)
 			records += int64(sr.Records)
 		}
 	}
-	led.netSent(records, int64(len(c.buf)))
-	led.frameBytes(5 + int64(len(c.buf)))
-	return frame{typ: sh.typ, payload: c.buf, bulk: true, records: records, acct: int64(len(c.buf)),
-		spanID: span, spanParent: sh.span}
+	payload := int64(len(c.buf) - frameHeader)
+	led.netSent(records, payload)
+	led.frameBytes(int64(len(c.buf)))
+	return frame{buf: c.buf, bulk: true, records: records, acct: payload, spanID: span, spanParent: sh.span}
 }

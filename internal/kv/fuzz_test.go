@@ -100,7 +100,7 @@ func TestQuickMergeEquivalentToSort(t *testing.T) {
 			b.Sort()
 			iters = append(iters, NewSliceIter(b.Pairs))
 		}
-		merged := Drain(Merge(iters...))
+		merged := Drain(iters...)
 		all.Sort()
 		if len(merged) != all.Len() {
 			return false

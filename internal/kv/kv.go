@@ -95,17 +95,28 @@ func (b *Buffer) Reset() {
 
 // Marshal encodes pairs as varint-length-prefixed frames:
 // uvarint(count), then per pair uvarint(len(key)), uvarint(len(value)),
-// key bytes, value bytes.
+// key bytes, value bytes. The blob is allocated once, at its exact length.
 func Marshal(pairs []Pair) []byte {
-	var size int
+	return AppendMarshal(make([]byte, 0, MarshalSize(pairs)), pairs)
+}
+
+// MarshalSize is the exact length of Marshal(pairs).
+func MarshalSize(pairs []Pair) int {
+	n := uvarintLen(uint64(len(pairs)))
 	for _, p := range pairs {
-		size += 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Value)
+		n += uvarintLen(uint64(len(p.Key))) + uvarintLen(uint64(len(p.Value))) + len(p.Key) + len(p.Value)
 	}
-	buf := binary.AppendUvarint(make([]byte, 0, size+binary.MaxVarintLen64), uint64(len(pairs)))
+	return n
+}
+
+// AppendMarshal appends Marshal(pairs) to b: a caller that sized b with
+// MarshalSize lays the pairs out in place, with no blob built first.
+func AppendMarshal(b []byte, pairs []Pair) []byte {
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	for _, p := range pairs {
-		buf = appendFrame(buf, p)
+		b = appendFrame(b, p)
 	}
-	return buf
+	return b
 }
 
 // appendFrame appends p's frame to b.

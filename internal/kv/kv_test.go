@@ -147,7 +147,7 @@ func TestMergeProducesSortedUnion(t *testing.T) {
 		total += len(ps)
 		iters = append(iters, NewSliceIter(ps))
 	}
-	out := Drain(Merge(iters...))
+	out := Drain(iters...)
 	if len(out) != total {
 		t.Fatalf("merged %d pairs, want %d", len(out), total)
 	}
@@ -159,16 +159,16 @@ func TestMergeProducesSortedUnion(t *testing.T) {
 }
 
 func TestMergeEmptyInputs(t *testing.T) {
-	out := Drain(Merge())
+	out := Drain()
 	if len(out) != 0 {
 		t.Fatal("empty merge should yield nothing")
 	}
-	out = Drain(Merge(NewSliceIter(nil), NewSliceIter(nil)))
+	out = Drain(NewSliceIter(nil), NewSliceIter(nil))
 	if len(out) != 0 {
 		t.Fatal("merge of empties should yield nothing")
 	}
 	one := []Pair{{Key: []byte("a"), Value: []byte("1")}}
-	out = Drain(Merge(NewSliceIter(one), NewSliceIter(nil)))
+	out = Drain(NewSliceIter(one), NewSliceIter(nil))
 	if len(out) != 1 {
 		t.Fatal("merge lost the single pair")
 	}
@@ -188,7 +188,7 @@ func TestMergeTiesKeepInputOrder(t *testing.T) {
 				{Key: []byte("same"), Value: values[i]},
 			})
 		}
-		out := Drain(Merge(iters...))
+		out := Drain(iters...)
 		if len(out) != 2*k {
 			t.Fatalf("k=%d: merged %d pairs, want %d", k, len(out), 2*k)
 		}
@@ -229,7 +229,7 @@ func TestQuickMergePrefixOrder(t *testing.T) {
 			iters[s] = NewSliceIter(pairs)
 		}
 		SortPairs(all)
-		return pairsEqual(all, Drain(Merge(iters...)))
+		return pairsEqual(all, Drain(iters...))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

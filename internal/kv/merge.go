@@ -289,15 +289,25 @@ func (g *GroupIter) Next() (Group, bool) {
 	}
 }
 
-// Drain collects all remaining pairs from it. The slice doubles as it
-// grows: append's quarter steps on a slice this size (a reduce-less
-// partition's whole output) copy and zero five times what they keep.
-func Drain(it Iterator) []Pair {
-	var out []Pair
-	for p, ok := it.Next(); ok; p, ok = it.Next() {
-		if len(out) == cap(out) {
-			out = slices.Grow(out, max(len(out), 64))
+// owing is an iterator that knows how many pairs it still owes: a run's,
+// resident or filed, from the run's header.
+type owing interface{ owed() int }
+
+// Drain merges iters and collects every pair they yield — a reduce-less
+// partition's whole output — into one slice, allocated once at the pairs
+// the iterators owe, so it never grows. A damaged run delivers fewer pairs
+// than it owes, never more; an iterator that does not know its count (a
+// slice's, a Merger) is collected by append.
+func Drain(iters ...Iterator) []Pair {
+	n := 0
+	for _, it := range iters {
+		if o, ok := it.(owing); ok {
+			n += o.owed()
 		}
+	}
+	out := make([]Pair, 0, n)
+	m := Merge(iters...)
+	for p, ok := m.Next(); ok; p, ok = m.Next() {
 		out = append(out, p)
 	}
 	return out

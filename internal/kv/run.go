@@ -123,7 +123,7 @@ func (r *Run) decoded() ([]byte, error) {
 		return r.blob, nil
 	}
 	hint := r.RawBytes + 2*int64(r.Records) + binary.MaxVarintLen64
-	if limit := 64*int64(len(r.blob)) + 64; hint < 0 || hint > limit {
+	if limit := maxDecoded(int64(len(r.blob))); hint < 0 || hint > limit {
 		hint = limit // a damaged header must not size the buffer
 	}
 	dec, err := inflate(r.blob, int(hint))
@@ -132,6 +132,11 @@ func (r *Run) decoded() ([]byte, error) {
 	}
 	return dec, nil
 }
+
+// maxDecoded bounds the decoded length that a compressed run's header may
+// size a buffer at, from the stored bytes: a damaged header must not size
+// one, and DEFLATE rarely shrinks a run's frames 64-fold.
+func maxDecoded(stored int64) int64 { return 64*stored + 64 }
 
 // header reads a decoded run's pair count, which must be the run's Records.
 func (r *Run) header(blob []byte) (rest []byte, err error) {
@@ -196,6 +201,10 @@ func (it *RunIter) Next() (Pair, bool) {
 
 // Err reports the error that cut the iteration short (nil if none did).
 func (it *RunIter) Err() error { return it.err }
+
+// owed is the pairs the run still owes, which a damaged header cannot put
+// past the bytes left: every frame takes two at least.
+func (it *RunIter) owed() int { return min(it.left, len(it.rest)/2) }
 
 // MergeRuns merges several resident runs into one, encoding the merge
 // straight into the new run's blob.

@@ -74,6 +74,7 @@ type FileIter struct {
 	fl   io.ReadCloser // the pooled decompressor of a compressed run
 	r    *Reader       // nil once closed
 	left int           // pairs the run still owes
+	most int           // the most pairs its section's bytes can decode to
 	err  error
 }
 
@@ -86,8 +87,9 @@ func (r *Run) Stream(f io.ReaderAt) (*FileIter, error) {
 	// and a run smaller than a chunk is one allocation. A DEFLATEd one
 	// decodes to at most the payload plus two length varints per pair and
 	// the count: the first chunk is no bigger than that.
-	it := &FileIter{path: r.path, left: r.Records}
+	it := &FileIter{path: r.path, left: r.Records, most: int(r.filed / 2)}
 	if r.Compressed {
+		it.most = int(maxDecoded(r.filed) / 2)
 		size := r.RawBytes + int64(r.Records+1)*2*binary.MaxVarintLen32
 		it.fl = newInflater(sec)
 		it.r = newReaderSize(it.fl, int(min(size+1, readerChunk)), -1)
@@ -127,6 +129,10 @@ func (it *FileIter) Next() (Pair, bool) {
 
 // Err reports the error that cut the iteration short (nil if none did).
 func (it *FileIter) Err() error { return it.err }
+
+// owed is the pairs the run still owes, which a damaged header cannot put
+// past what its section decodes to: every frame takes two bytes at least.
+func (it *FileIter) owed() int { return min(it.left, it.most) }
 
 // Close releases the decompressor; Next reports the end from then on. The
 // file stays open: it is the caller's.

@@ -290,7 +290,7 @@ func TestRunFileCloseReleasesDescriptor(t *testing.T) {
 		if i == 0 && openFiles() != before+1 {
 			t.Fatalf("open files %d → %d with 4 filed runs' iterators open, want one more", before, openFiles())
 		}
-		if n := len(Drain(Merge(iters...))); n != 80 || errf() != nil {
+		if n := len(Drain(iters...)); n != 80 || errf() != nil {
 			t.Fatalf("drained %d pairs (err %v), want 80", n, errf())
 		}
 		closeFiles()
@@ -316,7 +316,7 @@ func TestRunFileFeedsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	merged := Drain(Merge(it, NewRun(b, false).Iter()))
+	merged := Drain(it, NewRun(b, false).Iter())
 	if it.Err() != nil || len(merged) != len(a)+len(b) || !PairsSorted(merged) {
 		t.Fatalf("merged %d pairs (sorted %v, err %v), want %d", len(merged), PairsSorted(merged), it.Err(), len(a)+len(b))
 	}

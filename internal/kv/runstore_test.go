@@ -13,12 +13,15 @@ import (
 // it: internal/native's store tests and FuzzSpillMerge, internal/dist's
 // TestStore*. The cases here are the ones neither runtime reaches.
 
-func storeTestRun(task, n int) *Run {
+func storeTestRun(task, n int) *Run { return NewRun(storeTestPairs(task, n), false) }
+
+// storeTestPairs is n sorted pairs of task's.
+func storeTestPairs(task, n int) []Pair {
 	pairs := make([]Pair, n)
 	for i := range pairs {
 		pairs[i] = Pair{Key: []byte(fmt.Sprintf("t%02d-%04d", task, i)), Value: []byte("v")}
 	}
-	return NewRun(pairs, false)
+	return pairs
 }
 
 // drainStore merges every partition's iterators and counts how often each
@@ -28,7 +31,7 @@ func drainStore(t *testing.T, s *RunStore, parts int) map[string]int {
 	seen := make(map[string]int)
 	for p := 0; p < parts; p++ {
 		iters, closeFiles, errf := s.Iters(p)
-		for _, pair := range Drain(Merge(iters...)) {
+		for _, pair := range Drain(iters...) {
 			seen[string(pair.Key)]++
 		}
 		closeFiles()
@@ -211,10 +214,53 @@ func TestRunStoreItersReportsDamagedRun(t *testing.T) {
 		blob := good.Blob()
 		s.Add(0, 1, RunFromBlob(blob[:len(blob)-1], good.Records, good.RawBytes, compressed))
 		iters, closeFiles, errf := s.Iters(0)
-		Drain(Merge(iters...))
+		Drain(iters...)
 		closeFiles()
 		if errf() == nil {
 			t.Fatalf("compressed=%v: a damaged run merged without an error", compressed)
+		}
+	}
+}
+
+// TestDrainIsSizedExactly: a reduce-less partition's output is allocated
+// once, at the pairs its runs owe, whether the runs are resident, filed or
+// both, plain or compressed.
+func TestDrainIsSizedExactly(t *testing.T) {
+	dir := t.TempDir()
+	for _, compress := range []bool{false, true} {
+		for _, tc := range []struct {
+			name  string
+			filed int // the first tasks' runs, filed as they are added
+		}{{"resident", 0}, {"filed", 4}, {"mixed", 2}} {
+			s := NewRunStore(1, func() (string, error) { return dir, nil }, nil)
+			want := 0
+			for task := 0; task < 4; task++ {
+				if task == tc.filed {
+					s.SetLimit(0)
+				}
+				pairs := storeTestPairs(task, 50+task)
+				want += len(pairs)
+				if err := s.Add(0, task, NewRun(pairs, compress)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			filed := 0
+			for _, tr := range s.Runs(0) {
+				if tr.Run.Path() != "" {
+					filed++
+				}
+			}
+			iters, closeFiles, errf := s.Iters(0)
+			out := Drain(iters...)
+			closeFiles()
+			if err := errf(); err != nil || filed != tc.filed || len(out) != want || !PairsSorted(out) {
+				t.Fatalf("compress=%v, %s: %d of %d pairs (sorted %v, %d runs filed, err %v)",
+					compress, tc.name, len(out), want, PairsSorted(out), filed, err)
+			}
+			if cap(out) != len(out) {
+				t.Errorf("compress=%v, %s: %d pairs in a slice of %d", compress, tc.name, len(out), cap(out))
+			}
+			s.Drop()
 		}
 	}
 }

@@ -3,6 +3,7 @@
 package native
 
 import (
+	"runtime"
 	"testing"
 
 	"glasswing/internal/apps"
@@ -49,9 +50,13 @@ func TestMapBlockAllocs(t *testing.T) {
 // allocate per block, run, chunk and partition, never per pair or per key
 // group — and its budget: 1.25×, or 1.10× where no combiner runs and the job
 // is under a thousand allocations, so one per-record allocation site is a
-// multiple. The spill row must spill; how much depends on the order in
-// which its map workers add runs, so the volume is pinned exactly on one
-// kernel worker, where that order is fixed.
+// multiple. The TeraSort row also pins the heap bytes a job allocates
+// (TotalAlloc, averaged over the runs), which repeat to the 10 kB, at 1.10×:
+// its reduce-less output is sized exactly, and the doubling slice it
+// replaced (5.32 MB, under a 1.25× ceiling) fails it. The spill row must
+// spill; how much depends on the order in which its map workers add runs,
+// so the volume is pinned exactly on one kernel worker, where that order is
+// fixed.
 func TestRunAllocs(t *testing.T) {
 	wc, _ := apps.WCData(11, 1<<20, 5000)
 	wcBlocks := dfs.SplitLines(wc, 64<<10)
@@ -65,32 +70,42 @@ func TestRunAllocs(t *testing.T) {
 		allocs float64 // measured
 		budget float64 // allowed ratio over it
 		spills bool    // the store must spill
+		mb     float64 // heap MB allocated per job, measured; budget 1.10× (0: not pinned)
 	}{
 		{"wc-hash", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable}, 830, 1.10, false},
+			Config{Collector: core.HashTable}, 830, 1.10, false, 0},
 		{"wc-hash-combine", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable, UseCombiner: true}, 820, 1.25, false},
+			Config{Collector: core.HashTable, UseCombiner: true}, 820, 1.25, false, 0},
 		{"wc-pool", apps.WordCount(), wcBlocks,
-			Config{Collector: core.BufferPool}, 830, 1.10, false},
+			Config{Collector: core.BufferPool}, 830, 1.10, false, 0},
 		{"wc-spill", apps.WordCount(), wcBlocks,
-			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 1140, 1.25, true},
+			Config{Collector: core.HashTable, UseCombiner: true, CacheThreshold: 128 << 10}, 1140, 1.25, true, 0},
 		{"terasort", apps.TeraSort(), dfs.SplitFixed(ts, 64<<10, workload.TeraRecordSize),
-			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1065, 1.25, false},
+			Config{Collector: core.BufferPool, Partitioner: apps.TeraPartitioner(ts, 32)}, 1065, 1.25, false, 4.31},
 		{"kmeans", apps.KMeans(spec), dfs.SplitFixed(km, 16<<10, int64(spec.Dim*4)),
-			Config{Collector: core.HashTable, UseCombiner: true}, 1627, 1.25, false},
+			Config{Collector: core.HashTable, UseCombiner: true}, 1627, 1.25, false, 0},
 	} {
 		sc.cfg.KernelWorkers, sc.cfg.Partitions = 4, 8
 		var spill int64
+		var before, after runtime.MemStats
+		runs := 0
+		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(3, func() {
+			runs++
 			res, err := Run(sc.app, sc.blocks, sc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			spill = res.SpillBytes
 		})
-		t.Logf("%s: %.0f allocations, %d bytes spilled", sc.name, allocs, spill)
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1e6
+		t.Logf("%s: %.0f allocations, %.2f MB allocated, %d bytes spilled", sc.name, allocs, mb, spill)
 		if lim := sc.allocs * sc.budget; allocs > lim {
 			t.Errorf("%s: %.0f allocations per job, want at most %.0f", sc.name, allocs, lim)
+		}
+		if lim := sc.mb * 1.10; sc.mb > 0 && mb > lim {
+			t.Errorf("%s: %.2f MB allocated per job, want at most %.2f", sc.name, mb, lim)
 		}
 		if sc.spills && spill == 0 {
 			t.Errorf("%s: nothing spilled", sc.name)

@@ -111,7 +111,11 @@ type Result struct {
 // Output returns the final pairs in partition order; within a partition
 // keys are sorted, so a range partitioner yields totally ordered output.
 func (r *Result) Output() []kv.Pair {
-	var out []kv.Pair
+	n := 0
+	for _, part := range r.outputs {
+		n += len(part)
+	}
+	out := make([]kv.Pair, 0, n)
 	for _, part := range r.outputs {
 		out = append(out, part...)
 	}

@@ -68,8 +68,12 @@ func TestTeraSortNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := apps.VerifyTeraSort(res.Output(), data); err != nil {
+	out := res.Output() // one slice of exactly the output's pairs
+	if err := apps.VerifyTeraSort(out, data); err != nil {
 		t.Fatal(err)
+	}
+	if cap(out) != len(out) {
+		t.Errorf("%d output pairs in a slice of %d", len(out), cap(out))
 	}
 }
 

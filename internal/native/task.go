@@ -108,7 +108,7 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 // values slice grows to the largest group once, not once per partition.
 func ReducePartition(app *core.App, merged *kv.Merger, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
 	if app.ReduceBatch == nil {
-		out = kv.Drain(kv.Merge(iters...))
+		out = kv.Drain(iters...)
 		return out, int64(len(out)), 0
 	}
 	// The kernel appends its output into one partition-owned slab; the
