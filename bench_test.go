@@ -120,12 +120,12 @@ func BenchmarkKVMarshal(b *testing.B) {
 func BenchmarkKVMergeRuns(b *testing.B) {
 	var runs []*kv.Run
 	for r := 0; r < 8; r++ {
-		var buf kv.Buffer
+		var buf kv.Batch
 		for i := 0; i < 500; i++ {
-			buf.AddKV([]byte("k"+strconv.Itoa((i*7+r)%300)), []byte{byte(i)})
+			buf.AppendKV([]byte("k"+strconv.Itoa((i*7+r)%300)), []byte{byte(i)})
 		}
 		buf.Sort()
-		runs = append(runs, kv.NewRun(buf.Pairs, false))
+		runs = append(runs, buf.RunRange(0, buf.Len(), false))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,15 +18,20 @@ type MapBatchFunc func(recs []kv.Pair, out kv.Sink)
 // through an interface call, one allocation per group.
 type ReduceBatchFunc func(key []byte, values [][]byte, out *kv.Batch)
 
-// CombineSorted applies the app's combiner to each key group of sorted
-// pairs: the map-side combine of the engines that sort before they combine.
-func CombineSorted(app *App, pairs []kv.Pair) []kv.Pair {
+// CombineSorted applies the app's combiner to each key group of b's sorted
+// records [lo,hi) and encodes its output as an uncompressed run: the
+// map-side combine of the engines that sort before they combine.
+func CombineSorted(app *App, b *kv.Batch, lo, hi int) *kv.Run {
+	pairs := make([]kv.Pair, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		pairs = append(pairs, b.Pair(i))
+	}
 	gi := kv.NewGroupIter(kv.NewSliceIter(pairs))
 	var out kv.Batch
 	for {
 		g, ok := gi.Next()
 		if !ok {
-			return out.Pairs(nil)
+			return kv.NewRun(out.Pairs(nil), false)
 		}
 		app.Combine(g.Key, g.Values, &out)
 	}

@@ -20,10 +20,12 @@ type collector interface {
 	emits() int
 	// kernelStats is the atomic/traffic cost accumulated by emits so far.
 	kernelStats() cl.Stats
-	// finish ends the chunk: it returns the intermediate pairs, any extra
-	// kernel work (combiner or compaction kernel), and the host-side cost
-	// of decoding one pair in the partitioning stage.
-	finish() (pairs []kv.Pair, extra cl.Stats, decodePerPair float64)
+	// finish ends the chunk: it returns the batch of intermediate pairs
+	// that leaves with the chunk, any extra kernel work (combiner or
+	// compaction kernel), and the host-side cost of decoding one pair in
+	// the partitioning stage. reset starts a new batch, so the one finish
+	// returned stays intact while the chunk waits in the pipeline's queues.
+	finish() (out *kv.Batch, extra cl.Stats, decodePerPair float64)
 }
 
 // newCollector builds the collector selected by cfg for app.
@@ -53,6 +55,7 @@ type hashCollector struct {
 	entries map[string][][]byte
 	nemits  int
 	stats   cl.Stats
+	out     *kv.Batch
 
 	combine     ReduceBatchFunc
 	combineCost CostModel
@@ -70,6 +73,7 @@ func (h *hashCollector) reset() {
 	}
 	h.nemits = 0
 	h.stats = cl.Stats{}
+	h.out = new(kv.Batch)
 }
 
 func (h *hashCollector) AppendKV(key, value []byte) {
@@ -91,13 +95,11 @@ func (h *hashCollector) emits() int { return h.nemits }
 
 func (h *hashCollector) kernelStats() cl.Stats { return h.stats }
 
-func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
+func (h *hashCollector) finish() (*kv.Batch, cl.Stats, float64) {
 	var extra cl.Stats
-	var pairs []kv.Pair
 	if h.combine != nil {
 		// The combiner runs as a device kernel over the hash table,
 		// aggregating each key's values in place.
-		var out kv.Batch
 		for _, k := range h.order {
 			vals := h.entries[k]
 			extra.Ops += h.combineCost.OpsPerRecord +
@@ -105,11 +107,10 @@ func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
 			for _, v := range vals {
 				extra.Bytes += float64(len(v))
 			}
-			before := out.Len()
-			h.combine([]byte(k), vals, &out)
-			extra.Ops += h.combineCost.OpsPerEmit * float64(out.Len()-before)
+			before := h.out.Len()
+			h.combine([]byte(k), vals, h.out)
+			extra.Ops += h.combineCost.OpsPerEmit * float64(h.out.Len()-before)
 		}
-		pairs = out.Pairs(nil)
 	} else {
 		// Without a combiner Glasswing still runs a compacting kernel
 		// after map() to place values of the same key in contiguous
@@ -118,13 +119,13 @@ func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
 		for _, k := range h.order {
 			key := []byte(k)
 			for _, v := range h.entries[k] {
-				pairs = append(pairs, kv.Pair{Key: key, Value: v})
+				h.out.AppendKV(key, v)
 				extra.Ops += 12
 				extra.Bytes += float64(len(key) + len(v))
 			}
 		}
 	}
-	return pairs, extra, costDecodeHashPair
+	return h.out, extra, costDecodeHashPair
 }
 
 // poolCollector is the simple shared buffer pool: each thread allocates
@@ -132,30 +133,25 @@ func (h *hashCollector) finish() ([]kv.Pair, cl.Stats, float64) {
 // cheapest mechanism; the price is paid in the partitioning stage, which
 // must decode every occurrence individually.
 type poolCollector struct {
-	pairs []kv.Pair
+	out   *kv.Batch
 	stats cl.Stats
 }
 
 func (b *poolCollector) reset() {
-	b.pairs = b.pairs[:0]
+	b.out = new(kv.Batch)
 	b.stats = cl.Stats{}
 }
 
 func (b *poolCollector) AppendKV(key, value []byte) {
-	b.pairs = append(b.pairs, kv.Pair{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	})
+	b.out.AppendKV(key, value)
 	b.stats.AtomicOps++
 	b.stats.Bytes += float64(len(key) + len(value))
 }
 
-func (b *poolCollector) emits() int { return len(b.pairs) }
+func (b *poolCollector) emits() int { return b.out.Len() }
 
 func (b *poolCollector) kernelStats() cl.Stats { return b.stats }
 
-func (b *poolCollector) finish() ([]kv.Pair, cl.Stats, float64) {
-	out := make([]kv.Pair, len(b.pairs))
-	copy(out, b.pairs)
-	return out, cl.Stats{}, costDecodeSimplePair
+func (b *poolCollector) finish() (*kv.Batch, cl.Stats, float64) {
+	return b.out, cl.Stats{}, costDecodeSimplePair
 }

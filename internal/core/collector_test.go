@@ -26,7 +26,8 @@ func TestHashCollectorStoresKeysOnce(t *testing.T) {
 	if c.emits() != 11 {
 		t.Fatalf("emits = %d", c.emits())
 	}
-	pairs, _, decode := c.finish()
+	out, _, decode := c.finish()
+	pairs := out.Pairs(nil)
 	if len(pairs) != 11 {
 		t.Fatalf("pairs = %d (each value kept)", len(pairs))
 	}
@@ -73,7 +74,8 @@ func TestHashCollectorCombinerAggregates(t *testing.T) {
 	c.AppendKV([]byte("a"), []byte{1})
 	c.AppendKV([]byte("a"), []byte{2})
 	c.AppendKV([]byte("b"), []byte{7})
-	pairs, extra, _ := c.finish()
+	out, extra, _ := c.finish()
+	pairs := out.Pairs(nil)
 	if len(pairs) != 2 {
 		t.Fatalf("combined pairs = %d, want 2", len(pairs))
 	}
@@ -99,9 +101,9 @@ func TestPoolCollectorFlatCost(t *testing.T) {
 	if st.AtomicOps != 100 {
 		t.Fatalf("pool atomics = %g, want exactly one per emit", st.AtomicOps)
 	}
-	pairs, extra, decode := c.finish()
-	if len(pairs) != 100 || extra.Ops != 0 {
-		t.Fatalf("pool finish: %d pairs, extra %g", len(pairs), extra.Ops)
+	out, extra, decode := c.finish()
+	if out.Len() != 100 || extra.Ops != 0 {
+		t.Fatalf("pool finish: %d pairs, extra %g", out.Len(), extra.Ops)
 	}
 	if decode != costDecodeSimplePair || decode <= costDecodeHashPair {
 		t.Fatalf("pool decode cost %g must exceed hash decode %g", decode, costDecodeHashPair)
@@ -115,9 +117,67 @@ func TestCollectorsCopyEmittedBytes(t *testing.T) {
 		buf := []byte("x")
 		coll.AppendKV([]byte("k"), buf)
 		buf[0] = 'y'
-		pairs, _, _ := coll.finish()
-		if !bytes.Equal(pairs[0].Value, []byte("x")) {
+		out, _, _ := coll.finish()
+		if !bytes.Equal(out.Pair(0).Value, []byte("x")) {
 			t.Errorf("%T aliased the emitted value", coll)
+		}
+	}
+}
+
+// TestCollectorBatchHandOff: the batch finish returns holds the chunk's
+// pairs — every emit, or with a combiner one combined pair per key — and
+// stays intact while the collector collects the next chunk: chunks are
+// pipelined, so a chunk's batch may still wait in the retrieve or partition
+// queue.
+func TestCollectorBatchHandOff(t *testing.T) {
+	collect := func(c collector, chunk int) *kv.Batch {
+		c.reset()
+		for i := 0; i < 50; i++ {
+			c.AppendKV([]byte(fmt.Sprintf("k%02d", (7*i+chunk)%13)), []byte{byte(i + chunk)})
+		}
+		out, _, _ := c.finish()
+		return out
+	}
+	want := func(chunk int, combined bool) []kv.Pair {
+		var pairs []kv.Pair
+		sums := map[string]byte{}
+		for i := 0; i < 50; i++ {
+			k := fmt.Sprintf("k%02d", (7*i+chunk)%13)
+			pairs = append(pairs, kv.Pair{Key: []byte(k), Value: []byte{byte(i + chunk)}})
+			sums[k] += byte(i + chunk)
+		}
+		if combined {
+			pairs = pairs[:0]
+			for k, v := range sums {
+				pairs = append(pairs, kv.Pair{Key: []byte(k), Value: []byte{v}})
+			}
+		}
+		kv.SortPairs(pairs)
+		return pairs
+	}
+	for _, tc := range []struct {
+		name     string
+		c        collector
+		combined bool
+	}{
+		{"pool", &poolCollector{}, false},
+		{"hash", &hashCollector{}, false},
+		{"hash+combiner", &hashCollector{combine: sumU32}, true},
+	} {
+		first := collect(tc.c, 0)
+		second := collect(tc.c, 1)
+		for chunk, b := range []*kv.Batch{first, second} {
+			b.Sort()
+			got, exp := b.Pairs(nil), want(chunk, tc.combined)
+			if len(got) != len(exp) {
+				t.Fatalf("%s chunk %d: %d pairs, want %d", tc.name, chunk, len(got), len(exp))
+			}
+			for i := range got {
+				if got[i].Compare(exp[i]) != 0 {
+					t.Fatalf("%s chunk %d pair %d: %q=%v, want %q=%v", tc.name, chunk, i,
+						got[i].Key, got[i].Value, exp[i].Key, exp[i].Value)
+				}
+			}
 		}
 	}
 }

@@ -209,7 +209,7 @@ func (m *interManager) mergerLoop(p *sim.Proc, idx int) {
 			// this is the work the merge delay measures (§III-B).
 			ps := m.parts[idx]
 			if len(ps.cached) > 1 {
-				m.compactCache(p, ps)
+				m.merge(p, ps, cache, cache)
 			}
 			m.service(p, idx)
 			return
@@ -224,38 +224,58 @@ func (m *interManager) service(p *sim.Proc, idx int) {
 	for {
 		switch {
 		case ps.cachedBytes > 0 && m.aggregateCache() > m.cfg.CacheThreshold:
-			m.flush(p, ps)
+			m.merge(p, ps, cache, disk) // flush
 		case len(ps.cached) > 2*m.cfg.MaxSpillFiles:
-			m.compactCache(p, ps)
+			m.merge(p, ps, cache, cache)
 		case len(ps.onDisk) > m.cfg.MaxSpillFiles:
-			m.compactDisk(p, ps)
+			m.merge(p, ps, disk, disk)
 		default:
 			return
 		}
 	}
 }
 
-// flush merges the cached runs of ps into a single run and writes it to
-// disk, charging merge CPU (weight 1: one merger thread) and disk I/O.
-func (m *interManager) flush(p *sim.Proc, ps *partStore) {
+// tier is where a partition's runs sit: the in-memory cache or the disk.
+type tier bool
+
+const (
+	cache tier = false
+	disk  tier = true
+)
+
+// merge is the manager's one merge: it merges the runs of ps in tier from
+// into a single run and puts it in tier to. A flush (cache to disk) merges
+// even one run; a compaction within a tier needs two. The runs are
+// detached before any blocking charge: the partition stage keeps adding
+// runs while this merger waits for a slot, CPU and disk, and those must
+// not be lost. The merge charges CPU at weight 1 (one merger thread), and
+// disk I/O for runs read from or written to disk.
+func (m *interManager) merge(p *sim.Proc, ps *partStore, from, to tier) {
 	t0 := p.Now()
 	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
-	// Detach the cached runs before any blocking charge: the partition
-	// stage keeps adding runs while this merger waits for CPU and disk,
-	// and those must not be lost.
 	runs := ps.cached
-	if len(runs) == 0 {
+	if from == disk {
+		runs = ps.onDisk
+	}
+	if len(runs) == 0 || len(runs) == 1 && from == to {
 		return
 	}
-	ps.cached = nil
-	ps.cachedBytes = 0
+	if from == disk {
+		ps.onDisk = nil
+	} else {
+		ps.cached, ps.cachedBytes = nil, 0
+	}
 	m.slots.Acquire(p, 1)
 	defer m.slots.Release(1)
 	var pairsN int
-	var raw int64
+	var stored, raw int64
 	for _, r := range runs {
 		pairsN += r.Records
+		stored += r.StoredBytes()
 		raw += r.RawBytes
+	}
+	if from == disk {
+		m.node.Disk.Read(p, stored)
 	}
 	ops := mergeCost(pairsN, len(runs)) + costSerializePerByte*float64(raw)
 	if m.cfg.Compress {
@@ -263,7 +283,7 @@ func (m *interManager) flush(p *sim.Proc, ps *partStore) {
 	}
 	m.node.HostWork(p, ops, 1)
 	if m.dead {
-		// The node died mid-flush: the detached runs were not in the store
+		// The node died mid-merge: the detached runs were not in the store
 		// when markDead counted its loss, so account for them here.
 		if m.conserv != nil {
 			m.conserv.StoreLost.Add(int64(pairsN))
@@ -275,89 +295,13 @@ func (m *interManager) flush(p *sim.Proc, ps *partStore) {
 		m.conserv.MergeRecordsIn.Add(int64(pairsN))
 		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
 	}
-	m.node.Disk.Write(p, merged.StoredBytes())
-	ps.onDisk = append(ps.onDisk, merged)
-}
-
-// compactCache merges the cached runs of ps in memory (no disk I/O): the
-// cache is within the size threshold but holds too many small runs for the
-// reduce reader's final merge to be cheap.
-func (m *interManager) compactCache(p *sim.Proc, ps *partStore) {
-	t0 := p.Now()
-	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
-	runs := ps.cached
-	if len(runs) < 2 {
-		return
+	if to == disk {
+		m.node.Disk.Write(p, merged.StoredBytes())
+		ps.onDisk = append(ps.onDisk, merged)
+	} else {
+		ps.cached = append(ps.cached, merged)
+		ps.cachedBytes += merged.StoredBytes()
 	}
-	ps.cached = nil
-	ps.cachedBytes = 0
-	m.slots.Acquire(p, 1)
-	defer m.slots.Release(1)
-	var pairsN int
-	var raw int64
-	for _, r := range runs {
-		pairsN += r.Records
-		raw += r.RawBytes
-	}
-	ops := mergeCost(pairsN, len(runs)) + costSerializePerByte*float64(raw)
-	if m.cfg.Compress {
-		ops += (costDecompressPerByte + costCompressPerByte) * float64(raw)
-	}
-	m.node.HostWork(p, ops, 1)
-	if m.dead {
-		if m.conserv != nil {
-			m.conserv.StoreLost.Add(int64(pairsN))
-		}
-		return
-	}
-	merged := kv.MergeRuns(runs, m.cfg.Compress)
-	if m.conserv != nil {
-		m.conserv.MergeRecordsIn.Add(int64(pairsN))
-		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
-	}
-	ps.cached = append(ps.cached, merged)
-	ps.cachedBytes += merged.StoredBytes()
-}
-
-// compactDisk merges all on-disk runs of ps into one.
-func (m *interManager) compactDisk(p *sim.Proc, ps *partStore) {
-	t0 := p.Now()
-	defer func() { m.trace.add(m.nodeIdx, obs.StageMerge, t0, p.Now()) }()
-	// Detach before blocking (see flush); concurrent flushes of this
-	// partition cannot run — one merger per partition — but stay safe.
-	runs := ps.onDisk
-	if len(runs) < 2 {
-		return
-	}
-	ps.onDisk = nil
-	m.slots.Acquire(p, 1)
-	defer m.slots.Release(1)
-	var pairsN int
-	var stored, raw int64
-	for _, r := range runs {
-		pairsN += r.Records
-		stored += r.StoredBytes()
-		raw += r.RawBytes
-	}
-	m.node.Disk.Read(p, stored)
-	ops := mergeCost(pairsN, len(runs)) + costSerializePerByte*float64(raw)
-	if m.cfg.Compress {
-		ops += (costDecompressPerByte + costCompressPerByte) * float64(raw)
-	}
-	m.node.HostWork(p, ops, 1)
-	if m.dead {
-		if m.conserv != nil {
-			m.conserv.StoreLost.Add(int64(pairsN))
-		}
-		return
-	}
-	merged := kv.MergeRuns(runs, m.cfg.Compress)
-	if m.conserv != nil {
-		m.conserv.MergeRecordsIn.Add(int64(pairsN))
-		m.conserv.MergeRecordsOut.Add(int64(merged.Records))
-	}
-	m.node.Disk.Write(p, merged.StoredBytes())
-	ps.onDisk = append(ps.onDisk, merged)
 }
 
 // stats for reporting.

@@ -26,8 +26,8 @@ type mapChunk struct {
 // outChunk travels through the output group.
 type outChunk struct {
 	task          schedTask[splitRef]
-	pairs         []kv.Pair
-	records       int // input records the chunk was mapped from
+	out           *kv.Batch // the collector's output, partitioned in place
+	records       int       // input records the chunk was mapped from
 	volume        int64
 	decodePerPair float64
 }
@@ -314,14 +314,10 @@ func (j *job) execMapKernel(p *sim.Proc, ctx *cl.Context, coll collector, c mapC
 		j.app.MapCost.OpsPerByte*float64(c.bytes) +
 		j.app.MapCost.OpsPerEmit*float64(coll.emits())
 	st.Bytes += float64(c.bytes)
-	pairs, extra, decodePerPair := coll.finish()
+	out, extra, decodePerPair := coll.finish()
 	st.Add(extra)
 	ctx.Launch(p, threads, st)
-	var vol int64
-	for _, pr := range pairs {
-		vol += pr.Size()
-	}
-	return outChunk{task: c.task, pairs: pairs, records: len(c.records), volume: vol, decodePerPair: decodePerPair}
+	return outChunk{task: c.task, out: out, records: len(c.records), volume: out.Bytes(), decodePerPair: decodePerPair}
 }
 
 // partitionChunk implements the pipeline's final stage for one chunk: N
@@ -338,36 +334,29 @@ func (j *job) partitionChunk(p *sim.Proc, nodeIdx int, oc outChunk) {
 	nParts := cfg.PartitionsPerNode * len(j.cluster.Nodes)
 	n := cfg.PartitionThreads
 
-	// Decode + bucket, charged at partitioner-thread parallelism.
-	ops := oc.decodePerPair*float64(len(oc.pairs)) +
+	// Decode + partition, charged at partitioner-thread parallelism.
+	nPairs := oc.out.Len()
+	ops := oc.decodePerPair*float64(nPairs) +
 		costDecodePerByte*float64(oc.volume) +
-		costPartitionPerPair*float64(len(oc.pairs))
-	buckets := make(map[int][]kv.Pair)
-	for _, pr := range oc.pairs {
-		g := cfg.Partitioner(pr.Key, nParts)
-		buckets[g] = append(buckets[g], pr)
-	}
-	// Sort and serialize every non-empty bucket.
+		costPartitionPerPair*float64(nPairs)
+	// Sort and serialize every non-empty partition, as native.Chunk does.
 	var runs []struct {
 		g   int
 		run *kv.Run
 	}
 	var stored int64
+	bounds := oc.out.PartitionRanges(cfg.Partitioner, nParts)
 	for g := 0; g < nParts; g++ {
-		bucket, ok := buckets[g]
-		if !ok {
+		lo, hi := bounds[g], bounds[g+1]
+		if lo == hi {
 			continue
 		}
-		var buf kv.Buffer
-		for _, pr := range bucket {
-			buf.Add(pr)
-		}
-		buf.Sort()
-		ops += sortCost(buf.Len()) + costSerializePerByte*float64(buf.Bytes())
+		oc.out.SortRange(lo, hi)
+		run := oc.out.RunRange(lo, hi, cfg.Compress)
+		ops += sortCost(hi-lo) + costSerializePerByte*float64(run.RawBytes)
 		if cfg.Compress {
-			ops += costCompressPerByte * float64(buf.Bytes())
+			ops += costCompressPerByte * float64(run.RawBytes)
 		}
-		run := kv.NewRun(buf.Pairs, cfg.Compress)
 		runs = append(runs, struct {
 			g   int
 			run *kv.Run
@@ -396,7 +385,7 @@ func (j *job) partitionChunk(p *sim.Proc, nodeIdx int, oc outChunk) {
 	// ledger stays exact through the dup/dead/lost counters.)
 	cons := &j.counters.conserv
 	cons.MapRecordsIn.Add(int64(oc.records))
-	cons.MapPairsOut.Add(int64(len(oc.pairs)))
+	cons.MapPairsOut.Add(int64(nPairs))
 	for _, r := range runs {
 		cons.PartRecords.Add(int64(r.run.Records))
 		cons.PartRawBytes.Add(r.run.RawBytes)

@@ -42,8 +42,8 @@ func TestLoopbackVolumeAndAllocs(t *testing.T) {
 		spill   int64   // measured conserv_spill_stored_bytes_total; budget 1.25×, must engage
 		stored  int64   // conserv_partition_stored_bytes_total; exact
 	}{
-		{"wc", false, 9310, 7.49, 283500, 0, 415902},
-		{"ts", false, 11260, 11.76, 721000, 0, 1069990},
+		{"wc", false, 9310, 6.02, 283500, 0, 415902},
+		{"ts", false, 11260, 10.27, 721000, 0, 1069990},
 		{"wc", true, 20500, 0, 1702000, 2415000, 2536404},
 	} {
 		job, blocks, _, err := DemoJob(sc.app, 1<<20, 8, 16<<10)

@@ -388,6 +388,9 @@ func newCoord(o Options, led *ledger, hooks loopHooks, st *jobState, jn *journal
 		c.base = o.Workers
 		return c
 	}
+	// The job is timed from its first coordinator's start, not this
+	// one's: MapElapsed and Total span the restart.
+	c.start = time.Unix(0, st.Start)
 	c.need = make(map[int]bool)
 	c.ws = make([]*cworker, len(st.Alive))
 	for i, a := range st.Alive {
@@ -624,7 +627,7 @@ func (c *coord) welcome(id int) {
 func (c *coord) form() {
 	o, n, nTasks := &c.o, len(c.ws), len(c.o.Blocks)
 	if c.need == nil {
-		rec := &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: o.TraceID}
+		rec := &jobRecord{Job: o.Job, Tasks: nTasks, TraceID: o.TraceID, Start: c.start.UnixNano()}
 		if c.jn != nil {
 			// Only a resume reads the digest, and only a journal resumes:
 			// an unjournaled job does not hash its input.

@@ -298,6 +298,31 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	checkWire(t, tel.Metrics, false)
 }
 
+// TestRestartTimesTheWholeJob: a resumed coordinator measures MapElapsed
+// and Total from the job's start, which the job-start record journals, not
+// from its own start: a job restarted after its first reduce reports a
+// Total that covers the map phase the first coordinator ran.
+func TestRestartTimesTheWholeJob(t *testing.T) {
+	job, blocks, _, err := DemoJob("wc", 1<<20, 8, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Job: job, Workers: 3, Blocks: blocks, KillWorker: -1,
+		Elastic: []ElasticEvent{{Kind: "restart", AfterReduceDone: 1}}}
+	start := time.Now()
+	res, err := RunLoopback(o)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed {
+		t.Fatal("restarted run did not report Resumed")
+	}
+	if res.Total < wall/2 || res.MapElapsed > res.Total {
+		t.Fatalf("restarted job timed at map %v, total %v, around %v of wall time", res.MapElapsed, res.Total, wall)
+	}
+}
+
 // TestRestartKeepsThrowawayJournal: a restart schedule with no JournalPath
 // resumes from a journal RunLoopback keeps under Tuning.WorkDir, and the
 // job leaves nothing behind there.
@@ -407,12 +432,16 @@ func TestResumeRefusedOnSpecMismatch(t *testing.T) {
 	o2, _ := elasticWC(2, nil)
 	o2.JournalPath = o.JournalPath
 	o2.Resume = true
-	// The workers stop redialing the refusing coordinator.
-	o2.Tuning.RejoinGrace = 200 * time.Millisecond
 	o2.Job.Partitions = 9 // spec mismatch
+	start := time.Now()
 	_, err := RunLoopback(o2)
 	if err == nil {
 		t.Fatal("resume with mismatched job spec succeeded")
+	}
+	// The runner ends its workers' redial as soon as serve refuses: it
+	// does not wait out their rejoin grace (15 s with a journal).
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("refused resume returned after %v, want under 2s", d)
 	}
 }
 
@@ -440,8 +469,6 @@ func TestResumeRefusedOnInputMismatch(t *testing.T) {
 	o2, _ := elasticWC(2, nil)
 	o2.JournalPath = o.JournalPath
 	o2.Resume = true
-	// The workers stop redialing the refusing coordinator.
-	o2.Tuning.RejoinGrace = 200 * time.Millisecond
 	o2.Blocks = slices.Clone(o2.Blocks)
 	o2.Blocks[1] = slices.Clone(o2.Blocks[1])
 	o2.Blocks[1][0] ^= 1

@@ -35,7 +35,7 @@ import (
 
 // Journal record types.
 const (
-	jrJobStart   byte = 1 // job identity: app, tuning-relevant spec, blocks digest, trace id
+	jrJobStart   byte = 1 // job identity: app, tuning-relevant spec, blocks digest, trace id, start time
 	jrMembership byte = 2 // epoch, homes, alive set, per-task attempts, churn totals
 	jrMapDone    byte = 3 // one task resolved: attempt + winning attempt's stats
 	jrReduceDone byte = 4 // one partition's output accepted: attempt + marshaled pairs
@@ -107,12 +107,14 @@ func blocksDigest(blocks [][]byte) []byte {
 }
 
 // jobRecord is the job's identity: the spec, the input's block count and
-// digest, and the trace id.
+// digest, and the trace id; and when the job started, which a resumed
+// coordinator times the job from.
 type jobRecord struct {
 	Job     Job
 	Tasks   int
 	TraceID uint64
 	Digest  []byte // blocksDigest of the input; nil for a job with no journal
+	Start   int64  // the first coordinator's start, Unix nanoseconds
 }
 
 func (r *jobRecord) wire(c *codec) {
@@ -120,6 +122,7 @@ func (r *jobRecord) wire(c *codec) {
 	c.i(&r.Tasks)
 	c.u(&r.TraceID)
 	c.owned(&r.Digest)
+	c.i64(&r.Start)
 }
 
 // namespaceRecord journals the block-store placement inputs. Placement is a

@@ -35,7 +35,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	job := Job{App: AppSpec{Name: "wc"}, Partitions: 3}
 	digest := blocksDigest([][]byte{[]byte("block zero"), []byte("block one")})
 	jobStart := func(j *journal) {
-		j.append(jrJobStart, encode(&jobRecord{Job: job, Tasks: 2, TraceID: 42, Digest: digest}))
+		j.append(jrJobStart, encode(&jobRecord{Job: job, Tasks: 2, TraceID: 42, Digest: digest, Start: 1_700_000_000_000_000_000}))
 	}
 	membership := func(j *journal, epoch int, homes []int, alive []bool, attempt []int, lost int) {
 		j.append(jrMembership, encode(&membershipRecord{Epoch: epoch, Homes: homes, Alive: alive, Attempt: attempt, Lost: lost}))

@@ -142,6 +142,7 @@ func RunLoopback(o Options) (*Result, error) {
 	var exitMu sync.Mutex
 	var exited []int
 	exits := make(chan struct{}, 1)
+	coordGone := make(chan struct{})
 	spawn := func(joiner bool) {
 		lc.wg.Add(1)
 		go func() {
@@ -155,6 +156,7 @@ func RunLoopback(o Options) (*Result, error) {
 				resolve:    resolve,
 				mapFault:   o.MapFault,
 				journal:    o.Journal,
+				coordGone:  coordGone,
 				onWelcome: func(i int, kill func()) {
 					id = i
 					lc.register(i, kill)
@@ -211,8 +213,10 @@ func RunLoopback(o Options) (*Result, error) {
 
 	// Close the listener before waiting: a worker stuck in cluster
 	// formation (possible only if serve already failed) errors out instead
-	// of hanging.
+	// of hanging, and one redialing the coordinator gives up at once
+	// instead of waiting out its rejoin grace.
 	ln.Close()
+	close(coordGone)
 	lc.wg.Wait()
 
 	if err != nil {

@@ -62,6 +62,11 @@ type workerConfig struct {
 	// journal, if set, receives this worker's structured events (today:
 	// spilling disarmed by a disk error).
 	journal *slog.Logger
+	// coordGone, if set, is closed once no coordinator will listen at
+	// coordAddr again (loopback, when serve has returned for good): a
+	// worker redialing its coordinator gives up then, not at the end of
+	// its RejoinGrace. Join passes none.
+	coordGone <-chan struct{}
 }
 
 // worker is one node of the distributed runtime: an I/O shell around its
@@ -83,7 +88,7 @@ type worker struct {
 	prt     func(key []byte, n int) int
 	lnAddr  string // our peer-facing listen address
 
-	execCh    chan execItem
+	execCh    chan *execItem
 	fetchDone chan weffect // the executor's block fetch, resolved: wfxFetched
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -112,7 +117,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 		cfg:       cfg,
 		tun:       tun,
 		led:       led,
-		execCh:    make(chan execItem, 4096),
+		execCh:    make(chan *execItem, 4096),
 		fetchDone: make(chan weffect, 1),
 		stop:      make(chan struct{}),
 	}
@@ -124,7 +129,7 @@ func runWorker(cfg workerConfig) (killed bool, err error) {
 	w.lnAddr = ln.Addr().String()
 	w.st = newWState(w.lnAddr, newShuffleStore(), led)
 
-	cc, err := dialCoord(cfg.coordAddr, tun, time.Now().Add(tun.RejoinGrace), newFrame(mJoin, &helloMsg{ListenAddr: w.lnAddr}))
+	cc, err := dialCoord(cfg.coordAddr, tun, time.Now().Add(tun.RejoinGrace), cfg.coordGone, newFrame(mJoin, &helloMsg{ListenAddr: w.lnAddr}))
 	if err != nil {
 		return false, err
 	}
@@ -257,7 +262,11 @@ func (w *worker) perform(e weffect) {
 		w.wg.Add(1)
 		go w.dial(e.peer, e.addr)
 	case wfxExec:
-		w.execCh <- e.task
+		// The queue holds pointers: its 4,096 slots cost 32 KiB, not a
+		// 128-byte item each, whatever the job's task count.
+		it := new(execItem)
+		*it = e.task
+		w.execCh <- it
 	case wfxAccept:
 		if e.peer != coordPeer {
 			w.wg.Add(1)
@@ -298,9 +307,9 @@ func (w *worker) newPeerConn(c net.Conn, name string) *conn {
 	return cc
 }
 
-// dialCoord dials the coordinator until the deadline, trying at least
-// once, and sends first on the new link.
-func dialCoord(addr string, tun Tuning, deadline time.Time, first frame) (*conn, error) {
+// dialCoord dials the coordinator until the deadline or until gone is
+// closed, trying at least once, and sends first on the new link.
+func dialCoord(addr string, tun Tuning, deadline time.Time, gone <-chan struct{}, first frame) (*conn, error) {
 	for {
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
@@ -311,7 +320,11 @@ func dialCoord(addr string, tun Tuning, deadline time.Time, first frame) (*conn,
 		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("dist: dialing coordinator: %w", err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-gone:
+			return nil, fmt.Errorf("dist: dialing coordinator: %w", err)
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }
 
@@ -454,7 +467,7 @@ func (w *worker) coordLoop(cc *conn, ln net.Listener) (last *conn, killed bool, 
 				if rejoinUntil.IsZero() {
 					rejoinUntil = time.Now().Add(w.tun.RejoinGrace)
 				}
-				ncc, err := dialCoord(w.cfg.coordAddr, w.tun, rejoinUntil, e.f)
+				ncc, err := dialCoord(w.cfg.coordAddr, w.tun, rejoinUntil, w.cfg.coordGone, e.f)
 				if err != nil {
 					return cc, false, fmt.Errorf("dist: lost coordinator: %w", rerr)
 				}

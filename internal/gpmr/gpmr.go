@@ -160,7 +160,7 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 					recs := app.Parse(b.Data)
 					node.HostWork(q, (app.ParseCostPerByte+hostPrepPerByte)*float64(len(b.Data)), 1)
 					ctx.EnqueueWrite(q, int64(len(b.Data)))
-					pairs, st := execMap(app, recs, int64(len(b.Data)), cfg, ctx)
+					mapped, st := execMap(app, recs, int64(len(b.Data)), cfg, ctx)
 					st.Ops *= cfg.KernelInefficiency
 					threads := cfg.KernelThreads
 					if threads <= 0 {
@@ -168,15 +168,11 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 					}
 					ctx.Launch(q, threads, st)
 					if cfg.PartialReduce && app.Combine != nil {
-						pairs = partialReduce(app, pairs, ctx, q)
+						mapped = partialReduce(app, mapped, ctx, q)
 					}
-					var vol int64
-					for _, pr := range pairs {
-						vol += pr.Size()
-					}
-					ctx.EnqueueRead(q, vol)
-					interBytes += vol
-					partials = append(partials, pairs...)
+					ctx.EnqueueRead(q, mapped.Bytes())
+					interBytes += mapped.Bytes()
+					partials = append(partials, mapped.Pairs(nil)...)
 					if interBytes > node.MemBytes {
 						panic(fmt.Sprintf("gpmr: intermediate data (%d bytes) exceeds host memory on node %d — GPMR cannot run out-of-core", interBytes, ni))
 					}
@@ -219,20 +215,18 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 					res.outputs[ni] = nil
 					return
 				}
-				var buf kv.Buffer
-				var bytes int64
+				var buf kv.Batch
 				for _, pr := range pairs {
-					buf.Add(pr)
-					bytes += pr.Size()
+					buf.Append(pr)
 				}
-				ctx.EnqueueWrite(q, bytes)
+				ctx.EnqueueWrite(q, buf.Bytes())
 				buf.Sort()
 				// GPU bitonic-style sort charge.
 				ctx.Launch(q, 4*ctx.Device.Profile.HWThreads, cl.Stats{
 					Ops:   sortOpsGPU(buf.Len()),
-					Bytes: 2 * float64(bytes),
+					Bytes: 2 * float64(buf.Bytes()),
 				})
-				out := reduceAll(app, buf.Pairs, ctx, q)
+				out := reduceAll(app, buf.Pairs(nil), ctx, q)
 				var vol int64
 				for _, pr := range out {
 					vol += pr.Size()
@@ -256,9 +250,9 @@ func Run(rt *Runtime, app *core.App, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// execMap runs the map kernel over records, returning pairs and the launch
-// stats.
-func execMap(app *core.App, recs []kv.Pair, bytes int64, cfg Config, ctx *cl.Context) ([]kv.Pair, cl.Stats) {
+// execMap runs the map kernel over records, returning its output and the
+// launch stats.
+func execMap(app *core.App, recs []kv.Pair, bytes int64, cfg Config, ctx *cl.Context) (*kv.Batch, cl.Stats) {
 	var out kv.Batch
 	threads := cfg.KernelThreads
 	if threads <= 0 {
@@ -275,19 +269,15 @@ func execMap(app *core.App, recs []kv.Pair, bytes int64, cfg Config, ctx *cl.Con
 		AtomicOps: emits,
 		Bytes:     float64(bytes),
 	}
-	return out.Pairs(nil), st
+	return &out, st
 }
 
 // partialReduce runs the combiner on-device over one chunk's pairs.
-func partialReduce(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc) []kv.Pair {
-	var buf kv.Buffer
-	for _, pr := range pairs {
-		buf.Add(pr)
-	}
-	buf.Sort()
+func partialReduce(app *core.App, mapped *kv.Batch, ctx *cl.Context, q *sim.Proc) *kv.Batch {
+	mapped.Sort()
 	var out kv.Batch
 	var ops float64
-	gi := kv.NewGroupIter(kv.NewSliceIter(buf.Pairs))
+	gi := kv.NewGroupIter(kv.NewSliceIter(mapped.Pairs(nil)))
 	for {
 		g, ok := gi.Next()
 		if !ok {
@@ -299,10 +289,10 @@ func partialReduce(app *core.App, pairs []kv.Pair, ctx *cl.Context, q *sim.Proc)
 		ops += app.CombineCost.OpsPerEmit * float64(out.Len()-before)
 	}
 	ctx.Launch(q, 4*ctx.Device.Profile.HWThreads, cl.Stats{
-		Ops:   ops + sortOpsGPU(buf.Len()),
-		Bytes: 2 * float64(buf.Bytes()),
+		Ops:   ops + sortOpsGPU(mapped.Len()),
+		Bytes: 2 * float64(mapped.Bytes()),
 	})
-	return out.Pairs(nil)
+	return &out
 }
 
 // reduceAll runs the reduce kernel over sorted pairs (identity when the app

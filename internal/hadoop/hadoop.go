@@ -409,31 +409,23 @@ func (j *job) mapTask(p *sim.Proc, node *hw.Node, t taskRef) *mapOutput {
 	// buffer; each spill is sorted, combined (optionally) and written.
 	spills := int(buf.Bytes()/cfg.SortBuffer) + 1
 	out := &mapOutput{node: node, runs: make(map[int]*kv.Run)}
-	perReducer := make(map[int]*kv.Buffer)
-	for _, pr := range buf.Pairs(nil) {
-		r := cfg.Partitioner(pr.Key, cfg.Reducers)
-		b := perReducer[r]
-		if b == nil {
-			b = &kv.Buffer{}
-			perReducer[r] = b
-		}
-		b.Add(pr)
-	}
+	bounds := buf.PartitionRanges(cfg.Partitioner, cfg.Reducers)
 	sortOps := (sortCostJava(buf.Len()) + costSerializeJava*float64(buf.Bytes())) * float64(spills)
 	node.HostWork(p, sortOps, 1)
 	var spillBytes int64
 	for r := 0; r < cfg.Reducers; r++ {
-		b, ok := perReducer[r]
-		if !ok {
+		lo, hi := bounds[r], bounds[r+1]
+		if lo == hi {
 			continue
 		}
-		b.Sort()
-		pairs := b.Pairs
+		buf.SortRange(lo, hi)
+		var run *kv.Run
 		if cfg.UseCombiner && j.app.Combine != nil {
-			pairs = core.CombineSorted(j.app, pairs)
-			node.HostWork(p, float64(b.Len())*javaPerRecordOps/4, 1)
+			run = core.CombineSorted(j.app, &buf, lo, hi)
+			node.HostWork(p, float64(hi-lo)*javaPerRecordOps/4, 1)
+		} else {
+			run = buf.RunRange(lo, hi, false)
 		}
-		run := kv.NewRun(pairs, false)
 		out.runs[r] = run
 		spillBytes += run.StoredBytes()
 	}

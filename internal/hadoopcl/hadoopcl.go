@@ -235,48 +235,40 @@ func mapTask(p *sim.Proc, rt *Runtime, ctx *cl.Context, app *core.App, cfg Confi
 	cl.Range(len(recs), threads, func(tid, lo, hi int) {
 		app.MapBatch(recs[lo:hi], &mapped)
 	})
-	pairs, emitted := mapped.Pairs(nil), mapped.Bytes()
+	emits, emitted := mapped.Len(), mapped.Bytes()
 	ctx.EnqueueWrite(p, int64(len(block)))
 	ctx.Launch(p, threads, cl.Stats{
 		Ops: app.MapCost.OpsPerRecord*float64(len(recs)) +
 			app.MapCost.OpsPerByte*float64(len(block)) +
-			app.MapCost.OpsPerEmit*float64(len(pairs)),
-		AtomicOps: float64(len(pairs)),
+			app.MapCost.OpsPerEmit*float64(emits),
+		AtomicOps: float64(emits),
 		Bytes:     float64(len(block)) + float64(emitted),
 	})
 	ctx.EnqueueRead(p, emitted)
 
 	// APARAPI marshalling out: primitive arrays back into Writables.
-	node.HostWork(p, aparapiPerByte*float64(emitted)+javaPerRecordOps*float64(len(pairs)), 1)
+	node.HostWork(p, aparapiPerByte*float64(emitted)+javaPerRecordOps*float64(emits), 1)
 
 	// Hadoop-style sort/partition/spill on the host.
-	perReducer := make(map[int]*kv.Buffer)
-	for _, pr := range pairs {
-		r := cfg.Partitioner(pr.Key, cfg.Reducers)
-		b := perReducer[r]
-		if b == nil {
-			b = &kv.Buffer{}
-			perReducer[r] = b
-		}
-		b.Add(pr)
-	}
+	bounds := mapped.PartitionRanges(cfg.Partitioner, cfg.Reducers)
 	out := &mapOutput{node: node, runs: make(map[int]*kv.Run)}
 	var spill int64
 	var sortOps float64
 	for r := 0; r < cfg.Reducers; r++ {
-		b, ok := perReducer[r]
-		if !ok {
+		lo, hi := bounds[r], bounds[r+1]
+		if lo == hi {
 			continue
 		}
-		b.Sort()
-		ps := b.Pairs
+		mapped.SortRange(lo, hi)
+		var run *kv.Run
 		if cfg.UseCombiner && app.Combine != nil {
-			ps = core.CombineSorted(app, ps)
+			run = core.CombineSorted(app, &mapped, lo, hi)
+		} else {
+			run = mapped.RunRange(lo, hi, false)
 		}
-		run := kv.NewRun(ps, false)
 		out.runs[r] = run
 		spill += run.StoredBytes()
-		sortOps += 60 * float64(b.Len())
+		sortOps += 60 * float64(hi-lo)
 	}
 	node.HostWork(p, sortOps, 1)
 	node.Disk.Write(p, spill)

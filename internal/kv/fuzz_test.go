@@ -55,26 +55,28 @@ func TestQuickUnmarshalNeverPanics(t *testing.T) {
 func TestQuickRunRoundTripRandom(t *testing.T) {
 	f := func(seed int64, n uint8, compress bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var buf Buffer
+		var pairs []Pair
+		var raw int64
 		for i := 0; i < int(n); i++ {
 			k := make([]byte, rng.Intn(20))
 			v := make([]byte, rng.Intn(50))
 			rng.Read(k)
 			rng.Read(v)
-			buf.AddKV(k, v)
+			pairs = append(pairs, Pair{Key: k, Value: v})
+			raw += int64(len(k) + len(v))
 		}
-		buf.Sort()
-		r := NewRun(buf.Pairs, compress)
+		SortPairs(pairs)
+		r := NewRun(pairs, compress)
 		got, err := r.Pairs()
-		if err != nil || len(got) != buf.Len() {
+		if err != nil || len(got) != len(pairs) {
 			return false
 		}
 		for i := range got {
-			if got[i].Compare(buf.Pairs[i]) != 0 {
+			if got[i].Compare(pairs[i]) != 0 {
 				return false
 			}
 		}
-		return r.RawBytes == buf.Bytes()
+		return r.RawBytes == raw
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -87,26 +89,25 @@ func TestQuickMergeEquivalentToSort(t *testing.T) {
 	f := func(seed int64, shards uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(shards%6) + 1
-		var all Buffer
+		var all []Pair
 		var iters []Iterator
 		for s := 0; s < k; s++ {
-			var b Buffer
+			var shard []Pair
 			for i := 0; i < rng.Intn(60); i++ {
-				key := []byte{byte('a' + rng.Intn(16))}
-				val := []byte{byte(rng.Intn(256))}
-				b.AddKV(key, val)
-				all.AddKV(key, val)
+				p := Pair{Key: []byte{byte('a' + rng.Intn(16))}, Value: []byte{byte(rng.Intn(256))}}
+				shard = append(shard, p)
+				all = append(all, p)
 			}
-			b.Sort()
-			iters = append(iters, NewSliceIter(b.Pairs))
+			SortPairs(shard)
+			iters = append(iters, NewSliceIter(shard))
 		}
 		merged := Drain(iters...)
-		all.Sort()
-		if len(merged) != all.Len() {
+		SortPairs(all)
+		if len(merged) != len(all) {
 			return false
 		}
 		for i := range merged {
-			if merged[i].Compare(all.Pairs[i]) != 0 {
+			if merged[i].Compare(all[i]) != 0 {
 				return false
 			}
 		}

@@ -1,7 +1,8 @@
 // Package kv provides the key/value machinery shared by all three MapReduce
 // engines in this repository: pair representation, a compact length-prefixed
-// wire/disk encoding with optional DEFLATE compression, in-memory sort
-// buffers, k-way merge of sorted runs, and key grouping for reduction.
+// wire/disk encoding with optional DEFLATE compression, the columnar Batch
+// every engine partitions and sorts in, k-way merge of sorted runs, and key
+// grouping for reduction.
 //
 // Keys are ordered by bytes.Compare, matching Hadoop's BytesWritable and the
 // paper's TeraSort semantics.
@@ -51,47 +52,14 @@ func Partition(key []byte, n int) int {
 	return int(Hash(key) % uint32(n))
 }
 
-// SortPairs orders pairs by key (then value) in place. This is the shared
-// sort path for every engine's partition buffers: slices.SortFunc on the
-// method expression avoids the closure state and interface boxing of
-// sort.Slice.
+// SortPairs orders pairs by key (then value) in place: the order a
+// kv.Batch sorts in, for a reference or a test that holds []Pair.
+// slices.SortFunc on the method expression avoids the closure state and
+// interface boxing of sort.Slice.
 func SortPairs(pairs []Pair) { slices.SortFunc(pairs, Pair.Compare) }
 
 // PairsSorted reports whether pairs are in key-then-value order.
 func PairsSorted(pairs []Pair) bool { return slices.IsSortedFunc(pairs, Pair.Compare) }
-
-// Buffer accumulates pairs in memory and tracks their payload volume.
-type Buffer struct {
-	Pairs []Pair
-	bytes int64
-}
-
-// Add appends a pair.
-func (b *Buffer) Add(p Pair) {
-	b.Pairs = append(b.Pairs, p)
-	b.bytes += p.Size()
-}
-
-// AddKV appends a key/value pair.
-func (b *Buffer) AddKV(key, value []byte) { b.Add(Pair{Key: key, Value: value}) }
-
-// Len returns the number of pairs.
-func (b *Buffer) Len() int { return len(b.Pairs) }
-
-// Bytes returns the accumulated payload volume.
-func (b *Buffer) Bytes() int64 { return b.bytes }
-
-// Sort orders the pairs by key (then value) in place.
-func (b *Buffer) Sort() { SortPairs(b.Pairs) }
-
-// Sorted reports whether the buffer is in key order.
-func (b *Buffer) Sorted() bool { return PairsSorted(b.Pairs) }
-
-// Reset empties the buffer, retaining capacity.
-func (b *Buffer) Reset() {
-	b.Pairs = b.Pairs[:0]
-	b.bytes = 0
-}
 
 // Marshal encodes pairs as varint-length-prefixed frames:
 // uvarint(count), then per pair uvarint(len(key)), uvarint(len(value)),

@@ -42,33 +42,6 @@ func TestPartitionRangeAndStability(t *testing.T) {
 	}
 }
 
-func TestBufferSortAndBytes(t *testing.T) {
-	var b Buffer
-	b.AddKV([]byte("zebra"), []byte("1"))
-	b.AddKV([]byte("apple"), []byte("22"))
-	b.AddKV([]byte("mango"), []byte("333"))
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if b.Bytes() != int64(5+1+5+2+5+3) {
-		t.Fatalf("Bytes = %d", b.Bytes())
-	}
-	if b.Sorted() {
-		t.Fatal("buffer should not report sorted")
-	}
-	b.Sort()
-	if !b.Sorted() {
-		t.Fatal("buffer should be sorted after Sort")
-	}
-	if string(b.Pairs[0].Key) != "apple" || string(b.Pairs[2].Key) != "zebra" {
-		t.Fatalf("sort order wrong: %v", b.Pairs)
-	}
-	b.Reset()
-	if b.Len() != 0 || b.Bytes() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	pairs := []Pair{
 		{Key: []byte("k1"), Value: []byte("v1")},
