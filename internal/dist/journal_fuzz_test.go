@@ -65,8 +65,11 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"churn":   churn,
 		"empty":   nil,
 	}
-	// Truncations at several depths: mid-record, mid-CRC, clean prefix.
-	for _, cut := range []int{1, len(healthy) / 3, len(healthy) - 2, len(healthy) - 15} {
+	// Truncations at several depths. The fixed offsets fall, in this
+	// journal, mid job-start record (35), just after the fourth record's
+	// length prefix (92) and on the fourth record's end, a clean prefix
+	// (105); the proportional ones cut mid-record and mid-CRC.
+	for _, cut := range []int{1, 35, 92, 105, len(healthy) / 3, len(healthy) - 2, len(healthy) - 15} {
 		if cut > 0 && cut < len(healthy) {
 			seeds[fmt.Sprintf("trunc-%d", cut)] = healthy[:cut]
 		}
