@@ -312,3 +312,29 @@ func TestResultIsPerRunOnSharedRegistry(t *testing.T) {
 		}
 	})
 }
+
+// TestLedgerByteBound: an uncompressed run's stored bytes lie within the
+// framing of the payload its frames hold — a counted frame holds its pair
+// once, so that payload may be far below the pairs' — and never exceed the
+// pairs' payload. The ledger is a counted shape: 40 pairs in 4 frames of
+// 10 in 2 runs.
+func TestLedgerByteBound(t *testing.T) {
+	counted := Ledger{PartitionRecords: 40, PartitionRuns: 2, PartitionRawBytes: 400, PartitionFrameBytes: 40}
+	for _, tc := range []struct {
+		name          string
+		frame, stored int64
+		ok            bool
+	}{
+		{"counted frames", 40, 40 + 4*3 + 2, true},
+		{"at the upper end", 40, 40 + 10*40 + 10*2, true},
+		{"below the frames' payload", 40, 39, false},
+		{"above the framing", 40, 40 + 10*40 + 10*2 + 1, false},
+		{"frames hold more than the pairs", 401, 420, false},
+	} {
+		l := counted
+		l.PartitionFrameBytes, l.PartitionStoredBytes = tc.frame, tc.stored
+		if err := l.Check(Expected{}, CheckOpts{Faulty: true}); (err == nil) != tc.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -17,7 +17,8 @@ type Ledger struct {
 
 	PartitionRecords     int64 // pairs serialized into partition runs
 	PartitionRuns        int64 // runs produced
-	PartitionRawBytes    int64 // run payload volume before encoding
+	PartitionRawBytes    int64 // payload volume of the pairs entering runs
+	PartitionFrameBytes  int64 // payload volume the runs' frames hold: a counted frame's pair once
 	PartitionStoredBytes int64 // encoded run volume (post-compression)
 
 	StoreAccepted    int64 // records accepted by the intermediate store
@@ -73,6 +74,7 @@ func LedgerFromCounters(c func(name string) int64) Ledger {
 		PartitionRecords:     c("conserv_partition_records_total"),
 		PartitionRuns:        c("conserv_partition_runs_total"),
 		PartitionRawBytes:    c("conserv_partition_raw_bytes_total"),
+		PartitionFrameBytes:  c("conserv_partition_frame_bytes_total"),
 		PartitionStoredBytes: c("conserv_partition_stored_bytes_total"),
 		StoreAccepted:        c("conserv_store_accepted_records_total"),
 		StoreDupDropped:      c("conserv_store_dup_dropped_records_total"),
@@ -183,12 +185,17 @@ func (l Ledger) Check(exp Expected, o CheckOpts) error {
 	}
 	eq("output pairs != reference output pairs", l.OutputPairs, exp.OutputPairs)
 
-	// Byte accounting: uncompressed run encoding adds only uvarint framing
-	// (two length prefixes of at most 5 bytes per pair, plus at most 10
-	// bytes of record count per run); compression must at least produce
-	// non-empty blobs.
+	// Byte accounting: a run's frames hold no more payload than its pairs
+	// (a counted frame holds its pair once), and uncompressed run encoding
+	// adds only uvarint framing to the frames' payload (two length prefixes
+	// of at most 5 bytes, and a counted frame's count of at most 5, per frame
+	// of one or at least two pairs, plus at most 10 bytes of record count
+	// per run); compression must at least produce non-empty blobs.
+	if l.PartitionFrameBytes > l.PartitionRawBytes {
+		errs = append(errs, fmt.Errorf("frame bytes %d exceed raw bytes %d", l.PartitionFrameBytes, l.PartitionRawBytes))
+	}
 	if !o.Compress {
-		lo, hi := l.PartitionRawBytes, l.PartitionRawBytes+10*l.PartitionRecords+10*l.PartitionRuns
+		lo, hi := l.PartitionFrameBytes, l.PartitionFrameBytes+10*l.PartitionRecords+10*l.PartitionRuns
 		if l.PartitionStoredBytes < lo || l.PartitionStoredBytes > hi {
 			errs = append(errs, fmt.Errorf("stored bytes %d outside framing bounds [%d,%d]",
 				l.PartitionStoredBytes, lo, hi))

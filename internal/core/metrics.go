@@ -37,7 +37,8 @@ type Conserv struct {
 	MapPairsOut     *obs.Counter // pairs emitted by resolved map tasks
 	PartRecords     *obs.Counter // pairs serialized into partition runs
 	PartRuns        *obs.Counter // runs produced by the partitioning stage
-	PartRawBytes    *obs.Counter // payload bytes entering runs
+	PartRawBytes    *obs.Counter // payload bytes of the pairs entering runs
+	PartFrameBytes  *obs.Counter // payload bytes the runs' frames hold (Run.RawBytes)
 	PartStoredBytes *obs.Counter // encoded bytes leaving runs (post-compression)
 
 	StoreAccepted    *obs.Counter // records accepted into intermediate stores
@@ -46,7 +47,7 @@ type Conserv struct {
 	StoreLost        *obs.Counter // accepted records lost with a dead store
 
 	SpillRecords     *obs.Counter // records of runs filed to disk
-	SpillRawBytes    *obs.Counter // payload bytes of runs filed to disk
+	SpillRawBytes    *obs.Counter // payload bytes of the frames of runs filed to disk
 	SpillStoredBytes *obs.Counter // on-disk bytes of filed runs (post-compression)
 	SpillFiles       *obs.Counter // run files written
 
@@ -66,6 +67,7 @@ func NewConserv(reg *obs.Registry) Conserv {
 		PartRecords:      reg.Counter("conserv_partition_records_total"),
 		PartRuns:         reg.Counter("conserv_partition_runs_total"),
 		PartRawBytes:     reg.Counter("conserv_partition_raw_bytes_total"),
+		PartFrameBytes:   reg.Counter("conserv_partition_frame_bytes_total"),
 		PartStoredBytes:  reg.Counter("conserv_partition_stored_bytes_total"),
 		StoreAccepted:    reg.Counter("conserv_store_accepted_records_total"),
 		StoreDupDropped:  reg.Counter("conserv_store_dup_dropped_records_total"),

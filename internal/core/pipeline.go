@@ -388,7 +388,8 @@ func (j *job) partitionChunk(p *sim.Proc, nodeIdx int, oc outChunk) {
 	cons.MapPairsOut.Add(int64(nPairs))
 	for _, r := range runs {
 		cons.PartRecords.Add(int64(r.run.Records))
-		cons.PartRawBytes.Add(r.run.RawBytes)
+		cons.PartRawBytes.Add(r.run.RawBytes) // a frame per pair: its pairs' payload
+		cons.PartFrameBytes.Add(r.run.RawBytes)
 		cons.PartStoredBytes.Add(r.run.StoredBytes())
 	}
 	cons.PartRuns.Add(int64(len(runs)))

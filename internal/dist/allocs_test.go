@@ -44,7 +44,7 @@ func TestLoopbackVolumeAndAllocs(t *testing.T) {
 	}{
 		{"wc", false, 9310, 6.02, 283500, 0, 415902},
 		{"ts", false, 11260, 10.27, 721000, 0, 1069990},
-		{"wc", true, 20500, 0, 1702000, 2415000, 2536404},
+		{"wc", true, 15200, 0, 296000, 327000, 434585},
 	} {
 		job, blocks, _, err := DemoJob(sc.app, 1<<20, 8, 16<<10)
 		if err != nil {

@@ -66,10 +66,14 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"empty":   nil,
 	}
 	// Truncations at several depths. The fixed offsets fall, in this
-	// journal, mid job-start record (35), just after the fourth record's
-	// length prefix (92) and on the fourth record's end, a clean prefix
-	// (105); the proportional ones cut mid-record and mid-CRC.
-	for _, cut := range []int{1, 35, 92, 105, len(healthy) / 3, len(healthy) - 2, len(healthy) - 15} {
+	// journal, mid job-start record (35, 38), on the third record's end, a
+	// clean prefix (92), just after the fourth record's length prefix (93),
+	// inside the fourth record's body (101) and its CRC (105), on the
+	// fourth record's end, a clean prefix (107), and before the last
+	// record's CRC (114); the proportional ones cut mid-record and mid-CRC.
+	// 38, 92, 101, 105 and 114 are cuts of an earlier layout, kept so that
+	// their seeds keep their names.
+	for _, cut := range []int{1, 35, 38, 92, 93, 101, 105, 107, 114, len(healthy) / 3, len(healthy) - 2, len(healthy) - 15} {
 		if cut > 0 && cut < len(healthy) {
 			seeds[fmt.Sprintf("trunc-%d", cut)] = healthy[:cut]
 		}

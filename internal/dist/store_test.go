@@ -141,9 +141,13 @@ func TestStoreSpillMovesBytes(t *testing.T) {
 	if !bytes.Equal(back.Blob(), want) || back.Records != 20 {
 		t.Fatalf("reloaded run differs from the spilled one")
 	}
+	wantPairs, err := kv.RunFromBlob(want, 20, run.RawBytes, false).Pairs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	iters, closeIters, errf := s.partitionIters(3)
 	defer closeIters()
-	if got := kv.Marshal(kv.Drain(kv.Merge(iters...))); !bytes.Equal(got, want) || errf() != nil {
+	if got := kv.Drain(kv.Merge(iters...)); !bytes.Equal(kv.Marshal(got), kv.Marshal(wantPairs)) || errf() != nil {
 		t.Fatalf("streamed spill differs from the spilled run (err %v)", errf())
 	}
 }

@@ -446,6 +446,7 @@ func (m *mapDoneMsg) wire(c *codec) {
 	c.i64(&m.Stats.PartRecords)
 	c.i64(&m.Stats.PartRuns)
 	c.i64(&m.Stats.PartRaw)
+	c.i64(&m.Stats.PartFrame)
 	c.i64(&m.Stats.PartStored)
 }
 

@@ -104,8 +104,8 @@ func roundTrips() []roundTrip {
 		{"map-task", &mapTaskMsg{Task: 4, Attempt: 2, SpanID: 1<<48 | 9, Block: []byte("block data")},
 			"0402898080808080400a626c6f636b206461746100000000"},
 		{"map-done", &mapDoneMsg{Task: 1, Attempt: 1, Stats: attemptStats{
-			RecordsIn: 10, PairsOut: 20, PartRecords: 20, PartRuns: 3, PartRaw: 400, PartStored: 300,
-		}}, "01010a1414039003ac02"},
+			RecordsIn: 10, PairsOut: 20, PartRecords: 20, PartRuns: 3, PartRaw: 400, PartFrame: 250, PartStored: 300,
+		}}, "01010a1414039003fa01ac02"},
 		{"task-fail", &taskFailMsg{Task: 2, Attempt: 0, Reason: "injected"}, "020008696e6a6563746564"},
 		{"run-batch", &runBatchMsg{TraceID: 42, SendSpan: 2<<48 | 3, Body: encode(&runEntries{
 			{Task: 3, Attempt: 1, Partition: 2, Records: 9, RawBytes: 123, Blob: []byte{9, 8, 7}},

@@ -342,6 +342,7 @@ type Service struct {
 	rr          [numPriorities]int // round-robin cursor per class
 	queuedTotal int
 	runningJobs int
+	drain       drainLog // when the last jobs finished: the 429 hint's pace
 	nextSeq     int64
 	closed      bool
 
@@ -502,23 +503,41 @@ func (s *Service) journalFor(j *job) *slog.Logger {
 func traceIDHex(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // retryAfterLocked derives the 429 backoff hint from observed load: the
-// tenant's median service time scaled by the current queue depth — "the
-// queue ahead of you, at your own jobs' pace" — clamped to
-// [Config.retryAfter, 30s]. A tenant with no completed jobs yet gets the
-// floor verbatim.
-func (s *Service) retryAfterLocked(tenant string) time.Duration {
-	p50 := s.reg.Histogram("jobsvc_service_seconds", obs.DefTimeBuckets, obs.L("tenant", tenant)).Quantile(0.5)
-	if p50 <= 0 {
-		return s.cfg.retryAfter
+// time the service takes to finish the queue ahead (every queued job, and
+// one more), at the pace it has been finishing jobs — with however many
+// slots running side by side — clamped to [Config.retryAfter, 30s]. Before
+// two jobs have finished it is the floor.
+func (s *Service) retryAfterLocked() time.Duration {
+	d := s.drain.wait(s.queuedTotal+1, time.Now())
+	return min(max(d, s.cfg.retryAfter), 30*time.Second)
+}
+
+// drainWindow is how many of the latest completions drainLog keeps.
+const drainWindow = 32
+
+// drainLog records when the service's latest jobs finished, to measure the
+// rate at which it drains its queue.
+type drainLog struct {
+	at [drainWindow]time.Time // a ring; at[n%drainWindow] is the oldest once full
+	n  int                    // completions recorded
+}
+
+func (d *drainLog) done(t time.Time) {
+	d.at[d.n%drainWindow] = t
+	d.n++
+}
+
+// wait is the time to finish the given number of jobs at the measured
+// rate: the completions after the oldest one kept, over the time from it
+// to now, so a service that stops finishing jobs reads slower the longer
+// it stalls. It is 0 until two completions are recorded.
+func (d *drainLog) wait(jobs int, now time.Time) time.Duration {
+	k := min(d.n, drainWindow)
+	if k < 2 {
+		return 0
 	}
-	d := time.Duration(p50 * float64(s.queuedTotal+1) * float64(time.Second))
-	if d < s.cfg.retryAfter {
-		d = s.cfg.retryAfter
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	span := now.Sub(d.at[(d.n-k)%drainWindow])
+	return time.Duration(float64(jobs) * float64(span) / float64(k-1))
 }
 
 // runtimeSampler publishes process runtime gauges on a ticker until Close.
@@ -687,7 +706,7 @@ func (s *Service) Submit(req Request) (Status, *APIError) {
 		return Status{}, &APIError{
 			Status: http.StatusTooManyRequests, Reason: reason,
 			Msg:          fmt.Sprintf(format, args...),
-			RetryAfterMS: s.retryAfterLocked(j.tenant).Milliseconds(),
+			RetryAfterMS: s.retryAfterLocked().Milliseconds(),
 		}
 	}
 

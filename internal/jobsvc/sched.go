@@ -115,6 +115,7 @@ func (s *Service) runJob(j *job) {
 	s.mu.Lock()
 	s.releaseLocked(j.opts.Workers)
 	j.finished = time.Now()
+	s.drain.done(j.finished)
 	j.tel = tel
 	j.opts.Blocks = nil // the run consumed them; free queue-sized memory early
 	if err != nil {

@@ -21,11 +21,11 @@ import (
 // TestRetryAfterDerived pins the saturation backoff hint in all three
 // regimes with a gated stub runner (so nothing real races the clock):
 //
-//   - cold: a tenant with no completed jobs gets Config.retryAfter
+//   - cold: a service that has finished no jobs gives Config.retryAfter
 //     verbatim, and the Retry-After header is that floor rounded up;
-//   - warm: with service-time samples the hint is the tenant's p50 scaled
-//     by queue depth — strictly above the floor, within the 30s cap;
-//   - capped: absurd service times clamp to exactly 30s.
+//   - warm: with completions recorded the hint is the queue ahead at the
+//     measured drain rate — strictly above the floor, within the 30s cap;
+//   - capped: an absurdly slow drain clamps to exactly 30s.
 func TestRetryAfterDerived(t *testing.T) {
 	s := New(Config{
 		FleetWorkers: 2,
@@ -94,31 +94,59 @@ func TestRetryAfterDerived(t *testing.T) {
 		t.Errorf("Retry-After header = %q, want %q (1500ms rounded up)", got, "2")
 	}
 
-	// Warm: seed the tenant's service-time histogram with ~5s jobs. The
-	// hint becomes p50 scaled by queue depth — above the floor, under the
-	// cap. (Seeding directly keeps the test clock-free; runJob records
-	// into this same histogram.)
+	// Warm: record three completions 2s apart, the last just now: a job
+	// every 2s, so the hint is the queue ahead at 2s a job — above the
+	// floor, under the cap. (Recording directly keeps the test clock-free;
+	// runJob records into this same log.)
 	s.mu.Lock()
-	h := s.reg.Histogram("jobsvc_service_seconds", obs.DefTimeBuckets, obs.L("tenant", "cold"))
-	for i := 0; i < 3; i++ {
-		h.Observe(5.0)
+	now := time.Now()
+	for i := 2; i >= 0; i-- {
+		s.drain.done(now.Add(-time.Duration(i) * 2 * time.Second))
 	}
-	warm := s.retryAfterLocked("cold")
+	warm := s.retryAfterLocked()
 	queued := s.queuedTotal
 	s.mu.Unlock()
 	if warm <= 1500*time.Millisecond || warm > 30*time.Second {
-		t.Errorf("warm hint %v outside (1.5s, 30s] with p50=5.5s and %d queued", warm, queued)
+		t.Errorf("warm hint %v outside (1.5s, 30s] at 2s a job and %d queued", warm, queued)
 	}
 
-	// Capped: service times beyond the bucket range clamp to exactly 30s.
+	// Capped: a job every 500s clamps to exactly 30s.
 	s.mu.Lock()
-	for i := 0; i < 100; i++ {
-		h.Observe(500.0)
-	}
-	capped := s.retryAfterLocked("cold")
+	s.drain = drainLog{}
+	s.drain.done(time.Now().Add(-500 * time.Second))
+	s.drain.done(time.Now())
+	capped := s.retryAfterLocked()
 	s.mu.Unlock()
 	if capped != 30*time.Second {
 		t.Errorf("capped hint = %v, want exactly 30s", capped)
+	}
+}
+
+// TestRetryAfterDrainRate feeds the drain log the history of 240 jobs of
+// 0.1s run 8 at a time — TestServiceLoad's shape — and wants the hint for
+// its full 48-job queue under 2s: the queue drains at about 80 jobs a
+// second, where a hint of the tenant's median run time times the queue
+// depth read about 27s. A service that then stops finishing jobs reads
+// slower the longer it stalls.
+func TestRetryAfterDrainRate(t *testing.T) {
+	s := New(WithCaps(Config{FleetWorkers: 8}, 48, 12, 3, 20*time.Millisecond))
+	defer s.Close()
+	start := time.Now().Add(-3 * time.Second)
+	for i := 0; i < 240; i++ {
+		s.drain.done(start.Add(time.Duration(i/8+1) * 100 * time.Millisecond))
+	}
+	s.mu.Lock()
+	s.queuedTotal = 48
+	hint := s.retryAfterLocked()
+	s.queuedTotal = 0
+	s.mu.Unlock()
+	if hint >= 2*time.Second {
+		t.Errorf("hint %v for 48 queued 0.1s jobs on 8 slots, want under 2s", hint)
+	}
+	last := start.Add(3 * time.Second)
+	now, stalled := s.drain.wait(49, last), s.drain.wait(49, last.Add(3*time.Second))
+	if stalled <= now {
+		t.Errorf("a drain stalled for 3s reads %v, no slower than the %v it read when it stalled", stalled, now)
 	}
 }
 

@@ -251,56 +251,50 @@ func (b *Batch) PartitionRanges(part func(key []byte, n int) int, n int) []int {
 }
 
 // RunRange serializes records [lo,hi) — which must already be sorted, e.g.
-// by SortRange — directly into a Run. The encoded size is computed exactly
-// up front, so the blob is built in a single allocation with no growth
-// copies, and the sortedness re-verification of NewRun is skipped: the
-// batch sorted this range itself.
+// by SortRange — directly into a Run, one frame per pair. The encoded size
+// is computed exactly up front, so the blob is built in a single allocation
+// with no growth copies, and the sortedness re-verification of NewRun is
+// skipped: the batch sorted this range itself.
 func (b *Batch) RunRange(lo, hi int, compress bool) *Run {
 	var raw, enc int64
 	for _, e := range b.idx[lo:hi] {
 		raw += int64(e.klen) + int64(e.vlen)
-		enc += int64(uvarintLen(uint64(e.klen))) + int64(uvarintLen(uint64(e.vlen)))
+		enc += int64(uvarintLen(uint64(e.klen)<<1)) + int64(uvarintLen(uint64(e.vlen)))
 	}
 	enc += raw + int64(uvarintLen(uint64(hi-lo)))
 	blob := make([]byte, 0, enc)
 	blob = binary.AppendUvarint(blob, uint64(hi-lo))
 	for _, e := range b.idx[lo:hi] {
-		blob = binary.AppendUvarint(blob, uint64(e.klen))
+		blob = binary.AppendUvarint(blob, uint64(e.klen)<<1)
 		blob = binary.AppendUvarint(blob, uint64(e.vlen))
 		blob = append(blob, b.data[e.off:e.off+e.klen+e.vlen]...)
 	}
 	return sealRun(blob, hi-lo, raw, compress)
 }
 
-// RunCounted serializes a run from counted keys, byte for byte the run
-// RunRange makes from the same pairs spelled out one by one. Records
+// RunCounted serializes a run from counted keys, one frame per key. Records
 // [lo,hi) of b are distinct keys, sorted (by SortRange), each with a value
-// that is a 4-byte big-endian count n followed by a value v: the key
-// stands for n pairs (key, v).
-func (b *Batch) RunCounted(lo, hi int, compress bool) *Run {
+// that is a 4-byte big-endian count n followed by a value v: the key stands
+// for n pairs (key, v), and its frame says so. It returns the run and the
+// payload of the pairs the run stands for, each pair counted n times.
+func (b *Batch) RunCounted(lo, hi int, compress bool) (run *Run, pairBytes int64) {
 	var recs int
 	var raw, enc int64
 	for _, e := range b.idx[lo:hi] {
 		n, v := countedValue(b.data[e.off+e.klen : e.off+e.klen+e.vlen])
 		recs += n
-		raw += int64(n) * (int64(e.klen) + int64(len(v)))
-		enc += int64(n) * int64(uvarintLen(uint64(e.klen))+uvarintLen(uint64(len(v))))
+		raw += int64(e.klen) + int64(len(v))
+		pairBytes += int64(n) * (int64(e.klen) + int64(len(v)))
+		enc += int64(runFrameLen(int(e.klen), len(v), n))
 	}
-	enc += raw + int64(uvarintLen(uint64(recs)))
+	enc += int64(uvarintLen(uint64(recs)))
 	blob := make([]byte, 0, enc)
 	blob = binary.AppendUvarint(blob, uint64(recs))
 	for _, e := range b.idx[lo:hi] {
 		n, v := countedValue(b.data[e.off+e.klen : e.off+e.klen+e.vlen])
-		start := len(blob)
-		blob = binary.AppendUvarint(blob, uint64(e.klen))
-		blob = binary.AppendUvarint(blob, uint64(len(v)))
-		blob = append(blob, b.data[e.off:e.off+e.klen]...)
-		blob = append(blob, v...)
-		for end := len(blob); n > 1; n-- {
-			blob = append(blob, blob[start:end]...)
-		}
+		blob = appendRunFrame(blob, b.data[e.off:e.off+e.klen], v, n)
 	}
-	return sealRun(blob, recs, raw, compress)
+	return sealRun(blob, recs, raw, compress), pairBytes
 }
 
 // countedValue splits a counted key's value into its count and the value

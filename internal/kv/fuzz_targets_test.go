@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -57,6 +58,55 @@ func pairsEqual(a, b []Pair) bool {
 	return true
 }
 
+// countedRun encodes sorted pairs as a run with one frame per stretch of
+// equal pairs, standing for the stretch. Where no key comes with two
+// values — the counting table's case — it is Batch.RunCounted's run, and
+// the test fails unless RunCounted makes the same bytes and accounting.
+func countedRun(t testing.TB, pairs []Pair, compress bool) *Run {
+	t.Helper()
+	var blob []byte
+	var b Batch
+	var raw int64
+	distinct := true
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j].Compare(pairs[i]) == 0 {
+			j++
+		}
+		p := pairs[i]
+		blob = appendRunFrame(blob, p.Key, p.Value, j-i)
+		raw += p.Size()
+		distinct = distinct && (i == 0 || !bytes.Equal(pairs[i-1].Key, p.Key))
+		b.AppendKV(p.Key, append(binary.BigEndian.AppendUint32(nil, uint32(j-i)), p.Value...))
+		i = j
+	}
+	run := sealRun(append(binary.AppendUvarint(nil, uint64(len(pairs))), blob...), len(pairs), raw, compress)
+	if distinct {
+		got, pairBytes := b.RunCounted(0, b.Len(), compress)
+		var want int64
+		for _, p := range pairs {
+			want += p.Size()
+		}
+		if !bytes.Equal(got.Blob(), run.Blob()) || got.Records != run.Records || got.RawBytes != raw || pairBytes != want {
+			t.Fatalf("RunCounted: %d pairs, %d frame bytes, %d pair bytes; want %d, %d, %d and the reference's blob",
+				got.Records, got.RawBytes, pairBytes, run.Records, raw, want)
+		}
+	}
+	return run
+}
+
+// repeated derives counted pairs from fuzz pairs: pair i comes 1 to 4
+// times in a row, by its key's first byte.
+func repeated(pairs []Pair) []Pair {
+	var out []Pair
+	for _, p := range pairs {
+		for range 1 + int(p.Key[0]%4) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // FuzzUnmarshal feeds arbitrary bytes to the blob decoder: it must never
 // panic or over-allocate, and anything it accepts must survive a
 // re-encode/decode round trip unchanged.
@@ -82,35 +132,49 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzStreamDecode feeds arbitrary bytes to the streaming frame reader (the
-// layout of a run file past its count): it must reject corruption with an
-// error, never panic, and framed pairs must read back identically.
+// layout of a filed run past its count): it must reject corruption with an
+// error, never panic, and framed pairs — counted ones among them — must
+// read back identically.
 func FuzzStreamDecode(f *testing.F) {
-	f.Add([]byte("\x03\x05hello world this is a stream of words"))
+	f.Add([]byte("\x06\x05hello world this is a stream of words"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes through the decoder: error or clean EOF only.
-		r := NewReader(bytes.NewReader(data))
+		// Arbitrary bytes through the decoder: error or clean EOF only, and
+		// a frame stands for one pair at least.
+		r := newFrameReader(bytes.NewReader(data), readerChunk, -1)
 		for {
-			if _, err := r.Read(); err != nil {
+			_, n, err := r.read()
+			if err != nil {
 				break
+			}
+			if n < 1 {
+				t.Fatalf("a frame that stands for %d pairs", n)
 			}
 		}
 
-		// Structured round trip: derived pairs framed, then read back, once
-		// through the default chunk and once through chunks of 1–13 bytes
-		// that frames straddle. Pairs are compared after the last read: a
-		// later chunk must not have overwritten an earlier pair.
+		// Structured round trip: derived pairs framed with counts, then
+		// read back, once through the default chunk and once through
+		// chunks of 1–13 bytes that frames (and their counts) straddle.
+		// Pairs are compared after the last read: a later chunk must not
+		// have overwritten an earlier pair.
 		pairs := pairsFromBytes(data)
+		var stream []byte
+		for i, p := range pairs {
+			stream = appendRunFrame(stream, p.Key, p.Value, 1+i%3)
+		}
 		for _, chunk := range []int{readerChunk, 1 + len(data)%13} {
-			r = newReaderSize(bytes.NewReader(frames(pairs)), chunk, -1)
+			r = newFrameReader(bytes.NewReader(stream), chunk, -1)
 			var got []Pair
-			for {
-				p, err := r.Read()
+			for i := 0; ; i++ {
+				p, n, err := r.read()
 				if errors.Is(err, io.EOF) {
 					break
 				}
 				if err != nil {
 					t.Fatalf("stream decode, %d-byte chunks: %v", chunk, err)
+				}
+				if n != 1+i%3 {
+					t.Fatalf("frame %d, %d-byte chunks: stands for %d pairs, want %d", i, chunk, n, 1+i%3)
 				}
 				got = append(got, p)
 			}
@@ -150,24 +214,40 @@ func FuzzRunRoundTrip(f *testing.F) {
 }
 
 // FuzzRunIter feeds arbitrary bytes to the resident-run decoder as a peer's
-// run, compressed or not, with any record count: Iter must never panic, and
-// it must agree with Pairs — the same pairs when Pairs decodes, an error
-// from Err when Pairs fails, after a prefix of Pairs' pairs at most.
+// run, compressed or not, with any record count: Iter must never panic,
+// and read pair by pair (Next) and frame by frame (as a Merger reads it) it
+// must deliver the same pairs and fail alike, never more pairs than the
+// run's count, and all of them when it does not fail.
 func FuzzRunIter(f *testing.F) {
+	word := []Pair{{Key: []byte("a"), Value: []byte("1")}}
+	words := []Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("a"), Value: []byte("1")},
+		{Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: nil}, {Key: []byte("c"), Value: nil}}
 	f.Add([]byte{}, false, uint16(0))
-	f.Add(Marshal([]Pair{{Key: []byte("a"), Value: []byte("1")}}), false, uint16(1))
+	f.Add(NewRun(word, false).Blob(), false, uint16(1))
 	f.Add(NewRun([]Pair{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 64)}}, true).Blob(), true, uint16(1))
+	f.Add(countedRun(f, words, false).Blob(), false, uint16(len(words)))
+	f.Add(countedRun(f, words, true).Blob(), true, uint16(len(words)))
+	f.Add(countedRun(f, repeated(pairsFromBytes([]byte("\x05\x02some-keyvv\x01\x00xy"))), false).Blob(), false, uint16(5))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), false, uint16(3))
 	f.Fuzz(func(t *testing.T, blob []byte, compressed bool, records uint16) {
 		run := RunFromBlob(blob, int(records), int64(len(blob)), compressed)
-		want, werr := run.Pairs()
 		it := run.Iter()
 		got := Drain(it)
-		if (it.Err() == nil) != (werr == nil) {
-			t.Fatalf("Iter err=%v, Pairs err=%v", it.Err(), werr)
+		fr := run.Iter()
+		var want []Pair
+		for p, n, ok := fr.nextFrame(); ok; p, n, ok = fr.nextFrame() {
+			if n < 1 || len(want)+n > int(records) {
+				t.Fatalf("a frame of %d pairs after %d of %d", n, len(want), records)
+			}
+			for range n {
+				want = append(want, p)
+			}
 		}
-		if werr == nil && !pairsEqual(got, want) {
-			t.Fatalf("Iter decoded %d pairs, Pairs %d — contents differ", len(got), len(want))
+		if (it.Err() == nil) != (fr.Err() == nil) {
+			t.Fatalf("Next err=%v, nextFrame err=%v", it.Err(), fr.Err())
+		}
+		if !pairsEqual(got, want) {
+			t.Fatalf("Next decoded %d pairs, nextFrame %d — contents differ", len(got), len(want))
 		}
 		if it.Err() == nil && len(got) != int(records) {
 			t.Fatalf("Iter delivered %d pairs of %d without an error", len(got), records)
@@ -254,14 +334,18 @@ func FuzzMergeRuns(f *testing.F) {
 // Each input byte is one pair — a key and a value from tieKeys and
 // tieValues, the empty key and empty values among them — dealt to one of up
 // to seven sources, each sorted: keys and whole pairs repeat within and
-// across sources, and some sources are empty. Every group's key and values
-// must come out byte for byte as GroupIter cuts Merge's pairs, value order
-// included, through the Merger's one values slice, reused from group to
-// group and kept by Reset from an earlier merge.
+// across sources, and some sources are empty. A source is a slice, a run
+// with a frame per pair, or a counted run (one frame per stretch of equal
+// pairs: RunCounted's where no key has two values), plain or DEFLATEd.
+// Every group's key and values must come out byte for byte as GroupIter
+// cuts Merge's pairs, value order included, through the Merger's one
+// values slice, reused from group to group and kept by Reset from an
+// earlier merge.
 func FuzzMergeGroups(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{0})
 	f.Add(append([]byte{4}, bytes.Repeat([]byte{0x00, 0x0c, 0x18, 0x24, 0x4b, 0x97}, 30)...))
+	f.Add(append([]byte{6}, bytes.Repeat([]byte{0x01, 0x01, 0x02, 0x0e, 0x0e, 0x0e}, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -274,15 +358,26 @@ func FuzzMergeGroups(f *testing.F) {
 			s := (i + int(b)/combos) % n
 			srcs[s] = append(srcs[s], Pair{Key: []byte(tieKeys[c%len(tieKeys)]), Value: []byte(tieValues[c/len(tieKeys)])})
 		}
+		runs := make([]*Run, n)
+		for i, src := range srcs {
+			SortPairs(src)
+			switch compress := data[0]&8 != 0; i % 3 {
+			case 1:
+				runs[i] = NewRun(src, compress)
+			case 2:
+				runs[i] = countedRun(t, src, compress)
+			}
+		}
 		iters := func() []Iterator {
 			its := make([]Iterator, n)
 			for i, src := range srcs {
-				its[i] = NewSliceIter(src)
+				if runs[i] != nil {
+					its[i] = runs[i].Iter()
+				} else {
+					its[i] = NewSliceIter(src)
+				}
 			}
 			return its
-		}
-		for _, src := range srcs {
-			SortPairs(src)
 		}
 		want := NewGroupIter(Merge(iters()...))
 		// A reducer's merger has merged another partition before: run it
@@ -308,6 +403,16 @@ func FuzzMergeGroups(f *testing.F) {
 					t.Fatalf("group %d (%q): value %d is %q, want %q", groups, key, i, got[i], wg.Values[i])
 				}
 			}
+		}
+		// GroupIter's groups come from Merge pair by pair: they must be
+		// the sources' pairs, sorted.
+		var all []Pair
+		for _, src := range srcs {
+			all = append(all, src...)
+		}
+		SortPairs(all)
+		if got := Drain(iters()...); !pairsEqual(got, all) {
+			t.Fatalf("Merge yielded %d pairs, want the sources' %d sorted", len(got), len(all))
 		}
 	})
 }

@@ -110,7 +110,7 @@ func Unmarshal(blob []byte) ([]Pair, error) {
 	pairs := make([]Pair, 0, count)
 	rest := blob[n:]
 	for i := uint64(0); i < count; i++ {
-		p, n, _, err := splitFrame(rest)
+		p, n, err := splitFrame(rest)
 		if n == 0 {
 			return nil, fmt.Errorf("kv: pair %d overruns blob: %w", i, cmp.Or(err, io.ErrUnexpectedEOF))
 		}
@@ -118,4 +118,28 @@ func Unmarshal(blob []byte) ([]Pair, error) {
 		rest = rest[n:]
 	}
 	return pairs, nil
+}
+
+// splitFrame decodes the Marshal frame at the head of b — uvarint(len(key)),
+// uvarint(len(value)), key, value — and returns its pair, as views into b
+// capped at their own length, and the frame's length n. If b holds only a
+// prefix of the frame, n is 0.
+func splitFrame(b []byte) (p Pair, n int, err error) {
+	kl, i := binary.Uvarint(b)
+	if i <= 0 {
+		return Pair{}, 0, uvarintErr(i)
+	}
+	vl, j := binary.Uvarint(b[i:])
+	if j <= 0 {
+		return Pair{}, 0, uvarintErr(j)
+	}
+	if kl > maxFrameLen || vl > maxFrameLen {
+		return Pair{}, 0, fmt.Errorf("kv: implausible frame lengths %d/%d", kl, vl)
+	}
+	k, v := i+j, i+j+int(kl)
+	n = v + int(vl)
+	if len(b) < n {
+		return Pair{}, 0, nil
+	}
+	return Pair{Key: b[k:v:v], Value: b[v:n:n]}, n, nil
 }

@@ -36,6 +36,18 @@ func (s *SliceIter) Next() (Pair, bool) {
 	return p, true
 }
 
+// framer is a sorted input read a frame at a time: a pair and the n ≥ 1
+// equal pairs in a row it stands for, n = 0 at the end. A run's iterators
+// are framers; a Merger reads any other Iterator through pairFrames.
+type framer interface {
+	nextFrame() (p Pair, n int, ok bool)
+}
+
+// pairFrames reads an Iterator as frames of one pair each.
+type pairFrames struct{ Iterator }
+
+func (f pairFrames) nextFrame() (Pair, int, bool) { p, ok := f.Next(); return p, 1, ok }
+
 // Merger is a k-way merge over sorted inputs using a loser tree: leaf i
 // (node k+i) is input i's head, each internal node 1..k-1 holds the input
 // that lost the match played there, and win is the overall winner. Taking
@@ -44,8 +56,10 @@ func (s *SliceIter) Next() (Pair, bool) {
 // tree is int32s beside a typed head slice, not entries boxed through
 // container/heap's any. Each head carries the first eight bytes of its key
 // and value as big-endian integers, so most matches are decided, or found
-// equal, without a call into bytes.Compare. NextGroup takes a key group at
-// a time off the same tree, replaying it once per input the key is in.
+// equal, without a call into bytes.Compare. An input is read a frame at a
+// time, and a head that stands for n pairs plays its matches once: Next
+// hands it out n times, and NextGroup takes a key group at a time off the
+// same tree, replaying it once per input the key is in.
 type Merger struct {
 	src  []mergeSrc
 	tree []int32
@@ -55,18 +69,20 @@ type Merger struct {
 }
 
 type mergeSrc struct {
-	it     Iterator
+	it     framer
 	head   Pair
+	n      int    // the pairs head still stands for
 	kp, vp uint64 // Prefix8 of head.Key, head.Value
 	done   bool
 }
 
-// next advances the source to its next pair.
-func (s *mergeSrc) next() { s.set(s.it.Next()) }
+// next advances the source to its next frame.
+func (s *mergeSrc) next() { s.set(s.it.nextFrame()) }
 
-// set makes p the source's head, or marks it exhausted.
-func (s *mergeSrc) set(p Pair, ok bool) {
-	s.head = p
+// set makes p, standing for n pairs, the source's head, or marks the
+// source exhausted.
+func (s *mergeSrc) set(p Pair, n int, ok bool) {
+	s.head, s.n = p, n
 	s.kp, s.vp, s.done = Prefix8(p.Key), Prefix8(p.Value), !ok
 }
 
@@ -124,7 +140,11 @@ func (m *Merger) Reset(iters ...Iterator) {
 	m.tree = slices.Grow(m.tree[:0], len(iters))[:len(iters)]
 	m.win, m.most = 0, 0
 	for i, it := range iters {
-		m.src[i].it = it
+		f, ok := it.(framer)
+		if !ok {
+			f = pairFrames{it}
+		}
+		m.src[i].it = f
 		m.src[i].next()
 	}
 	if len(iters) > 0 {
@@ -191,6 +211,10 @@ func (m *Merger) Next() (Pair, bool) {
 		return Pair{}, false
 	}
 	p := s.head
+	if s.n > 1 {
+		s.n-- // the head stands for more pairs, and still wins
+		return p, true
+	}
 	s.next()
 	m.replay(w)
 	return p, true
@@ -198,8 +222,9 @@ func (m *Merger) Next() (Pair, bool) {
 
 // NextGroup returns the next key and all of its values in the order Merge
 // yields them; ok is false at the end of the merge. The winning input hands
-// over its values for as long as its key is unchanged, so the tree replays
-// once per input holding the key, not once per pair. Each input's values
+// over its values for as long as its key is unchanged, a frame's value
+// once per pair it stands for without decoding it again, so the tree
+// replays once per input holding the key, not once per pair. Each input's values
 // are in order; only where more than one input held the key are their
 // seams checked, and the values sorted if one is out of order. Equal values
 // are equal bytes, so the result is Merge's, byte for byte. The values
@@ -219,15 +244,17 @@ func (m *Merger) NextGroup() (key []byte, vals [][]byte, ok bool) {
 		if len(vals) > 0 && bytes.Compare(vals[len(vals)-1], s.head.Value) > 0 {
 			sorted = false
 		}
-		p, more := s.head, true
+		p, n, more := s.head, s.n, true
 		for more && bytes.Equal(p.Key, key) {
-			if len(vals) == cap(vals) {
-				vals = slices.Grow(vals, max(len(vals), 16))
+			if len(vals)+n > cap(vals) {
+				vals = slices.Grow(vals, max(len(vals), n, 16))
 			}
-			vals = append(vals, p.Value)
-			p, more = s.it.Next()
+			for range n {
+				vals = append(vals, p.Value)
+			}
+			p, n, more = s.it.nextFrame()
 		}
-		s.set(p, more)
+		s.set(p, n, more)
 		m.replay(w)
 		if next := &m.src[m.win]; next.done || next.kp != kp || !bytes.Equal(next.head.Key, key) {
 			break

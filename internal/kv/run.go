@@ -20,8 +20,8 @@ type Run struct {
 	blob       []byte // nil once the run is filed
 	path       string // the spill file holding it; "" while resident
 	off, filed int64  // its section of that file
-	Records    int
-	RawBytes   int64 // payload volume before encoding
+	Records    int    // the pairs the run stands for
+	RawBytes   int64  // the payload its frames hold, each frame's pair once
 	Compressed bool
 }
 
@@ -75,21 +75,23 @@ func newInflater(r io.Reader) io.ReadCloser {
 	return flate.NewReader(r)
 }
 
-// NewRun serializes sorted pairs into a run. It panics if the pairs are not
-// sorted — runs exist to be merged.
+// NewRun serializes sorted pairs into a run, one frame per pair. It panics
+// if the pairs are not sorted — runs exist to be merged.
 func NewRun(pairs []Pair, compress bool) *Run {
 	if !PairsSorted(pairs) {
 		panic("kv: NewRun on unsorted pairs")
 	}
 	var raw int64
+	size := uvarintLen(uint64(len(pairs)))
 	for _, p := range pairs {
 		raw += p.Size()
+		size += runFrameLen(len(p.Key), len(p.Value), 1)
 	}
-	blob := Marshal(pairs)
-	if compress {
-		blob = deflate(blob)
+	blob := binary.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
+	for _, p := range pairs {
+		blob = appendRunFrame(blob, p.Key, p.Value, 1)
 	}
-	return &Run{blob: blob, Records: len(pairs), RawBytes: raw, Compressed: compress}
+	return sealRun(blob, len(pairs), raw, compress)
 }
 
 // StoredBytes returns the encoded size: what the run costs on disk and on
@@ -115,14 +117,14 @@ func RunFromBlob(blob []byte, records int, rawBytes int64, compressed bool) *Run
 	return &Run{blob: blob, Records: records, RawBytes: rawBytes, Compressed: compressed}
 }
 
-// decoded returns the run's Marshal layout: the blob itself, or for a
-// compressed run one inflated copy, sized for the pairs the run says it
-// holds when that claim is plausible for the blob's length.
+// decoded returns the run's frames behind their count: the blob itself, or
+// for a compressed run one inflated copy, sized at decodedSize when that
+// claim is plausible for the blob's length.
 func (r *Run) decoded() ([]byte, error) {
 	if !r.Compressed {
 		return r.blob, nil
 	}
-	hint := r.RawBytes + 2*int64(r.Records) + binary.MaxVarintLen64
+	hint := r.decodedSize()
 	if limit := maxDecoded(int64(len(r.blob))); hint < 0 || hint > limit {
 		hint = limit // a damaged header must not size the buffer
 	}
@@ -131,6 +133,14 @@ func (r *Run) decoded() ([]byte, error) {
 		return nil, fmt.Errorf("kv: decompressing run: %w", err)
 	}
 	return dec, nil
+}
+
+// decodedSize is the decoded length the run's header suggests: its frames'
+// payload, two bytes of lengths per frame, and the count. A run has no more
+// frames than pairs, nor — but for empty pairs — than payload bytes, so a
+// run whose frames stand for many pairs is not sized by its pairs.
+func (r *Run) decodedSize() int64 {
+	return r.RawBytes + 2*min(int64(r.Records), r.RawBytes) + binary.MaxVarintLen64
 }
 
 // maxDecoded bounds the decoded length that a compressed run's header may
@@ -147,25 +157,22 @@ func (r *Run) header(blob []byte) (rest []byte, err error) {
 	return blob[n:], nil
 }
 
-// Pairs decodes the run back into sorted pairs. For an uncompressed run
-// the pairs alias the run's blob.
+// Pairs decodes the run back into sorted pairs, a frame's pair once per
+// pair it stands for. For an uncompressed run the pairs alias the run's
+// blob.
 func (r *Run) Pairs() ([]Pair, error) {
-	blob, err := r.decoded()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.header(blob); err != nil {
-		return nil, err
-	}
-	return Unmarshal(blob)
+	it := r.Iter()
+	pairs := Drain(it)
+	return pairs, it.Err()
 }
 
 // Iter returns an iterator that decodes the run's frames in place: its
 // pairs are views into the run's bytes (into one inflated copy for a
 // compressed run), so iterating allocates per run, not per pair. A run that
 // does not decode — a bad DEFLATE stream, a header that disagrees with
-// Records, a damaged frame — ends the iteration, possibly before the first
-// pair; callers check Err once the consumer has drained it.
+// Records, a damaged frame, a frame that stands for more pairs than the
+// run still owes — ends the iteration, possibly before the first pair;
+// callers check Err once the consumer has drained it.
 func (r *Run) Iter() *RunIter {
 	blob, err := r.decoded()
 	if err == nil {
@@ -180,56 +187,83 @@ func (r *Run) Iter() *RunIter {
 // RunIter walks a resident run's frames.
 type RunIter struct {
 	rest []byte
-	left int
+	left int  // the pairs rest's frames owe
+	cur  Pair // the last frame's pair, which Next returns rep more times
+	rep  int
 	err  error
 }
 
-// Next implements Iterator.
+// Next implements Iterator: a frame that stands for n pairs is n calls.
 func (it *RunIter) Next() (Pair, bool) {
+	if it.rep > 0 {
+		it.rep--
+		return it.cur, true
+	}
+	p, n, ok := it.nextFrame()
+	if n > 1 {
+		it.cur, it.rep = p, n-1
+	}
+	return p, ok
+}
+
+// nextFrame returns the next frame's pair and the pairs it stands for (the
+// rest of them, where Next took some).
+func (it *RunIter) nextFrame() (Pair, int, bool) {
+	if it.rep > 0 {
+		n := it.rep
+		it.rep = 0
+		return it.cur, n, true
+	}
 	if it.left == 0 {
-		return Pair{}, false
+		return Pair{}, 0, false
 	}
-	p, n, _, err := splitFrame(it.rest)
-	if n == 0 {
+	p, size := splitShortFrame(it.rest)
+	n, err := 1, error(nil)
+	if size == 0 {
+		p, n, size, _, err = splitLongFrame(it.rest)
+	}
+	switch {
+	case size == 0:
 		it.err = fmt.Errorf("kv: run frame corrupt with %d pairs to go: %w", it.left, cmp.Or(err, io.ErrUnexpectedEOF))
-		it.left = 0
-		return Pair{}, false
+	case n > it.left:
+		it.err = fmt.Errorf("kv: run frame stands for %d pairs with %d to go", n, it.left)
+	default:
+		it.rest, it.left = it.rest[size:], it.left-n
+		return p, n, true
 	}
-	it.rest, it.left = it.rest[n:], it.left-1
-	return p, true
+	it.left = 0
+	return Pair{}, 0, false
 }
 
 // Err reports the error that cut the iteration short (nil if none did).
 func (it *RunIter) Err() error { return it.err }
 
 // owed is the pairs the run still owes, which a damaged header cannot put
-// past the bytes left: every frame takes two at least.
-func (it *RunIter) owed() int { return min(it.left, len(it.rest)/2) }
+// past the frames left: every frame takes two bytes at least. A run whose
+// frames stand for many pairs each owes more than this.
+func (it *RunIter) owed() int { return it.rep + min(it.left, len(it.rest)/2) }
 
 // MergeRuns merges several resident runs into one, encoding the merge
-// straight into the new run's blob.
+// straight into the new run's blob, one frame per pair.
 func MergeRuns(runs []*Run, compress bool) *Run {
 	iters := make([]Iterator, len(runs))
 	records, size := 0, int64(binary.MaxVarintLen64)
 	for i, r := range runs {
 		iters[i] = r.Iter()
 		records += r.Records
-		size += r.RawBytes + 2*int64(r.Records)
+		size += r.decodedSize()
 	}
 	blob := binary.AppendUvarint(make([]byte, 0, size), uint64(records))
 	var n int
 	var raw int64
 	m := Merge(iters...)
 	for p, ok := m.Next(); ok; p, ok = m.Next() {
-		blob = appendFrame(blob, p)
+		blob = appendRunFrame(blob, p.Key, p.Value, 1)
 		n++
 		raw += p.Size()
 	}
 	if n != records {
 		panic(fmt.Sprintf("kv: MergeRuns: runs hold %d pairs, their headers say %d", n, records))
 	}
-	if compress {
-		blob = deflate(blob)
-	}
-	return &Run{blob: blob, Records: records, RawBytes: raw, Compressed: compress}
+	return sealRun(blob, records, raw, compress)
 }

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +8,7 @@ import (
 )
 
 // A filed run is a section of a spill file: the run's blob byte for byte —
-// the Marshal layout, DEFLATEd when Run.Compressed — appended after the runs
+// its count and frames, DEFLATEd when Run.Compressed — appended after the runs
 // filed before it. A run goes to disk and comes back without a pair being
 // decoded, and this file is the only code that knows the layout. Which runs
 // share a file, when they are filed and under what names is RunStore's
@@ -53,7 +52,7 @@ func (r *Run) Load() (*Run, error) {
 	}
 	back := RunFromBlob(blob, r.Records, r.RawBytes, r.Compressed)
 	it := back.Iter()
-	for _, ok := it.Next(); ok; _, ok = it.Next() {
+	for _, _, ok := it.nextFrame(); ok; _, _, ok = it.nextFrame() {
 	}
 	switch {
 	case it.err != nil:
@@ -65,16 +64,18 @@ func (r *Run) Load() (*Run, error) {
 }
 
 // FileIter streams a filed run's pairs off disk in key order, as views into
-// the chunks it reads (see Reader: a pair stays valid while referenced, and
-// a chunk no pair references is garbage). A damaged section ends the
-// iteration, possibly early; callers must check Err once the consumer has
-// drained it, and Close it either way.
+// the chunks it reads (see frameReader: a pair stays valid while
+// referenced, and a chunk no pair references is garbage). A damaged section
+// ends the iteration, possibly early; callers must check Err once the
+// consumer has drained it, and Close it either way.
 type FileIter struct {
 	path string
 	fl   io.ReadCloser // the pooled decompressor of a compressed run
-	r    *Reader       // nil once closed
-	left int           // pairs the run still owes
-	most int           // the most pairs its section's bytes can decode to
+	r    *frameReader  // nil once closed
+	left int           // pairs the run's unread frames owe
+	most int           // the most frames its section's bytes can decode to
+	cur  Pair          // the last frame's pair, which Next returns rep more times
+	rep  int
 	err  error
 }
 
@@ -85,16 +86,14 @@ func (r *Run) Stream(f io.ReaderAt) (*FileIter, error) {
 	sec := io.NewSectionReader(f, r.off, r.filed)
 	// A plain section is the decoded stream, so its chunks stop at its end
 	// and a run smaller than a chunk is one allocation. A DEFLATEd one
-	// decodes to at most the payload plus two length varints per pair and
-	// the count: the first chunk is no bigger than that.
+	// decodes to about decodedSize: the first chunk is no bigger than that.
 	it := &FileIter{path: r.path, left: r.Records, most: int(r.filed / 2)}
 	if r.Compressed {
 		it.most = int(maxDecoded(r.filed) / 2)
-		size := r.RawBytes + int64(r.Records+1)*2*binary.MaxVarintLen32
 		it.fl = newInflater(sec)
-		it.r = newReaderSize(it.fl, int(min(size+1, readerChunk)), -1)
+		it.r = newFrameReader(it.fl, int(min(r.decodedSize()+1, readerChunk)), -1)
 	} else {
-		it.r = newReaderSize(sec, readerChunk, r.filed)
+		it.r = newFrameReader(sec, readerChunk, r.filed)
 	}
 	n, err := it.r.uvarint()
 	if err == nil && n != uint64(r.Records) {
@@ -107,32 +106,54 @@ func (r *Run) Stream(f io.ReaderAt) (*FileIter, error) {
 	return it, nil
 }
 
-// Next implements Iterator. It reads one frame past the last pair: the
-// section must end there, and only reading on makes a DEFLATE stream that
-// lost its tail say so.
+// Next implements Iterator: a frame that stands for n pairs is n calls.
 func (it *FileIter) Next() (Pair, bool) {
-	if it.err != nil || it.r == nil {
-		return Pair{}, false
+	if it.rep > 0 {
+		it.rep--
+		return it.cur, true
 	}
-	p, err := it.r.Read()
+	p, n, ok := it.nextFrame()
+	if n > 1 {
+		it.cur, it.rep = p, n-1
+	}
+	return p, ok
+}
+
+// nextFrame returns the next frame's pair and the pairs it stands for (the
+// rest of them, where Next took some). It reads one frame past the last
+// pair: the section must end there, and only reading on makes a DEFLATE
+// stream that lost its tail say so.
+func (it *FileIter) nextFrame() (Pair, int, bool) {
+	if it.rep > 0 {
+		n := it.rep
+		it.rep = 0
+		return it.cur, n, true
+	}
+	if it.err != nil || it.r == nil {
+		return Pair{}, 0, false
+	}
+	p, n, err := it.r.read()
 	switch {
+	case err == nil && n <= it.left:
+		it.left -= n
+		return p, n, true
 	case err == nil && it.left > 0:
-		it.left--
-		return p, true
+		it.err = fmt.Errorf("kv: filed run in %s has a frame of %d pairs with %d to go", it.path, n, it.left)
 	case err == nil:
 		it.err = fmt.Errorf("kv: filed run in %s holds data past its last pair", it.path)
 	case it.left > 0 || !errors.Is(err, io.EOF):
 		it.err = fmt.Errorf("kv: streaming filed run in %s with %d pairs to go: %w", it.path, it.left, unexpected(err))
 	}
-	return Pair{}, false
+	return Pair{}, 0, false
 }
 
 // Err reports the error that cut the iteration short (nil if none did).
 func (it *FileIter) Err() error { return it.err }
 
 // owed is the pairs the run still owes, which a damaged header cannot put
-// past what its section decodes to: every frame takes two bytes at least.
-func (it *FileIter) owed() int { return min(it.left, it.most) }
+// past the frames its section decodes to: every frame takes two bytes at
+// least. A run whose frames stand for many pairs each owes more than this.
+func (it *FileIter) owed() int { return it.rep + min(it.left, it.most) }
 
 // Close releases the decompressor; Next reports the end from then on. The
 // file stays open: it is the caller's.

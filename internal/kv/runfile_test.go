@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -194,7 +195,7 @@ func TestRunFileDamageIsAnError(t *testing.T) {
 		})
 
 		t.Run("bytes-past-end", func(t *testing.T) {
-			blob := append(Marshal(pairs), frames([]Pair{{Key: []byte("zz"), Value: []byte("past")}})...)
+			blob := append(NewRun(pairs, false).Blob(), frames([]Pair{{Key: []byte("zz"), Value: []byte("past")}})...)
 			if compress {
 				blob = deflate(blob)
 			}
@@ -239,6 +240,99 @@ func TestRunFileTruncatedAtPairBoundary(t *testing.T) {
 	got, err := drainFile(t, run)
 	if len(got) != 1 || err == nil {
 		t.Fatalf("got %d pairs, err %v; want the first pair and an error", len(got), err)
+	}
+}
+
+// TestCountedFrameDamageIsAnError: a counted frame that counts fewer than
+// two pairs, more than its run still owes, or whose count the bytes end
+// inside fails the run through Err — resident or filed, plain or DEFLATEd,
+// with no panic and no pair past the good frame before it; Load refuses
+// the filed run.
+func TestCountedFrameDamageIsAnError(t *testing.T) {
+	good := []Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("a"), Value: []byte("1")}}
+	// frame is the head of a counted frame of key "b" and value "2".
+	frame := func(count ...byte) []byte { return append([]byte{1<<1 | 1, 1}, count...) }
+	for _, tc := range []struct {
+		name    string
+		records int
+		tail    []byte
+	}{
+		{"count-0", 3, append(frame(0), 'b', '2')},
+		{"count-1", 3, append(frame(1), 'b', '2')},
+		{"count-past-owed", 4, append(frame(3), 'b', '2')},
+		{"huge-count", 4, append(frame(0xff, 0xff, 0xff, 0xff, 0x7f), 'b', '2')},
+		{"count-cut-off", 4, frame()},
+		{"count-cut-inside", 4, frame(0x80)},
+	} {
+		blob := appendRunFrame(binary.AppendUvarint(nil, uint64(tc.records)), good[0].Key, good[0].Value, len(good))
+		blob = append(blob, tc.tail...)
+		for _, compress := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/deflate=%v", tc.name, compress), func(t *testing.T) {
+				check := func(where string, got []Pair, err error) {
+					t.Helper()
+					if err == nil || len(got) > len(good) || !pairsEqual(got, good[:len(got)]) {
+						t.Errorf("%s: %d pairs, err %v; want at most the good frame's %d and an error", where, len(got), err, len(good))
+					}
+				}
+				run := sealRun(bytes.Clone(blob), tc.records, 4, compress)
+				it := run.Iter()
+				got := Drain(it)
+				check("resident", got, it.Err())
+				m := NewMerger(run.Iter(), NewSliceIter(nil))
+				it = m.src[0].it.(*RunIter)
+				got = got[:0]
+				for _, vals, ok := m.NextGroup(); ok; _, vals, ok = m.NextGroup() {
+					for range vals {
+						got = append(got, good[0])
+					}
+				}
+				check("resident, by group", got, it.Err())
+				fileRuns(t, filepath.Join(t.TempDir(), "x.run"), run)
+				got, err := drainFile(t, run)
+				check("filed", got, err)
+				if _, err := run.Load(); err == nil {
+					t.Error("Load accepted the run")
+				}
+			})
+		}
+	}
+}
+
+// TestRunFileCountStraddlesChunks: a counted frame whose header and count
+// straddle the streaming reader's chunks decodes whole at every cut, and a
+// filed counted run, plain or DEFLATEd, streams and reloads pair by pair.
+func TestRunFileCountStraddlesChunks(t *testing.T) {
+	pairs := repeated([]Pair{{Key: []byte("alpha"), Value: []byte("1")}, {Key: []byte("beta"), Value: nil}, {Key: []byte("gamma"), Value: []byte("33")}})
+	for range 300 {
+		pairs = append(pairs, Pair{Key: []byte("zeta"), Value: []byte("z")})
+	}
+	run := countedRun(t, pairs, false)
+	for chunk := 1; chunk <= len(run.Blob()); chunk++ {
+		r := newFrameReader(bytes.NewReader(run.Blob()), chunk, -1)
+		if _, err := r.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+		var got []Pair
+		for {
+			p, n, err := r.read()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%d-byte chunks: %v", chunk, err)
+			}
+			for range n {
+				got = append(got, p)
+			}
+		}
+		if !pairsEqual(got, pairs) {
+			t.Fatalf("%d-byte chunks: %d pairs, want %d", chunk, len(got), len(pairs))
+		}
+	}
+	for _, compress := range []bool{false, true} {
+		run := countedRun(t, pairs, compress)
+		fileRuns(t, filepath.Join(t.TempDir(), "x.run"), run)
+		wantIntact(t, run, pairs)
 	}
 }
 

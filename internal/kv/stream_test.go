@@ -10,13 +10,18 @@ import (
 	"testing/quick"
 )
 
-// frames encodes pairs in the layout Reader decodes: Marshal's, past its
-// leading count.
+// frames encodes pairs in the layout frameReader decodes: a run's frames,
+// one per pair, past the run's leading count.
 func frames(pairs []Pair) []byte {
-	blob := Marshal(pairs)
-	_, n := binary.Uvarint(blob)
-	return blob[n:]
+	var b []byte
+	for _, p := range pairs {
+		b = appendRunFrame(b, p.Key, p.Value, 1)
+	}
+	return b
 }
+
+// newReader returns a frameReader of r with the default chunk.
+func newReader(r io.Reader) *frameReader { return newFrameReader(r, readerChunk, -1) }
 
 func TestStreamRoundTrip(t *testing.T) {
 	pairs := []Pair{
@@ -25,9 +30,9 @@ func TestStreamRoundTrip(t *testing.T) {
 		{Key: []byte("c"), Value: nil},
 		{Key: bytes.Repeat([]byte("k"), 300), Value: bytes.Repeat([]byte("v"), 4000)},
 	}
-	r := NewReader(bytes.NewReader(frames(pairs)))
+	r := newReader(bytes.NewReader(frames(pairs)))
 	for i, want := range pairs {
-		got, err := r.Read()
+		got, _, err := r.read()
 		if err != nil {
 			t.Fatalf("pair %d: %v", i, err)
 		}
@@ -35,7 +40,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatalf("pair %d mismatch", i)
 		}
 	}
-	if _, err := r.Read(); !errors.Is(err, io.EOF) {
+	if _, _, err := r.read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }
@@ -43,8 +48,8 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamTruncationDetected(t *testing.T) {
 	blob := frames([]Pair{{Key: []byte("abcdef"), Value: []byte("ghijkl")}})
 	for cut := 1; cut < len(blob); cut++ {
-		r := NewReader(bytes.NewReader(blob[:cut]))
-		_, err := r.Read()
+		r := newReader(bytes.NewReader(blob[:cut]))
+		_, _, err := r.read()
 		if err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
@@ -87,9 +92,9 @@ func TestStreamPartialReads(t *testing.T) {
 		{Key: nil, Value: nil},
 		{Key: []byte("tail"), Value: []byte("end")},
 	}
-	r := NewReader(&jaggedReader{data: frames(pairs)})
+	r := newReader(&jaggedReader{data: frames(pairs)})
 	for i, want := range pairs {
-		got, err := r.Read()
+		got, _, err := r.read()
 		if err != nil {
 			t.Fatalf("pair %d: %v", i, err)
 		}
@@ -97,7 +102,7 @@ func TestStreamPartialReads(t *testing.T) {
 			t.Fatalf("pair %d mismatch over jagged reads", i)
 		}
 	}
-	if _, err := r.Read(); !errors.Is(err, io.EOF) {
+	if _, _, err := r.read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }
@@ -118,10 +123,10 @@ func TestStreamSocketSplit(t *testing.T) {
 	}
 	segment := frames(pairs)[:100]
 
-	r := NewReader(bytes.NewReader(segment))
+	r := newReader(bytes.NewReader(segment))
 	var got int
 	for {
-		_, err := r.Read()
+		_, _, err := r.read()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				t.Fatalf("mid-record split reported as clean EOF after %d records", got)
@@ -150,10 +155,10 @@ func TestQuickStreamRoundTrip(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = Pair{Key: keys[i], Value: vals[i]}
 		}
-		r := newReaderSize(&jaggedReader{data: frames(pairs)}, int(chunk%24)+1, -1)
+		r := newFrameReader(&jaggedReader{data: frames(pairs)}, int(chunk%24)+1, -1)
 		var got []Pair
 		for {
-			p, err := r.Read()
+			p, _, err := r.read()
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -173,11 +178,11 @@ func TestQuickStreamRoundTrip(t *testing.T) {
 // stream that holds a few bytes fails as truncated without allocating the
 // claim.
 func TestStreamHugeClaimIsBounded(t *testing.T) {
-	stream := append(binary.AppendUvarint([]byte{1}, maxFrameLen), "k and a little"...)
+	stream := append(binary.AppendUvarint([]byte{2}, maxFrameLen), "k and a little"...)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	_, err := NewReader(bytes.NewReader(stream)).Read()
+	_, _, err := newReader(bytes.NewReader(stream)).read()
 	runtime.ReadMemStats(&ms)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)

@@ -31,16 +31,20 @@ func fuzzPairs(data []byte) []kv.Pair {
 // threshold, stream them back through the k-way merge — and asserts the
 // store neither loses, invents, nor reorders records: per partition the
 // merged read-back is the key-then-value-sorted multiset of exactly the pairs
-// routed there.
+// routed there. The second byte's second bit repeats each pair one to four
+// times and files a run of pairs whose keys come with one value each as a
+// counted run, kv.Batch.RunCounted's, a frame per stretch of equal pairs.
 func FuzzSpillMerge(f *testing.F) {
 	f.Add([]byte("\x02\x01the quick brown fox jumps over the lazy dog again and again"))
 	f.Add([]byte{5, 0, 1, 4, 'k', 'e', 'y', 's', 1, 4, 'm', 'o', 'r', 'e'})
+	f.Add([]byte("\x03\x02the quick brown fox jumps over the lazy dog again and again"))
+	f.Add([]byte("\x01\x03\x00\x01a\x00\x01b\x01\x01xy\x00\x01a\x03\x00dddd"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		parts := int(data[0]%4) + 1
-		compress := data[1]%2 == 1
+		compress, counted := data[1]&1 == 1, data[1]&2 == 2
 		pairs := fuzzPairs(data[2:])
 
 		cfg := Config{
@@ -57,17 +61,19 @@ func FuzzSpillMerge(f *testing.F) {
 		want := make([][]kv.Pair, parts)
 		for _, p := range pairs {
 			g := kv.Partition(p.Key, parts)
-			want[g] = append(want[g], p)
+			for r := 0; r == 0 || counted && r <= int(p.Key[0]%4); r++ {
+				want[g] = append(want[g], p)
+			}
 		}
 		for g, wp := range want {
 			for i := 0; i < len(wp); i += 3 {
-				end := i + 3
-				if end > len(wp) {
-					end = len(wp)
-				}
-				chunk := append([]kv.Pair(nil), wp[i:end]...)
+				chunk := append([]kv.Pair(nil), wp[i:min(i+3, len(wp))]...)
 				kv.SortPairs(chunk)
-				if err := st.Add(g, i, kv.NewRun(chunk, compress)); err != nil {
+				run := kv.NewRun(chunk, compress)
+				if counted && oneValuePerKey(chunk) {
+					run = countedRun(chunk, compress)
+				}
+				if err := st.Add(g, i, run); err != nil {
 					t.Fatalf("add partition %d: %v", g, err)
 				}
 			}
@@ -160,9 +166,14 @@ func pairChunk(app *core.App, block []byte) *Chunk {
 }
 
 // FuzzCollectorGroup drives emit streams derived from raw input through
-// MapBlock without a combiner and holds the table to the plain pair path:
-// Partition must make the same runs, byte for byte, and the same MapStats,
-// whether the table counted the chunk or spelled its pairs out. The kernel
+// MapBlock without a combiner and holds the table to the plain pair path.
+// Each partition's runs must decode to the same pairs. Where the table
+// spelled its pairs out, Partition must make the same runs, byte for byte,
+// and the same MapStats. Where it counted the chunk, each run must be,
+// byte for byte, the run kv.Batch.RunCounted makes of the plain run's pairs
+// with each stretch of equal pairs counted by the test, and MapStats must
+// be the plain path's but for the frame and stored bytes, which must be
+// those reference runs'. The kernel
 // emits every pair out of one scratch buffer it scrambles after each emit,
 // so a table that kept a view of a key or a value instead of copying it
 // shows. The first byte picks whether keys shrink to one byte (so they
@@ -225,17 +236,78 @@ func FuzzCollectorGroup(f *testing.F) {
 			},
 		}
 		pairRuns, pairStats := pairChunk(app, data).Partition(kv.Partition, parts, compress)
-		hashRuns, hashStats := MapBlock(app, data, false).Partition(kv.Partition, parts, compress)
-		if hashStats != pairStats {
-			t.Fatalf("table's map stats %+v, plain pairs' %+v", hashStats, pairStats)
-		}
+		hc := MapBlock(app, data, false)
+		counted := hc.counted
+		hashRuns, hashStats := hc.Partition(kv.Partition, parts, compress)
+		refStats := pairStats
+		refStats.PartFrame, refStats.PartStored = 0, 0
 		for g := range pairRuns {
 			if (pairRuns[g] == nil) != (hashRuns[g] == nil) {
 				t.Fatalf("partition %d: plain pairs' run %v, table's %v", g, pairRuns[g], hashRuns[g])
 			}
-			if pairRuns[g] != nil && !bytes.Equal(hashRuns[g].Blob(), pairRuns[g].Blob()) {
-				t.Fatalf("partition %d: the table's run differs from the plain pairs'", g)
+			if pairRuns[g] == nil {
+				continue
 			}
+			want, err := pairRuns[g].Pairs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := hashRuns[g].Pairs()
+			if err != nil || !pairsEqual(got, want) {
+				t.Fatalf("partition %d: the table's run decodes to %d pairs (err %v), the plain pairs' to %d", g, len(got), err, len(want))
+			}
+			ref := pairRuns[g]
+			if counted {
+				ref = countedRun(want, compress)
+			}
+			if !bytes.Equal(hashRuns[g].Blob(), ref.Blob()) || hashRuns[g].RawBytes != ref.RawBytes {
+				t.Fatalf("partition %d (counted %v): the table's run differs from the reference's", g, counted)
+			}
+			refStats.PartFrame += ref.RawBytes
+			refStats.PartStored += ref.StoredBytes()
+		}
+		if hashStats != refStats {
+			t.Fatalf("counted %v: table's map stats %+v, want %+v", counted, hashStats, refStats)
 		}
 	})
+}
+
+// countedRun is the run kv.Batch.RunCounted makes of sorted pairs in which
+// no key comes with two values, each stretch of equal pairs one counted
+// key.
+func countedRun(pairs []kv.Pair, compress bool) *kv.Run {
+	var b kv.Batch
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j].Compare(pairs[i]) == 0 {
+			j++
+		}
+		b.AppendKV(pairs[i].Key, append(binary.BigEndian.AppendUint32(nil, uint32(j-i)), pairs[i].Value...))
+		i = j
+	}
+	run, _ := b.RunCounted(0, b.Len(), compress)
+	return run
+}
+
+// oneValuePerKey reports whether no key of the sorted pairs comes with two
+// values.
+func oneValuePerKey(pairs []kv.Pair) bool {
+	for i := 1; i < len(pairs); i++ {
+		if bytes.Equal(pairs[i].Key, pairs[i-1].Key) && !bytes.Equal(pairs[i].Value, pairs[i-1].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+func pairsEqual(a, b []kv.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
 }

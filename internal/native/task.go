@@ -17,7 +17,8 @@ type MapStats struct {
 	PairsOut    int64 // pairs the kernel (and combiner) emitted
 	PartRecords int64 // pairs serialized into partition runs
 	PartRuns    int64 // non-empty runs produced
-	PartRaw     int64 // payload bytes entering runs
+	PartRaw     int64 // payload bytes of the pairs entering runs
+	PartFrame   int64 // payload bytes the runs' frames hold (Run.RawBytes)
 	PartStored  int64 // encoded run bytes (post-compression)
 }
 
@@ -28,6 +29,7 @@ func (s MapStats) Book(led *core.Conserv) {
 	led.PartRecords.Add(s.PartRecords)
 	led.PartRuns.Add(s.PartRuns)
 	led.PartRawBytes.Add(s.PartRaw)
+	led.PartFrameBytes.Add(s.PartFrame)
 	led.PartStoredBytes.Add(s.PartStored)
 }
 
@@ -39,9 +41,10 @@ func (s MapStats) Book(led *core.Conserv) {
 // table folds each value into its key's accumulator; a runtime sets combine
 // only for a job CheckCombiner accepts. Otherwise it counts each key's
 // repeats of its first value, so Partition hashes, scatters and sorts keys,
-// not pairs; where pairs do not repeat, it hands them on as they come.
-// Without combine the runs and MapStats are the same, byte for byte,
-// whatever the table did.
+// not pairs, and each run holds a key once with its count; where pairs do
+// not repeat, it hands them on as they come. Without combine the runs
+// decode to the same pairs, and MapStats are the same but for the frame and
+// stored bytes, whatever the table did.
 func MapBlock(app *core.App, block []byte, combine bool) *Chunk {
 	c := getChunk()
 	recs := app.Parse(block)
@@ -65,7 +68,8 @@ func MapBlock(app *core.App, block []byte, combine bool) *Chunk {
 // 12-byte index entries by partition, sorts each range in place and
 // serializes it straight into a run — no payload movement, no sortedness
 // re-verification. A counted chunk scatters and sorts its distinct keys,
-// and each run spells their pairs out (kv.Batch.RunCounted).
+// and each run holds one frame per key, which stands for the key's count of
+// pairs (kv.Batch.RunCounted).
 func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool) ([]*kv.Run, MapStats) {
 	defer c.Release()
 	runs := make([]*kv.Run, n)
@@ -82,15 +86,18 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 		}
 		b.SortRange(lo, hi)
 		var r *kv.Run
+		var raw int64
 		if c.counted {
-			r = b.RunCounted(lo, hi, compress)
+			r, raw = b.RunCounted(lo, hi, compress)
 		} else {
 			r = b.RunRange(lo, hi, compress)
+			raw = r.RawBytes
 		}
 		runs[g] = r
 		st.PartRecords += int64(r.Records)
 		st.PartRuns++
-		st.PartRaw += r.RawBytes
+		st.PartRaw += raw
+		st.PartFrame += r.RawBytes
 		st.PartStored += r.StoredBytes()
 	}
 	return runs, st
