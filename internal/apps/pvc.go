@@ -32,6 +32,9 @@ func PageviewCount() *core.App {
 		Fold:        addU32,
 		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
+
+		// The sum is addU32 over every count from a zeroed total.
+		ReduceIsFold: true,
 	}
 }
 

@@ -46,6 +46,9 @@ func WordCount() *core.App {
 		Fold:        addU32,
 		ReduceBatch: sumCounts,
 		ReduceCost:  core.CostModel{OpsPerRecord: 25, OpsPerValue: 6, OpsPerEmit: 15},
+
+		// The sum is addU32 over every count from a zeroed total.
+		ReduceIsFold: true,
 	}
 }
 

@@ -108,6 +108,17 @@ type App struct {
 	// from zero, the same additions in the same order, which keeps KMeans'
 	// float sums bit-identical. Fold must not keep acc or v.
 	Fold func(acc, v []byte)
+	// ReduceIsFold declares that ReduceBatch is Fold too: over any key
+	// group it emits exactly one pair, the key and an accumulator as wide
+	// as the group's first value, zeroed, with Fold applied to every value
+	// in Merge's order, the first one included — byte for byte. The real
+	// runtimes then reduce by folding each group as it leaves the merge,
+	// without collecting its values (kv.Merger.FoldGroup); the simulated
+	// engines call ReduceBatch either way. It is a property of the
+	// kernels, and only an app with a Fold sets it: WordCount's and
+	// PageviewCount's count sum is such a reduce; KMeans', which divides
+	// the sums, is not.
+	ReduceIsFold bool
 
 	// ReduceBatch is the reduce kernel: it appends the output pairs of one
 	// key group to a batch. If nil, reduction is skipped entirely: the

@@ -332,8 +332,10 @@ func TestServiceSaturation429(t *testing.T) {
 		4, 4, 1, 1500*time.Millisecond))
 	defer stop()
 
-	// A moderately sized input keeps each run slow enough (relative to
-	// ~1ms HTTP submits) that the burst saturates the 4-deep queue.
+	// The burst's submits go out at once: a run of this input takes about
+	// as long as one ~1ms HTTP submit, so submits sent one after another
+	// can find each run done before the next arrives, and the 4-deep
+	// queue never fills.
 	data, _ := apps.WCData(7, 64<<10, 400)
 	req := jobsvc.Request{
 		Tenant:   "flood",
@@ -342,9 +344,18 @@ func TestServiceSaturation429(t *testing.T) {
 		Workers:  2,
 		InputB64: base64.StdEncoding.EncodeToString(data),
 	}
+	errs := make([]error, 12)
+	var burst sync.WaitGroup
+	for i := range errs {
+		burst.Add(1)
+		go func() {
+			defer burst.Done()
+			_, errs[i] = cli.Submit(req)
+		}()
+	}
+	burst.Wait()
 	got429 := 0
-	for i := 0; i < 12; i++ {
-		_, err := cli.Submit(req)
+	for i, err := range errs {
 		if err == nil {
 			continue
 		}

@@ -75,6 +75,22 @@ func (b *Batch) AppendKV(key, value []byte) {
 	b.bytes += int64(len(key) + len(value))
 }
 
+// AppendZeroed copies key into the slab with a zeroed value width bytes
+// long, and returns that value as a view for the caller to fill in place.
+// The view is valid until the next append or Reset, which may move the slab.
+func (b *Batch) AppendZeroed(key []byte, width int) (value []byte) {
+	off := len(b.data)
+	if off+len(key)+width > math.MaxUint32 {
+		panic("kv: Batch slab exceeds 4GiB")
+	}
+	b.data = append(b.data, key...)
+	b.data = append(b.data, make([]byte, width)...)
+	b.idx = append(b.idx, pairIdx{off: uint32(off), klen: uint32(len(key)), vlen: uint32(width)})
+	b.bytes += int64(len(key) + width)
+	v := off + len(key)
+	return b.data[v : v+width : v+width]
+}
+
 // Append copies a pair into the slab.
 func (b *Batch) Append(p Pair) { b.AppendKV(p.Key, p.Value) }
 

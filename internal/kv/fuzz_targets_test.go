@@ -330,6 +330,24 @@ func FuzzMergeRuns(f *testing.F) {
 	})
 }
 
+// orderFold is an 8-byte running hash of a value sequence (FNV-1a over
+// each value's bytes and its length), so two sequences that differ in one
+// value or in order fold differently.
+func orderFold(h uint64, v []byte) uint64 {
+	for _, b := range v {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return (h ^ uint64(len(v))) * 1099511628211
+}
+
+// orderAcc is the accumulator, width bytes wide, that holds the running
+// hash h: its little-endian bytes, cut to width or zero-padded to it.
+func orderAcc(h uint64, width int) []byte {
+	acc := make([]byte, max(width, 8))
+	binary.LittleEndian.PutUint64(acc, h)
+	return acc[:width]
+}
+
 // FuzzMergeGroups drives the merge's group step against Merge + GroupIter.
 // Each input byte is one pair — a key and a value from tieKeys and
 // tieValues, the empty key and empty values among them — dealt to one of up
@@ -340,7 +358,10 @@ func FuzzMergeRuns(f *testing.F) {
 // Every group's key and values must come out byte for byte as GroupIter
 // cuts Merge's pairs, value order included, through the Merger's one
 // values slice, reused from group to group and kept by Reset from an
-// earlier merge.
+// earlier merge. FoldGroup, on the same merger Reset once more, must then
+// fold the groups a fresh merger's NextGroup returns: the same keys, one
+// fold per value, and an accumulator as wide as the group's first value
+// holding orderFold over its values in their order.
 func FuzzMergeGroups(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{0})
@@ -402,6 +423,44 @@ func FuzzMergeGroups(f *testing.F) {
 				if !bytes.Equal(got[i], wg.Values[i]) {
 					t.Fatalf("group %d (%q): value %d is %q, want %q", groups, key, i, got[i], wg.Values[i])
 				}
+			}
+		}
+		m.Reset(iters()...)
+		ref := NewMerger(iters()...)
+		var out Batch
+		var h uint64
+		fold := func(acc, v []byte) {
+			// acc is the group's own accumulator, holding what the last
+			// fold left in it, zeroed before the first.
+			if !bytes.Equal(acc, orderAcc(h, len(acc))) {
+				t.Fatalf("fold into %x, want the accumulator of %016x", acc, h)
+			}
+			h = orderFold(h, v)
+			copy(acc, orderAcc(h, len(acc)))
+		}
+		for groups := 0; ; groups++ {
+			key, vals, wok := ref.NextGroup()
+			h = 0
+			pairs, ok := m.FoldGroup(fold, &out)
+			if ok != wok {
+				t.Fatalf("group %d: FoldGroup ok=%v, NextGroup ok=%v", groups, ok, wok)
+			}
+			if !ok {
+				if out.Len() != groups {
+					t.Fatalf("%d groups folded into %d pairs", groups, out.Len())
+				}
+				break
+			}
+			var want uint64
+			for _, v := range vals {
+				want = orderFold(want, v)
+			}
+			got := out.Pair(out.Len() - 1)
+			if !bytes.Equal(got.Key, key) || pairs != len(vals) || h != want {
+				t.Fatalf("group %d: folded %q, %d values to %016x, want %q, %d values to %016x", groups, got.Key, pairs, h, key, len(vals), want)
+			}
+			if acc := orderAcc(want, len(vals[0])); !bytes.Equal(got.Value, acc) {
+				t.Fatalf("group %d (%q): accumulator %x, want %x", groups, key, got.Value, acc)
 			}
 		}
 		// GroupIter's groups come from Merge pair by pair: they must be

@@ -58,8 +58,9 @@ func (f pairFrames) nextFrame() (Pair, int, bool) { p, ok := f.Next(); return p,
 // and value as big-endian integers, so most matches are decided, or found
 // equal, without a call into bytes.Compare. An input is read a frame at a
 // time, and a head that stands for n pairs plays its matches once: Next
-// hands it out n times, and NextGroup takes a key group at a time off the
-// same tree, replaying it once per input the key is in.
+// hands it out n times, NextGroup takes a key group at a time off the
+// same tree, replaying it once per input the key is in, and FoldGroup folds
+// a key group's values into one accumulator without collecting them.
 type Merger struct {
 	src  []mergeSrc
 	tree []int32
@@ -121,7 +122,7 @@ func Merge(iters ...Iterator) Iterator {
 
 // NewMerger returns the merge of the sorted inputs, for a consumer that
 // wants it pair by pair (Next, as Merge) or key group by key group
-// (NextGroup).
+// (NextGroup, FoldGroup).
 func NewMerger(iters ...Iterator) *Merger {
 	m := new(Merger)
 	m.Reset(iters...)
@@ -265,6 +266,35 @@ func (m *Merger) NextGroup() (key []byte, vals [][]byte, ok bool) {
 	}
 	m.vals, m.most = vals, max(m.most, len(vals))
 	return key, vals, true
+}
+
+// FoldGroup reduces the next key group without collecting its values: it
+// appends the key and a zeroed accumulator, as wide as the group's first
+// value, to out, and calls fold(acc, v) once per pair of the group in
+// Merge's order — a counted frame's value once per pair it stands for, so
+// an order-sensitive fold (a float sum) gives what it gives over Merge's
+// pairs. pairs is the number of values folded; ok is false at the end of
+// the merge, where nothing is appended. The tree replays once per frame.
+func (m *Merger) FoldGroup(fold func(acc, v []byte), out *Batch) (pairs int, ok bool) {
+	if len(m.src) == 0 || m.src[m.win].done {
+		return 0, false
+	}
+	first := &m.src[m.win]
+	key, kp := first.head.Key, first.kp
+	acc := out.AppendZeroed(key, len(first.head.Value))
+	for {
+		w := m.win
+		s := &m.src[w]
+		for range s.n {
+			fold(acc, s.head.Value)
+		}
+		pairs += s.n
+		s.next()
+		m.replay(w)
+		if next := &m.src[m.win]; next.done || next.kp != kp || !bytes.Equal(next.head.Key, key) {
+			return pairs, true
+		}
+	}
 }
 
 // Group is one reduce input: a key and all of its values.

@@ -360,7 +360,8 @@ func TestSpillStressManyPartitions(t *testing.T) {
 // partitions keeps at most 4 files in its spill directory, and its reduce
 // holds one descriptor per partition it is reducing — the process's open
 // files grow by at most KernelWorkers while reduce kernels run, whatever
-// the run count. Both are sampled from inside the reduce kernel.
+// the run count. Both are sampled from inside the reduce kernel: WordCount
+// reduces by folding, and with no combiner Fold runs only in reduce.
 func TestSpillIsOneFilePerPartition(t *testing.T) {
 	openFiles := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -375,9 +376,15 @@ func TestSpillIsOneFilePerPartition(t *testing.T) {
 	var calls atomic.Int64
 	var mostFiles, mostFDs atomic.Int64
 	app := apps.WordCount()
-	reduce := app.ReduceBatch
-	app.ReduceBatch = func(key []byte, vals [][]byte, out *kv.Batch) {
+	fold := app.Fold
+	// One probe at a time: folds run once per pair, on both reducing
+	// goroutines at once, and a probe's own descriptors (the directories
+	// it lists) must not show in another probe's count.
+	var probe sync.Mutex
+	app.Fold = func(acc, v []byte) {
 		if calls.Add(1)%500 == 1 {
+			probe.Lock()
+			defer probe.Unlock()
 			fds := int64(openFiles())
 			files := int64(0)
 			if dirs, _ := filepath.Glob(filepath.Join(spillDir, "glasswing-spill-*")); len(dirs) == 1 {
@@ -389,7 +396,7 @@ func TestSpillIsOneFilePerPartition(t *testing.T) {
 			for cur := mostFiles.Load(); files > cur && !mostFiles.CompareAndSwap(cur, files); cur = mostFiles.Load() {
 			}
 		}
-		reduce(key, vals, out)
+		fold(acc, v)
 	}
 	openFiles()
 	before := int64(openFiles())

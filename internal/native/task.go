@@ -107,12 +107,15 @@ func (c *Chunk) Partition(part func(key []byte, n int) int, n int, compress bool
 // reduce kernel, or passes the merged pairs through for reduce-less apps
 // like TeraSort. It returns the output with the records and key groups the
 // kernel consumed (groups is 0 on the reduce-less path, which never groups).
-// Groups come off the merge whole (kv.Merger.NextGroup) in the merger's one
-// values slice, reused for every key: ReduceBatchFunc reads its values
-// during the call and keeps none, and the pairs behind them stay valid
-// (kv.Iterator). The merger is the caller's, and is Reset here: a reducer
-// that takes one partition after another passes the same one, so the
-// values slice grows to the largest group once, not once per partition.
+// An app whose reduce is its fold (App.ReduceIsFold) reduces each key
+// group as it leaves the merge (kv.Merger.FoldGroup): its values are
+// folded into the output pair's value in place, and never collected.
+// Other groups come off the merge whole (kv.Merger.NextGroup) in the
+// merger's one values slice, reused for every key: ReduceBatchFunc reads
+// its values during the call and keeps none, and the pairs behind them
+// stay valid (kv.Iterator). The merger is the caller's, and is Reset here:
+// a reducer that takes one partition after another passes the same one, so
+// the values slice grows to the largest group once, not once per partition.
 func ReducePartition(app *core.App, merged *kv.Merger, iters []kv.Iterator) (out []kv.Pair, records, groups int64) {
 	if app.ReduceBatch == nil {
 		out = kv.Drain(iters...)
@@ -122,6 +125,17 @@ func ReducePartition(app *core.App, merged *kv.Merger, iters []kv.Iterator) (out
 	// returned pairs are views into it, so there is no per-pair copy-out.
 	var slab kv.Batch
 	merged.Reset(iters...)
+	if app.ReduceIsFold {
+		for {
+			n, ok := merged.FoldGroup(app.Fold, &slab)
+			if !ok {
+				break
+			}
+			records += int64(n)
+			groups++
+		}
+		return slab.Pairs(nil), records, groups
+	}
 	for {
 		key, vals, ok := merged.NextGroup()
 		if !ok {
